@@ -2,6 +2,9 @@
 
 The solver mirrors :func:`repro.solvers.cg` over decomposed vectors: the
 matvec performs one halo exchange, every inner product is one allreduce.
+A step is classified by :func:`repro.solvers.cg.curvature_status`, the
+same curvature test the sequential solver uses, so an indefinite operator
+is a ``"breakdown"`` with ``detail["reason"] == "indefinite"`` here too.
 Its counters are the *measured* ground truth the Figure-10 scaling model's
 per-iteration communication terms are validated against.
 """
@@ -12,6 +15,7 @@ import numpy as np
 
 from ..observability import trace as _trace
 from ..resilience.runtime import SolveInterrupted
+from ..solvers.cg import curvature_status
 from ..solvers.history import ConvergenceHistory, SolveResult
 from .comm import CommStats
 from .decomp import CartesianDecomposition
@@ -149,10 +153,13 @@ def distributed_cg(
                         a.spmv(p, out=ap, stats=stats)
                     stats.set_phase("default")
                     pap = distributed_dot(p, ap, stats)
-                    if pap == 0.0 or not np.isfinite(pap):
-                        status = "diverged" if not np.isfinite(pap) else "breakdown"
+                    failure = curvature_status(pap)
+                    if failure is not None:
+                        status, reason = failure
                         if status == "diverged":
                             detail["failed_ranks"] = failing_ranks(ap, stats)
+                        if reason is not None:
+                            detail["reason"] = reason
                         break
                     alpha = rz / pap
                     _axpy(alpha, p, x)

@@ -1,11 +1,17 @@
-"""Iterative solvers (CG, GMRES, FGMRES, GMRES-IR, Richardson)."""
+"""Iterative solvers (CG, GMRES, FGMRES, GMRES-IR, Richardson).
+
+Every solver runs on the one loop in :mod:`repro.solvers.driver`, which owns
+the shared contract (input normalization, ``x0``/``resume_from``, the
+initial-residual early exit, deadline/cancel checks, checkpoints, result
+assembly); each method supplies only its recurrence.  :func:`gmres` is
+FGMRES with a fixed preconditioner, and :func:`batched_cg` is :func:`cg`'s
+block mode over a trailing batch axis.
+"""
 
 from ..observability import metrics as _metrics
 from ..observability import trace as _trace
-from .batched import batched_cg
-from .cg import cg
-from .fgmres import fgmres
-from .gmres import gmres
+from .cg import batched_cg, cg
+from .fgmres import fgmres, gmres
 from .gmres_ir import gmres_ir
 from .history import (
     FAILURE_STATUSES,
@@ -42,7 +48,8 @@ _SOLVERS = {
 
 
 def solve(name: str, a, b, policy_controller=None, **kwargs) -> SolveResult:
-    """Dispatch to a solver by name (``cg`` / ``gmres`` / ``richardson``).
+    """Dispatch to a solver by name (``cg`` / ``gmres`` / ``fgmres`` /
+    ``gmres_ir`` (alias ``gmres-ir``) / ``richardson``).
 
     When a metrics registry is active the per-solve counter deltas (kernel
     invocations, fcvt volumes, precision events, modeled bytes) are folded

@@ -1,32 +1,140 @@
-"""Preconditioned Conjugate Gradient in the iterative precision.
+"""Preconditioned Conjugate Gradient in the iterative precision, one
+vector or a block of them.
 
 Nothing special is applied to the iterative solver (Section 4.2): it runs
 entirely in the user's iterative precision (FP64 for every problem in Table
 3) and invokes the preconditioner through the Algorithm-2 interface —
 truncate the residual, apply the FP16 multigrid, recover the error.
 
-The solver is *deadline-aware*: an :class:`~repro.resilience.runtime.
-ExecContext` passed as ``runtime`` is checked once per iteration (and, via
-the thread-local runtime scope, at every V-cycle level visit inside the
-preconditioner), turning expiry into the ``"deadline"`` / ``"cancelled"``
-statuses with the partial iterate preserved.  ``checkpoint_every`` emits
-:class:`~repro.resilience.runtime.SolverCheckpoint` snapshots at iteration
-boundaries; ``resume_from`` restarts from one, bit-identically to the
-uninterrupted run (the checkpoint is exactly the loop-top state).
+:func:`batched_cg` is the same recurrence in *block mode*: the SG-DIA SpMV
+and the multigrid preconditioner see the whole ``(n, k)`` block at once,
+so each FP16 coefficient slice is converted (``fcvt``) once per iteration
+instead of once per column — the serving-side realization of the paper's
+bandwidth argument.  The scalars (``alpha``, ``beta``, residual norms) are
+kept per column, on contiguous column copies with the exact operation
+sequence of a single solve, and a column freezes the moment its own solve
+would stop.  Because the batched kernels are columnwise bit-exact, every
+column reproduces :func:`cg` on that column bit for bit.
+
+The deadline/cancel checks, checkpoints and early exit are the driver's
+(:mod:`repro.solvers.driver`).  A checkpoint is the loop-top state: ``(x, r,
+p)`` and ``rz`` are all CG carries across an iteration boundary, so a resume
+replays the remaining iterations bit for bit.
 """
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from ..observability import trace as _trace
-from ..resilience.runtime import SolveInterrupted, SolverCheckpoint
-from ..resilience.runtime import scope as _runtime_scope
-from .history import ConvergenceHistory, SolveResult
+from ..resilience.runtime import SolverCheckpoint
+from .driver import Method, drive
+from .history import SolveResult
 
-__all__ = ["cg"]
+__all__ = ["batched_cg", "cg", "curvature_status"]
+
+
+def curvature_status(pap: float) -> "tuple[str, str | None] | None":
+    """Classify a CG step by its curvature ``p^T A p``.
+
+    ``None`` means the step is safe.  Otherwise the ``(status, reason)`` to
+    stop with: a non-finite curvature is ``"diverged"``; ``p^T A p <= 0``
+    is ``"breakdown"``, with reason ``"indefinite"`` when negative — the
+    operator is not positive definite on this direction, CG's alpha would
+    flip sign and the "convergence" would be garbage.  Both are failure
+    statuses, so ``robust_solve`` escalates.
+    """
+    if not np.isfinite(pap):
+        return "diverged", None
+    if pap <= 0.0:
+        return "breakdown", "indefinite" if pap < 0.0 else None
+    return None
+
+
+class _CG(Method):
+    def __init__(self, block: bool):
+        self.name = "batched_cg" if block else "cg"
+        self.p = None
+        self.rz: list = []
+
+    def state(self, run):
+        arrays = {"x": run.x, "r": run.r, "p": self.p}
+        if run.block:
+            return {"arrays": arrays, "extra": {"rz": list(self.rz)}}
+        return {"arrays": arrays, "scalars": {"rz": self.rz[0]}}
+
+    def restore(self, run, cp, arrays):
+        self.p = arrays["p"]
+        rz = cp.extra["rz"] if run.block else [cp.scalars["rz"]]
+        self.rz = [float(v) for v in rz]
+
+    def steps(self, run):
+        if self.p is None:
+            yield
+            z = run.precondition(run.r)
+            self.p = z.copy()
+            self.rz = [run.dot(run.r, z, j) for j in range(run.k)]
+        while run.it < run.maxiter and run.active.any():
+            yield
+            run.it += 1
+            attrs = {"columns": int(run.active.sum())} if run.block else {}
+            with _trace.span("iteration", it=run.it, **attrs):
+                self._iterate(run)
+            if run.active.any():
+                yield run.it
+
+    def _iterate(self, run):
+        p, rz = self.p, self.rz
+        for j in run.live():
+            if not np.isfinite(rz[j]):
+                run.freeze(j, "diverged")
+        if not run.active.any():
+            return
+        with _trace.span("spmv"):
+            ap = run.apply(p)
+        alpha = {}
+        for j in run.live():
+            pap = run.dot(p, ap, j)
+            failure = curvature_status(pap)
+            if failure is not None:
+                run.freeze(j, *failure)
+            else:
+                alpha[j] = rz[j] / pap
+        live = run.live()
+        if live.size == 0:
+            return
+        for j in live:
+            xj, rj = run.view(run.x, j), run.view(run.r, j)
+            xj += alpha[j] * run.view(p, j)
+            rj -= alpha[j] * run.view(ap, j)
+            run.record(j)
+        restart = False
+        if run.callback is not None:
+            rel = run.rel.copy() if run.block else float(run.rel[0])
+            restart = bool(run.callback(run.it, rel, run.x))
+        for j in live:
+            if not np.isfinite(run.rel[j]):
+                run.freeze(j, "diverged")
+            elif run.rel[j] < run.rtol:
+                run.freeze(j, "converged")
+        if not run.active.any():
+            return
+        z = run.precondition(run.r)
+        for j in run.live():
+            rz_new = run.dot(run.r, z, j)
+            pj, zj = run.view(p, j), run.view(z, j)
+            if restart:
+                # The callback changed the preconditioner (the precision
+                # policy re-tiered a level): the beta recurrence assumes a
+                # fixed M, so restart from the preconditioned residual.
+                pj[...] = zj
+            elif rz[j] == 0.0:
+                run.freeze(j, "breakdown")
+                continue
+            else:
+                pj *= rz_new / rz[j]  # p = z + beta p
+                pj += zj
+            rz[j] = rz_new
 
 
 def cg(
@@ -75,159 +183,60 @@ def cg(
         A CG checkpoint to continue from; the resumed run is bit-identical
         to the run that produced the checkpoint left uninterrupted.
     """
-    t0 = time.perf_counter()
-    dtype = np.dtype(dtype)
-    matvec = _as_matvec(a)
-    b = np.asarray(b, dtype=dtype)
-    shape = b.shape
-    bn = float(np.linalg.norm(b.ravel()))
-    if bn == 0.0:
-        bn = 1.0
-    m = preconditioner if preconditioner is not None else (lambda r: r)
+    return drive(
+        _CG(block=False), a, b, x0=x0, preconditioner=preconditioner,
+        rtol=rtol, maxiter=maxiter, dtype=dtype, callback=callback,
+        runtime=runtime, checkpoint_every=checkpoint_every,
+        checkpoint_sink=checkpoint_sink, resume_from=resume_from,
+    )
 
-    history = ConvergenceHistory()
-    last_cp: "SolverCheckpoint | None" = None
-    breakdown_reason: "str | None" = None
 
-    def make_result(x, status, it, n_prec):
-        result = SolveResult(
-            x=x,
-            status=status,
-            iterations=it,
-            history=history,
-            solver="cg",
-            precond_applications=n_prec,
-            seconds=time.perf_counter() - t0,
+def batched_cg(
+    a,
+    b: np.ndarray,
+    x0: "np.ndarray | None" = None,
+    preconditioner=None,
+    rtol: float = 1e-9,
+    maxiter: int = 500,
+    dtype=np.float64,
+    callback=None,
+    runtime=None,
+    checkpoint_every: int = 0,
+    checkpoint_sink=None,
+    resume_from: "SolverCheckpoint | None" = None,
+) -> list[SolveResult]:
+    """:func:`cg` in block mode; returns one result per column.
+
+    Parameters
+    ----------
+    b:
+        RHS block with a trailing batch axis: ``(n, k)`` or
+        ``field_shape + (k,)``.
+    preconditioner:
+        Callable ``M(R) -> E`` accepting the *block* (e.g.
+        ``MGHierarchy.precondition``, whose batched path is columnwise
+        bit-exact).
+    callback:
+        Optional ``callback(it, rel_norms, x_block)`` per iteration; a
+        truthy return restarts every active column's direction, as in
+        :func:`cg`.
+    runtime / checkpoint_every / checkpoint_sink / resume_from:
+        As in :func:`cg`.  On interruption every still-active column
+        reports the interrupt status with its partial iterate; frozen
+        columns keep their final results.  ``precond_applications``
+        counts block applications.
+
+    Returns a list of ``k`` :class:`SolveResult`; ``results[j]`` is
+    bit-identical to ``cg(a, b[..., j], ...)``.
+    """
+    if np.ndim(b) < 2:
+        raise ValueError(
+            "batched_cg needs an RHS block with a trailing batch axis; "
+            "use cg() for a single right-hand side"
         )
-        if last_cp is not None:
-            result.detail["checkpoint"] = last_cp
-        if breakdown_reason is not None:
-            result.detail["reason"] = breakdown_reason
-        return result
-
-    if resume_from is not None:
-        if resume_from.solver != "cg":
-            raise ValueError(
-                f"cannot resume cg from a {resume_from.solver!r} checkpoint"
-            )
-        x = np.array(resume_from.arrays["x"], dtype=dtype, copy=True).reshape(shape)
-        r = np.array(resume_from.arrays["r"], dtype=dtype, copy=True).reshape(shape)
-        p = np.array(resume_from.arrays["p"], dtype=dtype, copy=True).reshape(shape)
-        rz = float(resume_from.scalars["rz"])
-        n_prec = int(resume_from.n_prec)
-        history.norms = [float(v) for v in resume_from.history]
-        start_it = int(resume_from.iteration) + 1
-    else:
-        x = (
-            np.zeros_like(b)
-            if x0 is None
-            else np.array(x0, dtype=dtype, copy=True).reshape(shape)
-        )
-        n_prec = 0
-        r = b - matvec(x).reshape(shape)
-        rel = float(np.linalg.norm(r.ravel())) / bn
-        history.record(rel)
-        if rel < rtol:
-            return make_result(x, "converged", 0, 0)
-        interrupt = runtime.check() if runtime is not None else None
-        if interrupt is not None:
-            return make_result(x, interrupt, 0, 0)
-        try:
-            with _runtime_scope(runtime):
-                z = np.asarray(m(r), dtype=dtype).reshape(shape)
-        except SolveInterrupted as stop:
-            return make_result(x, stop.status, 0, 0)
-        n_prec += 1
-        p = z.copy()
-        rz = float(np.vdot(r.ravel(), z.ravel()).real)
-        start_it = 1
-
-    status = "maxiter"
-    it = start_it - 1
-    with _runtime_scope(runtime):
-        for it in range(start_it, maxiter + 1):
-            if runtime is not None:
-                interrupt = runtime.check()
-                if interrupt is not None:
-                    status = interrupt
-                    it -= 1  # nothing of this iteration ran
-                    break
-            try:
-                with _trace.span("iteration", it=it):
-                    if not np.isfinite(rz):
-                        status = "diverged"
-                        break
-                    with _trace.span("spmv"):
-                        ap = matvec(p).reshape(shape)
-                    pap = float(np.vdot(p.ravel(), ap.ravel()).real)
-                    if pap <= 0.0 or not np.isfinite(pap):
-                        # pap < 0 means the operator is not positive
-                        # definite on this direction — CG's alpha would go
-                        # negative and the "convergence" would be garbage.
-                        # Classify as breakdown so robust_solve escalates.
-                        if not np.isfinite(pap):
-                            status = "diverged"
-                        else:
-                            status = "breakdown"
-                            if pap < 0.0:
-                                breakdown_reason = "indefinite"
-                        break
-                    alpha = rz / pap
-                    x += alpha * p
-                    r -= alpha * ap
-                    rel = float(np.linalg.norm(r.ravel())) / bn
-                    history.record(rel)
-                    restart = False
-                    if callback is not None:
-                        restart = bool(callback(it, rel, x))
-                    if not np.isfinite(rel):
-                        status = "diverged"
-                        break
-                    if rel < rtol:
-                        status = "converged"
-                        break
-                    z = np.asarray(m(r), dtype=dtype).reshape(shape)
-                    n_prec += 1
-                    rz_new = float(np.vdot(r.ravel(), z.ravel()).real)
-                    if restart:
-                        # The callback changed the preconditioner (the
-                        # precision policy re-tiered a level): the beta
-                        # recurrence assumes a fixed M, so drop the
-                        # search-direction history and restart from the
-                        # freshly preconditioned residual.
-                        rz = rz_new
-                        p = z.copy()
-                    else:
-                        if rz == 0.0:
-                            status = "breakdown"
-                            break
-                        beta = rz_new / rz
-                        rz = rz_new
-                        p = z + beta * p
-            except SolveInterrupted as stop:
-                status = stop.status
-                break
-            if checkpoint_every > 0 and it % checkpoint_every == 0:
-                # Loop-top state of iteration it+1: (x, r, p, rz) is all CG
-                # carries across the boundary, so a resume replays the
-                # remaining iterations bit for bit.
-                last_cp = SolverCheckpoint(
-                    solver="cg",
-                    iteration=it,
-                    arrays={"x": x.copy(), "r": r.copy(), "p": p.copy()},
-                    scalars={"rz": rz},
-                    history=list(history.norms),
-                    n_prec=n_prec,
-                )
-                if checkpoint_sink is not None:
-                    checkpoint_sink(last_cp)
-
-    return make_result(x, status, it if status != "maxiter" else maxiter, n_prec)
-
-
-def _as_matvec(a):
-    if callable(a) and not hasattr(a, "matvec") and not hasattr(a, "dot"):
-        return a
-    if hasattr(a, "matvec"):
-        return lambda v: np.asarray(a.matvec(v))
-    return lambda v: np.asarray(a @ v.ravel()).reshape(v.shape)
+    return drive(
+        _CG(block=True), a, b, x0=x0, preconditioner=preconditioner,
+        rtol=rtol, maxiter=maxiter, dtype=dtype, callback=callback,
+        runtime=runtime, checkpoint_every=checkpoint_every,
+        checkpoint_sink=checkpoint_sink, resume_from=resume_from, block=True,
+    )

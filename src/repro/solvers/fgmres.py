@@ -1,44 +1,266 @@
-"""Flexible GMRES (FGMRES) with an optional low-precision inner GMRES.
+"""Flexible GMRES (FGMRES), and GMRES as FGMRES with a fixed preconditioner.
 
-Plain right-preconditioned GMRES already *stores* the preconditioned basis
-``Z`` per iteration, but its contract still assumes a fixed ``M``: the
-restart-on-retier hook ends the cycle when the preconditioner changes.
-FGMRES makes the varying preconditioner first-class (Saad '93): each
-column ``z_k = M_k v_k`` may come from a *different* operator, so the
-precision policy may re-tier levels every step and — the nested-Krylov
-method of Suzuki & Iwashita (arXiv:2505.20719) — ``M_k`` may itself be an
-inner GMRES run in low precision around the FP16 multigrid V-cycle.
+The paper uses GMRES for the nonsymmetric problems (oil, weather, oil-4C).
+Right preconditioning keeps the monitored quantity the true-system residual
+``||b - A x||``; the Arnoldi recursion tracks the *implicit* residual (the
+Givens-rotation estimate), which can show the "false convergence"
+oscillations the paper notes for weather — the true residual is recomputed
+at every restart and at the end.
 
-``inner="gmres"`` enables the nested mode: each outer Arnoldi step solves
-``A z ≈ v_k`` with a few inner GMRES iterations in ``inner_dtype``
-(FP32 by default; FP16 is legal because the outer method never assumes the
-inner operator is linear or fixed), preconditioned by the user's ``M``.
-The inner residual target is loose (``inner_rtol``): the outer
-minimisation absorbs the slack, and one outer iteration now buys several
-preconditioner applications' worth of progress — fewer outer
-orthogonalisation sweeps and restarts for the same tolerance.
+Right-preconditioned GMRES already *stores* the preconditioned basis ``Z``,
+so one Arnoldi/Givens cycle serves both methods.  FGMRES makes the varying
+preconditioner first-class (Saad '93): each column ``z_k = M_k v_k`` may
+come from a *different* operator, so the precision policy may re-tier
+levels every step and — the nested-Krylov method of Suzuki & Iwashita
+(arXiv:2505.20719) — ``M_k`` may itself be an inner GMRES run in low
+precision around the FP16 multigrid V-cycle.  :func:`gmres` is that cycle
+with a fixed ``M``, under its own solver name.
 
-The solver implements the full house contract: x0/warm-start, cooperative
-deadline/cancel via ``runtime`` (threaded into the inner solves too),
-checkpoint/resume at restart boundaries (state collapses to ``(x, r)``
-exactly as in :func:`~repro.solvers.gmres.gmres`), and the policy
-callback with truthy-return cycle restart.
+Deadline/cancel checks run per Arnoldi step; on interruption the finished
+steps of the current cycle are still folded into ``x`` through the small
+least-squares solve.  Checkpoints are emitted at *restart boundaries*, the
+only points where the solver state collapses to ``(x, r)`` (the
+Hessenberg/Givens state is discarded there by construction), so
+``resume_from`` continues bit-identically.
 """
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 
 from ..observability import trace as _trace
 from ..resilience.runtime import SolveInterrupted, SolverCheckpoint
-from ..resilience.runtime import scope as _runtime_scope
-from .cg import _as_matvec
-from .gmres import _fold, gmres
-from .history import ConvergenceHistory, SolveResult
+from .driver import INTERRUPTS, Method, drive
+from .history import SolveResult
 
-__all__ = ["fgmres"]
+__all__ = ["fgmres", "gmres"]
+
+
+class _FGMRES(Method):
+    def __init__(self, name, restart, inner=None, inner_maxiter=4,
+                 inner_rtol=1e-2, inner_dtype=np.float32):
+        self.inner_dtype = _resolve_dtype(inner_dtype)
+        if inner not in (None, "gmres"):
+            raise ValueError(f"unknown inner solver {inner!r}; known: 'gmres'")
+        self.name = name
+        self.restart = restart
+        self.inner = inner
+        self.inner_maxiter = inner_maxiter
+        self.inner_rtol = inner_rtol
+        self.inner_its = 0
+
+    def state(self, run):
+        state = super().state(run)
+        if self.name == "fgmres":
+            state["extra"] = {"inner_iterations": self.inner_its}
+        return state
+
+    def restore(self, run, cp, arrays):
+        self.inner_its = int(cp.extra.get("inner_iterations", 0))
+
+    def detail(self, run):
+        if self.name != "fgmres":
+            return {}
+        return {"inner": {
+            "solver": self.inner,
+            "iterations": self.inner_its,
+            "dtype": str(self.inner_dtype),
+            "rtol": self.inner_rtol,
+            "maxiter": self.inner_maxiter,
+        }}
+
+    def steps(self, run):
+        while run.it < run.maxiter:
+            beta = float(np.linalg.norm(run.r.ravel()))
+            if beta == 0.0:
+                return "converged"
+            if not np.isfinite(beta):
+                return "diverged"
+            status = yield from self._cycle(run, beta)
+            if status is not None:
+                return status
+            yield 0  # restart boundary: (x, r) is the whole state
+
+    def _cycle(self, run, beta):
+        """One Arnoldi cycle from ``r``; returns a final status or ``None``."""
+        n, dtype, bn = run.b.size, run.dtype, run.bn[0]
+        k_max = min(self.restart, run.maxiter - run.it)
+        v = np.zeros((k_max + 1, n), dtype=dtype)
+        z = np.zeros((k_max, n), dtype=dtype)  # flexible basis Z
+        h = np.zeros((k_max + 1, k_max), dtype=dtype)
+        cs = np.zeros(k_max, dtype=dtype)
+        sn = np.zeros(k_max, dtype=dtype)
+        g = np.zeros(k_max + 1, dtype=dtype)
+        g[0] = beta
+        v[0] = run.r.ravel() / beta
+
+        k_done, stop, rel = 0, None, beta / bn
+        for k in range(k_max):
+            try:
+                yield
+                with _trace.span("iteration", it=run.it + 1):
+                    zk = self._precondition(run, v[k], rel)
+                    with _trace.span("spmv"):
+                        w = run.apply(zk.reshape(run.shape)).ravel()
+                    if not np.isfinite(w).all():
+                        stop = "diverged"
+                        break
+                    z[k] = zk
+                    # modified Gram-Schmidt
+                    for i in range(k + 1):
+                        h[i, k] = float(np.dot(v[i], w))
+                        w -= h[i, k] * v[i]
+                    hk1 = float(np.linalg.norm(w))
+                    h[k + 1, k] = hk1
+                    if hk1 > 0.0:
+                        v[k + 1] = w / hk1
+                    # apply stored Givens rotations
+                    for i in range(k):
+                        tmp = cs[i] * h[i, k] + sn[i] * h[i + 1, k]
+                        h[i + 1, k] = -sn[i] * h[i, k] + cs[i] * h[i + 1, k]
+                        h[i, k] = tmp
+                    # new rotation
+                    denom = float(np.hypot(h[k, k], h[k + 1, k]))
+                    if denom == 0.0:
+                        stop = "breakdown"
+                        break
+                    cs[k] = h[k, k] / denom
+                    sn[k] = h[k + 1, k] / denom
+                    h[k, k] = denom
+                    h[k + 1, k] = 0.0
+                    g[k + 1] = -sn[k] * g[k]
+                    g[k] = cs[k] * g[k]
+                    k_done = k + 1
+                    run.it += 1
+                    rel = abs(float(g[k + 1])) / bn  # implicit residual estimate
+                    run.history.record(rel)
+                    if run.callback is not None:
+                        x_cur = run.x + _fold(z, h, g, k_done).reshape(run.shape)
+                        if run.callback(run.it, rel, x_cur):
+                            # Restart request: the callback mutated the
+                            # preconditioner (policy re-tier), so end the
+                            # cycle here and restart from the boundary.
+                            stop = "restart"
+                            break
+                    if not np.isfinite(rel):
+                        stop = "diverged"
+                        break
+                    if rel < run.rtol or run.it >= run.maxiter:
+                        break
+                    if hk1 == 0.0:
+                        stop = "breakdown"  # lucky breakdown: exact solve
+                        break
+            except SolveInterrupted as exc:
+                stop = exc.status
+                break
+        # solve the small triangular system and update x — also on
+        # interruption, so every finished Arnoldi step reaches the iterate
+        if k_done > 0:
+            run.x += _fold(z, h, g, k_done).reshape(run.shape)
+        run.r = self.residual(run)
+        true_rel = float(np.linalg.norm(run.r.ravel())) / bn
+        if stop == "diverged" or not np.isfinite(true_rel):
+            run.history.record(true_rel)
+            return "diverged"
+        if stop in INTERRUPTS and true_rel >= run.rtol:
+            run.history.record(true_rel)
+            return stop
+        if k_done > 0:
+            # Replace the last implicit Givens estimate with the recomputed
+            # true residual at *every* restart boundary: this is where the
+            # "false convergence" oscillation becomes visible to history
+            # consumers (stagnation classifiers, the precision policy).
+            run.history.norms[-1] = true_rel
+        if true_rel < run.rtol:
+            return "converged"
+        if stop == "breakdown":
+            return "breakdown"
+        return None
+
+    def _precondition(self, run, vk, rel):
+        """One flexible preconditioner application ``z_k = M_k(v_k)``."""
+        if self.inner is None:
+            return run.precondition(vk.reshape(run.shape)).ravel()
+        # Nested mode: a few low-precision GMRES iterations on A z = v_k,
+        # preconditioned by M.  Two guards keep the nesting from spending
+        # more preconditioner applications than the outer progress is
+        # worth.  (1) Inexact-Krylov relaxation (van den Eshof & Sleijpen):
+        # the tolerable inexactness of z_k grows like rtol / ||r_outer||,
+        # so near-converged steps accept a sloppier inner solve.  (2) An
+        # endgame budget: from the per-application reduction rate observed
+        # so far, estimate how many direct applications would finish the
+        # solve — once that estimate fits inside ``inner_maxiter``, nesting
+        # can only overshoot, so fall back to one application per step.
+        # The inner run shares the outer runtime so deadlines and
+        # cancellation cut through both loops.
+        rtol = run.rtol
+        eta = min(0.9, max(self.inner_rtol, 0.1 * rtol / max(rel, rtol)))
+        budget = self.inner_maxiter
+        if run.n_prec > 0 and 0.0 < rel < 1.0:
+            per_app = np.log(rel) / run.n_prec  # < 0
+            remaining = np.log(max(rtol, 1e-300) / rel) / per_app
+            if remaining <= self.inner_maxiter + 1:
+                budget = 1
+        res = gmres(
+            run.a,
+            vk.reshape(run.shape).astype(self.inner_dtype),
+            preconditioner=run.m,
+            rtol=eta,
+            maxiter=budget,
+            restart=budget,
+            dtype=self.inner_dtype,
+            runtime=run.runtime,
+        )
+        run.n_prec += res.precond_applications
+        self.inner_its += res.iterations
+        if res.status in INTERRUPTS:
+            raise SolveInterrupted(res.status)
+        zk = np.asarray(res.x, dtype=run.dtype).ravel()
+        if not np.isfinite(zk).all():
+            # A diverged inner solve must not poison the outer basis; fall
+            # back to a single direct preconditioner application.
+            zk = run.precondition(vk.reshape(run.shape)).ravel()
+        return zk
+
+
+def gmres(
+    a,
+    b: np.ndarray,
+    x0: "np.ndarray | None" = None,
+    preconditioner=None,
+    rtol: float = 1e-9,
+    maxiter: int = 500,
+    restart: int = 30,
+    dtype=np.float64,
+    callback=None,
+    runtime=None,
+    checkpoint_every: int = 0,
+    checkpoint_sink=None,
+    resume_from: "SolverCheckpoint | None" = None,
+) -> SolveResult:
+    """Right-preconditioned GMRES(restart) for ``A x = b``: FGMRES with a
+    fixed preconditioner, reporting and checkpointing as ``"gmres"``.
+
+    ``maxiter`` counts total Krylov iterations (preconditioner
+    applications), not restart cycles.  ``checkpoint_every > 0`` emits a
+    checkpoint at every restart boundary (the value itself only gates the
+    feature on: restart boundaries are the exact-resume points).
+
+    ``callback(it, rel, x)`` receives the current iterate (the finished
+    Arnoldi steps folded into ``x`` through the small triangular solve).  A
+    truthy return value ends the Arnoldi cycle early: the partial cycle is
+    folded into ``x``, the true residual is recomputed, and the outer loop
+    restarts — the cycle-boundary equivalent of CG's direction restart for
+    a callback that mutated the preconditioner mid-solve, as the precision
+    policy controller does when it re-tiers a level.
+    """
+    return drive(
+        _FGMRES("gmres", restart), a, b, x0=x0,
+        preconditioner=preconditioner, rtol=rtol, maxiter=maxiter,
+        dtype=dtype, callback=callback, runtime=runtime,
+        checkpoint_every=checkpoint_every, checkpoint_sink=checkpoint_sink,
+        resume_from=resume_from,
+    )
 
 
 def fgmres(
@@ -62,255 +284,46 @@ def fgmres(
 ) -> SolveResult:
     """Flexible right-preconditioned GMRES(restart) for ``A x = b``.
 
-    Parameters beyond :func:`~repro.solvers.gmres.gmres`:
+    Parameters beyond :func:`gmres`:
 
     inner:
         ``None`` (default) applies ``preconditioner`` directly — flexible
         GMRES where ``M`` may change every step.  ``"gmres"`` nests an
         inner GMRES per outer step (``z_k`` approximately solves
-        ``A z = v_k``), preconditioned by ``preconditioner``.
+        ``A z = v_k``), preconditioned by ``preconditioner``.  The inner
+        residual target is loose (``inner_rtol``): the outer minimisation
+        absorbs the slack, and one outer iteration buys several
+        preconditioner applications' worth of progress.
     inner_maxiter / inner_rtol / inner_dtype:
         Budget, residual target, and working precision of each inner
         solve.  ``inner_dtype`` accepts numpy dtypes or precision-format
-        names (``"fp16"``/``"bf16"``/``"fp32"``/``"fp64"``).
+        names (``"fp16"``/``"bf16"``/``"fp32"``/``"fp64"``); FP16 is legal
+        because the outer method never assumes the inner operator is
+        linear or fixed.
 
     ``maxiter`` counts *outer* Krylov iterations; ``precond_applications``
     counts actual preconditioner applications including those consumed by
     inner solves, so nested and plain runs compare on equal footing.
     """
-    t0 = time.perf_counter()
-    dtype = np.dtype(dtype)
-    inner_dtype = _resolve_dtype(inner_dtype)
-    if inner not in (None, "gmres"):
-        raise ValueError(f"unknown inner solver {inner!r}; known: 'gmres'")
-    matvec = _as_matvec(a)
-    b = np.asarray(b, dtype=dtype)
-    shape = b.shape
-    n = b.size
-    bn = float(np.linalg.norm(b.ravel()))
-    if bn == 0.0:
-        bn = 1.0
-    m = preconditioner if preconditioner is not None else (lambda r: r)
-
-    history = ConvergenceHistory()
-    last_cp: "SolverCheckpoint | None" = None
-    status = "maxiter"
-    n_prec = 0
-    n_prec_start = 0
-    inner_its = 0
-
-    if resume_from is not None:
-        if resume_from.solver != "fgmres":
-            raise ValueError(
-                f"cannot resume fgmres from a {resume_from.solver!r} checkpoint"
-            )
-        x = np.array(resume_from.arrays["x"], dtype=dtype, copy=True).reshape(shape)
-        r = np.array(resume_from.arrays["r"], dtype=dtype, copy=True).reshape(shape)
-        n_prec = int(resume_from.n_prec)
-        total_it = int(resume_from.iteration)
-        inner_its = int(resume_from.extra.get("inner_iterations", 0))
-        history.norms = [float(v) for v in resume_from.history]
-        rel = float(np.linalg.norm(r.ravel())) / bn
-        if rel < rtol:
-            status = "converged"
-    else:
-        x = (
-            np.zeros_like(b)
-            if x0 is None
-            else np.array(x0, dtype=dtype, copy=True).reshape(shape)
-        )
-        total_it = 0
-        r = b - matvec(x).reshape(shape)
-        rel = float(np.linalg.norm(r.ravel())) / bn
-        history.record(rel)
-        if rel < rtol:
-            status = "converged"
-
-    def apply_precond(
-        vk: np.ndarray, rel_now: float
-    ) -> "tuple[np.ndarray, str | None]":
-        """One flexible preconditioner application ``z_k = M_k(v_k)``."""
-        nonlocal n_prec, inner_its
-        if inner is None:
-            zk = np.asarray(m(vk.reshape(shape)), dtype=dtype).ravel()
-            n_prec += 1
-            return zk, None
-        # Nested mode: a few low-precision GMRES iterations on A z = v_k,
-        # preconditioned by M.  Two guards keep the nesting from spending
-        # more preconditioner applications than the outer progress is
-        # worth.  (1) Inexact-Krylov relaxation (van den Eshof & Sleijpen):
-        # the tolerable inexactness of z_k grows like rtol / ||r_outer||,
-        # so near-converged steps accept a sloppier inner solve.  (2) An
-        # endgame budget: from the per-application reduction rate observed
-        # so far, estimate how many direct applications would finish the
-        # solve — once that estimate fits inside ``inner_maxiter``, nesting
-        # can only overshoot, so fall back to one application per step.
-        # The inner run shares the outer runtime so deadlines and
-        # cancellation cut through both loops.
-        eta = min(0.9, max(inner_rtol, 0.1 * rtol / max(rel_now, rtol)))
-        budget = inner_maxiter
-        apps_used = n_prec - n_prec_start
-        if apps_used > 0 and 0.0 < rel_now < 1.0:
-            per_app = np.log(rel_now) / apps_used  # < 0
-            remaining = np.log(max(rtol, 1e-300) / rel_now) / per_app
-            if remaining <= inner_maxiter + 1:
-                budget = 1
-        res = gmres(
-            a,
-            vk.reshape(shape).astype(inner_dtype),
-            preconditioner=m,
-            rtol=eta,
-            maxiter=budget,
-            restart=budget,
-            dtype=inner_dtype,
-            runtime=runtime,
-        )
-        n_prec += res.precond_applications
-        inner_its += res.iterations
-        if res.status in ("deadline", "cancelled", "corrupted"):
-            return np.zeros_like(vk), res.status
-        zk = np.asarray(res.x, dtype=dtype).ravel()
-        if not np.isfinite(zk).all():
-            # A diverged inner solve must not poison the outer basis; fall
-            # back to a single direct preconditioner application.
-            zk = np.asarray(m(vk.reshape(shape)), dtype=dtype).ravel()
-            n_prec += 1
-        return zk, None
-
-    with _runtime_scope(runtime):
-        while status == "maxiter" and total_it < maxiter:
-            beta = float(np.linalg.norm(r.ravel()))
-            if beta == 0.0:
-                status = "converged"
-                break
-            if not np.isfinite(beta):
-                status = "diverged"
-                break
-            k_max = min(restart, maxiter - total_it)
-            v = np.zeros((k_max + 1, n), dtype=dtype)
-            z = np.zeros((k_max, n), dtype=dtype)  # flexible basis Z
-            h = np.zeros((k_max + 1, k_max), dtype=dtype)
-            cs = np.zeros(k_max, dtype=dtype)
-            sn = np.zeros(k_max, dtype=dtype)
-            g = np.zeros(k_max + 1, dtype=dtype)
-            g[0] = beta
-            v[0] = r.ravel() / beta
-
-            k_done = 0
-            inner_status = None
-            rel = beta / bn
-            for k in range(k_max):
-                if runtime is not None:
-                    inner_status = runtime.check()
-                    if inner_status is not None:
-                        break
-                try:
-                    with _trace.span("iteration", it=total_it + 1):
-                        zk, interrupt = apply_precond(v[k], rel)
-                        if interrupt is not None:
-                            inner_status = interrupt
-                            break
-                        with _trace.span("spmv"):
-                            w = matvec(zk.reshape(shape)).reshape(shape).ravel()
-                        if not np.isfinite(w).all():
-                            inner_status = "diverged"
-                            break
-                        z[k] = zk
-                        # modified Gram-Schmidt
-                        for i in range(k + 1):
-                            h[i, k] = float(np.dot(v[i], w))
-                            w -= h[i, k] * v[i]
-                        hk1 = float(np.linalg.norm(w))
-                        h[k + 1, k] = hk1
-                        if hk1 > 0.0:
-                            v[k + 1] = w / hk1
-                        # apply stored Givens rotations
-                        for i in range(k):
-                            tmp = cs[i] * h[i, k] + sn[i] * h[i + 1, k]
-                            h[i + 1, k] = -sn[i] * h[i, k] + cs[i] * h[i + 1, k]
-                            h[i, k] = tmp
-                        denom = float(np.hypot(h[k, k], h[k + 1, k]))
-                        if denom == 0.0:
-                            inner_status = "breakdown"
-                            break
-                        cs[k] = h[k, k] / denom
-                        sn[k] = h[k + 1, k] / denom
-                        h[k, k] = denom
-                        h[k + 1, k] = 0.0
-                        g[k + 1] = -sn[k] * g[k]
-                        g[k] = cs[k] * g[k]
-                        k_done = k + 1
-                        total_it += 1
-                        rel = abs(float(g[k + 1])) / bn  # implicit estimate
-                        history.record(rel)
-                        if callback is not None:
-                            x_cur = x + _fold(z, h, g, k_done).reshape(shape)
-                            if callback(total_it, rel, x_cur):
-                                inner_status = "restart"
-                                break
-                        if not np.isfinite(rel):
-                            inner_status = "diverged"
-                            break
-                        if rel < rtol or total_it >= maxiter:
-                            break
-                        if hk1 == 0.0:
-                            inner_status = "breakdown"  # lucky breakdown
-                            break
-                except SolveInterrupted as stop:
-                    inner_status = stop.status
-                    break
-            if k_done > 0:
-                x += _fold(z, h, g, k_done).reshape(shape)
-            # true residual at restart boundary
-            r = b - matvec(x).reshape(shape)
-            true_rel = float(np.linalg.norm(r.ravel())) / bn
-            if inner_status == "diverged" or not np.isfinite(true_rel):
-                status = "diverged"
-                history.record(true_rel)
-                break
-            if inner_status in ("deadline", "cancelled", "corrupted") and true_rel >= rtol:
-                status = inner_status
-                history.record(true_rel)
-                break
-            if k_done > 0:
-                history.norms[-1] = true_rel
-            if true_rel < rtol:
-                status = "converged"
-                break
-            if inner_status == "breakdown":
-                status = "breakdown"
-                break
-            if checkpoint_every > 0:
-                last_cp = SolverCheckpoint(
-                    solver="fgmres",
-                    iteration=total_it,
-                    arrays={"x": x.copy(), "r": r.copy()},
-                    history=list(history.norms),
-                    n_prec=n_prec,
-                    extra={"inner_iterations": inner_its},
-                )
-                if checkpoint_sink is not None:
-                    checkpoint_sink(last_cp)
-
-    result = SolveResult(
-        x=x,
-        status=status,
-        iterations=total_it,
-        history=history,
-        solver="fgmres",
-        precond_applications=n_prec,
-        seconds=time.perf_counter() - t0,
+    method = _FGMRES(
+        "fgmres", restart, inner, inner_maxiter, inner_rtol, inner_dtype
     )
-    result.detail["inner"] = {
-        "solver": inner,
-        "iterations": inner_its,
-        "dtype": str(inner_dtype),
-        "rtol": inner_rtol,
-        "maxiter": inner_maxiter,
-    }
-    if last_cp is not None:
-        result.detail["checkpoint"] = last_cp
-    return result
+    return drive(
+        method, a, b, x0=x0, preconditioner=preconditioner, rtol=rtol,
+        maxiter=maxiter, dtype=dtype, callback=callback, runtime=runtime,
+        checkpoint_every=checkpoint_every, checkpoint_sink=checkpoint_sink,
+        resume_from=resume_from,
+    )
+
+
+def _fold(z, h, g, k_done):
+    """Solve the small triangular system, returning the update ``Z y``."""
+    hh = h[:k_done, :k_done]
+    if np.any(np.diag(hh) == 0):
+        y = np.linalg.lstsq(hh, g[:k_done], rcond=None)[0]
+    else:
+        y = np.linalg.solve(np.triu(hh), g[:k_done])
+    return z[:k_done].T @ y
 
 
 def _resolve_dtype(spec):

@@ -19,29 +19,112 @@ right-hand side it would underflow on), then applies the correction in
 working precision.  Convergence is judged on the FP64 true residual —
 there is no implicit-estimate "false convergence" to worry about.
 
-Contract: x0/warm-start, cooperative deadline/cancel (checked per
-refinement step and threaded into the inner GMRES), checkpoint/resume at
-refinement-step boundaries (the natural exact-resume points: state is
-just ``x``), and the policy callback per step.  A truthy callback return
-needs no special recovery — every refinement step already starts a fresh
-inner Krylov space, so re-tiering between steps is always legal.
+Refinement steps are the driver's step boundaries: the deadline/cancel
+check runs per step (and the inner GMRES shares the runtime), and
+checkpoints land there too — the state is just ``x``.  A truthy callback
+return needs no special recovery: every step already starts a fresh inner
+Krylov space, so re-tiering between steps is always legal.
 """
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 
 from ..observability import trace as _trace
 from ..resilience.runtime import SolverCheckpoint
-from ..resilience.runtime import scope as _runtime_scope
-from .cg import _as_matvec
-from .fgmres import _resolve_dtype
-from .gmres import gmres
-from .history import ConvergenceHistory, SolveResult
+from .driver import INTERRUPTS, Method, drive
+from .fgmres import _resolve_dtype, gmres
+from .history import SolveResult
 
 __all__ = ["gmres_ir"]
+
+
+class _GmresIR(Method):
+    name = "gmres_ir"
+
+    def __init__(self, restart, residual_dtype, inner_dtype, inner_rtol,
+                 inner_maxiter, max_steps):
+        self.restart = restart
+        self.residual_dtype = _resolve_dtype(residual_dtype)
+        self.inner_dtype = _resolve_dtype(inner_dtype)
+        self.inner_rtol = inner_rtol
+        self.inner_maxiter = inner_maxiter
+        self.max_steps = max_steps
+        self.refinements = 0
+
+    def residual(self, run):
+        # FP64 accumulation: promote the iterate, form b - A x in the
+        # residual precision regardless of the working precision.
+        xr = run.x.astype(self.residual_dtype, copy=False)
+        ax = np.asarray(run.matvec(xr), dtype=self.residual_dtype)
+        return run.b - ax.reshape(run.shape)
+
+    def state(self, run):
+        return {
+            "arrays": {"x": run.x},
+            "extra": {"refinement_steps": self.refinements},
+        }
+
+    def restore(self, run, cp, arrays):
+        self.refinements = int(cp.extra.get("refinement_steps", 0))
+
+    def detail(self, run):
+        return {
+            "refinement_steps": self.refinements,
+            "precisions": {
+                "working": str(run.dtype),
+                "residual": str(self.residual_dtype),
+                "inner": str(self.inner_dtype),
+            },
+        }
+
+    def steps(self, run):
+        rel, no_progress = float(run.rel[0]), 0
+        while self.refinements < self.max_steps and run.it < run.maxiter:
+            yield
+            rnorm = float(np.linalg.norm(run.r.ravel()))
+            if rnorm == 0.0:
+                return "converged"
+            with _trace.span("refinement", step=self.refinements + 1):
+                # Correction solve in low precision on the *scaled*
+                # residual (unit norm keeps FP16 well inside range).
+                budget = min(self.inner_maxiter, run.maxiter - run.it)
+                corr = gmres(
+                    run.a,
+                    (run.r / rnorm).astype(self.inner_dtype),
+                    preconditioner=run.m,
+                    rtol=self.inner_rtol,
+                    maxiter=budget,
+                    restart=min(self.restart, budget),
+                    dtype=self.inner_dtype,
+                    runtime=run.runtime,
+                )
+            run.n_prec += corr.precond_applications
+            run.it += corr.iterations
+            self.refinements += 1
+            if corr.status in INTERRUPTS:
+                return corr.status
+            d = np.asarray(corr.x, dtype=run.dtype).reshape(run.shape)
+            if not np.isfinite(d).all():
+                return "diverged"
+            run.x += np.asarray(rnorm, dtype=run.dtype) * d
+            run.r = self.residual(run)
+            new_rel = run.record()
+            if run.callback is not None:
+                run.callback(run.it, new_rel, run.x)
+            if not np.isfinite(new_rel):
+                return "diverged"
+            if new_rel < run.rtol:
+                return "converged"
+            # A refinement step that fails to reduce the residual means the
+            # correction precision cannot deliver the requested tolerance
+            # (u_f too coarse for this conditioning) — two strikes and we
+            # report stagnation instead of burning the whole budget.
+            no_progress = no_progress + 1 if new_rel >= rel else 0
+            if no_progress >= 2:
+                return "stagnated"
+            rel = new_rel
+            yield self.refinements
 
 
 def gmres_ir(
@@ -77,150 +160,15 @@ def gmres_ir(
     ``max_steps`` additionally caps the number of refinement steps.
     ``result.iterations`` reports total inner iterations and
     ``result.detail["refinement_steps"]`` the outer step count.
+    ``checkpoint_every=k`` saves every ``k``-th refinement step.
     """
-    t0 = time.perf_counter()
-    dtype = np.dtype(dtype)
-    residual_dtype = _resolve_dtype(residual_dtype)
-    inner_dtype = _resolve_dtype(inner_dtype)
-    matvec = _as_matvec(a)
-    b = np.asarray(b, dtype=residual_dtype)
-    shape = b.shape
-    bn = float(np.linalg.norm(b.ravel()))
-    if bn == 0.0:
-        bn = 1.0
-    m = preconditioner
-
-    history = ConvergenceHistory()
-    last_cp: "SolverCheckpoint | None" = None
-    n_prec = 0
-    steps = 0
-    total_inner = 0
-    no_progress = 0
-
-    if resume_from is not None:
-        if resume_from.solver != "gmres_ir":
-            raise ValueError(
-                f"cannot resume gmres_ir from a {resume_from.solver!r} checkpoint"
-            )
-        x = np.array(resume_from.arrays["x"], dtype=dtype, copy=True).reshape(shape)
-        n_prec = int(resume_from.n_prec)
-        steps = int(resume_from.extra.get("refinement_steps", 0))
-        total_inner = int(resume_from.iteration)
-        history.norms = [float(v) for v in resume_from.history]
-    else:
-        x = (
-            np.zeros(shape, dtype=dtype)
-            if x0 is None
-            else np.array(x0, dtype=dtype, copy=True).reshape(shape)
-        )
-
-    def residual():
-        # FP64 accumulation: promote the iterate, form b - A x in the
-        # residual precision regardless of the working precision.
-        xr = x.astype(residual_dtype, copy=False)
-        return b - np.asarray(matvec(xr), dtype=residual_dtype).reshape(shape)
-
-    status = "maxiter"
-    r = residual()
-    rel = float(np.linalg.norm(r.ravel())) / bn
-    if resume_from is None:
-        history.record(rel)
-    if rel < rtol:
-        status = "converged"
-    if not np.isfinite(rel):
-        status = "diverged"
-
-    with _runtime_scope(runtime):
-        while status == "maxiter":
-            if steps >= max_steps or total_inner >= maxiter:
-                break
-            if runtime is not None:
-                interrupt = runtime.check()
-                if interrupt is not None:
-                    status = interrupt
-                    break
-            rnorm = float(np.linalg.norm(r.ravel()))
-            if rnorm == 0.0:
-                status = "converged"
-                break
-            with _trace.span("refinement", step=steps + 1):
-                # Correction solve in low precision on the *scaled*
-                # residual (unit norm keeps FP16 well inside range).
-                budget = min(inner_maxiter, maxiter - total_inner)
-                corr = gmres(
-                    a,
-                    (r / rnorm).astype(inner_dtype),
-                    preconditioner=m,
-                    rtol=inner_rtol,
-                    maxiter=budget,
-                    restart=min(restart, budget),
-                    dtype=inner_dtype,
-                    runtime=runtime,
-                )
-            n_prec += corr.precond_applications
-            total_inner += corr.iterations
-            steps += 1
-            if corr.status in ("deadline", "cancelled", "corrupted"):
-                status = corr.status
-                break
-            d = np.asarray(corr.x, dtype=dtype).reshape(shape)
-            if not np.isfinite(d).all():
-                status = "diverged"
-                break
-            x += np.asarray(rnorm, dtype=dtype) * d
-            r = residual()
-            new_rel = float(np.linalg.norm(r.ravel())) / bn
-            history.record(new_rel)
-            if callback is not None:
-                # Truthy return = re-tier request; the next step's inner
-                # GMRES starts a fresh Krylov space anyway, so the request
-                # is satisfied by construction.
-                callback(total_inner, new_rel, x)
-            if not np.isfinite(new_rel):
-                status = "diverged"
-                break
-            if new_rel < rtol:
-                status = "converged"
-                break
-            # A refinement step that fails to reduce the residual means the
-            # correction precision cannot deliver the requested tolerance
-            # (u_f too coarse for this conditioning) — two strikes and we
-            # report stagnation instead of burning the whole budget.
-            if new_rel >= rel:
-                no_progress += 1
-                if no_progress >= 2:
-                    status = "stagnated"
-                    break
-            else:
-                no_progress = 0
-            rel = new_rel
-            if checkpoint_every > 0 and steps % checkpoint_every == 0:
-                last_cp = SolverCheckpoint(
-                    solver="gmres_ir",
-                    iteration=total_inner,
-                    arrays={"x": x.copy()},
-                    history=list(history.norms),
-                    n_prec=n_prec,
-                    extra={"refinement_steps": steps},
-                )
-                if checkpoint_sink is not None:
-                    checkpoint_sink(last_cp)
-
-    result = SolveResult(
-        x=x,
-        status=status,
-        iterations=total_inner,
-        history=history,
-        solver="gmres_ir",
-        precond_applications=n_prec,
-        seconds=time.perf_counter() - t0,
+    method = _GmresIR(
+        restart, residual_dtype, inner_dtype, inner_rtol, inner_maxiter,
+        max_steps,
     )
-    result.detail["refinement_steps"] = steps
-    result.detail["precisions"] = {
-        "working": str(dtype),
-        "residual": str(residual_dtype),
-        "inner": str(inner_dtype),
-    }
-    if last_cp is not None:
-        result.detail["checkpoint"] = last_cp
-    return result
+    return drive(
+        method, a, b, x0=x0, preconditioner=preconditioner, rtol=rtol,
+        maxiter=maxiter, dtype=dtype, callback=callback, runtime=runtime,
+        checkpoint_every=checkpoint_every, checkpoint_sink=checkpoint_sink,
+        resume_from=resume_from,
+    )

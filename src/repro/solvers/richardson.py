@@ -4,25 +4,46 @@ Each iteration computes the residual in high precision, truncates it,
 applies the multigrid (``MG_solve_with_FP16``), recovers the error and
 updates the solution.  Used in tests and as the simplest host solver; the
 Krylov solvers invoke the preconditioner through exactly the same
-interface.  Like them it accepts an execution ``runtime`` (cooperative
-deadline/cancel checks per iteration) and ``checkpoint_every`` /
-``resume_from`` (the state is just ``(x, r)``, so any iteration boundary
-resumes bit-identically).
+interface, and all of them share the driver's contract (deadline/cancel
+per iteration, checkpoints — the state is just ``(x, r)``, so any iteration
+boundary resumes bit-identically).
 """
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from ..observability import trace as _trace
-from ..resilience.runtime import SolveInterrupted, SolverCheckpoint
-from ..resilience.runtime import scope as _runtime_scope
-from .cg import _as_matvec
-from .history import ConvergenceHistory, SolveResult
+from ..resilience.runtime import SolverCheckpoint
+from .driver import Method, drive
+from .history import SolveResult
 
 __all__ = ["richardson"]
+
+
+class _Richardson(Method):
+    name = "richardson"
+
+    def __init__(self, damping: float):
+        self.damping = damping
+
+    def steps(self, run):
+        while run.it < run.maxiter:
+            yield
+            run.it += 1
+            with _trace.span("iteration", it=run.it):
+                e = run.precondition(run.r)  # lines 4-6
+                run.x += run.dtype.type(self.damping) * e  # line 7
+                with _trace.span("spmv"):
+                    run.r = self.residual(run)  # line 3 of the next pass
+                rel = run.record()
+                if run.callback is not None:
+                    run.callback(run.it, rel, run.x)
+                if not np.isfinite(rel):
+                    return "diverged"
+                if rel < run.rtol:
+                    return "converged"
+            yield run.it
 
 
 def richardson(
@@ -41,91 +62,9 @@ def richardson(
     resume_from: "SolverCheckpoint | None" = None,
 ) -> SolveResult:
     """Preconditioned stationary iteration ``x <- x + w * M^{-1}(b - A x)``."""
-    t0 = time.perf_counter()
-    dtype = np.dtype(dtype)
-    matvec = _as_matvec(a)
-    b = np.asarray(b, dtype=dtype)
-    shape = b.shape
-    bn = float(np.linalg.norm(b.ravel()))
-    if bn == 0.0:
-        bn = 1.0
-    m = preconditioner if preconditioner is not None else (lambda r: r)
-
-    history = ConvergenceHistory()
-    last_cp: "SolverCheckpoint | None" = None
-    if resume_from is not None:
-        if resume_from.solver != "richardson":
-            raise ValueError(
-                "cannot resume richardson from a "
-                f"{resume_from.solver!r} checkpoint"
-            )
-        x = np.array(resume_from.arrays["x"], dtype=dtype, copy=True).reshape(shape)
-        r = np.array(resume_from.arrays["r"], dtype=dtype, copy=True).reshape(shape)
-        n_prec = int(resume_from.n_prec)
-        history.norms = [float(v) for v in resume_from.history]
-        start_it = int(resume_from.iteration) + 1
-    else:
-        x = (
-            np.zeros_like(b)
-            if x0 is None
-            else np.array(x0, dtype=dtype, copy=True).reshape(shape)
-        )
-        n_prec = 0
-        r = b - matvec(x).reshape(shape)  # Algorithm 2 line 3
-        rel = float(np.linalg.norm(r.ravel())) / bn
-        history.record(rel)
-        start_it = 1
-
-    status = "maxiter"
-    it = start_it - 1
-    with _runtime_scope(runtime):
-        for it in range(start_it, maxiter + 1):
-            if runtime is not None:
-                interrupt = runtime.check()
-                if interrupt is not None:
-                    status = interrupt
-                    it -= 1
-                    break
-            try:
-                with _trace.span("iteration", it=it):
-                    e = np.asarray(m(r), dtype=dtype).reshape(shape)  # lines 4-6
-                    n_prec += 1
-                    x += dtype.type(damping) * e  # line 7
-                    with _trace.span("spmv"):
-                        r = b - matvec(x).reshape(shape)
-                    rel = float(np.linalg.norm(r.ravel())) / bn
-                    history.record(rel)
-                    if callback is not None:
-                        callback(it, rel, x)
-                    if not np.isfinite(rel):
-                        status = "diverged"
-                        break
-                    if rel < rtol:
-                        status = "converged"
-                        break
-            except SolveInterrupted as stop:
-                status = stop.status
-                break
-            if checkpoint_every > 0 and it % checkpoint_every == 0:
-                last_cp = SolverCheckpoint(
-                    solver="richardson",
-                    iteration=it,
-                    arrays={"x": x.copy(), "r": r.copy()},
-                    history=list(history.norms),
-                    n_prec=n_prec,
-                )
-                if checkpoint_sink is not None:
-                    checkpoint_sink(last_cp)
-
-    result = SolveResult(
-        x=x,
-        status=status,
-        iterations=it if status != "maxiter" else maxiter,
-        history=history,
-        solver="richardson",
-        precond_applications=n_prec,
-        seconds=time.perf_counter() - t0,
+    return drive(
+        _Richardson(damping), a, b, x0=x0, preconditioner=preconditioner,
+        rtol=rtol, maxiter=maxiter, dtype=dtype, callback=callback,
+        runtime=runtime, checkpoint_every=checkpoint_every,
+        checkpoint_sink=checkpoint_sink, resume_from=resume_from,
     )
-    if last_cp is not None:
-        result.detail["checkpoint"] = last_cp
-    return result

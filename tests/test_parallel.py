@@ -278,6 +278,24 @@ class TestDistributedCG:
         res_s = cg(a, bg, rtol=1e-9, maxiter=400)
         assert abs(res_d.iterations - res_s.iterations) <= 1
 
+    def test_indefinite_is_breakdown_like_sequential_cg(self, rng):
+        from repro.solvers import cg
+
+        a = random_sgdia((8, 8, 8), "3d7", spd=True, diag_boost=8.0)
+        a.diag_view(a.stencil.diag_index)[:4] *= -1.0
+        dec = CartesianDecomposition(a.grid, (2, 2, 1))
+        da = DistributedSGDIA.from_global(a, dec)
+        bg = rng.standard_normal(a.grid.field_shape)
+        bd = DistributedField.scatter(bg, dec, dtype=np.float64)
+        res_d, _ = distributed_cg(da, bd, rtol=1e-9, maxiter=400)
+        res_s = cg(a, bg, rtol=1e-9, maxiter=400)
+        # before, only pap == 0 stopped the distributed solver: it
+        # reported "converged" after 16 iterations
+        assert (res_s.status, res_s.iterations) == ("breakdown", 1)
+        assert res_d.status == res_s.status
+        assert res_d.iterations == res_s.iterations
+        assert res_d.detail["reason"] == res_s.detail["reason"] == "indefinite"
+
     def test_comm_accounting(self, rng):
         a = random_sgdia((8, 8, 8), "3d7", spd=True, diag_boost=8.0)
         dec = CartesianDecomposition(a.grid, (2, 2, 2))

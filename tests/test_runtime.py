@@ -1,10 +1,12 @@
 """Tests for the deadline-aware execution runtime (repro.resilience.runtime).
 
 Covers the context primitives (deadlines, cancel tokens, thread-local
-scopes), cooperative interruption of every solver and of the V-cycle,
+scopes), cooperative interruption of the solvers and of the V-cycle,
 checkpoint/resume — CG bit-identically — the retry policy, and the
 service-layer integration (job states, per-job deadlines, watchdog,
-backoff, worker respawn).
+backoff, worker respawn).  The per-solver contract (interruption at any
+iteration, resume from every checkpoint) is checked for every solver in
+``tests/test_solver_contract.py``.
 """
 
 import threading
@@ -184,43 +186,6 @@ class TestSolverInterruption:
         )
         assert result.status == "deadline"
         assert np.isfinite(result.x).all()
-
-    @pytest.mark.parametrize("name", ["cg", "gmres", "richardson"])
-    def test_cancel_mid_solve_keeps_partial_iterate(
-        self, problem, hierarchy, name
-    ):
-        token = CancelToken()
-        calls = [0]
-
-        # cancel from a callback after 2 iterations: the next loop-top
-        # check converts it into the status.
-        def cb(it, rel, x):
-            calls[0] += 1
-            if calls[0] == 2:
-                token.cancel()
-
-        kwargs = {}
-        if name == "cg":  # only cg exposes a callback; others use deadline
-            kwargs["callback"] = cb
-            result = solve(
-                name, problem.a, problem.b,
-                preconditioner=hierarchy.precondition,
-                rtol=1e-12, maxiter=500,
-                runtime=ExecContext(cancel=token), **kwargs,
-            )
-            assert result.status == "cancelled"
-            assert result.iterations >= 1
-            assert np.isfinite(result.x).all()
-            assert np.linalg.norm(result.x) > 0  # real partial progress
-        else:
-            token.cancel()
-            result = solve(
-                name, problem.a, problem.b,
-                preconditioner=hierarchy.precondition,
-                rtol=1e-12, maxiter=500,
-                runtime=ExecContext(cancel=token),
-            )
-            assert result.status == "cancelled"
 
     def test_vcycle_checks_per_level_visit(self, problem, hierarchy):
         # A deadline that expires *during* the first preconditioner
