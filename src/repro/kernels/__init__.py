@@ -4,7 +4,7 @@ The hot kernels accept an optional precomputed
 :class:`~repro.kernels.plan.KernelPlan` (``plan=``) that moves all symbolic
 work — slice tables, wavefront gather indices, scratch buffers — to setup
 time and dispatches through the pluggable :mod:`~repro.kernels.backend`
-registry (numpy reference always; numba JIT when available).
+registry (numpy reference always; compiled C kernels when gcc is present).
 """
 
 from .backend import (

@@ -4,20 +4,21 @@ A :class:`KernelBackend` bundles plan-based implementations of the five
 hot operations — SpMV, colored Gauss-Seidel sweep, Jacobi sweep, wavefront
 SpTRSV, and the fused BLAS-1 vector ops.  The ``numpy`` reference backend
 (the planned kernels from :mod:`repro.kernels.plan`) is always available;
-an optional ``numba`` JIT backend is auto-detected and used when importable
-and functional, falling back silently to numpy otherwise — the library must
-run identically (modulo speed) on a bare numpy install.
+the compiled ``c`` backend (:mod:`repro.kernels.backend_c`, gcc + ctypes)
+is registered when its library builds, and the registry falls back to
+numpy otherwise — the library must run identically (modulo speed) on a
+host without a C compiler.
 
 Selection order:
 
 1. an explicit :func:`set_backend` / :func:`use_backend` choice;
-2. the ``REPRO_KERNEL_BACKEND`` environment variable (``numpy``/``numba``/
-   ``auto``);
-3. ``auto``: numba when importable, else numpy.
+2. the ``REPRO_KERNEL_BACKEND`` environment variable (``numpy``/``c``/
+   ``auto``; an unknown or unusable value degrades to numpy);
+3. ``auto``: c when it built, else numpy.
 
 Backends are **parity-constrained**: every implementation must be
 bit-identical to the numpy reference (see ``tests/test_backend_parity.py``).
-That is why the numba backend deliberately does not override ``dot`` /
+That is why the c backend deliberately does not override ``dot`` /
 ``norm2`` — numpy's pairwise summation order cannot be reproduced by a
 naive loop, and reductions feed convergence decisions.
 """
@@ -72,6 +73,7 @@ _REGISTRY: "dict[str, KernelBackend]" = {}
 _LOCK = threading.Lock()
 _selected: "str | None" = None  # explicit set_backend choice
 _resolved: "KernelBackend | None" = None  # cached resolution
+_UNAVAILABLE: "dict[str, str]" = {}  # backend name -> why it is not registered
 
 
 def register_backend(backend: KernelBackend) -> KernelBackend:
@@ -114,11 +116,13 @@ def _ensure_registered() -> None:
             jit=False,
             notes="vectorized NumPy reference (always available)",
         )
-        from . import backend_numba
+        from . import backend_c
 
-        nb = backend_numba.make_backend(_REGISTRY["numpy"])
-        if nb is not None:
-            _REGISTRY["numba"] = nb
+        compiled, reason = backend_c.make_backend(_REGISTRY["numpy"])
+        if compiled is not None:
+            _REGISTRY["c"] = compiled
+        else:
+            _UNAVAILABLE["c"] = reason
 
 
 def available_backends() -> "tuple[str, ...]":
@@ -128,13 +132,15 @@ def available_backends() -> "tuple[str, ...]":
 
 
 def backend_status() -> dict:
-    """Introspection: registered backends, selection, resolution."""
+    """Introspection: registered backends, why others are missing,
+    selection, resolution."""
     _ensure_registered()
     return {
         "registered": {
             name: {"jit": be.jit, "notes": be.notes}
             for name, be in sorted(_REGISTRY.items())
         },
+        "unavailable": dict(_UNAVAILABLE),
         "selected": _selected,
         "env": os.environ.get(_ENV_VAR),
         "resolved": get_backend().name,
@@ -167,10 +173,10 @@ def _resolve() -> KernelBackend:
         be = _REGISTRY.get(env)
         if be is not None:
             return be
-        # an unusable env request degrades gracefully (numba not installed
-        # on this host): the reference backend keeps the solver running
+        # an unusable env request degrades gracefully (no C compiler on
+        # this host): the reference backend keeps the solver running
         return _REGISTRY["numpy"]
-    return _REGISTRY.get("numba", _REGISTRY["numpy"])
+    return _REGISTRY.get("c", _REGISTRY["numpy"])
 
 
 def get_backend() -> KernelBackend:

@@ -1,0 +1,312 @@
+"""Compiled C kernel backend (``"c"``): gcc + ctypes, bit-identical to numpy.
+
+At registration this module compiles ``backend_c.c`` with the system gcc,
+loads it through :mod:`ctypes` and returns a :class:`KernelBackend` named
+``"c"``.  It covers the scalar (``ncomp == 1``) SOA C-contiguous cases of
+``spmv``, ``gs_sweep`` (one call per color, in ``COLORS8`` order) and
+``sptrsv`` (lexicographic schedule) for these (storage, compute) pairs:
+
+- fp16 -> fp32/fp64, upcast inside the multiply with F16C ``vcvtph2ps``
+  (only when the library was built with F16C; otherwise fp16 payloads stay
+  on numpy, whose conversion is faster than a scalar software one);
+- fp32 -> fp32 (also BF16 payloads, which are held in float32);
+- fp64 -> fp64 (the outer Krylov SpMV), and the mixed fp64 -> fp32 and
+  fp32 -> fp64 pairs.
+
+Everything else — block operators, batched RHS blocks, AOS layouts,
+non-contiguous or unaligned payloads — delegates to the planned numpy
+kernels unchanged.  The scaled SpMV keeps its ``q*x`` and ``y*=q`` steps in
+numpy around the compiled product.  ``dot``/``norm2`` are never overridden:
+numpy's pairwise summation feeds convergence decisions.
+
+The compiled kernels charge ``kernel.*.calls`` and ``precision.fcvt.values``
+with the per-plan totals the numpy reference accumulates term by term, so
+counters are identical whichever backend runs.
+
+The shared library is cached under ``$XDG_CACHE_HOME/repro`` (default
+``~/.cache/repro``), keyed by the sha256 of the source, the flags, ``gcc
+--version`` and the machine, and written with an atomic rename, so worker
+processes load it instead of recompiling.  A missing compiler, a failed
+compile or an unwritable cache leaves the backend unregistered; the reason
+is reported by :func:`repro.kernels.backend_status`.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import platform
+import shutil
+import subprocess
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from ..observability import metrics as _metrics
+
+__all__ = ["cache_dir", "make_backend"]
+
+_SOURCE = Path(__file__).with_name("backend_c.c")
+#: Never -ffast-math: reassociation or FMA contraction would change roundoff.
+_FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-std=c11", "-fPIC", "-shared")
+
+_STORAGE = {np.dtype(np.float16): "h", np.dtype(np.float32): "f", np.dtype(np.float64): "d"}
+_COMPUTE = {np.dtype(np.float32): "f", np.dtype(np.float64): "d"}
+
+_P, _I, _L = ctypes.c_void_p, ctypes.c_int, ctypes.c_long
+_ARGTYPES = {
+    "spmv": (_P, _P, _I, _P, _P, _L, _L, _L),
+    "gs_color": (_P, _P, _I, _I, _P, _P, _P, _L, _L, _L, _I, _I, _I),
+    "sptrsv": (_P, _P, _P, _I, _P, _P, _P, _L, _L, _L, _I),
+}
+
+
+class BuildError(RuntimeError):
+    """The compiled library could not be built or loaded."""
+
+
+def cache_dir() -> Path:
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(
+        os.path.expanduser("~"), ".cache"
+    )
+    return Path(base) / "repro"
+
+
+def _compiler() -> "str | None":
+    return shutil.which("gcc")
+
+
+def _machine_tag() -> str:
+    """Architecture plus CPU feature flags: ``-march=native`` output differs
+    between CPUs of one architecture."""
+    tag = platform.machine()
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as f:
+            tag += next((ln for ln in f if ln.startswith("flags")), "")
+    except OSError:
+        pass
+    return tag
+
+
+def build_library() -> Path:
+    """Path of the compiled library, compiling it on a cache miss."""
+    gcc = _compiler()
+    if gcc is None:
+        raise BuildError("no C compiler: gcc not found on PATH")
+    try:
+        version = subprocess.run(
+            [gcc, "--version"], capture_output=True, text=True, timeout=60,
+            check=True,
+        ).stdout
+    except (OSError, subprocess.SubprocessError) as exc:
+        raise BuildError(f"{gcc} --version failed: {exc}") from None
+    h = hashlib.sha256(_SOURCE.read_bytes())
+    for part in (" ".join(_FLAGS), version, _machine_tag()):
+        h.update(b"\0" + part.encode())
+    folder = cache_dir()
+    target = folder / f"repro_kernels-{h.hexdigest()[:20]}.so"
+    if target.is_file():
+        return target
+    try:
+        folder.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=folder, suffix=".so.tmp")
+        os.close(fd)
+    except OSError as exc:
+        raise BuildError(f"cache directory {folder} not writable: {exc}") from None
+    try:
+        proc = subprocess.run(
+            [gcc, *_FLAGS, "-o", tmp, str(_SOURCE)],
+            capture_output=True, text=True, timeout=600,
+        )
+        if proc.returncode != 0:
+            tail = proc.stderr.strip().splitlines()[-3:]
+            raise BuildError(f"gcc failed ({proc.returncode}): {' | '.join(tail)}")
+        os.replace(tmp, target)  # atomic: concurrent builders never see half a file
+    except (OSError, subprocess.SubprocessError) as exc:
+        raise BuildError(f"compile failed: {exc}") from None
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return target
+
+
+def _load(path: Path) -> "tuple[dict, bool]":
+    """ctypes handles for every compiled (kind, storage, compute) kernel."""
+    lib = ctypes.CDLL(str(path))
+    lib.repro_has_f16c.argtypes = ()
+    lib.repro_has_f16c.restype = ctypes.c_int
+    f16c = bool(lib.repro_has_f16c())
+    kernels = {}
+    for sdt, s in _STORAGE.items():
+        if s == "h" and not f16c:
+            continue  # no fp16 variants without F16C: numpy converts faster
+        for cdt, c in _COMPUTE.items():
+            for kind, argtypes in _ARGTYPES.items():
+                fn = getattr(lib, f"repro_{kind}_{s}{c}", None)
+                if fn is None:
+                    continue
+                fn.argtypes = argtypes
+                fn.restype = None
+                kernels[(kind, sdt, cdt)] = fn
+    return kernels, f16c
+
+
+def _ready(arr, dtype) -> np.ndarray:
+    """``arr`` as an aligned C-contiguous array of ``dtype`` (no copy if it is)."""
+    return np.require(arr, dtype=dtype, requirements=("C", "A"))
+
+
+def make_backend(reference) -> "tuple[object | None, str]":
+    """Build the ``"c"`` :class:`KernelBackend`; ``(None, reason)`` if unusable."""
+    from .backend import KernelBackend
+    from .plan import jacobi_planned
+    from .spmv import field_view
+    from .sptrsv import _participating_offsets
+
+    try:
+        path = build_library()
+        kernels, f16c = _load(path)
+    except (BuildError, OSError, AttributeError) as exc:  # numpy keeps running
+        return None, f"{type(exc).__name__}: {exc}"
+
+    def kernel(kind, plan, a, cdtype):
+        """The compiled kernel for this call, or None (use the reference)."""
+        data = a.data
+        if plan.ncomp != 1 or a.layout != "soa":
+            return None
+        if data.shape != (len(plan.offsets), *plan.shape):
+            return None  # not this plan's structure: never hand C a bad bound
+        if not (data.flags.c_contiguous and data.flags.aligned):
+            return None
+        return kernels.get((kind, data.dtype, cdtype))
+
+    def charge_fcvt(a, cdtype, cells):
+        """The reference's per-term fcvt charges, summed (it charges only
+        non-empty terms of a converted payload)."""
+        if a.data.dtype != cdtype and cells:
+            _metrics.incr("precision.fcvt.values", cells)
+
+    def spmv(plan, a, x, out=None, compute_dtype=None, sqrt_q=None):
+        xf, batched = field_view(a.grid, x)
+        if compute_dtype is None:
+            cdtype = np.result_type(a.data.dtype, xf.dtype)
+            if cdtype == np.float16:
+                cdtype = np.float32
+        else:
+            cdtype = compute_dtype
+        cdtype = np.dtype(cdtype)
+        fn = None if batched else kernel("spmv", plan, a, cdtype)
+        if fn is None:
+            return reference.spmv(
+                plan, a, x, out=out, compute_dtype=compute_dtype, sqrt_q=sqrt_q
+            )
+        q = None
+        if sqrt_q is not None:
+            q = np.asarray(sqrt_q, dtype=cdtype)
+            xf = q * np.asarray(xf, dtype=cdtype)
+        xf = _ready(xf, cdtype)
+        y = np.empty(plan.shape, dtype=cdtype)
+        if _metrics.active():
+            _metrics.incr("kernel.spmv.calls")
+            charge_fcvt(a, cdtype, sum(plan.term_cells))
+        fn(a.data.ctypes.data, plan.offsets_table.ctypes.data, len(plan.offsets),
+           xf.ctypes.data, y.ctypes.data, *plan.shape)
+        if q is not None:
+            y *= q
+        if out is not None:
+            field_view(a.grid, out)[0][...] = y
+            return out
+        return y.reshape(np.shape(x)) if np.shape(x) != y.shape else y
+
+    def gs_sweep(plan, a, b, x, diag_inv, forward=True, compute_dtype=np.float32):
+        cdtype = np.dtype(compute_dtype)
+        fn = kernel("gs_color", plan, a, cdtype)
+        if (
+            fn is None
+            or plan.sweep_colors is None
+            or x.shape != plan.shape
+            or np.shape(b) != plan.shape
+            or x.dtype != cdtype
+            or not x.flags.writeable
+            or np.asarray(diag_inv).dtype != cdtype
+        ):
+            return reference.gs_sweep(
+                plan, a, b, x, diag_inv, forward=forward, compute_dtype=compute_dtype
+            )
+        if _metrics.active():
+            _metrics.incr("kernel.sweep.calls")
+            charge_fcvt(a, cdtype, plan.sweep_cells)
+        xw = _ready(x, cdtype)  # a copy only for non-contiguous x
+        bc = _ready(b, cdtype)
+        if np.may_share_memory(bc, xw):
+            bc = bc.copy()
+        dinv = _ready(diag_inv, cdtype)
+        entries = plan.sweep_colors if forward else plan.sweep_colors[::-1]
+        args = (a.data.ctypes.data, plan.offsets_table.ctypes.data,
+                len(plan.offsets), plan.diag_index, bc.ctypes.data,
+                dinv.ctypes.data, xw.ctypes.data, *plan.shape)
+        for color, _cslice, _terms in entries:
+            fn(*args, *color)
+        if xw is not x:
+            x[...] = xw
+        return x
+
+    def jacobi_sweep(plan, a, b, x, diag_inv, weight=1.0, compute_dtype=np.float32):
+        return jacobi_planned(
+            plan, a, b, x, diag_inv, weight=weight, compute_dtype=compute_dtype,
+            spmv=spmv,
+        )
+
+    def sptrsv(plan, a, b, lower=True, part="all", diag_inv=None, out=None,
+               compute_dtype=np.float32):
+        cdtype = np.dtype(compute_dtype)
+        bf, batched = field_view(a.grid, np.asarray(b))
+        fn = None if batched or plan.radius > 1 else kernel("sptrsv", plan, a, cdtype)
+        if fn is None or (diag_inv is not None and np.asarray(diag_inv).dtype != cdtype):
+            return reference.sptrsv(
+                plan, a, b, lower=lower, part=part, diag_inv=diag_inv, out=out,
+                compute_dtype=compute_dtype,
+            )
+        counting = _metrics.active()
+        if counting:
+            _metrics.incr("kernel.sptrsv.calls")
+        if diag_inv is None:
+            diag = a.diag_view(a.stencil.diag_index).astype(np.float64)
+            if np.any(diag == 0):
+                raise ZeroDivisionError("zero diagonal in triangular solve")
+            diag_inv = (1.0 / diag).astype(cdtype)
+        used = np.asarray(_participating_offsets(a, lower, part), dtype=np.intc)
+        if counting:
+            charge_fcvt(a, cdtype, sum(plan.term_cells[d] for d in used))
+        bc = _ready(bf, cdtype)
+        dinv = _ready(np.reshape(diag_inv, plan.shape), cdtype)
+        xf = np.empty(plan.shape, dtype=cdtype)
+        fn(a.data.ctypes.data, plan.offsets_table.ctypes.data, used.ctypes.data,
+           len(used), bc.ctypes.data, dinv.ctypes.data, xf.ctypes.data,
+           *plan.shape, int(bool(lower)))
+        if out is not None:
+            out.reshape(bf.shape)[...] = xf
+            return out
+        return xf.reshape(np.shape(b)) if np.shape(b) != xf.shape else xf
+
+    pairs = sorted({f"{s.name}->{c.name}" for _k, s, c in kernels})
+    backend = KernelBackend(
+        name="c",
+        spmv=spmv,
+        gs_sweep=gs_sweep,
+        jacobi_sweep=jacobi_sweep,
+        sptrsv=sptrsv,
+        axpy=reference.axpy,
+        xpay=reference.xpay,
+        dot=reference.dot,  # pairwise summation: never reimplemented
+        norm2=reference.norm2,
+        jit=False,  # compiled at registration, before any kernel call
+        notes=(
+            "gcc/ctypes scalar SOA kernels "
+            f"({'with' if f16c else 'without'} F16C); numpy fallback otherwise"
+        ),
+        extras={"library": str(path), "f16c": f16c, "pairs": pairs},
+    )
+    return backend, "ok"

@@ -54,6 +54,11 @@ _PLAN_CACHE_MAX = 128
 _INDEX_DTYPE = np.int32
 
 
+def _slice_cells(shape, slices) -> int:
+    """Number of grid cells selected by a tuple of per-axis slices."""
+    return int(np.prod([len(range(n)[s]) for n, s in zip(shape, slices)]))
+
+
 class _ScratchLocal(threading.local):
     """Per-thread buffer store (created lazily per thread)."""
 
@@ -108,6 +113,13 @@ class KernelPlan:
             (d, *offset_slices(self.shape, off))
             for d, off in enumerate(self.offsets)
         )
+        # Flat (ndiag, 3) C-int offset table for the compiled kernels, and
+        # per offset the number of cells whose neighbour is in the grid
+        # (the fcvt volume the reference charges for that term).
+        self.offsets_table = np.ascontiguousarray(self.offsets, dtype=np.intc)
+        self.term_cells = tuple(
+            _slice_cells(self.shape, dst) for _d, dst, _src in self.spmv_terms
+        )
 
         # 8-color sweeps: per color, the color slice and offset tables.
         # Radius-1 stencils only (the 8-coloring invariant); coarser
@@ -129,8 +141,14 @@ class KernelPlan:
                     terms.append((d, *sl))
                 entries.append((color, cslice, tuple(terms)))
             self.sweep_colors = tuple(entries)
+            self.sweep_cells = sum(
+                _slice_cells(self.shape, dst_g)
+                for _c, _s, terms in entries
+                for _d, dst_g, _src, _dl in terms
+            )
         else:
             self.sweep_colors = None
+            self.sweep_cells = 0
 
         self._wavefront_planes = wavefront_planes  # symbolic plane partition
         self._trsv: dict = {}
@@ -455,12 +473,14 @@ def jacobi_planned(
     diag_inv: np.ndarray,
     weight: float = 1.0,
     compute_dtype=np.float32,
+    spmv=spmv_planned,
 ) -> np.ndarray:
-    """Plan-based weighted Jacobi sweep (same contract as ``jacobi_sweep``)."""
+    """Plan-based weighted Jacobi sweep (same contract as ``jacobi_sweep``);
+    ``spmv`` is the backend's planned SpMV computing ``A x``."""
     cdtype = np.dtype(compute_dtype)
     batched = x.ndim == len(plan.field_shape) + 1
     scalar = plan.ncomp == 1
-    ax = spmv_planned(plan, a, x, compute_dtype=cdtype)
+    ax = spmv(plan, a, x, compute_dtype=cdtype)
     r = np.asarray(b, dtype=cdtype) - ax
     if scalar:
         upd = (diag_inv[..., None] if batched else diag_inv) * r

@@ -1344,8 +1344,10 @@ def run_serve_mp_bench(
     from ..problems import build_problem, consistent_rhs
 
     if fast:
-        shape = tuple(min(int(n), 10) for n in shape)
-        steps, refresh_every, rhs_block = 4, 2, 2
+        # enough work per job that two workers can beat one: with compiled
+        # kernels a 10^3 job is shorter than the per-worker fixed costs
+        shape = tuple(min(int(n), 16) for n in shape)
+        steps, refresh_every, rhs_block = 8, 4, 4
         processes = min(processes, 2)
     config = config or PrecisionConfig()
     rng = np.random.default_rng(seed)

@@ -450,9 +450,16 @@ class SGDIAMatrix:
 
     # ------------------------------------------------------------------
     def matvec(self, x: np.ndarray, **kwargs) -> np.ndarray:
-        """Sparse matrix-vector product (delegates to the SG-DIA kernel)."""
-        from ..kernels import spmv  # local import to avoid a cycle
+        """Sparse matrix-vector product (delegates to the SG-DIA kernel).
 
+        Runs on the structure's shared kernel plan — a cache hit whenever a
+        hierarchy exists for this operator — so the outer Krylov SpMV takes
+        the active backend's planned path.
+        """
+        from ..kernels import plan_for, spmv  # local import to avoid a cycle
+
+        if "plan" not in kwargs and self.stencil.has_diagonal:
+            kwargs["plan"] = plan_for(self)
         return spmv(self, x, **kwargs)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:

@@ -1,8 +1,12 @@
-"""Backend registry behavior and numpy-vs-numba bit parity.
+"""Backend registry behavior and numpy-vs-c bit parity.
 
-The numba cases are skipped automatically when numba is not importable —
-the suite must pass on a bare numpy install (graceful-fallback contract).
+Every compiled kernel must be byte-identical to the numpy reference and
+charge the same counters.  The c cases are skipped when the library could
+not be built on this host — the suite must pass without a C compiler
+(graceful-fallback contract, also tested below by simulating each failure).
 """
+
+import platform
 
 import numpy as np
 import pytest
@@ -15,22 +19,44 @@ from repro.kernels import (
     dot,
     get_backend,
     gs_sweep_colored,
+    jacobi_sweep,
     norm2,
     plan_for,
     set_backend,
+    spmv,
     spmv_plain,
     sptrsv,
     use_backend,
     xpay,
 )
-from repro.kernels import backend_numba
+from repro.kernels import backend as _backend
+from repro.kernels import backend_c
+from repro.mg import mg_setup
+from repro.observability import metrics
+from repro.precision import parse_config
+from repro.problems import build_problem
+from repro.sgdia import StoredMatrix
+from repro.solvers import solve
 
 from tests.helpers import random_sgdia
 
-HAVE_NUMBA = "numba" in available_backends()
-needs_numba = pytest.mark.skipif(
-    not HAVE_NUMBA, reason="numba not installed/usable in this environment"
+HAVE_C = "c" in available_backends()
+needs_c = pytest.mark.skipif(
+    not HAVE_C,
+    reason=f"c backend not built: {backend_status()['unavailable'].get('c')}",
 )
+
+PATTERNS = ("3d7", "3d19", "3d27")
+#: (payload format, compute dtype); fp64 -> fp32 converts, then multiplies
+PAYLOADS = (
+    ("fp16", np.float32),
+    ("bf16", np.float32),
+    ("fp32", np.float32),
+    ("fp64", np.float64),
+    ("fp64", np.float32),
+)
+#: odd shapes, a one-cell-wide grid, and a row longer than any C buffer
+SHAPES = ((6, 5, 7), (1, 1, 9), (2, 2, 5000))
 
 
 @pytest.fixture(autouse=True)
@@ -39,13 +65,24 @@ def _reset_backend():
     set_backend(None)
 
 
+@pytest.fixture
+def no_registry(monkeypatch):
+    """An empty registry: the next lookup re-registers from scratch."""
+    monkeypatch.setattr(_backend, "_REGISTRY", {})
+    monkeypatch.setattr(_backend, "_UNAVAILABLE", {})
+    _backend._invalidate()
+    yield
+    _backend._invalidate()
+
+
 class TestRegistry:
     def test_numpy_always_available(self):
         assert "numpy" in available_backends()
 
-    def test_default_resolution(self):
+    def test_default_resolution(self, monkeypatch):
+        monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
         set_backend(None)
-        expect = "numba" if HAVE_NUMBA else "numpy"
+        expect = "c" if HAVE_C else "numpy"
         assert get_backend().name == expect
 
     def test_unknown_name_raises(self):
@@ -70,6 +107,12 @@ class TestRegistry:
         set_backend(None)  # drop cached resolution
         assert get_backend().name == "numpy"
 
+    @needs_c
+    def test_env_var_selects_c(self, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "c")
+        set_backend(None)
+        assert get_backend().name == "c"
+
     def test_unusable_env_degrades_to_numpy(self, monkeypatch):
         """A REPRO_KERNEL_BACKEND the host can't satisfy must not crash."""
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", "not-a-backend")
@@ -80,11 +123,73 @@ class TestRegistry:
         st = backend_status()
         assert "numpy" in st["registered"]
         assert st["resolved"] in st["registered"]
+        assert HAVE_C == ("c" not in st["unavailable"])
 
-    def test_numba_absence_is_graceful(self):
-        """make_backend returns None (not an error) when numba is missing."""
-        if backend_numba._numba is None:
-            assert backend_numba.make_backend(None) is None
+    def test_dot_never_overridden(self):
+        """Reductions keep numpy's pairwise summation on every backend."""
+        for name in available_backends():
+            with use_backend(name) as be:
+                assert be.dot is _backend._numpy_backend().dot
+                assert be.norm2 is _backend._numpy_backend().norm2
+
+
+class TestGracefulFallback:
+    """No compiler, a failed compile or an unwritable cache: numpy resolves,
+    nothing raises, and ``backend_status()`` says why."""
+
+    def test_no_compiler(self, monkeypatch, no_registry):
+        monkeypatch.setattr(backend_c, "_compiler", lambda: None)
+        assert get_backend().name == "numpy"
+        assert "no C compiler" in backend_status()["unavailable"]["c"]
+
+    def test_compile_failure(self, monkeypatch, tmp_path, no_registry):
+        broken = tmp_path / "broken.c"
+        broken.write_text("this is not C\n")
+        monkeypatch.setattr(backend_c, "_SOURCE", broken)
+        monkeypatch.setattr(backend_c, "cache_dir", lambda: tmp_path / "cache")
+        if backend_c._compiler() is None:
+            pytest.skip("no gcc on this host")
+        assert get_backend().name == "numpy"
+        assert "gcc failed" in backend_status()["unavailable"]["c"]
+        assert not list((tmp_path / "cache").glob("*"))  # no partial files
+
+    def test_unwritable_cache(self, monkeypatch, tmp_path, no_registry):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker / "sub"))
+        if backend_c._compiler() is None:
+            pytest.skip("no gcc on this host")
+        assert get_backend().name == "numpy"
+        assert "not writable" in backend_status()["unavailable"]["c"]
+
+    @needs_c
+    def test_cache_hit_and_location(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        assert backend_c.cache_dir() == tmp_path / "repro"
+        first = backend_c.build_library()
+        stamp = first.stat().st_mtime_ns
+        assert first.parent == tmp_path / "repro"
+        assert backend_c.build_library() == first
+        assert first.stat().st_mtime_ns == stamp  # loaded, not recompiled
+        assert [p.name for p in first.parent.iterdir()] == [first.name]
+
+    @needs_c
+    @pytest.mark.skipif(platform.machine() != "x86_64", reason="x86 flags")
+    def test_fp16_stays_on_numpy_without_f16c(self, monkeypatch, tmp_path):
+        flags = tuple(
+            "-march=x86-64" if f == "-march=native" else f for f in backend_c._FLAGS
+        )
+        monkeypatch.setattr(backend_c, "_FLAGS", flags)
+        monkeypatch.setattr(backend_c, "cache_dir", lambda: tmp_path)
+        be, status = backend_c.make_backend(_backend._numpy_backend())
+        assert status == "ok" and be.extras["f16c"] is False
+        assert not any(p.startswith("float16") for p in be.extras["pairs"])
+        assert "float32->float32" in be.extras["pairs"]
+        a = random_sgdia((6, 5, 7), "3d27").astype("fp16")
+        x = np.random.default_rng(0).standard_normal(a.grid.shape).astype(np.float32)
+        plan = plan_for(a)
+        ref = _backend._numpy_backend().spmv(plan, a, x)
+        assert ref.tobytes() == be.spmv(plan, a, x).tobytes()
 
 
 class TestBlas1Dispatch:
@@ -103,67 +208,194 @@ class TestBlas1Dispatch:
             assert norm2(x) > 0
 
 
-def _parity_case(pattern, fmt, layout, k):
-    a = random_sgdia((6, 5, 7), pattern).astype(fmt)
-    if layout == "aos":
-        a = a.as_layout("aos")
+# ----------------------------------------------------------------------
+# numpy-vs-c parity
+# ----------------------------------------------------------------------
+
+
+def _both(fn):
+    """Run ``fn()`` under numpy and under c, collecting counters for each;
+    assert the counter totals match and return both results.
+
+    A first, uncounted numpy run builds any lazily planned SpTRSV scheme,
+    which the compiled kernel never needs.
+    """
+    with use_backend("numpy"):
+        fn()
+    out = []
+    for name in ("numpy", "c"):
+        with use_backend(name), metrics.collecting() as m:
+            out.append(fn())
+        out.append(m.totals())
+    ref, ref_counts, got, got_counts = out
+    assert ref_counts == got_counts
+    return ref, got
+
+
+def _same(ref, got):
+    assert ref.dtype == got.dtype and ref.shape == got.shape
+    assert ref.tobytes() == got.tobytes()
+
+
+def _case(shape, pattern, fmt, cdtype, ncomp=1, k=None):
+    a = random_sgdia(shape, pattern, ncomp=ncomp).astype(fmt)
     rng = np.random.default_rng(7)
-    shape = a.grid.field_shape + ((k,) if k else ())
-    x = rng.standard_normal(shape).astype(np.float32)
-    b = rng.standard_normal(shape).astype(np.float32)
-    return a, b, x
+    fs = a.grid.field_shape + ((k,) if k else ())
+    x = rng.standard_normal(fs).astype(cdtype)
+    b = rng.standard_normal(fs).astype(cdtype)
+    return a, b, x, compute_diag_inv(a, cdtype)
 
 
-@needs_numba
-class TestNumbaParity:
-    """Every numba kernel must be bit-identical to the numpy reference."""
+def _spmv(a, x, cdtype, **kw):
+    plan = plan_for(a)
+    return _both(lambda: spmv_plain(a, x, compute_dtype=cdtype, plan=plan, **kw))
 
-    @pytest.mark.parametrize("fmt", ["fp32", "fp16"])
-    @pytest.mark.parametrize("layout", ["soa", "aos"])
-    @pytest.mark.parametrize("k", [None, 3])
-    def test_spmv(self, fmt, layout, k):
-        a, _b, x = _parity_case("3d27", fmt, layout, k)
-        plan = plan_for(a)
-        with use_backend("numpy"):
-            ref = spmv_plain(a, x, compute_dtype=np.float32, plan=plan)
-        with use_backend("numba"):
-            got = spmv_plain(a, x, compute_dtype=np.float32, plan=plan)
-        assert np.array_equal(ref.view(np.uint32), got.view(np.uint32))
 
-    @pytest.mark.parametrize("fmt", ["fp32", "fp16"])
-    @pytest.mark.parametrize("k", [None, 2])
+def _gs(a, b, x, dinv, cdtype, forward):
+    plan = plan_for(a)
+    xs = []
+
+    def run():
+        xs.append(x.copy())
+        gs_sweep_colored(a, b, xs[-1], dinv, forward=forward,
+                         compute_dtype=cdtype, plan=plan)
+        return xs[-1]
+
+    return _both(run)
+
+
+def _trsv(a, b, dinv, cdtype, lower):
+    plan = plan_for(a)
+    part = "lower" if lower else "upper"
+    return _both(lambda: sptrsv(a, b, lower=lower, part=part, diag_inv=dinv,
+                                compute_dtype=cdtype, plan=plan))
+
+
+@needs_c
+class TestParity:
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("fmt,cdtype", PAYLOADS)
+    @pytest.mark.parametrize("pattern", PATTERNS)
+    def test_spmv(self, pattern, fmt, cdtype, shape):
+        a, _b, x, _dinv = _case(shape, pattern, fmt, cdtype)
+        _same(*_spmv(a, x, cdtype))
+
     @pytest.mark.parametrize("forward", [True, False])
-    def test_gs_sweep(self, fmt, k, forward):
-        a, b, x = _parity_case("3d27", fmt, "soa", k)
-        plan = plan_for(a)
-        dinv = compute_diag_inv(a)
-        xr, xn = x.copy(), x.copy()
-        with use_backend("numpy"):
-            gs_sweep_colored(a, b, xr, dinv, forward=forward, plan=plan)
-        with use_backend("numba"):
-            gs_sweep_colored(a, b, xn, dinv, forward=forward, plan=plan)
-        assert np.array_equal(xr.view(np.uint32), xn.view(np.uint32))
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("fmt,cdtype", PAYLOADS)
+    @pytest.mark.parametrize("pattern", PATTERNS)
+    def test_gs_sweep(self, pattern, fmt, cdtype, shape, forward):
+        a, b, x, dinv = _case(shape, pattern, fmt, cdtype)
+        _same(*_gs(a, b, x, dinv, cdtype, forward))
 
-    @pytest.mark.parametrize("fmt", ["fp32", "fp16"])
     @pytest.mark.parametrize("lower", [True, False])
-    def test_sptrsv(self, fmt, lower):
-        a, b, _x = _parity_case("3d7", fmt, "soa", None)
-        plan = plan_for(a)
-        dinv = compute_diag_inv(a)
-        part = "lower" if lower else "upper"
-        with use_backend("numpy"):
-            ref = sptrsv(a, b, lower=lower, part=part, diag_inv=dinv, plan=plan)
-        with use_backend("numba"):
-            got = sptrsv(a, b, lower=lower, part=part, diag_inv=dinv, plan=plan)
-        assert np.array_equal(ref.view(np.uint32), got.view(np.uint32))
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("fmt,cdtype", PAYLOADS)
+    @pytest.mark.parametrize("pattern", PATTERNS)
+    def test_sptrsv(self, pattern, fmt, cdtype, shape, lower):
+        a, b, _x, dinv = _case(shape, pattern, fmt, cdtype)
+        _same(*_trsv(a, b, dinv, cdtype, lower))
 
-    def test_dot_never_overridden(self):
-        """Reductions keep numpy's pairwise summation on every backend."""
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal(10_001).astype(np.float32)
-        y = rng.standard_normal(10_001).astype(np.float32)
-        with use_backend("numpy"):
-            ref = dot(x, y)
-        with use_backend("numba"):
-            got = dot(x, y)
-        assert ref == got
+    @pytest.mark.parametrize("fmt,cdtype", PAYLOADS)
+    def test_sptrsv_triangular_all(self, fmt, cdtype):
+        """``part="all"`` on a triangular 3d14 matrix, diag_inv computed."""
+        a = random_sgdia((6, 5, 7), "3d14").astype(fmt)
+        b = np.random.default_rng(3).standard_normal(a.grid.shape)
+        plan = plan_for(a)
+        _same(*_both(lambda: sptrsv(a, b, lower=True, compute_dtype=cdtype,
+                                    plan=plan)))
+
+    @pytest.mark.parametrize("fmt,cdtype", PAYLOADS)
+    def test_jacobi(self, fmt, cdtype):
+        a, b, x, dinv = _case((6, 5, 7), "3d27", fmt, cdtype)
+        plan = plan_for(a)
+        xs = []
+
+        def run():
+            xs.append(x.copy())
+            return jacobi_sweep(a, b, xs[-1], dinv, weight=0.7,
+                                compute_dtype=cdtype, plan=plan)
+
+        _same(*_both(run))
+
+    @pytest.mark.parametrize("fmt", ["fp16", "fp32"])
+    def test_non_contiguous_views(self, fmt):
+        """Strided x/b views (every other cell of a wider array)."""
+        a, _b, _x, dinv = _case((6, 5, 7), "3d27", fmt, np.float32)
+        rng = np.random.default_rng(11)
+        wide = rng.standard_normal((6, 5, 14)).astype(np.float32)
+        xv, bv = wide[:, :, ::2], wide[:, :, 1::2]
+        assert not xv.flags.c_contiguous
+        _same(*_spmv(a, xv, np.float32))
+        _same(*_gs(a, bv, xv, dinv, np.float32, True))
+        _same(*_trsv(a, bv, dinv, np.float32, False))
+        # a non-contiguous x is updated in place, like the reference's
+        ref_x, got_x = wide.copy(), wide.copy()
+        plan = plan_for(a)
+        for name, arr in (("numpy", ref_x), ("c", got_x)):
+            with use_backend(name):
+                gs_sweep_colored(a, bv, arr[:, :, ::2], dinv, plan=plan)
+        _same(ref_x, got_x)
+
+    @pytest.mark.parametrize("fmt", ["fp16", "fp32"])
+    def test_x_as_own_rhs(self, fmt):
+        """b aliasing x reads each color's b before it is overwritten."""
+        a, _b, x, dinv = _case((6, 5, 7), "3d27", fmt, np.float32)
+        plan = plan_for(a)
+        ref, got = x.copy(), x.copy()
+        for name, arr in (("numpy", ref), ("c", got)):
+            with use_backend(name):
+                gs_sweep_colored(a, arr, arr, dinv, plan=plan)
+        _same(ref, got)
+
+    @pytest.mark.parametrize("fmt", ["fp16", "fp32"])
+    def test_scaled_spmv(self, fmt):
+        """The sqrt_q path: q*x and y*=q in numpy around the compiled product."""
+        a, _b, x, _dinv = _case((6, 5, 7), "3d27", fmt, np.float32)
+        q = np.random.default_rng(5).uniform(0.5, 2.0, a.grid.shape)
+        _same(*_spmv(a, x, np.float32, sqrt_q=q))
+
+    def test_flat_vector_and_out(self):
+        a, _b, x, _dinv = _case((6, 5, 7), "3d27", "fp16", np.float32)
+        _same(*_spmv(a, x.ravel(), np.float32))
+        outs = [np.empty(a.grid.ndof, np.float64) for _ in range(2)]
+        plan = plan_for(a)
+        for name, out in zip(("numpy", "c"), outs):
+            with use_backend(name):
+                assert spmv_plain(a, x, out=out, plan=plan) is out
+        _same(*outs)
+
+    @pytest.mark.parametrize("kind", ["aos", "block", "batched"])
+    def test_fallback_cases(self, kind):
+        """Cases outside the compiled set run the numpy kernels unchanged."""
+        ncomp = 3 if kind == "block" else 1
+        k = 3 if kind == "batched" else None
+        a, b, x, dinv = _case((5, 4, 6), "3d7", "fp16", np.float32, ncomp, k)
+        if kind == "aos":
+            a = a.as_layout("aos")
+        _same(*_spmv(a, x, np.float32))
+        _same(*_gs(a, b, x, dinv, np.float32, True))
+        if kind != "block":  # wavefront SpTRSV is scalar-only
+            _same(*_trsv(a, b, dinv, np.float32, True))
+
+
+@needs_c
+class TestOuterSpmv:
+    """The outer Krylov SpMV takes the planned path."""
+
+    def test_matvec_matches_unplanned(self):
+        a = random_sgdia((6, 5, 7), "3d27")
+        x = np.random.default_rng(2).standard_normal(a.grid.ndof)
+        _same(spmv_plain(a, x), a.matvec(x))
+        stored = StoredMatrix.truncate(a, "fp16", "fp32", scale=True)
+        xs = x.astype(np.float32)
+        _same(spmv(stored, xs), stored.matvec(xs))
+
+    def test_solve_builds_no_plan_after_setup(self):
+        prob = build_problem("laplace27", (12, 12, 12), seed=0)
+        h = mg_setup(prob.a, parse_config("K64P32D16-setup-scale"), prob.mg_options)
+        with metrics.collecting() as m:
+            res = solve("cg", prob.a, prob.b, preconditioner=h.precondition,
+                        rtol=1e-8)
+        assert res.status == "converged"
+        assert m.get("kernel.plan.builds") == 0
