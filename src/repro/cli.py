@@ -966,22 +966,16 @@ def _cmd_serve(args) -> int:
                     f"rel={r.history.final():.3e}"
                 )
         stats = svc.stats()
-    if args.processes > 0:
-        topo = stats["topology"]
-        print(
-            f"service: {stats['completed']}/{stats['submitted']} jobs "
-            f"completed on {topo['processes']} processes; "
-            f"respawns={topo['respawns']} requeued={topo['requeued']} "
-            f"poisoned={topo['poisoned']} "
-            f"shm_corruptions={stats['shm_corruptions']}"
-        )
-    else:
-        cache = stats["cache"]
-        print(
-            f"service: {stats['completed']}/{stats['submitted']} jobs "
-            f"completed on {stats['workers']} workers; "
-            f"cache hits={cache['hits']} misses={cache['misses']}"
-        )
+    print(
+        f"service: {stats['completed']}/{stats['submitted']} jobs "
+        f"completed on {stats['workers']} {stats['topology']['mode']} "
+        f"workers; "
+        f"cache hits={stats['cache']['hits']} "
+        f"misses={stats['cache']['misses']}; "
+        f"respawns={stats['worker_respawns']} "
+        f"requeued={stats['requeued']} poisoned={stats['poisoned']} "
+        f"shm_corruptions={stats['shm_corruptions']}"
+    )
     lat = stats.get("latency", {}).get("histograms", {}).get("e2e", {})
     if lat.get("count"):
         print(

@@ -190,8 +190,8 @@ class Histogram:
 class ServiceStats:
     """Per-stage latency histograms + SLO counters for one service.
 
-    Thread-safe: the serving layer records from worker, watchdog, and
-    supervisor threads concurrently.  :meth:`snapshot` is the ``latency``
+    Thread-safe: the serving layer records from worker and control
+    threads concurrently.  :meth:`snapshot` is the ``latency``
     section of the serve benchmark snapshots.
     """
 

@@ -486,7 +486,7 @@ def _service_trial(prob, config, seed: int) -> tuple[str, dict]:
         workers=1,
         queue_size=8,
         retry_policy=RetryPolicy(max_retries=1, base_delay=0.001, seed=seed),
-        watchdog_interval=0.005,
+        tick=0.005,
         solver=prob.solver,
         rtol=prob.rtol,
         escalate=False,

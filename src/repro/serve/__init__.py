@@ -12,15 +12,19 @@ This package turns the one-shot solver into a serving stack:
   vectors;
 - :mod:`repro.serve.session` — :class:`SolverSession`, warm-started
   solves, drift-aware operator refresh, batched ``solve_many``;
-- :mod:`repro.serve.service` — :class:`SolverService`, a bounded-queue
-  multi-worker endpoint with admission control and per-job tracing;
+- :mod:`repro.serve.service` — the one job scheduler behind both solve
+  services (bounded-queue admission, deadlines, cancel, retry backoff on
+  a heap, delivery, counters, status document, graceful ``close()``) and
+  :class:`SolverService`, its thread executor: worker threads with warm
+  sessions over one shared cache;
 - :mod:`repro.serve.shm` — checksummed ``multiprocessing.shared_memory``
   segments carrying spill-format hierarchies between processes, verified
   on every attach;
-- :mod:`repro.serve.procpool` — :class:`ProcessSolverService`, the same
-  serving contract over supervised *worker processes*: consistent-hash
-  cache sharding, heartbeat crash/hang detection, bounded job redelivery
-  with poison quarantine, and graceful drain that unlinks every segment.
+- :mod:`repro.serve.procpool` — :class:`ProcessSolverService`, the
+  process executor under the same scheduler: supervised *worker
+  processes*, consistent-hash cache sharding, heartbeat crash/hang
+  detection, bounded job redelivery with poison quarantine, and segment
+  cleanup on close.
 """
 
 from .cache import CacheStats, HierarchyCache, load_hierarchy, save_hierarchy

@@ -1,12 +1,13 @@
-"""Crash-resilient process-parallel solve service.
+"""Crash-resilient process executor for the solve service.
 
-:class:`ProcessSolverService` is the multi-core sibling of the threaded
-:class:`~repro.serve.service.SolverService`: jobs still flow through the
-same :class:`~repro.serve.service.SolveJob` future (deadlines, cancel
-tokens, retry backoff, non-consuming ``result(timeout)``), but each worker
-is an OS *process* running a full :class:`~repro.serve.session.SolverSession`
-— a crashed or wedged worker can therefore be SIGKILLed and replaced
-without taking the service down, which no thread pool can offer.
+:class:`ProcessSolverService` runs the one job scheduler of
+:mod:`repro.serve.service` (:class:`~repro.serve.service.JobScheduler`:
+admission, deadlines, cancel, retry backoff, delivery, counters, status,
+drain) over OS *processes* instead of threads.  Each worker process runs
+a full :class:`~repro.serve.session.SolverSession` — a crashed or wedged
+worker can therefore be SIGKILLed and replaced without taking the service
+down, which no thread pool can offer.  This module holds only the
+process-side machinery.
 
 Architecture (one supervisor, N workers)::
 
@@ -19,8 +20,9 @@ Architecture (one supervisor, N workers)::
     per-worker heartbeat (shared f64)   <--  beat thread, every interval
     per-worker cancel mp.Event          -->  worker job's CancelToken
 
-    control thread: drain results -> check heartbeats -> expire queued
-    jobs -> propagate cancels -> release due retries -> dispatch
+    scheduler control thread: collect results (this module) -> check
+    heartbeats (this module) -> expire queued jobs -> propagate cancels
+    (this module) -> release due retries -> dispatch
 
 Supervision contract:
 
@@ -37,7 +39,7 @@ Supervision contract:
   rebuilds the hierarchy from the source operator, republishes under a
   fresh name, and redelivers the job.  A damaged segment can delay an
   answer, never change one.
-- **Shutdown** (``close()`` / SIGTERM): new submissions raise
+- **Close** (``close()`` / SIGTERM): new submissions raise
   :class:`~repro.serve.service.ServiceClosed`, queued and running jobs
   finish, workers exit, and every shm segment is unlinked — backstopped
   by an ``atexit`` hook and, across hard kills, by
@@ -59,14 +61,12 @@ from __future__ import annotations
 import atexit
 import bisect
 import hashlib
-import heapq
 import multiprocessing as mp
 import multiprocessing.connection as mpconn
 import os
 import signal
 import threading
 import time
-from collections import deque
 
 import numpy as np
 
@@ -74,7 +74,6 @@ from ..mg import MGOptions
 from ..observability import events as _events
 from ..observability import metrics as _metrics
 from ..observability import trace as _trace
-from ..observability.telemetry import ServiceStats, write_status
 from ..precision import PrecisionConfig
 from ..resilience.runtime import (
     CancelToken,
@@ -83,18 +82,10 @@ from ..resilience.runtime import (
     RetryPolicy,
 )
 from ..sgdia import SGDIAMatrix
-from ..solvers import INTERRUPTED_STATUSES
 from . import shm as _shm
 from .cache import HierarchyCache
 from .fingerprint import matrix_fingerprint
-from .service import (
-    ServiceClosed,
-    ServiceSaturated,
-    SolveJob,
-    SolverService,
-    classify_result,
-    interrupted_result,
-)
+from .service import JobScheduler, SolveJob, SolverService
 from .session import SolverSession
 
 __all__ = ["ProcessSolverService", "run_serve_mp_bench"]
@@ -194,7 +185,7 @@ def _worker_main(
             except (EOFError, OSError):  # queue torn down under us
                 return
             kind = msg[0]
-            if kind == "shutdown":
+            if kind == "stop":
                 _send(res_conn, ("bye", index))
                 return
             if kind == "drop":  # segment republished: forget the old attach
@@ -286,7 +277,7 @@ class _Worker:
 
     __slots__ = (
         "index", "generation", "proc", "req_q", "res_conn", "heartbeat",
-        "cancel_event", "jobs", "ready", "alive", "cancel_flagged", "pid",
+        "cancel_event", "ready", "alive", "cancel_flagged", "pid",
     )
 
     def __init__(self, index, generation, proc, req_q, res_conn,
@@ -298,7 +289,6 @@ class _Worker:
         self.res_conn = res_conn
         self.heartbeat = heartbeat
         self.cancel_event = cancel_event
-        self.jobs: dict[int, SolveJob] = {}
         self.ready = False
         self.alive = True
         self.cancel_flagged = False
@@ -322,7 +312,7 @@ class _Segment:
 # the service
 # ----------------------------------------------------------------------
 
-class ProcessSolverService:
+class ProcessSolverService(JobScheduler):
     """Supervised process pool serving solves from shared-memory hierarchies.
 
     Parameters
@@ -357,10 +347,18 @@ class ProcessSolverService:
         only).
     start_method:
         ``multiprocessing`` start method; default prefers ``fork``.
+    collect_telemetry:
+        Ship worker spans and counters back with each result; ``None``
+        (default) does so whenever the supervisor has a tracer or metrics
+        registry installed.
+    status_path:
+        Where to publish the ``repro top`` status document (optional).
     session_kwargs:
         Extra :class:`SolverSession` parameters for the workers
         (``solver``, ``rtol``, ``maxiter``, ...).
     """
+
+    mode = "process"
 
     def __init__(
         self,
@@ -385,23 +383,15 @@ class ProcessSolverService:
     ) -> None:
         if processes < 1:
             raise ValueError("need at least one worker process")
-        if queue_size < 1:
-            raise ValueError("queue_size must be >= 1")
+        super().__init__(
+            queue_size, retry_policy, default_deadline, tick, status_path,
+            max_redeliveries,
+        )
         self.config = config or PrecisionConfig()
         self.options = options or MGOptions()
-        self.queue_size = int(queue_size)
-        self.retry_policy = retry_policy or RetryPolicy()
-        self.default_deadline = default_deadline
-        self.max_redeliveries = int(max_redeliveries)
         self.heartbeat_interval = float(heartbeat_interval)
         self.hang_timeout = float(hang_timeout)
-        self.tick = float(tick)
-        #: None = auto (ship worker telemetry whenever the supervisor has a
-        #: tracer or metrics registry installed); True/False force it.
         self.collect_telemetry = collect_telemetry
-        self.status_path = status_path
-        self.telemetry = ServiceStats()
-        self._status_written = 0.0
         self._session_kwargs = dict(session_kwargs)
         if start_method is None:
             methods = mp.get_all_start_methods()
@@ -435,31 +425,6 @@ class ProcessSolverService:
         self._segments: dict[str, _Segment] = {}
         self._operators: dict[str, SGDIAMatrix] = {}
 
-        self._cond = threading.Condition()
-        self._pending: deque[SolveJob] = deque()
-        self._jobs: dict[int, SolveJob] = {}
-        self._retries: list[tuple[float, int, SolveJob]] = []
-        self._retry_seq = 0
-        self._next_id = 0
-        self._pending_submits = 0
-        self._closing = False
-        self._closed = False
-        self._workers_stopped = False
-
-        self.n_submitted = 0
-        self.n_completed = 0
-        self.n_failed = 0
-        self.n_rejected = 0
-        self.n_retried = 0
-        self.n_deadline = 0
-        self.n_cancelled = 0
-        self.n_respawns = 0
-        self.n_requeued = 0
-        self.n_poisoned = 0
-        self.n_heartbeat_miss = 0
-        self.n_shm_corrupt = 0
-        self.n_segment_rebuilds = 0
-
         # Publish the initial operator before any worker exists, so the
         # first dispatch never waits on a setup.
         self._fp = self.publish(a)
@@ -480,14 +445,7 @@ class ProcessSolverService:
                 pass
 
         atexit.register(self._emergency)
-        self._control = threading.Thread(
-            target=self._control_loop, name="solve-supervisor", daemon=True
-        )
-        self._control.start()
-        _events.emit(
-            "info", "service.start", "process service up",
-            mode="process", processes=processes,
-        )
+        self._start_control(processes=processes)
 
     # -- segments -------------------------------------------------------
     @property
@@ -512,6 +470,21 @@ class ProcessSolverService:
         fp = self.publish(a)
         self._fp = fp
         return fp
+
+    def _target(self, kwargs: dict) -> str:
+        """Resolve ``submit(..., operator=)``: a matrix (published on the
+        fly), a fingerprint from :meth:`publish`, or the default."""
+        operator = kwargs.pop("operator", None)
+        if operator is None:
+            return self._fp
+        if isinstance(operator, str):
+            if operator not in self._operators:
+                raise ValueError(
+                    f"unknown operator fingerprint {operator[:12]!r}; "
+                    "publish() it first"
+                )
+            return operator
+        return self.publish(operator)
 
     def _ensure_segment(self, fp: str) -> _Segment:
         """Publish (or return) the segment for a registered fingerprint."""
@@ -598,10 +571,7 @@ class ProcessSolverService:
             index, generation, proc, req_q, res_recv, heartbeat, cancel_event
         )
 
-    def _on_worker_death(self, w: _Worker, reason: str) -> None:
-        """Reap a dead worker: redeliver its jobs, respawn a successor."""
-        if not w.alive:
-            return
+    def _close_handles(self, w: _Worker) -> None:
         w.alive = False
         try:
             w.res_conn.close()
@@ -612,136 +582,26 @@ class ProcessSolverService:
             w.req_q.cancel_join_thread()  # never wait on a dead feeder
         except (ValueError, OSError):
             pass
+
+    def _on_worker_death(self, w: _Worker, reason: str) -> None:
+        """Reap a dead worker: redeliver its job, respawn a successor."""
+        if not w.alive:
+            return
+        self._close_handles(w)
         try:
             w.proc.join(timeout=1.0)
         except (ValueError, AssertionError):  # pragma: no cover
             pass
-        for job in list(w.jobs.values()):
+        job = self._running.pop(w.index, None)
+        if job is not None:
             self._redeliver(job)
-        w.jobs.clear()
-        if not self._workers_stopped:
-            _events.emit(
-                "error", "service.worker.respawn",
-                f"worker {w.index} pid {w.pid} died ({reason}); respawning",
-                worker=w.index, pid=w.pid, reason=reason,
-            )
-            self._workers[w.index] = self._spawn(w.index, w.generation + 1)
-            self.n_respawns += 1
-            _metrics.incr("service.worker.respawn")
+        self._workers[w.index] = self._spawn(w.index, w.generation + 1)
+        self._note_respawn(
+            f"worker {w.index} pid {w.pid} died ({reason}); respawning",
+            worker=w.index, pid=w.pid, reason=reason,
+        )
 
-    def _redeliver(self, job: SolveJob) -> None:
-        """Requeue a job whose attempt was lost (crash / corrupt segment).
-
-        Bounded: past ``max_redeliveries`` the job is quarantined as
-        ``"poisoned"`` — the supervisor will not let one pathological job
-        crash-loop the pool.
-        """
-        job.redeliveries += 1
-        if job.redeliveries > self.max_redeliveries:
-            self._finalize(
-                job, "poisoned", result=interrupted_result(job, "poisoned")
-            )
-            return
-        if job._requeue():
-            self.n_requeued += 1
-            _metrics.incr("service.job.requeued")
-            self.telemetry.count("redelivered")
-            _events.emit(
-                "warning", "service.job.requeued",
-                f"job {job.id} redelivered "
-                f"({job.redeliveries}/{self.max_redeliveries})",
-                job=job.id, redeliveries=job.redeliveries,
-            )
-            with self._cond:
-                self._pending.appendleft(job)  # redelivered jobs go first
-                self._cond.notify_all()
-
-    # -- submission -----------------------------------------------------
-    def submit(
-        self,
-        b: np.ndarray,
-        batched: bool = False,
-        block: bool = True,
-        timeout: "float | None" = None,
-        deadline: "float | Deadline | None" = None,
-        operator: "SGDIAMatrix | str | None" = None,
-        **kwargs,
-    ) -> SolveJob:
-        """Enqueue a solve; returns the :class:`SolveJob` future.
-
-        ``operator`` selects which published operator the job targets — an
-        :class:`SGDIAMatrix` (published on the fly), a fingerprint string
-        from :meth:`publish`, or ``None`` for the service default.  The
-        rest of the contract matches the thread service: ``block=False``
-        (or a wait timeout) on a full queue raises
-        :class:`ServiceSaturated`; a draining/closed service raises
-        :class:`ServiceClosed`.
-        """
-        with self._cond:
-            if self._closing or self._closed:
-                raise ServiceClosed("service is closed to new submissions")
-            self._pending_submits += 1
-        try:
-            if operator is None:
-                fp = self._fp
-            elif isinstance(operator, str):
-                if operator not in self._operators:
-                    raise ValueError(
-                        f"unknown operator fingerprint {operator[:12]!r}; "
-                        "publish() it first"
-                    )
-                fp = operator
-            else:
-                fp = self.publish(operator)
-            if deadline is None:
-                deadline = self.default_deadline
-            if deadline is not None and not isinstance(deadline, Deadline):
-                deadline = Deadline.after(float(deadline))
-            with self._cond:
-                if len(self._pending) >= self.queue_size:
-                    ok = block and self._cond.wait_for(
-                        lambda: (
-                            len(self._pending) < self.queue_size
-                            or self._closing
-                        ),
-                        timeout,
-                    )
-                    if self._closing:
-                        raise ServiceClosed(
-                            "service closed while waiting for a queue slot"
-                        )
-                    if not ok:
-                        self.n_rejected += 1
-                        _metrics.incr("serve.jobs.rejected")
-                        raise ServiceSaturated(
-                            f"solve queue is full ({self.queue_size} pending)"
-                        )
-                job = SolveJob(
-                    id=self._next_id, b=np.asarray(b), batched=batched,
-                    kwargs=kwargs, deadline=deadline, fp=fp,
-                    t_submit=time.perf_counter(),
-                )
-                self._next_id += 1
-                self._jobs[job.id] = job
-                self._pending.append(job)
-                self.n_submitted += 1
-            _metrics.incr("serve.jobs.submitted")
-            self._wake()
-            return job
-        finally:
-            with self._cond:
-                self._pending_submits -= 1
-                self._cond.notify_all()
-
-    def cancel(self, job: SolveJob) -> None:
-        """Cooperatively cancel a queued or in-flight job."""
-        job.request_cancel()
-        self._wake()
-
-    def solve(self, b: np.ndarray, **kwargs):
-        """Convenience: submit and wait."""
-        return self.submit(b, **kwargs).result()
-
+    # -- executor hooks -------------------------------------------------
     def _wake(self) -> None:
         with self._wake_lock:
             try:
@@ -749,44 +609,30 @@ class ProcessSolverService:
             except (BrokenPipeError, OSError):  # pragma: no cover
                 pass
 
-    # -- supervisor -----------------------------------------------------
-    def _control_loop(self) -> None:
-        while True:
-            conns = [w.res_conn for w in self._workers if w.alive]
-            conns.append(self._wake_r)
-            try:
-                ready = mpconn.wait(conns, timeout=self.tick)
-            except OSError:  # pragma: no cover - conn closed mid-wait
-                ready = []
-            for conn in ready:
-                if conn is self._wake_r:
-                    try:
-                        while self._wake_r.poll():
-                            self._wake_r.recv_bytes()
-                    except (EOFError, OSError):  # pragma: no cover
-                        pass
-                    continue
-                w = next(
-                    (x for x in self._workers if x.res_conn is conn), None
-                )
-                if w is None or not w.alive:
-                    continue
+    def _collect(self) -> None:
+        """Wait up to ``tick`` for worker messages (or a wake-up)."""
+        conns = [w.res_conn for w in self._workers if w.alive]
+        conns.append(self._wake_r)
+        try:
+            ready = mpconn.wait(conns, timeout=self.tick)
+        except OSError:  # pragma: no cover - conn closed mid-wait
+            ready = []
+        for conn in ready:
+            if conn is self._wake_r:
                 try:
-                    while conn.poll():
-                        self._handle_message(w, conn.recv())
-                except (EOFError, OSError):
-                    self._on_worker_death(w, "exit")
-            self._check_heartbeats()
-            self._expire_pending()
-            self._propagate_cancels()
-            self._release_retries()
-            self._dispatch()
-            self._maybe_write_status()
-            if self._closing:
-                with self._cond:
-                    drained = not self._jobs
-                if drained:
-                    return
+                    while self._wake_r.poll():
+                        self._wake_r.recv_bytes()
+                except (EOFError, OSError):  # pragma: no cover
+                    pass
+                continue
+            w = next((x for x in self._workers if x.res_conn is conn), None)
+            if w is None or not w.alive:
+                continue
+            try:
+                while conn.poll():
+                    self._handle_message(w, conn.recv())
+            except (EOFError, OSError):
+                self._on_worker_death(w, "exit")
 
     def _ingest_telemetry(self, w: _Worker, job: SolveJob, payload: dict) -> None:
         """Fold one worker result's shipped telemetry into the supervisor.
@@ -809,19 +655,16 @@ class ProcessSolverService:
         t = _trace.get_tracer()
         if t is not None and payload.get("spans"):
             now_rel = time.perf_counter() - t.epoch
-            sub_rel = (
-                job.t_submit - t.epoch if job.t_submit else now_rel
-            )
+            sub_rel = job.t_submit - t.epoch
             root = t.record_span(
                 "serve.job", sub_rel, now_rel,
                 job=job.id, worker=w.index, attempts=job.attempts,
                 redeliveries=job.redeliveries,
             )
-            if job.t_dispatch:
-                t.record_span(
-                    "queue_wait", sub_rel, job.t_dispatch - t.epoch,
-                    parent=root.index,
-                )
+            t.record_span(
+                "queue_wait", sub_rel, job.t_dispatch - t.epoch,
+                parent=root.index,
+            )
             shift = float(payload.get("epoch", t.epoch)) - t.epoch
             t.graft(
                 payload["spans"], parent=root.index, shift=shift,
@@ -834,32 +677,23 @@ class ProcessSolverService:
         if kind == "ready":
             w.ready = True
             w.pid = msg[2]
-        elif kind == "result":
-            job = w.jobs.pop(msg[2], None)
-            if job is None:
-                return
-            result = msg[3]
-            if len(msg) > 4 and isinstance(msg[4], dict):
+            return
+        if kind == "bye":  # the worker exits and its pipe EOFs
+            return
+        # result / error / corrupt: the worker's one in-flight job is over
+        job = self._running.pop(w.index, None)
+        if job is None:
+            return
+        if kind == "result":
+            if isinstance(msg[4], dict):
                 self._ingest_telemetry(w, job, msg[4])
-            state = classify_result(result, job.batched)
-            if state in INTERRUPTED_STATUSES:
-                self._finalize(job, state, result=result)
-            elif state == "retry" and self._schedule_retry(job):
-                pass
-            else:
-                self._finalize(job, "done", result=result)
+            self._deliver(job, result=msg[3])
         elif kind == "error":
-            job = w.jobs.pop(msg[2], None)
-            if job is None:
-                return
-            if not self._schedule_retry(job):
-                self._finalize(
-                    job, "failed",
-                    error=RuntimeError(f"worker {w.index}: {msg[3]}"),
-                )
+            self._deliver(
+                job, error=RuntimeError(f"worker {w.index}: {msg[3]}")
+            )
         elif kind == "corrupt":
-            _, _wid, job_id, seg_name, detail = msg
-            job = w.jobs.pop(job_id, None)
+            _, _wid, _job_id, seg_name, detail = msg
             self.n_shm_corrupt += 1
             _metrics.incr("serve.shm.corrupt")
             _events.emit(
@@ -871,22 +705,21 @@ class ProcessSolverService:
             try:
                 self._republish(seg_name)
             except Exception as exc:
-                if job is not None:
-                    self._finalize(
-                        job, "failed",
-                        error=RuntimeError(
-                            f"segment {seg_name} corrupt ({detail}) and "
-                            f"rebuild failed: {exc}"
-                        ),
-                    )
+                self._finalize(
+                    job, "failed",
+                    error=RuntimeError(
+                        f"segment {seg_name} corrupt ({detail}) and "
+                        f"rebuild failed: {exc}"
+                    ),
+                )
                 return
-            if job is not None:
-                self._redeliver(job)
-        # "bye" needs no action: the worker exits and its pipe EOFs.
+            self._redeliver(job)
 
-    def _check_heartbeats(self) -> None:
+    def _supervise(self) -> None:
+        """Crash and hang detection: reap exited or heartbeat-silent
+        workers (a hung one is SIGKILLed first)."""
         now = time.monotonic()
-        for w in self._workers:
+        for w in list(self._workers):
             if not w.alive:
                 continue
             if not w.proc.is_alive():
@@ -907,196 +740,63 @@ class ProcessSolverService:
                     pass
                 self._on_worker_death(w, "hang")
 
-    def _expire_pending(self) -> None:
-        with self._cond:
-            pending = [j for j in self._jobs.values() if j.state == "pending"]
-        for job in pending:
-            status = ExecContext(
-                deadline=job.deadline, cancel=job.cancel
-            ).check()
-            if status is not None and job._claim(None):
-                self._finalize(
-                    job, status, result=interrupted_result(job, status)
-                )
-
     def _propagate_cancels(self) -> None:
         for w in self._workers:
-            if not w.alive or w.cancel_flagged or not w.jobs:
-                continue
-            if any(j.cancel.cancelled() for j in w.jobs.values()):
+            job = self._running.get(w.index)
+            if (
+                w.alive and not w.cancel_flagged and job is not None
+                and job.cancel.cancelled()
+            ):
                 w.cancel_event.set()
                 w.cancel_flagged = True
 
-    def _schedule_retry(self, job: SolveJob) -> bool:
-        policy = self.retry_policy
-        ctx = ExecContext(deadline=job.deadline, cancel=job.cancel)
-        if job.attempts - 1 >= policy.max_retries or ctx.check() is not None:
-            return False
-        if not job._requeue():
-            return False
-        self.n_retried += 1
-        _metrics.incr("service.job.retry")
-        self.telemetry.count("retried")
-        _events.emit(
-            "warning", "service.job.retry",
-            f"job {job.id} attempt {job.attempts} failed; backing off",
-            job=job.id, attempt=job.attempts,
+    def _idle_workers(self) -> list[int]:
+        return [
+            w.index for w in self._workers
+            if w.alive and w.ready and w.index not in self._running
+        ]
+
+    def _start(self, index: int, job: SolveJob) -> None:
+        w = self._workers[index]
+        try:
+            seg = self._ensure_segment(job.fp)
+        except Exception as exc:
+            del self._running[index]
+            self._finalize(
+                job, "failed",
+                error=RuntimeError(
+                    f"could not publish hierarchy segment: {exc}"
+                ),
+            )
+            return
+        if w.cancel_flagged:
+            # The previous job's cancel is spent; with one job in flight
+            # per worker, clearing here cannot race a live cancel — the
+            # new job's own cancel re-sets the event.
+            w.cancel_event.clear()
+            w.cancel_flagged = False
+        remaining = (
+            job.deadline.remaining() if job.deadline is not None else None
         )
-        due = time.monotonic() + policy.delay(job.attempts - 1, key=job.id)
-        self._retry_seq += 1
-        heapq.heappush(self._retries, (due, self._retry_seq, job))
-        return True
+        collect = self.collect_telemetry
+        if collect is None:
+            collect = _metrics.active() or _trace.enabled()
+        try:
+            w.req_q.put((
+                "solve", job.id, seg.name, job.b, job.batched,
+                job.kwargs, remaining, bool(collect),
+            ))
+        except (ValueError, OSError):  # worker died under us
+            del self._running[index]
+            self._redeliver(job)
 
-    def _release_retries(self) -> None:
-        now = time.monotonic()
-        while self._retries and self._retries[0][0] <= now:
-            _due, _seq, job = heapq.heappop(self._retries)
-            if job.done():
-                continue
-            with self._cond:
-                self._pending.append(job)
-                self._cond.notify_all()
-
-    def _dispatch(self) -> None:
-        """Hand each idle worker its next job (at most one in flight)."""
-        for w in self._workers:
-            if not w.alive or not w.ready or w.jobs:
-                continue
-            while True:
-                with self._cond:
-                    job = self._pending.popleft() if self._pending else None
-                    if job is not None:
-                        self._cond.notify_all()  # a queue slot freed up
-                if job is None:
-                    return
-                if job.done() or not job._claim(w.index):
-                    continue  # expired/cancelled while queued
-                try:
-                    seg = self._ensure_segment(job.fp)
-                except Exception as exc:
-                    self._finalize(
-                        job, "failed",
-                        error=RuntimeError(
-                            f"could not publish hierarchy segment: {exc}"
-                        ),
-                    )
-                    continue
-                if w.cancel_flagged:
-                    # The previous job's cancel is spent; with one job in
-                    # flight per worker, clearing here cannot race a live
-                    # cancel — the new job's own cancel re-sets the event.
-                    w.cancel_event.clear()
-                    w.cancel_flagged = False
-                job.attempts += 1
-                if job.t_dispatch == 0.0:
-                    job.t_dispatch = time.perf_counter()
-                    if job.t_submit:
-                        self.telemetry.record(
-                            "queue_wait", job.t_dispatch - job.t_submit
-                        )
-                remaining = (
-                    job.deadline.remaining()
-                    if job.deadline is not None
-                    else None
-                )
-                collect = self.collect_telemetry
-                if collect is None:
-                    collect = _metrics.active() or _trace.enabled()
-                w.jobs[job.id] = job
-                try:
-                    w.req_q.put((
-                        "solve", job.id, seg.name, job.b, job.batched,
-                        job.kwargs, remaining, bool(collect),
-                    ))
-                except (ValueError, OSError):  # worker died under us
-                    w.jobs.pop(job.id, None)
-                    self._redeliver(job)
-                break  # this worker is now busy
-
-    def _finalize(self, job: SolveJob, state, result=None, error=None) -> bool:
-        """Deliver a terminal state exactly once; update the counters."""
-        if not job._finish(state, result=result, error=error):
-            return False
-        with self._cond:
-            self._jobs.pop(job.id, None)
-            self._cond.notify_all()
-        if job.t_submit:
-            self.telemetry.record("e2e", time.perf_counter() - job.t_submit)
-        if error is not None:
-            self.n_failed += 1
-            _metrics.incr("serve.jobs.failed")
-            self.telemetry.count("failed")
-        else:
-            self.n_completed += 1
-            _metrics.incr("serve.jobs.completed")
-            self.telemetry.count("completed")
-        if state == "deadline":
-            self.n_deadline += 1
-            _metrics.incr("service.job.deadline")
-            self.telemetry.count("deadline_miss")
-            _events.emit(
-                "warning", "service.job.deadline",
-                f"job {job.id} missed its deadline", job=job.id,
-            )
-        elif state == "cancelled":
-            self.n_cancelled += 1
-            _metrics.incr("service.job.cancelled")
-            self.telemetry.count("cancelled")
-            _events.emit(
-                "info", "service.job.cancelled",
-                f"job {job.id} cancelled", job=job.id,
-            )
-        elif state == "poisoned":
-            self.n_poisoned += 1
-            _metrics.incr("service.job.poisoned")
-            _events.emit(
-                "critical", "service.job.poisoned",
-                f"job {job.id} quarantined after {job.redeliveries} "
-                "redeliveries",
-                job=job.id, redeliveries=job.redeliveries,
-            )
-        return True
-
-    # -- shutdown -------------------------------------------------------
-    def close(self) -> None:
-        """Graceful drain: reject new jobs, finish queued ones, clean up.
-
-        After ``close()`` returns, every accepted job has a terminal
-        state, all worker processes have exited, and every shm segment is
-        unlinked.  Idempotent; also runs from the SIGTERM handler when
-        ``handle_sigterm`` was requested.
-        """
-        with self._cond:
-            if self._closed:
-                return
-            self._closing = True
-            self._cond.notify_all()  # fail queue-slot waiters fast
-            self._cond.wait_for(lambda: self._pending_submits == 0)
-        self._wake()
-        self._control.join()
-        self._stop_workers()
-        self._unlink_all()
-        if self._sigterm_installed:
-            try:
-                signal.signal(signal.SIGTERM, self._sigterm_prev)
-            except ValueError:  # pragma: no cover - not main thread
-                pass
-            self._sigterm_installed = False
-        atexit.unregister(self._emergency)
-        self._closed = True
-        _events.emit("info", "service.stop", "process service drained")
-        if self.status_path:
-            try:
-                write_status(self.status_path, self.status_doc())
-            except OSError:  # pragma: no cover - status is best-effort
-                pass
-
+    # -- stop -----------------------------------------------------------
     def _stop_workers(self) -> None:
-        self._workers_stopped = True
+        """Stop the pool, unlink every segment, drop the signal hooks."""
         for w in self._workers:
             if w.alive:
                 try:
-                    w.req_q.put(("shutdown",))
+                    w.req_q.put(("stop",))
                 except (ValueError, OSError):
                     pass
         for w in self._workers:
@@ -1109,23 +809,19 @@ class ProcessSolverService:
             if w.proc.is_alive():  # pragma: no cover - last resort
                 w.proc.kill()
                 w.proc.join(timeout=1.0)
-            w.alive = False
-            try:
-                w.res_conn.close()
-            except OSError:
-                pass
-            try:
-                w.req_q.close()
-                w.req_q.cancel_join_thread()
-            except (ValueError, OSError):
-                pass
-
-    def _unlink_all(self) -> None:
+            self._close_handles(w)
         with self._seg_lock:
             for seg in self._segments.values():
                 _shm.unlink_segment(seg.handle)
                 _metrics.incr("serve.shm.unlink")
             self._segments.clear()
+        if self._sigterm_installed:
+            try:
+                signal.signal(signal.SIGTERM, self._sigterm_prev)
+            except ValueError:  # pragma: no cover - not main thread
+                pass
+            self._sigterm_installed = False
+        atexit.unregister(self._emergency)
 
     def _emergency(self) -> None:
         """atexit backstop: no worker and no segment may outlive us."""
@@ -1146,12 +842,6 @@ class ProcessSolverService:
         prev = self._sigterm_prev
         if callable(prev):
             prev(signum, frame)
-
-    def __enter__(self) -> "ProcessSolverService":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     # -- introspection --------------------------------------------------
     def wait_ready(self, timeout: float = 30.0) -> bool:
@@ -1182,35 +872,34 @@ class ProcessSolverService:
         with self._seg_lock:
             return [seg.name for seg in self._segments.values()]
 
-    def topology(self) -> dict:
-        """Worker/shard layout for the benchmark snapshot."""
+    def _worker_rows(self) -> list[dict]:
+        now = time.monotonic()
+        return [
+            {
+                "index": w.index,
+                "pid": w.pid,
+                "alive": bool(w.alive),
+                "ready": bool(w.ready),
+                "heartbeat_age": (
+                    max(0.0, now - w.heartbeat.value) if w.alive else None
+                ),
+            }
+            for w in self._workers
+        ]
+
+    def _caches(self) -> list[HierarchyCache]:
+        return self._shards
+
+    def _topology(self) -> dict:
         with self._seg_lock:
             shard_map = {
                 fp[:12]: self._ring.shard_for(fp) for fp in self._operators
             }
-            rebuilds = sum(s.rebuilds for s in self._segments.values())
-        return {
-            "mode": "process",
-            "processes": len(self._workers),
-            "workers": len(self._workers),
-            "shard_map": shard_map,
-            "respawns": self.n_respawns,
-            "requeued": self.n_requeued,
-            "poisoned": self.n_poisoned,
-            "heartbeat_misses": self.n_heartbeat_miss,
-            "segment_rebuilds": rebuilds,
-        }
+        n = len(self._workers)
+        return {"processes": n, "workers": n, "shard_map": shard_map}
 
     def stats(self) -> dict:
         with self._seg_lock:
-            shards = [
-                {
-                    **shard.stats.to_dict(),
-                    "entries": len(shard),
-                    "resident_bytes": shard.resident_bytes,
-                }
-                for shard in self._shards
-            ]
             segments = {
                 seg.fp[:12]: {
                     "name": seg.name,
@@ -1219,92 +908,7 @@ class ProcessSolverService:
                 }
                 for seg in self._segments.values()
             }
-        return {
-            "submitted": self.n_submitted,
-            "completed": self.n_completed,
-            "failed": self.n_failed,
-            "rejected": self.n_rejected,
-            "retried": self.n_retried,
-            "deadline": self.n_deadline,
-            "cancelled": self.n_cancelled,
-            "requeued": self.n_requeued,
-            "poisoned": self.n_poisoned,
-            "worker_respawns": self.n_respawns,
-            "heartbeat_misses": self.n_heartbeat_miss,
-            "shm_corruptions": self.n_shm_corrupt,
-            "segment_rebuilds": self.n_segment_rebuilds,
-            "queue_size": self.queue_size,
-            "latency": self.telemetry.snapshot(),
-            "topology": self.topology(),
-            "shards": shards,
-            "segments": segments,
-        }
-
-    def status_doc(self) -> dict:
-        """Live-state document for ``repro top`` / ``serve --watch``."""
-        now = time.monotonic()
-        workers = [
-            {
-                "index": w.index,
-                "pid": w.pid,
-                "alive": bool(w.alive),
-                "ready": bool(w.ready),
-                "inflight": len(w.jobs),
-                "heartbeat_age": (
-                    max(0.0, now - w.heartbeat.value) if w.alive else None
-                ),
-            }
-            for w in self._workers
-        ]
-        with self._cond:
-            depth = len(self._pending)
-        with self._seg_lock:
-            hits = sum(s.stats.hits for s in self._shards)
-            misses = sum(s.stats.misses for s in self._shards)
-            evictions = sum(s.stats.evictions for s in self._shards)
-            entries = sum(len(s) for s in self._shards)
-        lookups = hits + misses
-        journal = _events.get_journal()
-        return {
-            "schema": "repro-top/1",
-            "ts": time.time(),
-            "pid": os.getpid(),
-            "mode": "process",
-            "workers": workers,
-            "queue_depth": depth,
-            "counts": {
-                "submitted": self.n_submitted,
-                "completed": self.n_completed,
-                "failed": self.n_failed,
-                "deadline": self.n_deadline,
-                "cancelled": self.n_cancelled,
-                "poisoned": self.n_poisoned,
-                "requeued": self.n_requeued,
-                "respawns": self.n_respawns,
-            },
-            "cache": {
-                "hits": hits,
-                "misses": misses,
-                "evictions": evictions,
-                "entries": entries,
-                "hit_rate": hits / lookups if lookups else 0.0,
-            },
-            "latency": self.telemetry.snapshot(),
-            "events": journal.to_dicts(10) if journal is not None else [],
-        }
-
-    def _maybe_write_status(self, min_interval: float = 0.5) -> None:
-        """Publish the status document at most every ``min_interval`` s."""
-        if not self.status_path:
-            return
-        now = time.monotonic()
-        if now - self._status_written < min_interval:
-            return
-        self._status_written = now
-        try:
-            write_status(self.status_path, self.status_doc())
-        except OSError:  # pragma: no cover - status is best-effort
-            pass
+        return {**super().stats(), "segments": segments}
 
 
 # ----------------------------------------------------------------------

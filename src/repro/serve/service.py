@@ -1,31 +1,38 @@
-"""Threaded solve service: bounded job queue over warm sessions.
+"""Solve service: one job scheduler over thread or process workers.
 
-:class:`SolverService` is the process-level front end of the serving layer:
-clients submit right-hand sides (single vectors or multi-RHS blocks)
-against the service's operator stream and receive
-:class:`~repro.solvers.SolveResult` objects.  Worker threads each own a
-:class:`~repro.serve.session.SolverSession` — warm-start state is
-per-worker — while all sessions share one :class:`HierarchyCache`, so the
-expensive setup runs once no matter how many workers serve it.
+:class:`JobScheduler` is the serving contract, written once: clients
+submit right-hand sides (single vectors or multi-RHS blocks) and receive
+:class:`SolveJob` futures resolving to
+:class:`~repro.solvers.SolveResult` objects.  The scheduler owns the whole
+job lifecycle — admission, the job table, one control thread, delivery,
+retry, expiry, cancel, counters and the status document — and leaves only
+*running* a job to an executor subclass:
 
-Admission control is a bounded queue: ``submit(..., block=True)`` applies
-backpressure (the caller waits for a slot), ``block=False`` raises
-:class:`ServiceSaturated` immediately — the two standard reactions to a
-saturated solver backend.  Every job runs under a tracing span and feeds
-the ``serve.jobs.*`` counters.
+- :class:`SolverService` (this module) runs jobs on worker threads, each
+  owning a warm :class:`~repro.serve.session.SolverSession` over one
+  shared :class:`HierarchyCache`, so the expensive setup runs once no
+  matter how many workers serve it;
+- :class:`~repro.serve.procpool.ProcessSolverService` runs them on
+  supervised worker processes attached to shared-memory hierarchies.
 
-Jobs are deadline-aware futures: each :class:`SolveJob` carries an optional
-:class:`~repro.resilience.runtime.Deadline` and a per-job
-:class:`~repro.resilience.runtime.CancelToken`, combined into the
-:class:`~repro.resilience.runtime.ExecContext` the worker threads hand to
-their session — an expired or cancelled job returns a result with status
-``"deadline"`` / ``"cancelled"`` carrying the partial iterate, it never
-blocks the caller forever.  A watchdog thread expires jobs that age out
-*while still queued* (no worker time is spent on a job that could not meet
-its deadline anyway) and respawns worker threads that died, and a
-:class:`~repro.resilience.runtime.RetryPolicy` re-runs failed attempts with
-exponential backoff slept on the job's cancel token (a cancelled job never
-waits out a backoff window).
+Admission control is a bounded pending queue: ``submit(..., block=True)``
+applies backpressure (the caller waits for a slot), ``block=False``
+raises :class:`ServiceSaturated` immediately — the two standard reactions
+to a saturated solver backend; a closed service raises
+:class:`ServiceClosed`.
+
+The control thread wakes on every submit/cancel and otherwise polls every
+``tick`` seconds.  Each round it collects executor outcomes, lets the
+executor supervise its workers, expires queued jobs past their deadline
+(or cancelled), propagates cancels, releases due retries, and hands at
+most one job to each idle worker — redelivered jobs first.  Jobs carry an
+optional :class:`~repro.resilience.runtime.Deadline` and a
+:class:`~repro.resilience.runtime.CancelToken`: an expired or cancelled
+job resolves with status ``"deadline"`` / ``"cancelled"`` and the best
+iterate available, it never blocks the caller forever.  A
+:class:`~repro.resilience.runtime.RetryPolicy` re-runs failed attempts
+after an exponential backoff that waits on a heap, never in a worker, so
+a backing-off job occupies no worker and a cancelled one stops waiting.
 
 The module also hosts :func:`run_serve_bench`, the ``repro serve --bench``
 workload: a 50-timestep weather replay measuring setup amortization from
@@ -35,9 +42,13 @@ as a schema-valid ``BENCH_serve.json``.
 
 from __future__ import annotations
 
+import heapq
+import itertools
+import os
 import queue
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +57,7 @@ from ..mg import MGOptions
 from ..observability import events as _events
 from ..observability import metrics as _metrics
 from ..observability import trace as _trace
-from ..observability.telemetry import ServiceStats, write_status
+from ..observability.telemetry import STATUS_SCHEMA, ServiceStats, write_status
 from ..precision import PrecisionConfig
 from ..resilience.runtime import (
     CancelToken,
@@ -65,6 +76,7 @@ from .cache import HierarchyCache
 from .session import SolverSession
 
 __all__ = [
+    "JobScheduler",
     "ServiceClosed",
     "ServiceSaturated",
     "SolveJob",
@@ -78,7 +90,7 @@ class ServiceSaturated(RuntimeError):
 
 
 class ServiceClosed(RuntimeError):
-    """The service is draining (or shut down) and rejects new jobs.
+    """The service is draining (or closed) and rejects new jobs.
 
     Distinct from :class:`ServiceSaturated`: saturation is transient
     backpressure — retry later; closed is terminal — submit elsewhere.
@@ -87,19 +99,19 @@ class ServiceClosed(RuntimeError):
     """
 
 
-@dataclass
+@dataclass(eq=False)
 class SolveJob:
     """One queued solve request (a deadline-aware future).
 
-    ``state`` walks ``"pending"`` (queued) → ``"running"`` (claimed by a
-    worker) → a terminal state: ``"done"`` (a result was delivered,
-    whatever its solver status), ``"failed"`` (the worker raised),
-    ``"deadline"`` / ``"cancelled"`` (the job was interrupted — the result
-    still carries the best iterate available, possibly the zero initial
-    guess when the job never left the queue).  ``result()`` raising
-    :class:`TimeoutError` does **not** consume the job: the future stays
-    retrievable and a later ``result()`` call returns normally once the
-    worker (or the watchdog) finishes it.
+    ``state`` walks ``"pending"`` (queued, or waiting out a retry backoff)
+    → ``"running"`` (dispatched to a worker) → a terminal state:
+    ``"done"`` (a result was delivered, whatever its solver status),
+    ``"failed"`` (the worker raised), ``"deadline"`` / ``"cancelled"`` /
+    ``"poisoned"`` (the job was interrupted — the result still carries the
+    best iterate available, possibly the zero initial guess when the job
+    never got solver time).  ``result()`` raising :class:`TimeoutError`
+    does **not** consume the job: the future stays retrievable and a later
+    ``result()`` call returns normally once the scheduler finishes it.
     """
 
     id: int
@@ -114,8 +126,8 @@ class SolveJob:
     #: Operator fingerprint the job targets (process service only — the
     #: thread service always solves against its sessions' live operator).
     fp: "str | None" = None
-    #: Times the job was re-queued after its worker process died mid-run;
-    #: past the service's bound the job is quarantined as ``"poisoned"``.
+    #: Times the job was re-queued after its worker died mid-run; past the
+    #: service's bound the job is quarantined as ``"poisoned"``.
     redeliveries: int = 0
     #: ``perf_counter`` stamps for the latency histograms: submission time
     #: and first dispatch to a worker (0.0 until the event happened).
@@ -147,10 +159,10 @@ class SolveJob:
             raise self._error
         return self._result
 
-    # -- state transitions (claim/finish race between worker & watchdog) --
+    # -- state transitions ----------------------------------------------
     def _claim(self, worker: "int | None") -> bool:
         """Atomically move ``pending`` → ``running``; False if already
-        claimed or finished (the loser of the race backs off)."""
+        claimed or finished."""
         with self._lock:
             if self.state != "pending":
                 return False
@@ -169,7 +181,7 @@ class SolveJob:
             return True
 
     def _requeue(self) -> bool:
-        """Move ``running`` back to ``pending`` (worker-death redelivery)."""
+        """Move ``running`` back to ``pending`` (retry or redelivery)."""
         with self._lock:
             if self._done.is_set() or self.state != "running":
                 return False
@@ -181,10 +193,10 @@ class SolveJob:
 def interrupted_result(job: SolveJob, status: str):
     """Synthesize the result of a job that never got solver time.
 
-    Shared by the thread and process services: an expired/cancelled/
-    poisoned job still resolves to a real :class:`SolveResult` (zero
-    iterate, one recorded residual) so ``result()`` never blocks forever
-    and downstream code sees the normal shape.
+    An expired/cancelled/poisoned job still resolves to a real
+    :class:`SolveResult` (zero iterate, one recorded residual) so
+    ``result()`` never blocks forever and downstream code sees the normal
+    shape.
     """
 
     def one(col: np.ndarray) -> SolveResult:
@@ -227,108 +239,76 @@ def classify_result(result, batched: bool) -> str:
     return "done"
 
 
-class SolverService:
-    """Multi-worker solve service over one operator stream.
+class JobScheduler:
+    """The job lifecycle shared by every solve service.
 
-    Parameters
-    ----------
-    a, config, options:
-        The operator and setup parameters handed to each worker's session.
-    workers:
-        Number of worker threads (each with its own warm-start session).
-    queue_size:
-        Bound of the admission queue — the backpressure knob.
-    cache:
-        Shared hierarchy cache (created when omitted).  Pass a cache with a
-        ``spill_dir`` to survive eviction pressure across services.
-    retry_policy:
-        :class:`~repro.resilience.runtime.RetryPolicy` for re-running
-        failed attempts (exceptions and failure-classified statuses such as
-        ``"corrupted"``).  The default policy has ``max_retries=0`` — no
-        retries, the pre-existing behaviour.  Backoff is slept on the job's
-        cancel token, so cancelling a job interrupts its backoff wait.
-    default_deadline:
-        Per-job wall-clock budget in seconds applied to every submission
-        that does not pass its own ``deadline``; ``None`` (default) leaves
-        jobs unbounded.
-    watchdog_interval:
-        Poll period of the watchdog thread that expires queued jobs past
-        their deadline and respawns dead workers.
-    session_kwargs:
-        Extra :class:`SolverSession` parameters (``solver``, ``rtol``,
-        ``maxiter``, ``drift_threshold``, ``escalate``...).
+    Subclasses are *executors*: they start their workers, then call
+    :meth:`_start_control`, and implement the worker-side hooks —
+    ``_collect`` (wait up to ``tick`` for outcomes, feed them to
+    :meth:`_deliver`), ``_wake``, ``_supervise``, ``_idle_workers``,
+    ``_start`` (hand a claimed job to a worker), ``_stop_workers``,
+    ``_worker_rows``, ``_caches`` and ``_topology``.  All job-table state
+    is mutated by the control thread alone, except admission (``submit``)
+    and cancellation requests.
     """
+
+    mode = "?"
 
     def __init__(
         self,
-        a: SGDIAMatrix,
-        config: "PrecisionConfig | None" = None,
-        options: "MGOptions | None" = None,
-        workers: int = 2,
-        queue_size: int = 8,
-        cache: "HierarchyCache | None" = None,
-        retry_policy: "RetryPolicy | None" = None,
-        default_deadline: "float | None" = None,
-        watchdog_interval: float = 0.02,
-        status_path: "str | None" = None,
-        **session_kwargs,
+        queue_size: int,
+        retry_policy: "RetryPolicy | None",
+        default_deadline: "float | None",
+        tick: float,
+        status_path: "str | None",
+        max_redeliveries: int = 2,
     ) -> None:
-        if workers < 1:
-            raise ValueError("need at least one worker")
         if queue_size < 1:
             raise ValueError("queue_size must be >= 1")
-        self.cache = cache if cache is not None else HierarchyCache()
+        self.queue_size = int(queue_size)
         self.retry_policy = retry_policy or RetryPolicy()
         self.default_deadline = default_deadline
-        self.watchdog_interval = float(watchdog_interval)
-        self.telemetry = ServiceStats()
+        self.tick = float(tick)
         self.status_path = status_path
+        self.max_redeliveries = int(max_redeliveries)
+        self.telemetry = ServiceStats()
         self._status_written = 0.0
-        self.sessions = [
-            SolverSession(
-                a, config=config, options=options, cache=self.cache,
-                **session_kwargs,
-            )
-            for _ in range(workers)
-        ]
-        self._queue: "queue.Queue[SolveJob | None]" = queue.Queue(
-            maxsize=queue_size
-        )
-        self._lock = threading.Lock()
-        self._submit_cond = threading.Condition(self._lock)
-        self._pending_submits = 0
-        self._sentinels_sent = False
-        self._next_id = 0
-        self._closed = False
+        self._cond = threading.Condition()
+        self._pending: deque[SolveJob] = deque()
         self._jobs: dict[int, SolveJob] = {}
-        self.n_submitted = 0
-        self.n_completed = 0
-        self.n_failed = 0
-        self.n_rejected = 0
-        self.n_retried = 0
-        self.n_deadline = 0
-        self.n_cancelled = 0
-        self.n_respawns = 0
-        self._threads = [
-            threading.Thread(
-                target=self._worker, args=(w,), name=f"solve-worker-{w}",
-                daemon=True,
-            )
-            for w in range(workers)
-        ]
-        for t in self._threads:
-            t.start()
-        self._stop = threading.Event()
-        self._watchdog_thread = threading.Thread(
-            target=self._watchdog, name="solve-watchdog", daemon=True
+        #: worker index -> the one job in flight on it
+        self._running: dict[int, SolveJob] = {}
+        self._retries: list[tuple[float, int, SolveJob]] = []
+        self._retry_seq = itertools.count()
+        self._next_id = 0
+        self._pending_submits = 0
+        self._closing = False
+        self.n_submitted = self.n_completed = self.n_failed = 0
+        self.n_rejected = self.n_retried = 0
+        self.n_deadline = self.n_cancelled = self.n_poisoned = 0
+        self.n_respawns = self.n_requeued = self.n_heartbeat_miss = 0
+        self.n_shm_corrupt = self.n_segment_rebuilds = 0
+
+    def _start_control(self, **attrs) -> None:
+        self._control = threading.Thread(
+            target=self._control_loop, name="solve-supervisor", daemon=True
         )
-        self._watchdog_thread.start()
+        self._control.start()
         _events.emit(
-            "info", "service.start", "thread service up",
-            mode="thread", workers=workers,
+            "info", "service.start", f"{self.mode} service up",
+            mode=self.mode, **attrs,
         )
 
-    # ------------------------------------------------------------------
+    # -- executor hooks with a default ----------------------------------
+    def _target(self, kwargs: dict) -> "str | None":
+        """Operator fingerprint a submission targets (None: the live one)."""
+        return None
+
+    def _propagate_cancels(self) -> None:
+        """Forward cancel requests to running jobs (in-process tokens are
+        shared, so only executors across a process boundary need this)."""
+
+    # -- admission --------------------------------------------------------
     def submit(
         self,
         b: np.ndarray,
@@ -348,169 +328,210 @@ class SolverService:
         falls back to the service's ``default_deadline``.  A closed or
         draining service raises :class:`ServiceClosed` — the closed check
         and the queue insertion are coordinated with ``close()`` through
-        an in-flight-submit counter, so a submission can never land behind
-        the shutdown sentinels and starve forever.
+        an in-flight-submit counter, so ``close()`` never returns with an
+        accepted job unfinished.  The process service also takes
+        ``operator=`` (see :meth:`ProcessSolverService.publish`); other
+        keyword arguments go to the session's ``solve``/``solve_many``.
         """
-        with self._submit_cond:
-            if self._closed:
+        with self._cond:
+            if self._closing:
                 raise ServiceClosed("service is closed to new submissions")
             self._pending_submits += 1
         try:
+            fp = self._target(kwargs)
             if deadline is None:
                 deadline = self.default_deadline
             if deadline is not None and not isinstance(deadline, Deadline):
                 deadline = Deadline.after(float(deadline))
-            with self._lock:
+            with self._cond:
+                if len(self._pending) >= self.queue_size:
+                    ok = block and self._cond.wait_for(
+                        lambda: (
+                            len(self._pending) < self.queue_size
+                            or self._closing
+                        ),
+                        timeout,
+                    )
+                    if self._closing:
+                        raise ServiceClosed(
+                            "service closed while waiting for a queue slot"
+                        )
+                    if not ok:
+                        self.n_rejected += 1
+                        _metrics.incr("serve.jobs.rejected")
+                        raise ServiceSaturated(
+                            f"solve queue is full ({self.queue_size} pending)"
+                        )
                 job = SolveJob(
                     id=self._next_id, b=np.asarray(b), batched=batched,
-                    kwargs=kwargs, deadline=deadline,
+                    kwargs=kwargs, deadline=deadline, fp=fp,
                     t_submit=time.perf_counter(),
                 )
                 self._next_id += 1
                 self._jobs[job.id] = job
-            try:
-                self._queue.put(job, block=block, timeout=timeout)
-            except queue.Full:
-                with self._lock:
-                    self._jobs.pop(job.id, None)
-                self.n_rejected += 1
-                _metrics.incr("serve.jobs.rejected")
-                raise ServiceSaturated(
-                    f"solve queue is full ({self._queue.maxsize} pending)"
-                ) from None
-            self.n_submitted += 1
+                self._pending.append(job)
+                self.n_submitted += 1
             _metrics.incr("serve.jobs.submitted")
+            self._wake()
             return job
         finally:
-            with self._submit_cond:
+            with self._cond:
                 self._pending_submits -= 1
-                self._submit_cond.notify_all()
+                self._cond.notify_all()
 
     def cancel(self, job: SolveJob) -> None:
         """Cooperatively cancel a queued or in-flight job.
 
-        A queued job is finalized by the watchdog (or skipped by the worker
-        that dequeues it); a running job aborts at its next cooperative
-        check and returns its partial iterate with status ``"cancelled"``.
+        A queued job (also one waiting out a retry backoff) is finalized
+        by the control thread; a running job aborts at its next
+        cooperative check and returns its partial iterate with status
+        ``"cancelled"``.
         """
         job.request_cancel()
+        self._wake()
 
-    def solve(self, b: np.ndarray, **kwargs) -> SolveResult:
+    def solve(self, b: np.ndarray, **kwargs):
         """Convenience: submit and wait."""
         return self.submit(b, **kwargs).result()
 
-    def update_operator(self, a: SGDIAMatrix) -> list[str]:
-        """Refresh the operator on every session (between batches).
+    def drain(self) -> None:
+        """Wait until every accepted job has a terminal state."""
+        with self._cond:
+            self._cond.wait_for(lambda: not self._jobs)
 
-        Callers are responsible for quiescing in-flight jobs when the
-        operator swap must be atomic with respect to running solves.
-        """
-        return [s.update_operator(a) for s in self.sessions]
-
-    # ------------------------------------------------------------------
-    def _worker(self, index: int) -> None:
-        session = self.sessions[index]
+    # -- control loop -----------------------------------------------------
+    def _control_loop(self) -> None:
         while True:
-            job = self._queue.get()
-            if job is None:  # shutdown sentinel
-                self._queue.task_done()
-                return
-            try:
-                if job._claim(index):
-                    self._run_job(session, job, index)
-                # else: the watchdog already expired/cancelled this job
-            except BaseException as exc:  # pragma: no cover - last resort
-                # _run_job delivers exceptions itself; this catch is defense
-                # in depth so an unexpected escape (e.g. from the retry
-                # bookkeeping) never kills the worker mid-queue.
-                self._finalize(job, "failed", error=exc)
-            finally:
-                self._queue.task_done()
+            self._collect()
+            self._supervise()
+            self._expire_pending()
+            self._propagate_cancels()
+            self._release_retries()
+            self._dispatch()
+            self._maybe_write_status()
+            if self._closing:
+                with self._cond:
+                    if not self._jobs:
+                        return
 
-    def _run_job(self, session: SolverSession, job: SolveJob, index: int) -> None:
-        """Run one claimed job: attempt → classify → retry or deliver."""
-        if job.t_dispatch == 0.0:
-            job.t_dispatch = time.perf_counter()
-            if job.t_submit:
+    def _expire_pending(self) -> None:
+        """Finalize queued jobs past their deadline or cancelled."""
+        with self._cond:
+            pending = [j for j in self._jobs.values() if j.state == "pending"]
+        for job in pending:
+            status = ExecContext(
+                deadline=job.deadline, cancel=job.cancel
+            ).check()
+            if status is not None and job._claim(None):
+                self._finalize(
+                    job, status, result=interrupted_result(job, status)
+                )
+                with self._cond:  # free its admission slot right away
+                    if job in self._pending:
+                        self._pending.remove(job)
+
+    def _dispatch(self) -> None:
+        """Hand each idle worker its next job (at most one in flight)."""
+        for w in self._idle_workers():
+            while True:
+                with self._cond:
+                    job = self._pending.popleft() if self._pending else None
+                    if job is not None:
+                        self._cond.notify_all()  # a queue slot freed up
+                if job is None:
+                    return
+                if job._claim(w):
+                    break
+            job.attempts += 1
+            if job.t_dispatch == 0.0:
+                job.t_dispatch = time.perf_counter()
                 self.telemetry.record(
                     "queue_wait", job.t_dispatch - job.t_submit
                 )
-        ctx = ExecContext(deadline=job.deadline, cancel=job.cancel)
+            self._running[w] = job
+            self._start(w, job)
+
+    def _deliver(self, job: SolveJob, result=None, error=None) -> None:
+        """Route one attempt's outcome: finalize, or schedule a retry."""
+        if error is not None:
+            if not self._schedule_retry(job):
+                self._finalize(job, "failed", error=error)
+            return
+        state = classify_result(result, job.batched)
+        if state in INTERRUPTED_STATUSES:
+            # Interrupts are not retried — the budget is spent (or the
+            # caller asked to stop); the partial iterate is the answer.
+            self._finalize(job, state, result=result)
+        elif state != "retry" or not self._schedule_retry(job):
+            self._finalize(job, "done", result=result)
+
+    def _schedule_retry(self, job: SolveJob) -> bool:
+        """Put a failed attempt on the backoff heap; False if out of
+        retries (or out of time, or cancelled)."""
         policy = self.retry_policy
-        attempt = 0
-        while True:
-            job.attempts = attempt + 1
-            pre = ctx.check()
-            if pre is not None:
-                # Expired/cancelled before this attempt started: the last
-                # attempt's iterate (if any) was already delivered, so the
-                # only thing left is the zero-progress classification.
-                self._finalize(
-                    job, pre, result=interrupted_result(job, pre)
-                )
-                return
-            try:
-                t_solve = time.perf_counter()
-                with _trace.span(
-                    "job", id=job.id, worker=index, attempt=attempt
-                ):
-                    if job.batched:
-                        result = session.solve_many(
-                            job.b, runtime=ctx, **job.kwargs
-                        )
-                    else:
-                        result = session.solve(
-                            job.b, runtime=ctx, **job.kwargs
-                        )
-                self.telemetry.record(
-                    "solve", time.perf_counter() - t_solve
-                )
-            except BaseException as exc:
-                if not self._backoff(job, policy, attempt, ctx):
-                    self._finalize(job, "failed", error=exc)
-                    return
-                attempt += 1
-                continue
-            state = classify_result(result, job.batched)
-            if state in INTERRUPTED_STATUSES:
-                # Interrupts are not retried — the budget is spent (or the
-                # caller asked to stop); the partial iterate is the answer.
-                self._finalize(job, state, result=result)
-                return
-            if state == "done" or not self._backoff(job, policy, attempt, ctx):
-                self._finalize(job, "done", result=result)
-                return
-            attempt += 1
-
-    def _backoff(
-        self, job: SolveJob, policy: RetryPolicy, attempt: int, ctx: ExecContext
-    ) -> bool:
-        """Sleep out one retry backoff; False when the job must not retry.
-
-        The sleep happens on the job's cancel token, so cancellation (and
-        the next loop-top deadline check) cuts the wait short.
-        """
-        if attempt >= policy.max_retries or ctx.check() is not None:
+        ctx = ExecContext(deadline=job.deadline, cancel=job.cancel)
+        if job.attempts - 1 >= policy.max_retries or ctx.check() is not None:
+            return False
+        if not job._requeue():
             return False
         self.n_retried += 1
         _metrics.incr("service.job.retry")
         self.telemetry.count("retried")
         _events.emit(
             "warning", "service.job.retry",
-            f"job {job.id} attempt {attempt + 1} failed; backing off",
-            job=job.id, attempt=attempt + 1,
+            f"job {job.id} attempt {job.attempts} failed; backing off",
+            job=job.id, attempt=job.attempts,
         )
-        job.cancel.wait(policy.delay(attempt, key=job.id))
+        due = time.monotonic() + policy.delay(job.attempts - 1, key=job.id)
+        heapq.heappush(self._retries, (due, next(self._retry_seq), job))
         return True
+
+    def _release_retries(self) -> None:
+        now = time.monotonic()
+        while self._retries and self._retries[0][0] <= now:
+            job = heapq.heappop(self._retries)[2]
+            if not job.done():
+                with self._cond:
+                    self._pending.append(job)
+
+    def _redeliver(self, job: SolveJob) -> None:
+        """Requeue a job whose attempt was lost with its worker.
+
+        Bounded: past ``max_redeliveries`` the job is quarantined as
+        ``"poisoned"`` — one pathological job cannot crash-loop the pool.
+        """
+        job.redeliveries += 1
+        if job.redeliveries > self.max_redeliveries:
+            self._finalize(
+                job, "poisoned", result=interrupted_result(job, "poisoned")
+            )
+            return
+        if job._requeue():
+            self.n_requeued += 1
+            _metrics.incr("service.job.requeued")
+            self.telemetry.count("redelivered")
+            _events.emit(
+                "warning", "service.job.requeued",
+                f"job {job.id} redelivered "
+                f"({job.redeliveries}/{self.max_redeliveries})",
+                job=job.id, redeliveries=job.redeliveries,
+            )
+            with self._cond:
+                self._pending.appendleft(job)  # redelivered jobs go first
+
+    def _note_respawn(self, message: str, **attrs) -> None:
+        _events.emit("error", "service.worker.respawn", message, **attrs)
+        _metrics.incr("service.worker.respawn")
+        self.n_respawns += 1
 
     def _finalize(self, job: SolveJob, state: str, result=None, error=None):
         """Deliver a terminal state exactly once and update the counters."""
         if not job._finish(state, result=result, error=error):
             return False
-        with self._lock:
+        with self._cond:
             self._jobs.pop(job.id, None)
-        if job.t_submit:
-            self.telemetry.record("e2e", time.perf_counter() - job.t_submit)
+            self._cond.notify_all()
+        self.telemetry.record("e2e", time.perf_counter() - job.t_submit)
         if error is not None:
             self.n_failed += 1
             _metrics.incr("serve.jobs.failed")
@@ -535,103 +556,83 @@ class SolverService:
                 "info", "service.job.cancelled",
                 f"job {job.id} cancelled", job=job.id,
             )
+        elif state == "poisoned":
+            self.n_poisoned += 1
+            _metrics.incr("service.job.poisoned")
+            _events.emit(
+                "critical", "service.job.poisoned",
+                f"job {job.id} quarantined after {job.redeliveries} "
+                "redeliveries",
+                job=job.id, redeliveries=job.redeliveries,
+            )
         return True
 
-    # ------------------------------------------------------------------
-    def _watchdog(self) -> None:
-        """Expire queued jobs past their deadline; respawn dead workers."""
-        while not self._stop.wait(self.watchdog_interval):
-            self._maybe_write_status()
-            with self._lock:
-                pending = [
-                    j for j in self._jobs.values() if j.state == "pending"
-                ]
-            for job in pending:
-                status = ExecContext(
-                    deadline=job.deadline, cancel=job.cancel
-                ).check()
-                if status is None:
-                    continue
-                if job._claim(None):  # the dequeuing worker will skip it
-                    self._finalize(
-                        job, status,
-                        result=interrupted_result(job, status),
-                    )
-            for w, t in enumerate(self._threads):
-                if not t.is_alive() and not self._closed:
-                    nt = threading.Thread(
-                        target=self._worker, args=(w,),
-                        name=f"solve-worker-{w}", daemon=True,
-                    )
-                    self._threads[w] = nt
-                    self.n_respawns += 1
-                    _metrics.incr("service.worker.respawn")
-                    _events.emit(
-                        "error", "service.worker.respawn",
-                        f"worker thread {w} died; respawned", worker=w,
-                    )
-                    nt.start()
-
-    # ------------------------------------------------------------------
-    def drain(self) -> None:
-        """Wait for all queued jobs to finish."""
-        self._queue.join()
-
-    def shutdown(self, wait: bool = True) -> None:
-        """Stop accepting jobs; optionally wait for workers to exit.
-
-        Queued jobs are still processed (the sentinels land behind them);
-        submissions racing the shutdown either complete normally or raise
-        :class:`ServiceClosed` — never enqueue behind a sentinel.
-        """
-        with self._submit_cond:
-            self._closed = True
-            # A submitter that passed the closed check may still be
-            # between check and queue insertion: wait it out, so the
-            # sentinels below are guaranteed to be the last entries.
-            self._submit_cond.wait_for(lambda: self._pending_submits == 0)
-            if self._sentinels_sent:
-                send = False
-            else:
-                send = self._sentinels_sent = True
-        if send:
-            # Stop the watchdog first so it cannot respawn a worker that
-            # is about to consume its shutdown sentinel.
-            self._stop.set()
-            self._watchdog_thread.join()
-            for _ in self._threads:
-                self._queue.put(None)
-        if wait:
-            for t in self._threads:
-                t.join()
-
+    # -- close ------------------------------------------------------------
     def close(self) -> None:
-        """Graceful drain: reject new jobs, finish queued ones, stop.
+        """Graceful drain: reject new jobs, finish accepted ones, stop.
 
         After ``close()`` returns every job accepted before the close has
-        a terminal state, the workers have exited, and any concurrent
+        a terminal state, the workers have exited, ``service.stop`` was
+        emitted and the final status document written; any concurrent
         ``submit()`` has either been accepted (and completed) or raised
-        :class:`ServiceClosed`.
+        :class:`ServiceClosed`.  Idempotent.
         """
-        with self._submit_cond:
-            self._closed = True
-            self._submit_cond.wait_for(lambda: self._pending_submits == 0)
-        self._queue.join()
-        self.shutdown(wait=True)
-        _events.emit("info", "service.stop", "thread service drained")
-        if self.status_path:
-            try:
-                write_status(self.status_path, self.status_doc())
-            except OSError:  # pragma: no cover - status is best-effort
-                pass
+        with self._cond:
+            first = not self._closing
+            self._closing = True
+            self._cond.notify_all()  # fail queue-slot waiters fast
+            self._cond.wait_for(lambda: self._pending_submits == 0)
+        if not first:
+            self._control.join()
+            return
+        self._wake()
+        self._control.join()
+        self._stop_workers()
+        _events.emit("info", "service.stop", f"{self.mode} service drained")
+        self._maybe_write_status(min_interval=0.0)
 
-    def __enter__(self) -> "SolverService":
+    def __enter__(self):
         return self
 
     def __exit__(self, *exc) -> None:
-        self.shutdown()
+        self.close()
+
+    # -- introspection ----------------------------------------------------
+    def topology(self) -> dict:
+        """Worker/shard layout for the benchmark snapshot."""
+        return {
+            "mode": self.mode,
+            **self._topology(),
+            "respawns": self.n_respawns,
+            "requeued": self.n_requeued,
+            "poisoned": self.n_poisoned,
+            "heartbeat_misses": self.n_heartbeat_miss,
+            "segment_rebuilds": self.n_segment_rebuilds,
+        }
+
+    def _shard_stats(self) -> list[dict]:
+        """Counters of each of the executor's hierarchy caches."""
+        return [
+            {
+                **c.stats.to_dict(),
+                "entries": len(c),
+                "resident_bytes": c.resident_bytes,
+            }
+            for c in self._caches()
+        ]
+
+    @staticmethod
+    def _cache_summary(shards: list[dict]) -> dict:
+        totals = {k: sum(s[k] for s in shards) for k in shards[0]}
+        lookups = totals["hits"] + totals["misses"]
+        return {
+            **totals,
+            "hit_rate": totals["hits"] / lookups if lookups else 0.0,
+        }
 
     def stats(self) -> dict:
+        topology = self.topology()
+        shards = self._shard_stats()
         return {
             "submitted": self.n_submitted,
             "completed": self.n_completed,
@@ -640,59 +641,47 @@ class SolverService:
             "retried": self.n_retried,
             "deadline": self.n_deadline,
             "cancelled": self.n_cancelled,
+            "requeued": self.n_requeued,
+            "poisoned": self.n_poisoned,
             "worker_respawns": self.n_respawns,
-            "workers": len(self.sessions),
-            "queue_size": self._queue.maxsize,
+            "heartbeat_misses": self.n_heartbeat_miss,
+            "shm_corruptions": self.n_shm_corrupt,
+            "segment_rebuilds": self.n_segment_rebuilds,
+            "workers": topology["workers"],
+            "queue_size": self.queue_size,
             "latency": self.telemetry.snapshot(),
-            "cache": {
-                **self.cache.stats.to_dict(),
-                "entries": len(self.cache),
-                "resident_bytes": self.cache.resident_bytes,
-            },
-            "sessions": [s.stats() for s in self.sessions],
+            "cache": self._cache_summary(shards),
+            "shards": shards,
+            "topology": topology,
         }
 
     def status_doc(self) -> dict:
         """Live-state document for ``repro top`` / ``serve --watch``."""
-        import os as _os
-
-        with self._lock:
-            inflight = {
-                j.worker: 1
-                for j in self._jobs.values()
-                if j.state == "running" and j.worker is not None
-            }
+        running = dict(self._running)
+        with self._cond:
+            depth = len(self._pending)
         journal = _events.get_journal()
         return {
-            "schema": "repro-top/1",
+            "schema": STATUS_SCHEMA,
             "ts": time.time(),
-            "pid": _os.getpid(),
-            "mode": "thread",
+            "pid": os.getpid(),
+            "mode": self.mode,
             "workers": [
-                {
-                    "index": w,
-                    "pid": _os.getpid(),
-                    "alive": t.is_alive(),
-                    "ready": t.is_alive(),
-                    "inflight": inflight.get(w, 0),
-                    "heartbeat_age": 0.0 if t.is_alive() else None,
-                }
-                for w, t in enumerate(self._threads)
+                {**row, "inflight": int(row["index"] in running)}
+                for row in self._worker_rows()
             ],
-            "queue_depth": self._queue.qsize(),
+            "queue_depth": depth,
             "counts": {
                 "submitted": self.n_submitted,
                 "completed": self.n_completed,
                 "failed": self.n_failed,
                 "deadline": self.n_deadline,
                 "cancelled": self.n_cancelled,
-                "poisoned": 0,
+                "poisoned": self.n_poisoned,
+                "requeued": self.n_requeued,
+                "respawns": self.n_respawns,
             },
-            "cache": {
-                **self.cache.stats.to_dict(),
-                "hit_rate": self.cache.stats.hit_rate,
-                "entries": len(self.cache),
-            },
+            "cache": self._cache_summary(self._shard_stats()),
             "latency": self.telemetry.snapshot(),
             "events": journal.to_dicts(10) if journal is not None else [],
         }
@@ -709,6 +698,181 @@ class SolverService:
             write_status(self.status_path, self.status_doc())
         except OSError:  # pragma: no cover - status is best-effort
             pass
+
+
+class SolverService(JobScheduler):
+    """Multi-worker solve service over one operator stream (thread executor).
+
+    Parameters
+    ----------
+    a, config, options:
+        The operator and setup parameters handed to each worker's session.
+    workers:
+        Number of worker threads (each with its own warm-start session).
+    queue_size:
+        Bound of the admission queue — the backpressure knob.
+    cache:
+        Shared hierarchy cache (created when omitted).  Pass a cache with a
+        ``spill_dir`` to survive eviction pressure across services.
+    retry_policy:
+        :class:`~repro.resilience.runtime.RetryPolicy` for re-running
+        failed attempts (exceptions and failure-classified statuses such as
+        ``"corrupted"``).  The default policy has ``max_retries=0`` — no
+        retries.  A backing-off job waits on the scheduler's retry heap,
+        not in a worker, and cancelling it ends the wait.
+    default_deadline:
+        Per-job wall-clock budget in seconds applied to every submission
+        that does not pass its own ``deadline``; ``None`` (default) leaves
+        jobs unbounded.
+    tick:
+        Poll period of the control thread that expires queued jobs past
+        their deadline, releases due retries and respawns dead workers.
+    status_path:
+        Where to publish the ``repro top`` status document (optional).
+    session_kwargs:
+        Extra :class:`SolverSession` parameters (``solver``, ``rtol``,
+        ``maxiter``, ``drift_threshold``, ``escalate``...).
+    """
+
+    mode = "thread"
+
+    def __init__(
+        self,
+        a: SGDIAMatrix,
+        config: "PrecisionConfig | None" = None,
+        options: "MGOptions | None" = None,
+        workers: int = 2,
+        queue_size: int = 8,
+        cache: "HierarchyCache | None" = None,
+        retry_policy: "RetryPolicy | None" = None,
+        default_deadline: "float | None" = None,
+        tick: float = 0.02,
+        status_path: "str | None" = None,
+        **session_kwargs,
+    ) -> None:
+        if workers < 1:
+            raise ValueError("need at least one worker")
+        super().__init__(
+            queue_size, retry_policy, default_deadline, tick, status_path
+        )
+        self.cache = cache if cache is not None else HierarchyCache()
+        self.sessions = [
+            SolverSession(
+                a, config=config, options=options, cache=self.cache,
+                **session_kwargs,
+            )
+            for _ in range(workers)
+        ]
+        #: (worker, job, result, error) outcomes; ``None`` is a wake-up
+        self._outbox: "queue.SimpleQueue" = queue.SimpleQueue()
+        self._inboxes: "list[queue.SimpleQueue]" = [None] * workers
+        self._threads = [self._spawn(w) for w in range(workers)]
+        self._start_control(workers=workers)
+
+    def update_operator(self, a: SGDIAMatrix) -> list[str]:
+        """Refresh the operator on every session (between batches).
+
+        Callers are responsible for quiescing in-flight jobs when the
+        operator swap must be atomic with respect to running solves.
+        """
+        return [s.update_operator(a) for s in self.sessions]
+
+    # -- worker threads -------------------------------------------------
+    def _spawn(self, index: int) -> threading.Thread:
+        self._inboxes[index] = inbox = queue.SimpleQueue()
+        t = threading.Thread(
+            target=self._worker, args=(index, inbox),
+            name=f"solve-worker-{index}", daemon=True,
+        )
+        t.start()
+        return t
+
+    def _worker(self, index: int, inbox: queue.SimpleQueue) -> None:
+        """Run each job dispatched to this worker; ``None`` stops it."""
+        session = self.sessions[index]
+        while (job := inbox.get()) is not None:
+            try:
+                ctx = ExecContext(deadline=job.deadline, cancel=job.cancel)
+                run = session.solve_many if job.batched else session.solve
+                t0 = time.perf_counter()
+                with _trace.span(
+                    "job", id=job.id, worker=index, attempt=job.attempts - 1
+                ):
+                    out = run(job.b, runtime=ctx, **job.kwargs)
+                self.telemetry.record("solve", time.perf_counter() - t0)
+                self._outbox.put((index, job, out, None))
+            except Exception as exc:
+                self._outbox.put((index, job, None, exc))
+
+    # -- executor hooks -------------------------------------------------
+    def _wake(self) -> None:
+        self._outbox.put(None)
+
+    def _collect(self) -> None:
+        try:
+            item = self._outbox.get(timeout=self.tick)
+            while True:
+                if item is not None:
+                    index, job, out, exc = item
+                    if self._running.get(index) is job:
+                        del self._running[index]
+                    self._deliver(job, out, exc)
+                item = self._outbox.get_nowait()
+        except queue.Empty:
+            pass
+
+    def _supervise(self) -> None:
+        """Respawn dead worker threads, redelivering a job they held."""
+        for w, t in enumerate(self._threads):
+            if t.is_alive():
+                continue
+            job = self._running.pop(w, None)
+            if job is not None:
+                self._redeliver(job)
+            self._threads[w] = self._spawn(w)
+            self._note_respawn(
+                f"worker thread {w} died; respawned", worker=w
+            )
+
+    def _idle_workers(self) -> list[int]:
+        return [
+            w for w, t in enumerate(self._threads)
+            if t.is_alive() and w not in self._running
+        ]
+
+    def _start(self, index: int, job: SolveJob) -> None:
+        self._inboxes[index].put(job)
+
+    def _stop_workers(self) -> None:
+        for inbox in self._inboxes:
+            inbox.put(None)
+        for t in self._threads:
+            t.join()
+
+    def _worker_rows(self) -> list[dict]:
+        pid = os.getpid()
+        return [
+            {
+                "index": w,
+                "pid": pid,
+                "alive": t.is_alive(),
+                "ready": t.is_alive(),
+                "heartbeat_age": 0.0 if t.is_alive() else None,
+            }
+            for w, t in enumerate(self._threads)
+        ]
+
+    def _caches(self) -> list[HierarchyCache]:
+        return [self.cache]
+
+    def _topology(self) -> dict:
+        return {"processes": 1, "workers": len(self._threads), "shard_map": {}}
+
+    def stats(self) -> dict:
+        return {
+            **super().stats(),
+            "sessions": [s.stats() for s in self.sessions],
+        }
 
 
 # ----------------------------------------------------------------------
@@ -790,6 +954,7 @@ def run_serve_bench(
     warm_iters = (first.iterations, second.iterations)
     session = svc.sessions[0]
     latency = svc.telemetry.snapshot()
+    topology = svc.topology()
     svc.close()
 
     # -- batched multi-RHS block vs sequential ---------------------------
@@ -852,14 +1017,7 @@ def run_serve_bench(
         hierarchy=session.hierarchy,
         metrics=metrics,
         extra={"serve": serve_extra, "precision_config": config.name},
-        topology={
-            "mode": "thread",
-            "processes": 1,
-            "workers": 1,
-            "shard_map": {},
-            "respawns": 0,
-            "requeued": 0,
-        },
+        topology=topology,
         latency=latency,
     )
     if out_dir is not None:

@@ -6,7 +6,7 @@ cache spill, an expired deadline — is *classified* by the stack (a solver
 status, a ``ValueError`` from a loader, a rebuilt cache entry), never an
 unhandled exception escaping to the caller.  Plus the service-layer
 robustness battery: backpressure under concurrent submitters, job states,
-retry with backoff, per-job deadlines, and the worker watchdog.
+retry with backoff, per-job deadlines, and worker respawn.
 """
 
 import threading
@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.mg import mg_setup
+from repro.observability import events as obs_events
 from repro.observability import metrics as _metrics
 from repro.precision import K64P32D16_SETUP_SCALE
 from repro.problems import build_problem
@@ -384,7 +385,7 @@ class TestServiceRuntime:
         self, problem, metrics
     ):
         with SolverService(
-            problem.a, workers=1, watchdog_interval=0.005, rtol=1e-9
+            problem.a, workers=1, tick=0.005, rtol=1e-9
         ) as svc:
             blocker = svc.submit(problem.b)
             doomed = svc.submit(
@@ -411,7 +412,7 @@ class TestServiceRuntime:
 
     def test_cancel_queued_job(self, problem, metrics):
         with SolverService(
-            problem.a, workers=1, watchdog_interval=0.005, rtol=1e-9
+            problem.a, workers=1, tick=0.005, rtol=1e-9
         ) as svc:
             blocker = svc.submit(problem.b)
             queued = svc.submit(problem.b)
@@ -509,25 +510,29 @@ class TestServiceRuntime:
 
     def test_watchdog_respawns_dead_worker(self, problem, metrics):
         svc = SolverService(
-            problem.a, workers=2, watchdog_interval=0.005, rtol=1e-9
+            problem.a, workers=2, tick=0.005, rtol=1e-9
         )
         try:
-            svc._queue.put(None)  # rogue sentinel kills one worker
-            deadline = time.monotonic() + 5.0
-            while svc.n_respawns == 0 and time.monotonic() < deadline:
-                time.sleep(0.01)
+            with obs_events.capturing() as journal:
+                svc._inboxes[0].put(None)  # stop sentinel kills one worker
+                deadline = time.monotonic() + 5.0
+                while svc.n_respawns == 0 and time.monotonic() < deadline:
+                    time.sleep(0.01)
             assert svc.n_respawns >= 1
+            assert "service.worker.respawn" in {
+                e.kind for e in journal.events()
+            }
             assert sum(t.is_alive() for t in svc._threads) == 2
             result = svc.solve(problem.b)
             assert result.status == "converged"
         finally:
-            svc.shutdown()
+            svc.close()
         assert metrics.get("service.worker.respawn") >= 1
 
     def test_batched_job_deadline_classifies_all_columns(self, problem):
         b = np.stack([problem.b.ravel(), problem.b.ravel()], axis=-1)
         with SolverService(
-            problem.a, workers=1, watchdog_interval=0.005, rtol=1e-9
+            problem.a, workers=1, tick=0.005, rtol=1e-9
         ) as svc:
             blocker = svc.submit(problem.b)
             doomed = svc.submit(
@@ -543,8 +548,9 @@ class TestServiceRuntime:
         from repro.serve.service import ServiceClosed
 
         svc = SolverService(problem.a, workers=1, rtol=1e-9)
-        svc.shutdown()
-        svc.shutdown()
-        assert not svc._watchdog_thread.is_alive()
+        svc.close()
+        svc.close()
+        assert not svc._control.is_alive()
+        assert not any(t.is_alive() for t in svc._threads)
         with pytest.raises(ServiceClosed):
             svc.submit(problem.b)

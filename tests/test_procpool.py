@@ -22,7 +22,6 @@ import pytest
 from repro.precision import K64P32D16_SETUP_SCALE
 from repro.problems import build_problem, consistent_rhs
 from repro.resilience import FaultInjector
-from repro.resilience.runtime import Deadline
 from repro.serve import shm as _shm
 from repro.serve.procpool import ProcessSolverService, run_serve_mp_bench
 from repro.serve.service import ServiceClosed, ServiceSaturated
@@ -285,59 +284,6 @@ class TestSegmentCorruptionRecovery:
             assert result.status == "converged"
             assert svc.n_shm_corrupt >= 1
             assert svc.stats()["segment_rebuilds"] >= 1
-
-
-# ----------------------------------------------------------------------
-# deadlines, cancellation, graceful close
-# ----------------------------------------------------------------------
-
-class TestRuntimeContracts:
-    def test_expired_deadline_classifies_queued_job(self, lap):
-        with make_service(lap, processes=1) as svc:
-            blocker = svc.submit(lap.b)
-            doomed = svc.submit(
-                lap.b, deadline=Deadline(at=-1.0, clock=time.monotonic)
-            )
-            late = doomed.result(timeout=60.0)
-            assert late.status == "deadline"
-            assert doomed.state == "deadline"
-            blocker.result(timeout=120.0)
-
-    def test_cancel_queued_job(self, lap):
-        with make_service(lap, processes=1) as svc:
-            blocker = svc.submit(lap.b)
-            queued = svc.submit(lap.b)
-            svc.cancel(queued)
-            result = queued.result(timeout=60.0)
-            assert result.status == "cancelled"
-            assert queued.state == "cancelled"
-            blocker.result(timeout=120.0)
-
-    def test_result_timeout_does_not_consume_the_future(self, lap):
-        with make_service(lap, processes=1) as svc:
-            job = svc.submit(lap.b)
-            try:
-                job.result(timeout=1e-6)
-            except TimeoutError:
-                pass
-            assert job.result(timeout=120.0).status == "converged"
-
-    def test_close_rejects_submit_with_service_closed(self, lap):
-        svc = make_service(lap)
-        svc.close()
-        with pytest.raises(ServiceClosed):
-            svc.submit(lap.b)
-        svc.close()  # idempotent
-
-    def test_close_drains_accepted_jobs(self, lap):
-        svc = make_service(lap, processes=1, queue_size=8)
-        rng = np.random.default_rng(4)
-        jobs = [svc.submit(consistent_rhs(lap.a, rng)) for _ in range(4)]
-        svc.close()
-        # every job accepted before close holds a terminal result
-        for job in jobs:
-            assert job.result(timeout=1.0).status == "converged"
-            assert job.state == "done"
 
 
 # ----------------------------------------------------------------------
