@@ -18,6 +18,10 @@ Selection order:
 
 Backends are **parity-constrained**: every implementation must be
 bit-identical to the numpy reference (see ``tests/test_backend_parity.py``).
+The reference fixes every summation order a backend must reproduce: per
+cell, stencil offsets in ascending order, and inside a block operator's
+``r x r`` product the ascending sum from zero of
+:func:`repro.kernels.spmv.block_contract`, for any number of RHS columns.
 That is why the c backend deliberately does not override ``dot`` /
 ``norm2`` — numpy's pairwise summation order cannot be reproduced by a
 naive loop, and reductions feed convergence decisions.

@@ -1,9 +1,11 @@
 /* Compiled SG-DIA kernels for the "c" backend (see backend_c.py).
  *
- * Scalar (ncomp == 1) SOA C-contiguous payloads only: data[d][i][j][k].
- * Every kernel is generated once per (storage, compute) pair by
- * DEFINE_KERNELS below; the suffix names the pair (h = fp16 stored as
- * uint16, f = float, d = double), e.g. repro_spmv_hf.
+ * SOA C-contiguous payloads: data[d][i][j][k] for scalar operators, and
+ * data[d][i][j][k][a][b] (one contiguous m x m block per cell) for block
+ * operators with m = ncomp >= 2.  Every kernel is generated once per
+ * (storage, compute) pair by DEFINE_KERNELS / DEFINE_BLOCK_KERNELS below;
+ * the suffix names the pair (h = fp16 stored as uint16, f = float,
+ * d = double), e.g. repro_spmv_hf, repro_bspmv_hf.
  *
  * Bit parity with the numpy reference is the contract:
  *   - each cell accumulates over stencil offsets in ascending order,
@@ -12,10 +14,15 @@
  *   - a coefficient is converted to the compute type before it is
  *     multiplied ((T)c * x), which is what numpy computes for upcasts
  *     (exact) and for downcasts (convert first);
+ *   - a block term is the row product p = 0; p += c[a][b]*x[b] over b in
+ *     ascending order, then applied as one value (y += p, acc -= p), and
+ *     the block diagonal inverse likewise (x = p): the numpy reference's
+ *     block_contract order;
  *   - build with -ffp-contract=off and never -ffast-math, so no FMA
  *     contraction or reassociation changes a rounding.
- * Vectorization runs across the cells of one grid row, never across the
- * terms of one cell, so it changes no operation order.
+ * Vectorization runs across the cells of one grid row (scalar kernels) or
+ * across the k right-hand-side columns (block kernels), never across the
+ * terms of one sum, so it changes no operation order.
  */
 #include <stdint.h>
 
@@ -263,4 +270,228 @@ DEFINE_KERNELS(fd, float, double)
 #if defined(__F16C__)
 DEFINE_KERNELS(hf, uint16_t, float)
 DEFINE_KERNELS(hd, uint16_t, double)
+#endif
+
+/* ---- block kernels (m = ncomp in 2..4) -------------------------------
+ * Vectors are v[cell][a][q] with K >= 1 right-hand-side columns (an
+ * unbatched vector is K = 1).  Per cell, each in-grid term's m x m block is
+ * converted once (F16C for fp16) and applied to every column, KW = 8
+ * columns per pass held in one vector value per block row (one AVX
+ * register of floats).  A last pass of kc < 8 columns loads them into
+ * zeroed lanes and stores only those: lanes never interact, so the pass
+ * width changes no result. */
+
+#define MB 4  /* largest block size */
+#define ND 27 /* most stencil offsets (every radius-1 stencil fits) */
+#define KW 8  /* columns per pass */
+
+/* The bounds of the on-stack block buffers.  backend_c.py reads them here
+ * and keeps operators with larger blocks or more offsets on numpy. */
+void repro_block_limits(int *mb, int *nd)
+{
+    *mb = MB;
+    *nd = ND;
+}
+
+typedef float f8_t __attribute__((vector_size(KW * sizeof(float))));
+typedef double d8_t __attribute__((vector_size(KW * sizeof(double))));
+
+#define ALWAYS_INLINE static inline __attribute__((always_inline))
+
+/* kc <= KW consecutive columns into (out of) the lanes of one vector; a
+ * whole vector is the fast case. */
+#define DEFINE_LANES(T, V)                                                     \
+ALWAYS_INLINE V vld_##V(const T *p, long kc)                                   \
+{                                                                              \
+    V v = {0};                                                                 \
+    if (kc == KW)                                                              \
+        __builtin_memcpy(&v, p, sizeof v);                                     \
+    else                                                                       \
+        for (long q = 0; q < kc; q++)                                          \
+            v[q] = p[q];                                                       \
+    return v;                                                                  \
+}                                                                              \
+                                                                               \
+ALWAYS_INLINE void vst_##V(T *p, V v, long kc)                                 \
+{                                                                              \
+    if (kc == KW)                                                              \
+        __builtin_memcpy(p, &v, sizeof v);                                     \
+    else                                                                       \
+        for (long q = 0; q < kc; q++)                                          \
+            p[q] = v[q];                                                       \
+}
+
+DEFINE_LANES(float, f8_t)
+DEFINE_LANES(double, d8_t)
+
+/* The in-grid terms of grid row (i, j): coefficient row, neighbour row and
+ * the cell range [lo, hi) whose neighbour is in the grid, in ascending
+ * offset order, skipping offset `skip` (-1: none).  Returns the count. */
+static inline int row_terms(const int *restrict offs, int ndiag, int skip,
+                            long i, long j, long nx, long ny, long nz,
+                            long *restrict cofs, long *restrict xofs,
+                            long *restrict lo, long *restrict hi)
+{
+    int nt = 0;
+    for (int d = 0; d < ndiag; d++) {
+        const long ii = i + offs[3 * d], jj = j + offs[3 * d + 1];
+        const long ok = offs[3 * d + 2];
+        if (d == skip || ii < 0 || ii >= nx || jj < 0 || jj >= ny)
+            continue;
+        cofs[nt] = d * nx * ny * nz + (i * ny + j) * nz;
+        xofs[nt] = (ii * ny + jj) * nz + ok;
+        lo[nt] = lmax(0, -ok);
+        hi[nt] = lmin(nz, nz - ok);
+        nt++;
+    }
+    return nt;
+}
+
+/* Calls BODY(args..., m) with the block size as a compile-time constant, so
+ * the per-cell loops over a and b unroll into straight-line vector code.
+ * Against one body taking m at run time this costs ~3 s more build and
+ * cuts solid-batch8's solve_s from 0.30 to 0.25 s (2-core AVX-512 VM). */
+#define BLOCK_SIZES(BODY, ...)                                                 \
+    do {                                                                       \
+        if (m == 2)                                                            \
+            BODY(__VA_ARGS__, 2);                                              \
+        else if (m == 3)                                                       \
+            BODY(__VA_ARGS__, 3);                                              \
+        else                                                                   \
+            BODY(__VA_ARGS__, 4);                                              \
+    } while (0)
+
+/* A term's block row product, p = 0; p += c[a][b] * v[b] for b ascending,
+ * is one expression in both bodies below. */
+#define DEFINE_BLOCK_KERNELS(SUF, S, T, V)                                     \
+                                                                               \
+/* The terms of cell l: blocks converted into cbuf, neighbour vectors. */      \
+ALWAYS_INLINE int                                                              \
+cell_terms_##SUF(const S *restrict data, const T *x, int nt,                   \
+                 const long *cofs, const long *xofs, const long *lo,           \
+                 const long *hi, long l, long mm, long mK,                     \
+                 T *restrict cbuf, const T **cb, const T **xu)                 \
+{                                                                              \
+    int nu = 0;                                                                \
+    for (int t = 0; t < nt; t++) {                                             \
+        if (l < lo[t] || l >= hi[t])                                           \
+            continue;                                                          \
+        cb[nu] = ld_##SUF(data + (cofs[t] + l) * mm, cbuf + nu * mm, mm);      \
+        xu[nu] = x + (xofs[t] + l) * mK;                                       \
+        nu++;                                                                  \
+    }                                                                          \
+    return nu;                                                                 \
+}                                                                              \
+                                                                               \
+ALWAYS_INLINE void                                                             \
+bspmv_body_##SUF(const S *restrict data, const int *restrict offs,            \
+                 int ndiag, const T *restrict x, T *restrict y, long nx,       \
+                 long ny, long nz, long K, int m)                              \
+{                                                                              \
+    const long mm = (long)m * m, mK = m * K;                                   \
+    long cofs[ND], xofs[ND], lo[ND], hi[ND];                                   \
+    const T *cb[ND], *xu[ND];                                                  \
+    T cbuf[ND * MB * MB];                                                      \
+    for (long i = 0; i < nx; i++)                                              \
+        for (long j = 0; j < ny; j++) {                                        \
+            const int nt = row_terms(offs, ndiag, -1, i, j, nx, ny, nz,        \
+                                     cofs, xofs, lo, hi);                      \
+            for (long l = 0; l < nz; l++) {                                    \
+                const int nu = cell_terms_##SUF(data, x, nt, cofs, xofs, lo,   \
+                                                hi, l, mm, mK, cbuf, cb, xu);  \
+                T *yc = y + ((i * ny + j) * nz + l) * mK;                      \
+                for (long k0 = 0; k0 < K; k0 += KW) {                          \
+                    const long kc = lmin(KW, K - k0);                          \
+                    V acc[MB], v[MB];                                          \
+                    for (int a = 0; a < m; a++)                                \
+                        acc[a] = (V){0};                                       \
+                    for (int u = 0; u < nu; u++) {                             \
+                        for (int e = 0; e < m; e++)                            \
+                            v[e] = vld_##V(xu[u] + e * K + k0, kc);            \
+                        for (int a = 0; a < m; a++) {                          \
+                            V p = {0};                                         \
+                            for (int e = 0; e < m; e++)                        \
+                                p += cb[u][a * m + e] * v[e];                  \
+                            acc[a] += p;                                       \
+                        }                                                      \
+                    }                                                          \
+                    for (int a = 0; a < m; a++)                                \
+                        vst_##V(yc + a * K + k0, acc[a], kc);                  \
+                }                                                              \
+            }                                                                  \
+        }                                                                      \
+}                                                                              \
+                                                                               \
+/* y = A x for an m x m block operator and K columns (every y is written). */ \
+void repro_bspmv_##SUF(const S *restrict data, const int *restrict offs,      \
+                       int ndiag, int m, long K, const T *restrict x,          \
+                       T *restrict y, long nx, long ny, long nz)               \
+{                                                                              \
+    BLOCK_SIZES(bspmv_body_##SUF, data, offs, ndiag, x, y, nx, ny, nz, K);     \
+}                                                                              \
+                                                                               \
+ALWAYS_INLINE void                                                             \
+bgs_body_##SUF(const S *restrict data, const int *restrict offs, int ndiag,   \
+               int diag, const T *restrict b, const T *restrict dinv,          \
+               T *restrict x, long nx, long ny, long nz, int c0, int c1,       \
+               int c2, long K, int m)                                          \
+{                                                                              \
+    const long mm = (long)m * m, mK = m * K;                                   \
+    long cofs[ND], xofs[ND], lo[ND], hi[ND];                                   \
+    const T *cb[ND], *xu[ND];                                                  \
+    T cbuf[ND * MB * MB];                                                      \
+    for (long i = c0; i < nx; i += 2)                                          \
+        for (long j = c1; j < ny; j += 2) {                                    \
+            const int nt = row_terms(offs, ndiag, diag, i, j, nx, ny, nz,      \
+                                     cofs, xofs, lo, hi);                      \
+            for (long l = c2; l < nz; l += 2) {                                \
+                const int nu = cell_terms_##SUF(data, x, nt, cofs, xofs, lo,   \
+                                                hi, l, mm, mK, cbuf, cb, xu);  \
+                const long cell = (i * ny + j) * nz + l;                       \
+                const T *dc = dinv + cell * mm;                                \
+                for (long k0 = 0; k0 < K; k0 += KW) {                          \
+                    const long kc = lmin(KW, K - k0);                          \
+                    V acc[MB], v[MB];                                          \
+                    for (int a = 0; a < m; a++)                                \
+                        acc[a] = vld_##V(b + cell * mK + a * K + k0, kc);      \
+                    for (int u = 0; u < nu; u++) {                             \
+                        for (int e = 0; e < m; e++)                            \
+                            v[e] = vld_##V(xu[u] + e * K + k0, kc);            \
+                        for (int a = 0; a < m; a++) {                          \
+                            V p = {0};                                         \
+                            for (int e = 0; e < m; e++)                        \
+                                p += cb[u][a * m + e] * v[e];                  \
+                            acc[a] -= p;                                       \
+                        }                                                      \
+                    }                                                          \
+                    for (int a = 0; a < m; a++) {                              \
+                        V p = {0};                                             \
+                        for (int e = 0; e < m; e++)                            \
+                            p += dc[a * m + e] * acc[e];                       \
+                        vst_##V(x + cell * mK + a * K + k0, p, kc);            \
+                    }                                                          \
+                }                                                              \
+            }                                                                  \
+        }                                                                      \
+}                                                                              \
+                                                                               \
+/* One color of the 8-color block Gauss-Seidel sweep, in place on x:         \
+ * acc = b - (the off-diagonal terms), then x = Dinv acc, per cell. */        \
+void repro_bgs_color_##SUF(const S *restrict data, const int *restrict offs,  \
+                           int ndiag, int diag, int m, long K,                 \
+                           const T *restrict b, const T *restrict dinv,        \
+                           T *restrict x, long nx, long ny, long nz, int c0,   \
+                           int c1, int c2)                                     \
+{                                                                              \
+    BLOCK_SIZES(bgs_body_##SUF, data, offs, ndiag, diag, b, dinv, x, nx, ny,   \
+                nz, c0, c1, c2, K);                                            \
+}
+
+DEFINE_BLOCK_KERNELS(ff, float, float, f8_t)
+DEFINE_BLOCK_KERNELS(dd, double, double, d8_t)
+DEFINE_BLOCK_KERNELS(df, double, float, f8_t)
+DEFINE_BLOCK_KERNELS(fd, float, double, d8_t)
+#if defined(__F16C__)
+DEFINE_BLOCK_KERNELS(hf, uint16_t, float, f8_t)
+DEFINE_BLOCK_KERNELS(hd, uint16_t, double, d8_t)
 #endif

@@ -2,22 +2,34 @@
 
 At registration this module compiles ``backend_c.c`` with the system gcc,
 loads it through :mod:`ctypes` and returns a :class:`KernelBackend` named
-``"c"``.  It covers the scalar (``ncomp == 1``) SOA C-contiguous cases of
-``spmv``, ``gs_sweep`` (one call per color, in ``COLORS8`` order) and
-``sptrsv`` (lexicographic schedule) for these (storage, compute) pairs:
+``"c"``.  It covers SOA C-contiguous payloads of
 
-- fp16 -> fp32/fp64, upcast inside the multiply with F16C ``vcvtph2ps``
-  (only when the library was built with F16C; otherwise fp16 payloads stay
-  on numpy, whose conversion is faster than a scalar software one);
+- scalar operators (``ncomp == 1``): ``spmv``, ``gs_sweep`` (one call per
+  color, in ``COLORS8`` order) and ``sptrsv`` (lexicographic schedule), on
+  a single vector;
+- block operators (``ncomp`` 2 to 4, the vector PDEs): ``spmv`` and
+  ``gs_sweep`` on a vector or an RHS block with a trailing batch axis of
+  any ``k``.  Each cell's ``r x r`` block is converted once and applied to
+  8 columns per vector operation; every block product sums in ascending
+  order from zero, the order of the reference's ``block_contract``;
+
+for these (storage, compute) pairs:
+
+- fp16 -> fp32/fp64, upcast with F16C ``vcvtph2ps`` (only when the library
+  was built with F16C; otherwise fp16 payloads stay on numpy, whose
+  conversion is faster than a scalar software one);
 - fp32 -> fp32 (also BF16 payloads, which are held in float32);
 - fp64 -> fp64 (the outer Krylov SpMV), and the mixed fp64 -> fp32 and
   fp32 -> fp64 pairs.
 
-Everything else — block operators, batched RHS blocks, AOS layouts,
-non-contiguous or unaligned payloads — delegates to the planned numpy
-kernels unchanged.  The scaled SpMV keeps its ``q*x`` and ``y*=q`` steps in
-numpy around the compiled product.  ``dot``/``norm2`` are never overridden:
-numpy's pairwise summation feeds convergence decisions.
+Everything else delegates to the planned numpy kernels unchanged: scalar
+RHS blocks (no benchmark workload measures them; their main user, the
+process-pool serve bench, has a timing-sensitive scaling gate), block
+SpTRSV (the reference has none), AOS layouts, blocks larger than 4x4, and
+non-contiguous or unaligned payloads.  The scaled SpMV keeps its ``q*x`` and ``y*=q`` steps in
+numpy around the compiled product; the Jacobi sweep is the reference's,
+around the compiled SpMV.  ``dot``/``norm2`` are never overridden: numpy's
+pairwise summation feeds convergence decisions.
 
 The compiled kernels charge ``kernel.*.calls`` and ``precision.fcvt.values``
 with the per-plan totals the numpy reference accumulates term by term, so
@@ -60,6 +72,9 @@ _ARGTYPES = {
     "spmv": (_P, _P, _I, _P, _P, _L, _L, _L),
     "gs_color": (_P, _P, _I, _I, _P, _P, _P, _L, _L, _L, _I, _I, _I),
     "sptrsv": (_P, _P, _P, _I, _P, _P, _P, _L, _L, _L, _I),
+    # block variants: the same calls plus (m, K) after the offset table
+    "bspmv": (_P, _P, _I, _I, _L, _P, _P, _L, _L, _L),
+    "bgs_color": (_P, _P, _I, _I, _I, _L, _P, _P, _P, _L, _L, _L, _I, _I, _I),
 }
 
 
@@ -132,12 +147,17 @@ def build_library() -> Path:
     return target
 
 
-def _load(path: Path) -> "tuple[dict, bool]":
-    """ctypes handles for every compiled (kind, storage, compute) kernel."""
+def _load(path: Path) -> "tuple[dict, bool, tuple[int, int]]":
+    """ctypes handles for every compiled (kind, storage, compute) kernel, the
+    F16C flag, and the block kernels' largest block size and stencil size."""
     lib = ctypes.CDLL(str(path))
     lib.repro_has_f16c.argtypes = ()
     lib.repro_has_f16c.restype = ctypes.c_int
     f16c = bool(lib.repro_has_f16c())
+    mb, nd = ctypes.c_int(), ctypes.c_int()
+    lib.repro_block_limits.argtypes = (ctypes.POINTER(ctypes.c_int),) * 2
+    lib.repro_block_limits.restype = None
+    lib.repro_block_limits(ctypes.byref(mb), ctypes.byref(nd))
     kernels = {}
     for sdt, s in _STORAGE.items():
         if s == "h" and not f16c:
@@ -150,7 +170,7 @@ def _load(path: Path) -> "tuple[dict, bool]":
                 fn.argtypes = argtypes
                 fn.restype = None
                 kernels[(kind, sdt, cdt)] = fn
-    return kernels, f16c
+    return kernels, f16c, (mb.value, nd.value)
 
 
 def _ready(arr, dtype) -> np.ndarray:
@@ -167,26 +187,43 @@ def make_backend(reference) -> "tuple[object | None, str]":
 
     try:
         path = build_library()
-        kernels, f16c = _load(path)
+        kernels, f16c, (max_ncomp, max_terms) = _load(path)
     except (BuildError, OSError, AttributeError) as exc:  # numpy keeps running
         return None, f"{type(exc).__name__}: {exc}"
 
     def kernel(kind, plan, a, cdtype):
         """The compiled kernel for this call, or None (use the reference)."""
         data = a.data
-        if plan.ncomp != 1 or a.layout != "soa":
+        if a.layout != "soa":
             return None
-        if data.shape != (len(plan.offsets), *plan.shape):
+        if plan.ncomp != 1:
+            if plan.ncomp > max_ncomp or len(plan.offsets) > max_terms:
+                return None
+            kind = "b" + kind
+        if data.shape != (len(plan.offsets), *plan.shape, *block_shape(plan)):
             return None  # not this plan's structure: never hand C a bad bound
         if not (data.flags.c_contiguous and data.flags.aligned):
             return None
         return kernels.get((kind, data.dtype, cdtype))
 
-    def charge_fcvt(a, cdtype, cells):
+    def block_shape(plan):
+        return (plan.ncomp, plan.ncomp) if plan.ncomp != 1 else ()
+
+    def charge_fcvt(plan, a, cdtype, cells):
         """The reference's per-term fcvt charges, summed (it charges only
-        non-empty terms of a converted payload)."""
+        non-empty terms of a converted payload, every block entry)."""
         if a.data.dtype != cdtype and cells:
-            _metrics.incr("precision.fcvt.values", cells)
+            _metrics.incr("precision.fcvt.values", cells * plan.ncomp**2)
+
+    def block_args(plan, v):
+        """The ``(m, K)`` arguments of a block kernel for ``v``, a ``K``-column
+        block or a vector (``K = 1``); ``()`` for a scalar vector; None for
+        anything else (scalar RHS blocks stay on numpy)."""
+        if v.shape == plan.field_shape:
+            return (plan.ncomp, 1) if plan.ncomp != 1 else ()
+        if plan.ncomp != 1 and v.shape[:-1] == plan.field_shape:
+            return (plan.ncomp, v.shape[-1])
+        return None
 
     def spmv(plan, a, x, out=None, compute_dtype=None, sqrt_q=None):
         xf, batched = field_view(a.grid, x)
@@ -197,7 +234,8 @@ def make_backend(reference) -> "tuple[object | None, str]":
         else:
             cdtype = compute_dtype
         cdtype = np.dtype(cdtype)
-        fn = None if batched else kernel("spmv", plan, a, cdtype)
+        dims = block_args(plan, xf)
+        fn = None if dims is None else kernel("spmv", plan, a, cdtype)
         if fn is None:
             return reference.spmv(
                 plan, a, x, out=out, compute_dtype=compute_dtype, sqrt_q=sqrt_q
@@ -205,14 +243,16 @@ def make_backend(reference) -> "tuple[object | None, str]":
         q = None
         if sqrt_q is not None:
             q = np.asarray(sqrt_q, dtype=cdtype)
+            if batched:
+                q = q[..., None]
             xf = q * np.asarray(xf, dtype=cdtype)
         xf = _ready(xf, cdtype)
-        y = np.empty(plan.shape, dtype=cdtype)
+        y = np.empty(xf.shape, dtype=cdtype)
         if _metrics.active():
             _metrics.incr("kernel.spmv.calls")
-            charge_fcvt(a, cdtype, sum(plan.term_cells))
+            charge_fcvt(plan, a, cdtype, sum(plan.term_cells))
         fn(a.data.ctypes.data, plan.offsets_table.ctypes.data, len(plan.offsets),
-           xf.ctypes.data, y.ctypes.data, *plan.shape)
+           *dims, xf.ctypes.data, y.ctypes.data, *plan.shape)
         if q is not None:
             y *= q
         if out is not None:
@@ -223,21 +263,23 @@ def make_backend(reference) -> "tuple[object | None, str]":
     def gs_sweep(plan, a, b, x, diag_inv, forward=True, compute_dtype=np.float32):
         cdtype = np.dtype(compute_dtype)
         fn = kernel("gs_color", plan, a, cdtype)
+        dims = block_args(plan, x)
         if (
             fn is None
+            or dims is None
             or plan.sweep_colors is None
-            or x.shape != plan.shape
-            or np.shape(b) != plan.shape
+            or np.shape(b) != x.shape
             or x.dtype != cdtype
             or not x.flags.writeable
             or np.asarray(diag_inv).dtype != cdtype
+            or np.shape(diag_inv) != plan.shape + block_shape(plan)
         ):
             return reference.gs_sweep(
                 plan, a, b, x, diag_inv, forward=forward, compute_dtype=compute_dtype
             )
         if _metrics.active():
             _metrics.incr("kernel.sweep.calls")
-            charge_fcvt(a, cdtype, plan.sweep_cells)
+            charge_fcvt(plan, a, cdtype, plan.sweep_cells)
         xw = _ready(x, cdtype)  # a copy only for non-contiguous x
         bc = _ready(b, cdtype)
         if np.may_share_memory(bc, xw):
@@ -245,7 +287,7 @@ def make_backend(reference) -> "tuple[object | None, str]":
         dinv = _ready(diag_inv, cdtype)
         entries = plan.sweep_colors if forward else plan.sweep_colors[::-1]
         args = (a.data.ctypes.data, plan.offsets_table.ctypes.data,
-                len(plan.offsets), plan.diag_index, bc.ctypes.data,
+                len(plan.offsets), plan.diag_index, *dims, bc.ctypes.data,
                 dinv.ctypes.data, xw.ctypes.data, *plan.shape)
         for color, _cslice, _terms in entries:
             fn(*args, *color)
@@ -279,7 +321,7 @@ def make_backend(reference) -> "tuple[object | None, str]":
             diag_inv = (1.0 / diag).astype(cdtype)
         used = np.asarray(_participating_offsets(a, lower, part), dtype=np.intc)
         if counting:
-            charge_fcvt(a, cdtype, sum(plan.term_cells[d] for d in used))
+            charge_fcvt(plan, a, cdtype, sum(plan.term_cells[d] for d in used))
         bc = _ready(bf, cdtype)
         dinv = _ready(np.reshape(diag_inv, plan.shape), cdtype)
         xf = np.empty(plan.shape, dtype=cdtype)
@@ -291,7 +333,10 @@ def make_backend(reference) -> "tuple[object | None, str]":
             return out
         return xf.reshape(np.shape(b)) if np.shape(b) != xf.shape else xf
 
-    pairs = sorted({f"{s.name}->{c.name}" for _k, s, c in kernels})
+    pairs = sorted({
+        f"{'block:' if k.startswith('b') else ''}{s.name}->{c.name}"
+        for k, s, c in kernels
+    })
     backend = KernelBackend(
         name="c",
         spmv=spmv,
@@ -304,8 +349,9 @@ def make_backend(reference) -> "tuple[object | None, str]":
         norm2=reference.norm2,
         jit=False,  # compiled at registration, before any kernel call
         notes=(
-            "gcc/ctypes scalar SOA kernels "
-            f"({'with' if f16c else 'without'} F16C); numpy fallback otherwise"
+            "gcc/ctypes SOA kernels: scalar SpMV/SymGS/SpTRSV, block (2x2 to "
+            f"4x4) SpMV/SymGS on any RHS block ({'with' if f16c else 'without'}"
+            " F16C); numpy fallback otherwise"
         ),
         extras={"library": str(path), "f16c": f16c, "pairs": pairs},
     )

@@ -40,6 +40,7 @@ from collections import OrderedDict
 import numpy as np
 
 from ..observability import metrics as _metrics
+from .spmv import block_contract
 
 __all__ = [
     "KernelPlan",
@@ -402,10 +403,7 @@ def spmv_planned(
             )
             continue
         coeff = _convert_coeff(plan, "spmv_coeff", coeff, cdtype, counting)
-        if batched:
-            y[dst] += np.einsum("...ab,...bk->...ak", coeff, xf[src])
-        else:
-            y[dst] += np.einsum("...ab,...b->...a", coeff, xf[src])
+        y[dst] += block_contract(coeff, xf[src], batched)
 
     if q is not None:
         y *= q
@@ -450,18 +448,13 @@ def gs_sweep_planned(
                 )
                 continue
             coeff = _convert_coeff(plan, "sweep_coeff", coeff, cdtype, counting)
-            if batched:
-                rhs[dst_l] -= np.einsum("...ab,...bk->...ak", coeff, xs)
-            else:
-                rhs[dst_l] -= np.einsum("...ab,...b->...a", coeff, xs)
+            rhs[dst_l] -= block_contract(coeff, xs, batched)
         dc = diag_inv[cslice]
         if scalar:
             np.multiply(dc[..., None] if batched else dc, rhs, out=rhs)
             x[cslice] = rhs
-        elif batched:
-            x[cslice] = np.einsum("...ab,...bk->...ak", dc, rhs)
         else:
-            x[cslice] = np.einsum("...ab,...b->...a", dc, rhs)
+            x[cslice] = block_contract(dc, rhs, batched)
     return x
 
 
@@ -477,17 +470,13 @@ def jacobi_planned(
 ) -> np.ndarray:
     """Plan-based weighted Jacobi sweep (same contract as ``jacobi_sweep``);
     ``spmv`` is the backend's planned SpMV computing ``A x``."""
+    from .sweeps import _apply_diag_inv
+
     cdtype = np.dtype(compute_dtype)
     batched = x.ndim == len(plan.field_shape) + 1
-    scalar = plan.ncomp == 1
     ax = spmv(plan, a, x, compute_dtype=cdtype)
     r = np.asarray(b, dtype=cdtype) - ax
-    if scalar:
-        upd = (diag_inv[..., None] if batched else diag_inv) * r
-    elif batched:
-        upd = np.einsum("...ab,...bk->...ak", diag_inv, r)
-    else:
-        upd = np.einsum("...ab,...b->...a", diag_inv, r)
+    upd = _apply_diag_inv(diag_inv, r, plan.ncomp == 1, batched)
     x += cdtype.type(weight) * upd
     return x
 

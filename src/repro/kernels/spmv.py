@@ -24,7 +24,7 @@ import numpy as np
 from ..observability import metrics as _metrics
 from ..sgdia import SGDIAMatrix, StoredMatrix, offset_slices
 
-__all__ = ["spmv", "residual", "spmv_plain", "field_view"]
+__all__ = ["spmv", "residual", "spmv_plain", "field_view", "block_contract"]
 
 
 def field_view(grid, x: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -52,6 +52,29 @@ def field_view(grid, x: np.ndarray) -> tuple[np.ndarray, bool]:
     raise ValueError(
         f"vector shape {x.shape} incompatible with grid field shape {fs}"
     )
+
+
+def block_contract(blocks: np.ndarray, v: np.ndarray, batched: bool) -> np.ndarray:
+    """Per-cell block product ``w[..., a] = sum_b blocks[..., a, b] * v[..., b]``.
+
+    ``blocks`` has trailing axes ``(r, r)``; ``v`` trailing axis ``r``, plus
+    a column axis ``k`` when ``batched``.  The sum over ``b`` runs in
+    ascending order from a zero partial sum, for every ``k``.  ``np.einsum``
+    reduces a single column (unbatched or ``k == 1``) in a CPU-dispatched
+    SIMD order instead, so column ``j`` of a block product would differ
+    from the product of column ``j`` alone; one order for every ``k`` keeps
+    batched block solves columnwise bit-exact, and the compiled block
+    kernels reproduce it.
+    """
+    vk = v if batched else v[..., None]
+    shape = np.broadcast_shapes(blocks.shape[:-2], vk.shape[:-2])
+    out = np.zeros(shape + (blocks.shape[-2], vk.shape[-1]),
+                   dtype=np.result_type(blocks, vk))
+    term = np.empty_like(out)
+    for b in range(blocks.shape[-1]):
+        np.multiply(blocks[..., :, b, None], vk[..., None, b, :], out=term)
+        out += term
+    return out if batched else out[..., 0]
 
 
 def _as_field(grid, x: np.ndarray) -> np.ndarray:
@@ -127,10 +150,8 @@ def spmv_plain(
             coeff = coeff.astype(compute_dtype)  # the on-the-fly "fcvt"
         if scalar:
             y[dst] += (coeff[..., None] if batched else coeff) * xf[src]
-        elif batched:
-            y[dst] += np.einsum("...ab,...bk->...ak", coeff, xf[src])
         else:
-            y[dst] += np.einsum("...ab,...b->...a", coeff, xf[src])
+            y[dst] += block_contract(coeff, xf[src], batched)
 
     if q is not None:
         y *= q

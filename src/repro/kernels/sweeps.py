@@ -24,6 +24,7 @@ import numpy as np
 
 from ..observability import metrics as _metrics
 from ..sgdia import SGDIAMatrix
+from .spmv import block_contract, spmv_plain
 
 __all__ = [
     "COLORS8",
@@ -91,9 +92,7 @@ def _apply_diag_inv(
 ) -> np.ndarray:
     if scalar:
         return (diag_inv[..., None] if batched else diag_inv) * rhs
-    if batched:
-        return np.einsum("...ab,...bk->...ak", diag_inv, rhs)
-    return np.einsum("...ab,...b->...a", diag_inv, rhs)
+    return block_contract(diag_inv, rhs, batched)
 
 
 def gs_sweep_colored(
@@ -154,10 +153,8 @@ def gs_sweep_colored(
                 coeff = coeff.astype(cdtype)
             if scalar:
                 rhs[dst_l] -= (coeff[..., None] if batched else coeff) * x[src_g]
-            elif batched:
-                rhs[dst_l] -= np.einsum("...ab,...bk->...ak", coeff, x[src_g])
             else:
-                rhs[dst_l] -= np.einsum("...ab,...b->...a", coeff, x[src_g])
+                rhs[dst_l] -= block_contract(coeff, x[src_g], batched)
         x[cslice] = _apply_diag_inv(diag_inv[cslice], rhs, scalar, batched)
     return x
 
@@ -172,8 +169,6 @@ def jacobi_sweep(
     plan=None,
 ) -> np.ndarray:
     """One (weighted) Jacobi sweep ``x += w D^{-1} (b - A x)`` in place."""
-    from .spmv import spmv_plain
-
     if plan is not None:
         from .backend import get_backend
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..kernels import compute_diag_inv, spmv_plain
+from ..kernels.sweeps import _apply_diag_inv
 from ..sgdia import SGDIAMatrix, StoredMatrix
 from .base import DiagInvStateMixin, Smoother
 
@@ -32,7 +33,7 @@ def estimate_lambda_max(
     dinv = diag_inv.astype(np.float64)
     for _ in range(iterations):
         y = spmv_plain(a, x, compute_dtype=np.float64)
-        y = dinv * y if scalar else np.einsum("...ab,...b->...a", dinv, y)
+        y = _apply_diag_inv(dinv, y, scalar)
         nrm = np.linalg.norm(y)
         if nrm == 0:
             return 1.0
@@ -81,12 +82,9 @@ class Chebyshev(DiagInvStateMixin, Smoother):
         return self
 
     def _apply_dinv(self, r: np.ndarray) -> np.ndarray:
-        batched = r.ndim == len(self.matrix.grid.field_shape) + 1
-        if self.matrix.grid.ncomp == 1:
-            return (self.diag_inv[..., None] if batched else self.diag_inv) * r
-        if batched:
-            return np.einsum("...ab,...bk->...ak", self.diag_inv, r)
-        return np.einsum("...ab,...b->...a", self.diag_inv, r)
+        grid = self.matrix.grid
+        batched = r.ndim == len(grid.field_shape) + 1
+        return _apply_diag_inv(self.diag_inv, r, grid.ncomp == 1, batched)
 
     def _smooth_scaled(self, b, x, forward: bool) -> None:
         cdtype = self.compute_dtype

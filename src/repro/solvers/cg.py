@@ -14,7 +14,12 @@ bandwidth argument.  The scalars (``alpha``, ``beta``, residual norms) are
 kept per column, on contiguous column copies with the exact operation
 sequence of a single solve, and a column freezes the moment its own solve
 would stop.  Because the batched kernels are columnwise bit-exact, every
-column reproduces :func:`cg` on that column bit for bit.
+column reproduces :func:`cg` on that column bit for bit.  For block
+(vector-PDE) operators that rests on one summation order: each ``r x r``
+block product sums in ascending order from zero whatever the column count
+(:func:`repro.kernels.spmv.block_contract`, and the compiled block kernels
+reproduce it), so a column of a block is computed exactly as the single
+vector is.
 
 The deadline/cancel checks, checkpoints and early exit are the driver's
 (:mod:`repro.solvers.driver`).  A checkpoint is the loop-top state: ``(x, r,

@@ -6,6 +6,8 @@ not be built on this host — the suite must pass without a C compiler
 (graceful-fallback contract, also tested below by simulating each failure).
 """
 
+import dataclasses
+import functools
 import platform
 
 import numpy as np
@@ -57,6 +59,23 @@ PAYLOADS = (
 )
 #: odd shapes, a one-cell-wide grid, and a row longer than any C buffer
 SHAPES = ((6, 5, 7), (1, 1, 9), (2, 2, 5000))
+#: block sizes of the compiled block kernels, and their stencils
+NCOMPS = (2, 3, 4)
+BLOCK_PATTERNS = ("3d7", "3d15", "3d19", "3d27")
+#: RHS columns: unbatched, one column, a partial 8-column pass, one full
+#: pass, and more columns than one pass holds (a full pass, then a partial
+#: one at a column offset)
+COLUMNS = (None, 1, 2, 8, 11)
+#: every (storage, compute) pair of the compiled kernels, including the
+#: fp16 -> fp64 and fp32 -> fp64 pairs that PAYLOADS leaves out
+ALL_PAIRS = (
+    ("fp16", np.float32),
+    ("fp16", np.float64),
+    ("fp32", np.float32),
+    ("fp32", np.float64),
+    ("fp64", np.float64),
+    ("fp64", np.float32),
+)
 
 
 @pytest.fixture(autouse=True)
@@ -183,13 +202,17 @@ class TestGracefulFallback:
         monkeypatch.setattr(backend_c, "cache_dir", lambda: tmp_path)
         be, status = backend_c.make_backend(_backend._numpy_backend())
         assert status == "ok" and be.extras["f16c"] is False
-        assert not any(p.startswith("float16") for p in be.extras["pairs"])
-        assert "float32->float32" in be.extras["pairs"]
-        a = random_sgdia((6, 5, 7), "3d27").astype("fp16")
-        x = np.random.default_rng(0).standard_normal(a.grid.shape).astype(np.float32)
-        plan = plan_for(a)
-        ref = _backend._numpy_backend().spmv(plan, a, x)
-        assert ref.tobytes() == be.spmv(plan, a, x).tobytes()
+        assert not any("float16" in p for p in be.extras["pairs"])
+        assert {"float32->float32", "block:float32->float32"} <= set(
+            be.extras["pairs"]
+        )
+        for ncomp in (1, 3):  # scalar and block fp16 payloads
+            a = random_sgdia((6, 5, 7), "3d27", ncomp=ncomp).astype("fp16")
+            x = np.random.default_rng(0).standard_normal(a.grid.field_shape)
+            x = x.astype(np.float32)
+            plan = plan_for(a)
+            ref = _backend._numpy_backend().spmv(plan, a, x)
+            assert ref.tobytes() == be.spmv(plan, a, x).tobytes()
 
 
 class TestBlas1Dispatch:
@@ -213,15 +236,16 @@ class TestBlas1Dispatch:
 # ----------------------------------------------------------------------
 
 
-def _both(fn):
+def _both(fn, warm=False):
     """Run ``fn()`` under numpy and under c, collecting counters for each;
     assert the counter totals match and return both results.
 
-    A first, uncounted numpy run builds any lazily planned SpTRSV scheme,
-    which the compiled kernel never needs.
+    With ``warm`` a first, uncounted numpy run builds any lazily planned
+    SpTRSV scheme, which the compiled kernel never needs.
     """
-    with use_backend("numpy"):
-        fn()
+    if warm:
+        with use_backend("numpy"):
+            fn()
     out = []
     for name in ("numpy", "c"):
         with use_backend(name), metrics.collecting() as m:
@@ -237,13 +261,21 @@ def _same(ref, got):
     assert ref.tobytes() == got.tobytes()
 
 
-def _case(shape, pattern, fmt, cdtype, ncomp=1, k=None):
+@functools.lru_cache(maxsize=1)
+def _operator(shape, pattern, fmt, cdtype, ncomp):
+    """The test operator and its diagonal inverse; cached for the run of
+    consecutive cases that differ only in the RHS columns."""
     a = random_sgdia(shape, pattern, ncomp=ncomp).astype(fmt)
+    return a, compute_diag_inv(a, cdtype)
+
+
+def _case(shape, pattern, fmt, cdtype, ncomp=1, k=None):
+    a, dinv = _operator(shape, pattern, fmt, cdtype, ncomp)
     rng = np.random.default_rng(7)
     fs = a.grid.field_shape + ((k,) if k else ())
     x = rng.standard_normal(fs).astype(cdtype)
     b = rng.standard_normal(fs).astype(cdtype)
-    return a, b, x, compute_diag_inv(a, cdtype)
+    return a, b, x, dinv
 
 
 def _spmv(a, x, cdtype, **kw):
@@ -264,11 +296,23 @@ def _gs(a, b, x, dinv, cdtype, forward):
     return _both(run)
 
 
+def _jacobi(a, b, x, dinv, cdtype):
+    plan = plan_for(a)
+    xs = []
+
+    def run():
+        xs.append(x.copy())
+        return jacobi_sweep(a, b, xs[-1], dinv, weight=0.7,
+                            compute_dtype=cdtype, plan=plan)
+
+    return _both(run)
+
+
 def _trsv(a, b, dinv, cdtype, lower):
     plan = plan_for(a)
     part = "lower" if lower else "upper"
     return _both(lambda: sptrsv(a, b, lower=lower, part=part, diag_inv=dinv,
-                                compute_dtype=cdtype, plan=plan))
+                                compute_dtype=cdtype, plan=plan), warm=True)
 
 
 @needs_c
@@ -303,20 +347,16 @@ class TestParity:
         b = np.random.default_rng(3).standard_normal(a.grid.shape)
         plan = plan_for(a)
         _same(*_both(lambda: sptrsv(a, b, lower=True, compute_dtype=cdtype,
-                                    plan=plan)))
+                                    plan=plan), warm=True))
 
     @pytest.mark.parametrize("fmt,cdtype", PAYLOADS)
     def test_jacobi(self, fmt, cdtype):
-        a, b, x, dinv = _case((6, 5, 7), "3d27", fmt, cdtype)
-        plan = plan_for(a)
-        xs = []
-
-        def run():
-            xs.append(x.copy())
-            return jacobi_sweep(a, b, xs[-1], dinv, weight=0.7,
-                                compute_dtype=cdtype, plan=plan)
-
-        _same(*_both(run))
+        """Scalar, and block (the compiled block SpMV inside) on a vector
+        and on an 8-column block."""
+        for pattern, ncomp, k in (("3d27", 1, None), ("3d19", 4, None),
+                                  ("3d19", 4, 8)):
+            a, b, x, dinv = _case((6, 5, 7), pattern, fmt, cdtype, ncomp, k)
+            _same(*_jacobi(a, b, x, dinv, cdtype))
 
     @pytest.mark.parametrize("fmt", ["fp16", "fp32"])
     def test_non_contiguous_views(self, fmt):
@@ -336,24 +376,42 @@ class TestParity:
             with use_backend(name):
                 gs_sweep_colored(a, bv, arr[:, :, ::2], dinv, plan=plan)
         _same(ref_x, got_x)
+        # block operator: x and b as every other column of a wider block
+        a, _b, _x, dinv = _case((6, 5, 7), "3d27", fmt, np.float32, 3)
+        wide = rng.standard_normal(a.grid.field_shape + (16,)).astype(np.float32)
+        xv, bv = wide[..., ::2], wide[..., 1::2]
+        assert not xv.flags.c_contiguous
+        _same(*_spmv(a, xv, np.float32))
+        _same(*_gs(a, bv, xv, dinv, np.float32, False))
+        ref_x, got_x = wide.copy(), wide.copy()
+        plan = plan_for(a)
+        for name, arr in (("numpy", ref_x), ("c", got_x)):
+            with use_backend(name):
+                gs_sweep_colored(a, arr[..., 1::2], arr[..., ::2], dinv,
+                                 plan=plan)
+        _same(ref_x, got_x)
 
     @pytest.mark.parametrize("fmt", ["fp16", "fp32"])
     def test_x_as_own_rhs(self, fmt):
         """b aliasing x reads each color's b before it is overwritten."""
-        a, _b, x, dinv = _case((6, 5, 7), "3d27", fmt, np.float32)
-        plan = plan_for(a)
-        ref, got = x.copy(), x.copy()
-        for name, arr in (("numpy", ref), ("c", got)):
-            with use_backend(name):
-                gs_sweep_colored(a, arr, arr, dinv, plan=plan)
-        _same(ref, got)
+        for ncomp, k in ((1, None), (3, None), (3, 8)):
+            a, _b, x, dinv = _case((6, 5, 7), "3d27", fmt, np.float32, ncomp, k)
+            plan = plan_for(a)
+            ref, got = x.copy(), x.copy()
+            for name, arr in (("numpy", ref), ("c", got)):
+                with use_backend(name):
+                    gs_sweep_colored(a, arr, arr, dinv, plan=plan)
+            _same(ref, got)
 
     @pytest.mark.parametrize("fmt", ["fp16", "fp32"])
     def test_scaled_spmv(self, fmt):
-        """The sqrt_q path: q*x and y*=q in numpy around the compiled product."""
-        a, _b, x, _dinv = _case((6, 5, 7), "3d27", fmt, np.float32)
-        q = np.random.default_rng(5).uniform(0.5, 2.0, a.grid.shape)
-        _same(*_spmv(a, x, np.float32, sqrt_q=q))
+        """The sqrt_q path: q*x and y*=q in numpy around the compiled product
+        (on a block, one q per dof broadcast over the columns)."""
+        for pattern, ncomp, k in (("3d27", 1, None), ("3d15", 3, None),
+                                  ("3d15", 3, 8)):
+            a, _b, x, _dinv = _case((6, 5, 7), pattern, fmt, np.float32, ncomp, k)
+            q = np.random.default_rng(5).uniform(0.5, 2.0, a.grid.field_shape)
+            _same(*_spmv(a, x, np.float32, sqrt_q=q))
 
     def test_flat_vector_and_out(self):
         a, _b, x, _dinv = _case((6, 5, 7), "3d27", "fp16", np.float32)
@@ -365,18 +423,100 @@ class TestParity:
                 assert spmv_plain(a, x, out=out, plan=plan) is out
         _same(*outs)
 
-    @pytest.mark.parametrize("kind", ["aos", "block", "batched"])
+    @pytest.mark.parametrize("kind", ["aos", "batched"])
     def test_fallback_cases(self, kind):
-        """Cases outside the compiled set run the numpy kernels unchanged."""
-        ncomp = 3 if kind == "block" else 1
+        """Cases outside the compiled set (AOS payloads, scalar RHS blocks)
+        run the numpy kernels unchanged."""
         k = 3 if kind == "batched" else None
-        a, b, x, dinv = _case((5, 4, 6), "3d7", "fp16", np.float32, ncomp, k)
+        a, b, x, dinv = _case((5, 4, 6), "3d7", "fp16", np.float32, 1, k)
         if kind == "aos":
             a = a.as_layout("aos")
         _same(*_spmv(a, x, np.float32))
         _same(*_gs(a, b, x, dinv, np.float32, True))
-        if kind != "block":  # wavefront SpTRSV is scalar-only
-            _same(*_trsv(a, b, dinv, np.float32, True))
+        _same(*_trsv(a, b, dinv, np.float32, True))
+
+
+@functools.lru_cache(maxsize=1)
+def _spied_c():
+    """A c backend built over a numpy reference that logs every ``spmv`` and
+    ``gs_sweep`` call reaching it (every call the compiled kernels handed
+    back), and that log."""
+    ref = _backend._numpy_backend()
+    log = []
+
+    def spy(name):
+        def call(*args, **kwargs):
+            log.append(name)
+            return getattr(ref, name)(*args, **kwargs)
+
+        return call
+
+    be, status = backend_c.make_backend(
+        dataclasses.replace(ref, spmv=spy("spmv"), gs_sweep=spy("gs_sweep"))
+    )
+    assert status == "ok", status
+    return be, log
+
+
+@needs_c
+class TestBlockParity:
+    """Block operators (ncomp 2-4) with any number of RHS columns: the
+    compiled block SpMV and color sweep against the numpy reference, whose
+    block products sum in ascending order from zero for every ``k``.
+
+    "c" is the spied backend here, so each case also checks that its calls
+    ran compiled: a dispatch bug handing them back to numpy would otherwise
+    compare numpy with itself."""
+
+    @pytest.fixture(autouse=True)
+    def fallbacks(self, monkeypatch):
+        be, log = _spied_c()
+        monkeypatch.setitem(_backend._REGISTRY, "c", be)
+        log.clear()
+        return log
+
+    @staticmethod
+    def _ran_compiled(a, cdtype, fallbacks):
+        """No call fell back if the library registered this block pair (all
+        six are, with F16C); otherwise (an fp16 payload without F16C) the
+        calls ran on numpy."""
+        pair = f"block:{a.data.dtype.name}->{np.dtype(cdtype).name}"
+        if pair in _spied_c()[0].extras["pairs"]:
+            assert fallbacks == [], (pair, fallbacks)
+        else:
+            assert fallbacks
+
+    @pytest.mark.parametrize("k", COLUMNS)
+    @pytest.mark.parametrize("ncomp", NCOMPS)
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("fmt,cdtype", PAYLOADS)
+    @pytest.mark.parametrize("pattern", BLOCK_PATTERNS)
+    def test_spmv(self, pattern, fmt, cdtype, shape, ncomp, k, fallbacks):
+        a, _b, x, _dinv = _case(shape, pattern, fmt, cdtype, ncomp, k)
+        _same(*_spmv(a, x, cdtype))
+        self._ran_compiled(a, cdtype, fallbacks)
+
+    @pytest.mark.parametrize("forward", [True, False])
+    @pytest.mark.parametrize("k", COLUMNS)
+    @pytest.mark.parametrize("ncomp", NCOMPS)
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("fmt,cdtype", PAYLOADS)
+    @pytest.mark.parametrize("pattern", BLOCK_PATTERNS)
+    def test_gs_sweep(self, pattern, fmt, cdtype, shape, ncomp, k, forward,
+                      fallbacks):
+        a, b, x, dinv = _case(shape, pattern, fmt, cdtype, ncomp, k)
+        _same(*_gs(a, b, x, dinv, cdtype, forward))
+        self._ran_compiled(a, cdtype, fallbacks)
+
+    @pytest.mark.parametrize("k", (None, 1, 11))
+    @pytest.mark.parametrize("ncomp", NCOMPS)
+    @pytest.mark.parametrize("fmt,cdtype", ALL_PAIRS)
+    def test_every_pair(self, fmt, cdtype, ncomp, k, fallbacks):
+        a, b, x, dinv = _case((6, 5, 7), "3d27", fmt, cdtype, ncomp, k)
+        _same(*_spmv(a, x, cdtype))
+        for forward in (True, False):
+            _same(*_gs(a, b, x, dinv, cdtype, forward))
+        self._ran_compiled(a, cdtype, fallbacks)
 
 
 @needs_c

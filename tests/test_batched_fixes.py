@@ -132,23 +132,33 @@ def _smoother_operator(name):
 class TestAllSmoothersBatched:
     @pytest.mark.parametrize("name", sorted(_REGISTRY))
     def test_batched_bit_identical_to_sequential(self, name):
-        a = _smoother_operator(name)
-        stored = StoredMatrix.truncate(a, "fp32", "fp32", scale="never")
-        rng = np.random.default_rng(3)
-        k = 3
-        bb = rng.standard_normal(a.grid.field_shape + (k,)).astype(np.float32)
-        x0 = rng.standard_normal(a.grid.field_shape + (k,)).astype(np.float32)
+        operators = [_smoother_operator(name)]
+        if make_smoother(name).supports_blocks:
+            # 4x4 blocks: a single column must sum each block product in
+            # the order a column of the batch does
+            operators.append(
+                random_sgdia((6, 5, 4), "3d27", ncomp=4, spd=True, diag_boost=8.0)
+            )
+        for a in operators:
+            stored = StoredMatrix.truncate(a, "fp32", "fp32", scale="never")
+            rng = np.random.default_rng(3)
+            k = 3
+            bb = rng.standard_normal(a.grid.field_shape + (k,)).astype(np.float32)
+            x0 = rng.standard_normal(a.grid.field_shape + (k,)).astype(np.float32)
 
-        sm = make_smoother(name).setup(a, stored)
-        xb = x0.copy()
-        sm.smooth(bb, xb, forward=True)
+            sm = make_smoother(name).setup(a, stored)
+            xb = x0.copy()
+            sm.smooth(bb, xb, forward=True)
 
-        for j in range(k):
-            xc = x0[..., j].copy()
-            sm.smooth(bb[..., j], xc, forward=True)
-            assert np.array_equal(
-                xb[..., j].view(np.uint32), xc.view(np.uint32)
-            ), f"smoother {name!r} batched column {j} diverges from sequential"
+            for j in range(k):
+                xc = x0[..., j].copy()
+                sm.smooth(bb[..., j], xc, forward=True)
+                assert np.array_equal(
+                    xb[..., j].view(np.uint32), xc.view(np.uint32)
+                ), (
+                    f"smoother {name!r} batched column {j} diverges from "
+                    f"sequential (ncomp={a.grid.ncomp})"
+                )
 
     @pytest.mark.parametrize("name", sorted(_REGISTRY))
     def test_batched_fp16_payload(self, name):

@@ -313,24 +313,29 @@ class TestSolveMany:
             assert rel < 1e-10
 
     def test_batched_cg_bitwise_equal_to_cg(self, lap):
-        h = mg_setup(lap.a, K64P32D16_SETUP_SCALE, lap.mg_options)
-        rng = np.random.default_rng(11)
-        block = np.stack(
-            [consistent_rhs(lap.a, rng).ravel() for _ in range(3)], axis=-1
-        )
-        batch = batched_cg(
-            lap.a, block, preconditioner=h.precondition,
-            rtol=lap.rtol, maxiter=500,
-        )
-        for j, rj in enumerate(batch):
-            ref = solve(
-                "cg", lap.a, np.ascontiguousarray(block[:, j]),
-                preconditioner=h.precondition, rtol=lap.rtol, maxiter=500,
+        """Every column of a block solve is the single solve, bit for bit,
+        on a scalar operator and on a 4x4-block one (oil-4c), whose block
+        products must sum in one order whatever the column count."""
+        oil = build_problem("oil-4c", shape=(12, 12, 8), seed=0)
+        for prob in (lap, oil):
+            h = mg_setup(prob.a, K64P32D16_SETUP_SCALE, prob.mg_options)
+            rng = np.random.default_rng(11)
+            block = np.stack(
+                [consistent_rhs(prob.a, rng).ravel() for _ in range(3)], axis=-1
             )
-            assert rj.iterations == ref.iterations
-            np.testing.assert_array_equal(
-                rj.x.ravel(), ref.x.ravel()
+            batch = batched_cg(
+                prob.a, block, preconditioner=h.precondition,
+                rtol=prob.rtol, maxiter=500,
             )
+            for j, rj in enumerate(batch):
+                ref = solve(
+                    "cg", prob.a, np.ascontiguousarray(block[:, j]),
+                    preconditioner=h.precondition, rtol=prob.rtol, maxiter=500,
+                )
+                assert rj.iterations == ref.iterations
+                np.testing.assert_array_equal(
+                    rj.x.ravel(), ref.x.ravel()
+                )
 
     def test_field_shaped_block(self, lap):
         session = SolverSession(

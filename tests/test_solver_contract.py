@@ -309,11 +309,20 @@ FIXTURES = {
         ('converged', 15, 18, 'e407e5c43c403653', '87f67529b27945ee'),
         ('converged', 18, 18, '96bb5e5fa6bbdb92', 'eaa117e029db6673'),
     ],
+    ('batched_cg', 'oil-4c'): [
+        ('converged', 18, 24, 'e0071dbabcc36e02', '2fe74c62c26a914c'),
+        ('converged', 24, 24, '97a282d95db35dc2', 'd37c387358a97fd2'),
+    ],
 }
 
+#: Every recorded run: the ``CASES x PROBLEMS`` grid, plus a 4x4-block
+#: operator through the block kernels, numpy or compiled, with k = 2 columns.
+RECORDINGS = [(case, problem) for problem in PROBLEMS for case in CASES] + [
+    ("batched_cg", "oil-4c"),
+]
 
-@pytest.mark.parametrize("problem", PROBLEMS)
-@pytest.mark.parametrize("case", CASES)
+
+@pytest.mark.parametrize("case,problem", RECORDINGS)
 def test_matches_reference_recording(case, problem):
     if _canary() != CANARY:
         pytest.skip("reference recorded with different floating-point kernels")
@@ -323,10 +332,9 @@ def test_matches_reference_recording(case, problem):
 if __name__ == "__main__":  # pragma: no cover - fixture regeneration
     print(f'CANARY = "{_canary()}"')
     print("FIXTURES = {")
-    for problem in PROBLEMS:
-        for case in CASES:
-            print(f"    ({case!r}, {problem!r}): [")
-            for entry in _fingerprint(_run(case, problem)):
-                print(f"        {entry!r},")
-            print("    ],")
+    for case, problem in RECORDINGS:
+        print(f"    ({case!r}, {problem!r}): [")
+        for entry in _fingerprint(_run(case, problem)):
+            print(f"        {entry!r},")
+        print("    ],")
     print("}")
