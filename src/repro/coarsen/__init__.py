@@ -1,7 +1,6 @@
 """Grid transfer operators and Galerkin coarsening."""
 
 from .galerkin import (
-    collapse_to_pattern,
     constant_coefficient_coarse_stencil,
     galerkin_coarse_sgdia,
     galerkin_product,
@@ -13,7 +12,6 @@ __all__ = [
     "Transfer",
     "build_transfer",
     "choose_coarsen_factors",
-    "collapse_to_pattern",
     "constant_coefficient_coarse_stencil",
     "galerkin_coarse_sgdia",
     "galerkin_product",

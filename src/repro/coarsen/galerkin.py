@@ -1,16 +1,37 @@
 """Galerkin coarsening: the triple-matrix product ``A_c = R A P``.
 
 This is the essential process of the multigrid setup phase (paper Figure 2:
-"Coarsening — SpGEMM").  The product is evaluated in high precision with
-scipy.sparse — the paper's Algorithm 1 performs *all* Galerkin coarsening
-in high precision before any FP16 truncation, which is exactly what the
-setup-then-scale strategy protects — and the result is poured back into
-index-free SG-DIA storage (coarse operators of radius-1 stencils with
-factor-2/-4 coarsening stay within the 3d27 pattern, the expansion noted in
-the paper's Table 3 footnote).
+"Coarsening — SpGEMM").  The paper's Algorithm 1 performs *all* Galerkin
+coarsening in high precision before any FP16 truncation, which is exactly
+what the setup-then-scale strategy protects, so the product is FP64.
 
-A constant-coefficient stencil-algebra RAP is included as an independent
-cross-check used by the test suite.
+It is formed on SG-DIA slices, with no index arrays (Guideline 2, §3.2).
+The prolongation factorizes as ``P = Px (x) Py (x) Pz (x) I_r``
+(:mod:`repro.coarsen.transfer`), so ``R A P`` is three 1-D Galerkin passes
+— x, then y, then z; a factor-1 axis is skipped — each contracting one axis
+of every stencil coefficient array with that axis's 1-D interpolation
+weights.  Coarse operators of radius-1 stencils with factor-2/-4 coarsening
+stay within the 3d27 pattern (the expansion noted in the paper's Table 3
+footnote).
+
+Summation order (part of the reference, like
+:func:`repro.kernels.spmv.block_contract`).  In a pass along an axis with
+factor ``f``, coarse row ``I`` restricts fine rows ``f*I + s`` with weights
+``w_I(s) = P[f*I + s, I]``, and ``R A`` couples it to fine columns
+``f*I + e``.  Each ``R A`` entry sums ``w_I(s) * a(e - s)`` over the fine
+offset ``s`` in ascending order, and each coarse entry at offset ``E`` sums
+``(R A)(e) * w_{I+E}(e - f*E)`` over the intermediate offset ``e`` in
+ascending order, both from a zero partial sum.  A weight multiplies whole
+``r x r`` blocks.
+
+The result is not byte-identical to scipy's SpGEMM, and is not meant to
+be: scipy's order follows ``csr_matmat``'s per-row linked list, so it
+depends on the operator's zero pattern and on the explicit zeros ``sp.kron``
+stores for short axes and for ``ncomp == 2``.  The two agree within a few
+ulps of ``|R||A||P|``, and exactly where the sums are exact
+(constant-coefficient laplace27).  scipy's :func:`galerkin_product` and the
+stencil-algebra :func:`constant_coefficient_coarse_stencil` stay as
+independent oracles for the test suite.
 """
 
 from __future__ import annotations
@@ -18,20 +39,21 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from ..grid import StructuredGrid, stencil as make_stencil
+from ..grid import Stencil, stencil as make_stencil
 from ..sgdia import SGDIAMatrix
 from .transfer import Transfer
 
 __all__ = [
     "galerkin_product",
     "galerkin_coarse_sgdia",
-    "collapse_to_pattern",
     "constant_coefficient_coarse_stencil",
 ]
 
+Offset = tuple[int, int, int]
+
 
 def galerkin_product(a: sp.spmatrix, transfer: Transfer) -> sp.csr_matrix:
-    """``A_c = R A P`` in FP64 CSR."""
+    """``A_c = R A P`` in FP64 CSR (scipy SpGEMM; the test oracle)."""
     a = sp.csr_matrix(a, dtype=np.float64)
     p = transfer.p.astype(np.float64)
     r = transfer.r.astype(np.float64)
@@ -49,87 +71,152 @@ def galerkin_coarse_sgdia(
 ) -> SGDIAMatrix:
     """One Galerkin coarsening step, returning the coarse SG-DIA operator.
 
-    ``collapse=True`` lumps any product entry outside ``coarse_pattern``
-    onto the coarse diagonal (row-sum preserving non-Galerkin sparsification
-    in the spirit of Falgout & Schroder 2014, which the paper cites for
-    aggressive coarsening); with ``collapse=False`` an out-of-pattern
-    nonzero raises.
+    ``collapse=True`` folds any product entry outside ``coarse_pattern``
+    onto retained neighbours (see :func:`_collapse`: row-sum preserving
+    non-Galerkin sparsification in the spirit of Falgout & Schroder 2014,
+    which the paper cites for aggressive coarsening); with
+    ``collapse=False`` an out-of-pattern nonzero raises.
     """
-    coarse_csr = galerkin_product(a_fine.to_csr(), transfer)
+    ops = {
+        off: np.asarray(a_fine.diag_view(d), dtype=np.float64)
+        for d, off in enumerate(a_fine.stencil.offsets)
+    }
+    for axis, (factor, p1) in enumerate(zip(transfer.factors, transfer.p1d)):
+        if factor > 1:
+            ops = _galerkin_pass(ops, axis, factor, _band(p1, factor))
+    st = make_stencil(coarse_pattern)
     if collapse:
-        coarse_csr = collapse_to_pattern(
-            coarse_csr, transfer.coarse, coarse_pattern
-        )
-    return SGDIAMatrix.from_csr(
-        coarse_csr, transfer.coarse, coarse_pattern, strict=not collapse
-    )
+        ops = _collapse(ops, st)
+    out = SGDIAMatrix.zeros(transfer.coarse, st)
+    for off, arr in ops.items():
+        if off in st:
+            out.diag_view(st.index_of(off))[...] = arr
+        elif np.any(arr != 0):
+            raise ValueError(
+                f"nonzero entry at offset {off} outside stencil {st.name}"
+            )
+    return out
 
 
-def collapse_to_pattern(
-    a: sp.spmatrix, grid: StructuredGrid, pattern: str
-) -> sp.csr_matrix:
-    """Collapse entries outside a stencil pattern onto retained neighbours.
+def _band(p1: sp.spmatrix, factor: int) -> np.ndarray:
+    """1-D weights as a band: ``band[I, s + f - 1] = P[f*I + s, I]``.
 
-    Each dropped entry at offset ``(dx, dy, dz)`` is distributed equally
-    over the face offsets it decomposes into (``(1,1,0)`` splits between
-    ``(1,0,0)`` and ``(0,1,0)``); offsets with no retained face component
-    fall back to the diagonal.  Row sums are preserved exactly (the action
-    on the constant vector, which Poisson-like coarse operators need), the
-    sign structure of M-matrices is kept, and — unlike diagonal lumping —
-    the diagonal cannot be driven non-positive by strong dropped couplings.
+    Zero where the fine point ``f*I + s`` is off the axis.
     """
-    st = make_stencil(pattern)
-    coo = sp.coo_matrix(a, copy=True)
-    r = grid.ncomp
-    cell_r = coo.row // r
-    comp_c = coo.col % r
-    cell_c = coo.col // r
-    i1, j1, k1 = grid.cell_coords(cell_r)
-    i2, j2, k2 = grid.cell_coords(cell_c)
-    d_all = np.stack([i2 - i1, j2 - j1, k2 - k1], axis=1)
-    offs = set(st.offsets)
-    inside = np.fromiter(
-        (tuple(d) in offs for d in d_all), dtype=bool, count=coo.nnz
-    )
-    rows_list = [coo.row[inside]]
-    cols_list = [coo.col[inside]]
-    vals_list = [coo.data[inside]]
-    out_idx = np.flatnonzero(~inside)
-    if out_idx.size:
-        for idx in out_idx:
-            row = int(coo.row[idx])
-            val = coo.data[idx]
-            d = d_all[idx]
-            targets = []
-            # sign-aware: negative (M-matrix-like) couplings strengthen the
-            # face couplings they decompose into; positive dropped mass goes
-            # to the diagonal, so the diagonal can only grow
-            if val < 0:
-                for ax in range(3):
-                    if d[ax] != 0:
-                        unit = [0, 0, 0]
-                        unit[ax] = 1 if d[ax] > 0 else -1
-                        if tuple(unit) in offs:
-                            targets.append(tuple(unit))
-            if not targets:
-                targets = [(0, 0, 0)]  # fall back to the diagonal
-            w = val / len(targets)
-            ci, cj, ck = i1[idx], j1[idx], k1[idx]
-            for (ux, uy, uz) in targets:
-                tgt_cell = grid.cell_index(ci + ux, cj + uy, ck + uz)
-                rows_list.append(np.array([row]))
-                cols_list.append(
-                    np.array([int(tgt_cell) * r + int(comp_c[idx])])
-                )
-                vals_list.append(np.array([w]))
-    kept = sp.coo_matrix(
-        (
-            np.concatenate(vals_list),
-            (np.concatenate(rows_list), np.concatenate(cols_list)),
-        ),
-        shape=coo.shape,
-    ).tocsr()
-    kept.eliminate_zeros()
+    dense = p1.toarray()
+    n, nc = dense.shape
+    reach = factor - 1
+    coarse = np.arange(nc)[:, None]
+    rows = factor * coarse + np.arange(-reach, reach + 1)
+    inside = (rows >= 0) & (rows < n)
+    band = np.where(inside, dense[np.clip(rows, 0, n - 1), coarse], 0.0)
+    if np.count_nonzero(band) != np.count_nonzero(dense):
+        raise ValueError(
+            f"interpolation weights reach beyond {reach} fine points"
+        )
+    return band
+
+
+def _along(axis: int, sl: slice) -> tuple:
+    return (slice(None),) * axis + (sl,)
+
+
+def _galerkin_pass(
+    ops: dict[Offset, np.ndarray], axis: int, factor: int, band: np.ndarray
+) -> dict[Offset, np.ndarray]:
+    """``R A P`` along one axis; ``ops`` maps offset -> coefficient array.
+
+    Offsets along the other axes are carried through untouched: the pass
+    contracts each fixed ``(other offsets)`` row of the stencil on its own.
+    """
+    nc, width = band.shape
+    reach = factor - 1
+    first = next(iter(ops.values()))
+    n = first.shape[axis]
+    shape = first.shape[:axis] + (nc,) + first.shape[axis + 1:]
+    trail = (1,) * (first.ndim - axis - 1)  # broadcast over later axes
+    live = [k for k in range(width) if band[:, k].any()]
+
+    rows: dict[tuple, dict[int, np.ndarray]] = {}
+    for off, arr in ops.items():
+        rows.setdefault(off[:axis] + off[axis + 1:], {})[off[axis]] = arr
+
+    out: dict[Offset, np.ndarray] = {}
+    for rest, row in sorted(rows.items()):
+        # R A: intermediate offset e, summed over the fine offset s
+        lo_e, hi_e = min(row) - reach, max(row) + reach
+        ra: dict[int, np.ndarray] = {}
+        for e in range(lo_e, hi_e + 1):
+            acc = None
+            for k in live:
+                s = k - reach
+                a = row.get(e - s)
+                lo = max(0, -(s // factor))
+                hi = min(nc, (n - 1 - s) // factor + 1)
+                if a is None or hi <= lo:
+                    continue
+                if acc is None:
+                    acc = np.zeros(shape)
+                fine = slice(factor * lo + s, factor * (hi - 1) + s + 1, factor)
+                w = band[lo:hi, k].reshape(-1, *trail)
+                acc[_along(axis, slice(lo, hi))] += w * a[_along(axis, fine)]
+            if acc is not None:
+                ra[e] = acc
+        # (R A) P: coarse offset E, summed over the intermediate offset e
+        lo_c, hi_c = -((reach - lo_e) // factor), (hi_e + reach) // factor
+        for oc in range(lo_c, hi_c + 1):
+            lo, hi = max(0, -oc), min(nc, nc - oc)
+            acc = None
+            for e, t in ra.items():  # ascending e
+                k = e - factor * oc + reach
+                if k not in live or hi <= lo:
+                    continue
+                if acc is None:
+                    acc = np.zeros(shape)
+                w = band[lo + oc:hi + oc, k].reshape(-1, *trail)
+                cells = _along(axis, slice(lo, hi))
+                acc[cells] += t[cells] * w
+            if acc is not None:
+                out[rest[:axis] + (oc,) + rest[axis:]] = acc
+    return out
+
+
+def _collapse(
+    ops: dict[Offset, np.ndarray], st: Stencil
+) -> dict[Offset, np.ndarray]:
+    """Fold entries outside pattern ``st`` onto retained neighbours.
+
+    A negative (M-matrix-like) entry at a dropped offset ``(dx, dy, dz)``
+    is split equally over the face offsets it decomposes into that ``st``
+    keeps (``(1,1,0)`` splits between ``(1,0,0)`` and ``(0,1,0)``), so it
+    strengthens those couplings; every other dropped entry — positive, or
+    with no retained face — goes to the diagonal, which can then only grow.
+    Each entry stays in its row and block position, so row sums are
+    preserved (the action on the constant vector, which Poisson-like coarse
+    operators need) and the sign structure of M-matrices is kept.  Dropped
+    offsets are folded in ascending order, each onto the running sums.
+    """
+    kept = {off: arr for off, arr in ops.items() if off in st}
+    first = next(iter(ops.values()))
+    diag = (0, 0, 0)
+    kept.setdefault(diag, np.zeros_like(first))
+    for off in sorted(o for o in ops if o not in st):
+        v = ops[off]
+        units = []
+        for ax in range(3):
+            if off[ax]:
+                unit = [0, 0, 0]
+                unit[ax] = 1 if off[ax] > 0 else -1
+                if tuple(unit) in st:
+                    units.append(tuple(unit))
+        if not units:
+            kept[diag] = kept[diag] + v
+            continue
+        neg = np.where(v < 0, v, 0.0)
+        share = neg / len(units)
+        for u in units:
+            kept[u] = kept[u] + share if u in kept else share
+        kept[diag] = kept[diag] + (v - neg)
     return kept
 
 

@@ -3,7 +3,10 @@
 The prolongation is ``P = Px (x) Py (x) Pz (x) I_r`` — a Kronecker product
 of 1-D interpolations matching the C-order dof flattening, with an identity
 over the ``r`` components of vector-PDE unknowns.  Restriction is the
-transpose (standard Galerkin pairing).
+transpose (standard Galerkin pairing).  A :class:`Transfer` keeps the 1-D
+factors too: the structured Galerkin product (:mod:`repro.coarsen.galerkin`)
+works from them alone, while the assembled CSR ``p``/``r`` apply the
+transfers in the solve.
 
 Transfer application is part of the solve phase, so it runs in the
 preconditioner *compute* precision on FP32 vectors; the entries themselves
@@ -32,6 +35,7 @@ class Transfer:
     factors: tuple[int, int, int]
     p: sp.csr_matrix  # (ndof_fine, ndof_coarse)
     r: sp.csr_matrix  # (ndof_coarse, ndof_fine)
+    p1d: tuple  # per-axis FP64 1-D prolongations (n_axis, nc_axis)
 
     @staticmethod
     def _apply(mat: sp.csr_matrix, x: np.ndarray, src, dst, dtype) -> np.ndarray:
@@ -84,7 +88,9 @@ def build_transfer(
     r = sp.csr_matrix(p.T)
     p_c = p.astype(compute_dtype)
     r_c = r.astype(compute_dtype)
-    return Transfer(fine=fine, coarse=coarse, factors=factors, p=p_c, r=r_c)
+    return Transfer(
+        fine=fine, coarse=coarse, factors=factors, p=p_c, r=r_c, p1d=tuple(p1)
+    )
 
 
 def choose_coarsen_factors(

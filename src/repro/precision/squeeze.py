@@ -14,7 +14,7 @@ import scipy.sparse as sp
 
 from ..observability import metrics as _metrics
 from ..observability import trace as _trace
-from .types import FP16, count_out_of_range, count_subnormal
+from .types import FP16, range_counts
 
 __all__ = ["symmetric_equilibrate", "equilibration_scaling_vectors"]
 
@@ -65,10 +65,8 @@ def symmetric_equilibrate(
             # What the equilibrated values would still suffer in FP16 — the
             # same event taxonomy the Algorithm-1 setup path reports.
             _metrics.incr("setup.scale.calls")
-            n_over, n_under = count_out_of_range(a_scaled.data, FP16)
-            _metrics.incr("precision.overflow_clamp", n_over)
-            _metrics.incr("precision.underflow_flush", n_under)
-            _metrics.incr(
-                "precision.subnormal", count_subnormal(a_scaled.data, FP16)
-            )
+            counts = range_counts(a_scaled.data, FP16)
+            _metrics.incr("precision.overflow_clamp", counts.n_overflow)
+            _metrics.incr("precision.underflow_flush", counts.n_underflow)
+            _metrics.incr("precision.subnormal", counts.n_subnormal)
     return a_scaled, r, c

@@ -31,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..grid import Stencil, StructuredGrid, stencil as make_stencil
-from ..precision import FloatFormat, get_format, truncate
+from ..precision import FloatFormat, get_format, range_counts, truncate
 
 __all__ = ["SGDIAMatrix", "offset_slices"]
 
@@ -180,8 +180,8 @@ class SGDIAMatrix:
         return self.nnz_stored * itemsize
 
     def max_abs(self) -> float:
-        finite = self.data[np.isfinite(self.data)]
-        return float(np.max(np.abs(finite))) if finite.size else 0.0
+        """Largest finite magnitude (0.0 if none)."""
+        return range_counts(self.data, "fp64").max_abs
 
     # ------------------------------------------------------------------
     # diagonal access
@@ -327,8 +327,10 @@ class SGDIAMatrix:
         return out
 
     # ------------------------------------------------------------------
-    # CSR interoperability (setup phase only — the solve phase never
-    # touches index arrays, that is the whole point of SG-DIA)
+    # CSR interoperability: problem assembly, analysis, I/O, test oracles
+    # and the coarsest level's direct LU.  Neither the setup phase (its
+    # Galerkin products run on SG-DIA slices) nor the solve phase converts
+    # an operator otherwise — no index arrays is the whole point of SG-DIA.
     # ------------------------------------------------------------------
     def to_csr(self, dtype=np.float64) -> sp.csr_matrix:
         """Convert to scipy CSR (drops boundary zeros by construction)."""
@@ -386,11 +388,10 @@ class SGDIAMatrix:
     ) -> "SGDIAMatrix":
         """Re-extract SG-DIA structure from a sparse matrix.
 
-        Used after the Galerkin triple product: coarse operators of
-        structured multigrid expand to (at most) the 3d27 pattern, so the
-        product computed in CSR is poured back into index-free storage.
-        With ``strict=True`` a nonzero entry outside the stencil raises;
-        otherwise such entries are silently dropped.
+        Pours an assembled operator (or scipy's Galerkin product, the test
+        oracle) back into index-free storage.  With ``strict=True`` a
+        nonzero entry outside the stencil raises; otherwise such entries
+        are silently dropped.
         """
         if isinstance(stencil, str):
             stencil = make_stencil(stencil)

@@ -21,9 +21,8 @@ from ..precision import (
     DiagonalScaling,
     FloatFormat,
     choose_g,
-    count_out_of_range,
-    count_subnormal,
     get_format,
+    range_counts,
 )
 from .matrix import SGDIAMatrix
 
@@ -39,10 +38,10 @@ def _count_truncation_events(values: np.ndarray, storage: FloatFormat) -> None:
     """
     if not _metrics.active():
         return
-    n_over, n_under = count_out_of_range(values, storage)
-    _metrics.incr("precision.overflow_clamp", n_over)
-    _metrics.incr("precision.underflow_flush", n_under)
-    _metrics.incr("precision.subnormal", count_subnormal(values, storage))
+    counts = range_counts(values, storage)
+    _metrics.incr("precision.overflow_clamp", counts.n_overflow)
+    _metrics.incr("precision.underflow_flush", counts.n_underflow)
+    _metrics.incr("precision.subnormal", counts.n_subnormal)
 
 
 @dataclass

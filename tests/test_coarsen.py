@@ -5,10 +5,8 @@ import pytest
 import scipy.sparse as sp
 
 from repro.coarsen import (
-    Transfer,
     build_transfer,
     choose_coarsen_factors,
-    collapse_to_pattern,
     constant_coefficient_coarse_stencil,
     galerkin_coarse_sgdia,
     galerkin_product,
@@ -16,6 +14,8 @@ from repro.coarsen import (
     interp_1d,
 )
 from repro.grid import StructuredGrid, stencil as make_stencil
+from repro.mg import MGOptions, mg_setup
+from repro.precision import parse_config
 from repro.problems.laplace import laplace27_matrix
 from repro.sgdia import SGDIAMatrix
 
@@ -125,6 +125,14 @@ class TestTransfer:
         t = build_transfer(g, factors=(2, 2, 1))
         assert t.coarse.shape == (4, 4, 8)
 
+    @pytest.mark.parametrize("kind", ["linear", "injection"])
+    def test_keeps_1d_factors(self, kind):
+        g = StructuredGrid((5, 4, 7), ncomp=2)
+        t = build_transfer(g, factors=(2, 1, 4), kind=kind)
+        p1 = sp.kron(sp.kron(t.p1d[0], t.p1d[1]), t.p1d[2])
+        p = sp.kron(p1, sp.identity(2)).toarray()
+        np.testing.assert_array_equal(p, t.p.toarray())
+
 
 class TestChooseFactors:
     def test_isotropic_full(self):
@@ -155,6 +163,56 @@ class TestChooseFactors:
         assert any(x == 2 for x in f)
 
 
+#: Axes of 2 to 5 points, odd and even, in every position.
+ORACLE_SHAPES = [(2, 3, 4), (5, 4, 3), (3, 5, 2), (4, 2, 5)]
+
+
+def _planted_zeros(a: SGDIAMatrix, seed: int) -> SGDIAMatrix:
+    """Exact zeros in a fifth of the entries and in one whole off-diagonal."""
+    rng = np.random.default_rng(seed)
+    a.data[rng.random(a.data.shape) < 0.2] = 0.0
+    off = [d for d in range(a.ndiag) if d != a.stencil.diag_index]
+    a.diag_view(off[seed % len(off)])[...] = 0.0
+    return a
+
+
+def _oracle(a: SGDIAMatrix, t) -> tuple[np.ndarray, np.ndarray]:
+    """scipy's ``R A P`` and ``|R||A||P|``, dense."""
+    csr = a.to_csr()
+    r, p = t.r.astype(np.float64), t.p.astype(np.float64)
+    bound = abs(r) @ abs(csr) @ abs(p)
+    return galerkin_product(csr, t).toarray(), bound.toarray()
+
+
+def _collapse_reference(a: sp.spmatrix, grid, pattern: str) -> np.ndarray:
+    """Per-entry collapse of a CSR product onto ``pattern``, dense.
+
+    Each out-of-pattern entry goes, if negative, in equal shares to the
+    face offsets it decomposes into that the pattern keeps, else (or with
+    no such face) to the diagonal; it keeps its row and block column.
+    """
+    st = make_stencil(pattern)
+    coo = sp.coo_matrix(a)
+    r = grid.ncomp
+    out = np.zeros(a.shape)
+    for row, col, val in zip(coo.row, coo.col, coo.data):
+        here = np.array(grid.cell_coords(row // r))
+        d = np.array(grid.cell_coords(col // r)) - here
+        if tuple(d) in st:
+            out[row, col] += val
+            continue
+        units = [
+            u for u in (np.eye(3, dtype=int)[ax] * np.sign(d[ax])
+                        for ax in range(3) if d[ax])
+            if tuple(u) in st
+        ]
+        targets = units if val < 0 and units else [np.zeros(3, dtype=int)]
+        for u in targets:
+            cell = grid.cell_index(*(here + u))
+            out[row, cell * r + col % r] += val / len(targets)
+    return out
+
+
 class TestGalerkin:
     def test_matches_direct_product(self):
         a = random_sgdia((6, 6, 6), "3d7", spd=True)
@@ -162,6 +220,47 @@ class TestGalerkin:
         coarse = galerkin_product(a.to_csr(), t)
         ref = t.r.astype(np.float64) @ a.to_csr() @ t.p.astype(np.float64)
         assert abs(coarse - ref).max() < 1e-12
+
+    @pytest.mark.parametrize("kind", ["linear", "injection"])
+    @pytest.mark.parametrize(
+        "factors", [(2, 2, 2), (1, 2, 2), (2, 1, 1), (4, 4, 2)]
+    )
+    @pytest.mark.parametrize("ncomp", [1, 2, 3, 4])
+    @pytest.mark.parametrize("pattern", ["3d7", "3d15", "3d19", "3d27"])
+    def test_matches_scipy_oracle(self, pattern, ncomp, factors, kind):
+        """Entrywise within a few ulps of ``|R||A||P|`` of scipy's SpGEMM,
+        exact zeros planted in the operator."""
+        eps = np.finfo(np.float64).eps
+        for seed, shape in enumerate(ORACLE_SHAPES):
+            a = _planted_zeros(
+                random_sgdia(shape, pattern, ncomp=ncomp, seed=seed), seed
+            )
+            t = build_transfer(a.grid, factors, kind=kind)
+            coarse = galerkin_coarse_sgdia(a, t)  # raises if outside 3d27
+            assert coarse.grid == t.coarse
+            assert coarse.boundary_is_zero()
+            ref, bound = _oracle(a, t)
+            err = np.abs(coarse.to_csr().toarray() - ref)
+            assert np.all(err <= 4 * eps * bound), (shape, err.max())
+
+    @pytest.mark.parametrize(
+        "shape", [(16, 16, 16), (17, 17, 17), (9, 8, 7), (12, 12, 8)]
+    )
+    @pytest.mark.parametrize(
+        "factors", [(2, 2, 2), (1, 2, 2), (2, 1, 1), (4, 4, 2)]
+    )
+    def test_laplace27_byte_identical_to_scipy(self, shape, factors):
+        """Constant-coefficient laplace27 sums are exact: two levels of the
+        structured product equal scipy's SpGEMM byte for byte."""
+        a = laplace27_matrix(shape)
+        for level_factors in (factors, (2, 2, 2)):
+            t = build_transfer(a.grid, level_factors)
+            coarse = galerkin_coarse_sgdia(a, t)
+            ref = SGDIAMatrix.from_csr(
+                galerkin_product(a.to_csr(), t), t.coarse, "3d27"
+            )
+            assert coarse.data.tobytes() == ref.data.tobytes()
+            a = coarse
 
     @pytest.mark.parametrize("pattern", ["3d7", "3d19", "3d27"])
     def test_coarse_fits_3d27(self, pattern):
@@ -205,23 +304,45 @@ class TestGalerkin:
             got = coarse.diag_view(d)[centre]
             assert got == pytest.approx(val, rel=1e-12), off
 
-    def test_collapse_preserves_row_sums(self):
-        a = random_sgdia((8, 8, 8), "3d19", spd=True)
+    @pytest.mark.parametrize("ncomp", [1, 3])
+    @pytest.mark.parametrize("pattern", ["3d7", "3d15", "3d19"])
+    def test_collapse_preserves_row_sums(self, pattern, ncomp):
+        a = _planted_zeros(
+            random_sgdia((7, 8, 6), "3d27", ncomp=ncomp, spd=True), 1
+        )
         t = build_transfer(a.grid)
         full = galerkin_product(a.to_csr(), t)
-        collapsed = collapse_to_pattern(full, t.coarse, "3d7")
+        collapsed = galerkin_coarse_sgdia(
+            a, t, coarse_pattern=pattern, collapse=True
+        )
+        assert collapsed.stencil.name == pattern
         np.testing.assert_allclose(
-            np.asarray(collapsed.sum(axis=1)).ravel(),
+            np.asarray(collapsed.to_csr().sum(axis=1)).ravel(),
             np.asarray(full.sum(axis=1)).ravel(),
             rtol=1e-10,
             atol=1e-12,
         )
+        np.testing.assert_allclose(
+            collapsed.to_csr().toarray(),
+            _collapse_reference(full, t.coarse, pattern),
+            rtol=1e-12,
+            atol=1e-14,
+        )
 
-    def test_collapse_pattern_respected(self):
-        a = random_sgdia((8, 8, 8), "3d19", spd=True)
+    def test_collapse_is_sign_aware(self):
+        """On an M-matrix product, dropped couplings only strengthen the
+        retained face couplings, and the diagonal never shrinks."""
+        a = laplace27_matrix((9, 9, 9))
         t = build_transfer(a.grid)
-        coarse = galerkin_coarse_sgdia(a, t, coarse_pattern="3d7", collapse=True)
-        assert coarse.stencil.name == "3d7"
+        full = galerkin_coarse_sgdia(a, t)
+        collapsed = galerkin_coarse_sgdia(a, t, coarse_pattern="3d7", collapse=True)
+        for d, off in enumerate(collapsed.stencil.offsets):
+            got = collapsed.diag_view(d)
+            ref = full.diag_view(full.stencil.index_of(off))
+            if off == (0, 0, 0):
+                assert np.all(got >= ref)
+            else:
+                assert np.all(got <= ref)
 
     def test_strict_rejects_out_of_pattern(self):
         a = random_sgdia((8, 8, 8), "3d19", spd=True)
@@ -234,6 +355,23 @@ class TestGalerkin:
         t = build_transfer(a.grid, factors=(4, 4, 4))
         coarse = galerkin_coarse_sgdia(a, t)
         assert coarse.grid.shape == (5, 5, 5)
+
+    def test_setup_never_converts_to_csr(self, monkeypatch):
+        """With no coarsest direct LU, setup touches no CSR operator."""
+        a = laplace27_matrix((17, 17, 17))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("setup converted an operator through CSR")
+
+        monkeypatch.setattr(SGDIAMatrix, "to_csr", refuse)
+        monkeypatch.setattr(SGDIAMatrix, "from_csr", refuse)
+        for config in ("K64P32D16-setup-scale", "K64P32D16-scale-setup"):
+            for pattern in ("galerkin", "same"):
+                hierarchy = mg_setup(
+                    a, parse_config(config),
+                    MGOptions(coarse_solver="smoother", coarse_pattern=pattern),
+                )
+                assert hierarchy.n_levels >= 3
 
 
 class TestConstantStencilRAP:
