@@ -15,6 +15,7 @@ from repro.precision import (
     finite_abs_range,
     fp16_distance,
     get_format,
+    range_counts,
     round_to_bf16,
     truncate,
     would_overflow,
@@ -139,6 +140,31 @@ class TestRangeChecks:
     def test_would_underflow(self):
         assert would_underflow(np.array([1e-9]), "fp16")
         assert not would_underflow(np.array([1e-4]), "fp16")
+
+    @pytest.mark.parametrize("fmt", ["fp16", "bf16", "fp32"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_range_counts_matches_direct_formulas(self, fmt, dtype):
+        """The chunked one-read audit equals the whole-array formulas, with
+        non-finite values in some chunks only."""
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal(203_000) * 10.0 ** rng.integers(-40, 35, 203_000)
+        x[rng.random(x.size) < 0.1] = 0.0
+        x[[5, 90_000, 150_001]] = [np.inf, np.nan, -np.inf]
+        x = x.astype(dtype)
+        f = get_format(fmt)
+        a = np.abs(x.astype(np.float64))
+        finite = np.isfinite(a)
+        got = range_counts(x.reshape(7, -1, 29), f)
+        assert got.n_values == x.size
+        assert got.n_nonzero == np.count_nonzero(x)
+        assert got.n_nonfinite == x.size - np.count_nonzero(finite)
+        assert got.n_overflow == np.count_nonzero(finite & (a > f.max))
+        assert got.n_underflow == np.count_nonzero((a > 0) & (a < f.tiny))
+        assert got.n_subnormal == np.count_nonzero(
+            (a >= f.tiny) & (a < f.min_normal)
+        )
+        assert got.max_abs == a[finite].max()
+        assert range_counts(np.zeros(0), f).max_abs == 0.0
 
     def test_finite_abs_range(self):
         lo, hi = finite_abs_range(np.array([0.0, -3.0, 0.5, np.inf, np.nan]))
