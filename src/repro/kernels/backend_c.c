@@ -23,6 +23,21 @@
  * Vectorization runs across the cells of one grid row (scalar kernels) or
  * across the k right-hand-side columns (block kernels), never across the
  * terms of one sum, so it changes no operation order.
+ *
+ * A sweep is one call, not one per color.  The reference runs the 8
+ * parity colors (c0, c1, c2) one after another in COLORS8 order; they pair
+ * up into four row classes (c0, c1), the grid rows (i, j) with i % 2 == c0
+ * and j % 2 == c1.  With a radius-1 stencil two cells of one row class
+ * couple only inside their own grid row: equal i and j parity within
+ * distance 1 means di = dj = 0.  So the scalar sweep walks the row classes
+ * in COLORS8 order (reversed backward) and runs, per grid row, color
+ * (c0, c1, 0) and then (c0, c1, 1) (swapped backward): every cell reads the
+ * same neighbour values as when each color covers the whole grid before
+ * the next starts.  The first color finishes its whole row before the
+ * second starts, because a second-color cell at the end of one chunk reads
+ * its first-color neighbour at the start of the next.  Both colors read
+ * one converted copy of the row's coefficients, and each vector computes
+ * 8 contiguous cells of both parities; only the color's cells are written.
  */
 #include <stdint.h>
 
@@ -31,8 +46,12 @@
 #endif
 
 /* Cells per row chunk: bounds the on-stack conversion buffers, not the
- * row length (rows of any length are processed chunk by chunk). */
+ * row length (rows of any length are processed chunk by chunk).  The
+ * sweep's chunk GCH is shorter: its buffer holds every term of a chunk. */
 #define CH 512
+#define GCH 256
+#define ND 27 /* most stencil offsets (every radius-1 stencil fits) */
+#define KW 8  /* cells (scalar sweep) or columns (block kernels) per vector */
 
 int repro_has_f16c(void)
 {
@@ -145,160 +164,12 @@ DEFINE_MADD(fd, float, double)
 DEFINE_MADD(hd, uint16_t, double)
 #endif
 
-#define DEFINE_KERNELS(SUF, S, T)                                              \
-                                                                               \
-/* y = A x over the whole grid (every y cell is written). */                   \
-void repro_spmv_##SUF(const S *restrict data, const int *restrict offs,       \
-                      int ndiag, const T *restrict x, T *restrict y,           \
-                      long nx, long ny, long nz)                               \
-{                                                                              \
-    const long n = nx * ny * nz;                                               \
-    for (long i = 0; i < nx; i++)                                              \
-        for (long j = 0; j < ny; j++) {                                        \
-            const long row = (i * ny + j) * nz;                                \
-            T *restrict yr = y + row;                                          \
-            for (long k0 = 0; k0 < nz; k0 += CH) {                             \
-                const long k1 = lmin(k0 + CH, nz);                             \
-                for (long k = k0; k < k1; k++)                                 \
-                    yr[k] = 0;                                                 \
-                for (int d = 0; d < ndiag; d++) {                              \
-                    const long ii = i + offs[3 * d], jj = j + offs[3 * d + 1]; \
-                    const long ok = offs[3 * d + 2];                           \
-                    if (ii < 0 || ii >= nx || jj < 0 || jj >= ny)              \
-                        continue;                                              \
-                    const long lo = lmax(k0, -ok), hi = lmin(k1, nz - ok);     \
-                    if (lo >= hi)                                              \
-                        continue;                                              \
-                    madd_##SUF(yr + lo, data + d * n + row + lo,               \
-                               x + (ii * ny + jj) * nz + ok + lo, hi - lo);    \
-                }                                                              \
-            }                                                                  \
-        }                                                                      \
-}                                                                              \
-                                                                               \
-/* One color (c0, c1, c2) of the 8-color Gauss-Seidel sweep, in place on x.    \
- * Same-color cells never couple, so the cell order inside a color is free. */ \
-void repro_gs_color_##SUF(const S *restrict data, const int *restrict offs,   \
-                          int ndiag, int diag, const T *restrict b,            \
-                          const T *restrict dinv, T *restrict x,               \
-                          long nx, long ny, long nz, int c0, int c1, int c2)   \
-{                                                                              \
-    const long n = nx * ny * nz;                                               \
-    const long cnt = (nz - c2 + 1) / 2; /* color cells per row */              \
-    T acc[CH / 2], buf[CH];                                                    \
-    for (long i = c0; i < nx; i += 2)                                          \
-        for (long j = c1; j < ny; j += 2) {                                    \
-            const long row = (i * ny + j) * nz + c2;                           \
-            for (long m0 = 0; m0 < cnt; m0 += CH / 2) {                        \
-                const long m1 = lmin(m0 + CH / 2, cnt);                        \
-                for (long m = m0; m < m1; m++)                                 \
-                    acc[m - m0] = b[row + 2 * m];                              \
-                for (int d = 0; d < ndiag; d++) {                              \
-                    if (d == diag)                                             \
-                        continue;                                              \
-                    const long ii = i + offs[3 * d], jj = j + offs[3 * d + 1]; \
-                    const long ok = offs[3 * d + 2];                           \
-                    if (ii < 0 || ii >= nx || jj < 0 || jj >= ny)              \
-                        continue;                                              \
-                    /* cells l = c2 + 2m with 0 <= l + ok < nz */              \
-                    const long lo = lmax(m0, (-ok - c2 + 1) / 2);              \
-                    const long hi = lmin(m1, (nz - ok - c2 + 1) / 2);          \
-                    if (lo >= hi)                                              \
-                        continue;                                              \
-                    const T *restrict c = ld_##SUF(                            \
-                        data + d * n + row + 2 * lo, buf, 2 * (hi - lo) - 1);  \
-                    const T *restrict xr =                                     \
-                        x + ((ii * ny + jj) * nz + c2 + ok) + 2 * lo;          \
-                    T *restrict ac = acc + (lo - m0);                          \
-                    for (long m = 0; m < hi - lo; m++)                         \
-                        ac[m] -= c[2 * m] * xr[2 * m];                         \
-                }                                                              \
-                for (long m = m0; m < m1; m++)                                 \
-                    x[row + 2 * m] = acc[m - m0] * dinv[row + 2 * m];          \
-            }                                                                  \
-        }                                                                      \
-}                                                                              \
-                                                                               \
-/* Triangular solve x = (D + L)^{-1} b (lower) or (D + U)^{-1} b (upper) over  \
- * the offsets used[0..nused), in lexicographic (lower) or reverse           \
- * lexicographic (upper) cell order: every strictly-lower radius-1 offset      \
- * points to a lexicographically smaller cell, so each neighbour is final      \
- * when read, exactly as in the wavefront schedule. */                         \
-void repro_sptrsv_##SUF(const S *restrict data, const int *restrict offs,     \
-                        const int *restrict used, int nused,                   \
-                        const T *restrict b, const T *restrict dinv,           \
-                        T *restrict x, long nx, long ny, long nz, int lower)   \
-{                                                                              \
-    const long n = nx * ny * nz;                                               \
-    const S *cr[27];                                                           \
-    const T *xr[27];                                                           \
-    long lo[27], hi[27];                                                       \
-    int nt;                                                                    \
-    for (long ia = 0; ia < nx; ia++)                                           \
-        for (long ja = 0; ja < ny; ja++) {                                     \
-            const long i = lower ? ia : nx - 1 - ia;                           \
-            const long j = lower ? ja : ny - 1 - ja;                           \
-            const long row = (i * ny + j) * nz;                                \
-            nt = 0;                                                            \
-            for (int t = 0; t < nused; t++) {                                  \
-                const int d = used[t];                                         \
-                const long ii = i + offs[3 * d], jj = j + offs[3 * d + 1];     \
-                const long ok = offs[3 * d + 2];                               \
-                if (ii < 0 || ii >= nx || jj < 0 || jj >= ny)                  \
-                    continue;                                                  \
-                cr[nt] = data + d * n + row;                                   \
-                xr[nt] = x + (ii * ny + jj) * nz + ok;                         \
-                lo[nt] = lmax(0, -ok);                                         \
-                hi[nt] = lmin(nz, nz - ok);                                    \
-                nt++;                                                          \
-            }                                                                  \
-            for (long la = 0; la < nz; la++) {                                 \
-                const long l = lower ? la : nz - 1 - la;                       \
-                T a = b[row + l];                                              \
-                for (int t = 0; t < nt; t++)                                   \
-                    if (l >= lo[t] && l < hi[t])                               \
-                        a -= cv_##SUF(cr[t][l]) * xr[t][l];                    \
-                x[row + l] = a * dinv[row + l];                                \
-            }                                                                  \
-        }                                                                      \
-}
-
-DEFINE_KERNELS(ff, float, float)
-DEFINE_KERNELS(dd, double, double)
-DEFINE_KERNELS(df, double, float)
-DEFINE_KERNELS(fd, float, double)
-#if defined(__F16C__)
-DEFINE_KERNELS(hf, uint16_t, float)
-DEFINE_KERNELS(hd, uint16_t, double)
-#endif
-
-/* ---- block kernels (m = ncomp in 2..4) -------------------------------
- * Vectors are v[cell][a][q] with K >= 1 right-hand-side columns (an
- * unbatched vector is K = 1).  Per cell, each in-grid term's m x m block is
- * converted once (F16C for fp16) and applied to every column, KW = 8
- * columns per pass held in one vector value per block row (one AVX
- * register of floats).  A last pass of kc < 8 columns loads them into
- * zeroed lanes and stores only those: lanes never interact, so the pass
- * width changes no result. */
-
-#define MB 4  /* largest block size */
-#define ND 27 /* most stencil offsets (every radius-1 stencil fits) */
-#define KW 8  /* columns per pass */
-
-/* The bounds of the on-stack block buffers.  backend_c.py reads them here
- * and keeps operators with larger blocks or more offsets on numpy. */
-void repro_block_limits(int *mb, int *nd)
-{
-    *mb = MB;
-    *nd = ND;
-}
-
 typedef float f8_t __attribute__((vector_size(KW * sizeof(float))));
 typedef double d8_t __attribute__((vector_size(KW * sizeof(double))));
 
 #define ALWAYS_INLINE static inline __attribute__((always_inline))
 
-/* kc <= KW consecutive columns into (out of) the lanes of one vector; a
+/* kc <= KW consecutive values into (out of) the lanes of one vector; a
  * whole vector is the fast case. */
 #define DEFINE_LANES(T, V)                                                     \
 ALWAYS_INLINE V vld_##V(const T *p, long kc)                                   \
@@ -345,6 +216,193 @@ static inline int row_terms(const int *restrict offs, int ndiag, int skip,
         nt++;
     }
     return nt;
+}
+
+#define DEFINE_KERNELS(SUF, S, T, V)                                           \
+                                                                               \
+/* y = A x over the whole grid (every y cell is written). */                   \
+void repro_spmv_##SUF(const S *restrict data, const int *restrict offs,       \
+                      int ndiag, const T *restrict x, T *restrict y,           \
+                      long nx, long ny, long nz)                               \
+{                                                                              \
+    const long n = nx * ny * nz;                                               \
+    for (long i = 0; i < nx; i++)                                              \
+        for (long j = 0; j < ny; j++) {                                        \
+            const long row = (i * ny + j) * nz;                                \
+            T *restrict yr = y + row;                                          \
+            for (long k0 = 0; k0 < nz; k0 += CH) {                             \
+                const long k1 = lmin(k0 + CH, nz);                             \
+                for (long k = k0; k < k1; k++)                                 \
+                    yr[k] = 0;                                                 \
+                for (int d = 0; d < ndiag; d++) {                              \
+                    const long ii = i + offs[3 * d], jj = j + offs[3 * d + 1]; \
+                    const long ok = offs[3 * d + 2];                           \
+                    if (ii < 0 || ii >= nx || jj < 0 || jj >= ny)              \
+                        continue;                                              \
+                    const long lo = lmax(k0, -ok), hi = lmin(k1, nz - ok);     \
+                    if (lo >= hi)                                              \
+                        continue;                                              \
+                    madd_##SUF(yr + lo, data + d * n + row + lo,               \
+                               x + (ii * ny + jj) * nz + ok + lo, hi - lo);    \
+                }                                                              \
+            }                                                                  \
+        }                                                                      \
+}                                                                              \
+                                                                               \
+/* Color c2 of cells [k0, k1) of the grid row at `row`, from the chunk's       \
+ * converted coefficients (term t of cell k at cb[t * w + k - k0]).  The       \
+ * cells of [v0, v1), where every term's neighbour is in the grid, are         \
+ * accumulated KW at a time, both parities alike, the last vector              \
+ * overlapping the one before; the color's other cells (the row ends, or       \
+ * every cell when [v0, v1) is shorter than a vector) one at a time.  x is     \
+ * written after the chunk, and only at the color's cells. */                  \
+ALWAYS_INLINE void                                                             \
+gs_chunk_##SUF(const T *restrict cb, long w, int nt, const long *xofs,         \
+               const long *lo, const long *hi, long v0, long v1,               \
+               const T *restrict b, const T *restrict dinv, T *restrict x,     \
+               long row, long k0, long k1, int c2)                             \
+{                                                                              \
+    T res[GCH];                                                                \
+    if (v1 - v0 < KW)                                                          \
+        v0 = v1 = k1;                                                          \
+    for (long kk = v0; kk < v1; kk += KW) {                                    \
+        const long k = lmin(kk, v1 - KW);                                      \
+        V acc = vld_##V(b + row + k, KW);                                      \
+        for (int t = 0; t < nt; t++)                                           \
+            acc -= vld_##V(cb + t * w + k - k0, KW)                            \
+                   * vld_##V(x + xofs[t] + k, KW);                             \
+        vst_##V(res + k - k0, acc * vld_##V(dinv + row + k, KW), KW);          \
+    }                                                                          \
+    for (long k = k0 + c2; k < k1; k += 2) {                                   \
+        if (k >= v0 && k < v1)                                                 \
+            continue;                                                          \
+        T acc = b[row + k];                                                    \
+        for (int t = 0; t < nt; t++)                                           \
+            if (k >= lo[t] && k < hi[t])                                       \
+                acc -= cb[t * w + k - k0] * x[xofs[t] + k];                    \
+        res[k - k0] = acc * dinv[row + k];                                     \
+    }                                                                          \
+    for (long k = k0 + c2; k < k1; k += 2)                                     \
+        x[row + k] = res[k - k0];                                              \
+}                                                                              \
+                                                                               \
+/* The forward or backward 8-color Gauss-Seidel sweep, in place on x: the      \
+ * row classes in COLORS8 order (reversed backward), and per grid row its      \
+ * two colors, chunk by chunk (see the head of this file).  A row of at        \
+ * most GCH cells is converted once for both colors.  A same-type payload is   \
+ * copied into the buffer too: read in place, the terms' 26 planes lie at      \
+ * power-of-two distances and compete for the same cache sets. */              \
+void repro_gs_sweep_##SUF(const S *restrict data, const int *restrict offs,    \
+                          int ndiag, int diag, const T *restrict b,            \
+                          const T *restrict dinv, T *restrict x,               \
+                          long nx, long ny, long nz, int forward)              \
+{                                                                              \
+    long cofs[ND], xofs[ND], lo[ND], hi[ND];                                   \
+    T cb[ND * GCH];                                                            \
+    for (int q = 0; q < 4; q++) {                                              \
+        const int cls = forward ? q : 3 - q;                                   \
+        for (long i = cls >> 1; i < nx; i += 2)                                \
+            for (long j = cls & 1; j < ny; j += 2) {                           \
+                const int nt = row_terms(offs, ndiag, diag, i, j, nx, ny, nz,  \
+                                         cofs, xofs, lo, hi);                  \
+                long v0 = 0, v1 = nz;                                          \
+                for (int t = 0; t < nt; t++) {                                 \
+                    v0 = lmax(v0, lo[t]);                                      \
+                    v1 = lmin(v1, hi[t]);                                      \
+                }                                                              \
+                const long row = (i * ny + j) * nz;                            \
+                for (int p = 0; p < 2; p++)                                    \
+                    for (long k0 = 0; k0 < nz; k0 += GCH) {                    \
+                        const long k1 = lmin(k0 + GCH, nz), w = k1 - k0;       \
+                        for (int t = 0; t < nt && (p == 0 || nz > GCH); t++) { \
+                            const long a0 = lmax(k0, lo[t]);                   \
+                            const long na = lmin(k1, hi[t]) - a0;              \
+                            T *dst = cb + t * w + a0 - k0;                     \
+                            if (na <= 0)                                       \
+                                continue;                                      \
+                            const T *c =                                       \
+                                ld_##SUF(data + cofs[t] + a0, dst, na);        \
+                            if (c != dst)                                      \
+                                __builtin_memcpy(dst, c, na * sizeof *c);      \
+                        }                                                      \
+                        gs_chunk_##SUF(cb, w, nt, xofs, lo, hi, lmax(k0, v0),  \
+                                       lmin(k1, v1), b, dinv, x, row, k0, k1,  \
+                                       forward ? p : 1 - p);                   \
+                    }                                                          \
+            }                                                                  \
+    }                                                                          \
+}                                                                              \
+                                                                               \
+/* Triangular solve x = (D + L)^{-1} b (lower) or (D + U)^{-1} b (upper) over  \
+ * the offsets used[0..nused), in lexicographic (lower) or reverse           \
+ * lexicographic (upper) cell order: every strictly-lower radius-1 offset      \
+ * points to a lexicographically smaller cell, so each neighbour is final      \
+ * when read, exactly as in the wavefront schedule. */                         \
+void repro_sptrsv_##SUF(const S *restrict data, const int *restrict offs,     \
+                        const int *restrict used, int nused,                   \
+                        const T *restrict b, const T *restrict dinv,           \
+                        T *restrict x, long nx, long ny, long nz, int lower)   \
+{                                                                              \
+    const long n = nx * ny * nz;                                               \
+    const S *cr[27];                                                           \
+    const T *xr[27];                                                           \
+    long lo[27], hi[27];                                                       \
+    int nt;                                                                    \
+    for (long ia = 0; ia < nx; ia++)                                           \
+        for (long ja = 0; ja < ny; ja++) {                                     \
+            const long i = lower ? ia : nx - 1 - ia;                           \
+            const long j = lower ? ja : ny - 1 - ja;                           \
+            const long row = (i * ny + j) * nz;                                \
+            nt = 0;                                                            \
+            for (int t = 0; t < nused; t++) {                                  \
+                const int d = used[t];                                         \
+                const long ii = i + offs[3 * d], jj = j + offs[3 * d + 1];     \
+                const long ok = offs[3 * d + 2];                               \
+                if (ii < 0 || ii >= nx || jj < 0 || jj >= ny)                  \
+                    continue;                                                  \
+                cr[nt] = data + d * n + row;                                   \
+                xr[nt] = x + (ii * ny + jj) * nz + ok;                         \
+                lo[nt] = lmax(0, -ok);                                         \
+                hi[nt] = lmin(nz, nz - ok);                                    \
+                nt++;                                                          \
+            }                                                                  \
+            for (long la = 0; la < nz; la++) {                                 \
+                const long l = lower ? la : nz - 1 - la;                       \
+                T a = b[row + l];                                              \
+                for (int t = 0; t < nt; t++)                                   \
+                    if (l >= lo[t] && l < hi[t])                               \
+                        a -= cv_##SUF(cr[t][l]) * xr[t][l];                    \
+                x[row + l] = a * dinv[row + l];                                \
+            }                                                                  \
+        }                                                                      \
+}
+
+DEFINE_KERNELS(ff, float, float, f8_t)
+DEFINE_KERNELS(dd, double, double, d8_t)
+DEFINE_KERNELS(df, double, float, f8_t)
+DEFINE_KERNELS(fd, float, double, d8_t)
+#if defined(__F16C__)
+DEFINE_KERNELS(hf, uint16_t, float, f8_t)
+DEFINE_KERNELS(hd, uint16_t, double, d8_t)
+#endif
+
+/* ---- block kernels (m = ncomp in 2..4) -------------------------------
+ * Vectors are v[cell][a][q] with K >= 1 right-hand-side columns (an
+ * unbatched vector is K = 1).  Per cell, each in-grid term's m x m block is
+ * converted once (F16C for fp16) and applied to every column, KW = 8
+ * columns per pass held in one vector value per block row (one AVX
+ * register of floats).  A last pass of kc < 8 columns loads them into
+ * zeroed lanes and stores only those: lanes never interact, so the pass
+ * width changes no result. */
+
+#define MB 4  /* largest block size */
+
+/* The bounds of the on-stack block buffers.  backend_c.py reads them here
+ * and keeps operators with larger blocks or more offsets on numpy. */
+void repro_block_limits(int *mb, int *nd)
+{
+    *mb = MB;
+    *nd = ND;
 }
 
 /* Calls BODY(args..., m) with the block size as a compile-time constant, so
@@ -475,16 +533,20 @@ bgs_body_##SUF(const S *restrict data, const int *restrict offs, int ndiag,   \
         }                                                                      \
 }                                                                              \
                                                                                \
-/* One color of the 8-color block Gauss-Seidel sweep, in place on x:         \
- * acc = b - (the off-diagonal terms), then x = Dinv acc, per cell. */        \
-void repro_bgs_color_##SUF(const S *restrict data, const int *restrict offs,  \
+/* The forward or backward 8-color block Gauss-Seidel sweep, in place on x:    \
+ * the colors in COLORS8 order (reversed backward), each over the whole        \
+ * grid; per cell acc = b - (the off-diagonal terms), then x = Dinv acc. */    \
+void repro_bgs_sweep_##SUF(const S *restrict data, const int *restrict offs,   \
                            int ndiag, int diag, int m, long K,                 \
                            const T *restrict b, const T *restrict dinv,        \
-                           T *restrict x, long nx, long ny, long nz, int c0,   \
-                           int c1, int c2)                                     \
+                           T *restrict x, long nx, long ny, long nz,           \
+                           int forward)                                        \
 {                                                                              \
-    BLOCK_SIZES(bgs_body_##SUF, data, offs, ndiag, diag, b, dinv, x, nx, ny,   \
-                nz, c0, c1, c2, K);                                            \
+    for (int q = 0; q < 8; q++) {                                              \
+        const int c = forward ? q : 7 - q;                                     \
+        BLOCK_SIZES(bgs_body_##SUF, data, offs, ndiag, diag, b, dinv, x, nx,   \
+                    ny, nz, c >> 2, (c >> 1) & 1, c & 1, K);                   \
+    }                                                                          \
 }
 
 DEFINE_BLOCK_KERNELS(ff, float, float, f8_t)

@@ -4,14 +4,17 @@ At registration this module compiles ``backend_c.c`` with the system gcc,
 loads it through :mod:`ctypes` and returns a :class:`KernelBackend` named
 ``"c"``.  It covers SOA C-contiguous payloads of
 
-- scalar operators (``ncomp == 1``): ``spmv``, ``gs_sweep`` (one call per
-  color, in ``COLORS8`` order) and ``sptrsv`` (lexicographic schedule), on
-  a single vector;
+- scalar operators (``ncomp == 1``): ``spmv``, ``gs_sweep`` and ``sptrsv``
+  (lexicographic schedule), on a single vector.  A sweep is one call: per
+  grid row it runs the row's two colors of ``COLORS8`` from one converted
+  copy of the row's coefficients, 8 contiguous cells per vector (the
+  ordering argument is at the head of ``backend_c.c``);
 - block operators (``ncomp`` 2 to 4, the vector PDEs): ``spmv`` and
-  ``gs_sweep`` on a vector or an RHS block with a trailing batch axis of
-  any ``k``.  Each cell's ``r x r`` block is converted once and applied to
-  8 columns per vector operation; every block product sums in ascending
-  order from zero, the order of the reference's ``block_contract``;
+  ``gs_sweep`` (one call, color by color in ``COLORS8`` order) on a vector
+  or an RHS block with a trailing batch axis of any ``k``.  Each cell's
+  ``r x r`` block is converted once and applied to 8 columns per vector
+  operation; every block product sums in ascending order from zero, the
+  order of the reference's ``block_contract``;
 
 for these (storage, compute) pairs:
 
@@ -39,8 +42,9 @@ The shared library is cached under ``$XDG_CACHE_HOME/repro`` (default
 ``~/.cache/repro``), keyed by the sha256 of the source, the flags, ``gcc
 --version`` and the machine, and written with an atomic rename, so worker
 processes load it instead of recompiling.  A missing compiler, a failed
-compile or an unwritable cache leaves the backend unregistered; the reason
-is reported by :func:`repro.kernels.backend_status`.
+compile, an unwritable cache or a library lacking any kernel of a pair
+leaves the backend unregistered; the reason is reported by
+:func:`repro.kernels.backend_status`.
 """
 
 from __future__ import annotations
@@ -70,11 +74,11 @@ _COMPUTE = {np.dtype(np.float32): "f", np.dtype(np.float64): "d"}
 _P, _I, _L = ctypes.c_void_p, ctypes.c_int, ctypes.c_long
 _ARGTYPES = {
     "spmv": (_P, _P, _I, _P, _P, _L, _L, _L),
-    "gs_color": (_P, _P, _I, _I, _P, _P, _P, _L, _L, _L, _I, _I, _I),
+    "gs_sweep": (_P, _P, _I, _I, _P, _P, _P, _L, _L, _L, _I),
     "sptrsv": (_P, _P, _P, _I, _P, _P, _P, _L, _L, _L, _I),
     # block variants: the same calls plus (m, K) after the offset table
     "bspmv": (_P, _P, _I, _I, _L, _P, _P, _L, _L, _L),
-    "bgs_color": (_P, _P, _I, _I, _I, _L, _P, _P, _P, _L, _L, _L, _I, _I, _I),
+    "bgs_sweep": (_P, _P, _I, _I, _I, _L, _P, _P, _P, _L, _L, _L, _I),
 }
 
 
@@ -149,7 +153,10 @@ def build_library() -> Path:
 
 def _load(path: Path) -> "tuple[dict, bool, tuple[int, int]]":
     """ctypes handles for every compiled (kind, storage, compute) kernel, the
-    F16C flag, and the block kernels' largest block size and stencil size."""
+    F16C flag, and the block kernels' largest block size and stencil size.
+
+    Raises :class:`BuildError` when a pair lacks any of its kernels: a
+    misnamed kernel would otherwise run on numpy unnoticed."""
     lib = ctypes.CDLL(str(path))
     lib.repro_has_f16c.argtypes = ()
     lib.repro_has_f16c.restype = ctypes.c_int
@@ -164,9 +171,11 @@ def _load(path: Path) -> "tuple[dict, bool, tuple[int, int]]":
             continue  # no fp16 variants without F16C: numpy converts faster
         for cdt, c in _COMPUTE.items():
             for kind, argtypes in _ARGTYPES.items():
-                fn = getattr(lib, f"repro_{kind}_{s}{c}", None)
-                if fn is None:
-                    continue
+                name = f"repro_{kind}_{s}{c}"
+                try:
+                    fn = getattr(lib, name)
+                except AttributeError:
+                    raise BuildError(f"{path.name} lacks {name}") from None
                 fn.argtypes = argtypes
                 fn.restype = None
                 kernels[(kind, sdt, cdt)] = fn
@@ -262,7 +271,7 @@ def make_backend(reference) -> "tuple[object | None, str]":
 
     def gs_sweep(plan, a, b, x, diag_inv, forward=True, compute_dtype=np.float32):
         cdtype = np.dtype(compute_dtype)
-        fn = kernel("gs_color", plan, a, cdtype)
+        fn = kernel("gs_sweep", plan, a, cdtype)
         dims = block_args(plan, x)
         if (
             fn is None
@@ -285,12 +294,9 @@ def make_backend(reference) -> "tuple[object | None, str]":
         if np.may_share_memory(bc, xw):
             bc = bc.copy()
         dinv = _ready(diag_inv, cdtype)
-        entries = plan.sweep_colors if forward else plan.sweep_colors[::-1]
-        args = (a.data.ctypes.data, plan.offsets_table.ctypes.data,
-                len(plan.offsets), plan.diag_index, *dims, bc.ctypes.data,
-                dinv.ctypes.data, xw.ctypes.data, *plan.shape)
-        for color, _cslice, _terms in entries:
-            fn(*args, *color)
+        fn(a.data.ctypes.data, plan.offsets_table.ctypes.data, len(plan.offsets),
+           plan.diag_index, *dims, bc.ctypes.data, dinv.ctypes.data,
+           xw.ctypes.data, *plan.shape, int(bool(forward)))
         if xw is not x:
             x[...] = xw
         return x

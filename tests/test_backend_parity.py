@@ -8,11 +8,16 @@ not be built on this host — the suite must pass without a C compiler
 
 import dataclasses
 import functools
+import os
 import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.kernels import (
     available_backends,
     axpy,
@@ -59,6 +64,9 @@ PAYLOADS = (
 )
 #: odd shapes, a one-cell-wide grid, and a row longer than any C buffer
 SHAPES = ((6, 5, 7), (1, 1, 9), (2, 2, 5000))
+#: the scalar kernels also on rows of one full 8-cell vector plus a partial
+#: tail (odd nx/ny) and on two-cell rows, shorter than any vector
+SCALAR_SHAPES = SHAPES + ((5, 3, 19), (4, 3, 2))
 #: block sizes of the compiled block kernels, and their stencils
 NCOMPS = (2, 3, 4)
 BLOCK_PATTERNS = ("3d7", "3d15", "3d19", "3d27")
@@ -180,6 +188,22 @@ class TestGracefulFallback:
             pytest.skip("no gcc on this host")
         assert get_backend().name == "numpy"
         assert "not writable" in backend_status()["unavailable"]["c"]
+
+    def test_missing_kernel(self, monkeypatch, tmp_path, no_registry):
+        """A library lacking a kernel of a pair leaves c unregistered, so a
+        misnamed kernel cannot run on numpy unnoticed."""
+        partial = tmp_path / "partial.c"
+        partial.write_text(
+            "int repro_has_f16c(void) { return 0; }\n"
+            "void repro_block_limits(int *mb, int *nd) { *mb = 4; *nd = 27; }\n"
+            "void repro_spmv_ff(void) {}\n"
+        )
+        monkeypatch.setattr(backend_c, "_SOURCE", partial)
+        monkeypatch.setattr(backend_c, "cache_dir", lambda: tmp_path / "cache")
+        if backend_c._compiler() is None:
+            pytest.skip("no gcc on this host")
+        assert get_backend().name == "numpy"
+        assert "lacks repro_gs_sweep_ff" in backend_status()["unavailable"]["c"]
 
     @needs_c
     def test_cache_hit_and_location(self, monkeypatch, tmp_path):
@@ -315,30 +339,82 @@ def _trsv(a, b, dinv, cdtype, lower):
                                 compute_dtype=cdtype, plan=plan), warm=True)
 
 
+@functools.lru_cache(maxsize=1)
+def _spied_c():
+    """A c backend built over a numpy reference that logs every ``spmv``,
+    ``gs_sweep`` and ``sptrsv`` call reaching it (every call the compiled
+    kernels handed back), and that log."""
+    ref = _backend._numpy_backend()
+    log = []
+
+    def spy(name):
+        def call(*args, **kwargs):
+            log.append(name)
+            return getattr(ref, name)(*args, **kwargs)
+
+        return call
+
+    be, status = backend_c.make_backend(
+        dataclasses.replace(
+            ref, spmv=spy("spmv"), gs_sweep=spy("gs_sweep"), sptrsv=spy("sptrsv")
+        )
+    )
+    assert status == "ok", status
+    return be, log
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Make the spied backend "c" for one test; its log of fallbacks."""
+    be, log = _spied_c()
+    monkeypatch.setitem(_backend._REGISTRY, "c", be)
+    log.clear()
+    return log
+
+
+def _ran_compiled(a, cdtype, fallbacks):
+    """No call fell back if the library registered this pair (all twelve
+    are, with F16C); otherwise (an fp16 payload without F16C) the calls ran
+    on numpy.  A dispatch bug handing compiled calls back to numpy would
+    otherwise compare numpy with itself."""
+    block = "block:" if a.grid.ncomp != 1 else ""
+    pair = f"{block}{a.data.dtype.name}->{np.dtype(cdtype).name}"
+    if pair in _spied_c()[0].extras["pairs"]:
+        assert fallbacks == [], (pair, fallbacks)
+    else:
+        assert fallbacks
+
+
 @needs_c
 class TestParity:
-    @pytest.mark.parametrize("shape", SHAPES)
+    """Scalar operators.  The SpMV, sweep and SpTRSV cases run on the spied
+    backend and check that each call ran compiled."""
+
+    @pytest.mark.parametrize("shape", SCALAR_SHAPES)
     @pytest.mark.parametrize("fmt,cdtype", PAYLOADS)
     @pytest.mark.parametrize("pattern", PATTERNS)
-    def test_spmv(self, pattern, fmt, cdtype, shape):
+    def test_spmv(self, pattern, fmt, cdtype, shape, fallbacks):
         a, _b, x, _dinv = _case(shape, pattern, fmt, cdtype)
         _same(*_spmv(a, x, cdtype))
+        _ran_compiled(a, cdtype, fallbacks)
 
     @pytest.mark.parametrize("forward", [True, False])
-    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("shape", SCALAR_SHAPES)
     @pytest.mark.parametrize("fmt,cdtype", PAYLOADS)
     @pytest.mark.parametrize("pattern", PATTERNS)
-    def test_gs_sweep(self, pattern, fmt, cdtype, shape, forward):
+    def test_gs_sweep(self, pattern, fmt, cdtype, shape, forward, fallbacks):
         a, b, x, dinv = _case(shape, pattern, fmt, cdtype)
         _same(*_gs(a, b, x, dinv, cdtype, forward))
+        _ran_compiled(a, cdtype, fallbacks)
 
     @pytest.mark.parametrize("lower", [True, False])
-    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("shape", SCALAR_SHAPES)
     @pytest.mark.parametrize("fmt,cdtype", PAYLOADS)
     @pytest.mark.parametrize("pattern", PATTERNS)
-    def test_sptrsv(self, pattern, fmt, cdtype, shape, lower):
+    def test_sptrsv(self, pattern, fmt, cdtype, shape, lower, fallbacks):
         a, b, _x, dinv = _case(shape, pattern, fmt, cdtype)
         _same(*_trsv(a, b, dinv, cdtype, lower))
+        _ran_compiled(a, cdtype, fallbacks)
 
     @pytest.mark.parametrize("fmt,cdtype", PAYLOADS)
     def test_sptrsv_triangular_all(self, fmt, cdtype):
@@ -436,55 +512,12 @@ class TestParity:
         _same(*_trsv(a, b, dinv, np.float32, True))
 
 
-@functools.lru_cache(maxsize=1)
-def _spied_c():
-    """A c backend built over a numpy reference that logs every ``spmv`` and
-    ``gs_sweep`` call reaching it (every call the compiled kernels handed
-    back), and that log."""
-    ref = _backend._numpy_backend()
-    log = []
-
-    def spy(name):
-        def call(*args, **kwargs):
-            log.append(name)
-            return getattr(ref, name)(*args, **kwargs)
-
-        return call
-
-    be, status = backend_c.make_backend(
-        dataclasses.replace(ref, spmv=spy("spmv"), gs_sweep=spy("gs_sweep"))
-    )
-    assert status == "ok", status
-    return be, log
-
-
 @needs_c
 class TestBlockParity:
     """Block operators (ncomp 2-4) with any number of RHS columns: the
     compiled block SpMV and color sweep against the numpy reference, whose
-    block products sum in ascending order from zero for every ``k``.
-
-    "c" is the spied backend here, so each case also checks that its calls
-    ran compiled: a dispatch bug handing them back to numpy would otherwise
-    compare numpy with itself."""
-
-    @pytest.fixture(autouse=True)
-    def fallbacks(self, monkeypatch):
-        be, log = _spied_c()
-        monkeypatch.setitem(_backend._REGISTRY, "c", be)
-        log.clear()
-        return log
-
-    @staticmethod
-    def _ran_compiled(a, cdtype, fallbacks):
-        """No call fell back if the library registered this block pair (all
-        six are, with F16C); otherwise (an fp16 payload without F16C) the
-        calls ran on numpy."""
-        pair = f"block:{a.data.dtype.name}->{np.dtype(cdtype).name}"
-        if pair in _spied_c()[0].extras["pairs"]:
-            assert fallbacks == [], (pair, fallbacks)
-        else:
-            assert fallbacks
+    block products sum in ascending order from zero for every ``k``.  Each
+    case runs on the spied backend and checks that its calls ran compiled."""
 
     @pytest.mark.parametrize("k", COLUMNS)
     @pytest.mark.parametrize("ncomp", NCOMPS)
@@ -494,7 +527,7 @@ class TestBlockParity:
     def test_spmv(self, pattern, fmt, cdtype, shape, ncomp, k, fallbacks):
         a, _b, x, _dinv = _case(shape, pattern, fmt, cdtype, ncomp, k)
         _same(*_spmv(a, x, cdtype))
-        self._ran_compiled(a, cdtype, fallbacks)
+        _ran_compiled(a, cdtype, fallbacks)
 
     @pytest.mark.parametrize("forward", [True, False])
     @pytest.mark.parametrize("k", COLUMNS)
@@ -506,7 +539,7 @@ class TestBlockParity:
                       fallbacks):
         a, b, x, dinv = _case(shape, pattern, fmt, cdtype, ncomp, k)
         _same(*_gs(a, b, x, dinv, cdtype, forward))
-        self._ran_compiled(a, cdtype, fallbacks)
+        _ran_compiled(a, cdtype, fallbacks)
 
     @pytest.mark.parametrize("k", (None, 1, 11))
     @pytest.mark.parametrize("ncomp", NCOMPS)
@@ -516,7 +549,89 @@ class TestBlockParity:
         _same(*_spmv(a, x, cdtype))
         for forward in (True, False):
             _same(*_gs(a, b, x, dinv, cdtype, forward))
-        self._ran_compiled(a, cdtype, fallbacks)
+        _ran_compiled(a, cdtype, fallbacks)
+
+
+#: Run in a subprocess by TestGuardPages: copies the payload, b, x and dinv
+#: of scalar operators into fresh anonymous pages, each ending right before
+#: (argv[1] == "end") or beginning right after ("start") a PROT_NONE page,
+#: then runs the compiled kernels on them.  An out-of-bounds read faults.
+_GUARD_SCRIPT = """
+import ctypes, dataclasses, mmap, sys
+import numpy as np
+from repro.kernels import backend as _backend, backend_c, compute_diag_inv, plan_for
+from repro.sgdia import SGDIAMatrix
+from tests.helpers import random_sgdia
+
+PAGE, PROT_NONE = mmap.PAGESIZE, 0
+libc = ctypes.CDLL(None, use_errno=True)
+libc.mprotect.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int)
+maps = []
+
+def guarded(arr, at_end):
+    body = -(-arr.nbytes // PAGE) * PAGE
+    buf = mmap.mmap(-1, body + PAGE)
+    maps.append(buf)
+    base = ctypes.addressof(ctypes.c_char.from_buffer(buf))
+    if libc.mprotect(base + body if at_end else base, PAGE, PROT_NONE):
+        raise OSError(ctypes.get_errno(), "mprotect failed")
+    offset = body - arr.nbytes if at_end else PAGE
+    view = np.frombuffer(buf, arr.dtype, arr.size, offset).reshape(arr.shape)
+    view[...] = arr
+    return view
+
+def refuse(*args, **kwargs):
+    raise AssertionError("fell back to numpy")
+
+ref = _backend._numpy_backend()
+be, status = backend_c.make_backend(
+    dataclasses.replace(ref, spmv=refuse, gs_sweep=refuse, sptrsv=refuse))
+assert status == "ok", status
+at_end = sys.argv[1] == "end"
+fmts = ["fp32"] + (["fp16"] if be.extras["f16c"] else [])
+for shape in ((5, 3, 19), (4, 3, 2)):
+    for fmt in fmts:
+        a = random_sgdia(shape, "3d27").astype(fmt)
+        plan = plan_for(a)
+        rng = np.random.default_rng(0)
+        b0, x0 = rng.standard_normal((2, *shape)).astype(np.float32)
+        dinv0 = compute_diag_inv(a, np.float32)
+        ag = SGDIAMatrix(a.grid, a.stencil, guarded(a.data, at_end))
+        b, dinv = guarded(b0, at_end), guarded(dinv0, at_end)
+        x, xr = guarded(x0, at_end), x0.copy()
+        for forward in (True, False):
+            be.gs_sweep(plan, ag, b, x, dinv, forward)
+            ref.gs_sweep(plan, a, b0, xr, dinv0, forward)
+        assert x.tobytes() == xr.tobytes()
+        y = be.spmv(plan, ag, x, compute_dtype=np.float32)
+        assert y.tobytes() == ref.spmv(plan, a, xr, compute_dtype=np.float32).tobytes()
+        be.sptrsv(plan, ag, b, lower=True, part="lower", diag_inv=dinv)
+print("ok")
+"""
+
+
+@needs_c
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="libc mprotect")
+class TestGuardPages:
+    """The compiled sweep (both directions), SpMV and SpTRSV read nothing
+    outside their arrays: each array ends at, or begins after, a page that
+    faults on access.  Rows of a vector plus a tail and two-cell rows, whose
+    scalar paths are where an over-read hides from the parity cases."""
+
+    @pytest.mark.parametrize("placement", ["end", "start"])
+    def test_no_read_outside_arrays(self, placement):
+        src = Path(repro.__file__).resolve().parents[1]
+        root = Path(__file__).resolve().parents[1]
+        path = os.pathsep.join(
+            p for p in (str(src), str(root), os.environ.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", _GUARD_SCRIPT, placement],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0 and proc.stdout.strip() == "ok", (
+            proc.returncode, proc.stderr[-2000:])
 
 
 @needs_c
