@@ -22,7 +22,14 @@ factor ``f``, coarse row ``I`` restricts fine rows ``f*I + s`` with weights
 offset ``s`` in ascending order, and each coarse entry at offset ``E`` sums
 ``(R A)(e) * w_{I+E}(e - f*E)`` over the intermediate offset ``e`` in
 ascending order, both from a zero partial sum.  A weight multiplies whole
-``r x r`` blocks.
+``r x r`` blocks.  A pass splits into *rest groups*, the stencil offsets
+that agree off the pass axis; :func:`_pass_terms` lists a group's ``R A``
+terms ``(e, s, lo, hi)`` and ``(R A) P`` terms ``(E, e, k)`` in this order,
+and the ``galerkin_group`` kernel (:mod:`repro.kernels.coarsening`: numpy
+slice arithmetic as the reference, a blocked compiled FP64 kernel in the
+``c`` backend) does the arithmetic of one group per call.  The grid
+transfers of the solve have a summation order of their own
+(:mod:`repro.coarsen.transfer`).
 
 The result is not byte-identical to scipy's SpGEMM, and is not meant to
 be: scipy's order follows ``csr_matmat``'s per-row linked list, so it
@@ -40,6 +47,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..grid import Stencil, stencil as make_stencil
+from ..kernels import get_backend
 from ..sgdia import SGDIAMatrix
 from .transfer import Transfer
 
@@ -53,11 +61,17 @@ Offset = tuple[int, int, int]
 
 
 def galerkin_product(a: sp.spmatrix, transfer: Transfer) -> sp.csr_matrix:
-    """``A_c = R A P`` in FP64 CSR (scipy SpGEMM; the test oracle)."""
+    """``A_c = R A P`` in FP64 CSR (scipy SpGEMM; the test oracle).
+
+    ``P`` is assembled from the 1-D weights, ``P = Px (x) Py (x) Pz (x) I_r``.
+    """
     a = sp.csr_matrix(a, dtype=np.float64)
-    p = transfer.p.astype(np.float64)
-    r = transfer.r.astype(np.float64)
-    coarse = (r @ a) @ p
+    px, py, pz = transfer.p1d
+    p = sp.kron(sp.kron(px, py), pz)
+    if transfer.fine.ncomp > 1:
+        p = sp.kron(p, sp.identity(transfer.fine.ncomp))
+    p = sp.csr_matrix(p, dtype=np.float64)
+    coarse = (sp.csr_matrix(p.T) @ a) @ p
     coarse = sp.csr_matrix(coarse)
     coarse.eliminate_zeros()
     return coarse
@@ -117,8 +131,37 @@ def _band(p1: sp.spmatrix, factor: int) -> np.ndarray:
     return band
 
 
-def _along(axis: int, sl: slice) -> tuple:
-    return (slice(None),) * axis + (sl,)
+def _pass_terms(
+    row: dict, n: int, nc: int, factor: int, live: list
+) -> tuple[list, list]:
+    """The terms of one rest group of a pass, in the module docstring's order.
+
+    ``row`` holds the group's offsets along the pass axis, ``n``/``nc`` are
+    the fine/coarse axis lengths and ``live`` the band columns with a
+    nonzero weight.  Returns the ``R A`` terms ``(e, s, lo, hi)`` — ``e``
+    ascending, then ``s`` — and the ``(R A) P`` terms ``(E, e, k)`` — ``E``
+    ascending, then ``e`` — of the nonempty entries.
+    """
+    reach = factor - 1
+    lo_e, hi_e = min(row) - reach, max(row) + reach
+    ra = []
+    for e in range(lo_e, hi_e + 1):
+        for k in live:
+            s = k - reach
+            lo = max(0, -(s // factor))
+            hi = min(nc, (n - 1 - s) // factor + 1)
+            if e - s in row and lo < hi:
+                ra.append((e, s, lo, hi))
+    inter = sorted({t[0] for t in ra})
+    rap = []
+    for oc in range(-((reach - lo_e) // factor), (hi_e + reach) // factor + 1):
+        if max(0, -oc) < min(nc, nc - oc):
+            rap.extend(
+                (oc, e, e - factor * oc + reach)
+                for e in inter
+                if e - factor * oc + reach in live
+            )
+    return ra, rap
 
 
 def _galerkin_pass(
@@ -127,15 +170,13 @@ def _galerkin_pass(
     """``R A P`` along one axis; ``ops`` maps offset -> coefficient array.
 
     Offsets along the other axes are carried through untouched: the pass
-    contracts each fixed ``(other offsets)`` row of the stencil on its own.
+    contracts each rest group (fixed other offsets) of the stencil on its
+    own, one ``galerkin_group`` kernel call per group.
     """
     nc, width = band.shape
-    reach = factor - 1
-    first = next(iter(ops.values()))
-    n = first.shape[axis]
-    shape = first.shape[:axis] + (nc,) + first.shape[axis + 1:]
-    trail = (1,) * (first.ndim - axis - 1)  # broadcast over later axes
+    n = next(iter(ops.values())).shape[axis]
     live = [k for k in range(width) if band[:, k].any()]
+    group = get_backend().galerkin_group
 
     rows: dict[tuple, dict[int, np.ndarray]] = {}
     for off, arr in ops.items():
@@ -143,41 +184,9 @@ def _galerkin_pass(
 
     out: dict[Offset, np.ndarray] = {}
     for rest, row in sorted(rows.items()):
-        # R A: intermediate offset e, summed over the fine offset s
-        lo_e, hi_e = min(row) - reach, max(row) + reach
-        ra: dict[int, np.ndarray] = {}
-        for e in range(lo_e, hi_e + 1):
-            acc = None
-            for k in live:
-                s = k - reach
-                a = row.get(e - s)
-                lo = max(0, -(s // factor))
-                hi = min(nc, (n - 1 - s) // factor + 1)
-                if a is None or hi <= lo:
-                    continue
-                if acc is None:
-                    acc = np.zeros(shape)
-                fine = slice(factor * lo + s, factor * (hi - 1) + s + 1, factor)
-                w = band[lo:hi, k].reshape(-1, *trail)
-                acc[_along(axis, slice(lo, hi))] += w * a[_along(axis, fine)]
-            if acc is not None:
-                ra[e] = acc
-        # (R A) P: coarse offset E, summed over the intermediate offset e
-        lo_c, hi_c = -((reach - lo_e) // factor), (hi_e + reach) // factor
-        for oc in range(lo_c, hi_c + 1):
-            lo, hi = max(0, -oc), min(nc, nc - oc)
-            acc = None
-            for e, t in ra.items():  # ascending e
-                k = e - factor * oc + reach
-                if k not in live or hi <= lo:
-                    continue
-                if acc is None:
-                    acc = np.zeros(shape)
-                w = band[lo + oc:hi + oc, k].reshape(-1, *trail)
-                cells = _along(axis, slice(lo, hi))
-                acc[cells] += t[cells] * w
-            if acc is not None:
-                out[rest[:axis] + (oc,) + rest[axis:]] = acc
+        ra, rap = _pass_terms(row, n, nc, factor, live)
+        for oc, arr in group(row, band, axis, factor, ra, rap).items():
+            out[rest[:axis] + (oc,) + rest[axis:]] = arr
     return out
 
 

@@ -3,24 +3,31 @@
 The prolongation is ``P = Px (x) Py (x) Pz (x) I_r`` — a Kronecker product
 of 1-D interpolations matching the C-order dof flattening, with an identity
 over the ``r`` components of vector-PDE unknowns.  Restriction is the
-transpose (standard Galerkin pairing).  A :class:`Transfer` keeps the 1-D
-factors too: the structured Galerkin product (:mod:`repro.coarsen.galerkin`)
-works from them alone, while the assembled CSR ``p``/``r`` apply the
-transfers in the solve.
+transpose (standard Galerkin pairing).  A :class:`Transfer` keeps only the
+1-D factors: the structured Galerkin product (:mod:`repro.coarsen.galerkin`)
+works from them, and the solve applies ``P`` and ``R`` as stencils over the
+field (the ``transfer`` kernel of :mod:`repro.kernels.coarsening`), with no
+assembled matrix and no index arrays.
 
 Transfer application is part of the solve phase, so it runs in the
-preconditioner *compute* precision on FP32 vectors; the entries themselves
-are small dyadic rationals (1, 1/2, 1/4, ...) that are exact in any format.
+preconditioner *compute* precision; the entries themselves are small dyadic
+rationals (1, 1/2, 1/4, ...) that are exact in any format.  The summation
+order is part of the reference: each output value sums its neighbours in
+ascending flattened index from zero, each with tap weight the compute-dtype
+cast of the FP64 product ``(w_x * w_y) * w_z`` — the order and values of a
+CSR matvec on the Kronecker-assembled ``P`` or ``R``, which the transfers
+therefore equal byte for byte on finite inputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..grid import StructuredGrid
+from ..kernels import get_backend
+from ..kernels.coarsening import TransferStencil, transfer_stencil
 from .interp import injection_1d, interp_1d
 
 __all__ = ["Transfer", "build_transfer", "choose_coarsen_factors"]
@@ -33,41 +40,37 @@ class Transfer:
     fine: StructuredGrid
     coarse: StructuredGrid
     factors: tuple[int, int, int]
-    p: sp.csr_matrix  # (ndof_fine, ndof_coarse)
-    r: sp.csr_matrix  # (ndof_coarse, ndof_fine)
     p1d: tuple  # per-axis FP64 1-D prolongations (n_axis, nc_axis)
+    _prolong: TransferStencil = field(init=False, repr=False, compare=False)
+    _restrict: TransferStencil = field(init=False, repr=False, compare=False)
 
-    @staticmethod
-    def _apply(mat: sp.csr_matrix, x: np.ndarray, src, dst, dtype) -> np.ndarray:
-        """Apply ``mat`` to one field or to a trailing-batch-axis block."""
-        dtype = dtype or np.asarray(x).dtype
-        arr = np.asarray(x, dtype=dtype)
-        if arr.size != src.ndof:  # batched: field_shape + (k,) or (ndof, k)
-            flat = mat @ arr.reshape(src.ndof, -1)
-            out_shape = dst.field_shape + (flat.shape[-1],)
-        else:
-            flat = mat @ arr.reshape(src.ndof)
-            out_shape = dst.field_shape
-        return flat.astype(dtype, copy=False).reshape(out_shape)
+    def __post_init__(self):
+        entries = [p.tocoo() for p in self.p1d]
+        self._prolong = transfer_stencil(self.coarse, self.fine, [
+            (m.row, m.col, m.data, f, 1) for m, f in zip(entries, self.factors)
+        ])
+        self._restrict = transfer_stencil(self.fine, self.coarse, [
+            (m.col, m.row, m.data, 1, f) for m, f in zip(entries, self.factors)
+        ])
 
     def prolongate(self, xc: np.ndarray, dtype=None) -> np.ndarray:
-        """Interpolate a coarse field up to the fine grid."""
-        return self._apply(self.p, xc, self.coarse, self.fine, dtype)
+        """Interpolate a coarse field (or RHS block) up to the fine grid."""
+        return get_backend().transfer(self._prolong, xc, dtype)
 
     def restrict(self, xf: np.ndarray, dtype=None) -> np.ndarray:
-        """Restrict a fine field down to the coarse grid."""
-        return self._apply(self.r, xf, self.fine, self.coarse, dtype)
+        """Restrict a fine field (or RHS block) down to the coarse grid."""
+        return get_backend().transfer(self._restrict, xf, dtype)
 
     @property
     def nbytes(self) -> int:
-        return int(self.p.data.nbytes + self.r.data.nbytes)
+        """Bytes of the kept 1-D weights."""
+        return int(sum(p.data.nbytes for p in self.p1d))
 
 
 def build_transfer(
     fine: StructuredGrid,
     factors: tuple[int, int, int] = (2, 2, 2),
     kind: str = "linear",
-    compute_dtype=np.float32,
 ) -> Transfer:
     """Build the transfer pair for one coarsening step.
 
@@ -79,18 +82,8 @@ def build_transfer(
     factory = {"linear": interp_1d, "injection": injection_1d}.get(kind)
     if factory is None:
         raise ValueError(f"unknown interpolation kind {kind!r}")
-    coarse = fine.coarsen(factors)
-    p1 = [factory(n, f) for n, f in zip(fine.shape, factors)]
-    p_cell = sp.kron(sp.kron(p1[0], p1[1]), p1[2])
-    if fine.ncomp > 1:
-        p_cell = sp.kron(p_cell, sp.identity(fine.ncomp))
-    p = sp.csr_matrix(p_cell, dtype=np.float64)
-    r = sp.csr_matrix(p.T)
-    p_c = p.astype(compute_dtype)
-    r_c = r.astype(compute_dtype)
-    return Transfer(
-        fine=fine, coarse=coarse, factors=factors, p=p_c, r=r_c, p1d=tuple(p1)
-    )
+    p1 = tuple(factory(n, f) for n, f in zip(fine.shape, factors))
+    return Transfer(fine=fine, coarse=fine.coarsen(factors), factors=factors, p1d=p1)
 
 
 def choose_coarsen_factors(

@@ -1,4 +1,5 @@
-"""Vectorized SG-DIA compute kernels (SpMV, sweeps, SpTRSV, BLAS-1).
+"""Vectorized SG-DIA compute kernels (SpMV, sweeps, SpTRSV, BLAS-1, and
+the grid transfers and Galerkin group product of :mod:`.coarsening`).
 
 The hot kernels accept an optional precomputed
 :class:`~repro.kernels.plan.KernelPlan` (``plan=``) that moves all symbolic

@@ -2,7 +2,9 @@
 
 A :class:`KernelBackend` bundles plan-based implementations of the five
 hot operations — SpMV, colored Gauss-Seidel sweep, Jacobi sweep, wavefront
-SpTRSV, and the fused BLAS-1 vector ops.  The ``numpy`` reference backend
+SpTRSV, and the fused BLAS-1 vector ops — plus the two coarsening kernels
+of :mod:`repro.kernels.coarsening`: the grid transfers (restrict and
+prolong) and the Galerkin group product of the setup.  The ``numpy`` reference backend
 (the planned kernels from :mod:`repro.kernels.plan`) is always available;
 the compiled ``c`` backend (:mod:`repro.kernels.backend_c`, gcc + ctypes)
 is registered when its library builds, and the registry falls back to
@@ -21,7 +23,9 @@ bit-identical to the numpy reference (see ``tests/test_backend_parity.py``).
 The reference fixes every summation order a backend must reproduce: per
 cell, stencil offsets in ascending order, and inside a block operator's
 ``r x r`` product the ascending sum from zero of
-:func:`repro.kernels.spmv.block_contract`, for any number of RHS columns.
+:func:`repro.kernels.spmv.block_contract`, for any number of RHS columns;
+per transfer output, ascending source index; per Galerkin coefficient,
+the term order of :mod:`repro.coarsen.galerkin`.
 That is why the c backend deliberately does not override ``dot`` /
 ``norm2`` — numpy's pairwise summation order cannot be reproduced by a
 naive loop, and reductions feed convergence decisions.
@@ -54,7 +58,10 @@ class KernelBackend:
 
     The plan-based entry points (``spmv``, ``gs_sweep``, ``jacobi_sweep``,
     ``sptrsv``) receive a :class:`~repro.kernels.plan.KernelPlan` as their
-    first argument; the BLAS-1 entries mirror :mod:`repro.kernels.blas1`.
+    first argument; the BLAS-1 entries mirror :mod:`repro.kernels.blas1`;
+    ``transfer`` and ``galerkin_group`` mirror
+    :func:`~repro.kernels.coarsening.transfer_ref` and
+    :func:`~repro.kernels.coarsening.galerkin_group_ref`.
     ``jit`` marks backends that compile on first use (so benchmarks warm
     them up before timing).
     """
@@ -68,6 +75,8 @@ class KernelBackend:
     xpay: Callable
     dot: Callable
     norm2: Callable
+    transfer: Callable
+    galerkin_group: Callable
     jit: bool = False
     notes: str = ""
     extras: dict = field(default_factory=dict, compare=False)
@@ -103,7 +112,7 @@ def _ensure_registered() -> None:
     with _LOCK:
         if "numpy" in _REGISTRY:
             return
-        from . import blas1, plan
+        from . import blas1, coarsening, plan
 
         _REGISTRY["numpy"] = KernelBackend(
             name="numpy",
@@ -117,6 +126,8 @@ def _ensure_registered() -> None:
             xpay=blas1._xpay_ref,
             dot=blas1._dot_ref,
             norm2=blas1._norm2_ref,
+            transfer=coarsening.transfer_ref,
+            galerkin_group=coarsening.galerkin_group_ref,
             jit=False,
             notes="vectorized NumPy reference (always available)",
         )

@@ -40,6 +40,7 @@
  * 8 contiguous cells of both parities; only the color's cells are written.
  */
 #include <stdint.h>
+#include <stdlib.h>
 
 #if defined(__F16C__)
 #include <immintrin.h>
@@ -557,3 +558,201 @@ DEFINE_BLOCK_KERNELS(fd, float, double, d8_t)
 DEFINE_BLOCK_KERNELS(hf, uint16_t, float, f8_t)
 DEFINE_BLOCK_KERNELS(hd, uint16_t, double, d8_t)
 #endif
+
+/* ---- grid transfers: restrict and prolong as stencils -----------------
+ * y = (Mx (x) My (x) Mz (x) I_e) x, with M the 1-D matrices of one direction
+ * (P1 to prolong, P1^T to restrict) and e = ncomp * K contiguous values per
+ * cell.  Each axis is a table of segments (rho_out, rho_src, shift, k0, k1)
+ * with weight w: output index Fo*k + rho_out takes w times source index
+ * Fs*(k + shift) + rho_src, for k in [k0, k1).  The segments of an axis are
+ * sorted by source offset Fs*shift + rho_src, so every output value sums
+ * its terms in ascending flattened source index, from zero, each with tap
+ * (T)((wx*wy)*wz): the order and values of a CSR matvec on the Kronecker-
+ * assembled matrix (repro.kernels.coarsening, which holds the reference).
+ * geo = (dst cells[3], src cells[3], Fo[3], Fs[3]).
+ *
+ * Per output plane i (zeroed first), each x term and pair of (y, z)
+ * segments applies one tap to a 2-D range of the plane: the loops run over
+ * whole segments, not per output row. */
+
+/* The source index that segment g gives output index o, or -1 if g skips o. */
+static inline long seg_source(const long *restrict g, long fo, long fs, long o)
+{
+    const long k = o / fo;
+    if (o % fo != g[0] || k < g[3] || k >= g[4])
+        return -1;
+    return fs * (k + g[2]) + g[1];
+}
+
+/* o[j * oj + k * so] += tap * s[j * sj + k * ss] for j < nj, k < nk, each
+ * of e contiguous values; the scalar strides of restriction (1, 2),
+ * prolongation (2, 1) and a factor-1 axis (1, 1) are spelled out so the
+ * loops vectorize. */
+#define DEFINE_TRANSFER(SUF, T)                                                \
+ALWAYS_INLINE void                                                             \
+tap_plane_##SUF(T *restrict o, const T *restrict s, T tap, long nj, long oj,   \
+                long sj, long nk, long so, long ss, long e)                    \
+{                                                                              \
+    if (e == 1 && so == 1 && ss == 1)                                          \
+        for (long j = 0; j < nj; j++)                                          \
+            for (long k = 0; k < nk; k++)                                      \
+                o[j * oj + k] += tap * s[j * sj + k];                          \
+    else if (e == 1 && so == 1 && ss == 2)                                     \
+        for (long j = 0; j < nj; j++)                                          \
+            for (long k = 0; k < nk; k++)                                      \
+                o[j * oj + k] += tap * s[j * sj + 2 * k];                      \
+    else if (e == 1 && so == 2 && ss == 1)                                     \
+        for (long j = 0; j < nj; j++)                                          \
+            for (long k = 0; k < nk; k++)                                      \
+                o[j * oj + 2 * k] += tap * s[j * sj + k];                      \
+    else                                                                       \
+        for (long j = 0; j < nj; j++)                                          \
+            for (long k = 0; k < nk; k++)                                      \
+                for (long q = 0; q < e; q++)                                   \
+                    o[j * oj + k * so * e + q] += tap * s[j * sj + k * ss * e + q]; \
+}                                                                              \
+                                                                               \
+void repro_transfer_##SUF(const T *restrict src, T *restrict dst, long e,      \
+                          const long *restrict geo, const long *restrict seg,  \
+                          const double *restrict w, const int *restrict nseg)  \
+{                                                                              \
+    const long *nd = geo, *ns = geo + 3, *fo = geo + 6, *fs = geo + 9;         \
+    const long *gx = seg, *gy = seg + 5 * nseg[0];                             \
+    const long *gz = gy + 5 * nseg[1];                                         \
+    const double *wx = w, *wy = w + nseg[0], *wz = wy + nseg[1];               \
+    const long plane = nd[1] * nd[2] * e, splane = ns[1] * ns[2] * e;          \
+    for (long i = 0; i < nd[0]; i++) {                                         \
+        T *restrict o = dst + i * plane;                                       \
+        for (long q = 0; q < plane; q++)                                       \
+            o[q] = 0;                                                          \
+        for (int a = 0; a < nseg[0]; a++) {                                    \
+            const long si = seg_source(gx + 5 * a, fo[0], fs[0], i);           \
+            if (si < 0)                                                        \
+                continue;                                                      \
+            for (int b = 0; b < nseg[1]; b++) {                                \
+                const long *gb = gy + 5 * b;                                   \
+                const long oj = fo[1] * gb[3] + gb[0];                         \
+                const long sj = fs[1] * (gb[3] + gb[2]) + gb[1];               \
+                const double wxy = wx[a] * wy[b];                              \
+                for (int c = 0; c < nseg[2]; c++) {                            \
+                    const long *gc = gz + 5 * c;                               \
+                    const long oz = fo[2] * gc[3] + gc[0];                     \
+                    const long sz = fs[2] * (gc[3] + gc[2]) + gc[1];           \
+                    tap_plane_##SUF(o + (oj * nd[2] + oz) * e,                 \
+                                    src + si * splane + (sj * ns[2] + sz) * e, \
+                                    (T)(wxy * wz[c]), gb[4] - gb[3],           \
+                                    fo[1] * nd[2] * e, fs[1] * ns[2] * e,      \
+                                    gc[4] - gc[3], fo[2], fs[2], e);           \
+                }                                                              \
+            }                                                                  \
+        }                                                                      \
+    }                                                                          \
+}
+
+DEFINE_TRANSFER(f, float)
+DEFINE_TRANSFER(d, double)
+
+/* ---- Galerkin coarsening: one rest group of one 1-D pass, in FP64 -----
+ * The fine arrays a[] of the group are viewed as (outer, n, inner) and the
+ * coarse outputs out[] as (outer, nc, inner), the pass axis in the middle;
+ * bt is the (width, nc) transpose of the band of 1-D weights
+ * (repro.coarsen.galerkin), so bt[k * nc + I] = band[I][k].
+ * ra rows (slot, array, s, lo, hi, k): R A term t[slot][I] += band[I][k] *
+ * a[array][f*I + s] for coarse I in [lo, hi); the rows of one slot are in
+ * ascending s.  outs rows (oc, lo, hi, r0, r1): output out[m] sums the
+ * (R A) P terms rap[r0..r1), rows (slot, k), for I in [lo, hi) as
+ * out[I] += t[slot][I] * band[I + oc][k], and is zero elsewhere.  Every
+ * value starts from zero and adds its terms in row order: the reference's
+ * numpy slice arithmetic, operation for operation (a product is the same
+ * value in either operand order).
+ *
+ * Blocking keeps the R A intermediates in cache.  With a long inner axis
+ * (the x and y passes) each coarse row I is done in chunks of GCH inner
+ * values, all slots of a chunk in a buffer; with a short one (the z pass,
+ * inner = 1 or one block) a whole row of every slot is buffered and the
+ * loops run along the pass axis. */
+
+/* acc[I*inner + q] += w[I] * s[I*step + q] for I in [lo, hi), q < inner */
+static inline void band_axpy(double *restrict acc, const double *restrict w,
+                             const double *restrict s, long lo, long hi,
+                             long inner, long step)
+{
+    if (inner == 1)
+        for (long I = lo; I < hi; I++)
+            acc[I] += w[I] * s[I * step];
+    else
+        for (long I = lo; I < hi; I++)
+            for (long q = 0; q < inner; q++)
+                acc[I * inner + q] += w[I] * s[I * step + q];
+}
+
+/* Returns nonzero if the buffer could not be allocated. */
+int repro_galerkin_group(const double *const *a, double *const *out,
+                         const double *restrict bt, long outer, long n,
+                         long nc, long inner, long f,
+                         const long *restrict ra, int nra,
+                         const long *restrict outs, int nout,
+                         const long *restrict rap, int nslot)
+{
+    const int chunked = inner >= GCH / 4;
+    const long row = nc * inner, tw = chunked ? GCH : row;
+    double *restrict t = malloc(sizeof(double) * nslot * tw);
+    if (t == NULL)
+        return 1;
+    for (long o = 0; o < outer; o++) {
+        if (!chunked) {
+            for (long q = 0; q < nslot * row; q++)
+                t[q] = 0;
+            for (int r = 0; r < nra; r++) {
+                const long *g = ra + 6 * r;
+                band_axpy(t + g[0] * row, bt + g[5] * nc,
+                          a[g[1]] + (o * n + g[2]) * inner, g[3], g[4], inner,
+                          f * inner);
+            }
+            for (int m = 0; m < nout; m++) {
+                const long *h = outs + 5 * m;
+                double *restrict d = out[m] + o * row;
+                for (long q = 0; q < row; q++)
+                    d[q] = 0;
+                for (long r = h[3]; r < h[4]; r++)
+                    band_axpy(d, bt + rap[2 * r + 1] * nc + h[0],
+                              t + rap[2 * r] * row, h[1], h[2], inner, inner);
+            }
+            continue;
+        }
+        for (long I = 0; I < nc; I++)
+            for (long c0 = 0; c0 < inner; c0 += GCH) {
+                const long cw = lmin(GCH, inner - c0);
+                for (int sl = 0; sl < nslot; sl++)
+                    for (long q = 0; q < cw; q++)
+                        t[sl * GCH + q] = 0;
+                for (int r = 0; r < nra; r++) {
+                    const long *g = ra + 6 * r;
+                    if (I < g[3] || I >= g[4])
+                        continue;
+                    const double wv = bt[g[5] * nc + I];
+                    const double *restrict s =
+                        a[g[1]] + (o * n + f * I + g[2]) * inner + c0;
+                    double *restrict acc = t + g[0] * GCH;
+                    for (long q = 0; q < cw; q++)
+                        acc[q] += wv * s[q];
+                }
+                for (int m = 0; m < nout; m++) {
+                    const long *h = outs + 5 * m;
+                    double *restrict d = out[m] + (o * nc + I) * inner + c0;
+                    for (long q = 0; q < cw; q++)
+                        d[q] = 0;
+                    if (I < h[1] || I >= h[2])
+                        continue;
+                    for (long r = h[3]; r < h[4]; r++) {
+                        const double wv = bt[rap[2 * r + 1] * nc + I + h[0]];
+                        const double *restrict acc = t + rap[2 * r] * GCH;
+                        for (long q = 0; q < cw; q++)
+                            d[q] += acc[q] * wv;
+                    }
+                }
+            }
+    }
+    free(t);
+    return 0;
+}

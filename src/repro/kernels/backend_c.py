@@ -25,9 +25,16 @@ for these (storage, compute) pairs:
 - fp64 -> fp64 (the outer Krylov SpMV), and the mixed fp64 -> fp32 and
   fp32 -> fp64 pairs.
 
-Everything else delegates to the planned numpy kernels unchanged: scalar
-RHS blocks (no benchmark workload measures them; their main user, the
-process-pool serve bench, has a timing-sensitive scaling gate), block
+It also covers the coarsening kernels of :mod:`repro.kernels.coarsening`:
+``transfer`` (restrict and prolong) in fp32 and fp64 on scalar and block
+grids, on a vector or on a block of any ``k`` columns, and
+``galerkin_group`` (one rest group of a setup Galerkin pass) in FP64, each
+in its reference's summation order.
+
+Everything else delegates to the numpy kernels unchanged: transfers in
+other dtypes, scalar RHS blocks (no benchmark workload measures them;
+their main user, the process-pool serve bench, has a timing-sensitive
+scaling gate), block
 SpTRSV (the reference has none), AOS layouts, blocks larger than 4x4, and
 non-contiguous or unaligned payloads.  The scaled SpMV keeps its ``q*x`` and ``y*=q`` steps in
 numpy around the compiled product; the Jacobi sweep is the reference's,
@@ -56,6 +63,7 @@ import platform
 import shutil
 import subprocess
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +88,11 @@ _ARGTYPES = {
     "bspmv": (_P, _P, _I, _I, _L, _P, _P, _L, _L, _L),
     "bgs_sweep": (_P, _P, _I, _I, _I, _L, _P, _P, _P, _L, _L, _L, _I),
 }
+#: repro_transfer_{f,d}: src, dst, e, geo, seg, w, nseg
+_TRANSFER_ARGS = (_P, _P, _L, _P, _P, _P, _P)
+#: repro_galerkin_group: a, out, bt, outer, n, nc, inner, f, ra, nra, outs,
+#: nout, rap, nslot
+_GALERKIN_ARGS = (_P, _P, _P, _L, _L, _L, _L, _L, _P, _I, _P, _I, _P, _I)
 
 
 class BuildError(RuntimeError):
@@ -151,35 +164,51 @@ def build_library() -> Path:
     return target
 
 
-def _load(path: Path) -> "tuple[dict, bool, tuple[int, int]]":
-    """ctypes handles for every compiled (kind, storage, compute) kernel, the
-    F16C flag, and the block kernels' largest block size and stencil size.
+def _load(path: Path) -> "tuple[dict, dict, object, bool, tuple[int, int]]":
+    """ctypes handles for every compiled kernel — the SG-DIA kernels keyed
+    ``(kind, storage, compute)``, the transfers keyed by dtype, the Galerkin
+    group — the F16C flag, and the block kernels' largest block size and
+    stencil size.
 
-    Raises :class:`BuildError` when a pair lacks any of its kernels: a
-    misnamed kernel would otherwise run on numpy unnoticed."""
+    Raises :class:`BuildError` when a kernel is missing: a misnamed kernel
+    would otherwise run on numpy unnoticed."""
     lib = ctypes.CDLL(str(path))
-    lib.repro_has_f16c.argtypes = ()
-    lib.repro_has_f16c.restype = ctypes.c_int
-    f16c = bool(lib.repro_has_f16c())
+
+    def fetch(name, argtypes, restype=None):
+        try:
+            fn = getattr(lib, name)
+        except AttributeError:
+            raise BuildError(f"{path.name} lacks {name}") from None
+        fn.argtypes = argtypes
+        fn.restype = restype
+        return fn
+
+    f16c = bool(fetch("repro_has_f16c", (), ctypes.c_int)())
     mb, nd = ctypes.c_int(), ctypes.c_int()
-    lib.repro_block_limits.argtypes = (ctypes.POINTER(ctypes.c_int),) * 2
-    lib.repro_block_limits.restype = None
-    lib.repro_block_limits(ctypes.byref(mb), ctypes.byref(nd))
+    fetch("repro_block_limits", (ctypes.POINTER(ctypes.c_int),) * 2)(
+        ctypes.byref(mb), ctypes.byref(nd)
+    )
     kernels = {}
     for sdt, s in _STORAGE.items():
         if s == "h" and not f16c:
             continue  # no fp16 variants without F16C: numpy converts faster
         for cdt, c in _COMPUTE.items():
             for kind, argtypes in _ARGTYPES.items():
-                name = f"repro_{kind}_{s}{c}"
-                try:
-                    fn = getattr(lib, name)
-                except AttributeError:
-                    raise BuildError(f"{path.name} lacks {name}") from None
-                fn.argtypes = argtypes
-                fn.restype = None
-                kernels[(kind, sdt, cdt)] = fn
-    return kernels, f16c, (mb.value, nd.value)
+                kernels[(kind, sdt, cdt)] = fetch(f"repro_{kind}_{s}{c}", argtypes)
+    transfers = {
+        cdt: fetch(f"repro_transfer_{c}", _TRANSFER_ARGS) for cdt, c in _COMPUTE.items()
+    }
+    galerkin = fetch("repro_galerkin_group", _GALERKIN_ARGS, ctypes.c_int)
+    return kernels, transfers, galerkin, f16c, (mb.value, nd.value)
+
+
+def _addr(arr: np.ndarray) -> int:
+    """Data address of a C-contiguous array.  ``c_char.from_buffer`` takes
+    ~0.7 us against ~1.9 us for ``arr.ctypes.data``, which counts on the
+    small levels' transfers, but it needs a writable, non-empty buffer."""
+    if arr.flags.writeable and arr.size:
+        return ctypes.addressof(ctypes.c_char.from_buffer(arr))
+    return arr.ctypes.data
 
 
 def _ready(arr, dtype) -> np.ndarray:
@@ -196,7 +225,7 @@ def make_backend(reference) -> "tuple[object | None, str]":
 
     try:
         path = build_library()
-        kernels, f16c, (max_ncomp, max_terms) = _load(path)
+        kernels, transfers, galerkin, f16c, (max_ncomp, max_terms) = _load(path)
     except (BuildError, OSError, AttributeError) as exc:  # numpy keeps running
         return None, f"{type(exc).__name__}: {exc}"
 
@@ -339,10 +368,68 @@ def make_backend(reference) -> "tuple[object | None, str]":
             return out
         return xf.reshape(np.shape(b)) if np.shape(b) != xf.shape else xf
 
+    # stencil -> addresses of its tables (a pointer lookup costs ~1.5 us)
+    table_ptrs: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+    def transfer(st, x, dtype=None):
+        xs = field_view(st.src, x)[0]
+        dtype = xs.dtype if dtype is None else np.dtype(dtype)
+        fn = transfers.get(dtype)
+        if fn is None:
+            return reference.transfer(st, x, dtype)
+        if xs.dtype != dtype or not (xs.flags.c_contiguous and xs.flags.aligned):
+            xs = _ready(xs, dtype)
+        ptrs = table_ptrs.get(st)
+        if ptrs is None:
+            ptrs = table_ptrs[st] = tuple(t.ctypes.data for t in st.tables)
+        y = np.empty(st.dst.shape + xs.shape[3:], dtype=dtype)
+        fn(_addr(xs), _addr(y), xs.size // st.src.ncells, *ptrs)
+        return y
+
+    def galerkin_group(row, band, axis, factor, ra, rap):
+        if not rap:
+            return {}
+        offs = sorted(row)
+        arrays = [_ready(row[o], np.float64) for o in offs]
+        nc = band.shape[0]
+        bt = np.ascontiguousarray(band.T, dtype=np.float64)
+        slots: dict = {}
+        ra_rows = [
+            (slots.setdefault(e, len(slots)), offs.index(e - s), s, lo, hi,
+             s + factor - 1)
+            for e, s, lo, hi in ra
+        ]
+        ocs, out_rows = [], []
+        for r, (oc, _e, _k) in enumerate(rap):
+            if not ocs or ocs[-1] != oc:
+                ocs.append(oc)
+                out_rows.append([oc, max(0, -oc), min(nc, nc - oc), r, r])
+            out_rows[-1][4] = r + 1
+        rap_rows = [(slots[e], k) for _oc, e, k in rap]
+        first = arrays[0]
+        shape = first.shape[:axis] + (nc,) + first.shape[axis + 1:]
+        outs = [np.empty(shape) for _ in ocs]
+        tables = [np.asarray(t, dtype=np.int64) for t in (ra_rows, out_rows, rap_rows)]
+        a_ptr = (ctypes.c_void_p * len(arrays))(*(a.ctypes.data for a in arrays))
+        o_ptr = (ctypes.c_void_p * len(outs))(*(o.ctypes.data for o in outs))
+        status = galerkin(
+            a_ptr, o_ptr, bt.ctypes.data,
+            int(np.prod(first.shape[:axis])), first.shape[axis], nc,
+            int(np.prod(first.shape[axis + 1:])), factor,
+            tables[0].ctypes.data, len(ra_rows), tables[1].ctypes.data,
+            len(out_rows), tables[2].ctypes.data, len(slots),
+        )
+        if status:
+            raise MemoryError("Galerkin group buffer")
+        return dict(zip(ocs, outs))
+
     pairs = sorted({
         f"{'block:' if k.startswith('b') else ''}{s.name}->{c.name}"
         for k, s, c in kernels
     })
+    coarsening = sorted(f"transfer:{d.name}" for d in transfers) + [
+        "galerkin_group:float64"
+    ]
     backend = KernelBackend(
         name="c",
         spmv=spmv,
@@ -353,12 +440,16 @@ def make_backend(reference) -> "tuple[object | None, str]":
         xpay=reference.xpay,
         dot=reference.dot,  # pairwise summation: never reimplemented
         norm2=reference.norm2,
+        transfer=transfer,
+        galerkin_group=galerkin_group,
         jit=False,  # compiled at registration, before any kernel call
         notes=(
             "gcc/ctypes SOA kernels: scalar SpMV/SymGS/SpTRSV, block (2x2 to "
             f"4x4) SpMV/SymGS on any RHS block ({'with' if f16c else 'without'}"
-            " F16C); numpy fallback otherwise"
+            " F16C), fp32/fp64 transfers, FP64 Galerkin groups; numpy "
+            "fallback otherwise"
         ),
-        extras={"library": str(path), "f16c": f16c, "pairs": pairs},
+        extras={"library": str(path), "f16c": f16c, "pairs": pairs,
+                "coarsening": coarsening},
     )
     return backend, "ok"

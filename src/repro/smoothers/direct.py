@@ -66,7 +66,12 @@ class CoarseDirectSolver(Smoother):
             # instead of raising from inside LAPACK.
             x[...] = np.nan
             return
-        sol = sla.lu_solve(self._lu, bb)
+        # scipy's getrs wrapper makes piv 1-based in place for the length of
+        # the call: threads sharing this solver (one hierarchy serving
+        # concurrent solves) must not share piv, or a thread reads shifted
+        # pivots and its row swaps write out of bounds
+        lu, piv = self._lu
+        sol = sla.lu_solve((lu, piv.copy()), bb)
         x[...] = sol.reshape(x.shape).astype(x.dtype)
 
     def extra_nbytes(self) -> int:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.grid import StructuredGrid, stencil as make_stencil
 from repro.sgdia import SGDIAMatrix
@@ -38,3 +39,23 @@ def random_sgdia(
     return a
 
 
+
+
+def csr_transfer(t) -> "tuple[sp.csr_matrix, sp.csr_matrix]":
+    """The FP64 CSR oracle ``(P, R)`` of a transfer, assembled from its 1-D
+    weights with ``sp.kron`` (``P = Px (x) Py (x) Pz (x) I_r``, ``R = P^T``)."""
+    p = sp.kron(sp.kron(t.p1d[0], t.p1d[1]), t.p1d[2])
+    if t.fine.ncomp > 1:
+        p = sp.kron(p, sp.identity(t.fine.ncomp))
+    p = sp.csr_matrix(p, dtype=np.float64)
+    return p, sp.csr_matrix(p.T)
+
+
+def csr_apply(mat, x: np.ndarray, src, dst, dtype) -> np.ndarray:
+    """``mat`` cast to ``dtype``, applied by scipy's CSR matvec to a field
+    or to a block with a trailing batch axis: the transfer oracle."""
+    arr = np.asarray(x, dtype=dtype)
+    batched = arr.shape[:-1] in (src.field_shape, (src.ndof,))
+    flat = mat.astype(dtype) @ arr.reshape((src.ndof, -1) if batched else src.ndof)
+    shape = dst.field_shape + ((flat.shape[-1],) if batched else ())
+    return flat.astype(dtype, copy=False).reshape(shape)

@@ -553,13 +553,17 @@ class TestBlockParity:
 
 
 #: Run in a subprocess by TestGuardPages: copies the payload, b, x and dinv
-#: of scalar operators into fresh anonymous pages, each ending right before
+#: of scalar operators, the transfer inputs and tables, and the Galerkin
+#: passes' fine arrays into fresh anonymous pages, each ending right before
 #: (argv[1] == "end") or beginning right after ("start") a PROT_NONE page,
 #: then runs the compiled kernels on them.  An out-of-bounds read faults.
 _GUARD_SCRIPT = """
-import ctypes, dataclasses, mmap, sys
+import copy, ctypes, dataclasses, mmap, sys
 import numpy as np
+from repro.coarsen import build_transfer, galerkin
+from repro.grid import StructuredGrid
 from repro.kernels import backend as _backend, backend_c, compute_diag_inv, plan_for
+from repro.kernels import use_backend
 from repro.sgdia import SGDIAMatrix
 from tests.helpers import random_sgdia
 
@@ -584,8 +588,9 @@ def refuse(*args, **kwargs):
     raise AssertionError("fell back to numpy")
 
 ref = _backend._numpy_backend()
-be, status = backend_c.make_backend(
-    dataclasses.replace(ref, spmv=refuse, gs_sweep=refuse, sptrsv=refuse))
+be, status = backend_c.make_backend(dataclasses.replace(
+    ref, spmv=refuse, gs_sweep=refuse, sptrsv=refuse, transfer=refuse,
+    galerkin_group=refuse))
 assert status == "ok", status
 at_end = sys.argv[1] == "end"
 fmts = ["fp32"] + (["fp16"] if be.extras["f16c"] else [])
@@ -606,6 +611,40 @@ for shape in ((5, 3, 19), (4, 3, 2)):
         y = be.spmv(plan, ag, x, compute_dtype=np.float32)
         assert y.tobytes() == ref.spmv(plan, a, xr, compute_dtype=np.float32).tobytes()
         be.sptrsv(plan, ag, b, lower=True, part="lower", diag_inv=dinv)
+
+# restrict and prolong: the input and every table guarded; scalar and block
+# grids, a vector and a 3-column block, short and long rows
+for shape, ncomp, k, factors in (((5, 3, 19), 1, None, (2, 2, 2)),
+                                 ((4, 3, 2), 3, 3, (2, 1, 2)),
+                                 ((3, 4, 9), 2, None, (1, 4, 2))):
+    t = build_transfer(StructuredGrid(shape, ncomp=ncomp), factors)
+    for st in (t._restrict, t._prolong):
+        gst = copy.copy(st)
+        object.__setattr__(gst, "tables", tuple(guarded(a, at_end) for a in st.tables))
+        for dtype in (np.float32, np.float64):
+            x0 = rng.standard_normal(st.src.field_shape + ((k,) if k else ()))
+            x0 = x0.astype(dtype)
+            got = be.transfer(gst, guarded(x0, at_end), dtype)
+            assert got.tobytes() == ref.transfer(st, x0, dtype).tobytes()
+
+# the Galerkin group kernel: every fine array of each pass guarded, on the
+# chunked (long inner axis) and the row (short inner axis) paths
+_backend._REGISTRY["c"] = be
+_backend._invalidate()
+for shape, ncomp, factors in (((6, 5, 70), 1, (2, 2, 2)), ((5, 4, 7), 2, (4, 2, 2))):
+    a = random_sgdia(shape, "3d27", ncomp=ncomp)
+    t = build_transfer(a.grid, factors)
+    ops = {off: np.ascontiguousarray(a.diag_view(d))
+           for d, off in enumerate(a.stencil.offsets)}
+    for axis in range(3):
+        band = galerkin._band(t.p1d[axis], factors[axis])
+        got = galerkin._galerkin_pass(
+            {o: guarded(v, at_end) for o, v in ops.items()}, axis, factors[axis], band)
+        with use_backend("numpy"):
+            want = galerkin._galerkin_pass(ops, axis, factors[axis], band)
+        assert got.keys() == want.keys()
+        assert all(got[o].tobytes() == want[o].tobytes() for o in want)
+        ops = want
 print("ok")
 """
 
@@ -613,10 +652,11 @@ print("ok")
 @needs_c
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="libc mprotect")
 class TestGuardPages:
-    """The compiled sweep (both directions), SpMV and SpTRSV read nothing
-    outside their arrays: each array ends at, or begins after, a page that
-    faults on access.  Rows of a vector plus a tail and two-cell rows, whose
-    scalar paths are where an over-read hides from the parity cases."""
+    """The compiled sweep (both directions), SpMV, SpTRSV, restrict,
+    prolong and Galerkin group read nothing outside their arrays: each
+    array ends at, or begins after, a page that faults on access.  Rows of
+    a vector plus a tail and two-cell rows, whose scalar paths are where an
+    over-read hides from the parity cases."""
 
     @pytest.mark.parametrize("placement", ["end", "start"])
     def test_no_read_outside_arrays(self, placement):

@@ -6,7 +6,8 @@ Each test class pins one bug:
   vector (the flat-size check used to run before the 2-D block check);
 - ``sptrsv`` rejecting ``(ndof, k)`` / field-shape-plus-batch inputs;
 - the line smoother crashing on batched right-hand sides;
-- ``CommStats.record_allreduce`` dropping bytes from the per-phase bucket.
+- ``CommStats.record_allreduce`` dropping bytes from the per-phase bucket;
+- the grid transfers flattening a one-column RHS block.
 
 Plus the blanket guarantee: EVERY registered smoother handles a batched
 RHS block bit-identically to column-by-column application.
@@ -20,8 +21,10 @@ from repro.kernels import compute_diag_inv, field_view, sptrsv
 from repro.mg import MGOptions, mg_setup
 from repro.parallel.comm import CommStats
 from repro.precision import parse_config
+from repro.problems import build_problem
 from repro.sgdia import StoredMatrix
 from repro.smoothers import _REGISTRY, make_smoother
+from repro.solvers import batched_cg, solve
 
 from tests.helpers import random_sgdia
 
@@ -199,3 +202,30 @@ class TestLineSmootherBatchedRegression:
         for j in range(3):
             ej = h.precondition(b[:, j])
             np.testing.assert_allclose(e[:, j], ej, rtol=0, atol=1e-14)
+
+
+class TestOneColumnBlock:
+    """A one-column RHS block, ``(ndof, 1)`` or ``field_shape + (1,)``,
+    keeps its batch axis through restrict and prolong (the transfers used
+    to flatten it, and the next level's sweep raised on the mismatch)."""
+
+    @pytest.mark.parametrize("layout", ["ndof", "field"])
+    @pytest.mark.parametrize(
+        "name,shape", [("laplace27", (16, 16, 16)), ("solid-3d", (12, 12, 8))]
+    )
+    def test_batched_cg_equals_cg(self, name, shape, layout):
+        prob = build_problem(name, shape, seed=0)
+        h = mg_setup(prob.a, parse_config("K64P32D16-setup-scale"), prob.mg_options)
+        b = np.asarray(prob.b, dtype=np.float64)
+        col = (prob.a.grid.ndof,) if layout == "ndof" else prob.a.grid.field_shape
+        (got,) = batched_cg(
+            prob.a, b.reshape(col + (1,)), preconditioner=h.precondition,
+            rtol=prob.rtol, maxiter=500,
+        )
+        ref = solve(
+            "cg", prob.a, b.reshape(col), preconditioner=h.precondition,
+            rtol=prob.rtol, maxiter=500,
+        )
+        assert got.status == ref.status == "converged"
+        assert got.iterations == ref.iterations
+        np.testing.assert_array_equal(got.x.ravel(), ref.x.ravel())

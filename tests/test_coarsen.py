@@ -14,12 +14,24 @@ from repro.coarsen import (
     interp_1d,
 )
 from repro.grid import StructuredGrid, stencil as make_stencil
+from repro.kernels import available_backends, use_backend
 from repro.mg import MGOptions, mg_setup
 from repro.precision import parse_config
 from repro.problems.laplace import laplace27_matrix
 from repro.sgdia import SGDIAMatrix
 
-from tests.helpers import random_sgdia
+from tests.helpers import csr_apply, csr_transfer, random_sgdia
+
+#: the kernel backends to run every transfer and Galerkin case on
+BACKENDS = tuple(b for b in ("numpy", "c") if b in available_backends())
+
+
+def _dense(t) -> tuple[np.ndarray, np.ndarray]:
+    """``(P, R)`` as applied by the transfer kernels: each applied to an
+    identity block, in FP64."""
+    p = t.prolongate(np.eye(t.coarse.ndof), dtype=np.float64)
+    r = t.restrict(np.eye(t.fine.ndof), dtype=np.float64)
+    return p.reshape(t.fine.ndof, -1), r.reshape(t.coarse.ndof, -1)
 
 
 class TestInterp1D:
@@ -61,19 +73,21 @@ class TestTransfer:
         g = StructuredGrid((8, 6, 9))
         t = build_transfer(g)
         assert t.coarse.shape == (4, 3, 5)
-        assert t.p.shape == (g.ndof, t.coarse.ndof)
-        assert t.r.shape == (t.coarse.ndof, g.ndof)
+        p, r = csr_transfer(t)
+        assert p.shape == (g.ndof, t.coarse.ndof)
+        assert r.shape == (t.coarse.ndof, g.ndof)
 
     def test_restriction_is_transpose(self):
         g = StructuredGrid((6, 6, 6))
         t = build_transfer(g)
-        diff = abs(t.p.T - t.r)
+        p, r = _dense(t)
+        diff = abs(p.T - r)
         assert diff.max() < 1e-7
 
     def test_block_transfer(self):
         g = StructuredGrid((6, 6, 6), ncomp=3)
         t = build_transfer(g)
-        assert t.p.shape == (g.ndof, t.coarse.ndof)
+        assert csr_transfer(t)[0].shape == (g.ndof, t.coarse.ndof)
         assert t.coarse.ncomp == 3
 
     def test_prolongate_constant_preserved(self):
@@ -126,12 +140,45 @@ class TestTransfer:
         assert t.coarse.shape == (4, 4, 8)
 
     @pytest.mark.parametrize("kind", ["linear", "injection"])
+    @pytest.mark.parametrize(
+        "factors", [(2, 2, 2), (1, 2, 4), (4, 1, 2), (2, 1, 1)]
+    )
+    @pytest.mark.parametrize("ncomp", [1, 2, 3, 4])
+    def test_byte_identical_to_csr_oracle(self, ncomp, factors, kind):
+        """Restrict and prolong equal scipy's CSR matvec of the assembled
+        ``P`` and ``R`` byte for byte, on every backend: 2- to 5-point
+        axes, fp32 and fp64, a vector and blocks of 1, 3 and 8 columns
+        (field-shaped and ``(ndof, k)``)."""
+        rng = np.random.default_rng(3)
+        for shape in ORACLE_SHAPES + [(5, 5, 5)]:
+            t = build_transfer(StructuredGrid(shape, ncomp=ncomp), factors, kind)
+            p, r = csr_transfer(t)
+            for dtype in (np.float32, np.float64):
+                for k in (None, 1, 3, 8):
+                    for mat, src, dst, apply in (
+                        (r, t.fine, t.coarse, t.restrict),
+                        (p, t.coarse, t.fine, t.prolongate),
+                    ):
+                        fs = src.field_shape + ((k,) if k else ())
+                        x = rng.standard_normal(fs).astype(dtype)
+                        ref = csr_apply(mat, x, src, dst, dtype)
+                        inputs = [x] + ([x.reshape(src.ndof, k)] if k else [])
+                        for backend in BACKENDS:
+                            for xin in inputs:
+                                with use_backend(backend):
+                                    got = apply(xin, dtype=dtype)
+                                assert got.dtype == ref.dtype
+                                assert got.shape == ref.shape
+                                assert got.tobytes() == ref.tobytes(), (
+                                    backend, shape, dtype, k)
+
+    @pytest.mark.parametrize("kind", ["linear", "injection"])
     def test_keeps_1d_factors(self, kind):
         g = StructuredGrid((5, 4, 7), ncomp=2)
         t = build_transfer(g, factors=(2, 1, 4), kind=kind)
         p1 = sp.kron(sp.kron(t.p1d[0], t.p1d[1]), t.p1d[2])
         p = sp.kron(p1, sp.identity(2)).toarray()
-        np.testing.assert_array_equal(p, t.p.toarray())
+        np.testing.assert_array_equal(p, _dense(t)[0])
 
 
 class TestChooseFactors:
@@ -179,7 +226,7 @@ def _planted_zeros(a: SGDIAMatrix, seed: int) -> SGDIAMatrix:
 def _oracle(a: SGDIAMatrix, t) -> tuple[np.ndarray, np.ndarray]:
     """scipy's ``R A P`` and ``|R||A||P|``, dense."""
     csr = a.to_csr()
-    r, p = t.r.astype(np.float64), t.p.astype(np.float64)
+    p, r = csr_transfer(t)
     bound = abs(r) @ abs(csr) @ abs(p)
     return galerkin_product(csr, t).toarray(), bound.toarray()
 
@@ -218,7 +265,8 @@ class TestGalerkin:
         a = random_sgdia((6, 6, 6), "3d7", spd=True)
         t = build_transfer(a.grid)
         coarse = galerkin_product(a.to_csr(), t)
-        ref = t.r.astype(np.float64) @ a.to_csr() @ t.p.astype(np.float64)
+        p, r = csr_transfer(t)
+        ref = r @ a.to_csr() @ p
         assert abs(coarse - ref).max() < 1e-12
 
     @pytest.mark.parametrize("kind", ["linear", "injection"])
@@ -229,14 +277,22 @@ class TestGalerkin:
     @pytest.mark.parametrize("pattern", ["3d7", "3d15", "3d19", "3d27"])
     def test_matches_scipy_oracle(self, pattern, ncomp, factors, kind):
         """Entrywise within a few ulps of ``|R||A||P|`` of scipy's SpGEMM,
-        exact zeros planted in the operator."""
+        exact zeros planted in the operator; every backend forms the same
+        coarse operator byte for byte."""
         eps = np.finfo(np.float64).eps
         for seed, shape in enumerate(ORACLE_SHAPES):
             a = _planted_zeros(
                 random_sgdia(shape, pattern, ncomp=ncomp, seed=seed), seed
             )
             t = build_transfer(a.grid, factors, kind=kind)
-            coarse = galerkin_coarse_sgdia(a, t)  # raises if outside 3d27
+            per_backend = []
+            for backend in BACKENDS:
+                with use_backend(backend):
+                    # raises if outside 3d27
+                    per_backend.append(galerkin_coarse_sgdia(a, t))
+            coarse = per_backend[0]
+            for other in per_backend[1:]:  # compiled == numpy, byte for byte
+                assert other.data.tobytes() == coarse.data.tobytes()
             assert coarse.grid == t.coarse
             assert coarse.boundary_is_zero()
             ref, bound = _oracle(a, t)
@@ -274,7 +330,8 @@ class TestGalerkin:
         a = random_sgdia((6, 6, 6), "3d7", ncomp=2, spd=True)
         t = build_transfer(a.grid)
         coarse = galerkin_coarse_sgdia(a, t)
-        ref = t.r.astype(np.float64) @ a.to_csr() @ t.p.astype(np.float64)
+        p, r = csr_transfer(t)
+        ref = r @ a.to_csr() @ p
         assert abs(coarse.to_csr() - ref).max() < 1e-10
 
     def test_spd_preserved(self):

@@ -191,6 +191,28 @@ class TestDirect:
         s.smooth(b, x)
         assert np.isnan(x).all()
 
+    def test_pivots_not_shared_between_calls(self, monkeypatch):
+        """scipy's getrs makes the pivots 1-based in place during the call,
+        so concurrent solves through one solver (a hierarchy shared by
+        service threads) must each pass their own copy; sharing them
+        corrupted the heap under the thread service."""
+        import repro.smoothers.direct as direct_mod
+
+        a = random_sgdia((3, 3, 3), "3d7", spd=True)
+        s, _ = _setup(a, CoarseDirectSolver())
+        passed = []
+        solve = direct_mod.sla.lu_solve
+
+        def spy(lu_and_piv, b, **kwargs):
+            passed.append(lu_and_piv[1])
+            return solve(lu_and_piv, b, **kwargs)
+
+        monkeypatch.setattr(direct_mod.sla, "lu_solve", spy)
+        b = np.ones(a.grid.field_shape, dtype=np.float32)
+        s.smooth(b, np.zeros_like(b))
+        assert passed and passed[0] is not s._lu[1]
+        np.testing.assert_array_equal(passed[0], s._lu[1])
+
     def test_too_large_rejected(self):
         import repro.smoothers.direct as direct_mod
 
