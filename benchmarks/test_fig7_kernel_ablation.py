@@ -11,14 +11,17 @@ Substitution note (DESIGN.md): NumPy has no SIMD ``fcvt`` path, so *every*
 NumPy mixed-precision kernel behaves like the paper's "naive" bars — the
 measured section therefore demonstrates the degradation phenomenon and the
 SOA-vs-AOS layout ordering, while the "opt ~= Max" bars are produced by the
-same bandwidth-roofline model the paper uses to define Max.
+same bandwidth-roofline model the paper uses to define Max.  The measured
+rows pin the numpy reference backend: the compiled kernels cover SOA only,
+so an unpinned run would time C on SOA against numpy on AOS and measure
+the backends, not the layouts.
 """
 
 import numpy as np
 import pytest
 
 from repro.grid import stencil as make_stencil
-from repro.kernels import spmv_plain, sptrsv
+from repro.kernels import spmv_plain, sptrsv, use_backend
 from repro.kernels.sptrsv import wavefront_planes
 from repro.perf import ARM_KUNPENG, X86_EPYC, measure, modeled_kernel_speedup
 from repro.perf.timing import geometric_mean
@@ -146,7 +149,8 @@ def test_fig7_modeled_speedups(benchmark):
 
 
 def test_fig7_measured_spmv(once):
-    rows = once(_measure_spmv)
+    with use_backend("numpy"):
+        rows = once(_measure_spmv)
     print_header(
         "Figure 7 (measured, NumPy): SpMV mixed-precision speedup over fp32"
     )
@@ -175,7 +179,8 @@ def test_fig7_measured_spmv(once):
 
 
 def test_fig7_measured_sptrsv(once):
-    rows = once(_measure_sptrsv)
+    with use_backend("numpy"):
+        rows = once(_measure_sptrsv)
     print_header(
         "Figure 7 (measured, NumPy): SpTRSV mixed-precision speedup over fp32"
     )

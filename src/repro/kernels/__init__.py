@@ -1,11 +1,14 @@
 """Vectorized SG-DIA compute kernels (SpMV, sweeps, SpTRSV, BLAS-1, and
 the grid transfers and Galerkin group product of :mod:`.coarsening`).
 
-The hot kernels accept an optional precomputed
-:class:`~repro.kernels.plan.KernelPlan` (``plan=``) that moves all symbolic
-work — slice tables, wavefront gather indices, scratch buffers — to setup
-time and dispatches through the pluggable :mod:`~repro.kernels.backend`
-registry (numpy reference always; compiled C kernels when gcc is present).
+Every hot-kernel call runs on a :class:`~repro.kernels.plan.KernelPlan`,
+which moves all symbolic work — slice tables, wavefront gather indices,
+scratch buffers — to setup time: the caller's ``plan=``, or else the
+structure's cached plan from :func:`~repro.kernels.plan.plan_for`.  Each
+call then dispatches through the pluggable :mod:`~repro.kernels.backend`
+registry, so there are two implementations of each kernel: the numpy
+reference (always available) and the compiled C kernels (when gcc is
+present), bit-identical to it.
 """
 
 from .backend import (

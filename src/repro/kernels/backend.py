@@ -1,15 +1,20 @@
 """Kernel backend registry: pluggable implementations of the hot kernels.
 
-A :class:`KernelBackend` bundles plan-based implementations of the five
-hot operations — SpMV, colored Gauss-Seidel sweep, Jacobi sweep, wavefront
-SpTRSV, and the fused BLAS-1 vector ops — plus the two coarsening kernels
-of :mod:`repro.kernels.coarsening`: the grid transfers (restrict and
-prolong) and the Galerkin group product of the setup.  The ``numpy`` reference backend
-(the planned kernels from :mod:`repro.kernels.plan`) is always available;
-the compiled ``c`` backend (:mod:`repro.kernels.backend_c`, gcc + ctypes)
-is registered when its library builds, and the registry falls back to
-numpy otherwise — the library must run identically (modulo speed) on a
-host without a C compiler.
+A :class:`KernelBackend` bundles plan-based implementations of the hot
+operations — SpMV, colored Gauss-Seidel sweep, wavefront SpTRSV, and the
+fused BLAS-1 vector ops — plus the two coarsening kernels of
+:mod:`repro.kernels.coarsening`: the grid transfers (restrict and prolong)
+and the Galerkin group product of the setup.  The public kernel entry
+points (:func:`~repro.kernels.spmv.spmv_plain`,
+:func:`~repro.kernels.sweeps.gs_sweep_colored`,
+:func:`~repro.kernels.sptrsv.sptrsv`, and the Jacobi sweep through the
+SpMV) always dispatch here, with the caller's plan or the structure's
+cached one.  The ``numpy`` reference backend (the ``*_ref`` kernels next to
+those entry points) is always available; the compiled ``c`` backend
+(:mod:`repro.kernels.backend_c`, gcc + ctypes) is registered when its
+library builds, and the registry falls back to numpy otherwise — the
+library must run identically (modulo speed) on a host without a C
+compiler.
 
 Selection order:
 
@@ -56,20 +61,19 @@ _ENV_VAR = "REPRO_KERNEL_BACKEND"
 class KernelBackend:
     """One named implementation set for the hot kernels.
 
-    The plan-based entry points (``spmv``, ``gs_sweep``, ``jacobi_sweep``,
-    ``sptrsv``) receive a :class:`~repro.kernels.plan.KernelPlan` as their
-    first argument; the BLAS-1 entries mirror :mod:`repro.kernels.blas1`;
-    ``transfer`` and ``galerkin_group`` mirror
+    The plan-based entries (``spmv``, ``gs_sweep``, ``sptrsv``) receive a
+    :class:`~repro.kernels.plan.KernelPlan` as their first argument and
+    mirror :func:`~repro.kernels.spmv.spmv_ref`,
+    :func:`~repro.kernels.sweeps.gs_sweep_ref` and
+    :func:`~repro.kernels.sptrsv.sptrsv_ref`; the BLAS-1 entries mirror
+    :mod:`repro.kernels.blas1`; ``transfer`` and ``galerkin_group`` mirror
     :func:`~repro.kernels.coarsening.transfer_ref` and
     :func:`~repro.kernels.coarsening.galerkin_group_ref`.
-    ``jit`` marks backends that compile on first use (so benchmarks warm
-    them up before timing).
     """
 
     name: str
     spmv: Callable
     gs_sweep: Callable
-    jacobi_sweep: Callable
     sptrsv: Callable
     axpy: Callable
     xpay: Callable
@@ -77,7 +81,6 @@ class KernelBackend:
     norm2: Callable
     transfer: Callable
     galerkin_group: Callable
-    jit: bool = False
     notes: str = ""
     extras: dict = field(default_factory=dict, compare=False)
 
@@ -112,14 +115,16 @@ def _ensure_registered() -> None:
     with _LOCK:
         if "numpy" in _REGISTRY:
             return
-        from . import blas1, coarsening, plan
+        from . import blas1, coarsening
+        from .spmv import spmv_ref
+        from .sptrsv import sptrsv_ref
+        from .sweeps import gs_sweep_ref
 
         _REGISTRY["numpy"] = KernelBackend(
             name="numpy",
-            spmv=plan.spmv_planned,
-            gs_sweep=plan.gs_sweep_planned,
-            jacobi_sweep=plan.jacobi_planned,
-            sptrsv=plan.sptrsv_planned,
+            spmv=spmv_ref,
+            gs_sweep=gs_sweep_ref,
+            sptrsv=sptrsv_ref,
             # the private reference impls, not the public dispatchers —
             # blas1's public functions route through this registry
             axpy=blas1._axpy_ref,
@@ -128,7 +133,6 @@ def _ensure_registered() -> None:
             norm2=blas1._norm2_ref,
             transfer=coarsening.transfer_ref,
             galerkin_group=coarsening.galerkin_group_ref,
-            jit=False,
             notes="vectorized NumPy reference (always available)",
         )
         from . import backend_c
@@ -152,7 +156,7 @@ def backend_status() -> dict:
     _ensure_registered()
     return {
         "registered": {
-            name: {"jit": be.jit, "notes": be.notes}
+            name: {"notes": be.notes}
             for name, be in sorted(_REGISTRY.items())
         },
         "unavailable": dict(_UNAVAILABLE),

@@ -37,9 +37,9 @@ their main user, the process-pool serve bench, has a timing-sensitive
 scaling gate), block
 SpTRSV (the reference has none), AOS layouts, blocks larger than 4x4, and
 non-contiguous or unaligned payloads.  The scaled SpMV keeps its ``q*x`` and ``y*=q`` steps in
-numpy around the compiled product; the Jacobi sweep is the reference's,
-around the compiled SpMV.  ``dot``/``norm2`` are never overridden: numpy's
-pairwise summation feeds convergence decisions.
+numpy around the compiled product; the Jacobi sweep (no backend entry)
+runs its numpy update around the compiled SpMV.  ``dot``/``norm2`` are
+never overridden: numpy's pairwise summation feeds convergence decisions.
 
 The compiled kernels charge ``kernel.*.calls`` and ``precision.fcvt.values``
 with the per-plan totals the numpy reference accumulates term by term, so
@@ -219,7 +219,6 @@ def _ready(arr, dtype) -> np.ndarray:
 def make_backend(reference) -> "tuple[object | None, str]":
     """Build the ``"c"`` :class:`KernelBackend`; ``(None, reason)`` if unusable."""
     from .backend import KernelBackend
-    from .plan import jacobi_planned
     from .spmv import field_view
     from .sptrsv import _participating_offsets
 
@@ -330,12 +329,6 @@ def make_backend(reference) -> "tuple[object | None, str]":
             x[...] = xw
         return x
 
-    def jacobi_sweep(plan, a, b, x, diag_inv, weight=1.0, compute_dtype=np.float32):
-        return jacobi_planned(
-            plan, a, b, x, diag_inv, weight=weight, compute_dtype=compute_dtype,
-            spmv=spmv,
-        )
-
     def sptrsv(plan, a, b, lower=True, part="all", diag_inv=None, out=None,
                compute_dtype=np.float32):
         cdtype = np.dtype(compute_dtype)
@@ -434,7 +427,6 @@ def make_backend(reference) -> "tuple[object | None, str]":
         name="c",
         spmv=spmv,
         gs_sweep=gs_sweep,
-        jacobi_sweep=jacobi_sweep,
         sptrsv=sptrsv,
         axpy=reference.axpy,
         xpay=reference.xpay,
@@ -442,7 +434,6 @@ def make_backend(reference) -> "tuple[object | None, str]":
         norm2=reference.norm2,
         transfer=transfer,
         galerkin_group=galerkin_group,
-        jit=False,  # compiled at registration, before any kernel call
         notes=(
             "gcc/ctypes SOA kernels: scalar SpMV/SymGS/SpTRSV, block (2x2 to "
             f"4x4) SpMV/SymGS on any RHS block ({'with' if f16c else 'without'}"

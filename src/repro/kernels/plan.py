@@ -1,27 +1,35 @@
-"""Kernel execution plans: per-level symbolic analysis, computed once.
+"""Kernel execution plans: per-structure symbolic analysis, computed once.
 
-The NumPy kernels are bandwidth-bound array expressions, but before PR 4
-every invocation re-derived its *symbolic* data — the color/offset slice
-tables of the 8-color Gauss-Seidel sweeps, the wavefront gather indices of
-SpTRSV, the destination/source slice pairs of the SG-DIA SpMV — and
-allocated fresh temporaries.  That per-call overhead is exactly the
-setup-vs-apply amortization the paper engineers away on hardware (SOA
-layout so ``fcvt`` amortizes, symbolic SpTRSV analysis excluded from the
-Section-7.2 timings): the serving layer re-applies these kernels thousands
-of times per cached hierarchy, so symbolic work belongs in the setup phase.
+The SG-DIA kernels are bandwidth-bound loops over the stencil offsets, but
+each needs *symbolic* data first — the destination/source slice pairs of
+the SpMV, the color/offset slice tables of the 8-color Gauss-Seidel sweeps,
+the wavefront gather indices of SpTRSV — plus temporaries.  Deriving that
+per call is exactly the setup-vs-apply cost the paper engineers away on
+hardware (SOA layout so ``fcvt`` amortizes, symbolic SpTRSV analysis
+excluded from the Section-7.2 timings): the serving layer re-applies these
+kernels thousands of times per cached hierarchy, so symbolic work belongs
+in the setup phase.
 
 A :class:`KernelPlan` freezes that analysis for one operator *structure*
 (grid shape, stencil offsets, component count):
 
 - ``spmv_terms``: precomputed ``(d, dst, src)`` slice pairs per offset;
+- ``diag_index``: the position of the ``(0, 0, 0)`` offset, ``None`` for a
+  stencil without one;
 - ``sweep_colors``: per color, the color slice and the per-offset
-  ``(d, dst_global, src_global, dst_local)`` tables (radius-1 stencils);
+  ``(d, dst_global, src_global, dst_local)`` tables (radius-1 stencils
+  with a diagonal only);
 - ``trsv_scheme``: per ``(offsets, direction)``, flat gather index tables
-  for every wavefront plane — the explicit, introspectable promotion of
-  the old ``lru_cache`` symbolic analysis;
+  for every wavefront plane, built on first use;
 - ``scratch``: a thread-local buffer pool so the hot loop runs with
   near-zero allocations (thread-local because the serving layer applies
   one hierarchy from several worker threads).
+
+Every kernel call runs on a plan: the entry points of :mod:`.spmv`,
+:mod:`.sweeps` and :mod:`.sptrsv` take one as ``plan=`` and otherwise look
+it up with :func:`plan_for`, then dispatch to the active backend.  The
+numpy reference bodies live next to those entry points; this module holds
+no arithmetic.
 
 Plans are **value-free**: they depend only on structure, so one plan is
 shared by every matrix with the same shape/stencil (all levels of equal
@@ -40,7 +48,6 @@ from collections import OrderedDict
 import numpy as np
 
 from ..observability import metrics as _metrics
-from .spmv import block_contract
 
 __all__ = [
     "KernelPlan",
@@ -93,7 +100,7 @@ class _TrsvScheme:
 class KernelPlan:
     """Per-structure symbolic execution plan for the SG-DIA kernels."""
 
-    def __init__(self, shape, ncomp: int, offsets, diag_index: int) -> None:
+    def __init__(self, shape, ncomp: int, offsets) -> None:
         from .sptrsv import wavefront_planes
         from .sweeps import COLORS8, color_offset_slices
         from ..sgdia import offset_slices
@@ -101,7 +108,9 @@ class KernelPlan:
         self.shape = tuple(int(n) for n in shape)
         self.ncomp = int(ncomp)
         self.offsets = tuple(tuple(int(o) for o in off) for off in offsets)
-        self.diag_index = int(diag_index)
+        self.diag_index = (
+            self.offsets.index((0, 0, 0)) if (0, 0, 0) in self.offsets else None
+        )
         self.field_shape = (
             self.shape if self.ncomp == 1 else self.shape + (self.ncomp,)
         )
@@ -123,10 +132,10 @@ class KernelPlan:
         )
 
         # 8-color sweeps: per color, the color slice and offset tables.
-        # Radius-1 stencils only (the 8-coloring invariant); coarser
-        # patterns leave ``sweep_colors`` as None and the sweep kernels
-        # reject them exactly like the reference path.
-        if self.radius <= 1:
+        # Radius-1 stencils with a diagonal only (the 8-coloring invariant,
+        # and the sweep divides by the diagonal); other patterns leave
+        # ``sweep_colors`` as None and the sweep kernels reject them.
+        if self.radius <= 1 and self.diag_index is not None:
             entries = []
             for color in COLORS8:
                 if any(n <= c for n, c in zip(self.shape, color)):
@@ -184,8 +193,8 @@ class KernelPlan:
         ``offsets_idx`` is the tuple of participating strictly-off-diagonal
         stencil offset indices (what ``_participating_offsets`` returns for
         the requested part).  The scheme stores, per wavefront plane, flat
-        index arrays replacing the per-call bound checks and fancy-index
-        construction of the unplanned kernel.
+        index arrays, so a solve does no bound checks and builds no fancy
+        indices.
         """
         key = (tuple(int(d) for d in offsets_idx), bool(lower))
         scheme = self._trsv.get(key)
@@ -269,7 +278,8 @@ def plan_for(a) -> KernelPlan:
     Plans are keyed by ``(grid shape, ncomp, stencil offsets)`` — layout
     and dtype do not enter the symbolic analysis — so every matrix with
     the same structure (all epochs of a drifting operator, a spilled and
-    restored payload) reuses one plan object.
+    restored payload) reuses one plan object.  The kernel entry points
+    call this when no plan is passed.
     """
     key = (a.grid.shape, a.grid.ncomp, a.stencil.offsets)
     with _PLAN_LOCK:
@@ -277,11 +287,10 @@ def plan_for(a) -> KernelPlan:
         if plan is not None:
             _PLAN_CACHE.move_to_end(key)
             return plan
-    # Build outside the lock (plane partitioning can take a moment on big
-    # grids); a racing duplicate build is harmless — last writer wins.
-    plan = KernelPlan(
-        a.grid.shape, a.grid.ncomp, a.stencil.offsets, a.stencil.diag_index
-    )
+    # Build outside the lock (a big grid's tables take a moment); a racing
+    # duplicate build is harmless — the first plan stored is kept and
+    # returned to both callers.
+    plan = KernelPlan(a.grid.shape, a.grid.ncomp, a.stencil.offsets)
     with _PLAN_LOCK:
         existing = _PLAN_CACHE.get(key)
         if existing is not None:
@@ -308,252 +317,3 @@ def plan_cache_info() -> dict:
 def clear_plan_cache() -> None:
     with _PLAN_LOCK:
         _PLAN_CACHE.clear()
-
-
-# ----------------------------------------------------------------------
-# planned NumPy kernels (the reference backend's implementations)
-# ----------------------------------------------------------------------
-#
-# Each function performs bit-for-bit the same floating-point operations as
-# its unplanned counterpart in spmv.py / sweeps.py / sptrsv.py — only the
-# symbolic work (slice tables, gather indices, bound checks) comes from the
-# plan and the temporaries from the scratch pool.  Parity is asserted by
-# tests/test_kernel_plan.py.
-
-
-def _coeff_term(plan, name, coeff, xs, cdtype, counting, batched):
-    """``coeff * xs`` in the compute dtype, into a scratch buffer.
-
-    In the unbatched scalar path the storage->compute conversion (fcvt) is
-    fused into the multiply when it is an *upcast*: ``np.multiply`` widens
-    the FP16 slice inside its buffered inner loop, which is exact (fp16 ->
-    fp32 is lossless), so the result is bit-identical to
-    astype-then-multiply while skipping one full write+read of a converted
-    temporary.  Downcasts (an FP64 payload under FP32 compute) must convert
-    first — fusing would multiply at the wider precision and round once,
-    which is *not* what the reference kernel computes.  Batched blocks
-    always convert once up front, amortizing a single fcvt across all ``k``
-    columns exactly like the reference kernel.
-    """
-    if counting and coeff.dtype != cdtype:
-        _metrics.incr("precision.fcvt.values", coeff.size)
-    if coeff.dtype != cdtype and (
-        batched or not np.can_cast(coeff.dtype, cdtype, "safe")
-    ):
-        buf = plan.scratch(name + "_cvt", coeff.shape, cdtype)
-        np.copyto(buf, coeff)
-        coeff = buf
-    if batched:
-        coeff = coeff[..., None]
-    tmp = plan.scratch(name, xs.shape, cdtype)
-    np.multiply(coeff, xs, out=tmp)
-    return tmp
-
-
-def _convert_coeff(plan, name, coeff, cdtype, counting: bool):
-    """Storage->compute conversion (fcvt) into a reused scratch buffer."""
-    if coeff.dtype == cdtype:
-        return coeff
-    if counting:
-        _metrics.incr("precision.fcvt.values", coeff.size)
-    buf = plan.scratch(name, coeff.shape, cdtype)
-    np.copyto(buf, coeff)
-    return buf
-
-
-def spmv_planned(
-    plan: KernelPlan,
-    a,
-    x: np.ndarray,
-    out: "np.ndarray | None" = None,
-    compute_dtype=None,
-    sqrt_q: "np.ndarray | None" = None,
-) -> np.ndarray:
-    """Plan-based SG-DIA SpMV (same contract as ``spmv_plain``)."""
-    from .spmv import field_view
-
-    grid = a.grid
-    xf, batched = field_view(grid, x)
-    if compute_dtype is None:
-        compute_dtype = np.result_type(a.data.dtype, xf.dtype)
-        if compute_dtype == np.float16:
-            compute_dtype = np.float32
-    cdtype = np.dtype(compute_dtype)
-
-    q = None
-    if sqrt_q is not None:
-        q = np.asarray(sqrt_q, dtype=cdtype)
-        if batched:
-            q = q[..., None]
-        xf = q * np.asarray(xf, dtype=cdtype)
-    elif xf.dtype != cdtype:
-        xf = xf.astype(cdtype)
-
-    y = np.zeros(xf.shape, dtype=cdtype)
-    scalar = plan.ncomp == 1
-    counting = _metrics.active()
-    if counting:
-        _metrics.incr("kernel.spmv.calls")
-    for d, dst, src in plan.spmv_terms:
-        coeff = a.diag_view(d)[dst]
-        if scalar:
-            xs = xf[src]
-            y[dst] += _coeff_term(
-                plan, "spmv_tmp", coeff, xs, cdtype, counting, batched
-            )
-            continue
-        coeff = _convert_coeff(plan, "spmv_coeff", coeff, cdtype, counting)
-        y[dst] += block_contract(coeff, xf[src], batched)
-
-    if q is not None:
-        y *= q
-
-    if out is not None:
-        of = field_view(grid, out)[0]
-        of[...] = y
-        return out
-    return y.reshape(np.shape(x)) if np.shape(x) != y.shape else y
-
-
-def gs_sweep_planned(
-    plan: KernelPlan,
-    a,
-    b: np.ndarray,
-    x: np.ndarray,
-    diag_inv: np.ndarray,
-    forward: bool = True,
-    compute_dtype=np.float32,
-) -> np.ndarray:
-    """Plan-based multicolor Gauss-Seidel sweep, updating ``x`` in place."""
-    if plan.sweep_colors is None:
-        raise ValueError("8-coloring requires a radius-1 stencil")
-    scalar = plan.ncomp == 1
-    batched = x.ndim == len(plan.field_shape) + 1
-    cdtype = np.dtype(compute_dtype)
-    entries = plan.sweep_colors if forward else plan.sweep_colors[::-1]
-    counting = _metrics.active()
-    if counting:
-        _metrics.incr("kernel.sweep.calls")
-    views = [a.diag_view(d) for d in range(len(plan.offsets))]
-    for _color, cslice, terms in entries:
-        bc = b[cslice]
-        rhs = plan.scratch("sweep_rhs", bc.shape, cdtype)
-        np.copyto(rhs, bc)
-        for d, dst_g, src_g, dst_l in terms:
-            coeff = views[d][dst_g]
-            xs = x[src_g]
-            if scalar:
-                rhs[dst_l] -= _coeff_term(
-                    plan, "sweep_tmp", coeff, xs, cdtype, counting, batched
-                )
-                continue
-            coeff = _convert_coeff(plan, "sweep_coeff", coeff, cdtype, counting)
-            rhs[dst_l] -= block_contract(coeff, xs, batched)
-        dc = diag_inv[cslice]
-        if scalar:
-            np.multiply(dc[..., None] if batched else dc, rhs, out=rhs)
-            x[cslice] = rhs
-        else:
-            x[cslice] = block_contract(dc, rhs, batched)
-    return x
-
-
-def jacobi_planned(
-    plan: KernelPlan,
-    a,
-    b: np.ndarray,
-    x: np.ndarray,
-    diag_inv: np.ndarray,
-    weight: float = 1.0,
-    compute_dtype=np.float32,
-    spmv=spmv_planned,
-) -> np.ndarray:
-    """Plan-based weighted Jacobi sweep (same contract as ``jacobi_sweep``);
-    ``spmv`` is the backend's planned SpMV computing ``A x``."""
-    from .sweeps import _apply_diag_inv
-
-    cdtype = np.dtype(compute_dtype)
-    batched = x.ndim == len(plan.field_shape) + 1
-    ax = spmv(plan, a, x, compute_dtype=cdtype)
-    r = np.asarray(b, dtype=cdtype) - ax
-    upd = _apply_diag_inv(diag_inv, r, plan.ncomp == 1, batched)
-    x += cdtype.type(weight) * upd
-    return x
-
-
-def sptrsv_planned(
-    plan: KernelPlan,
-    a,
-    b: np.ndarray,
-    lower: bool = True,
-    part: str = "all",
-    diag_inv: "np.ndarray | None" = None,
-    out: "np.ndarray | None" = None,
-    compute_dtype=np.float32,
-) -> np.ndarray:
-    """Plan-based wavefront SpTRSV (same contract as ``sptrsv``).
-
-    The flat gather tables require the SOA layout (an AOS payload would
-    need a matrix-sized copy to flatten); AOS inputs take the unplanned
-    reference path, which is exactly the strided-access penalty the
-    Figure-7 ablation measures.
-    """
-    from .spmv import field_view
-    from .sptrsv import _participating_offsets, sptrsv as _reference_sptrsv
-
-    if a.layout != "soa":
-        return _reference_sptrsv(
-            a, b, lower=lower, part=part, diag_inv=diag_inv, out=out,
-            compute_dtype=compute_dtype,
-        )
-    if plan.ncomp != 1:
-        raise NotImplementedError(
-            "wavefront SpTRSV supports scalar grids; block problems use the "
-            "multicolor sweeps"
-        )
-    if plan.radius > 1:
-        raise ValueError("wavefront scheduling assumes a radius-1 stencil")
-
-    grid = a.grid
-    cdtype = np.dtype(compute_dtype)
-    counting = _metrics.active()
-    if counting:
-        _metrics.incr("kernel.sptrsv.calls")
-
-    bf, batched = field_view(grid, np.asarray(b))
-    k = bf.shape[-1] if batched else 1
-    n = plan.ncells
-    b2 = bf.reshape(n, k)
-
-    if diag_inv is None:
-        diag = a.diag_view(a.stencil.diag_index).astype(np.float64)
-        if np.any(diag == 0):
-            raise ZeroDivisionError("zero diagonal in triangular solve")
-        diag_inv = (1.0 / diag).astype(cdtype)
-    dinv2 = np.asarray(diag_inv).reshape(n, 1)
-
-    # the value check for part="all" on a non-triangular stencil stays in
-    # _participating_offsets (value-dependent, so it cannot live in the
-    # structure-shared plan)
-    offs_idx = tuple(int(d) for d in _participating_offsets(a, lower, part))
-    scheme = plan.trsv_scheme(offs_idx, lower)
-
-    dviews = {d: a.data[d].reshape(n) for d in offs_idx}
-    x2 = np.zeros((n, k), dtype=cdtype)
-    plane_iter = scheme.planes if lower else reversed(scheme.planes)
-    for cells, terms in plane_iter:
-        acc = b2[cells].astype(cdtype)
-        for d, rows, csub, nbr in terms:
-            coeff = dviews[d][csub]
-            if coeff.dtype != cdtype:
-                if counting:
-                    _metrics.incr("precision.fcvt.values", coeff.size)
-                coeff = coeff.astype(cdtype)
-            acc[rows] -= coeff[:, None] * x2[nbr]
-        x2[cells] = acc * dinv2[cells]
-
-    xf = x2.reshape(bf.shape)
-    if out is not None:
-        out.reshape(bf.shape)[...] = xf
-        return out
-    return xf.reshape(np.shape(b)) if np.shape(b) != xf.shape else xf

@@ -12,9 +12,13 @@ precision on the fly (the ``fcvt`` of Section 5.1); for a scaled operator
 i.e. the input vector is scaled once, the FP16 matrix applied, and the
 output rescaled — three extra vector reads against a matrix-sized saving.
 
-Both SOA and AOS layouts run through the same code; AOS sees strided
-coefficient views, which is precisely the bandwidth-efficiency penalty the
-Figure-7 ablation measures.
+Every call runs on the operator structure's
+:class:`~repro.kernels.plan.KernelPlan` (``plan=``, else looked up with
+:func:`~repro.kernels.plan.plan_for`) and dispatches to the active kernel
+backend; :func:`spmv_ref` is the numpy reference every backend matches bit
+for bit.  It runs SOA and AOS layouts through the same code; AOS sees
+strided coefficient views, which is precisely the bandwidth-efficiency
+penalty the Figure-7 ablation measures.
 """
 
 from __future__ import annotations
@@ -22,7 +26,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..observability import metrics as _metrics
-from ..sgdia import SGDIAMatrix, StoredMatrix, offset_slices
+from ..sgdia import SGDIAMatrix, StoredMatrix
+from .backend import get_backend
+from .plan import plan_for
 
 __all__ = ["spmv", "residual", "spmv_plain", "field_view", "block_contract"]
 
@@ -77,11 +83,6 @@ def block_contract(blocks: np.ndarray, v: np.ndarray, batched: bool) -> np.ndarr
     return out if batched else out[..., 0]
 
 
-def _as_field(grid, x: np.ndarray) -> np.ndarray:
-    """Accept flat dof vectors or field-shaped arrays; return field view."""
-    return field_view(grid, x)[0]
-
-
 def spmv_plain(
     a: SGDIAMatrix,
     x: np.ndarray,
@@ -101,57 +102,108 @@ def spmv_plain(
         guidelines).
     sqrt_q:
         Per-dof scaling field; when given, implements recover-and-rescale.
+    plan:
+        The :class:`~repro.kernels.plan.KernelPlan` of this operator's
+        structure; looked up with :func:`~repro.kernels.plan.plan_for`
+        when omitted (a cache hit once a hierarchy exists).
 
     Batched multi-RHS blocks (trailing batch axis ``k``, see
     :func:`field_view`) run through the same per-offset slicing: each FP16
     coefficient slice is converted *once* and applied to all ``k`` columns,
     amortizing the fcvt cost across the block (the serving-side analogue of
     the paper's SOA/fcvt bandwidth argument).
-
-    With ``plan`` (a :class:`~repro.kernels.plan.KernelPlan` for this
-    operator's structure) the call dispatches to the active kernel backend
-    using the plan's precomputed slice tables and scratch buffers; without
-    it, the self-contained reference path below runs unchanged.
     """
-    if plan is not None:
-        from .backend import get_backend
+    return get_backend().spmv(
+        plan or plan_for(a), a, x, out=out, compute_dtype=compute_dtype,
+        sqrt_q=sqrt_q,
+    )
 
-        return get_backend().spmv(
-            plan, a, x, out=out, compute_dtype=compute_dtype, sqrt_q=sqrt_q
-        )
+
+def _coeff_term(plan, name, coeff, xs, cdtype, counting, batched):
+    """``coeff * xs`` in the compute dtype, into a scratch buffer.
+
+    In the unbatched scalar path the storage->compute conversion (fcvt) is
+    fused into the multiply when it is an *upcast*: ``np.multiply`` widens
+    the FP16 slice inside its buffered inner loop, which is exact (fp16 ->
+    fp32 is lossless), so the result is bit-identical to
+    astype-then-multiply while skipping one full write+read of a converted
+    temporary.  Downcasts (an FP64 payload under FP32 compute) must convert
+    first — fusing would multiply at the wider precision and round once,
+    which is *not* the product of the converted coefficient.  Batched
+    blocks always convert once up front, amortizing a single fcvt across
+    all ``k`` columns.
+    """
+    if counting and coeff.dtype != cdtype:
+        _metrics.incr("precision.fcvt.values", coeff.size)
+    if coeff.dtype != cdtype and (
+        batched or not np.can_cast(coeff.dtype, cdtype, "safe")
+    ):
+        buf = plan.scratch(name + "_cvt", coeff.shape, cdtype)
+        np.copyto(buf, coeff)
+        coeff = buf
+    if batched:
+        coeff = coeff[..., None]
+    tmp = plan.scratch(name, xs.shape, cdtype)
+    np.multiply(coeff, xs, out=tmp)
+    return tmp
+
+
+def _convert_coeff(plan, name, coeff, cdtype, counting: bool):
+    """Storage->compute conversion (fcvt) into a reused scratch buffer."""
+    if coeff.dtype == cdtype:
+        return coeff
+    if counting:
+        _metrics.incr("precision.fcvt.values", coeff.size)
+    buf = plan.scratch(name, coeff.shape, cdtype)
+    np.copyto(buf, coeff)
+    return buf
+
+
+def spmv_ref(
+    plan,
+    a: SGDIAMatrix,
+    x: np.ndarray,
+    out: "np.ndarray | None" = None,
+    compute_dtype=None,
+    sqrt_q: "np.ndarray | None" = None,
+) -> np.ndarray:
+    """The numpy backend's SpMV (contract of :func:`spmv_plain`).
+
+    Per cell the offsets sum in ascending stencil order from zero, and a
+    block term is :func:`block_contract`: the order every backend must
+    reproduce bit for bit.
+    """
     grid = a.grid
     xf, batched = field_view(grid, x)
     if compute_dtype is None:
         compute_dtype = np.result_type(a.data.dtype, xf.dtype)
         if compute_dtype == np.float16:
             compute_dtype = np.float32
-    compute_dtype = np.dtype(compute_dtype)
+    cdtype = np.dtype(compute_dtype)
 
     q = None
     if sqrt_q is not None:
-        q = np.asarray(sqrt_q, dtype=compute_dtype)
+        q = np.asarray(sqrt_q, dtype=cdtype)
         if batched:
             q = q[..., None]
-        xf = q * np.asarray(xf, dtype=compute_dtype)
-    elif xf.dtype != compute_dtype:
-        xf = xf.astype(compute_dtype)
+        xf = q * np.asarray(xf, dtype=cdtype)
+    elif xf.dtype != cdtype:
+        xf = xf.astype(cdtype)
 
-    y = np.zeros(xf.shape, dtype=compute_dtype)
-    scalar = grid.ncomp == 1
+    y = np.zeros(xf.shape, dtype=cdtype)
+    scalar = plan.ncomp == 1
     counting = _metrics.active()  # hoisted: the loop is the hot path
     if counting:
         _metrics.incr("kernel.spmv.calls")
-    for d, off in enumerate(a.stencil.offsets):
-        dst, src = offset_slices(grid.shape, off)
+    for d, dst, src in plan.spmv_terms:
         coeff = a.diag_view(d)[dst]
-        if coeff.dtype != compute_dtype:
-            if counting:
-                _metrics.incr("precision.fcvt.values", coeff.size)
-            coeff = coeff.astype(compute_dtype)  # the on-the-fly "fcvt"
         if scalar:
-            y[dst] += (coeff[..., None] if batched else coeff) * xf[src]
-        else:
-            y[dst] += block_contract(coeff, xf[src], batched)
+            y[dst] += _coeff_term(
+                plan, "spmv_tmp", coeff, xf[src], cdtype, counting, batched
+            )
+            continue
+        coeff = _convert_coeff(plan, "spmv_coeff", coeff, cdtype, counting)
+        y[dst] += block_contract(coeff, xf[src], batched)
 
     if q is not None:
         y *= q

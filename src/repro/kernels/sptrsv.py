@@ -10,8 +10,11 @@ so cells on one plane depend only on earlier planes and each plane is solved
 as one vectorized gather/multiply.
 
 The symbolic analysis (grouping cells into planes) depends only on the grid
-shape and is cached — matching the paper's measurement protocol, which
-excludes symbolic analysis time from the SpTRSV comparisons (Section 7.2).
+shape and is cached; the per-plane gather tables built from it live in the
+operator structure's :class:`~repro.kernels.plan.KernelPlan` — matching the
+paper's measurement protocol, which excludes symbolic analysis time from
+the SpTRSV comparisons (Section 7.2).  Every solve dispatches to the active
+kernel backend; :func:`sptrsv_ref` is the numpy reference.
 
 Scalar grids only; block smoothers use the multicolor sweeps instead.
 """
@@ -22,7 +25,11 @@ from functools import lru_cache
 
 import numpy as np
 
+from ..observability import metrics as _metrics
 from ..sgdia import SGDIAMatrix
+from .backend import get_backend
+from .plan import plan_for
+from .spmv import field_view
 
 __all__ = ["sptrsv", "wavefront_planes", "TriangularPart"]
 
@@ -111,67 +118,84 @@ def sptrsv(
         Arithmetic precision; FP16 payloads are converted per gathered
         slice, i.e. recover-on-the-fly.
     plan:
-        Optional :class:`~repro.kernels.plan.KernelPlan`; dispatches to
-        the active backend's gather-table implementation.
+        The :class:`~repro.kernels.plan.KernelPlan` of this operator's
+        structure, looked up when omitted; the active kernel backend
+        solves on its gather tables.
 
     ``b`` may carry a trailing batch axis (``(ndof, k)`` or
     ``field_shape + (k,)``): the wavefront gathers are shared across all
     ``k`` columns, each per-plane update running column-parallel and
     bit-identical to the column-by-column solve.
     """
-    if plan is not None:
-        from .backend import get_backend
+    return get_backend().sptrsv(
+        plan or plan_for(a), a, b, lower=lower, part=part, diag_inv=diag_inv,
+        out=out, compute_dtype=compute_dtype,
+    )
 
-        return get_backend().sptrsv(
-            plan, a, b, lower=lower, part=part, diag_inv=diag_inv, out=out,
-            compute_dtype=compute_dtype,
-        )
-    if a.grid.ncomp != 1:
+
+def sptrsv_ref(
+    plan,
+    a: SGDIAMatrix,
+    b: np.ndarray,
+    lower: bool = True,
+    part: TriangularPart = "all",
+    diag_inv: "np.ndarray | None" = None,
+    out: "np.ndarray | None" = None,
+    compute_dtype=np.float32,
+) -> np.ndarray:
+    """The numpy backend's SpTRSV (contract of :func:`sptrsv`): planes in
+    ascending order (descending for upper), per cell the participating
+    offsets subtracted in ascending stencil order.  SOA and AOS payloads
+    share the gather tables: each offset's coefficients are read through
+    the flat, copy-free (strided for AOS) view ``a.diag_view(d).reshape(n)``.
+    """
+    if plan.ncomp != 1:
         raise NotImplementedError(
             "wavefront SpTRSV supports scalar grids; block problems use the "
             "multicolor sweeps"
         )
-    if a.stencil.radius > 1:
+    if plan.radius > 1:
         raise ValueError("wavefront scheduling assumes a radius-1 stencil")
-    from .spmv import field_view
 
-    grid = a.grid
     cdtype = np.dtype(compute_dtype)
-    nx, ny, nz = grid.shape
-    bf, batched = field_view(grid, np.asarray(b))
-    x = np.zeros(bf.shape, dtype=cdtype)
+    counting = _metrics.active()
+    if counting:
+        _metrics.incr("kernel.sptrsv.calls")
+
+    bf, batched = field_view(a.grid, np.asarray(b))
+    k = bf.shape[-1] if batched else 1
+    n = plan.ncells
+    b2 = bf.reshape(n, k)
 
     if diag_inv is None:
         diag = a.diag_view(a.stencil.diag_index).astype(np.float64)
         if np.any(diag == 0):
             raise ZeroDivisionError("zero diagonal in triangular solve")
         diag_inv = (1.0 / diag).astype(cdtype)
+    dinv2 = np.asarray(diag_inv).reshape(n, 1)
 
-    offs_idx = _participating_offsets(a, lower, part)
-    offsets = [a.stencil.offsets[int(d)] for d in offs_idx]
-    views = [a.diag_view(int(d)) for d in offs_idx]
+    # the value check for part="all" on a non-triangular stencil stays in
+    # _participating_offsets (value-dependent, so it cannot live in the
+    # structure-shared plan)
+    offs_idx = tuple(int(d) for d in _participating_offsets(a, lower, part))
+    scheme = plan.trsv_scheme(offs_idx, lower)
 
-    planes = wavefront_planes(grid.shape)
-    plane_iter = planes if lower else reversed(planes)
-    for (pi, pj, pk) in plane_iter:
-        acc = bf[pi, pj, pk].astype(cdtype)
-        for off, view in zip(offsets, views):
-            ni, nj, nk = pi + off[0], pj + off[1], pk + off[2]
-            valid = (
-                (ni >= 0) & (ni < nx) & (nj >= 0) & (nj < ny) & (nk >= 0) & (nk < nz)
-            )
-            if not valid.any():
-                continue
-            coeff = view[pi[valid], pj[valid], pk[valid]]
+    dviews = {d: a.diag_view(d).reshape(n) for d in offs_idx}
+    x2 = np.zeros((n, k), dtype=cdtype)
+    plane_iter = scheme.planes if lower else reversed(scheme.planes)
+    for cells, terms in plane_iter:
+        acc = b2[cells].astype(cdtype)
+        for d, rows, csub, nbr in terms:
+            coeff = dviews[d][csub]
             if coeff.dtype != cdtype:
+                if counting:
+                    _metrics.incr("precision.fcvt.values", coeff.size)
                 coeff = coeff.astype(cdtype)
-            if batched:
-                coeff = coeff[:, None]
-            acc[valid] -= coeff * x[ni[valid], nj[valid], nk[valid]]
-        dinv = diag_inv[pi, pj, pk]
-        x[pi, pj, pk] = acc * (dinv[:, None] if batched else dinv)
+            acc[rows] -= coeff[:, None] * x2[nbr]
+        x2[cells] = acc * dinv2[cells]
 
+    xf = x2.reshape(bf.shape)
     if out is not None:
-        out.reshape(bf.shape)[...] = x
+        out.reshape(bf.shape)[...] = xf
         return out
-    return x.reshape(np.shape(b)) if np.shape(b) != x.shape else x
+    return xf.reshape(np.shape(b)) if np.shape(b) != xf.shape else xf

@@ -16,6 +16,11 @@ Mixed precision: the sweep reads FP16 coefficient slices and converts them
 to the compute dtype on the fly.  Scaled operators are handled by the
 smoother layer (see :mod:`repro.smoothers.symgs`), which transforms the
 system into the scaled space where the stored payload *is* the matrix.
+
+The sweep runs on the operator structure's
+:class:`~repro.kernels.plan.KernelPlan` and dispatches to the active kernel
+backend; :func:`gs_sweep_ref` is the numpy reference.  The Jacobi sweep is
+no backend entry: it is numpy vector arithmetic around the dispatched SpMV.
 """
 
 from __future__ import annotations
@@ -24,7 +29,9 @@ import numpy as np
 
 from ..observability import metrics as _metrics
 from ..sgdia import SGDIAMatrix
-from .spmv import block_contract, spmv_plain
+from .backend import get_backend
+from .plan import plan_for
+from .spmv import _coeff_term, _convert_coeff, block_contract, spmv_plain
 
 __all__ = [
     "COLORS8",
@@ -112,50 +119,58 @@ def gs_sweep_colored(
     axis on ``b``/``x`` (shape ``field_shape + (k,)``) sweeps all ``k``
     right-hand sides together, converting each FP16 slice only once.
 
-    With ``plan`` the sweep dispatches to the active kernel backend using
-    the plan's precomputed color/offset slice tables.
+    ``plan`` is the operator structure's
+    :class:`~repro.kernels.plan.KernelPlan` (looked up when omitted); the
+    active kernel backend runs the sweep on its color/offset tables.
     """
-    if plan is not None:
-        from .backend import get_backend
+    return get_backend().gs_sweep(
+        plan or plan_for(a), a, b, x, diag_inv, forward=forward,
+        compute_dtype=compute_dtype,
+    )
 
-        return get_backend().gs_sweep(
-            plan, a, b, x, diag_inv, forward=forward, compute_dtype=compute_dtype
-        )
-    if a.stencil.radius > 1:
-        raise ValueError("8-coloring requires a radius-1 stencil")
-    grid = a.grid
-    shape = grid.shape
-    scalar = grid.ncomp == 1
-    batched = x.ndim == len(grid.field_shape) + 1
+
+def gs_sweep_ref(
+    plan,
+    a: SGDIAMatrix,
+    b: np.ndarray,
+    x: np.ndarray,
+    diag_inv: np.ndarray,
+    forward: bool = True,
+    compute_dtype=np.float32,
+) -> np.ndarray:
+    """The numpy backend's sweep (contract of :func:`gs_sweep_colored`):
+    colors in ``COLORS8`` order (reversed backward), per color the
+    off-diagonal offsets subtracted in ascending stencil order."""
+    if plan.sweep_colors is None:
+        raise ValueError("8-coloring requires a radius-1 stencil with a diagonal")
+    scalar = plan.ncomp == 1
+    batched = x.ndim == len(plan.field_shape) + 1
     cdtype = np.dtype(compute_dtype)
-    diag_idx = a.stencil.diag_index
-    order = COLORS8 if forward else COLORS8[::-1]
+    entries = plan.sweep_colors if forward else plan.sweep_colors[::-1]
     counting = _metrics.active()  # hoisted: the color loop is the hot path
     if counting:
         _metrics.incr("kernel.sweep.calls")
-    for color in order:
-        cslice = tuple(slice(c, None, 2) for c in color)
+    views = [a.diag_view(d) for d in range(len(plan.offsets))]
+    for _color, cslice, terms in entries:
         bc = b[cslice]
-        if bc.size == 0:
-            continue
-        rhs = np.array(bc, dtype=cdtype, copy=True)
-        for d, off in enumerate(a.stencil.offsets):
-            if d == diag_idx:
-                continue
-            sl = color_offset_slices(shape, off, color)
-            if sl is None:
-                continue
-            dst_g, src_g, dst_l = sl
-            coeff = a.diag_view(d)[dst_g]
-            if coeff.dtype != cdtype:
-                if counting:
-                    _metrics.incr("precision.fcvt.values", coeff.size)
-                coeff = coeff.astype(cdtype)
+        rhs = plan.scratch("sweep_rhs", bc.shape, cdtype)
+        np.copyto(rhs, bc)
+        for d, dst_g, src_g, dst_l in terms:
+            coeff = views[d][dst_g]
+            xs = x[src_g]
             if scalar:
-                rhs[dst_l] -= (coeff[..., None] if batched else coeff) * x[src_g]
-            else:
-                rhs[dst_l] -= block_contract(coeff, x[src_g], batched)
-        x[cslice] = _apply_diag_inv(diag_inv[cslice], rhs, scalar, batched)
+                rhs[dst_l] -= _coeff_term(
+                    plan, "sweep_tmp", coeff, xs, cdtype, counting, batched
+                )
+                continue
+            coeff = _convert_coeff(plan, "sweep_coeff", coeff, cdtype, counting)
+            rhs[dst_l] -= block_contract(coeff, xs, batched)
+        dc = diag_inv[cslice]
+        if scalar:
+            np.multiply(dc[..., None] if batched else dc, rhs, out=rhs)
+            x[cslice] = rhs
+        else:
+            x[cslice] = block_contract(dc, rhs, batched)
     return x
 
 
@@ -168,16 +183,15 @@ def jacobi_sweep(
     compute_dtype=np.float32,
     plan=None,
 ) -> np.ndarray:
-    """One (weighted) Jacobi sweep ``x += w D^{-1} (b - A x)`` in place."""
-    if plan is not None:
-        from .backend import get_backend
+    """One (weighted) Jacobi sweep ``x += w D^{-1} (b - A x)`` in place.
 
-        return get_backend().jacobi_sweep(
-            plan, a, b, x, diag_inv, weight=weight, compute_dtype=compute_dtype
-        )
+    ``A x`` is the backend-dispatched :func:`~repro.kernels.spmv.spmv_plain`
+    on ``plan`` (looked up when omitted); the update is numpy on every
+    backend.
+    """
     cdtype = np.dtype(compute_dtype)
     batched = x.ndim == len(a.grid.field_shape) + 1
-    ax = spmv_plain(a, x, compute_dtype=cdtype)
+    ax = spmv_plain(a, x, compute_dtype=cdtype, plan=plan)
     r = np.asarray(b, dtype=cdtype) - ax
     upd = _apply_diag_inv(diag_inv, r, a.grid.ncomp == 1, batched)
     x += cdtype.type(weight) * upd

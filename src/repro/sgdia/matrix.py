@@ -454,13 +454,10 @@ class SGDIAMatrix:
         """Sparse matrix-vector product (delegates to the SG-DIA kernel).
 
         Runs on the structure's shared kernel plan — a cache hit whenever a
-        hierarchy exists for this operator — so the outer Krylov SpMV takes
-        the active backend's planned path.
+        hierarchy exists for this operator — on the active kernel backend.
         """
-        from ..kernels import plan_for, spmv  # local import to avoid a cycle
+        from ..kernels import spmv  # local import to avoid a cycle
 
-        if "plan" not in kwargs and self.stencil.has_diagonal:
-            kwargs["plan"] = plan_for(self)
         return spmv(self, x, **kwargs)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:

@@ -165,9 +165,9 @@ class StoredMatrix:
         return m.scaled_two_sided(self.scaling.sqrt_q.astype(self.compute.np_dtype))
 
     def matvec(self, x: np.ndarray, out=None) -> np.ndarray:
-        from ..kernels import plan_for, spmv
+        from ..kernels import spmv
 
-        return spmv(self, x, out=out, plan=plan_for(self.matrix))
+        return spmv(self, x, out=out)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self.matvec(x)

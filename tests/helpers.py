@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from repro.grid import StructuredGrid, stencil as make_stencil
+from repro.kernels import COLORS8
 from repro.sgdia import SGDIAMatrix
 
 
@@ -39,6 +41,34 @@ def random_sgdia(
     return a
 
 
+def gauss_seidel_oracle(a, b, x, groups) -> np.ndarray:
+    """Block Gauss-Seidel by scipy CSR in FP64, the sweep oracle: for each
+    dof group in turn, ``x_G = A_GG^{-1} (b_G - A_{G,~G} x_{~G})``.
+
+    ``b``/``x`` are fields, optionally with a trailing batch axis; ``x`` is
+    left unchanged and the swept copy returned.  With the 8 parity colors
+    as groups (:func:`color_groups`) ``A_GG`` is the (block) diagonal
+    ``D_c``; with a color's grid lines it is their tridiagonal part.
+    """
+    csr = a.to_csr(dtype=np.float64)
+    n = a.grid.ndof
+    xf = np.array(x, dtype=np.float64).reshape(n, -1)
+    bf = np.asarray(b, dtype=np.float64).reshape(n, -1)
+    for g in groups:
+        rest = np.setdiff1d(np.arange(n), g)
+        rhs = bf[g] - csr[g][:, rest] @ xf[rest]
+        xf[g] = spla.spsolve(csr[g][:, g].tocsc(), rhs).reshape(rhs.shape)
+    return xf.reshape(np.shape(x))
+
+
+def color_groups(a, forward: bool = True) -> list:
+    """The dofs of each non-empty parity color, in ``COLORS8`` order
+    (reversed for a backward sweep)."""
+    cell = np.arange(a.grid.ndof) // a.grid.ncomp
+    parity = np.stack(np.unravel_index(cell, a.grid.shape), axis=-1) % 2
+    order = COLORS8 if forward else COLORS8[::-1]
+    groups = [np.flatnonzero((parity == c).all(axis=1)) for c in order]
+    return [g for g in groups if g.size]
 
 
 def csr_transfer(t) -> "tuple[sp.csr_matrix, sp.csr_matrix]":
@@ -53,7 +83,7 @@ def csr_transfer(t) -> "tuple[sp.csr_matrix, sp.csr_matrix]":
 
 def csr_apply(mat, x: np.ndarray, src, dst, dtype) -> np.ndarray:
     """``mat`` cast to ``dtype``, applied by scipy's CSR matvec to a field
-    or to a block with a trailing batch axis: the transfer oracle."""
+    or to a block with a trailing batch axis: the transfer and SpMV oracle."""
     arr = np.asarray(x, dtype=dtype)
     batched = arr.shape[:-1] in (src.field_shape, (src.ndof,))
     flat = mat.astype(dtype) @ arr.reshape((src.ndof, -1) if batched else src.ndof)

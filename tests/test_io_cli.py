@@ -238,6 +238,13 @@ class TestCLI:
         with pytest.raises(SystemExit):
             parser.parse_args(["solve", "rhd", "--shape", "0x2x2"])
 
+    def test_bench_takes_krylov_only(self):
+        parser = build_parser()
+        assert parser.parse_args(["bench", "--krylov"]).shape is None
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["bench", "--kernels"])
+        assert exc.value.code == 2
+
     def test_solve_command(self, capsys):
         rc = main(["solve", "laplace27", "--shape", "12", "--maxiter", "50"])
         out = capsys.readouterr().out

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.sgdia import StoredMatrix
-from repro.kernels import residual, spmv, spmv_plain
+from repro.grid import Stencil, StructuredGrid, stencil as make_stencil
+from repro.kernels import available_backends, residual, spmv, spmv_plain, use_backend
+from repro.sgdia import SGDIAMatrix, StoredMatrix
 
 from tests.helpers import random_sgdia
 
@@ -27,6 +28,21 @@ class TestPlain:
         np.testing.assert_allclose(
             y.ravel(), a.to_csr() @ x.ravel(), rtol=1e-12
         )
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_stencil_without_diagonal(self, backend, rng):
+        """A stencil with no (0, 0, 0) offset still runs on a plan, through
+        the kernel and through ``matvec``."""
+        offs = tuple(o for o in make_stencil("3d19").offsets if o != (0, 0, 0))
+        a = SGDIAMatrix.zeros(StructuredGrid((5, 4, 6)), Stencil("3d18", offs))
+        a.data[...] = rng.standard_normal(a.data.shape)
+        a.zero_boundary()
+        x = rng.standard_normal(a.grid.field_shape)
+        ref = a.to_csr() @ x.ravel()
+        with use_backend(backend):
+            y = spmv_plain(a, x, compute_dtype=np.float64)
+            np.testing.assert_allclose(y.ravel(), ref, rtol=1e-12)
+            np.testing.assert_allclose(a.matvec(x).ravel(), ref, rtol=1e-12)
 
     def test_flat_vector_accepted(self, rng):
         a = random_sgdia((4, 4, 4), "3d7")
