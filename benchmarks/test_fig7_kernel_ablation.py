@@ -17,6 +17,9 @@ so an unpinned run would time C on SOA against numpy on AOS and measure
 the backends, not the layouts.
 """
 
+import statistics
+from time import perf_counter
+
 import numpy as np
 import pytest
 
@@ -33,6 +36,8 @@ from tests.helpers import random_sgdia
 SPMV_PATTERNS = ("3d7", "3d19", "3d27")
 SPTRSV_PATTERNS = ("3d4", "3d10", "3d14")
 SIZES = ((32, 32, 32), (40, 40, 40))
+#: Timed rounds of the interleaved SpTRSV measurement (after a warm-up)
+SPTRSV_ROUNDS = 15
 
 
 def _matrix(pattern, shape, dtype, layout="soa"):
@@ -73,32 +78,36 @@ def _measure_spmv():
 
 
 def _measure_sptrsv():
+    """fp32, fp16-soa and fp16-aos timed interleaved, one call each per
+    round (in an order rotated every round), over SPTRSV_ROUNDS rounds after
+    a warm-up round; each speedup is the median of its per-round ratios.
+    A load spike on a shared host then slows the three kinds of one round
+    alike instead of one kind's whole best-of-3."""
     rows = {}
+    shape = SIZES[0]  # wavefront kernels: one size keeps it quick
+    wavefront_planes(shape)  # warm the symbolic-analysis cache
+    kinds = ("fp32", "fp16-soa", "fp16-aos")
     for pattern in SPTRSV_PATTERNS:
-        speedups = {"fp16-soa": [], "fp16-aos": []}
-        for shape in SIZES[:1]:  # wavefront kernels: one size keeps it quick
-            wavefront_planes(shape)  # warm the symbolic-analysis cache
-            a32 = _matrix(pattern, shape, np.float32)
-            a16 = _matrix(pattern, shape, np.float16)
-            a16_aos = _matrix(pattern, shape, np.float16, layout="aos")
-            b = np.random.default_rng(0).standard_normal(
-                a32.grid.field_shape
-            ).astype(np.float32)
-            t32 = measure(
-                lambda: sptrsv(a32, b, part="all", compute_dtype=np.float32),
-                repeats=3,
-            )
-            t16 = measure(
-                lambda: sptrsv(a16, b, part="all", compute_dtype=np.float32),
-                repeats=3,
-            )
-            t16a = measure(
-                lambda: sptrsv(a16_aos, b, part="all", compute_dtype=np.float32),
-                repeats=3,
-            )
-            speedups["fp16-soa"].append(t32 / t16)
-            speedups["fp16-aos"].append(t32 / t16a)
-        rows[pattern] = {k: geometric_mean(v) for k, v in speedups.items()}
+        mats = dict(zip(kinds, (
+            _matrix(pattern, shape, np.float32),
+            _matrix(pattern, shape, np.float16),
+            _matrix(pattern, shape, np.float16, layout="aos"),
+        )))
+        b = np.random.default_rng(0).standard_normal(
+            mats["fp32"].grid.field_shape
+        ).astype(np.float32)
+        ratios = {"fp16-soa": [], "fp16-aos": []}
+        for rnd in range(SPTRSV_ROUNDS + 1):
+            t = {}
+            for q in range(len(kinds)):
+                kind = kinds[(rnd + q) % len(kinds)]
+                t0 = perf_counter()
+                sptrsv(mats[kind], b, part="all", compute_dtype=np.float32)
+                t[kind] = perf_counter() - t0
+            if rnd:  # round 0 warms up
+                for kind in ratios:
+                    ratios[kind].append(t["fp32"] / t[kind])
+        rows[pattern] = {k: statistics.median(v) for k, v in ratios.items()}
     return rows
 
 

@@ -3,8 +3,10 @@
 A :class:`KernelBackend` bundles plan-based implementations of the hot
 operations — SpMV, colored Gauss-Seidel sweep, wavefront SpTRSV, and the
 fused BLAS-1 vector ops — plus the two coarsening kernels of
-:mod:`repro.kernels.coarsening`: the grid transfers (restrict and prolong)
-and the Galerkin group product of the setup.  The public kernel entry
+:mod:`repro.kernels.coarsening` (the grid transfers, restrict and prolong,
+and the Galerkin group product of the setup) and the two setup kernels of
+:mod:`repro.kernels.truncate` (each level's scale, range audit and
+truncation, and Theorem 4.1's scaled ratio).  The public kernel entry
 points (:func:`~repro.kernels.spmv.spmv_plain`,
 :func:`~repro.kernels.sweeps.gs_sweep_colored`,
 :func:`~repro.kernels.sptrsv.sptrsv`, and the Jacobi sweep through the
@@ -30,7 +32,9 @@ cell, stencil offsets in ascending order, and inside a block operator's
 ``r x r`` product the ascending sum from zero of
 :func:`repro.kernels.spmv.block_contract`, for any number of RHS columns;
 per transfer output, ascending source index; per Galerkin coefficient,
-the term order of :mod:`repro.coarsen.galerkin`.
+the term order of :mod:`repro.coarsen.galerkin`; per scaled entry, the
+operation order of ``SGDIAMatrix.scaled_two_sided``, and per FP16 payload
+value the single rounding of numpy's FP64 -> FP16 cast.
 That is why the c backend deliberately does not override ``dot`` /
 ``norm2`` — numpy's pairwise summation order cannot be reproduced by a
 naive loop, and reductions feed convergence decisions.
@@ -68,7 +72,10 @@ class KernelBackend:
     :func:`~repro.kernels.sptrsv.sptrsv_ref`; the BLAS-1 entries mirror
     :mod:`repro.kernels.blas1`; ``transfer`` and ``galerkin_group`` mirror
     :func:`~repro.kernels.coarsening.transfer_ref` and
-    :func:`~repro.kernels.coarsening.galerkin_group_ref`.
+    :func:`~repro.kernels.coarsening.galerkin_group_ref`; ``truncate_audit``
+    and ``scaled_ratio`` mirror
+    :func:`~repro.kernels.truncate.truncate_audit_ref` and
+    :func:`~repro.kernels.truncate.scaled_ratio_ref`.
     """
 
     name: str
@@ -81,6 +88,8 @@ class KernelBackend:
     norm2: Callable
     transfer: Callable
     galerkin_group: Callable
+    truncate_audit: Callable
+    scaled_ratio: Callable
     notes: str = ""
     extras: dict = field(default_factory=dict, compare=False)
 
@@ -115,7 +124,7 @@ def _ensure_registered() -> None:
     with _LOCK:
         if "numpy" in _REGISTRY:
             return
-        from . import blas1, coarsening
+        from . import blas1, coarsening, truncate
         from .spmv import spmv_ref
         from .sptrsv import sptrsv_ref
         from .sweeps import gs_sweep_ref
@@ -133,6 +142,8 @@ def _ensure_registered() -> None:
             norm2=blas1._norm2_ref,
             transfer=coarsening.transfer_ref,
             galerkin_group=coarsening.galerkin_group_ref,
+            truncate_audit=truncate.truncate_audit_ref,
+            scaled_ratio=truncate.scaled_ratio_ref,
             notes="vectorized NumPy reference (always available)",
         )
         from . import backend_c

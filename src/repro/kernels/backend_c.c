@@ -39,6 +39,7 @@
  * one converted copy of the row's coefficients, and each vector computes
  * 8 contiguous cells of both parities; only the color's cells are written.
  */
+#include <float.h>
 #include <stdint.h>
 #include <stdlib.h>
 
@@ -755,4 +756,242 @@ int repro_galerkin_group(const double *const *a, double *const *out,
     }
     free(t);
     return 0;
+}
+
+/* ---- setup: Algorithm 1's per-level scale, range audit and truncation ---
+ * One pass over a level's FP64 SOA coefficients, data[d][i][j][k] with an
+ * m x m block per cell (m = 1 for a scalar grid); repro.kernels.truncate
+ * holds the numpy references, whose arithmetic this reproduces:
+ *   - with a per-dof weight w (NULL: none), the two-sided scaling W A W of
+ *     SGDIAMatrix.scaled_two_sided: an entry whose neighbour is in the grid
+ *     becomes a * (w[cell][p] * w[neighbour][q]), any other is copied as it
+ *     is.  The scaled values go to `scaled`;
+ *   - the range audit of the values (scaled or not) against one format's
+ *     thresholds thr = (max, tiny, min_normal), as repro.precision's
+ *     range_counts takes it: counts[] of nonzero, non-finite, finite
+ *     |v| > max, |v| < tiny and |v| < min_normal values, and the largest
+ *     finite |v|.  The counts are integers and the maximum is exact, so
+ *     their order of accumulation does not matter;
+ *   - the truncation of the values into `out`: kind 8 copies (FP64), kind 4
+ *     is the hardware cast to FP32 and kind 2 rounds to FP16 (kind 0 writes
+ *     no payload).  FP64 -> FP32 -> FP16 would round twice and differ from
+ *     numpy's direct rounding on values just past an FP16 midpoint, so the
+ *     FP32 step rounds to odd: the nearest-even cast, moved one ulp toward
+ *     zero where it rounded away, with its last bit set where it was
+ *     inexact.  FP32 keeps more than two bits below FP16's last one, so
+ *     F16C's nearest-even conversion of that float is the correctly
+ *     rounded FP16 value, overflow to inf included.  A quiet NaN keeps
+ *     numpy's bits (sign and leading payload bits); the hardware quiets a
+ *     signaling NaN, which numpy's cast passes through.
+ * A grid row is done in chunks of at most CH values, each scaled into a
+ * buffer (or into `scaled`), audited and converted while it is in L1. */
+
+typedef long l8_t __attribute__((vector_size(KW * sizeof(long))));
+typedef int i8_t __attribute__((vector_size(KW * sizeof(int))));
+
+#define ABS_BITS 0x7fffffffffffffffL
+
+enum { A_NONZERO, A_NONFINITE, A_OVER, A_TINY, A_NORMAL, A_N };
+
+ALWAYS_INLINE d8_t vabs(d8_t v) { return (d8_t)((l8_t)v & ABS_BITS); }
+
+/* Audit n values; each count is kept per lane as a sum of -1s. */
+static inline void audit_chunk(const double *restrict v, long n,
+                               const double *restrict thr,
+                               l8_t *restrict acc, d8_t *restrict mx)
+{
+    const l8_t lane = {0, 1, 2, 3, 4, 5, 6, 7};
+    const double big = thr[0], tiny = thr[1], normal = thr[2];
+    for (long q = 0; q < n; q += KW) {
+        const long kc = lmin(KW, n - q);
+        const l8_t live = lane < kc;  /* lanes past n hold zeros */
+        const d8_t a = vabs(vld_d8_t(v + q, kc));
+        const l8_t fin = a <= DBL_MAX;
+        const l8_t up = fin & (a > *mx);
+        acc[A_NONZERO] += a != 0;
+        acc[A_NONFINITE] += ~fin;
+        acc[A_OVER] += fin & (a > big);
+        acc[A_TINY] += live & (a < tiny);
+        acc[A_NORMAL] += live & (a < normal);
+        *mx = (d8_t)(((l8_t)a & up) | ((l8_t)*mx & ~up));
+    }
+}
+
+#if defined(__F16C__)
+/* FP64 -> FP16, rounded once (see above), KW values per pass */
+static inline void put_h(uint16_t *restrict o, const double *restrict v, long n)
+{
+    for (long q = 0; q < n; q += KW) {
+        const long kc = lmin(KW, n - q);
+        const d8_t x = vld_d8_t(v + q, kc);
+        const f8_t f = __builtin_convertvector(x, f8_t);
+        const d8_t back = __builtin_convertvector(f, d8_t);
+        i8_t b = (i8_t)f;
+        b += __builtin_convertvector(vabs(back) > vabs(x), i8_t);
+        b |= __builtin_convertvector(back != x, i8_t) & 1;
+        const __m128i h = _mm256_cvtps_ph((__m256)b, _MM_FROUND_TO_NEAREST_INT);
+        if (kc == KW) {
+            _mm_storeu_si128((__m128i *)(o + q), h);
+        } else {
+            uint16_t tmp[KW];
+            _mm_storeu_si128((__m128i *)tmp, h);
+            __builtin_memcpy(o + q, tmp, kc * sizeof *tmp);
+        }
+    }
+}
+#endif
+
+/* cells [k0, k1) of one grid row (pointers at cell 0) into dst (at cell
+ * k0): cells [s0, s1) scaled by their row and neighbour weights, the rest
+ * copied; wn is the neighbour row's weight at the neighbour of cell 0. */
+static inline void scale_chunk(double *restrict dst, const double *restrict a,
+                               const double *restrict wr,
+                               const double *restrict wn, long k0, long s0,
+                               long s1, long k1, int m)
+{
+    const long mm = (long)m * m;
+    double *restrict o = dst - k0 * mm;
+    for (long q = k0 * mm; q < s0 * mm; q++)
+        o[q] = a[q];
+    if (m == 1)
+        for (long k = s0; k < s1; k++)
+            o[k] = a[k] * (wr[k] * wn[k]);
+    else
+        for (long k = s0; k < s1; k++)
+            for (int p = 0; p < m; p++)
+                for (int q = 0; q < m; q++)
+                    o[(k * m + p) * m + q] =
+                        a[(k * m + p) * m + q] * (wr[k * m + p] * wn[k * m + q]);
+    for (long q = s1 * mm; q < k1 * mm; q++)
+        o[q] = a[q];
+}
+
+/* Returns nonzero for a payload kind this library cannot write. */
+int repro_truncate_audit(const double *restrict a, const double *restrict w,
+                         const int *restrict offs, int ndiag, int m,
+                         long nx, long ny, long nz, double *restrict scaled,
+                         void *restrict out, int kind,
+                         const double *restrict thr, long *restrict counts,
+                         double *restrict max_abs)
+{
+#if !defined(__F16C__)
+    if (kind == 2)
+        return 1;
+#endif
+    if (kind != 0 && kind != 2 && kind != 4 && kind != 8)
+        return 1;
+    const long mm = (long)m * m, row = nz * mm, cells = CH / mm;
+    l8_t acc[A_N] = {{0}};
+    d8_t mx = {0};
+    double buf[CH];
+    for (int d = 0; d < ndiag; d++) {
+        const long ox = offs[3 * d], oy = offs[3 * d + 1], oz = offs[3 * d + 2];
+        const long lo = lmax(0, -oz), hi = lmax(lo, lmin(nz, nz - oz));
+        for (long i = 0; i < nx; i++)
+            for (long j = 0; j < ny; j++) {
+                const long ii = i + ox, jj = j + oy;
+                const int inside = ii >= 0 && ii < nx && jj >= 0 && jj < ny;
+                const long base = ((d * nx + i) * ny + j) * row;
+                const double *wr = NULL, *wn = NULL;
+                if (w != NULL && inside) {
+                    wr = w + (i * ny + j) * nz * m;
+                    wn = w + ((ii * ny + jj) * nz + oz) * m;
+                }
+                for (long k0 = 0; k0 < nz; k0 += cells) {
+                    const long k1 = lmin(k0 + cells, nz), n = (k1 - k0) * mm;
+                    const double *v = a + base + k0 * mm;
+                    if (w != NULL) {
+                        double *dst = scaled ? scaled + base + k0 * mm : buf;
+                        const long s0 = wr ? lmin(lmax(k0, lo), k1) : k1;
+                        scale_chunk(dst, a + base, wr, wn, k0, s0,
+                                    wr ? lmax(s0, lmin(k1, hi)) : k1, k1, m);
+                        v = dst;
+                    }
+                    audit_chunk(v, n, thr, acc, &mx);
+                    const long at = base + k0 * mm;
+                    if (kind == 8)
+                        __builtin_memcpy((double *)out + at, v, n * sizeof *v);
+                    else if (kind == 4)
+                        for (long q = 0; q < n; q++)
+                            ((float *)out)[at + q] = (float)v[q];
+#if defined(__F16C__)
+                    else if (kind == 2)
+                        put_h((uint16_t *)out + at, v, n);
+#endif
+                }
+            }
+    }
+    double best = 0;
+    for (int c = 0; c < A_N; c++) {
+        long s = 0;
+        for (int q = 0; q < KW; q++)
+            s -= acc[c][q];
+        counts[c] = s;
+    }
+    for (int q = 0; q < KW; q++)
+        best = mx[q] > best ? mx[q] : best;
+    *max_abs = best;
+    return 0;
+}
+
+/* Theorem 4.1's max |a_ij| / (sqrt(a_ii) * sqrt(a_jj)) over the entries
+ * whose neighbour is in the grid, from sd = sqrt of the per-dof diagonal,
+ * as SGDIAMatrix.max_scaled_ratio takes it: an entry that is not > 0
+ * (zero, NaN) gives 0; per offset the maximum, which is NaN if any ratio
+ * is (numpy's max), and an offset whose maximum is NaN does not count.
+ * The ratios of up to CH values of a row go to a buffer, then into a
+ * per-lane maximum and NaN flag. */
+double repro_scaled_ratio(const double *restrict a, const double *restrict sd,
+                          const int *restrict offs, int ndiag, int m,
+                          long nx, long ny, long nz)
+{
+    const long mm = (long)m * m, row = nz * mm, cells = CH / mm;
+    double best = 0, r[CH];
+    for (int d = 0; d < ndiag; d++) {
+        const long ox = offs[3 * d], oy = offs[3 * d + 1], oz = offs[3 * d + 2];
+        const long lo = lmax(0, -oz), hi = lmin(nz, nz - oz);
+        d8_t mx = {0};
+        l8_t nan = {0};
+        for (long i = 0; i < nx; i++)
+            for (long j = 0; j < ny; j++) {
+                const long ii = i + ox, jj = j + oy;
+                if (ii < 0 || ii >= nx || jj < 0 || jj >= ny)
+                    continue;
+                const double *ar = a + ((d * nx + i) * ny + j) * row;
+                const double *sr = sd + (i * ny + j) * nz * m;
+                const double *sn = sd + ((ii * ny + jj) * nz + oz) * m;
+                for (long k0 = lo; k0 < hi; k0 += cells) {
+                    const long k1 = lmin(k0 + cells, hi), n = (k1 - k0) * mm;
+                    if (m == 1)
+                        for (long k = k0; k < k1; k++) {
+                            const double v = __builtin_fabs(ar[k]);
+                            r[k - k0] = v > 0 ? v / (sr[k] * sn[k]) : 0;
+                        }
+                    else
+                        for (long k = k0; k < k1; k++)
+                            for (int p = 0; p < m; p++)
+                                for (int q = 0; q < m; q++) {
+                                    const long e = (k * m + p) * m + q;
+                                    const double v = __builtin_fabs(ar[e]);
+                                    r[e - k0 * mm] =
+                                        v > 0 ? v / (sr[k * m + p] * sn[k * m + q]) : 0;
+                                }
+                    for (long q = 0; q < n; q += KW) {
+                        const d8_t x = vld_d8_t(r + q, lmin(KW, n - q));
+                        const l8_t up = x > mx;
+                        nan |= x != x;
+                        mx = (d8_t)(((l8_t)x & up) | ((l8_t)mx & ~up));
+                    }
+                }
+            }
+        double dmax = 0;
+        int any_nan = 0;
+        for (int q = 0; q < KW; q++) {
+            any_nan |= nan[q] != 0;
+            dmax = mx[q] > dmax ? mx[q] : dmax;
+        }
+        if (!any_nan && dmax > best)
+            best = dmax;
+    }
+    return best;
 }

@@ -29,14 +29,20 @@ It also covers the coarsening kernels of :mod:`repro.kernels.coarsening`:
 ``transfer`` (restrict and prolong) in fp32 and fp64 on scalar and block
 grids, on a vector or on a block of any ``k`` columns, and
 ``galerkin_group`` (one rest group of a setup Galerkin pass) in FP64, each
-in its reference's summation order.
+in its reference's summation order; and the setup kernels of
+:mod:`repro.kernels.truncate` on FP64 scalar and 2x2 to 4x4 block
+operators: ``truncate_audit`` (one level's optional two-sided scaling,
+range audit and truncation to an fp16, fp32 or fp64 payload, in one read;
+fp16 rounds directly from fp64, see ``backend_c.c``) and ``scaled_ratio``
+(Theorem 4.1's ratio).
 
 Everything else delegates to the numpy kernels unchanged: transfers in
 other dtypes, scalar RHS blocks (no benchmark workload measures them;
 their main user, the process-pool serve bench, has a timing-sensitive
 scaling gate), block
-SpTRSV (the reference has none), AOS layouts, blocks larger than 4x4, and
-non-contiguous or unaligned payloads.  The scaled SpMV keeps its ``q*x`` and ``y*=q`` steps in
+SpTRSV (the reference has none), AOS layouts, blocks larger than 4x4,
+non-contiguous or unaligned payloads, and in the setup BF16 payloads,
+non-FP64 operators and fp16 payloads without F16C.  The scaled SpMV keeps its ``q*x`` and ``y*=q`` steps in
 numpy around the compiled product; the Jacobi sweep (no backend entry)
 runs its numpy update around the compiled SpMV.  ``dot``/``norm2`` are
 never overridden: numpy's pairwise summation feeds convergence decisions.
@@ -93,6 +99,13 @@ _TRANSFER_ARGS = (_P, _P, _L, _P, _P, _P, _P)
 #: repro_galerkin_group: a, out, bt, outer, n, nc, inner, f, ra, nra, outs,
 #: nout, rap, nslot
 _GALERKIN_ARGS = (_P, _P, _P, _L, _L, _L, _L, _L, _P, _I, _P, _I, _P, _I)
+#: repro_truncate_audit: a, w, offs, ndiag, m, nx, ny, nz, scaled, out, kind,
+#: thr, counts, max_abs
+_TRUNCATE_ARGS = (_P, _P, _P, _I, _I, _L, _L, _L, _P, _P, _I, _P, _P, _P)
+#: repro_scaled_ratio: a, sqrt_d, offs, ndiag, m, nx, ny, nz
+_RATIO_ARGS = (_P, _P, _P, _I, _I, _L, _L, _L)
+#: payload format -> the kernel's payload kind (its bytes per value)
+_PAYLOAD_KINDS = {None: 0, "fp16": 2, "fp32": 4, "fp64": 8}
 
 
 class BuildError(RuntimeError):
@@ -164,11 +177,11 @@ def build_library() -> Path:
     return target
 
 
-def _load(path: Path) -> "tuple[dict, dict, object, bool, tuple[int, int]]":
+def _load(path: Path) -> "tuple[dict, dict, tuple, bool, tuple[int, int]]":
     """ctypes handles for every compiled kernel — the SG-DIA kernels keyed
-    ``(kind, storage, compute)``, the transfers keyed by dtype, the Galerkin
-    group — the F16C flag, and the block kernels' largest block size and
-    stencil size.
+    ``(kind, storage, compute)``, the transfers keyed by dtype, and the
+    Galerkin group, truncate-and-audit and scaled-ratio kernels — the F16C
+    flag, and the block kernels' largest block size and stencil size.
 
     Raises :class:`BuildError` when a kernel is missing: a misnamed kernel
     would otherwise run on numpy unnoticed."""
@@ -198,8 +211,12 @@ def _load(path: Path) -> "tuple[dict, dict, object, bool, tuple[int, int]]":
     transfers = {
         cdt: fetch(f"repro_transfer_{c}", _TRANSFER_ARGS) for cdt, c in _COMPUTE.items()
     }
-    galerkin = fetch("repro_galerkin_group", _GALERKIN_ARGS, ctypes.c_int)
-    return kernels, transfers, galerkin, f16c, (mb.value, nd.value)
+    setup = (
+        fetch("repro_galerkin_group", _GALERKIN_ARGS, ctypes.c_int),
+        fetch("repro_truncate_audit", _TRUNCATE_ARGS, ctypes.c_int),
+        fetch("repro_scaled_ratio", _RATIO_ARGS, ctypes.c_double),
+    )
+    return kernels, transfers, setup, f16c, (mb.value, nd.value)
 
 
 def _addr(arr: np.ndarray) -> int:
@@ -218,13 +235,15 @@ def _ready(arr, dtype) -> np.ndarray:
 
 def make_backend(reference) -> "tuple[object | None, str]":
     """Build the ``"c"`` :class:`KernelBackend`; ``(None, reason)`` if unusable."""
+    from ..precision import RangeCounts, get_format
     from .backend import KernelBackend
     from .spmv import field_view
     from .sptrsv import _participating_offsets
 
     try:
         path = build_library()
-        kernels, transfers, galerkin, f16c, (max_ncomp, max_terms) = _load(path)
+        kernels, transfers, setup, f16c, (max_ncomp, max_terms) = _load(path)
+        galerkin, truncate_kernel, ratio_kernel = setup
     except (BuildError, OSError, AttributeError) as exc:  # numpy keeps running
         return None, f"{type(exc).__name__}: {exc}"
 
@@ -416,6 +435,70 @@ def make_backend(reference) -> "tuple[object | None, str]":
             raise MemoryError("Galerkin group buffer")
         return dict(zip(ocs, outs))
 
+    payload_kinds = {
+        k: v for k, v in _PAYLOAD_KINDS.items() if f16c or k != "fp16"
+    }
+
+    def setup_operator(a, field=None):
+        """True if the setup kernels take ``a`` (and the per-dof ``field``):
+        an SOA C-contiguous FP64 payload with blocks of at most 4x4."""
+        data = a.data
+        return (
+            a.layout == "soa"
+            and a.grid.ncomp <= max_ncomp
+            and data.dtype == np.float64
+            and data.shape == a._expected_shape("soa")
+            and data.flags.c_contiguous and data.flags.aligned
+            and (field is None or np.shape(field) == a.grid.field_shape)
+        )
+
+    def offsets(a):
+        return np.ascontiguousarray(a.stencil.offsets, dtype=np.intc)
+
+    def truncate_audit(a, weight=None, storage=None, audit="fp16"):
+        storage = None if storage is None else get_format(storage)
+        kind = payload_kinds.get(None if storage is None else storage.name)
+        if kind is None or not setup_operator(a, weight):
+            return reference.truncate_audit(a, weight, storage, audit)
+        audit = get_format(audit)
+        data = a.data
+        w = None if weight is None else _ready(weight, np.float64)
+        scaled = None if w is None else np.empty(data.shape)
+        payload = None if storage is None else np.empty(data.shape, storage.np_dtype)
+        thr = np.array([audit.max, audit.tiny, audit.min_normal])
+        counts = np.zeros(5, dtype=np.int64)
+        max_abs = np.zeros(1)
+        offs = offsets(a)
+        status = truncate_kernel(
+            data.ctypes.data, None if w is None else w.ctypes.data,
+            offs.ctypes.data, len(offs), a.grid.ncomp,
+            *a.grid.shape, None if scaled is None else scaled.ctypes.data,
+            None if payload is None else payload.ctypes.data, kind,
+            thr.ctypes.data, counts.ctypes.data, max_abs.ctypes.data,
+        )
+        if status:
+            raise RuntimeError(f"repro_truncate_audit refused payload kind {kind}")
+        nonzero, nonfinite, over, below_tiny, below_normal = counts.tolist()
+        return payload, scaled, RangeCounts(
+            n_values=data.size,
+            n_nonzero=nonzero,
+            n_nonfinite=nonfinite,
+            n_overflow=over,
+            n_underflow=below_tiny - (data.size - nonzero),
+            n_subnormal=below_normal - below_tiny,
+            max_abs=float(max_abs[0]),
+        )
+
+    def scaled_ratio(a, sqrt_d):
+        if not setup_operator(a, sqrt_d):
+            return reference.scaled_ratio(a, sqrt_d)
+        sd = _ready(sqrt_d, np.float64)
+        offs = offsets(a)
+        return float(ratio_kernel(
+            a.data.ctypes.data, sd.ctypes.data, offs.ctypes.data, len(offs),
+            a.grid.ncomp, *a.grid.shape,
+        ))
+
     pairs = sorted({
         f"{'block:' if k.startswith('b') else ''}{s.name}->{c.name}"
         for k, s, c in kernels
@@ -423,6 +506,10 @@ def make_backend(reference) -> "tuple[object | None, str]":
     coarsening = sorted(f"transfer:{d.name}" for d in transfers) + [
         "galerkin_group:float64"
     ]
+    setup_kernels = ["scaled_ratio:float64"] + sorted(
+        f"truncate_audit:float64->{get_format(k).np_dtype.name}"
+        for k in payload_kinds if k is not None
+    )
     backend = KernelBackend(
         name="c",
         spmv=spmv,
@@ -434,13 +521,15 @@ def make_backend(reference) -> "tuple[object | None, str]":
         norm2=reference.norm2,
         transfer=transfer,
         galerkin_group=galerkin_group,
+        truncate_audit=truncate_audit,
+        scaled_ratio=scaled_ratio,
         notes=(
             "gcc/ctypes SOA kernels: scalar SpMV/SymGS/SpTRSV, block (2x2 to "
             f"4x4) SpMV/SymGS on any RHS block ({'with' if f16c else 'without'}"
-            " F16C), fp32/fp64 transfers, FP64 Galerkin groups; numpy "
-            "fallback otherwise"
+            " F16C), fp32/fp64 transfers, FP64 Galerkin groups, FP64 setup "
+            "scale/audit/truncation; numpy fallback otherwise"
         ),
         extras={"library": str(path), "f16c": f16c, "pairs": pairs,
-                "coarsening": coarsening},
+                "coarsening": coarsening, "setup": setup_kernels},
     )
     return backend, "ok"

@@ -32,14 +32,9 @@ import numpy as np
 from ..coarsen import build_transfer, choose_coarsen_factors, galerkin_coarse_sgdia
 from ..observability import metrics as _metrics
 from ..observability import trace as _trace
-from ..precision import (
-    DiagonalScaling,
-    PrecisionConfig,
-    RangeCounts,
-    choose_g,
-    range_counts,
-)
-from ..sgdia import SGDIAMatrix, StoredMatrix, offset_slices
+from ..precision import DiagonalScaling, PrecisionConfig
+from ..sgdia import SGDIAMatrix, offset_slices
+from ..sgdia.mixed import scale_and_truncate, scale_level
 from ..smoothers import CoarseDirectSolver, Smoother, make_smoother
 from .hierarchy import MGHierarchy
 from .level import Level
@@ -64,11 +59,15 @@ _AUTO_SHIFT_UNDERFLOW_FRACTION = 0.01
 class LevelSetupStats:
     """What truncation faced at one level (Algorithm 1 lines 5-12).
 
-    ``n_overflow``/``n_underflow`` count high-precision values (after any
-    per-level scaling) that exceed / flush to zero in the level's *nominal*
-    storage format; ``storage`` is the format actually used, which differs
-    from the nominal one when the auto shift tripped.  These are exactly the
-    numbers the setup phase used to swallow silently.
+    The counts are those of :class:`~repro.precision.RangeCounts`, taken on
+    the high-precision values (after any per-level scaling) against the
+    level's *nominal* storage format: ``n_overflow`` counts finite
+    ``|v| > max`` and ``n_underflow`` counts ``0 < |v| < tiny``.  They are
+    thresholds, not what rounding produced: a value in ``(max, max +
+    ulp/2)`` rounds to ``max``, one in ``(tiny/2, tiny)`` to ``±tiny``.
+    ``storage`` is the format actually used, which differs from the nominal
+    one when the auto shift tripped.  These are exactly the numbers the
+    setup phase used to swallow silently.
     """
 
     index: int
@@ -109,69 +108,11 @@ class SetupDiagnostics:
     auto_shift_level: "int | None" = None
 
 
-def _build_level_stored(
-    a_high: SGDIAMatrix, storage_fmt, config, max_abs: "float | None" = None
-):
-    """Algorithm-1 per-level truncation (lines 5-12) for one level.
-
-    Returns ``(stored, smoother_high)`` where ``smoother_high`` is the
-    high-precision operator *in the space the payload represents* (i.e.
-    diagonally scaled when the need-to-scale branch was taken).
-    ``max_abs`` is ``a_high.max_abs()`` when the caller has it already.
-    """
-    if config.scaling == "setup-then-scale":
-        if config.scale_mode == "auto" and max_abs is None:
-            max_abs = a_high.max_abs()
-        need = config.scale_mode == "always" or (
-            config.scale_mode == "auto" and max_abs > storage_fmt.max
-        )
-        if need:
-            with _trace.span("scale"):
-                _metrics.incr("setup.scale.calls")
-                ratio = a_high.max_scaled_ratio()
-                g = choose_g(ratio, storage_fmt, safety=config.g_safety)
-                scaling = DiagonalScaling.from_diagonal(
-                    a_high.dof_diagonal(), g, compute=config.compute
-                )
-                inv_sqrt_q = (1.0 / scaling.sqrt_q).astype(np.float64)
-                scaled_high = a_high.scaled_two_sided(inv_sqrt_q)
-            with _trace.span("truncate", storage=storage_fmt.name):
-                _metrics.incr("setup.truncate.calls")
-                stored = StoredMatrix(
-                    matrix=scaled_high.astype(storage_fmt),
-                    scaling=scaling,
-                    compute=config.compute,
-                    storage=storage_fmt,
-                )
-            return stored, scaled_high
-    # 'none' and 'scale-then-setup' (already scaled/quantized), and the
-    # in-range setup-then-scale branch: direct truncation
-    with _trace.span("truncate", storage=storage_fmt.name):
-        _metrics.incr("setup.truncate.calls")
-        stored = StoredMatrix(
-            matrix=a_high.astype(storage_fmt),
-            scaling=None,
-            compute=config.compute,
-            storage=storage_fmt,
-        )
-    return stored, a_high
-
-
-def _build_level_audited(
-    a_high: SGDIAMatrix, storage_fmt, config, high: RangeCounts, audit_fmt
-):
-    """:func:`_build_level_stored`, plus the range audit of ``smoother_high``.
-
-    ``high`` is ``range_counts(a_high.data, audit_fmt)``; it is reused when
-    the level was not scaled, so each FP64 array is read once.  Returns
-    ``(stored, smoother_high, counts)``.
-    """
-    stored, smoother_high = _build_level_stored(
-        a_high, storage_fmt, config, high.max_abs
-    )
-    if smoother_high is a_high:
-        return stored, smoother_high, high
-    return stored, smoother_high, range_counts(smoother_high.data, audit_fmt)
+def _scale_mode(config: PrecisionConfig) -> str:
+    """The per-level scale test: setup-then-scale applies the config's
+    ``scale_mode``; 'none' and 'scale-then-setup' (already scaled/quantized)
+    truncate directly."""
+    return config.scale_mode if config.scaling == "setup-then-scale" else "never"
 
 
 def build_level_payload(
@@ -193,10 +134,12 @@ def build_level_payload(
     would have produced from the same chain.
     """
     options = options or MGOptions()
-    stored, smoother_high = _build_level_stored(a_high, storage_fmt, config)
+    level = scale_and_truncate(
+        a_high, storage_fmt, config.compute, _scale_mode(config), config.g_safety
+    )
     smoother = _make_level_smoother(options, a_high, is_coarsest)
-    smoother.setup(smoother_high, stored)
-    return stored, smoother
+    smoother.setup(level.scaled, level.stored)
+    return level.stored, smoother
 
 
 def directional_strengths(a: SGDIAMatrix) -> tuple[float, float, float]:
@@ -345,19 +288,12 @@ def mg_setup(
             )
             chain_root = a64
             if need:
-                with _trace.span("scale", level=0):
-                    _metrics.incr("setup.scale.calls")
-                    ratio = a64.max_scaled_ratio()
-                    g = choose_g(
-                        ratio,
-                        config.storage,
-                        safety=config.g_safety * config.chain_headroom,
-                    )
-                    entry_scaling = DiagonalScaling.from_diagonal(
-                        a64.dof_diagonal(), g, compute=config.compute
-                    )
-                    inv_sqrt_q = (1.0 / entry_scaling.sqrt_q).astype(np.float64)
-                    chain_root = a64.scaled_two_sided(inv_sqrt_q)
+                entry_scaling, _, chain_root, _ = scale_level(
+                    a64,
+                    config.storage,
+                    config.compute,
+                    config.g_safety * config.chain_headroom,
+                )
             # Quantize the finest level *before* coarsening, and re-quantize
             # each coarse operator before the next product.
             mats, transfers, chain_truncated = _build_quantized_chain(
@@ -445,6 +381,7 @@ def _setup_from_chain(
     auto_shift = config.shift_levid == "auto"
     shifted = False
     auto_shift_level: "int | None" = None
+    scale = _scale_mode(config)
     for i, a_high in enumerate(mats):
         with _trace.span("level", level=i) as level_span:
             if auto_shift:
@@ -455,13 +392,10 @@ def _setup_from_chain(
                 )
             else:
                 storage_fmt = config.storage_format_for_level(i)
-            nominal_fmt = storage_fmt
-            # one read of each FP64 array per level: the operator itself,
-            # and the scaled one when the need-to-scale branch is taken
-            high = range_counts(a_high.data, nominal_fmt)
-            stored, smoother_high, counts = _build_level_audited(
-                a_high, storage_fmt, config, high, nominal_fmt
+            level = scale_and_truncate(
+                a_high, storage_fmt, config.compute, scale, config.g_safety
             )
+            counts = level.counts
             n_over, n_under = counts.n_overflow, counts.n_underflow
             tripped = False
             if (
@@ -475,9 +409,13 @@ def _setup_from_chain(
                 shifted = True
                 tripped = True
                 auto_shift_level = i
-                stored, smoother_high, counts = _build_level_audited(
-                    a_high, config.compute, config, high, nominal_fmt
+                # audited against the nominal format, as before the shift
+                level = scale_and_truncate(
+                    a_high, config.compute, config.compute, scale,
+                    config.g_safety, audit=storage_fmt, high=level.high,
                 )
+                counts = level.counts
+            stored = level.stored
 
             if _metrics.active():
                 # Exactly the LevelSetupStats numbers, as live counters —
@@ -501,7 +439,7 @@ def _setup_from_chain(
                 smoother = _make_level_smoother(
                     options, a_high, i == n_levels - 1
                 )
-                smoother.setup(smoother_high, stored)
+                smoother.setup(level.scaled, stored)
 
             level_stats.append(
                 LevelSetupStats(
@@ -524,7 +462,7 @@ def _setup_from_chain(
                 smoother=smoother,
                 transfer=transfers[i] if i < len(transfers) else None,
                 high=a_high if options.keep_high else None,
-                nnz_actual=high.n_nonzero,
+                nnz_actual=level.high.n_nonzero,
                 nnz_stored=a_high.nnz_stored,
             )
             # kernel-plan construction is setup work: build (or fetch from

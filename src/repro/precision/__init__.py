@@ -26,15 +26,12 @@ from .types import (
     FORMATS,
     FloatFormat,
     RangeCounts,
-    count_out_of_range,
     finite_abs_range,
     fp16_distance,
     get_format,
     range_counts,
     round_to_bf16,
     truncate,
-    would_overflow,
-    would_underflow,
 )
 
 __all__ = [
@@ -54,7 +51,6 @@ __all__ = [
     "PrecisionConfig",
     "RangeCounts",
     "choose_g",
-    "count_out_of_range",
     "equilibration_scaling_vectors",
     "finite_abs_range",
     "fp16_distance",
@@ -66,6 +62,4 @@ __all__ = [
     "round_to_bf16",
     "symmetric_equilibrate",
     "truncate",
-    "would_overflow",
-    "would_underflow",
 ]

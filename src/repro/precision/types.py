@@ -32,9 +32,6 @@ __all__ = [
     "round_to_bf16",
     "RangeCounts",
     "range_counts",
-    "count_out_of_range",
-    "would_overflow",
-    "would_underflow",
     "finite_abs_range",
     "fp16_distance",
 ]
@@ -178,12 +175,16 @@ def truncate(x: np.ndarray, fmt: "str | FloatFormat") -> np.ndarray:
 class RangeCounts:
     """What an array holds against one format's range.
 
-    ``n_overflow`` counts finite values with ``|v| > fmt.max``;
-    ``n_underflow`` counts nonzero values with ``|v| < fmt.tiny``, which
-    flush to zero; ``n_subnormal`` counts ``tiny <= |v| < min_normal``,
-    which survive with degraded relative precision (the early-warning zone
-    ahead of the Section-4.3 underflow hazard).  ``max_abs`` is the largest
-    finite magnitude, 0.0 when there is none.
+    The counts are thresholds on the values themselves: ``n_overflow``
+    counts finite ``|v| > fmt.max`` and ``n_underflow`` counts
+    ``0 < |v| < fmt.tiny``.  They do not count what rounding produces: a
+    value in ``(max, max + ulp/2)`` rounds to ``max``, not ``inf``, and one
+    in ``(tiny/2, tiny)`` rounds to ``±tiny``, not zero.  ``n_subnormal``
+    counts ``tiny <= |v| < min_normal``, which survive with degraded
+    relative precision (the early-warning zone ahead of the Section-4.3
+    underflow hazard).  ``max_abs`` is the largest finite magnitude, 0.0
+    when there is none.  The compiled setup kernel
+    (:mod:`repro.kernels.truncate`) takes the same thresholds.
     """
 
     n_values: int
@@ -232,22 +233,6 @@ def range_counts(x: np.ndarray, fmt: "str | FloatFormat") -> RangeCounts:
         n_subnormal=n_below_normal - n_below_tiny,
         max_abs=max_abs,
     )
-
-
-def count_out_of_range(x: np.ndarray, fmt: "str | FloatFormat") -> tuple[int, int]:
-    """``(n_overflow, n_underflow)`` of ``x`` in ``fmt`` (see :class:`RangeCounts`)."""
-    counts = range_counts(x, fmt)
-    return counts.n_overflow, counts.n_underflow
-
-
-def would_overflow(x: np.ndarray, fmt: "str | FloatFormat") -> bool:
-    """True if any finite value of ``x`` exceeds ``fmt``'s max magnitude."""
-    return count_out_of_range(x, fmt)[0] > 0
-
-
-def would_underflow(x: np.ndarray, fmt: "str | FloatFormat") -> bool:
-    """True if any nonzero value of ``x`` would flush to zero in ``fmt``."""
-    return count_out_of_range(x, fmt)[1] > 0
 
 
 def finite_abs_range(x: np.ndarray) -> tuple[float, float]:

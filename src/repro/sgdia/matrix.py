@@ -31,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..grid import Stencil, StructuredGrid, stencil as make_stencil
-from ..precision import FloatFormat, get_format, range_counts, truncate
+from ..precision import FloatFormat, get_format, truncate
 
 __all__ = ["SGDIAMatrix", "offset_slices"]
 
@@ -180,8 +180,11 @@ class SGDIAMatrix:
         return self.nnz_stored * itemsize
 
     def max_abs(self) -> float:
-        """Largest finite magnitude (0.0 if none)."""
-        return range_counts(self.data, "fp64").max_abs
+        """Largest finite magnitude (0.0 if none), from the active backend's
+        range audit."""
+        from ..kernels import get_backend  # local import to avoid a cycle
+
+        return get_backend().truncate_audit(self, audit="fp64")[2].max_abs
 
     # ------------------------------------------------------------------
     # diagonal access
@@ -269,28 +272,17 @@ class SGDIAMatrix:
         """``max_ij |a_ij| / sqrt(a_ii a_jj)`` over stored nonzeros.
 
         The input to Theorem 4.1's ``G_max``.  Requires positive per-dof
-        diagonal.
+        diagonal.  Runs the active backend's ``scaled_ratio`` kernel.
         """
+        from ..kernels import get_backend  # local import to avoid a cycle
+
         diag = self.dof_diagonal().astype(np.float64)
         if np.any(diag <= 0):
             raise ValueError(
                 "max_scaled_ratio requires a strictly positive diagonal "
                 "(M-matrix assumption of Theorem 4.1)"
             )
-        sqrt_d = np.sqrt(diag)
-        best = 0.0
-        for d, off in enumerate(self.stencil.offsets):
-            dst, src = offset_slices(self.grid.shape, off)
-            vals = np.abs(self.diag_view(d)[dst].astype(np.float64))
-            if self.grid.ncomp == 1:
-                denom = sqrt_d[dst] * sqrt_d[src]
-            else:
-                denom = sqrt_d[dst][..., :, None] * sqrt_d[src][..., None, :]
-            with np.errstate(invalid="ignore"):
-                ratio = np.where(vals > 0, vals / denom, 0.0)
-            if ratio.size:
-                best = max(best, float(ratio.max()))
-        return best
+        return get_backend().scaled_ratio(self, np.sqrt(diag))
 
     def scaled_two_sided(self, weight: np.ndarray) -> "SGDIAMatrix":
         """Return ``W A W`` with diagonal ``W`` given as a per-dof field.

@@ -12,6 +12,7 @@ memory-access volume that motivates the whole design.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,28 +21,109 @@ from ..observability import trace as _trace
 from ..precision import (
     DiagonalScaling,
     FloatFormat,
+    RangeCounts,
     choose_g,
     get_format,
-    range_counts,
 )
 from .matrix import SGDIAMatrix
 
-__all__ = ["StoredMatrix"]
+__all__ = ["StoredMatrix", "Truncation", "scale_level", "scale_and_truncate"]
 
 
-def _count_truncation_events(values: np.ndarray, storage: FloatFormat) -> None:
-    """Charge the precision-event counters for one standalone truncation.
+class Truncation(NamedTuple):
+    """One level after Algorithm 1 lines 5-12 (:func:`scale_and_truncate`).
 
-    (The Algorithm-1 setup path counts these itself, against the *nominal*
-    level format, so totals there always match ``SetupDiagnostics``; this
-    hook covers direct :meth:`StoredMatrix.truncate` users.)
+    ``scaled`` is the FP64 operator in the space the payload represents
+    (the input itself when the level was not scaled); ``counts`` audits the
+    values that were truncated, ``high`` the input's own values (the same
+    object when the level was not scaled).
     """
-    if not _metrics.active():
-        return
-    counts = range_counts(values, storage)
-    _metrics.incr("precision.overflow_clamp", counts.n_overflow)
-    _metrics.incr("precision.underflow_flush", counts.n_underflow)
-    _metrics.incr("precision.subnormal", counts.n_subnormal)
+
+    stored: "StoredMatrix"
+    scaled: SGDIAMatrix
+    counts: RangeCounts
+    high: RangeCounts
+
+
+def scale_level(
+    a: SGDIAMatrix,
+    fmt: FloatFormat,
+    compute: FloatFormat,
+    safety: float,
+    storage: "FloatFormat | None" = None,
+    audit: "FloatFormat | None" = None,
+):
+    """Algorithm 1 lines 6-9 (and 11 with ``storage``): choose ``G`` from
+    Theorem 4.1's bound for ``fmt`` times ``safety``, form ``Q = diag(A)/G``
+    and scale ``A <- Q^{-1/2} A Q^{-1/2}``, truncating the scaled values to
+    ``storage`` and auditing them against ``audit`` (default ``fmt``) in the
+    same pass.  Returns ``(scaling, payload, scaled, counts)``."""
+    from ..kernels import get_backend  # local import to avoid a cycle
+
+    with _trace.span("scale"):
+        _metrics.incr("setup.scale.calls")
+        g = choose_g(a.max_scaled_ratio(), fmt, safety=safety)
+        scaling = DiagonalScaling.from_diagonal(a.dof_diagonal(), g, compute=compute)
+        weight = (1.0 / scaling.sqrt_q).astype(np.float64)
+        payload, scaled, counts = get_backend().truncate_audit(
+            a, weight, storage, fmt if audit is None else audit
+        )
+    return scaling, payload, _like(a, scaled), counts
+
+
+def _like(a: SGDIAMatrix, data: np.ndarray) -> SGDIAMatrix:
+    return SGDIAMatrix(a.grid, a.stencil, data, layout=a.layout, check=False)
+
+
+def scale_and_truncate(
+    a: SGDIAMatrix,
+    storage: "str | FloatFormat" = "fp16",
+    compute: "str | FloatFormat" = "fp32",
+    scale: str = "auto",
+    g_safety: float = 0.5,
+    audit: "str | FloatFormat | None" = None,
+    high: "RangeCounts | None" = None,
+) -> Truncation:
+    """Algorithm 1 lines 5-12 for one level: scale if needed, truncate to
+    ``storage``, and audit what was truncated against ``audit`` (default
+    ``storage``).
+
+    ``scale`` is ``"auto"`` (scale only if direct truncation would overflow
+    — the paper's "need to scale" test), ``"always"`` or ``"never"``.
+    ``high``, the audit of ``a`` against ``audit``, is taken when the caller
+    has it.  Every pass over an FP64 array is one call of the backend's
+    ``truncate_audit`` or ``scaled_ratio`` kernel: a level that fits its
+    format is read once (the direct truncation that finds it fits is the
+    result), a scaled one three times at most (that truncation or an audit,
+    the ratio, and the scale-audit-truncate pass).
+    """
+    from ..kernels import get_backend  # local import to avoid a cycle
+
+    storage, compute = get_format(storage), get_format(compute)
+    audit = storage if audit is None else get_format(audit)
+    if scale not in ("auto", "always", "never"):
+        raise ValueError(f"invalid scale mode {scale!r}")
+    be = get_backend()
+    payload = None
+    if high is None and scale == "always":
+        high = be.truncate_audit(a, None, None, audit)[2]
+    elif high is None:
+        with _trace.span("truncate", storage=storage.name):
+            payload, _, high = be.truncate_audit(a, None, storage, audit)
+    if scale == "always" or (scale == "auto" and high.max_abs > storage.max):
+        scaling, payload, scaled, counts = scale_level(
+            a, storage, compute, g_safety, storage, audit
+        )
+    else:
+        scaling, scaled, counts = None, a, high
+        if payload is None:
+            with _trace.span("truncate", storage=storage.name):
+                payload = be.truncate_audit(a, None, storage, audit)[0]
+    _metrics.incr("setup.truncate.calls")
+    stored = StoredMatrix(
+        matrix=_like(a, payload), scaling=scaling, compute=compute, storage=storage
+    )
+    return Truncation(stored, scaled, counts, high)
 
 
 @dataclass
@@ -79,50 +161,24 @@ class StoredMatrix:
         scale: "bool | str" = "auto",
         g_safety: float = 0.5,
     ) -> "StoredMatrix":
-        """Truncate a high-precision operator to storage precision.
+        """Truncate a high-precision operator to storage precision
+        (:func:`scale_and_truncate`), charging the precision-event counters
+        with what the truncation faced.
 
         ``scale`` is ``"auto"`` (scale only if direct truncation would
         overflow — the paper's "need to scale" test), ``True``/``"always"``
-        or ``False``/``"never"``.
+        or ``False``/``"never"``.  (The Algorithm-1 setup path charges the
+        counters itself, per level and against the level's *nominal*
+        format, so its totals always match ``SetupDiagnostics``.)
         """
-        storage = get_format(storage)
-        compute = get_format(compute)
         if isinstance(scale, bool):
             scale = "always" if scale else "never"
-        if scale not in ("auto", "always", "never"):
-            raise ValueError(f"invalid scale mode {scale!r}")
-        do_scale = scale == "always" or (
-            scale == "auto" and a.max_abs() > storage.max
-        )
-        if not do_scale:
-            with _trace.span("truncate", storage=storage.name):
-                _metrics.incr("setup.truncate.calls")
-                _count_truncation_events(a.data, storage)
-                return cls(
-                    matrix=a.astype(storage),
-                    scaling=None,
-                    compute=compute,
-                    storage=storage,
-                )
-        # Algorithm 1 lines 6-9: Q = diag(A)/G; A <- Q^{-1/2} A Q^{-1/2}.
-        with _trace.span("scale"):
-            _metrics.incr("setup.scale.calls")
-            ratio = a.max_scaled_ratio()
-            g = choose_g(ratio, storage, safety=g_safety)
-            scaling = DiagonalScaling.from_diagonal(
-                a.dof_diagonal(), g, compute=compute
-            )
-            inv_sqrt_q = (1.0 / scaling.sqrt_q).astype(np.float64)
-            scaled = a.scaled_two_sided(inv_sqrt_q)
-        with _trace.span("truncate", storage=storage.name):
-            _metrics.incr("setup.truncate.calls")
-            _count_truncation_events(scaled.data, storage)
-            return cls(
-                matrix=scaled.astype(storage),
-                scaling=scaling,
-                compute=compute,
-                storage=storage,
-            )
+        level = scale_and_truncate(a, storage, compute, scale, g_safety)
+        if _metrics.active():
+            _metrics.incr("precision.overflow_clamp", level.counts.n_overflow)
+            _metrics.incr("precision.underflow_flush", level.counts.n_underflow)
+            _metrics.incr("precision.subnormal", level.counts.n_subnormal)
+        return level.stored
 
     # ------------------------------------------------------------------
     @property

@@ -591,8 +591,9 @@ class TestBlockParity:
 
 
 #: Run in a subprocess by TestGuardPages: copies the payload, b, x and dinv
-#: of scalar operators, the transfer inputs and tables, and the Galerkin
-#: passes' fine arrays into fresh anonymous pages, each ending right before
+#: of scalar operators, the transfer inputs and tables, the setup kernels'
+#: FP64 operators and per-dof fields, and the Galerkin passes' fine arrays
+#: into fresh anonymous pages, each ending right before
 #: (argv[1] == "end") or beginning right after ("start") a PROT_NONE page,
 #: then runs the compiled kernels on them.  An out-of-bounds read faults.
 _GUARD_SCRIPT = """
@@ -628,7 +629,7 @@ def refuse(*args, **kwargs):
 ref = _backend._numpy_backend()
 be, status = backend_c.make_backend(dataclasses.replace(
     ref, spmv=refuse, gs_sweep=refuse, sptrsv=refuse, transfer=refuse,
-    galerkin_group=refuse))
+    galerkin_group=refuse, truncate_audit=refuse, scaled_ratio=refuse))
 assert status == "ok", status
 at_end = sys.argv[1] == "end"
 fmts = ["fp32"] + (["fp16"] if be.extras["f16c"] else [])
@@ -665,6 +666,24 @@ for shape, ncomp, k, factors in (((5, 3, 19), 1, None, (2, 2, 2)),
             got = be.transfer(gst, guarded(x0, at_end), dtype)
             assert got.tobytes() == ref.transfer(st, x0, dtype).tobytes()
 
+# the setup kernels: the FP64 operator, the weight and the diagonal's square
+# root guarded; scalar and block grids, short and long rows, each payload
+from repro.precision import get_format
+for shape, ncomp in (((5, 3, 19), 1), ((4, 3, 2), 1), ((3, 2, 70), 3), ((2, 3, 5), 4)):
+    a = random_sgdia(shape, "3d27", ncomp=ncomp)
+    ag = SGDIAMatrix(a.grid, a.stencil, guarded(a.data, at_end))
+    w0 = rng.uniform(0.5, 2.0, a.grid.field_shape)
+    for fmt in fmts + ["fp64"]:
+        storage = get_format(fmt)
+        for w in (None, w0):
+            want = ref.truncate_audit(a, w, storage, storage)
+            got = be.truncate_audit(ag, None if w is None else guarded(w, at_end),
+                                    storage, storage)
+            assert got[0].tobytes() == want[0].tobytes() and got[2] == want[2]
+            assert w is None or got[1].tobytes() == want[1].tobytes()
+    sd = np.sqrt(np.abs(a.dof_diagonal()))
+    assert be.scaled_ratio(ag, guarded(sd, at_end)) == ref.scaled_ratio(a, sd)
+
 # the Galerkin group kernel: every fine array of each pass guarded, on the
 # chunked (long inner axis) and the row (short inner axis) paths
 _backend._REGISTRY["c"] = be
@@ -691,7 +710,8 @@ print("ok")
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="libc mprotect")
 class TestGuardPages:
     """The compiled sweep (both directions), SpMV, SpTRSV, restrict,
-    prolong and Galerkin group read nothing outside their arrays: each
+    prolong, Galerkin group, truncate-and-audit and scaled ratio read
+    nothing outside their arrays: each
     array ends at, or begins after, a page that faults on access.  Rows of
     a vector plus a tail and two-cell rows, whose scalar paths are where an
     over-read hides from the parity cases."""

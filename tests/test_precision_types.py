@@ -11,15 +11,12 @@ from repro.precision import (
     FP32,
     FP64,
     FloatFormat,
-    count_out_of_range,
     finite_abs_range,
     fp16_distance,
     get_format,
     range_counts,
     round_to_bf16,
     truncate,
-    would_overflow,
-    would_underflow,
 )
 
 
@@ -124,32 +121,25 @@ class TestBF16:
 
 
 class TestRangeChecks:
-    def test_count_out_of_range(self):
-        x = np.array([1e5, 1.0, 1e-9, -2e5, 0.0])
-        over, under = count_out_of_range(x, "fp16")
-        assert over == 2 and under == 1
-
-    def test_inf_not_counted_as_overflow(self):
-        over, _ = count_out_of_range(np.array([np.inf]), "fp16")
-        assert over == 0
-
-    def test_would_overflow(self):
-        assert would_overflow(np.array([7e4]), "fp16")
-        assert not would_overflow(np.array([6e4]), "fp16")
-
-    def test_would_underflow(self):
-        assert would_underflow(np.array([1e-9]), "fp16")
-        assert not would_underflow(np.array([1e-4]), "fp16")
-
     @pytest.mark.parametrize("fmt", ["fp16", "bf16", "fp32"])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_range_counts_matches_direct_formulas(self, fmt, dtype):
         """The chunked one-read audit equals the whole-array formulas, with
-        non-finite values in some chunks only."""
+        non-finite values in some chunks only; and on hand-counted values
+        the counts are thresholds: inf is not an overflow, 1e5 and -2e5 are
+        FP16 overflows and 7e4 too (it would round to inf), 6e4 is not, and
+        1e-9 underflows FP16 where 1e-4 does not."""
+        hand = np.array([1e5, 1.0, 1e-9, -2e5, 0.0, np.inf, 7e4, 6e4, 1e-4])
+        got = range_counts(hand.astype(dtype), fmt)
+        if fmt == "fp16":
+            assert (got.n_overflow, got.n_underflow) == (3, 1)
+        assert got.n_nonfinite == 1 and got.n_nonzero == 8
+        assert range_counts(np.array([np.inf]), fmt).n_overflow == 0
         rng = np.random.default_rng(3)
         x = rng.standard_normal(203_000) * 10.0 ** rng.integers(-40, 35, 203_000)
         x[rng.random(x.size) < 0.1] = 0.0
         x[[5, 90_000, 150_001]] = [np.inf, np.nan, -np.inf]
+        x[1000:1000 + hand.size] = hand
         x = x.astype(dtype)
         f = get_format(fmt)
         a = np.abs(x.astype(np.float64))
