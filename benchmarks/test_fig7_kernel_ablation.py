@@ -51,7 +51,7 @@ def _matrix(pattern, shape, dtype, layout="soa"):
         a.diag_view(tri_st.offsets.index((0, 0, 0)))[...] = 3.0
     else:
         a = random_sgdia(shape, pattern, seed=3)
-    a = SGDIAMatrix(a.grid, a.stencil, a.data.astype(dtype), check=False)
+    a = SGDIAMatrix(a.grid, a.stencil, a.data.astype(dtype))
     return a.as_layout(layout)
 
 

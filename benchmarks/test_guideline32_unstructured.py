@@ -21,7 +21,7 @@ def _collect():
     rows = []
     for name in ("rhd", "weather", "laplace27"):
         a = bench_problem(name).a
-        a32 = type(a)(a.grid, a.stencil, a.data.astype(np.float32), check=False)
+        a32 = type(a)(a.grid, a.stencil, a.data.astype(np.float32))
         sg_fp32 = a.nnz_stored * 4
         sg_fp16 = a.nnz_stored * 2
         pc64 = PrecisionCSR.from_sgdia(a, "fp32", index_dtype=np.int32)

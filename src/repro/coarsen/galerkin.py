@@ -95,16 +95,21 @@ def galerkin_coarse_sgdia(
         off: np.asarray(a_fine.diag_view(d), dtype=np.float64)
         for d, off in enumerate(a_fine.stencil.offsets)
     }
-    for axis, (factor, p1) in enumerate(zip(transfer.factors, transfer.p1d)):
-        if factor > 1:
-            ops = _galerkin_pass(ops, axis, factor, _band(p1, factor))
     st = make_stencil(coarse_pattern)
+    out = SGDIAMatrix.zeros(transfer.coarse, st)
+    # the last pass writes the coarse planes in place (unless collapsing)
+    planes = {} if collapse else {off: out.diag_view(d) for d, off in enumerate(st)}
+    passes = [axis for axis, f in enumerate(transfer.factors) if f > 1]
+    for axis in passes:
+        factor = transfer.factors[axis]
+        ops = _galerkin_pass(ops, axis, factor, _band(transfer.p1d[axis], factor),
+                             planes if axis == passes[-1] else None)
     if collapse:
         ops = _collapse(ops, st)
-    out = SGDIAMatrix.zeros(transfer.coarse, st)
     for off, arr in ops.items():
         if off in st:
-            out.diag_view(st.index_of(off))[...] = arr
+            if arr is not planes.get(off):
+                out.diag_view(st.index_of(off))[...] = arr
         elif np.any(arr != 0):
             raise ValueError(
                 f"nonzero entry at offset {off} outside stencil {st.name}"
@@ -165,28 +170,41 @@ def _pass_terms(
 
 
 def _galerkin_pass(
-    ops: dict[Offset, np.ndarray], axis: int, factor: int, band: np.ndarray
+    ops: dict[Offset, np.ndarray], axis: int, factor: int, band: np.ndarray,
+    dest: "dict[Offset, np.ndarray] | None" = None,
 ) -> dict[Offset, np.ndarray]:
     """``R A P`` along one axis; ``ops`` maps offset -> coefficient array.
 
     Offsets along the other axes are carried through untouched: the pass
     contracts each rest group (fixed other offsets) of the stencil on its
-    own, one ``galerkin_group`` kernel call per group.
+    own, one ``galerkin_group`` kernel call per group.  An output offset
+    with an array in ``dest`` is written there.  ``ops`` is consumed: each
+    group's arrays are released once its outputs exist, which keeps the
+    intermediates of two passes from being held at once.
     """
     nc, width = band.shape
     n = next(iter(ops.values())).shape[axis]
     live = [k for k in range(width) if band[:, k].any()]
     group = get_backend().galerkin_group
 
+    def offset(rest, oc):
+        return rest[:axis] + (oc,) + rest[axis:]
+
     rows: dict[tuple, dict[int, np.ndarray]] = {}
     for off, arr in ops.items():
         rows.setdefault(off[:axis] + off[axis + 1:], {})[off[axis]] = arr
+    ops.clear()
 
     out: dict[Offset, np.ndarray] = {}
-    for rest, row in sorted(rows.items()):
+    for rest in sorted(rows):
+        row = rows.pop(rest)
         ra, rap = _pass_terms(row, n, nc, factor, live)
-        for oc, arr in group(row, band, axis, factor, ra, rap).items():
-            out[rest[:axis] + (oc,) + rest[axis:]] = arr
+        targets = None
+        if dest:
+            targets = {oc: dest[offset(rest, oc)] for oc, _e, _k in rap
+                       if offset(rest, oc) in dest}
+        for oc, arr in group(row, band, axis, factor, ra, rap, targets).items():
+            out[offset(rest, oc)] = arr
     return out
 
 

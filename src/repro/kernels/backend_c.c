@@ -1,11 +1,17 @@
 /* Compiled SG-DIA kernels for the "c" backend (see backend_c.py).
  *
- * SOA C-contiguous payloads: data[d][i][j][k] for scalar operators, and
+ * SOA payloads: data[d][i][j][k] for scalar operators, and
  * data[d][i][j][k][a][b] (one contiguous m x m block per cell) for block
- * operators with m = ncomp >= 2.  Every kernel is generated once per
+ * operators with m = ncomp >= 2.  Each offset's plane is C-contiguous and
+ * the planes are `stride` values apart, padded by repro.sgdia.layout so
+ * that they do not start at power-of-two distances: the 7 to 27 planes a
+ * kernel streams at once then fall in distinct cache sets, and every kernel
+ * reads its coefficients in place.  Every kernel is generated once per
  * (storage, compute) pair by DEFINE_KERNELS / DEFINE_BLOCK_KERNELS below;
  * the suffix names the pair (h = fp16 stored as uint16, f = float,
- * d = double), e.g. repro_spmv_hf, repro_bspmv_hf.
+ * d = double), e.g. repro_spmv_hf, repro_bspmv_hf.  The scalar SpMV also
+ * has one kernel per radius-1 stencil with compile-time offsets
+ * (DEFINE_STENCIL_SPMV, e.g. repro_spmv_3d27_hf).
  *
  * Bit parity with the numpy reference is the contract:
  *   - each cell accumulates over stencil offsets in ascending order,
@@ -35,9 +41,12 @@
  * same neighbour values as when each color covers the whole grid before
  * the next starts.  The first color finishes its whole row before the
  * second starts, because a second-color cell at the end of one chunk reads
- * its first-color neighbour at the start of the next.  Both colors read
- * one converted copy of the row's coefficients, and each vector computes
- * 8 contiguous cells of both parities; only the color's cells are written.
+ * its first-color neighbour at the start of the next.  Each color reads
+ * the row's coefficients in place, converting them in registers, and each
+ * vector computes 8 contiguous cells of both parities, two vectors per
+ * pass; only the color's cells are written.  (The sweep once copied every
+ * row into a packed buffer first; that copy existed only to dodge the
+ * cache-set aliasing of unpadded planes.)
  */
 #include <float.h>
 #include <stdint.h>
@@ -49,7 +58,8 @@
 
 /* Cells per row chunk: bounds the on-stack conversion buffers, not the
  * row length (rows of any length are processed chunk by chunk).  The
- * sweep's chunk GCH is shorter: its buffer holds every term of a chunk. */
+ * sweep's results and the Galerkin kernel's intermediates are buffered in
+ * chunks of GCH. */
 #define CH 512
 #define GCH 256
 #define ND 27 /* most stencil offsets (every radius-1 stencil fits) */
@@ -197,11 +207,37 @@ ALWAYS_INLINE void vst_##V(T *p, V v, long kc)                                 \
 DEFINE_LANES(float, f8_t)
 DEFINE_LANES(double, d8_t)
 
-/* The in-grid terms of grid row (i, j): coefficient row, neighbour row and
- * the cell range [lo, hi) whose neighbour is in the grid, in ascending
- * offset order, skipping offset `skip` (-1: none).  Returns the count. */
+/* KW consecutive stored coefficients, converted to the compute type in
+ * registers (F16C for fp16: 8 halves per vcvtph2ps). */
+ALWAYS_INLINE f8_t vcv_ff(const float *p) { return vld_f8_t(p, KW); }
+ALWAYS_INLINE d8_t vcv_dd(const double *p) { return vld_d8_t(p, KW); }
+ALWAYS_INLINE f8_t vcv_df(const double *p)
+{
+    return __builtin_convertvector(vld_d8_t(p, KW), f8_t);
+}
+ALWAYS_INLINE d8_t vcv_fd(const float *p)
+{
+    return __builtin_convertvector(vld_f8_t(p, KW), d8_t);
+}
+#if defined(__F16C__)
+ALWAYS_INLINE f8_t vcv_hf(const uint16_t *p)
+{
+    return (f8_t)_mm256_cvtph_ps(_mm_loadu_si128((const __m128i *)p));
+}
+ALWAYS_INLINE d8_t vcv_hd(const uint16_t *p)
+{
+    return __builtin_convertvector(vcv_hf(p), d8_t);
+}
+#endif
+
+/* The in-grid terms of grid row (i, j): the coefficient row's first value
+ * (planes `stride` values apart, mm values per cell), the neighbour row's
+ * first cell and the cell range [lo, hi) whose neighbour is in the grid, in
+ * ascending offset order, skipping offset `skip` (-1: none).  Returns the
+ * count. */
 static inline int row_terms(const int *restrict offs, int ndiag, int skip,
                             long i, long j, long nx, long ny, long nz,
+                            long stride, long mm,
                             long *restrict cofs, long *restrict xofs,
                             long *restrict lo, long *restrict hi)
 {
@@ -211,7 +247,7 @@ static inline int row_terms(const int *restrict offs, int ndiag, int skip,
         const long ok = offs[3 * d + 2];
         if (d == skip || ii < 0 || ii >= nx || jj < 0 || jj >= ny)
             continue;
-        cofs[nt] = d * nx * ny * nz + (i * ny + j) * nz;
+        cofs[nt] = d * stride + (i * ny + j) * nz * mm;
         xofs[nt] = (ii * ny + jj) * nz + ok;
         lo[nt] = lmax(0, -ok);
         hi[nt] = lmin(nz, nz - ok);
@@ -220,60 +256,139 @@ static inline int row_terms(const int *restrict offs, int ndiag, int skip,
     return nt;
 }
 
-#define DEFINE_KERNELS(SUF, S, T, V)                                           \
-                                                                               \
-/* y = A x over the whole grid (every y cell is written). */                   \
-void repro_spmv_##SUF(const S *restrict data, const int *restrict offs,       \
-                      int ndiag, const T *restrict x, T *restrict y,           \
-                      long nx, long ny, long nz)                               \
+/* Per-stencil scalar SpMV: repro_spmv_<stencil>_<pair>, instantiated by
+ * DEFINE_KERNELS below, is repro_spmv_<pair> for one radius-1 stencil
+ * of repro.grid.stencil, whose offsets (the 27 radius-1 offsets in
+ * lexicographic order, kept where IN_<stencil> holds for |dx|+|dy|+|dz|)
+ * are compile-time constants.  Each interior cell of an interior grid row
+ * (every neighbour in the grid: 0 < i < nx-1, 0 < j < ny-1, 0 < k < nz-1)
+ * sums its terms in registers, in ascending offset order from zero, two
+ * vectors of KW cells per pass, and stores y once: the order and values of
+ * the y-streaming loop, which still runs the boundary rows, the row ends
+ * and rows with fewer than KW interior cells.  backend_c.py hands these
+ * kernels only the offset tables of their stencils. */
+#define IN_3d7(n) ((n) <= 1)
+#define IN_3d15(n) ((n) != 2)
+#define IN_3d19(n) ((n) <= 2)
+#define IN_3d27(n) 1
+#define IABS(v) ((v) < 0 ? -(v) : (v))
+
+#define DEFINE_STENCIL_SPMV(NAME, SUF, S, T, V)                                \
+ALWAYS_INLINE void                                                             \
+interior_##NAME##_##SUF(const S *restrict c, long stride, const T *restrict x, \
+                        T *restrict y, long sx, long sy, long ka, long kb)     \
 {                                                                              \
-    const long n = nx * ny * nz;                                               \
-    for (long i = 0; i < nx; i++)                                              \
-        for (long j = 0; j < ny; j++) {                                        \
-            const long row = (i * ny + j) * nz;                                \
-            T *restrict yr = y + row;                                          \
-            for (long k0 = 0; k0 < nz; k0 += CH) {                             \
-                const long k1 = lmin(k0 + CH, nz);                             \
-                for (long k = k0; k < k1; k++)                                 \
-                    yr[k] = 0;                                                 \
-                for (int d = 0; d < ndiag; d++) {                              \
-                    const long ii = i + offs[3 * d], jj = j + offs[3 * d + 1]; \
-                    const long ok = offs[3 * d + 2];                           \
-                    if (ii < 0 || ii >= nx || jj < 0 || jj >= ny)              \
-                        continue;                                              \
-                    const long lo = lmax(k0, -ok), hi = lmin(k1, nz - ok);     \
-                    if (lo >= hi)                                              \
-                        continue;                                              \
-                    madd_##SUF(yr + lo, data + d * n + row + lo,               \
-                               x + (ii * ny + jj) * nz + ok + lo, hi - lo);    \
-                }                                                              \
-            }                                                                  \
-        }                                                                      \
+    V a0 = {0}, a1 = {0};                                                      \
+    int d = 0;                                                                 \
+    _Pragma("GCC unroll 27")                                                   \
+    for (int o = 0; o < 27; o++) {                                             \
+        const int dx = o / 9 - 1, dy = o / 3 % 3 - 1, dz = o % 3 - 1;          \
+        if (!IN_##NAME(IABS(dx) + IABS(dy) + IABS(dz)))                        \
+            continue;                                                          \
+        const S *cd = c + d * stride;                                          \
+        const T *xo = x + dx * sx + dy * sy + dz;                              \
+        a0 += vcv_##SUF(cd + ka) * vld_##V(xo + ka, KW);                       \
+        a1 += vcv_##SUF(cd + kb) * vld_##V(xo + kb, KW);                       \
+        d++;                                                                   \
+    }                                                                          \
+    vst_##V(y + ka, a0, KW);                                                   \
+    vst_##V(y + kb, a1, KW);                                                   \
 }                                                                              \
                                                                                \
-/* Color c2 of cells [k0, k1) of the grid row at `row`, from the chunk's       \
- * converted coefficients (term t of cell k at cb[t * w + k - k0]).  The       \
- * cells of [v0, v1), where every term's neighbour is in the grid, are         \
- * accumulated KW at a time, both parities alike, the last vector              \
- * overlapping the one before; the color's other cells (the row ends, or       \
- * every cell when [v0, v1) is shorter than a vector) one at a time.  x is     \
- * written after the chunk, and only at the color's cells. */                  \
+void repro_spmv_##NAME##_##SUF(const S *restrict data, long stride,           \
+                               const int *restrict offs, int ndiag,            \
+                               const T *restrict x, T *restrict y,             \
+                               long nx, long ny, long nz)                      \
+{                                                                              \
+    const long last = nz - 1 - KW; /* the last interior vector's start */     \
+    for (long i = 0; i < nx; i++)                                              \
+        for (long j = 0; j < ny; j++) {                                        \
+            if (i == 0 || i == nx - 1 || j == 0 || j == ny - 1 || last < 1) {  \
+                spmv_cells_##SUF(data, stride, offs, ndiag, x, y, nx, ny, nz,  \
+                                 i, j, 0, nz);                                 \
+                continue;                                                      \
+            }                                                                  \
+            const long row = (i * ny + j) * nz;                                \
+            spmv_cells_##SUF(data, stride, offs, ndiag, x, y, nx, ny, nz, i,   \
+                             j, 0, 1);                                         \
+            for (long k = 1; k < nz - 1; k += 2 * KW)                          \
+                interior_##NAME##_##SUF(data + row, stride, x + row, y + row,  \
+                                        ny * nz, nz, lmin(k, last),            \
+                                        lmin(k + KW, last));                   \
+            spmv_cells_##SUF(data, stride, offs, ndiag, x, y, nx, ny, nz, i,   \
+                             j, nz - 1, nz);                                   \
+        }                                                                      \
+}
+
+#define DEFINE_KERNELS(SUF, S, T, V)                                           \
+                                                                               \
+/* y = A x on cells [ka, kb) of grid row (i, j), from zero: chunk by chunk,   \
+ * each in-grid term added across the chunk in ascending offset order. */     \
+static void spmv_cells_##SUF(const S *restrict data, long stride,              \
+                             const int *restrict offs, int ndiag,              \
+                             const T *restrict x, T *restrict y, long nx,      \
+                             long ny, long nz, long i, long j, long ka,        \
+                             long kb)                                          \
+{                                                                              \
+    const long row = (i * ny + j) * nz;                                        \
+    T *restrict yr = y + row;                                                  \
+    for (long k0 = ka; k0 < kb; k0 += CH) {                                    \
+        const long k1 = lmin(k0 + CH, kb);                                     \
+        for (long k = k0; k < k1; k++)                                         \
+            yr[k] = 0;                                                         \
+        for (int d = 0; d < ndiag; d++) {                                      \
+            const long ii = i + offs[3 * d], jj = j + offs[3 * d + 1];         \
+            const long ok = offs[3 * d + 2];                                   \
+            if (ii < 0 || ii >= nx || jj < 0 || jj >= ny)                      \
+                continue;                                                      \
+            const long lo = lmax(k0, -ok), hi = lmin(k1, nz - ok);             \
+            if (lo >= hi)                                                      \
+                continue;                                                      \
+            madd_##SUF(yr + lo, data + d * stride + row + lo,                  \
+                       x + (ii * ny + jj) * nz + ok + lo, hi - lo);            \
+        }                                                                      \
+    }                                                                          \
+}                                                                              \
+                                                                               \
+/* y = A x over the whole grid (every y cell is written). */                   \
+void repro_spmv_##SUF(const S *restrict data, long stride,                    \
+                      const int *restrict offs, int ndiag,                     \
+                      const T *restrict x, T *restrict y,                      \
+                      long nx, long ny, long nz)                               \
+{                                                                              \
+    for (long i = 0; i < nx; i++)                                              \
+        for (long j = 0; j < ny; j++)                                          \
+            spmv_cells_##SUF(data, stride, offs, ndiag, x, y, nx, ny, nz, i,   \
+                             j, 0, nz);                                        \
+}                                                                              \
+                                                                               \
+/* Color c2 of cells [k0, k1) of the grid row at `row`, reading each term's  \
+ * coefficients in place (term t of cell k at data[cofs[t] + k]).  The cells  \
+ * of [v0, v1), where every term's neighbour is in the grid, are              \
+ * accumulated two vectors of KW at a time, both parities alike, the last     \
+ * vectors overlapping the ones before; the color's other cells (the row      \
+ * ends, or every cell when [v0, v1) is shorter than a vector) one at a       \
+ * time.  x is written after the chunk, and only at the color's cells. */    \
 ALWAYS_INLINE void                                                             \
-gs_chunk_##SUF(const T *restrict cb, long w, int nt, const long *xofs,         \
-               const long *lo, const long *hi, long v0, long v1,               \
-               const T *restrict b, const T *restrict dinv, T *restrict x,     \
-               long row, long k0, long k1, int c2)                             \
+gs_chunk_##SUF(const S *restrict data, int nt, const long *cofs,               \
+               const long *xofs, const long *lo, const long *hi, long v0,      \
+               long v1, const T *restrict b, const T *restrict dinv,           \
+               T *restrict x, long row, long k0, long k1, int c2)              \
 {                                                                              \
     T res[GCH];                                                                \
     if (v1 - v0 < KW)                                                          \
         v0 = v1 = k1;                                                          \
-    for (long kk = v0; kk < v1; kk += KW) {                                    \
-        const long k = lmin(kk, v1 - KW);                                      \
-        V acc = vld_##V(b + row + k, KW);                                      \
-        for (int t = 0; t < nt; t++)                                           \
-            acc -= vld_##V(cb + t * w + k - k0, KW)                            \
-                   * vld_##V(x + xofs[t] + k, KW);                             \
-        vst_##V(res + k - k0, acc * vld_##V(dinv + row + k, KW), KW);          \
+    for (long kk = v0; kk < v1; kk += 2 * KW) {                                \
+        const long ka = lmin(kk, v1 - KW), kb = lmin(kk + KW, v1 - KW);        \
+        V a0 = vld_##V(b + row + ka, KW), a1 = vld_##V(b + row + kb, KW);      \
+        for (int t = 0; t < nt; t++) {                                         \
+            const S *c = data + cofs[t];                                       \
+            const T *xt = x + xofs[t];                                         \
+            a0 -= vcv_##SUF(c + ka) * vld_##V(xt + ka, KW);                    \
+            a1 -= vcv_##SUF(c + kb) * vld_##V(xt + kb, KW);                    \
+        }                                                                      \
+        vst_##V(res + ka - k0, a0 * vld_##V(dinv + row + ka, KW), KW);         \
+        vst_##V(res + kb - k0, a1 * vld_##V(dinv + row + kb, KW), KW);         \
     }                                                                          \
     for (long k = k0 + c2; k < k1; k += 2) {                                   \
         if (k >= v0 && k < v1)                                                 \
@@ -281,7 +396,7 @@ gs_chunk_##SUF(const T *restrict cb, long w, int nt, const long *xofs,         \
         T acc = b[row + k];                                                    \
         for (int t = 0; t < nt; t++)                                           \
             if (k >= lo[t] && k < hi[t])                                       \
-                acc -= cb[t * w + k - k0] * x[xofs[t] + k];                    \
+                acc -= cv_##SUF(data[cofs[t] + k]) * x[xofs[t] + k];           \
         res[k - k0] = acc * dinv[row + k];                                     \
     }                                                                          \
     for (long k = k0 + c2; k < k1; k += 2)                                     \
@@ -290,23 +405,20 @@ gs_chunk_##SUF(const T *restrict cb, long w, int nt, const long *xofs,         \
                                                                                \
 /* The forward or backward 8-color Gauss-Seidel sweep, in place on x: the      \
  * row classes in COLORS8 order (reversed backward), and per grid row its      \
- * two colors, chunk by chunk (see the head of this file).  A row of at        \
- * most GCH cells is converted once for both colors.  A same-type payload is   \
- * copied into the buffer too: read in place, the terms' 26 planes lie at      \
- * power-of-two distances and compete for the same cache sets. */              \
-void repro_gs_sweep_##SUF(const S *restrict data, const int *restrict offs,    \
+ * two colors, chunk by chunk (see the head of this file). */                  \
+void repro_gs_sweep_##SUF(const S *restrict data, long stride,                \
+                          const int *restrict offs,                            \
                           int ndiag, int diag, const T *restrict b,            \
                           const T *restrict dinv, T *restrict x,               \
                           long nx, long ny, long nz, int forward)              \
 {                                                                              \
     long cofs[ND], xofs[ND], lo[ND], hi[ND];                                   \
-    T cb[ND * GCH];                                                            \
     for (int q = 0; q < 4; q++) {                                              \
         const int cls = forward ? q : 3 - q;                                   \
         for (long i = cls >> 1; i < nx; i += 2)                                \
             for (long j = cls & 1; j < ny; j += 2) {                           \
                 const int nt = row_terms(offs, ndiag, diag, i, j, nx, ny, nz,  \
-                                         cofs, xofs, lo, hi);                  \
+                                         stride, 1, cofs, xofs, lo, hi);       \
                 long v0 = 0, v1 = nz;                                          \
                 for (int t = 0; t < nt; t++) {                                 \
                     v0 = lmax(v0, lo[t]);                                      \
@@ -315,21 +427,10 @@ void repro_gs_sweep_##SUF(const S *restrict data, const int *restrict offs,    \
                 const long row = (i * ny + j) * nz;                            \
                 for (int p = 0; p < 2; p++)                                    \
                     for (long k0 = 0; k0 < nz; k0 += GCH) {                    \
-                        const long k1 = lmin(k0 + GCH, nz), w = k1 - k0;       \
-                        for (int t = 0; t < nt && (p == 0 || nz > GCH); t++) { \
-                            const long a0 = lmax(k0, lo[t]);                   \
-                            const long na = lmin(k1, hi[t]) - a0;              \
-                            T *dst = cb + t * w + a0 - k0;                     \
-                            if (na <= 0)                                       \
-                                continue;                                      \
-                            const T *c =                                       \
-                                ld_##SUF(data + cofs[t] + a0, dst, na);        \
-                            if (c != dst)                                      \
-                                __builtin_memcpy(dst, c, na * sizeof *c);      \
-                        }                                                      \
-                        gs_chunk_##SUF(cb, w, nt, xofs, lo, hi, lmax(k0, v0),  \
-                                       lmin(k1, v1), b, dinv, x, row, k0, k1,  \
-                                       forward ? p : 1 - p);                   \
+                        const long k1 = lmin(k0 + GCH, nz);                    \
+                        gs_chunk_##SUF(data, nt, cofs, xofs, lo, hi,           \
+                                       lmax(k0, v0), lmin(k1, v1), b, dinv,    \
+                                       x, row, k0, k1, forward ? p : 1 - p);   \
                     }                                                          \
             }                                                                  \
     }                                                                          \
@@ -340,12 +441,12 @@ void repro_gs_sweep_##SUF(const S *restrict data, const int *restrict offs,    \
  * lexicographic (upper) cell order: every strictly-lower radius-1 offset      \
  * points to a lexicographically smaller cell, so each neighbour is final      \
  * when read, exactly as in the wavefront schedule. */                         \
-void repro_sptrsv_##SUF(const S *restrict data, const int *restrict offs,     \
+void repro_sptrsv_##SUF(const S *restrict data, long stride,                  \
+                        const int *restrict offs,                              \
                         const int *restrict used, int nused,                   \
                         const T *restrict b, const T *restrict dinv,           \
                         T *restrict x, long nx, long ny, long nz, int lower)   \
 {                                                                              \
-    const long n = nx * ny * nz;                                               \
     const S *cr[27];                                                           \
     const T *xr[27];                                                           \
     long lo[27], hi[27];                                                       \
@@ -362,7 +463,7 @@ void repro_sptrsv_##SUF(const S *restrict data, const int *restrict offs,     \
                 const long ok = offs[3 * d + 2];                               \
                 if (ii < 0 || ii >= nx || jj < 0 || jj >= ny)                  \
                     continue;                                                  \
-                cr[nt] = data + d * n + row;                                   \
+                cr[nt] = data + d * stride + row;                              \
                 xr[nt] = x + (ii * ny + jj) * nz + ok;                         \
                 lo[nt] = lmax(0, -ok);                                         \
                 hi[nt] = lmin(nz, nz - ok);                                    \
@@ -377,7 +478,12 @@ void repro_sptrsv_##SUF(const S *restrict data, const int *restrict offs,     \
                 x[row + l] = a * dinv[row + l];                                \
             }                                                                  \
         }                                                                      \
-}
+}                                                                              \
+                                                                               \
+DEFINE_STENCIL_SPMV(3d7, SUF, S, T, V)                                         \
+DEFINE_STENCIL_SPMV(3d15, SUF, S, T, V)                                        \
+DEFINE_STENCIL_SPMV(3d19, SUF, S, T, V)                                        \
+DEFINE_STENCIL_SPMV(3d27, SUF, S, T, V)
 
 DEFINE_KERNELS(ff, float, float, f8_t)
 DEFINE_KERNELS(dd, double, double, d8_t)
@@ -387,6 +493,7 @@ DEFINE_KERNELS(fd, float, double, d8_t)
 DEFINE_KERNELS(hf, uint16_t, float, f8_t)
 DEFINE_KERNELS(hd, uint16_t, double, d8_t)
 #endif
+
 
 /* ---- block kernels (m = ncomp in 2..4) -------------------------------
  * Vectors are v[cell][a][q] with K >= 1 right-hand-side columns (an
@@ -436,7 +543,7 @@ cell_terms_##SUF(const S *restrict data, const T *x, int nt,                   \
     for (int t = 0; t < nt; t++) {                                             \
         if (l < lo[t] || l >= hi[t])                                           \
             continue;                                                          \
-        cb[nu] = ld_##SUF(data + (cofs[t] + l) * mm, cbuf + nu * mm, mm);      \
+        cb[nu] = ld_##SUF(data + cofs[t] + l * mm, cbuf + nu * mm, mm);        \
         xu[nu] = x + (xofs[t] + l) * mK;                                       \
         nu++;                                                                  \
     }                                                                          \
@@ -444,9 +551,9 @@ cell_terms_##SUF(const S *restrict data, const T *x, int nt,                   \
 }                                                                              \
                                                                                \
 ALWAYS_INLINE void                                                             \
-bspmv_body_##SUF(const S *restrict data, const int *restrict offs,            \
-                 int ndiag, const T *restrict x, T *restrict y, long nx,       \
-                 long ny, long nz, long K, int m)                              \
+bspmv_body_##SUF(const S *restrict data, long stride,                         \
+                 const int *restrict offs, int ndiag, const T *restrict x,     \
+                 T *restrict y, long nx, long ny, long nz, long K, int m)      \
 {                                                                              \
     const long mm = (long)m * m, mK = m * K;                                   \
     long cofs[ND], xofs[ND], lo[ND], hi[ND];                                   \
@@ -455,7 +562,7 @@ bspmv_body_##SUF(const S *restrict data, const int *restrict offs,            \
     for (long i = 0; i < nx; i++)                                              \
         for (long j = 0; j < ny; j++) {                                        \
             const int nt = row_terms(offs, ndiag, -1, i, j, nx, ny, nz,        \
-                                     cofs, xofs, lo, hi);                      \
+                                     stride, mm, cofs, xofs, lo, hi);          \
             for (long l = 0; l < nz; l++) {                                    \
                 const int nu = cell_terms_##SUF(data, x, nt, cofs, xofs, lo,   \
                                                 hi, l, mm, mK, cbuf, cb, xu);  \
@@ -483,16 +590,18 @@ bspmv_body_##SUF(const S *restrict data, const int *restrict offs,            \
 }                                                                              \
                                                                                \
 /* y = A x for an m x m block operator and K columns (every y is written). */ \
-void repro_bspmv_##SUF(const S *restrict data, const int *restrict offs,      \
-                       int ndiag, int m, long K, const T *restrict x,          \
-                       T *restrict y, long nx, long ny, long nz)               \
+void repro_bspmv_##SUF(const S *restrict data, long stride,                   \
+                       const int *restrict offs, int ndiag, int m, long K,     \
+                       const T *restrict x, T *restrict y,                     \
+                       long nx, long ny, long nz)                              \
 {                                                                              \
-    BLOCK_SIZES(bspmv_body_##SUF, data, offs, ndiag, x, y, nx, ny, nz, K);     \
+    BLOCK_SIZES(bspmv_body_##SUF, data, stride, offs, ndiag, x, y, nx, ny, nz, \
+                K);                                                            \
 }                                                                              \
                                                                                \
 ALWAYS_INLINE void                                                             \
-bgs_body_##SUF(const S *restrict data, const int *restrict offs, int ndiag,   \
-               int diag, const T *restrict b, const T *restrict dinv,          \
+bgs_body_##SUF(const S *restrict data, long stride, const int *restrict offs,  \
+               int ndiag, int diag, const T *restrict b, const T *restrict dinv, \
                T *restrict x, long nx, long ny, long nz, int c0, int c1,       \
                int c2, long K, int m)                                          \
 {                                                                              \
@@ -503,7 +612,7 @@ bgs_body_##SUF(const S *restrict data, const int *restrict offs, int ndiag,   \
     for (long i = c0; i < nx; i += 2)                                          \
         for (long j = c1; j < ny; j += 2) {                                    \
             const int nt = row_terms(offs, ndiag, diag, i, j, nx, ny, nz,      \
-                                     cofs, xofs, lo, hi);                      \
+                                     stride, mm, cofs, xofs, lo, hi);          \
             for (long l = c2; l < nz; l += 2) {                                \
                 const int nu = cell_terms_##SUF(data, x, nt, cofs, xofs, lo,   \
                                                 hi, l, mm, mK, cbuf, cb, xu);  \
@@ -538,7 +647,8 @@ bgs_body_##SUF(const S *restrict data, const int *restrict offs, int ndiag,   \
 /* The forward or backward 8-color block Gauss-Seidel sweep, in place on x:    \
  * the colors in COLORS8 order (reversed backward), each over the whole        \
  * grid; per cell acc = b - (the off-diagonal terms), then x = Dinv acc. */    \
-void repro_bgs_sweep_##SUF(const S *restrict data, const int *restrict offs,   \
+void repro_bgs_sweep_##SUF(const S *restrict data, long stride,               \
+                           const int *restrict offs,                           \
                            int ndiag, int diag, int m, long K,                 \
                            const T *restrict b, const T *restrict dinv,        \
                            T *restrict x, long nx, long ny, long nz,           \
@@ -546,8 +656,8 @@ void repro_bgs_sweep_##SUF(const S *restrict data, const int *restrict offs,   \
 {                                                                              \
     for (int q = 0; q < 8; q++) {                                              \
         const int c = forward ? q : 7 - q;                                     \
-        BLOCK_SIZES(bgs_body_##SUF, data, offs, ndiag, diag, b, dinv, x, nx,   \
-                    ny, nz, c >> 2, (c >> 1) & 1, c & 1, K);                   \
+        BLOCK_SIZES(bgs_body_##SUF, data, stride, offs, ndiag, diag, b, dinv,  \
+                    x, nx, ny, nz, c >> 2, (c >> 1) & 1, c & 1, K);            \
     }                                                                          \
 }
 
@@ -760,7 +870,9 @@ int repro_galerkin_group(const double *const *a, double *const *out,
 
 /* ---- setup: Algorithm 1's per-level scale, range audit and truncation ---
  * One pass over a level's FP64 SOA coefficients, data[d][i][j][k] with an
- * m x m block per cell (m = 1 for a scalar grid); repro.kernels.truncate
+ * m x m block per cell (m = 1 for a scalar grid), each array's planes its
+ * own stride apart (sa for the input, ss and so for the scaled values and
+ * the payload); repro.kernels.truncate
  * holds the numpy references, whose arithmetic this reproduces:
  *   - with a per-dof weight w (NULL: none), the two-sided scaling W A W of
  *     SGDIAMatrix.scaled_two_sided: an entry whose neighbour is in the grid
@@ -867,10 +979,11 @@ static inline void scale_chunk(double *restrict dst, const double *restrict a,
 }
 
 /* Returns nonzero for a payload kind this library cannot write. */
-int repro_truncate_audit(const double *restrict a, const double *restrict w,
+int repro_truncate_audit(const double *restrict a, long sa,
+                         const double *restrict w,
                          const int *restrict offs, int ndiag, int m,
                          long nx, long ny, long nz, double *restrict scaled,
-                         void *restrict out, int kind,
+                         long ss, void *restrict out, long so, int kind,
                          const double *restrict thr, long *restrict counts,
                          double *restrict max_abs)
 {
@@ -891,7 +1004,8 @@ int repro_truncate_audit(const double *restrict a, const double *restrict w,
             for (long j = 0; j < ny; j++) {
                 const long ii = i + ox, jj = j + oy;
                 const int inside = ii >= 0 && ii < nx && jj >= 0 && jj < ny;
-                const long base = ((d * nx + i) * ny + j) * row;
+                const long cell = (i * ny + j) * row;
+                const double *ar = a + d * sa + cell;
                 const double *wr = NULL, *wn = NULL;
                 if (w != NULL && inside) {
                     wr = w + (i * ny + j) * nz * m;
@@ -899,16 +1013,17 @@ int repro_truncate_audit(const double *restrict a, const double *restrict w,
                 }
                 for (long k0 = 0; k0 < nz; k0 += cells) {
                     const long k1 = lmin(k0 + cells, nz), n = (k1 - k0) * mm;
-                    const double *v = a + base + k0 * mm;
+                    const double *v = ar + k0 * mm;
                     if (w != NULL) {
-                        double *dst = scaled ? scaled + base + k0 * mm : buf;
+                        double *dst = scaled ? scaled + d * ss + cell + k0 * mm
+                                             : buf;
                         const long s0 = wr ? lmin(lmax(k0, lo), k1) : k1;
-                        scale_chunk(dst, a + base, wr, wn, k0, s0,
+                        scale_chunk(dst, ar, wr, wn, k0, s0,
                                     wr ? lmax(s0, lmin(k1, hi)) : k1, k1, m);
                         v = dst;
                     }
                     audit_chunk(v, n, thr, acc, &mx);
-                    const long at = base + k0 * mm;
+                    const long at = d * so + cell + k0 * mm;
                     if (kind == 8)
                         __builtin_memcpy((double *)out + at, v, n * sizeof *v);
                     else if (kind == 4)
@@ -941,7 +1056,8 @@ int repro_truncate_audit(const double *restrict a, const double *restrict w,
  * is (numpy's max), and an offset whose maximum is NaN does not count.
  * The ratios of up to CH values of a row go to a buffer, then into a
  * per-lane maximum and NaN flag. */
-double repro_scaled_ratio(const double *restrict a, const double *restrict sd,
+double repro_scaled_ratio(const double *restrict a, long sa,
+                          const double *restrict sd,
                           const int *restrict offs, int ndiag, int m,
                           long nx, long ny, long nz)
 {
@@ -957,7 +1073,7 @@ double repro_scaled_ratio(const double *restrict a, const double *restrict sd,
                 const long ii = i + ox, jj = j + oy;
                 if (ii < 0 || ii >= nx || jj < 0 || jj >= ny)
                     continue;
-                const double *ar = a + ((d * nx + i) * ny + j) * row;
+                const double *ar = a + d * sa + (i * ny + j) * row;
                 const double *sr = sd + (i * ny + j) * nz * m;
                 const double *sn = sd + ((ii * ny + jj) * nz + oz) * m;
                 for (long k0 = lo; k0 < hi; k0 += cells) {

@@ -2,13 +2,19 @@
 
 At registration this module compiles ``backend_c.c`` with the system gcc,
 loads it through :mod:`ctypes` and returns a :class:`KernelBackend` named
-``"c"``.  It covers SOA C-contiguous payloads of
+``"c"``.  It covers SOA payloads whose planes are C-contiguous and aligned,
+a whole number of values apart (the padded layout every producer
+allocates, :mod:`repro.sgdia.layout`; each kernel takes that plane stride
+and reads the coefficients in place), of
 
 - scalar operators (``ncomp == 1``): ``spmv``, ``gs_sweep`` and ``sptrsv``
-  (lexicographic schedule), on a single vector.  A sweep is one call: per
-  grid row it runs the row's two colors of ``COLORS8`` from one converted
-  copy of the row's coefficients, 8 contiguous cells per vector (the
-  ordering argument is at the head of ``backend_c.c``);
+  (lexicographic schedule), on a single vector.  The SpMV of a 3d7, 3d15,
+  3d19 or 3d27 operator runs that stencil's own kernel: its offsets are
+  compile-time constants, and each interior cell sums its terms in
+  registers (``extras["spmv_stencils"]``).  A sweep is one call: per grid
+  row it runs the row's two colors of ``COLORS8``, converting the
+  coefficients in registers, 8 contiguous cells per vector (the ordering
+  argument is at the head of ``backend_c.c``);
 - block operators (``ncomp`` 2 to 4, the vector PDEs): ``spmv`` and
   ``gs_sweep`` (one call, color by color in ``COLORS8`` order) on a vector
   or an RHS block with a trailing batch axis of any ``k``.  Each cell's
@@ -32,17 +38,18 @@ grids, on a vector or on a block of any ``k`` columns, and
 in its reference's summation order; and the setup kernels of
 :mod:`repro.kernels.truncate` on FP64 scalar and 2x2 to 4x4 block
 operators: ``truncate_audit`` (one level's optional two-sided scaling,
-range audit and truncation to an fp16, fp32 or fp64 payload, in one read;
-fp16 rounds directly from fp64, see ``backend_c.c``) and ``scaled_ratio``
+range audit and truncation to an fp16, fp32 or fp64 payload, in one read,
+the payload and the scaled operator written onto padded planes; fp16
+rounds directly from fp64, see ``backend_c.c``) and ``scaled_ratio``
 (Theorem 4.1's ratio).
 
 Everything else delegates to the numpy kernels unchanged: transfers in
 other dtypes, scalar RHS blocks (no benchmark workload measures them;
 their main user, the process-pool serve bench, has a timing-sensitive
-scaling gate), block
-SpTRSV (the reference has none), AOS layouts, blocks larger than 4x4,
-non-contiguous or unaligned payloads, and in the setup BF16 payloads,
-non-FP64 operators and fp16 payloads without F16C.  The scaled SpMV keeps its ``q*x`` and ``y*=q`` steps in
+scaling gate), block SpTRSV (the reference has none), AOS layouts, blocks
+larger than 4x4, payloads whose planes are not C-contiguous or aligned,
+and in the setup BF16 payloads, non-FP64 operators and fp16 payloads
+without F16C.  The scaled SpMV keeps its ``q*x`` and ``y*=q`` steps in
 numpy around the compiled product; the Jacobi sweep (no backend entry)
 runs its numpy update around the compiled SpMV.  ``dot``/``norm2`` are
 never overridden: numpy's pairwise summation feeds convergence decisions.
@@ -86,24 +93,30 @@ _STORAGE = {np.dtype(np.float16): "h", np.dtype(np.float32): "f", np.dtype(np.fl
 _COMPUTE = {np.dtype(np.float32): "f", np.dtype(np.float64): "d"}
 
 _P, _I, _L = ctypes.c_void_p, ctypes.c_int, ctypes.c_long
+#: every SG-DIA kernel takes the payload and its plane stride (in values)
 _ARGTYPES = {
-    "spmv": (_P, _P, _I, _P, _P, _L, _L, _L),
-    "gs_sweep": (_P, _P, _I, _I, _P, _P, _P, _L, _L, _L, _I),
-    "sptrsv": (_P, _P, _P, _I, _P, _P, _P, _L, _L, _L, _I),
+    "spmv": (_P, _L, _P, _I, _P, _P, _L, _L, _L),
+    "gs_sweep": (_P, _L, _P, _I, _I, _P, _P, _P, _L, _L, _L, _I),
+    "sptrsv": (_P, _L, _P, _P, _I, _P, _P, _P, _L, _L, _L, _I),
     # block variants: the same calls plus (m, K) after the offset table
-    "bspmv": (_P, _P, _I, _I, _L, _P, _P, _L, _L, _L),
-    "bgs_sweep": (_P, _P, _I, _I, _I, _L, _P, _P, _P, _L, _L, _L, _I),
+    "bspmv": (_P, _L, _P, _I, _I, _L, _P, _P, _L, _L, _L),
+    "bgs_sweep": (_P, _L, _P, _I, _I, _I, _L, _P, _P, _P, _L, _L, _L, _I),
 }
+#: stencils with a scalar SpMV of their own (repro_spmv_<stencil>_<pair>, the
+#: spmv arguments), its offsets compile-time constants
+_SPMV_STENCILS = ("3d7", "3d15", "3d19", "3d27")
 #: repro_transfer_{f,d}: src, dst, e, geo, seg, w, nseg
 _TRANSFER_ARGS = (_P, _P, _L, _P, _P, _P, _P)
 #: repro_galerkin_group: a, out, bt, outer, n, nc, inner, f, ra, nra, outs,
 #: nout, rap, nslot
 _GALERKIN_ARGS = (_P, _P, _P, _L, _L, _L, _L, _L, _P, _I, _P, _I, _P, _I)
-#: repro_truncate_audit: a, w, offs, ndiag, m, nx, ny, nz, scaled, out, kind,
-#: thr, counts, max_abs
-_TRUNCATE_ARGS = (_P, _P, _P, _I, _I, _L, _L, _L, _P, _P, _I, _P, _P, _P)
-#: repro_scaled_ratio: a, sqrt_d, offs, ndiag, m, nx, ny, nz
-_RATIO_ARGS = (_P, _P, _P, _I, _I, _L, _L, _L)
+#: repro_truncate_audit: a, stride, w, offs, ndiag, m, nx, ny, nz, scaled,
+#: stride, out, stride, kind, thr, counts, max_abs
+_TRUNCATE_ARGS = (
+    _P, _L, _P, _P, _I, _I, _L, _L, _L, _P, _L, _P, _L, _I, _P, _P, _P
+)
+#: repro_scaled_ratio: a, stride, sqrt_d, offs, ndiag, m, nx, ny, nz
+_RATIO_ARGS = (_P, _L, _P, _P, _I, _I, _L, _L, _L)
 #: payload format -> the kernel's payload kind (its bytes per value)
 _PAYLOAD_KINDS = {None: 0, "fp16": 2, "fp32": 4, "fp64": 8}
 
@@ -179,7 +192,8 @@ def build_library() -> Path:
 
 def _load(path: Path) -> "tuple[dict, dict, tuple, bool, tuple[int, int]]":
     """ctypes handles for every compiled kernel — the SG-DIA kernels keyed
-    ``(kind, storage, compute)``, the transfers keyed by dtype, and the
+    ``(kind, storage, compute)`` (kind ``spmv_<stencil>`` for the
+    per-stencil SpMVs), the transfers keyed by dtype, and the
     Galerkin group, truncate-and-audit and scaled-ratio kernels — the F16C
     flag, and the block kernels' largest block size and stencil size.
 
@@ -208,6 +222,10 @@ def _load(path: Path) -> "tuple[dict, dict, tuple, bool, tuple[int, int]]":
         for cdt, c in _COMPUTE.items():
             for kind, argtypes in _ARGTYPES.items():
                 kernels[(kind, sdt, cdt)] = fetch(f"repro_{kind}_{s}{c}", argtypes)
+            for name in _SPMV_STENCILS:
+                kernels[(f"spmv_{name}", sdt, cdt)] = fetch(
+                    f"repro_spmv_{name}_{s}{c}", _ARGTYPES["spmv"]
+                )
     transfers = {
         cdt: fetch(f"repro_transfer_{c}", _TRANSFER_ARGS) for cdt, c in _COMPUTE.items()
     }
@@ -233,9 +251,26 @@ def _ready(arr, dtype) -> np.ndarray:
     return np.require(arr, dtype=dtype, requirements=("C", "A"))
 
 
+def _stride(data: np.ndarray) -> "int | None":
+    """Values from one plane of an SOA payload to the next, if its planes
+    are C-contiguous and aligned and that stride is a whole number of
+    values (the padded layout of :mod:`repro.sgdia.layout`); else None."""
+    step = data.strides[0]
+    if (
+        data.flags.aligned
+        and step % data.itemsize == 0
+        and step >= data[0].nbytes
+        and data[0].flags.c_contiguous
+    ):
+        return step // data.itemsize
+    return None
+
+
 def make_backend(reference) -> "tuple[object | None, str]":
     """Build the ``"c"`` :class:`KernelBackend`; ``(None, reason)`` if unusable."""
+    from ..grid import stencil as make_stencil
     from ..precision import RangeCounts, get_format
+    from ..sgdia.layout import soa_empty
     from .backend import KernelBackend
     from .spmv import field_view
     from .sptrsv import _participating_offsets
@@ -247,6 +282,11 @@ def make_backend(reference) -> "tuple[object | None, str]":
     except (BuildError, OSError, AttributeError) as exc:  # numpy keeps running
         return None, f"{type(exc).__name__}: {exc}"
 
+    # offsets -> the per-stencil SpMV kind
+    stencil_spmv = {
+        make_stencil(name).offsets: f"spmv_{name}" for name in _SPMV_STENCILS
+    }
+
     def kernel(kind, plan, a, cdtype):
         """The compiled kernel for this call, or None (use the reference)."""
         data = a.data
@@ -256,9 +296,11 @@ def make_backend(reference) -> "tuple[object | None, str]":
             if plan.ncomp > max_ncomp or len(plan.offsets) > max_terms:
                 return None
             kind = "b" + kind
+        elif kind == "spmv":
+            kind = stencil_spmv.get(plan.offsets, kind)
         if data.shape != (len(plan.offsets), *plan.shape, *block_shape(plan)):
             return None  # not this plan's structure: never hand C a bad bound
-        if not (data.flags.c_contiguous and data.flags.aligned):
+        if _stride(data) is None:
             return None
         return kernels.get((kind, data.dtype, cdtype))
 
@@ -307,8 +349,8 @@ def make_backend(reference) -> "tuple[object | None, str]":
         if _metrics.active():
             _metrics.incr("kernel.spmv.calls")
             charge_fcvt(plan, a, cdtype, sum(plan.term_cells))
-        fn(a.data.ctypes.data, plan.offsets_table.ctypes.data, len(plan.offsets),
-           *dims, xf.ctypes.data, y.ctypes.data, *plan.shape)
+        fn(a.data.ctypes.data, _stride(a.data), plan.offsets_table.ctypes.data,
+           len(plan.offsets), *dims, xf.ctypes.data, y.ctypes.data, *plan.shape)
         if q is not None:
             y *= q
         if out is not None:
@@ -341,9 +383,9 @@ def make_backend(reference) -> "tuple[object | None, str]":
         if np.may_share_memory(bc, xw):
             bc = bc.copy()
         dinv = _ready(diag_inv, cdtype)
-        fn(a.data.ctypes.data, plan.offsets_table.ctypes.data, len(plan.offsets),
-           plan.diag_index, *dims, bc.ctypes.data, dinv.ctypes.data,
-           xw.ctypes.data, *plan.shape, int(bool(forward)))
+        fn(a.data.ctypes.data, _stride(a.data), plan.offsets_table.ctypes.data,
+           len(plan.offsets), plan.diag_index, *dims, bc.ctypes.data,
+           dinv.ctypes.data, xw.ctypes.data, *plan.shape, int(bool(forward)))
         if xw is not x:
             x[...] = xw
         return x
@@ -372,9 +414,9 @@ def make_backend(reference) -> "tuple[object | None, str]":
         bc = _ready(bf, cdtype)
         dinv = _ready(np.reshape(diag_inv, plan.shape), cdtype)
         xf = np.empty(plan.shape, dtype=cdtype)
-        fn(a.data.ctypes.data, plan.offsets_table.ctypes.data, used.ctypes.data,
-           len(used), bc.ctypes.data, dinv.ctypes.data, xf.ctypes.data,
-           *plan.shape, int(bool(lower)))
+        fn(a.data.ctypes.data, _stride(a.data), plan.offsets_table.ctypes.data,
+           used.ctypes.data, len(used), bc.ctypes.data, dinv.ctypes.data,
+           xf.ctypes.data, *plan.shape, int(bool(lower)))
         if out is not None:
             out.reshape(bf.shape)[...] = xf
             return out
@@ -398,7 +440,7 @@ def make_backend(reference) -> "tuple[object | None, str]":
         fn(_addr(xs), _addr(y), xs.size // st.src.ncells, *ptrs)
         return y
 
-    def galerkin_group(row, band, axis, factor, ra, rap):
+    def galerkin_group(row, band, axis, factor, ra, rap, out=None):
         if not rap:
             return {}
         offs = sorted(row)
@@ -420,7 +462,12 @@ def make_backend(reference) -> "tuple[object | None, str]":
         rap_rows = [(slots[e], k) for _oc, e, k in rap]
         first = arrays[0]
         shape = first.shape[:axis] + (nc,) + first.shape[axis + 1:]
-        outs = [np.empty(shape) for _ in ocs]
+        out = out or {}
+        outs = [out[oc] if oc in out else np.empty(shape) for oc in ocs]
+        for o in outs:  # a target the kernel cannot write would corrupt memory
+            if o.shape != shape or o.dtype != np.float64 or not o.flags.c_contiguous:
+                raise ValueError(f"Galerkin target {o.dtype} {o.shape} is not "
+                                 f"a C-contiguous float64 {shape}")
         tables = [np.asarray(t, dtype=np.int64) for t in (ra_rows, out_rows, rap_rows)]
         a_ptr = (ctypes.c_void_p * len(arrays))(*(a.ctypes.data for a in arrays))
         o_ptr = (ctypes.c_void_p * len(outs))(*(o.ctypes.data for o in outs))
@@ -441,14 +488,15 @@ def make_backend(reference) -> "tuple[object | None, str]":
 
     def setup_operator(a, field=None):
         """True if the setup kernels take ``a`` (and the per-dof ``field``):
-        an SOA C-contiguous FP64 payload with blocks of at most 4x4."""
+        an SOA FP64 payload on C-contiguous planes with blocks of at most
+        4x4."""
         data = a.data
         return (
             a.layout == "soa"
             and a.grid.ncomp <= max_ncomp
             and data.dtype == np.float64
             and data.shape == a._expected_shape("soa")
-            and data.flags.c_contiguous and data.flags.aligned
+            and _stride(data) is not None
             and (field is None or np.shape(field) == a.grid.field_shape)
         )
 
@@ -463,17 +511,19 @@ def make_backend(reference) -> "tuple[object | None, str]":
         audit = get_format(audit)
         data = a.data
         w = None if weight is None else _ready(weight, np.float64)
-        scaled = None if w is None else np.empty(data.shape)
-        payload = None if storage is None else np.empty(data.shape, storage.np_dtype)
+        scaled = None if w is None else soa_empty(data.shape, np.float64)
+        payload = None if storage is None else soa_empty(data.shape, storage.np_dtype)
         thr = np.array([audit.max, audit.tiny, audit.min_normal])
         counts = np.zeros(5, dtype=np.int64)
         max_abs = np.zeros(1)
         offs = offsets(a)
         status = truncate_kernel(
-            data.ctypes.data, None if w is None else w.ctypes.data,
-            offs.ctypes.data, len(offs), a.grid.ncomp,
-            *a.grid.shape, None if scaled is None else scaled.ctypes.data,
-            None if payload is None else payload.ctypes.data, kind,
+            data.ctypes.data, _stride(data), None if w is None else w.ctypes.data,
+            offs.ctypes.data, len(offs), a.grid.ncomp, *a.grid.shape,
+            None if scaled is None else scaled.ctypes.data,
+            0 if scaled is None else _stride(scaled),
+            None if payload is None else payload.ctypes.data,
+            0 if payload is None else _stride(payload), kind,
             thr.ctypes.data, counts.ctypes.data, max_abs.ctypes.data,
         )
         if status:
@@ -495,14 +545,17 @@ def make_backend(reference) -> "tuple[object | None, str]":
         sd = _ready(sqrt_d, np.float64)
         offs = offsets(a)
         return float(ratio_kernel(
-            a.data.ctypes.data, sd.ctypes.data, offs.ctypes.data, len(offs),
-            a.grid.ncomp, *a.grid.shape,
+            a.data.ctypes.data, _stride(a.data), sd.ctypes.data, offs.ctypes.data,
+            len(offs), a.grid.ncomp, *a.grid.shape,
         ))
 
     pairs = sorted({
         f"{'block:' if k.startswith('b') else ''}{s.name}->{c.name}"
-        for k, s, c in kernels
+        for k, s, c in kernels if not k.startswith("spmv_")
     })
+    spmv_stencils = sorted(
+        f"{k[5:]}:{s.name}->{c.name}" for k, s, c in kernels if k.startswith("spmv_")
+    )
     coarsening = sorted(f"transfer:{d.name}" for d in transfers) + [
         "galerkin_group:float64"
     ]
@@ -524,12 +577,14 @@ def make_backend(reference) -> "tuple[object | None, str]":
         truncate_audit=truncate_audit,
         scaled_ratio=scaled_ratio,
         notes=(
-            "gcc/ctypes SOA kernels: scalar SpMV/SymGS/SpTRSV, block (2x2 to "
+            "gcc/ctypes SOA kernels on padded planes: scalar SpMV (per-stencil "
+            "for 3d7/3d15/3d19/3d27)/SymGS/SpTRSV, block (2x2 to "
             f"4x4) SpMV/SymGS on any RHS block ({'with' if f16c else 'without'}"
             " F16C), fp32/fp64 transfers, FP64 Galerkin groups, FP64 setup "
             "scale/audit/truncation; numpy fallback otherwise"
         ),
         extras={"library": str(path), "f16c": f16c, "pairs": pairs,
-                "coarsening": coarsening, "setup": setup_kernels},
+                "spmv_stencils": spmv_stencils, "coarsening": coarsening,
+                "setup": setup_kernels},
     )
     return backend, "ok"

@@ -134,7 +134,8 @@ def _along(axis: int, sl: slice) -> tuple:
 
 
 def galerkin_group_ref(
-    row: dict, band: np.ndarray, axis: int, factor: int, ra: list, rap: list
+    row: dict, band: np.ndarray, axis: int, factor: int, ra: list, rap: list,
+    out: "dict | None" = None,
 ) -> dict:
     """One rest group of a 1-D Galerkin pass (``repro.coarsen.galerkin``).
 
@@ -146,7 +147,9 @@ def galerkin_group_ref(
     lists the ``(R A) P`` terms ``(oc, e, k)``: the coarse array at offset
     ``oc`` gets ``(R A)(e) * band[I + oc, k]`` for every ``I`` with
     ``I + oc`` on the grid.  Every array starts from zero and adds its
-    terms in list order.  Returns ``{oc: coarse array}``.
+    terms in list order.  Returns ``{oc: coarse array}``: the C-contiguous
+    FP64 array ``out[oc]`` where ``out`` has one (it is overwritten), else
+    a new one.
     """
     nc = band.shape[0]
     reach = factor - 1
@@ -161,12 +164,13 @@ def galerkin_group_ref(
         fine = slice(factor * lo + s, factor * (hi - 1) + s + 1, factor)
         w = band[lo:hi, s + reach].reshape(-1, *trail)
         acc[_along(axis, slice(lo, hi))] += w * row[e - s][_along(axis, fine)]
-    out: dict[int, np.ndarray] = {}
+    targets, out = out or {}, {}
     for oc, e, k in rap:
         lo, hi = max(0, -oc), min(nc, nc - oc)
         acc = out.get(oc)
         if acc is None:
-            acc = out[oc] = np.zeros(shape)
+            acc = out[oc] = targets[oc] if oc in targets else np.empty(shape)
+            acc[...] = 0
         w = band[lo + oc:hi + oc, k].reshape(-1, *trail)
         cells = _along(axis, slice(lo, hi))
         acc[cells] += ra_out[e][cells] * w

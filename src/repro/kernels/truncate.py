@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..precision import range_counts, truncate
+from ..precision import range_counts
 from ..sgdia.matrix import offset_slices
 
 __all__ = ["truncate_audit_ref", "scaled_ratio_ref"]
@@ -37,9 +37,10 @@ def truncate_audit_ref(a, weight=None, storage=None, audit="fp16"):
     FP64 values or ``None`` when there is no ``weight``, and the
     :class:`~repro.precision.RangeCounts` of the values truncated.
     """
-    values = a.data if weight is None else a.scaled_two_sided(weight).data
-    payload = None if storage is None else truncate(values, storage)
-    return payload, (None if weight is None else values), range_counts(values, audit)
+    scaled = a if weight is None else a.scaled_two_sided(weight)
+    payload = None if storage is None else scaled.astype(storage).data
+    return (payload, None if weight is None else scaled.data,
+            range_counts(scaled.data, audit))
 
 
 def scaled_ratio_ref(a, sqrt_d) -> float:

@@ -271,9 +271,7 @@ def mg_setup(
     t0 = time.perf_counter()
 
     with _trace.span("setup", config=config.name):
-        a64 = a if a.dtype == np.float64 else SGDIAMatrix(
-            a.grid, a.stencil, a.data.astype(np.float64), layout=a.layout, check=False
-        )
+        a64 = a if a.dtype == np.float64 else a.astype("fp64")
 
         entry_scaling: "DiagonalScaling | None" = None
         if config.scaling == "scale-then-setup":
@@ -505,13 +503,7 @@ def _build_quantized_chain(
     """
     def quantize(m: SGDIAMatrix, lev: int) -> SGDIAMatrix:
         fmt = config.storage_format_for_level(lev)
-        return SGDIAMatrix(
-            m.grid,
-            m.stencil,
-            m.astype(fmt).data.astype(np.float64),
-            layout=m.layout,
-            check=False,
-        )
+        return m.astype(fmt).astype("fp64")
 
     mats = [quantize(a0, 0)]
     transfers = []

@@ -16,6 +16,7 @@ mantissas have been rounded to 8 bits; memory accounting still charges them
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,16 +206,23 @@ def range_counts(x: np.ndarray, fmt: "str | FloatFormat") -> RangeCounts:
     """Audit ``x`` against ``fmt`` in one read.
 
     ``|x|`` is formed once per chunk, in FP64 whatever the dtype of ``x``,
-    and every count is taken from it while it is hot.
+    and every count is taken from it while it is hot.  Chunks run along
+    the first axis's rows, so a padded SOA array is read in place.
     """
     fmt = get_format(fmt)
-    flat = np.ravel(x)
-    buf = np.empty(min(flat.size, _RANGE_CHUNK))
+    x = np.asarray(x)
+    if x.ndim > 1:
+        rows = x.reshape(x.shape[0], math.prod(x.shape[1:]))
+    else:
+        rows = x.reshape(1, -1)
+    size = rows.size
+    buf = np.empty(min(size, _RANGE_CHUNK))
     mask = np.empty(buf.size, dtype=bool)
     n_nonzero = n_nonfinite = n_over = n_below_tiny = n_below_normal = 0
     max_abs = 0.0
-    for start in range(0, flat.size, _RANGE_CHUNK):
-        chunk = flat[start:start + _RANGE_CHUNK]
+    chunks = (row[q:q + _RANGE_CHUNK] for row in rows
+              for q in range(0, row.size, _RANGE_CHUNK))
+    for chunk in chunks:
         a = np.abs(chunk, out=buf[:chunk.size])
         finite = np.isfinite(a, out=mask[:chunk.size])
         n_nonfinite += a.size - int(np.count_nonzero(finite))
@@ -225,11 +233,11 @@ def range_counts(x: np.ndarray, fmt: "str | FloatFormat") -> RangeCounts:
         n_below_tiny += int(np.count_nonzero(a < fmt.tiny))
         n_below_normal += int(np.count_nonzero(a < fmt.min_normal))
     return RangeCounts(
-        n_values=int(flat.size),
+        n_values=int(size),
         n_nonzero=n_nonzero,
         n_nonfinite=n_nonfinite,
         n_overflow=n_over,
-        n_underflow=n_below_tiny - (flat.size - n_nonzero),
+        n_underflow=n_below_tiny - (size - n_nonzero),
         n_subnormal=n_below_normal - n_below_tiny,
         max_abs=max_abs,
     )

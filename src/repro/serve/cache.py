@@ -43,7 +43,7 @@ from ..precision import DiagonalScaling, PrecisionConfig, get_format
 from ..sgdia.io import (
     _open_npz,
     atomic_savez,
-    stored_from_arrays,
+    stored_from_npz,
     stored_to_arrays,
 )
 from .fingerprint import OperatorSignature, cache_key
@@ -461,10 +461,9 @@ def hierarchy_from_npz(
 
     levels: list[Level] = []
     for i, lm in enumerate(level_meta):
-        parts = {"data": record(f"L{i}_data")}
-        if lm["stored"].get("scaled"):
-            parts["sqrt_q"] = record(f"L{i}_sqrt_q")
-        stored = stored_from_arrays(lm["stored"], parts)
+        stored = stored_from_npz(
+            npz, lm["stored"], f"L{i}_", f"hierarchy container {where} level {i}"
+        )
         is_coarsest = i == n_levels - 1
         smoother = _make_level_smoother(options, stored.matrix, is_coarsest)
         state_names = lm.get("smoother_state")

@@ -45,7 +45,10 @@ __all__ = [
 def _hash_update_array(h, a: np.ndarray) -> None:
     h.update(str(a.dtype).encode())
     h.update(str(a.shape).encode())
-    h.update(np.ascontiguousarray(a).tobytes())
+    # the C-order bytes, read in place: a C-contiguous array whole, anything
+    # else (a padded SOA payload) one sub-array of the first axis at a time
+    for part in (a,) if a.flags.c_contiguous else a:
+        h.update(np.ascontiguousarray(part))
 
 
 def matrix_fingerprint(a) -> str:

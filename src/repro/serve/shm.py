@@ -62,7 +62,7 @@ from ..grid import Stencil, StructuredGrid
 from ..mg import MGHierarchy, MGOptions
 from ..precision import PrecisionConfig
 from ..sgdia import SGDIAMatrix
-from ..sgdia.io import open_npz_bytes, savez_bytes
+from ..sgdia.io import open_npz_bytes, read_coefficients, savez_bytes
 from .cache import hierarchy_from_npz, hierarchy_to_arrays
 
 __all__ = [
@@ -280,10 +280,6 @@ def payload_to_hierarchy(
             raise ValueError(
                 f"hierarchy container {where} has no operator record"
             )
-        if "op_data" not in npz.files:
-            raise ValueError(
-                f"hierarchy container {where} is missing record 'op_data'"
-            )
         grid = StructuredGrid(
             tuple(op["shape"]),
             ncomp=int(op["ncomp"]),
@@ -293,9 +289,11 @@ def payload_to_hierarchy(
             name=op["stencil_name"],
             offsets=tuple(tuple(int(c) for c in off) for off in op["offsets"]),
         )
-        a = SGDIAMatrix(
-            grid, stencil, npz["op_data"], layout=op["layout"], check=False
+        data = read_coefficients(
+            npz, "op_data", grid, stencil, op["layout"], (np.dtype(np.float64),),
+            f"hierarchy container {where}",
         )
+        a = SGDIAMatrix(grid, stencil, data, layout=op["layout"])
         h = hierarchy_from_npz(npz, where, config, options)
     finally:
         npz.close()

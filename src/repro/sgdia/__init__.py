@@ -5,7 +5,7 @@ from .io import (
     load_stored,
     save_sgdia,
     save_stored,
-    stored_from_arrays,
+    stored_from_npz,
     stored_to_arrays,
     write_matrix_market,
 )
@@ -20,7 +20,7 @@ __all__ = [
     "offset_slices",
     "save_sgdia",
     "save_stored",
-    "stored_from_arrays",
+    "stored_from_npz",
     "stored_to_arrays",
     "write_matrix_market",
 ]

@@ -5,6 +5,11 @@ equivalent round-trip for the reproduction: a compact ``.npz`` container
 for SG-DIA operators (coefficients + stencil + grid metadata, any value
 precision) and a Matrix Market exporter for interoperability with other
 solvers (hypre drivers, PETSc, Julia, ...).
+
+Files hold the logical coefficient array.  The loaders check a record's
+``.npy`` header against the grid, stencil and layout (and value format)
+it claims, then read its values straight onto the padded planes of
+:mod:`repro.sgdia.layout`.
 """
 
 from __future__ import annotations
@@ -13,12 +18,14 @@ import json
 import os
 import uuid
 import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
 
 from ..grid import Stencil, StructuredGrid
-from .matrix import SGDIAMatrix
+from .layout import soa_empty
+from .matrix import SGDIAMatrix, coefficient_shape
 
 __all__ = [
     "atomic_savez",
@@ -29,7 +36,8 @@ __all__ = [
     "load_stored",
     "savez_bytes",
     "stored_to_arrays",
-    "stored_from_arrays",
+    "read_coefficients",
+    "stored_from_npz",
     "write_matrix_market",
 ]
 
@@ -161,6 +169,84 @@ def _npz_meta(npz, path: Path, *, expect_version: int, keys=("data", "offsets"))
     return meta
 
 
+#: the dtypes an SG-DIA coefficient record may hold
+_VALUE_DTYPES = tuple(np.dtype(t) for t in (np.float16, np.float32, np.float64))
+
+
+def _read_into(f, out: np.ndarray, where: str) -> None:
+    """Fill the C-contiguous ``out`` from the stream ``f``."""
+    view = memoryview(out).cast("B")
+    got = 0
+    while got < len(view):
+        n = f.readinto(view[got:])
+        if not n:
+            raise ValueError(f"{where} is truncated")
+        got += n
+
+
+def read_coefficients(
+    npz, name: str, grid: StructuredGrid, stencil: Stencil, layout: str,
+    dtypes, where: str,
+) -> np.ndarray:
+    """Record ``name`` of an open npz as the coefficient array of an
+    operator on ``grid`` with ``stencil`` in ``layout``.
+
+    The record's header must give that operator's shape and one of
+    ``dtypes``; a :class:`ValueError` naming ``where`` and the record says
+    otherwise.  The values are then read straight into the array, onto
+    padded planes for SOA.
+    """
+    label = f"{where} record {name!r}"
+    if name not in npz.files:
+        raise ValueError(f"{label} is missing (truncated?)")
+    try:
+        with npz.zip.open(f"{name}.npy") as f:
+            version = np.lib.format.read_magic(f)
+            if version == (1, 0):
+                shape, fortran, dtype = np.lib.format.read_array_header_1_0(f)
+            elif version == (2, 0):
+                shape, fortran, dtype = np.lib.format.read_array_header_2_0(f)
+            else:
+                raise ValueError(f"{label} has .npy format version {version}")
+            if layout not in ("soa", "aos"):
+                raise ValueError(f"{label} claims unknown layout {layout!r}")
+            want = coefficient_shape(grid, stencil, layout)
+            if shape != want or dtype not in dtypes or (fortran and len(shape) > 1):
+                raise ValueError(
+                    f"{label} holds a {dtype} array of shape {shape}"
+                    f"{' in Fortran order' if fortran else ''}; its grid "
+                    f"{grid.shape} (ncomp {grid.ncomp}), stencil {stencil.name} "
+                    f"and layout {layout!r} need shape {want} and dtype "
+                    f"{' or '.join(str(d) for d in dtypes)}"
+                )
+            if layout == "soa":
+                out = soa_empty(shape, dtype)
+                for plane in out:
+                    _read_into(f, plane, label)
+            else:
+                out = np.empty(shape, dtype)
+                _read_into(f, out, label)
+    except (OSError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
+        raise ValueError(f"{label} is corrupt or truncated: {exc}") from exc
+    return out
+
+
+def _structure(meta: dict, offsets=None) -> tuple[StructuredGrid, Stencil]:
+    """The grid and stencil a record's meta describes (``offsets`` from
+    the meta unless given)."""
+    grid = StructuredGrid(
+        tuple(meta["shape"]),
+        ncomp=int(meta["ncomp"]),
+        spacing=tuple(meta["spacing"]),
+    )
+    offsets = meta["offsets"] if offsets is None else offsets
+    stencil = Stencil(
+        name=meta["stencil_name"],
+        offsets=tuple(tuple(int(c) for c in off) for off in offsets),
+    )
+    return grid, stencil
+
+
 def save_sgdia(path: "str | Path", a: SGDIAMatrix) -> Path:
     """Write an SG-DIA matrix to a compressed ``.npz`` file."""
     path = Path(path)
@@ -189,16 +275,12 @@ def load_sgdia(path: "str | Path") -> SGDIAMatrix:
     path = Path(path)
     with _open_npz(path) as npz:
         meta = _npz_meta(npz, path, expect_version=_FORMAT_VERSION)
-        offsets = tuple(tuple(int(c) for c in off) for off in npz["offsets"])
-        stencil = Stencil(name=meta["stencil_name"], offsets=offsets)
-        grid = StructuredGrid(
-            tuple(meta["shape"]),
-            ncomp=int(meta["ncomp"]),
-            spacing=tuple(meta["spacing"]),
+        grid, stencil = _structure(meta, npz["offsets"])
+        data = read_coefficients(
+            npz, "data", grid, stencil, meta["layout"], _VALUE_DTYPES,
+            f"sgdia file {path}",
         )
-        return SGDIAMatrix(
-            grid, stencil, npz["data"], layout=meta["layout"]
-        )
+        return SGDIAMatrix(grid, stencil, data, layout=meta["layout"])
 
 
 # ----------------------------------------------------------------------
@@ -234,38 +316,41 @@ def stored_to_arrays(stored) -> tuple[dict, dict]:
     return meta, arrays
 
 
-def stored_from_arrays(meta: dict, arrays: dict):
-    """Rebuild a :class:`~repro.sgdia.StoredMatrix` from saved parts."""
+def stored_from_npz(npz, meta: dict, prefix: str, where: str):
+    """Rebuild a :class:`~repro.sgdia.StoredMatrix` from the records
+    ``{prefix}data`` and ``{prefix}sqrt_q`` of an open npz whose meta
+    record is ``meta`` (written by :func:`stored_to_arrays`).
+
+    The payload is read straight onto padded planes
+    (:func:`read_coefficients`); a record that does not fit the grid,
+    stencil, layout and storage format of ``meta`` raises
+    :class:`ValueError` naming ``where``.
+    """
     from ..precision import DiagonalScaling, get_format
     from .mixed import StoredMatrix
 
-    grid = StructuredGrid(
-        tuple(meta["shape"]),
-        ncomp=int(meta["ncomp"]),
-        spacing=tuple(meta["spacing"]),
-    )
-    stencil = Stencil(
-        name=meta["stencil_name"],
-        offsets=tuple(tuple(int(c) for c in off) for off in meta["offsets"]),
-    )
-    matrix = SGDIAMatrix(
-        grid, stencil, np.asarray(arrays["data"]), layout=meta["layout"],
-        check=False,
-    )
+    grid, stencil = _structure(meta)
+    storage = get_format(meta["storage"])
+    data = read_coefficients(npz, f"{prefix}data", grid, stencil, meta["layout"],
+                             (storage.np_dtype,), where)
     scaling = None
     if meta["scaled"]:
-        if "sqrt_q" not in arrays:
+        if f"{prefix}sqrt_q" not in npz.files:
             raise ValueError(
-                "stored-matrix record claims scaling but has no sqrt_q array"
+                f"{where} is missing the {prefix}sqrt_q record (truncated?)"
             )
-        scaling = DiagonalScaling(
-            g=float(meta["g"]), sqrt_q=np.asarray(arrays["sqrt_q"])
-        )
+        sqrt_q = npz[f"{prefix}sqrt_q"]
+        if sqrt_q.shape != grid.field_shape:
+            raise ValueError(
+                f"{where} holds a sqrt_q of shape {sqrt_q.shape}; its grid "
+                f"needs {grid.field_shape}"
+            )
+        scaling = DiagonalScaling(g=float(meta["g"]), sqrt_q=sqrt_q)
     return StoredMatrix(
-        matrix=matrix,
+        matrix=SGDIAMatrix(grid, stencil, data, layout=meta["layout"]),
         scaling=scaling,
         compute=get_format(meta["compute"]),
-        storage=get_format(meta["storage"]),
+        storage=storage,
     )
 
 
@@ -290,14 +375,7 @@ def load_stored(path: "str | Path"):
     path = Path(path)
     with _open_npz(path) as npz:
         meta = _npz_meta(npz, path, expect_version=_STORED_VERSION, keys=("data",))
-        arrays = {"data": npz["data"]}
-        if meta.get("scaled"):
-            if "sqrt_q" not in npz.files:
-                raise ValueError(
-                    f"sgdia file {path} is missing the sqrt_q record (truncated?)"
-                )
-            arrays["sqrt_q"] = npz["sqrt_q"]
-        return stored_from_arrays(meta, arrays)
+        return stored_from_npz(npz, meta, "", f"sgdia file {path}")
 
 
 def write_matrix_market(

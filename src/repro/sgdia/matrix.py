@@ -11,7 +11,11 @@ Two memory layouts are supported (Section 5.1):
 
 - ``"soa"`` (structure-of-arrays): ``data[d, i, j, k]`` — entries of the
   same stencil offset are contiguous; SIMD/vectorization friendly, and the
-  layout every optimized kernel in :mod:`repro.kernels` expects;
+  layout every optimized kernel in :mod:`repro.kernels` expects.  The
+  offset planes are padded apart (:mod:`repro.sgdia.layout`) so that a
+  kernel's coefficient streams do not share cache sets: ``data`` is a view
+  with C-contiguous planes whose first stride is padded, and every
+  constructor allocates it that way;
 - ``"aos"`` (array-of-structures): ``data[i, j, k, d]`` — entries of the
   same grid point are contiguous; used by the naive mixed-precision kernels
   in the Figure-7 ablation, where the strided half-precision conversion
@@ -32,8 +36,9 @@ import scipy.sparse as sp
 
 from ..grid import Stencil, StructuredGrid, stencil as make_stencil
 from ..precision import FloatFormat, get_format, truncate
+from .layout import as_soa, soa_empty
 
-__all__ = ["SGDIAMatrix", "offset_slices"]
+__all__ = ["SGDIAMatrix", "coefficient_shape", "offset_slices"]
 
 _LAYOUTS = ("soa", "aos")
 
@@ -57,6 +62,17 @@ def offset_slices(
     return tuple(dst), tuple(src)
 
 
+def coefficient_shape(
+    grid: StructuredGrid, stencil: Stencil, layout: str
+) -> tuple[int, ...]:
+    """The logical shape of the coefficient array of an operator on
+    ``grid`` with ``stencil`` in ``layout``."""
+    block = (grid.ncomp,) * 2 if grid.ncomp > 1 else ()
+    if layout == "soa":
+        return (stencil.ndiag, *grid.shape, *block)
+    return (*grid.shape, stencil.ndiag, *block)
+
+
 class SGDIAMatrix:
     """A square sparse matrix in SG-DIA format on a structured grid."""
 
@@ -66,8 +82,9 @@ class SGDIAMatrix:
         stencil: "Stencil | str",
         data: np.ndarray,
         layout: str = "soa",
-        check: bool = True,
     ) -> None:
+        """Wrap ``data`` of the layout's logical shape; SOA data not on
+        padded planes is copied onto them once."""
         if isinstance(stencil, str):
             stencil = make_stencil(stencil)
         if layout not in _LAYOUTS:
@@ -75,25 +92,20 @@ class SGDIAMatrix:
         self.grid = grid
         self.stencil = stencil
         self.layout = layout
-        self.data = np.asarray(data)
-        if check:
-            expected = self._expected_shape(layout)
-            if self.data.shape != expected:
-                raise ValueError(
-                    f"data shape {self.data.shape} does not match expected "
-                    f"{expected} for layout {layout!r}"
-                )
+        data = np.asarray(data)
+        expected = self._expected_shape(layout)
+        if data.shape != expected:
+            raise ValueError(
+                f"data shape {data.shape} does not match expected "
+                f"{expected} for layout {layout!r}"
+            )
+        self.data = as_soa(data) if layout == "soa" else data
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
     def _expected_shape(self, layout: str) -> tuple[int, ...]:
-        nx, ny, nz = self.grid.shape
-        r = self.grid.ncomp
-        block = (r, r) if r > 1 else ()
-        if layout == "soa":
-            return (self.stencil.ndiag, nx, ny, nz, *block)
-        return (nx, ny, nz, self.stencil.ndiag, *block)
+        return coefficient_shape(self.grid, self.stencil, layout)
 
     @classmethod
     def zeros(
@@ -107,8 +119,15 @@ class SGDIAMatrix:
             stencil = make_stencil(stencil)
         obj = cls.__new__(cls)
         obj.grid, obj.stencil, obj.layout = grid, stencil, layout
-        obj.data = np.zeros(obj._expected_shape(layout), dtype=dtype)
+        obj.data = obj._new_data(dtype, zero=True)
         return obj
+
+    def _new_data(self, dtype, zero: bool = False) -> np.ndarray:
+        """A new coefficient array of this operator's layout and shape."""
+        shape = self._expected_shape(self.layout)
+        if self.layout == "soa":
+            return soa_empty(shape, dtype, zero=zero)
+        return (np.zeros if zero else np.empty)(shape, dtype=dtype)
 
     @classmethod
     def from_constant_stencil(
@@ -218,9 +237,9 @@ class SGDIAMatrix:
             return self
         if layout == "aos":  # soa -> aos: move diag axis after (x, y, z)
             data = np.ascontiguousarray(np.moveaxis(self.data, 0, 3))
-        else:  # aos -> soa
-            data = np.ascontiguousarray(np.moveaxis(self.data, 3, 0))
-        return SGDIAMatrix(self.grid, self.stencil, data, layout=layout, check=False)
+        else:  # aos -> soa, copied onto padded planes by the constructor
+            data = np.moveaxis(self.data, 3, 0)
+        return SGDIAMatrix(self.grid, self.stencil, data, layout=layout)
 
     def astype(self, fmt: "str | FloatFormat") -> "SGDIAMatrix":
         """Truncate values to a storage format (Algorithm 1 lines 8/11).
@@ -228,18 +247,22 @@ class SGDIAMatrix:
         Out-of-range values become ``inf`` — exactly the hazard Theorem 4.1's
         scaling exists to prevent.  BF16 returns float32-held quantized data.
         """
-        return SGDIAMatrix(
-            self.grid,
-            self.stencil,
-            truncate(self.data, fmt),
-            layout=self.layout,
-            check=False,
-        )
+        fmt = get_format(fmt)
+        if fmt.name == "bf16":
+            return SGDIAMatrix(
+                self.grid, self.stencil, truncate(self.data, fmt), layout=self.layout
+            )
+        return self._cast(fmt.np_dtype)
+
+    def _cast(self, dtype) -> "SGDIAMatrix":
+        """A copy with values cast to ``dtype`` (numpy's ``astype`` rounding)."""
+        data = self._new_data(dtype)
+        with np.errstate(over="ignore"):
+            np.copyto(data, self.data, casting="unsafe")
+        return SGDIAMatrix(self.grid, self.stencil, data, layout=self.layout)
 
     def copy(self) -> "SGDIAMatrix":
-        return SGDIAMatrix(
-            self.grid, self.stencil, self.data.copy(), layout=self.layout, check=False
-        )
+        return self._cast(self.data.dtype)
 
     def zero_boundary(self) -> "SGDIAMatrix":
         """Zero all entries whose neighbour is outside the grid (in place)."""
@@ -298,15 +321,7 @@ class SGDIAMatrix:
                 f"weight shape {weight.shape} must match field shape "
                 f"{self.grid.field_shape}"
             )
-        out = self.copy()
-        if out.data.dtype != np.result_type(out.data.dtype, weight.dtype):
-            out = SGDIAMatrix(
-                self.grid,
-                self.stencil,
-                self.data.astype(np.result_type(self.data.dtype, weight.dtype)),
-                layout=self.layout,
-                check=False,
-            )
+        out = self._cast(np.result_type(self.data.dtype, weight.dtype))
         for d, off in enumerate(self.stencil.offsets):
             dst, src = offset_slices(self.grid.shape, off)
             view = out.diag_view(d)

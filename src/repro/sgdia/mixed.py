@@ -72,7 +72,7 @@ def scale_level(
 
 
 def _like(a: SGDIAMatrix, data: np.ndarray) -> SGDIAMatrix:
-    return SGDIAMatrix(a.grid, a.stencil, data, layout=a.layout, check=False)
+    return SGDIAMatrix(a.grid, a.stencil, data, layout=a.layout)
 
 
 def scale_and_truncate(

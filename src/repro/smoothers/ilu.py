@@ -26,7 +26,6 @@ import numpy as np
 from ..grid import Stencil
 from ..kernels import sptrsv
 from ..kernels.sptrsv import wavefront_planes
-from ..precision import truncate
 from ..sgdia import SGDIAMatrix, StoredMatrix
 from .base import Smoother
 
@@ -122,12 +121,8 @@ class ILU0(Smoother):
         uf.zero_boundary()
 
         # Truncate factors to storage precision (kept dtype float32 for bf16).
-        self.l_factor = SGDIAMatrix(
-            grid, lower_st, truncate(lf.data, storage), check=False
-        )
-        self.u_factor = SGDIAMatrix(
-            grid, upper_st, truncate(uf.data, storage), check=False
-        )
+        self.l_factor = lf.astype(storage)
+        self.u_factor = uf.astype(storage)
         self.u_diag_inv = (1.0 / u_diag).astype(cdtype)
         self._l_diag_inv = np.ones(grid.shape, dtype=cdtype)
         from ..kernels.plan import plan_for

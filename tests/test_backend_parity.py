@@ -192,18 +192,28 @@ class TestGracefulFallback:
     def test_missing_kernel(self, monkeypatch, tmp_path, no_registry):
         """A library lacking a kernel of a pair leaves c unregistered, so a
         misnamed kernel cannot run on numpy unnoticed."""
+        self._partial(monkeypatch, tmp_path, ("spmv",), "gs_sweep")
+
+    def test_missing_stencil_kernel(self, monkeypatch, tmp_path, no_registry):
+        """So does one lacking a per-stencil SpMV of a pair."""
+        self._partial(monkeypatch, tmp_path, ("spmv", "gs_sweep", "sptrsv",
+                                              "bspmv", "bgs_sweep", "spmv_3d7"),
+                      "spmv_3d15")
+
+    @staticmethod
+    def _partial(monkeypatch, tmp_path, present, missing):
         partial = tmp_path / "partial.c"
         partial.write_text(
             "int repro_has_f16c(void) { return 0; }\n"
             "void repro_block_limits(int *mb, int *nd) { *mb = 4; *nd = 27; }\n"
-            "void repro_spmv_ff(void) {}\n"
+            + "".join(f"void repro_{k}_ff(void) {{}}\n" for k in present)
         )
         monkeypatch.setattr(backend_c, "_SOURCE", partial)
         monkeypatch.setattr(backend_c, "cache_dir", lambda: tmp_path / "cache")
         if backend_c._compiler() is None:
             pytest.skip("no gcc on this host")
         assert get_backend().name == "numpy"
-        assert "lacks repro_gs_sweep_ff" in backend_status()["unavailable"]["c"]
+        assert f"lacks repro_{missing}_ff" in backend_status()["unavailable"]["c"]
 
     @needs_c
     def test_cache_hit_and_location(self, monkeypatch, tmp_path):
@@ -591,11 +601,13 @@ class TestBlockParity:
 
 
 #: Run in a subprocess by TestGuardPages: copies the payload, b, x and dinv
-#: of scalar operators, the transfer inputs and tables, the setup kernels'
-#: FP64 operators and per-dof fields, and the Galerkin passes' fine arrays
-#: into fresh anonymous pages, each ending right before
+#: of scalar and block operators, the transfer inputs and tables, the setup
+#: kernels' FP64 operators and per-dof fields, and the Galerkin passes' fine
+#: arrays into fresh anonymous pages, each ending right before
 #: (argv[1] == "end") or beginning right after ("start") a PROT_NONE page,
-#: then runs the compiled kernels on them.  An out-of-bounds read faults.
+#: then runs the compiled kernels on them.  An SOA payload keeps its padded
+#: planes: its last plane ends at the faulting page, or its first plane
+#: begins right after it.  An out-of-bounds read faults.
 _GUARD_SCRIPT = """
 import copy, ctypes, dataclasses, mmap, sys
 import numpy as np
@@ -604,6 +616,7 @@ from repro.grid import StructuredGrid
 from repro.kernels import backend as _backend, backend_c, compute_diag_inv, plan_for
 from repro.kernels import use_backend
 from repro.sgdia import SGDIAMatrix
+from repro.sgdia.layout import is_soa, soa_view
 from tests.helpers import random_sgdia
 
 PAGE, PROT_NONE = mmap.PAGESIZE, 0
@@ -611,17 +624,30 @@ libc = ctypes.CDLL(None, use_errno=True)
 libc.mprotect.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int)
 maps = []
 
+# a copy of arr next to a faulting page; an SOA payload keeps its padded
+# planes, the guard right after the last plane's end or right before the
+# first plane's start
 def guarded(arr, at_end):
-    body = -(-arr.nbytes // PAGE) * PAGE
+    soa = is_soa(arr)
+    extent = (len(arr) - 1) * arr.strides[0] + arr[0].nbytes if soa else arr.nbytes
+    body = -(-extent // PAGE) * PAGE
     buf = mmap.mmap(-1, body + PAGE)
     maps.append(buf)
     base = ctypes.addressof(ctypes.c_char.from_buffer(buf))
     if libc.mprotect(base + body if at_end else base, PAGE, PROT_NONE):
         raise OSError(ctypes.get_errno(), "mprotect failed")
-    offset = body - arr.nbytes if at_end else PAGE
-    view = np.frombuffer(buf, arr.dtype, arr.size, offset).reshape(arr.shape)
+    offset = body - extent if at_end else PAGE
+    if soa:
+        view = soa_view(buf, offset, arr.shape, arr.dtype)
+    else:
+        view = np.frombuffer(buf, arr.dtype, arr.size, offset).reshape(arr.shape)
     view[...] = arr
     return view
+
+def guarded_op(a, at_end):
+    ag = SGDIAMatrix(a.grid, a.stencil, guarded(a.data, at_end))
+    assert is_soa(ag.data) and not np.shares_memory(ag.data, a.data)
+    return ag
 
 def refuse(*args, **kwargs):
     raise AssertionError("fell back to numpy")
@@ -633,14 +659,37 @@ be, status = backend_c.make_backend(dataclasses.replace(
 assert status == "ok", status
 at_end = sys.argv[1] == "end"
 fmts = ["fp32"] + (["fp16"] if be.extras["f16c"] else [])
-for shape in ((5, 3, 19), (4, 3, 2)):
+# scalar operators: every per-stencil SpMV (interior rows need 3 x 3 x 10
+# cells), the sweep in both directions and SpTRSV; short and long rows
+for pattern in ("3d7", "3d15", "3d19", "3d27"):
+    for shape in ((5, 3, 19), (4, 3, 2), (3, 4, 10)):
+        for fmt in fmts:
+            a = random_sgdia(shape, pattern).astype(fmt)
+            plan = plan_for(a)
+            rng = np.random.default_rng(0)
+            b0, x0 = rng.standard_normal((2, *shape)).astype(np.float32)
+            dinv0 = compute_diag_inv(a, np.float32)
+            ag = guarded_op(a, at_end)
+            b, dinv = guarded(b0, at_end), guarded(dinv0, at_end)
+            x, xr = guarded(x0, at_end), x0.copy()
+            for forward in (True, False):
+                be.gs_sweep(plan, ag, b, x, dinv, forward)
+                ref.gs_sweep(plan, a, b0, xr, dinv0, forward)
+            assert x.tobytes() == xr.tobytes()
+            y = be.spmv(plan, ag, x, compute_dtype=np.float32)
+            assert y.tobytes() == ref.spmv(plan, a, xr, compute_dtype=np.float32).tobytes()
+            be.sptrsv(plan, ag, b, lower=True, part="lower", diag_inv=dinv)
+
+# block operators: SpMV and the sweep in both directions, on a vector and
+# on a 3-column block
+for shape, ncomp, k in (((5, 3, 7), 2, None), ((3, 2, 4), 3, 3)):
     for fmt in fmts:
-        a = random_sgdia(shape, "3d27").astype(fmt)
+        a = random_sgdia(shape, "3d27", ncomp=ncomp).astype(fmt)
         plan = plan_for(a)
-        rng = np.random.default_rng(0)
-        b0, x0 = rng.standard_normal((2, *shape)).astype(np.float32)
+        tail = (k,) if k else ()
+        b0, x0 = rng.standard_normal((2, *a.grid.field_shape, *tail)).astype(np.float32)
         dinv0 = compute_diag_inv(a, np.float32)
-        ag = SGDIAMatrix(a.grid, a.stencil, guarded(a.data, at_end))
+        ag = guarded_op(a, at_end)
         b, dinv = guarded(b0, at_end), guarded(dinv0, at_end)
         x, xr = guarded(x0, at_end), x0.copy()
         for forward in (True, False):
@@ -649,7 +698,6 @@ for shape in ((5, 3, 19), (4, 3, 2)):
         assert x.tobytes() == xr.tobytes()
         y = be.spmv(plan, ag, x, compute_dtype=np.float32)
         assert y.tobytes() == ref.spmv(plan, a, xr, compute_dtype=np.float32).tobytes()
-        be.sptrsv(plan, ag, b, lower=True, part="lower", diag_inv=dinv)
 
 # restrict and prolong: the input and every table guarded; scalar and block
 # grids, a vector and a 3-column block, short and long rows
@@ -671,7 +719,7 @@ for shape, ncomp, k, factors in (((5, 3, 19), 1, None, (2, 2, 2)),
 from repro.precision import get_format
 for shape, ncomp in (((5, 3, 19), 1), ((4, 3, 2), 1), ((3, 2, 70), 3), ((2, 3, 5), 4)):
     a = random_sgdia(shape, "3d27", ncomp=ncomp)
-    ag = SGDIAMatrix(a.grid, a.stencil, guarded(a.data, at_end))
+    ag = guarded_op(a, at_end)
     w0 = rng.uniform(0.5, 2.0, a.grid.field_shape)
     for fmt in fmts + ["fp64"]:
         storage = get_format(fmt)
@@ -709,12 +757,13 @@ print("ok")
 @needs_c
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="libc mprotect")
 class TestGuardPages:
-    """The compiled sweep (both directions), SpMV, SpTRSV, restrict,
-    prolong, Galerkin group, truncate-and-audit and scaled ratio read
-    nothing outside their arrays: each
-    array ends at, or begins after, a page that faults on access.  Rows of
-    a vector plus a tail and two-cell rows, whose scalar paths are where an
-    over-read hides from the parity cases."""
+    """The compiled scalar and block sweep (both directions) and SpMV (the
+    per-stencil ones too), SpTRSV, restrict, prolong, Galerkin group,
+    truncate-and-audit and scaled ratio read nothing outside their arrays:
+    each array ends at, or begins after, a page that faults on access, an
+    SOA payload on its padded planes.  Rows of a vector plus a tail and
+    two-cell rows, whose scalar paths are where an over-read hides from the
+    parity cases."""
 
     @pytest.mark.parametrize("placement", ["end", "start"])
     def test_no_read_outside_arrays(self, placement):

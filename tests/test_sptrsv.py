@@ -138,7 +138,7 @@ class TestTriangularSolve:
         """Mixed-precision SpTRSV: fp16 factors, fp32 compute."""
         a = _triangular_sgdia((4, 4, 4), "3d7")
         a16 = SGDIAMatrix(
-            a.grid, a.stencil, a.data.astype(np.float16), check=False
+            a.grid, a.stencil, a.data.astype(np.float16)
         )
         b = rng.standard_normal(a.grid.field_shape).astype(np.float32)
         x = sptrsv(a16, b, part="all", compute_dtype=np.float32)
