@@ -61,6 +61,46 @@ class Transfer:
         """Restrict a fine field (or RHS block) down to the coarse grid."""
         return get_backend().transfer(self._restrict, xf, dtype)
 
+    def box_stencils(self, fine_box, coarse_box) -> tuple:
+        """The ``(restrict, prolong)`` stencils of one subdomain.
+
+        ``fine_box`` and ``coarse_box`` give per axis the global ``(lo, hi)``
+        range a rank owns on each grid.  Each stencil writes the owned cells
+        of its destination and reads its source box padded by one ghost cell
+        per side, the local array of a
+        :class:`~repro.parallel.halo.DistributedField`.  The taps are this
+        transfer's, and ascending local index is ascending global index, so
+        the owned outputs equal those of :meth:`restrict` and
+        :meth:`prolongate` byte for byte.
+        """
+        ncomp = self.fine.ncomp
+        restrict, prolong = [], []
+        for p, f, (flo, fhi), (clo, chi) in zip(
+            self.p1d, self.factors, fine_box, coarse_box
+        ):
+            m = p.tocoo()  # rows index the fine grid, columns the coarse
+            for out, src, (olo, ohi), (slo, shi), axes, periods in (
+                (m.col, m.row, (clo, chi), (flo, fhi), restrict, (1, f)),
+                (m.row, m.col, (flo, fhi), (clo, chi), prolong, (f, 1)),
+            ):
+                keep = (out >= olo) & (out < ohi)
+                local = src[keep] - (slo - 1)
+                if np.any(local < 0) or np.any(local > shi - slo + 1):
+                    raise ValueError(
+                        f"a factor-{f} transfer reads beyond the ghost layer"
+                    )
+                axes.append((out[keep] - olo, local, m.data[keep], *periods))
+
+        def box(ranges, ghost):
+            return StructuredGrid(
+                tuple(hi - lo + 2 * ghost for lo, hi in ranges), ncomp=ncomp
+            )
+
+        return (
+            transfer_stencil(box(fine_box, 1), box(coarse_box, 0), restrict),
+            transfer_stencil(box(coarse_box, 1), box(fine_box, 0), prolong),
+        )
+
     @property
     def nbytes(self) -> int:
         """Bytes of the kept 1-D weights."""

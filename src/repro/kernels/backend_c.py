@@ -358,12 +358,14 @@ def make_backend(reference) -> "tuple[object | None, str]":
             return out
         return y.reshape(np.shape(x)) if np.shape(x) != y.shape else y
 
-    def gs_sweep(plan, a, b, x, diag_inv, forward=True, compute_dtype=np.float32):
+    def gs_sweep(plan, a, b, x, diag_inv, forward=True, compute_dtype=np.float32,
+                 color=None):
         cdtype = np.dtype(compute_dtype)
         fn = kernel("gs_sweep", plan, a, cdtype)
         dims = block_args(plan, x)
         if (
             fn is None
+            or color is not None  # the kernel sweeps all colors at once
             or dims is None
             or plan.sweep_colors is None
             or np.shape(b) != x.shape
@@ -373,7 +375,8 @@ def make_backend(reference) -> "tuple[object | None, str]":
             or np.shape(diag_inv) != plan.shape + block_shape(plan)
         ):
             return reference.gs_sweep(
-                plan, a, b, x, diag_inv, forward=forward, compute_dtype=compute_dtype
+                plan, a, b, x, diag_inv, forward=forward,
+                compute_dtype=compute_dtype, color=color,
             )
         if _metrics.active():
             _metrics.incr("kernel.sweep.calls")

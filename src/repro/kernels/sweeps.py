@@ -110,6 +110,7 @@ def gs_sweep_colored(
     forward: bool = True,
     compute_dtype=np.float32,
     plan=None,
+    color: "tuple[int, int, int] | None" = None,
 ) -> np.ndarray:
     """One multicolor Gauss-Seidel sweep, updating ``x`` in place.
 
@@ -122,10 +123,15 @@ def gs_sweep_colored(
     ``plan`` is the operator structure's
     :class:`~repro.kernels.plan.KernelPlan` (looked up when omitted); the
     active kernel backend runs the sweep on its color/offset tables.
+
+    ``color``, one class of :data:`COLORS8`, updates that class alone (then
+    ``forward`` has no effect): the eight calls in ``COLORS8`` order equal
+    one forward sweep.  The distributed engine sweeps this way, one halo
+    exchange before each color.
     """
     return get_backend().gs_sweep(
         plan or plan_for(a), a, b, x, diag_inv, forward=forward,
-        compute_dtype=compute_dtype,
+        compute_dtype=compute_dtype, color=color,
     )
 
 
@@ -137,16 +143,20 @@ def gs_sweep_ref(
     diag_inv: np.ndarray,
     forward: bool = True,
     compute_dtype=np.float32,
+    color: "tuple[int, int, int] | None" = None,
 ) -> np.ndarray:
     """The numpy backend's sweep (contract of :func:`gs_sweep_colored`):
-    colors in ``COLORS8`` order (reversed backward), per color the
-    off-diagonal offsets subtracted in ascending stencil order."""
+    colors in ``COLORS8`` order (reversed backward), or the one ``color``,
+    per color the off-diagonal offsets subtracted in ascending stencil
+    order."""
     if plan.sweep_colors is None:
         raise ValueError("8-coloring requires a radius-1 stencil with a diagonal")
     scalar = plan.ncomp == 1
     batched = x.ndim == len(plan.field_shape) + 1
     cdtype = np.dtype(compute_dtype)
     entries = plan.sweep_colors if forward else plan.sweep_colors[::-1]
+    if color is not None:
+        entries = [e for e in entries if e[0] == tuple(color)]
     counting = _metrics.active()  # hoisted: the color loop is the hot path
     if counting:
         _metrics.incr("kernel.sweep.calls")

@@ -3,9 +3,10 @@
 The paper evaluates StructMG under MPI on up to 64 nodes.  MPI is not
 available in this environment, so this package provides an *executable*
 stand-in: all ranks live in one process, every halo transfer and allreduce
-is routed through :class:`CommStats`, and the distributed kernels are
-verified bit-for-bit (unscaled) / to rounding (scaled) against the
-sequential ones.  The measured message/byte counts validate the analytic
+is routed through :class:`CommStats`, and every rank runs the kernel
+table's kernels on a ghost-padded local operator, so the distributed SpMV,
+sweeps and V-cycle equal the sequential ones byte for byte, scaled levels
+included.  The measured message/byte counts validate the analytic
 strong-scaling model of :mod:`repro.perf.scaling`.
 """
 

@@ -1,12 +1,20 @@
-"""Distributed SG-DIA operators and their halo-aware kernels.
+"""Distributed SG-DIA operators that run the shared kernels on every rank.
 
 Each rank holds the coefficient slabs of its owned rows (SG-DIA stores one
 coefficient per row per offset, so distribution is a pure slicing of the
 SOA arrays — no index translation at all, another practical advantage of
-index-free structured storage).  Kernels operate on ghost-padded
-:class:`~repro.parallel.halo.DistributedField` vectors: after one halo
-exchange, every stencil read is a plain in-bounds shifted slice of the
-padded array.
+index-free structured storage) inside a shell of zero coefficients: a local
+:class:`~repro.sgdia.SGDIAMatrix` on the grid of the rank's ghost-padded
+:class:`~repro.parallel.halo.DistributedField` array (``local_shape + 2``
+per axis).  After one halo exchange the backend-dispatched kernels of
+:mod:`repro.kernels` run on that operator and array unchanged: owned cells
+read their neighbours from the ghosts, and a term leaving the global domain
+is a zero coefficient times a zero ghost (the ``zero_boundary``
+convention).  Every owned cell thus sums the same terms in the same
+ascending order as the sequential kernel, so the distributed SpMV and
+sweeps equal it byte for byte.  The shell costs memory: a rank's
+coefficient bytes grow by ``((n + 2) / n)**3`` for ``n`` owned cells per
+axis (1.95x at 8^3, 1.33x at 20^3).
 
 Mixed precision carries over unchanged: the local payload can be FP16 with
 the same recover-and-rescale-on-the-fly treatment; the ghost exchange
@@ -17,13 +25,30 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..precision import DiagonalScaling
+from ..grid import StructuredGrid
+from ..kernels import (
+    COLORS8,
+    compute_diag_inv,
+    gs_sweep_colored,
+    jacobi_sweep,
+    spmv_plain,
+)
 from ..sgdia import SGDIAMatrix, StoredMatrix
 from .comm import CommStats
 from .decomp import CartesianDecomposition
 from .halo import DistributedField
 
 __all__ = ["DistributedSGDIA"]
+
+_G = DistributedField.GHOST
+#: The owned cells of a rank's padded local array.
+_OWNED = (slice(_G, -_G),) * 3
+
+
+def padded(owned: np.ndarray) -> np.ndarray:
+    """Per-cell data of the owned cells inside a shell of zeros, shaped
+    like the rank's padded local array (trailing axes kept)."""
+    return np.pad(owned, ((_G, _G),) * 3 + ((0, 0),) * (owned.ndim - 3))
 
 
 class DistributedSGDIA:
@@ -32,14 +57,12 @@ class DistributedSGDIA:
     def __init__(
         self,
         decomp: CartesianDecomposition,
-        stencil,
-        blocks: list[np.ndarray],
+        local_ops: list[SGDIAMatrix],
         sqrt_q: "list[np.ndarray] | None" = None,
         compute_dtype=np.float32,
     ) -> None:
         self.decomp = decomp
-        self.stencil = stencil
-        self.blocks = blocks  # per rank: (ndiag, lnx, lny, lnz[, r, r])
+        self.local_ops = local_ops  # per rank: owned rows in a zero shell
         self.sqrt_q = sqrt_q  # per rank scaling field or None
         self.compute_dtype = np.dtype(compute_dtype)
 
@@ -53,100 +76,60 @@ class DistributedSGDIA:
         """Distribute a (possibly mixed-precision) global operator."""
         if isinstance(a, StoredMatrix):
             matrix = a.matrix
-            scaling: "DiagonalScaling | None" = a.scaling
+            scaling = a.scaling
             compute = a.compute.np_dtype
         else:
             matrix = a
             scaling = None
             compute = np.float32 if a.dtype != np.float64 else np.float64
-        if matrix.layout != "soa":
-            matrix = matrix.as_layout("soa")
         if matrix.grid.shape != decomp.grid.shape:
             raise ValueError("decomposition grid does not match the matrix")
-        blocks = []
+        local_ops = []
         sqrt_q = [] if scaling is not None else None
         for rank in range(decomp.nranks):
             sl = decomp.owned_slices(rank)
-            blocks.append(np.ascontiguousarray(matrix.data[(slice(None), *sl)]))
+            shell = StructuredGrid(
+                tuple(n + 2 * _G for n in decomp.local_shape(rank)),
+                ncomp=matrix.grid.ncomp,
+            )
+            op = SGDIAMatrix.zeros(shell, matrix.stencil, dtype=matrix.dtype)
+            for d in range(op.ndiag):
+                op.diag_view(d)[_OWNED] = matrix.diag_view(d)[sl]
+            local_ops.append(op)
             if scaling is not None:
                 sqrt_q.append(
                     np.ascontiguousarray(scaling.sqrt_q[sl]).astype(compute)
                 )
-        return cls(
-            decomp,
-            matrix.stencil,
-            blocks,
-            sqrt_q=sqrt_q,
-            compute_dtype=compute,
-        )
+        return cls(decomp, local_ops, sqrt_q=sqrt_q, compute_dtype=compute)
 
     @property
     def is_scaled(self) -> bool:
         return self.sqrt_q is not None
 
-    @property
-    def ncomp(self) -> int:
-        return self.decomp.grid.ncomp
-
-    def local_nbytes(self, rank: int) -> int:
-        n = self.blocks[rank].nbytes
-        if self.sqrt_q is not None:
-            n += self.sqrt_q[rank].nbytes
-        return n
-
     # ------------------------------------------------------------------
-    def _padded_shift(self, rank: int, off) -> tuple[slice, slice, slice]:
-        """Padded-array slices reading the ``off`` neighbours of owned cells."""
-        g = DistributedField.GHOST
-        local = self.decomp.local_shape(rank)
-        return tuple(
-            slice(g + o, g + o + n) for n, o in zip(local, off)
-        )
-
-    def _local_spmv(self, rank: int, xpad: np.ndarray) -> np.ndarray:
-        """Owned-region product for one rank (requires exchanged halos)."""
-        cdtype = self.compute_dtype
-        block = self.blocks[rank]
-        scalar = self.ncomp == 1
-        local = self.decomp.local_shape(rank)
-        out_shape = local if scalar else (*local, self.ncomp)
-        y = np.zeros(out_shape, dtype=cdtype)
-        for d, off in enumerate(self.stencil.offsets):
-            coeff = block[d]
-            if coeff.dtype != cdtype:
-                coeff = coeff.astype(cdtype)
-            src = xpad[self._padded_shift(rank, off)]
-            if scalar:
-                y += coeff * src
-            else:
-                y += np.einsum("...ab,...b->...a", coeff, src)
-        return y
-
     def spmv(
         self,
         x: DistributedField,
         out: "DistributedField | None" = None,
         stats: "CommStats | None" = None,
-        exchange: bool = True,
     ) -> DistributedField:
         """Distributed ``y = A x`` (with on-the-fly rescale if scaled)."""
         decomp = self.decomp
+        cdtype = self.compute_dtype
         if out is None:
-            out = DistributedField(decomp, dtype=self.compute_dtype)
+            out = DistributedField(decomp, dtype=cdtype)
+        work = x
         if self.is_scaled:
-            # scale the input in place of a separate buffer: x_s = sqrt_q*x
-            xs = DistributedField(decomp, dtype=self.compute_dtype)
+            # x_s = sqrt_q*x on the owned cells, exchanged, then the raw
+            # product times sqrt_q: the order of the sequential scaled SpMV
+            work = DistributedField(decomp, dtype=cdtype)
             for rank in range(decomp.nranks):
-                xs.owned_view(rank)[...] = (
+                work.owned_view(rank)[...] = (
                     self.sqrt_q[rank] * x.owned_view(rank)
                 )
-            work = xs
-        else:
-            work = x
-        if exchange:
-            work.exchange_halos(stats)
-        for rank in range(decomp.nranks):
-            y = self._local_spmv(rank, work.locals[rank])
+        work.exchange_halos(stats)
+        for rank, op in enumerate(self.local_ops):
+            y = spmv_plain(op, work.locals[rank], compute_dtype=cdtype)[_OWNED]
             if self.is_scaled:
                 y *= self.sqrt_q[rank]
             out.owned_view(rank)[...] = y
@@ -154,17 +137,19 @@ class DistributedSGDIA:
 
     # ------------------------------------------------------------------
     def diag_inv_local(self) -> list[np.ndarray]:
-        """Per-rank inverse (block) diagonal in compute precision."""
-        cdtype = self.compute_dtype
-        out = []
-        d = self.stencil.diag_index
-        for rank in range(self.decomp.nranks):
-            blk = self.blocks[rank][d].astype(np.float64)
-            if self.ncomp == 1:
-                out.append((1.0 / blk).astype(cdtype))
-            else:
-                out.append(np.linalg.inv(blk).astype(cdtype))
-        return out
+        """Per-rank inverse (block) diagonal of the owned cells, in compute
+        precision: :func:`~repro.kernels.compute_diag_inv` of the rank's rows."""
+        return [
+            compute_diag_inv(
+                SGDIAMatrix(
+                    self.decomp.local_grid(rank),
+                    op.stencil,
+                    op.data[(slice(None), *_OWNED)],
+                ),
+                self.compute_dtype,
+            )
+            for rank, op in enumerate(self.local_ops)
+        ]
 
     def jacobi_sweep(
         self,
@@ -174,23 +159,12 @@ class DistributedSGDIA:
         weight: float = 0.8,
         stats: "CommStats | None" = None,
     ) -> DistributedField:
-        """One distributed weighted-Jacobi sweep (unscaled operators)."""
-        if self.is_scaled:
-            raise NotImplementedError(
-                "distributed smoothing of scaled operators: transform the "
-                "system into the scaled space first"
-            )
-        ax = self.spmv(x, stats=stats)
-        cdtype = self.compute_dtype
-        scalar = self.ncomp == 1
-        for rank in range(self.decomp.nranks):
-            r = b.owned_view(rank).astype(cdtype) - ax.owned_view(rank)
-            if scalar:
-                upd = diag_inv[rank] * r
-            else:
-                upd = np.einsum("...ab,...b->...a", diag_inv[rank], r)
-            x.owned_view(rank)[...] += cdtype.type(weight) * upd
-        return x
+        """One distributed weighted-Jacobi sweep (unscaled operators);
+        ``diag_inv`` per rank as :meth:`diag_inv_local` returns it."""
+        self._refuse_scaled()
+        return self._sweep(
+            "jacobi", b, x, [padded(d) for d in diag_inv], stats, weight=weight
+        )
 
     def gs_sweep_colored(
         self,
@@ -200,72 +174,64 @@ class DistributedSGDIA:
         forward: bool = True,
         stats: "CommStats | None" = None,
     ) -> DistributedField:
-        """One distributed 8-color Gauss-Seidel sweep.
+        """One distributed 8-color Gauss-Seidel sweep (unscaled operators);
+        ``diag_inv`` per rank as :meth:`diag_inv_local` returns it.
 
         Colors are defined by *global* parity, so ranks stay consistent;
         ghosts are re-exchanged before every color (8 exchanges per sweep —
         the communication cost structured multicolor GS is known for).
-        Bitwise-equivalent to the sequential sweep for unscaled operators.
         """
+        self._refuse_scaled()
+        return self._sweep(
+            "gs", b, x, [padded(d) for d in diag_inv], stats, forward=forward
+        )
+
+    def _refuse_scaled(self) -> None:
         if self.is_scaled:
             raise NotImplementedError(
                 "distributed smoothing of scaled operators: transform the "
                 "system into the scaled space first"
             )
-        from ..kernels.sweeps import COLORS8
 
+    def _sweep(
+        self,
+        kind: str,
+        b: DistributedField,
+        x: DistributedField,
+        diag_inv: list[np.ndarray],
+        stats: "CommStats | None",
+        forward: bool = True,
+        weight: float = 1.0,
+    ) -> DistributedField:
+        """One sweep of the stored payload, its scaling ignored: weighted
+        Jacobi (``kind="jacobi"``) or 8-color Gauss-Seidel (``"gs"``).
+
+        ``diag_inv`` holds per rank the owned inverse diagonal inside a
+        shell of zeros (:func:`padded`).  A sweep therefore writes zeros
+        (Gauss-Seidel: into the ghost cells of each color) or adds them
+        (Jacobi) outside the owned cells; that is safe only because every
+        reader of ``x`` exchanges its halos first.
+        """
         cdtype = self.compute_dtype
-        scalar = self.ncomp == 1
-        decomp = self.decomp
-        diag_idx = self.stencil.diag_index
-        order = COLORS8 if forward else COLORS8[::-1]
-        g = DistributedField.GHOST
-        for color in order:
+        if kind == "jacobi":
             x.exchange_halos(stats)
-            for rank in range(decomp.nranks):
-                origin = [lo for (lo, _) in decomp.owned_ranges(rank)]
-                local = decomp.local_shape(rank)
-                # local slices selecting cells of this global-parity color
-                sel = []
-                empty = False
-                for ax in range(3):
-                    first = (color[ax] - origin[ax]) % 2
-                    if first >= local[ax]:
-                        empty = True
-                        break
-                    sel.append(slice(first, local[ax], 2))
-                if empty:
-                    continue
-                sel = tuple(sel)
-                rhs = np.array(
-                    b.owned_view(rank)[sel], dtype=cdtype, copy=True
+            for rank, op in enumerate(self.local_ops):
+                jacobi_sweep(
+                    op, b.locals[rank], x.locals[rank], diag_inv[rank],
+                    weight=weight, compute_dtype=cdtype,
                 )
-                xpad = x.locals[rank]
-                block = self.blocks[rank]
-                for d, off in enumerate(self.stencil.offsets):
-                    if d == diag_idx:
-                        continue
-                    coeff = block[d][sel]
-                    if coeff.dtype != cdtype:
-                        coeff = coeff.astype(cdtype)
-                    src = xpad[
-                        tuple(
-                            slice(
-                                g + s.start + o,
-                                g + s.stop + o,
-                                2,
-                            )
-                            for s, o in zip(sel, off)
-                        )
-                    ]
-                    if scalar:
-                        rhs -= coeff * src
-                    else:
-                        rhs -= np.einsum("...ab,...b->...a", coeff, src)
-                if scalar:
-                    x.owned_view(rank)[sel] = diag_inv[rank][sel] * rhs
-                else:
-                    x.owned_view(rank)[sel] = np.einsum(
-                        "...ab,...b->...a", diag_inv[rank][sel], rhs
-                    )
+            return x
+        for color in COLORS8 if forward else COLORS8[::-1]:
+            x.exchange_halos(stats)
+            for rank, op in enumerate(self.local_ops):
+                # padded index = global index - lo + 1: the global color's
+                # parity on this rank's local grid
+                local = tuple(
+                    (c - lo + 1) % 2
+                    for c, (lo, _hi) in zip(color, self.decomp.owned_ranges(rank))
+                )
+                gs_sweep_colored(
+                    op, b.locals[rank], x.locals[rank], diag_inv[rank],
+                    compute_dtype=cdtype, color=local,
+                )
         return x

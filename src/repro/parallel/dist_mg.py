@@ -1,17 +1,22 @@
 """Distributed multigrid V-cycle over aligned decompositions.
 
-Executes the full Algorithm-3 cycle on decomposed data: per-level halo
-exchanges for the smoothers and residuals, *local* tensor-product transfer
-kernels (one coarse-ghost exchange per prolongation), and a gathered direct
-solve at the tiny coarsest level (the standard redundant-coarse-solve
-practice).  Verified against the sequential :class:`~repro.mg.MGHierarchy`
-cycle, and — through :class:`~repro.parallel.comm.CommStats` — provides the
-measured per-cycle communication the Figure-10 model charges analytically.
+Executes the full Algorithm-3 cycle on decomposed data.  Every rank runs the
+kernel table's SpMV, Gauss-Seidel or Jacobi sweep and grid transfer on its
+own subdomain: the sweeps and residuals on the rank's ghost-padded local
+operator (:class:`~repro.parallel.dist_matrix.DistributedSGDIA`), and
+restriction and prolongation as the rank's box of the level's transfer
+stencils (:meth:`repro.coarsen.Transfer.box_stencils`), each after one halo
+exchange of its input.  The tiny coarsest level is a gathered direct solve
+(the standard redundant-coarse-solve practice).  One distributed cycle or
+preconditioner application equals the sequential
+:class:`~repro.mg.MGHierarchy` one byte for byte, and through
+:class:`~repro.parallel.comm.CommStats` the engine measures the per-cycle
+communication the Figure-10 model charges analytically.
 
 Alignment: transfers stay rank-local only if every rank's owned range
-starts at a multiple of ``2**(L-1)`` on every axis (so ownership divides
-evenly through ``L`` levels of factor-2 coarsening).
-:meth:`DistributedMG.aligned_decomposition` builds such decompositions.
+starts at a multiple of each level's coarsening factor on every axis, down
+through the hierarchy.  :meth:`DistributedMG.aligned_decomposition` builds
+such decompositions with starts on multiples of ``2**(L-1)``.
 """
 
 from __future__ import annotations
@@ -19,9 +24,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..grid import StructuredGrid
+from ..kernels import get_backend
 from ..mg import MGHierarchy
 from ..smoothers import (
-    Chebyshev,
     CoarseDirectSolver,
     GaussSeidel,
     L1Jacobi,
@@ -30,7 +35,7 @@ from ..smoothers import (
 )
 from .comm import CommStats
 from .decomp import CartesianDecomposition
-from .dist_matrix import DistributedSGDIA
+from .dist_matrix import DistributedSGDIA, padded
 from .halo import DistributedField
 
 __all__ = ["DistributedMG", "aligned_split"]
@@ -61,13 +66,16 @@ def aligned_split(n: int, parts: int, unit: int) -> list[tuple[int, int]]:
 class _DistLevel:
     """Per-level distributed state."""
 
-    def __init__(self, decomp, matrix, diag_inv, sqrt_q, smoother_kind, sweeps):
+    def __init__(self, decomp, matrix, diag_inv, smoother_kind, sweeps):
         self.decomp: CartesianDecomposition = decomp
-        self.matrix: DistributedSGDIA = matrix
+        self.matrix: "DistributedSGDIA | None" = matrix  # None: direct solve
+        #: per rank, the smoother's inverse diagonal in a shell of zeros
         self.diag_inv: list[np.ndarray] = diag_inv
-        self.sqrt_q: "list[np.ndarray] | None" = sqrt_q
         self.smoother_kind: str = smoother_kind
         self.sweeps: int = sweeps
+        #: per rank, the transfer stencils to and from the next level
+        self.restrict: tuple = ()
+        self.prolong: tuple = ()
 
 
 class DistributedMG:
@@ -92,10 +100,7 @@ class DistributedMG:
                 if i != n_levels - 1:
                     raise ValueError("direct solver only supported at coarsest")
                 self.coarse_solver = sm
-                matrix = DistributedSGDIA.from_global(lev.stored, d)
-                self.levels.append(
-                    _DistLevel(d, matrix, [], None, "direct", 1)
-                )
+                self.levels.append(_DistLevel(d, None, [], "direct", 1))
                 break
             if not isinstance(sm, self.SUPPORTED_SMOOTHERS):
                 raise NotImplementedError(
@@ -106,19 +111,24 @@ class DistributedMG:
             # scatter the sequential smoother's (high-precision-derived)
             # diagonal inverse so the distributed sweep is bit-identical
             diag_inv = [
-                np.ascontiguousarray(sm.diag_inv[d.owned_slices(r)])
-                for r in range(d.nranks)
+                padded(sm.diag_inv[d.owned_slices(r)]) for r in range(d.nranks)
             ]
-            sqrt_q = matrix.sqrt_q
             kind = "jacobi" if isinstance(sm, (WeightedJacobi, L1Jacobi)) else (
                 "symgs" if isinstance(sm, SymGS) else "gs"
             )
-            self.levels.append(
-                _DistLevel(d, matrix, diag_inv, sqrt_q, kind, sm.sweeps)
-            )
-            self._jacobi_weight = None
+            dist = _DistLevel(d, matrix, diag_inv, kind, sm.sweeps)
+            self.levels.append(dist)
             if i < n_levels - 1:
-                d = self._coarse_decomposition(d, hierarchy.levels[i + 1].grid)
+                coarse = self._coarse_decomposition(
+                    d, hierarchy.levels[i + 1].grid, lev.transfer.factors
+                )
+                dist.restrict, dist.prolong = zip(*(
+                    lev.transfer.box_stencils(
+                        d.owned_ranges(r), coarse.owned_ranges(r)
+                    )
+                    for r in range(d.nranks)
+                ))
+                d = coarse
         self.compute_dtype = hierarchy.compute_dtype
 
     # ------------------------------------------------------------------
@@ -137,22 +147,20 @@ class DistributedMG:
 
     @staticmethod
     def _coarse_decomposition(
-        fine: CartesianDecomposition, coarse_grid: StructuredGrid
+        fine: CartesianDecomposition,
+        coarse_grid: StructuredGrid,
+        factors: tuple[int, int, int],
     ) -> CartesianDecomposition:
-        """Ownership of the coarse grid induced by the fine decomposition."""
+        """Ownership of the coarse grid induced by the fine decomposition:
+        each range divided by its axis's coarsening factor."""
         ranges = []
-        for ax in range(3):
-            ax_ranges = []
-            for (lo, hi) in fine._ranges[ax]:
-                if lo % 2 != 0:
-                    raise ValueError(
-                        "decomposition is not aligned for coarsening; use "
-                        "DistributedMG.aligned_decomposition"
-                    )
-                clo = lo // 2
-                chi = min(coarse_grid.shape[ax], (hi + 1) // 2)
-                ax_ranges.append((clo, chi))
-            ranges.append(tuple(ax_ranges))
+        for f, n, axis in zip(factors, coarse_grid.shape, fine.ranges):
+            if any(lo % f for lo, _hi in axis):
+                raise ValueError(
+                    "decomposition is not aligned for coarsening; use "
+                    "DistributedMG.aligned_decomposition"
+                )
+            ranges.append(tuple((lo // f, min(n, -(-hi // f))) for lo, hi in axis))
         return CartesianDecomposition(
             coarse_grid, fine.proc_grid, ranges=tuple(ranges)
         )
@@ -164,148 +172,47 @@ class DistributedMG:
                 forward: bool, stats) -> None:
         lev = self.levels[li]
         seq = self.hierarchy.levels[li].smoother
-        if lev.sqrt_q is not None:
+        sqrt_q = lev.matrix.sqrt_q
+        if sqrt_q is not None:
             bs = DistributedField(lev.decomp, dtype=self.compute_dtype)
             xs = DistributedField(lev.decomp, dtype=self.compute_dtype)
             for r in range(lev.decomp.nranks):
-                bs.owned_view(r)[...] = b.owned_view(r) / lev.sqrt_q[r]
-                xs.owned_view(r)[...] = x.owned_view(r) * lev.sqrt_q[r]
+                bs.owned_view(r)[...] = b.owned_view(r) / sqrt_q[r]
+                xs.owned_view(r)[...] = x.owned_view(r) * sqrt_q[r]
             self._smooth_raw(lev, seq, bs, xs, forward, stats)
             for r in range(lev.decomp.nranks):
-                x.owned_view(r)[...] = xs.owned_view(r) / lev.sqrt_q[r]
+                x.owned_view(r)[...] = xs.owned_view(r) / sqrt_q[r]
         else:
             self._smooth_raw(lev, seq, b, x, forward, stats)
 
     def _smooth_raw(self, lev, seq, b, x, forward, stats) -> None:
-        m = lev.matrix
-        raw = _RawView(m)  # payload applied without the scaling wrapper
-        if lev.smoother_kind == "jacobi":
-            weight = getattr(seq, "weight", 1.0)
-            for _ in range(lev.sweeps):
-                raw.jacobi_sweep(b, x, lev.diag_inv, weight=weight, stats=stats)
-        elif lev.smoother_kind == "gs":
-            for _ in range(lev.sweeps):
-                raw.gs_sweep_colored(
-                    b, x, lev.diag_inv, forward=forward, stats=stats
-                )
-        else:  # symgs: forward+backward pair, order-independent (transpose)
-            for _ in range(lev.sweeps):
-                raw.gs_sweep_colored(
-                    b, x, lev.diag_inv, forward=True, stats=stats
-                )
-                raw.gs_sweep_colored(
-                    b, x, lev.diag_inv, forward=False, stats=stats
-                )
+        """The smoother on the stored payload, as ``Smoother._smooth_scaled``
+        runs it (SymGS: a forward and a backward sweep, whatever ``forward``)."""
+        sweep = lev.matrix._sweep
+        for _ in range(lev.sweeps):
+            if lev.smoother_kind == "jacobi":
+                weight = getattr(seq, "weight", 1.0)
+                sweep("jacobi", b, x, lev.diag_inv, stats, weight=weight)
+            elif lev.smoother_kind == "gs":
+                sweep("gs", b, x, lev.diag_inv, stats, forward=forward)
+            else:
+                sweep("gs", b, x, lev.diag_inv, stats, forward=True)
+                sweep("gs", b, x, lev.diag_inv, stats, forward=False)
 
     # ------------------------------------------------------------------
-    # transfers (rank-local tensor-product kernels)
+    # transfers (each rank's box of the sequential transfer stencils)
     # ------------------------------------------------------------------
-    def _restrict(self, li: int, r_fine: DistributedField, stats) -> DistributedField:
-        """Full-weighting restriction (transpose of the linear transfer)."""
-        fine_dec = self.levels[li].decomp
-        coarse_dec = self.levels[li + 1].decomp
-        out = DistributedField(coarse_dec, dtype=self.compute_dtype)
-        r_fine.exchange_halos(stats)
-        n_glob = fine_dec.grid.shape
-        for rank in range(fine_dec.nranks):
-            pad = r_fine.locals[rank]
-            (fx0, _), (fy0, _), (fz0, _) = fine_dec.owned_ranges(rank)
-            arr = pad
-            for ax in range(3):
-                arr = self._restrict_axis(
-                    arr, ax, fine_dec.owned_ranges(rank)[ax],
-                    coarse_dec.owned_ranges(rank)[ax], n_glob[ax],
-                )
-            out.owned_view(rank)[...] = arr
-        return out
-
-    def _restrict_axis(self, arr, ax, fine_range, coarse_range, n_glob):
-        """1-D full weighting along one axis of a (partially reduced)
-        padded array: ``r_c = 0.5 f[2c-1] + f[2c] + 0.5 f[2c+1]`` with the
-        boundary clamp matched to :func:`repro.coarsen.interp_1d`."""
-        (flo, fhi) = fine_range
-        (clo, chi) = coarse_range
-        nc = chi - clo
-        # position of global fine index f in the padded axis: f - flo + 1
-        def take(gidx_start, count, step=2):
-            idx = gidx_start - flo + 1
-            sl = [slice(None)] * arr.ndim
-            sl[ax] = slice(idx, idx + step * count, step)
-            return arr[tuple(sl)]
-
-        centers = take(2 * clo, nc)
-        lows = take(2 * clo - 1, nc)
-        highs = take(2 * clo + 1, nc)
-        out = centers + 0.5 * (lows + highs)
-        # clamp: when the global fine size is even, the last fine point
-        # (odd index n-1) interpolates with weight 1 from the last coarse
-        # point, so restriction adds a further 0.5 of it
-        if n_glob % 2 == 0 and chi * 2 == n_glob:
-            sl = [slice(None)] * out.ndim
-            sl[ax] = slice(nc - 1, nc)
-            extra_idx = [slice(None)] * arr.ndim
-            extra_idx[ax] = slice(n_glob - 1 - flo + 1, n_glob - flo + 1)
-            out[tuple(sl)] += 0.5 * arr[tuple(extra_idx)]
-        return out
-
-    def _prolongate(self, li: int, e_coarse: DistributedField, stats) -> DistributedField:
-        """Linear interpolation up to the fine level (one coarse exchange)."""
-        fine_dec = self.levels[li].decomp
-        coarse_dec = self.levels[li + 1].decomp
-        out = DistributedField(fine_dec, dtype=self.compute_dtype)
-        e_coarse.exchange_halos(stats)
-        n_glob = fine_dec.grid.shape
-        for rank in range(fine_dec.nranks):
-            arr = e_coarse.locals[rank]
-            for ax in range(3):
-                arr = self._prolong_axis(
-                    arr, ax, fine_dec.owned_ranges(rank)[ax],
-                    coarse_dec.owned_ranges(rank)[ax], n_glob[ax],
-                )
-            out.owned_view(rank)[...] = arr
-        return out
-
-    def _prolong_axis(self, arr, ax, fine_range, coarse_range, n_glob):
-        (flo, fhi) = fine_range
-        (clo, chi) = coarse_range
-        nf = fhi - flo
-        shape = list(arr.shape)
-        shape[ax] = nf
-        out = np.zeros(shape, dtype=arr.dtype)
-
-        def coarse_at(gc_start, count, step=1):
-            idx = gc_start - clo + 1
-            sl = [slice(None)] * arr.ndim
-            sl[ax] = slice(idx, idx + step * count, step)
-            return arr[tuple(sl)]
-
-        def out_at(start_local, count, step=2):
-            sl = [slice(None)] * out.ndim
-            sl[ax] = slice(start_local, start_local + step * count, step)
-            return tuple(sl)
-
-        # even fine points f = 2c: copy coarse
-        first_even = flo if flo % 2 == 0 else flo + 1
-        n_even = (fhi - 1 - first_even) // 2 + 1 if fhi > first_even else 0
-        if n_even > 0:
-            out[out_at(first_even - flo, n_even)] = coarse_at(
-                first_even // 2, n_even
+    def _transfer(self, stencils: tuple, src: DistributedField,
+                  decomp: CartesianDecomposition, stats) -> DistributedField:
+        """One exchange of ``src``'s ghosts, then each rank's stencil from
+        its padded array to the owned cells of a new field on ``decomp``."""
+        out = DistributedField(decomp, dtype=self.compute_dtype)
+        src.exchange_halos(stats)
+        transfer = get_backend().transfer
+        for rank, st in enumerate(stencils):
+            out.owned_view(rank)[...] = transfer(
+                st, src.locals[rank], self.compute_dtype
             )
-        # odd fine points f = 2c+1: average of c and c+1
-        first_odd = flo if flo % 2 == 1 else flo + 1
-        n_odd = (fhi - 1 - first_odd) // 2 + 1 if fhi > first_odd else 0
-        if n_odd > 0:
-            c0 = (first_odd - 1) // 2
-            lo = coarse_at(c0, n_odd)
-            hi = coarse_at(c0 + 1, n_odd)
-            vals = 0.5 * (lo + hi)
-            out[out_at(first_odd - flo, n_odd)] = vals
-            # boundary clamp: global last point of an even-sized axis
-            if n_glob % 2 == 0 and fhi == n_glob:
-                sl = [slice(None)] * out.ndim
-                sl[ax] = slice(nf - 1, nf)
-                last_c = coarse_at((n_glob - 2) // 2, 1)
-                out[tuple(sl)] = last_c
         return out
 
     # ------------------------------------------------------------------
@@ -335,12 +242,12 @@ class DistributedMG:
             r.owned_view(rank)[...] = (
                 f.owned_view(rank) - r.owned_view(rank)
             )
-        fc = self._restrict(li, r, stats)
+        fc = self._transfer(lev.restrict, r, self.levels[li + 1].decomp, stats)
         uc = DistributedField(
             self.levels[li + 1].decomp, dtype=self.compute_dtype
         )
         self._vcycle(li + 1, fc, uc, stats)
-        e = self._prolongate(li, uc, stats)
+        e = self._transfer(lev.prolong, uc, lev.decomp, stats)
         for rank in range(lev.decomp.nranks):
             u.owned_view(rank)[...] += e.owned_view(rank)
         for _ in range(nu2):
@@ -361,30 +268,24 @@ class DistributedMG:
                 self._smooth(li, f, u, forward=True, stats=None)
 
     def precondition(self, r: DistributedField, stats=None) -> DistributedField:
-        """Distributed Algorithm-2 application (fp32 cycle on fp64 data)."""
-        rc = DistributedField(self.levels[0].decomp, dtype=self.compute_dtype)
-        for rank in range(self.levels[0].decomp.nranks):
-            rc.owned_view(rank)[...] = r.owned_view(rank)
+        """Distributed Algorithm-2 application (fp32 cycle on fp64 data),
+        inside the global ``Q^{-1/2}`` entry/exit maps of scale-then-setup
+        as :meth:`MGHierarchy.precondition` applies them."""
+        h = self.hierarchy
+        decomp = self.levels[0].decomp
+        sq = None if h.entry_scaling is None else h.entry_scaling.sqrt_q
+        rc = DistributedField(decomp, dtype=self.compute_dtype)
+        for rank in range(decomp.nranks):
+            rv = np.asarray(r.owned_view(rank), dtype=self.compute_dtype)
+            if sq is not None:
+                rv = rv / sq[decomp.owned_slices(rank)]
+            rc.owned_view(rank)[...] = rv
         e = self.cycle(rc, stats=stats)
-        out = DistributedField(self.levels[0].decomp, dtype=np.float64)
-        for rank in range(self.levels[0].decomp.nranks):
-            out.owned_view(rank)[...] = e.owned_view(rank)
+        out = DistributedField(decomp, dtype=h.config.iterative.np_dtype)
+        for rank in range(decomp.nranks):
+            ev = e.owned_view(rank)
+            if sq is not None:
+                ev = ev / sq[decomp.owned_slices(rank)]
+            out.owned_view(rank)[...] = ev
         return out
 
-
-class _RawView:
-    """Apply a DistributedSGDIA's payload ignoring its scaling wrapper
-    (used when the caller has already transformed into the scaled space)."""
-
-    def __init__(self, m: DistributedSGDIA):
-        self._m = m
-
-    def __getattr__(self, name):
-        m = self._m
-        if m.sqrt_q is None:
-            return getattr(m, name)
-        raw = DistributedSGDIA(
-            m.decomp, m.stencil, m.blocks, sqrt_q=None,
-            compute_dtype=m.compute_dtype,
-        )
-        return getattr(raw, name)

@@ -11,6 +11,12 @@ from repro.kernels import COLORS8
 from repro.sgdia import SGDIAMatrix
 
 
+def assert_same_bytes(got: np.ndarray, want: np.ndarray) -> None:
+    """Equal dtype, shape and bytes: the bit-identity check."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def random_sgdia(
     shape=(5, 4, 6),
     pattern: str = "3d27",

@@ -19,6 +19,7 @@ import pytest
 
 import repro
 from repro.kernels import (
+    COLORS8,
     available_backends,
     axpy,
     backend_status,
@@ -454,6 +455,27 @@ class TestParity:
         a, b, x, dinv = _case(shape, pattern, fmt, cdtype)
         _same(*_gs(a, b, x, dinv, cdtype, forward))
         _ran_compiled(a, cdtype, fallbacks)
+
+    @pytest.mark.parametrize("ncomp", [1, 3])
+    @pytest.mark.parametrize("fmt,cdtype", [("fp16", np.float32),
+                                            ("fp64", np.float64)])
+    def test_gs_sweep_one_color(self, fmt, cdtype, ncomp):
+        """One-color calls (``color=``, as each rank of the distributed
+        engine sweeps) agree on both backends, and the eight calls in
+        ``COLORS8`` order are one forward sweep."""
+        a, b, x, dinv = _case((6, 5, 7), "3d27", fmt, cdtype, ncomp)
+        plan = plan_for(a)
+
+        def by_color():
+            xs = x.copy()
+            for color in COLORS8:
+                gs_sweep_colored(a, b, xs, dinv, compute_dtype=cdtype,
+                                 plan=plan, color=color)
+            return xs
+
+        ref, got = _both(by_color)
+        _same(ref, got)
+        _same(got, _gs(a, b, x, dinv, cdtype, True)[1])
 
     @pytest.mark.parametrize("lower", [True, False])
     @pytest.mark.parametrize("shape", SCALAR_SHAPES)

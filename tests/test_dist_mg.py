@@ -1,8 +1,13 @@
 """Tests for the distributed multigrid cycle."""
 
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 
+from repro.kernels import backend as _backend
+from repro.kernels import use_backend
 from repro.mg import MGOptions, mg_setup
 from repro.parallel import (
     CartesianDecomposition,
@@ -14,7 +19,7 @@ from repro.parallel import (
     DistributedSGDIA,
     failing_ranks,
 )
-from repro.precision import FULL64, K64P32D16_SETUP_SCALE
+from repro.precision import FULL64, K64P32D16_SETUP_SCALE, parse_config
 from repro.problems import build_problem
 from repro.resilience import (
     EscalationPolicy,
@@ -23,6 +28,8 @@ from repro.resilience import (
     robust_distributed_solve,
 )
 from repro.solvers import cg
+
+from tests.helpers import assert_same_bytes
 
 
 class TestAlignedSplit:
@@ -78,58 +85,163 @@ def _setup(name="laplace27", shape=(16, 16, 16), cfg=FULL64, pg=(2, 2, 2),
     return p, h, dec, DistributedMG(h, dec)
 
 
+def _assert_sequential(h, dec, dmg, seed=0):
+    """One cycle and one preconditioner application equal the sequential
+    hierarchy's byte for byte."""
+    bg = np.random.default_rng(seed).standard_normal(dec.grid.field_shape)
+    cdtype = dmg.compute_dtype
+    xd = dmg.cycle(DistributedField.scatter(bg, dec, dtype=cdtype))
+    assert_same_bytes(xd.gather(), h.cycle(bg.astype(cdtype)))
+    ed = dmg.precondition(DistributedField.scatter(bg, dec, dtype=np.float64))
+    assert_same_bytes(ed.gather(), h.precondition(bg))
+
+
+RANKS = ((1, 1, 1), (2, 1, 1), (2, 2, 2))
+
+#: name -> (problem, shape, config, MGOptions or None for the problem's,
+#: process grids)
+HIERARCHIES = {
+    "laplace27-fp16": (
+        "laplace27", (16, 16, 16), K64P32D16_SETUP_SCALE, None, RANKS,
+    ),
+    "laplace27-full64": ("laplace27", (16, 16, 16), FULL64, None, RANKS),
+    "laplace27-full64-jacobi": (
+        "laplace27", (16, 16, 16), FULL64,
+        MGOptions(smoother="jacobi", coarsen="full"), RANKS,
+    ),
+    # every level scaled (setup-scale), and the global entry/exit scaling
+    # of scale-setup
+    "laplace27e8-setup-scale": (
+        "laplace27e8", (16, 16, 16), K64P32D16_SETUP_SCALE, None, RANKS,
+    ),
+    "laplace27e8-scale-setup": (
+        "laplace27e8", (16, 16, 16), parse_config("K64P32D16-scale-setup"),
+        None, RANKS,
+    ),
+    # 3x3 blocks, scaled levels
+    "solid-3d": ("solid-3d", (16, 16, 16), K64P32D16_SETUP_SCALE, None, RANKS),
+    # factor-1 axes: weather's semicoarsening, solid-3d keeping z
+    "weather-16x16x8": (
+        "weather", (16, 16, 8), K64P32D16_SETUP_SCALE, None, ((2, 2, 1),),
+    ),
+    "solid-3d-16x16x8": (
+        "solid-3d", (16, 16, 8), K64P32D16_SETUP_SCALE, None, ((2, 2, 1),),
+    ),
+    # factor 4: its taps reach past the ghost layer, so one rank only
+    "laplace27-factor4": (
+        "laplace27", (16, 16, 16), FULL64,
+        MGOptions(coarsen="full", coarsen_factor=4), ((1, 1, 1),),
+    ),
+}
+
+
+@functools.lru_cache(maxsize=1)
+def _hierarchy(name):
+    problem, shape, cfg, options, _pgs = HIERARCHIES[name]
+    p = build_problem(problem, shape=shape)
+    return mg_setup(p.a, cfg, options or p.mg_options)
+
+
 class TestDistributedCycle:
-    def test_full64_cycle_matches_sequential(self, rng):
-        p, h, dec, dmg = _setup()
-        bg = rng.standard_normal(p.a.grid.field_shape)
-        bd = DistributedField.scatter(bg, dec, dtype=dmg.compute_dtype)
-        xd = dmg.cycle(bd)
-        xs = h.cycle(bg.astype(dmg.compute_dtype))
-        np.testing.assert_allclose(xd.gather(), xs, rtol=1e-12, atol=1e-13)
+    @pytest.mark.parametrize(
+        "name,pg",
+        [
+            pytest.param(name, pg, id=f"{name}-{'x'.join(map(str, pg))}")
+            for name in sorted(HIERARCHIES)
+            for pg in HIERARCHIES[name][-1]
+        ],
+    )
+    def test_byte_identical_to_sequential(self, name, pg):
+        """On 1, 2 and 8 ranks, for scalar and block, unscaled and scaled
+        hierarchies and factor-1 axes, the distributed cycle and
+        preconditioner equal the sequential ones byte for byte."""
+        h = _hierarchy(name)
+        dec = DistributedMG.aligned_decomposition(h.levels[0].grid, pg,
+                                                  h.n_levels)
+        _assert_sequential(h, dec, DistributedMG(h, dec))
 
-    def test_fp16_cycle_matches_sequential(self, rng):
-        p, h, dec, dmg = _setup(cfg=K64P32D16_SETUP_SCALE)
-        bg = rng.standard_normal(p.a.grid.field_shape)
-        bd = DistributedField.scatter(bg, dec, dtype=np.float32)
-        xd = dmg.cycle(bd)
-        xs = h.cycle(bg.astype(np.float32))
-        scale = np.abs(xs).max()
-        np.testing.assert_allclose(
-            xd.gather(), xs, rtol=1e-4, atol=1e-5 * scale
-        )
+    def test_transfer_past_ghosts_rejected(self):
+        h = _hierarchy("laplace27-factor4")
+        dec = DistributedMG.aligned_decomposition(h.levels[0].grid, (2, 1, 1),
+                                                  h.n_levels)
+        with pytest.raises(ValueError, match="beyond the ghost layer"):
+            DistributedMG(h, dec)
 
-    def test_scaled_levels_cycle(self, rng):
-        p, h, dec, dmg = _setup("laplace27e8", cfg=K64P32D16_SETUP_SCALE)
+    def test_full64_cycle_matches_sequential(self):
+        _p, h, dec, dmg = _setup()
+        _assert_sequential(h, dec, dmg, seed=1)
+
+    def test_fp16_cycle_matches_sequential(self):
+        _p, h, dec, dmg = _setup(cfg=K64P32D16_SETUP_SCALE)
+        _assert_sequential(h, dec, dmg, seed=1)
+
+    def test_scaled_levels_cycle(self):
+        _p, h, dec, dmg = _setup("laplace27e8", cfg=K64P32D16_SETUP_SCALE)
         assert any(lev.stored.is_scaled for lev in h.levels)
-        bg = rng.standard_normal(p.a.grid.field_shape)
-        bd = DistributedField.scatter(bg, dec, dtype=np.float32)
-        xd = dmg.cycle(bd)
-        xs = h.cycle(bg.astype(np.float32))
-        scale = np.abs(xs).max()
-        np.testing.assert_allclose(
-            xd.gather(), xs, rtol=1e-4, atol=1e-5 * scale
-        )
+        _assert_sequential(h, dec, dmg, seed=1)
 
-    def test_uneven_grid(self, rng):
+    def test_uneven_grid(self):
         # 20 cells over 2 ranks with 3 levels: alignment unit 4 -> 12+8
-        p, h, dec, dmg = _setup(shape=(20, 16, 16), pg=(2, 2, 1))
+        _p, h, dec, dmg = _setup(shape=(20, 16, 16), pg=(2, 2, 1))
         assert dec.owned_ranges(0)[0][0] % 4 == 0
-        bg = rng.standard_normal(p.a.grid.field_shape)
-        bd = DistributedField.scatter(bg, dec, dtype=dmg.compute_dtype)
-        xs = h.cycle(bg.astype(dmg.compute_dtype))
-        np.testing.assert_allclose(
-            dmg.cycle(bd).gather(), xs, rtol=1e-12, atol=1e-13
-        )
+        _assert_sequential(h, dec, dmg, seed=1)
 
-    def test_jacobi_smoother_variant(self, rng):
-        p, h, dec, dmg = _setup(
+    def test_jacobi_smoother_variant(self):
+        _p, h, dec, dmg = _setup(
             options=MGOptions(smoother="jacobi", coarsen="full")
         )
-        bg = rng.standard_normal(p.a.grid.field_shape)
-        bd = DistributedField.scatter(bg, dec, dtype=dmg.compute_dtype)
-        xs = h.cycle(bg.astype(dmg.compute_dtype))
-        np.testing.assert_allclose(
-            dmg.cycle(bd).gather(), xs, rtol=1e-12, atol=1e-13
+        _assert_sequential(h, dec, dmg, seed=1)
+
+    def test_cycle_runs_the_kernel_table(self, monkeypatch):
+        """Every rank's SpMV, sweep and transfer reach the active backend:
+        the distributed engine has no kernels of its own."""
+        ref = _backend._numpy_backend()
+        log = []
+
+        def spy(name):
+            def call(*args, **kwargs):
+                log.append(name)
+                return getattr(ref, name)(*args, **kwargs)
+
+            return call
+
+        recording = dataclasses.replace(
+            ref, name="recording", spmv=spy("spmv"), gs_sweep=spy("gs_sweep"),
+            transfer=spy("transfer"),
+        )
+        monkeypatch.setitem(_backend._REGISTRY, "recording", recording)
+        p, _h, dec, dmg = _setup(cfg=K64P32D16_SETUP_SCALE)
+        bd = DistributedField.scatter(p.b, dec, dtype=np.float32)
+        with use_backend("recording"):
+            dmg.cycle(bd)
+        assert {"spmv", "gs_sweep", "transfer"} <= set(log)
+
+    def test_comm_stats_pinned(self):
+        """Halo and allreduce traffic of one 2x2x2 FP16 cycle and of one
+        MG-preconditioned distributed CG solve.  The Figure-10 validation
+        counts these; which kernels a rank runs must not change them."""
+        p, _h, dec, dmg = _setup(cfg=K64P32D16_SETUP_SCALE)
+        stats = CommStats()
+        dmg.cycle(DistributedField.scatter(p.b, dec, dtype=np.float32),
+                  stats=stats)
+        assert (stats.p2p_messages, stats.p2p_bytes, stats.allreduces) == (
+            1680, 351488, 0
+        )
+        stats = CommStats()
+
+        def precond(r, z):
+            e = dmg.precondition(r, stats=stats)
+            for rank in range(dec.nranks):
+                z.owned_view(rank)[...] = e.owned_view(rank)
+
+        res, _ = distributed_cg(
+            DistributedSGDIA.from_global(p.a, dec),
+            DistributedField.scatter(p.b, dec, dtype=np.float64),
+            rtol=p.rtol, maxiter=100, preconditioner=precond, stats=stats,
+        )
+        assert (res.status, res.iterations) == ("converged", 8)
+        assert (stats.p2p_messages, stats.p2p_bytes, stats.allreduces) == (
+            13632, 2936832, 26
         )
 
     def test_comm_stats_collected(self, rng):

@@ -7,7 +7,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.grid import StructuredGrid
-from repro.kernels import compute_diag_inv, gs_sweep_colored, spmv_plain
+from repro.kernels import (
+    compute_diag_inv,
+    gs_sweep_colored,
+    jacobi_sweep,
+    spmv_plain,
+)
 from repro.parallel import (
     CartesianDecomposition,
     CommStats,
@@ -19,8 +24,7 @@ from repro.parallel import (
 )
 from repro.sgdia import StoredMatrix
 
-from tests.helpers import random_sgdia
-
+from tests.helpers import assert_same_bytes, random_sgdia
 
 class TestBalancedSplit:
     @given(st.integers(1, 50), st.integers(1, 8))
@@ -158,10 +162,8 @@ class TestDistributedSpMV:
         da = DistributedSGDIA.from_global(a, dec)
         xg = rng.standard_normal(a.grid.field_shape)
         xf = DistributedField.scatter(xg, dec, dtype=np.float64)
-        y = da.spmv(xf)
-        np.testing.assert_allclose(
-            y.gather(), spmv_plain(a, xg, compute_dtype=np.float64), rtol=1e-12
-        )
+        y = da.spmv(xf).gather()
+        assert_same_bytes(y, spmv_plain(a, xg, compute_dtype=np.float64))
 
     def test_block_matches(self, rng):
         a = random_sgdia((6, 6, 6), "3d7", ncomp=3, seed=2)
@@ -169,11 +171,8 @@ class TestDistributedSpMV:
         da = DistributedSGDIA.from_global(a, dec)
         xg = rng.standard_normal(a.grid.field_shape)
         xf = DistributedField.scatter(xg, dec, dtype=np.float64)
-        np.testing.assert_allclose(
-            da.spmv(xf).gather(),
-            spmv_plain(a, xg, compute_dtype=np.float64),
-            rtol=1e-12,
-        )
+        y = da.spmv(xf).gather()
+        assert_same_bytes(y, spmv_plain(a, xg, compute_dtype=np.float64))
 
     def test_scaled_fp16_payload(self, rng):
         a = random_sgdia((8, 8, 8), "3d7", spd=True, diag_boost=8.0)
@@ -184,9 +183,7 @@ class TestDistributedSpMV:
         assert da.is_scaled
         xg = rng.standard_normal(a.grid.field_shape).astype(np.float32)
         xf = DistributedField.scatter(xg, dec, dtype=np.float32)
-        y = da.spmv(xf).gather()
-        yref = np.asarray(sm.matvec(xg))
-        assert np.abs(y - yref).max() <= 1e-4 * np.abs(yref).max()
+        assert_same_bytes(da.spmv(xf).gather(), sm.matvec(xg))
 
     def test_grid_mismatch_rejected(self):
         a = random_sgdia((6, 6, 6), "3d7")
@@ -210,7 +207,7 @@ class TestDistributedSmoothers:
         dinv_seq = compute_diag_inv(a, np.float64)
         for _ in range(3):
             gs_sweep_colored(a, bg, xs, dinv_seq, compute_dtype=np.float64)
-        np.testing.assert_allclose(xd.gather(), xs, rtol=1e-13, atol=1e-13)
+        assert_same_bytes(xd.gather(), xs)
 
     def test_colored_gs_backward(self, rng):
         a = random_sgdia((6, 6, 6), "3d7", spd=True, diag_boost=8.0)
@@ -225,7 +222,51 @@ class TestDistributedSmoothers:
             a, bg, xs, compute_diag_inv(a, np.float64),
             forward=False, compute_dtype=np.float64,
         )
-        np.testing.assert_allclose(xd.gather(), xs, rtol=1e-13, atol=1e-13)
+        assert_same_bytes(xd.gather(), xs)
+
+    @pytest.mark.parametrize("ncomp,pattern", [(1, "3d27"), (3, "3d15")])
+    @pytest.mark.parametrize("storage", ["fp64", "fp16"])
+    def test_sweeps_match_sequential(self, storage, ncomp, pattern, rng):
+        """Jacobi and both Gauss-Seidel directions, scalar and block, on an
+        FP64 payload and on an unscaled FP16 one (FP32 compute): byte for
+        byte the sequential kernels, with the same diagonal inverse."""
+        a = random_sgdia((8, 7, 6), pattern, ncomp=ncomp, spd=True,
+                         diag_boost=8.0)
+        cdtype = np.float64
+        if storage == "fp16":
+            a = StoredMatrix.truncate(a, "fp16", "fp32", scale=False)
+            cdtype = np.float32
+        dec = CartesianDecomposition(a.grid, (2, 2, 2))
+        da = DistributedSGDIA.from_global(a, dec)
+        seq = a.matrix if storage == "fp16" else a
+        dinv = compute_diag_inv(seq, cdtype)
+        dinv_local = da.diag_inv_local()
+        for rank in range(dec.nranks):
+            assert_same_bytes(dinv_local[rank], dinv[dec.owned_slices(rank)])
+        bg = rng.standard_normal(a.grid.field_shape).astype(cdtype)
+        x0 = rng.standard_normal(a.grid.field_shape).astype(cdtype)
+        bd = DistributedField.scatter(bg, dec)
+        xd = DistributedField.scatter(x0, dec)
+        xs = x0.copy()
+        da.jacobi_sweep(bd, xd, dinv_local, weight=0.7)
+        jacobi_sweep(seq, bg, xs, dinv, weight=0.7, compute_dtype=cdtype)
+        assert_same_bytes(xd.gather(), xs)
+        for forward in (True, False):
+            da.gs_sweep_colored(bd, xd, dinv_local, forward=forward)
+            gs_sweep_colored(seq, bg, xs, dinv, forward=forward,
+                             compute_dtype=cdtype)
+            assert_same_bytes(xd.gather(), xs)
+
+    def test_scaled_sweeps_refused(self):
+        a = random_sgdia((8, 8, 8), "3d7", spd=True, diag_boost=8.0)
+        a.data *= 1e6
+        sm = StoredMatrix.truncate(a, "fp16", "fp32", scale="auto")
+        dec = CartesianDecomposition(a.grid, (2, 1, 1))
+        da = DistributedSGDIA.from_global(sm, dec)
+        b = DistributedField(dec)
+        for sweep in (da.jacobi_sweep, da.gs_sweep_colored):
+            with pytest.raises(NotImplementedError, match="scaled"):
+                sweep(b, DistributedField(dec), da.diag_inv_local())
 
     def test_jacobi_converges(self, rng):
         a = random_sgdia((6, 6, 6), "3d7", spd=True, diag_boost=10.0)
