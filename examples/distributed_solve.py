@@ -28,9 +28,7 @@ from repro.problems import build_problem
 def main() -> None:
     problem = build_problem("laplace27", shape=(24, 24, 24))
     hierarchy = mg_setup(problem.a, K64P32D16_SETUP_SCALE, problem.mg_options)
-    decomp = DistributedMG.aligned_decomposition(
-        problem.a.grid, (2, 2, 2), hierarchy.n_levels
-    )
+    decomp = DistributedMG.aligned_decomposition(hierarchy, (2, 2, 2))
     print(f"Problem {problem.name}: {decomp}")
     print(
         f"Hierarchy: {hierarchy.n_levels} levels, storage "

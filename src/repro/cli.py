@@ -24,10 +24,14 @@ Commands
               document (one frame with ``--once``)
 ``events``    tail a structured event journal written by ``serve --journal``
 ``snapshot``  validate ``BENCH_*.json`` snapshot files against the schema
-``bench``     micro-benchmarks: ``--krylov`` compares the
-              mixed-precision Krylov zoo (nested FGMRES, three-precision
-              GMRES-IR) against plain CG/GMRES+MG and emits
+``bench``     compare the mixed-precision Krylov zoo (nested FGMRES,
+              three-precision GMRES-IR) against plain CG/GMRES+MG and emit
               ``BENCH_krylov.json``
+
+The five benches (``profile``, ``serve --bench``, ``serve --processes N
+--bench``, ``bench`` and ``tune``) end alike: they write their snapshot,
+print each of its gates as PASS or FAIL, and exit 1 if and only if a gate
+is false.
 """
 
 from __future__ import annotations
@@ -165,14 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument(
         "--snapshot-dir", default=".",
         help="directory receiving BENCH_<config>.json (default: cwd)",
-    )
-    p_prof.add_argument(
-        "--repeats", type=int, default=3,
-        help="timing repeats for the kernel measurements (default 3)",
-    )
-    p_prof.add_argument(
-        "--stat", default="best", choices=["best", "median"],
-        help="statistic reported for kernel timings (default best)",
     )
 
     p_health = sub.add_parser(
@@ -313,11 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="CI smoke mode: reduced iteration budget",
     )
     p_tune.add_argument(
-        "--slack", type=float, default=None, metavar="FRACTION",
-        help="replay gate: tolerated iteration-count deviation of the "
-        "emitted static config vs the adaptive run (default 0.25)",
-    )
-    p_tune.add_argument(
         "--snapshot-dir", default=".",
         help="directory receiving BENCH_policy.json (default: cwd)",
     )
@@ -362,29 +353,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_snap = sub.add_parser(
         "snapshot",
         help="snapshot tooling: 'validate' checks BENCH_*.json files "
-        "against the repro-bench/1 schema",
+        "against the repro-bench/2 schema",
     )
     p_snap.add_argument("action", choices=("validate",))
     p_snap.add_argument("files", nargs="+", metavar="FILE")
 
     p_bench = sub.add_parser(
         "bench",
-        help="micro-benchmarks; --krylov compares the mixed-precision Krylov "
-        "zoo and writes BENCH_krylov.json",
-    )
-    p_bench.add_argument(
-        "--krylov", action="store_true",
-        help="run the Krylov-zoo benchmark (baseline CG/GMRES+MG vs nested "
-        "FGMRES vs three-precision GMRES-IR across the Table 3 suite) and "
-        "write BENCH_krylov.json",
+        help="Krylov-zoo benchmark: baseline CG/GMRES+MG vs nested FGMRES "
+        "vs three-precision GMRES-IR across the Table 3 suite; writes "
+        "BENCH_krylov.json",
     )
     p_bench.add_argument("--shape", type=_shape, default=None)
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument(
-        "--problems", action="append", default=None, metavar="NAME",
-        help="restrict --krylov to these problems (repeatable; default: "
-        "the Table 3 suite)",
-    )
     p_bench.add_argument(
         "--fast", action="store_true",
         help="CI smoke mode: small grid and the fast problem subset (both "
@@ -552,12 +533,23 @@ def _solve_body(args) -> int:
     return 0 if result.converged else 1
 
 
+def _finish_bench(doc: dict, snapshot_dir: str) -> int:
+    """The one tail of every bench command: write the snapshot, print each
+    gate and the snapshot path, and exit 1 if and only if a gate failed."""
+    from .observability.snapshot import write_snapshot
+
+    path = write_snapshot(doc, snapshot_dir)
+    for name, ok in doc["gates"].items():
+        print(f"gate {name}: {'PASS' if ok else 'FAIL'}")
+    print(f"snapshot: {path}")
+    return 0 if all(doc["gates"].values()) else 1
+
+
 def _cmd_tune(args) -> int:
     from .policy import format_tuner_report, run_tuner
-    from .policy.tuner import DEFAULT_ITERATION_SLACK
     from .precision import parse_config
 
-    report = run_tuner(
+    doc = run_tuner(
         problem_name=args.problem,
         shape=args.shape,
         config=None if args.config is None else parse_config(args.config),
@@ -565,18 +557,9 @@ def _cmd_tune(args) -> int:
         maxiter=args.maxiter,
         seed=args.seed,
         fast=args.fast,
-        snapshot_dir=args.snapshot_dir,
-        iteration_slack=(
-            DEFAULT_ITERATION_SLACK if args.slack is None else args.slack
-        ),
     )
-    print(format_tuner_report(report))
-    if "snapshot_path" in report:
-        print(f"snapshot: {report['snapshot_path']}")
-    gates = report["gates"]
-    return 0 if all(
-        gates[k] for k in ("static_bit_identical", "replay_within_tolerance")
-    ) else 1
+    print(format_tuner_report(doc))
+    return _finish_bench(doc, args.snapshot_dir)
 
 
 def _cmd_profile(args) -> int:
@@ -585,7 +568,7 @@ def _cmd_profile(args) -> int:
     from .observability import metrics as _metrics
     from .observability import trace as _trace
     from .observability.export import text_summary
-    from .observability.snapshot import build_snapshot, write_snapshot
+    from .observability.snapshot import build_snapshot
     from .perf.timing import measure
     from .precision import parse_config
     from .problems import build_problem
@@ -610,20 +593,23 @@ def _cmd_profile(args) -> int:
 
     # Kernel timings run *after* the collectors are uninstalled, so the
     # measured numbers carry no instrumentation overhead and the repeated
-    # applications do not inflate the per-solve counters.
+    # applications do not inflate the per-solve counters.  Snapshots are
+    # compared across commits, so they record the median of 3, not the
+    # optimistic best-of-k (perf/timing.py).
+    repeats, stat = 3, "median"
     cdtype = hierarchy.compute_dtype
     ones = np.ones(hierarchy.finest.grid.field_shape, dtype=cdtype)
     kernel_times = {
         "spmv_finest_s": measure(
             lambda: spmv(hierarchy.finest.stored, ones),
-            warmup=1, repeats=args.repeats, stat=args.stat,
+            warmup=1, repeats=repeats, stat=stat,
         ),
         "vcycle_s": measure(
             lambda: hierarchy.cycle(ones),
-            warmup=1, repeats=args.repeats, stat=args.stat,
+            warmup=1, repeats=repeats, stat=stat,
         ),
-        "stat": args.stat,
-        "repeats": args.repeats,
+        "stat": stat,
+        "repeats": repeats,
     }
 
     print(f"{problem.name} {problem.a.grid} [{config.name}]")
@@ -642,15 +628,15 @@ def _cmd_profile(args) -> int:
         args.shape,
         result,
         hierarchy,
+        gates={"converged": result.converged},
         tracer=tracer,
         metrics=metrics,
         kernel_times=kernel_times,
     )
-    path = write_snapshot(doc, args.snapshot_dir)
-    print(f"\nwrote snapshot to {path}")
+    print()
     if args.trace:
         print(f"wrote trace to {_write_trace(tracer, args.trace)}")
-    return 0 if result.converged else 1
+    return _finish_bench(doc, args.snapshot_dir)
 
 
 def _cmd_health(args) -> int:
@@ -773,102 +759,24 @@ def _cmd_serve(args) -> int:
                 print(f"ESCAPED: {t.site} trial {t.trial}: {t.detail}")
             return 1
         return 0
-    if args.bench and args.processes > 0:
-        from .serve.procpool import run_serve_mp_bench
-
-        doc = run_serve_mp_bench(
-            shape=args.shape,
-            steps=args.steps,
-            refresh_every=args.refresh_every,
-            rhs_block=args.rhs_block,
-            processes=args.processes,
-            config=config,
-            seed=args.seed,
-            out_dir=args.snapshot_dir,
-            fast=args.fast,
-        )
-        mp_doc = doc["extra"]["serve_mp"]
-        topo = doc["topology"]
-        replay = mp_doc["replay"]
-        print(
-            f"mp replay: {replay['steps']} steps x {replay['rhs_block']} RHS, "
-            f"{replay['epochs']} operator epochs "
-            f"(refresh every {replay['refresh_every']})"
-        )
-        for n in mp_doc["processes_tested"]:
-            print(
-                f"  N={n}: {mp_doc['seconds'][str(n)]:.3f}s "
-                f"({mp_doc['throughput_solves_per_s'][str(n)]:.1f} solves/s)"
-            )
-        print(
-            f"  speedup={mp_doc['speedup']:.2f}x on {mp_doc['cores']} "
-            f"core(s), gate >= {mp_doc['expected_speedup']:.2f}x: "
-            f"{'pass' if mp_doc['scaling_ok'] else 'FAIL'}"
-        )
-        print(
-            f"  bit-identical to thread service: "
-            f"{mp_doc['bit_identical_to_thread']}"
-        )
-        lat = doc.get("latency", {})
-        e2e = lat.get("histograms", {}).get("e2e", {})
-        if e2e:
-            print(
-                f"  e2e latency: p50={e2e['p50'] * 1e3:.1f}ms "
-                f"p95={e2e['p95'] * 1e3:.1f}ms p99={e2e['p99'] * 1e3:.1f}ms "
-                f"max={e2e['max'] * 1e3:.1f}ms over {e2e['count']} jobs"
-            )
-        print(
-            f"  deadline-miss rate={mp_doc['deadline_miss_rate']:.4f} "
-            f"(gate == 0): {'pass' if mp_doc['latency_ok'] else 'FAIL'}"
-        )
-        print(
-            f"  topology: {topo['processes']} processes, "
-            f"{len(topo['shard_map'])} shard-mapped operators, "
-            f"respawns={topo['respawns']} requeued={topo['requeued']}"
-        )
-        print(f"wrote {args.snapshot_dir}/BENCH_serve_mp.json")
-        return 0 if (
-            mp_doc["bit_identical_to_thread"]
-            and mp_doc["scaling_ok"]
-            and mp_doc["latency_ok"]
-        ) else 1
     if args.bench:
-        doc = run_serve_bench(
+        bench_args = dict(
             shape=args.shape,
             steps=args.steps,
             refresh_every=args.refresh_every,
             rhs_block=args.rhs_block,
             config=config,
             seed=args.seed,
-            out_dir=args.snapshot_dir,
         )
-        replay = doc["extra"]["serve"]["replay"]
-        warm = doc["extra"]["serve"]["warm_start"]
-        many = doc["extra"]["serve"]["solve_many"]
-        print(
-            f"replay: {replay['steps']} steps, {replay['epochs']} operator "
-            f"epochs (refresh every {replay['refresh_every']})"
-        )
-        print(
-            f"  setup seconds uncached={replay['uncached_setup_seconds']:.3f} "
-            f"cached={replay['cached_setup_seconds']:.3f} "
-            f"amortization={replay['amortization']:.1f}x"
-        )
-        print(
-            f"  cache hit_rate={replay['hit_rate']:.3f} "
-            f"hits={replay['cache']['hits']} misses={replay['cache']['misses']} "
-            f"counters_match_schedule={replay['counters_match_schedule']}"
-        )
-        print(
-            f"warm start: cold={warm['cold_iterations']} iters, "
-            f"warm={warm['warm_iterations']} iters"
-        )
-        print(
-            f"solve_many: {many['rhs_block']} RHS, max rel error vs "
-            f"sequential = {many['max_rel_error_vs_sequential']:.3e}"
-        )
-        print(f"wrote {args.snapshot_dir}/BENCH_serve.json")
-        return 0
+        if args.processes > 0:
+            from .serve.procpool import run_serve_mp_bench
+
+            doc = run_serve_mp_bench(
+                processes=args.processes, fast=args.fast, **bench_args
+            )
+        else:
+            doc = run_serve_bench(**bench_args)
+        return _finish_bench(doc, args.snapshot_dir)
 
     # demo: a short service run on the requested problem
     import time
@@ -1048,22 +956,11 @@ def _cmd_snapshot(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if not args.krylov:
-        print("nothing to do: pass --krylov", file=sys.stderr)
-        return 2
-    from .observability.snapshot import write_snapshot
     from .perf.krylov_bench import format_krylov_results, run_krylov_bench
 
-    doc, ok = run_krylov_bench(
-        shape=args.shape,
-        fast=args.fast,
-        problems=args.problems,
-        seed=args.seed,
-    )
-    path = write_snapshot(doc, args.snapshot_dir)
+    doc = run_krylov_bench(shape=args.shape, fast=args.fast, seed=args.seed)
     print(format_krylov_results(doc))
-    print(f"snapshot: {path}")
-    return 0 if ok else 1
+    return _finish_bench(doc, args.snapshot_dir)
 
 
 _COMMANDS = {

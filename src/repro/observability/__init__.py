@@ -19,9 +19,13 @@ machinery to explain its own precision and performance behaviour:
   quarantine, ...) with ring-buffer retention and a JSONL sink;
 - :mod:`.export` — JSON-lines, Chrome ``chrome://tracing`` (worker
   lanes), Prometheus text exposition, and aligned text summaries;
-- :mod:`.snapshot` — machine-readable ``BENCH_<config>.json`` perf
-  snapshots with schema validation (optional ``topology`` and
-  ``latency`` sections for serving benchmarks).
+- :mod:`.snapshot` — machine-readable ``BENCH_<name>.json`` bench
+  snapshots (schema ``repro-bench/2``): the required ``solve``,
+  ``setup``, ``memory``, ``modeled``, ``events``, ``spans`` and
+  ``kernels`` sections, the run's pass/fail verdicts in one ``gates`` map,
+  and the optional ``topology``, ``latency``, ``policy``, ``krylov`` and
+  ``extra.serve`` / ``extra.serve_mp`` / ``extra.tuner`` sections a bench
+  adds, all validated by one declarative table.
 
 All collectors are process-global and disabled by default; ``repro
 profile`` and ``repro solve --trace`` install them for one run.

@@ -240,7 +240,9 @@ def format_events(events: "list[dict]") -> str:
 
 
 def validate_events(events: "list[dict]") -> "list[str]":
-    """Schema check for event dicts (used by snapshot validation)."""
+    """Schema check for event dicts (severity, kind and timestamp of each);
+    returns the list of violations.  Snapshot validation does not use it:
+    snapshots carry metric counters, not journal events."""
     violations = []
     for i, e in enumerate(events):
         if not isinstance(e, dict):

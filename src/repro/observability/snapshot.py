@@ -1,15 +1,21 @@
-"""Machine-readable benchmark snapshots (``BENCH_<config>.json``).
+"""Machine-readable benchmark snapshots (``BENCH_<name>.json``).
 
-A snapshot freezes one profiled solve into a small JSON document —
+A snapshot freezes one benchmark run into a small JSON document —
 iteration counts, measured wall times, modeled byte volumes, precision
-event counters, span aggregates, and the git revision — so successive PRs
+event counters, span aggregates, the git revision, and the run's
+pass/fail verdicts in one top-level ``gates`` map — so successive PRs
 accumulate a comparable performance trajectory instead of ad-hoc log
-output.  ``repro profile`` writes one per run; CI uploads them as
-artifacts and fails on schema violations.
+output.  Every in-library bench (``repro profile``, ``repro serve
+--bench``, ``repro serve --processes N --bench``, ``repro bench`` and
+``repro tune``) returns one; the CLI writes it, prints its gates and
+exits 1 if and only if a gate is false.
 
-Validate from the command line with::
+One declarative table, :data:`SCHEMA_TABLE`, names every section's
+required and optional keys and the rule each value must follow; one
+recursive walker reports each violation with the dotted path of the
+field.  Validate from the command line with::
 
-    python -m repro.observability.snapshot BENCH_K64P32D16-setup-scale.json
+    python -m repro snapshot validate BENCH_K64P32D16-setup-scale.json
 """
 
 from __future__ import annotations
@@ -17,11 +23,12 @@ from __future__ import annotations
 import json
 import os
 import subprocess
-import sys
 import time
+from dataclasses import dataclass
 
 __all__ = [
     "SCHEMA",
+    "SCHEMA_TABLE",
     "assert_valid_snapshot",
     "build_snapshot",
     "git_revision",
@@ -32,109 +39,212 @@ __all__ = [
 ]
 
 #: Schema identifier embedded in (and required of) every snapshot.
-SCHEMA = "repro-bench/1"
+SCHEMA = "repro-bench/2"
 
-#: Required top-level fields and the types they must carry.
-_REQUIRED: dict[str, type | tuple] = {
-    "schema": str,
-    "git_rev": str,
-    "timestamp": (int, float),
-    "problem": str,
-    "config": str,
-    "shape": list,
-    "solve": dict,
-    "setup": dict,
-    "memory": dict,
-    "modeled": dict,
-    "events": dict,
-    "spans": dict,
-    "kernels": dict,
+
+# ----------------------------------------------------------------------
+# rule kinds
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Leaf:
+    """A value of one of ``types`` (``bool`` is never a number), at least
+    ``min`` when given, and one of ``choices`` when given."""
+
+    types: tuple
+    min: "float | None" = None
+    choices: "tuple | None" = None
+
+
+@dataclass(frozen=True)
+class ListOf:
+    """A list whose every item follows ``item``."""
+
+    item: object
+
+
+@dataclass(frozen=True)
+class MapOf:
+    """A dict whose every value follows ``value``; the ``required`` keys
+    must be present."""
+
+    value: object
+    required: tuple = ()
+
+
+@dataclass(frozen=True)
+class Opt:
+    """Marks a key of a section (a plain ``dict`` of key -> rule) as
+    optional; every other key of a section is required."""
+
+    rule: object
+
+
+_TYPE_NAMES = {
+    (bool,): "a boolean",
+    (int,): "an integer",
+    (int, float): "a number",
+    (str,): "a string",
+    (dict,): "a dict",
+    (list,): "a list",
 }
 
-_REQUIRED_SOLVE = {
-    "solver": str,
-    "status": str,
-    "iterations": int,
-    "final_residual": (int, float),
-    "seconds": (int, float),
+_STR = Leaf((str,))
+_BOOL = Leaf((bool,))
+_INT = Leaf((int,))
+_COUNT = Leaf((int,), min=0)
+_POSITIVE = Leaf((int,), min=1)
+_NUM = Leaf((int, float))
+_NONNEG = Leaf((int, float), min=0)
+_DICT = Leaf((dict,))
+_LIST = Leaf((list,))
+
+
+# ----------------------------------------------------------------------
+# the schema
+# ----------------------------------------------------------------------
+#: One solve of the Krylov zoo or of the tuner (``perf.e2e.solve_record``).
+_RUN = {
+    "status": _STR,
+    "iterations": _COUNT,
+    "precond_applications": _COUNT,
+    "final_residual": _NUM,
+    "fcvt_values": _COUNT,
+    "modeled_seconds": _NUM,
 }
 
-_REQUIRED_SETUP = {
-    "seconds": (int, float),
-    "n_levels": int,
-    "grid_complexity": (int, float),
+_TUNER_RUN = {**_RUN, "config": _STR, "levels": ListOf(_STR)}
+
+#: The timestep replay both serving benches run.
+_REPLAY = {
+    "problem": _STR,
+    "steps": _COUNT,
+    "refresh_every": _POSITIVE,
+    "epochs": _COUNT,
 }
 
-#: Required fields of the *optional* top-level ``topology`` section — the
-#: worker layout a serving benchmark ran under (process count, operator
-#: fingerprint → cache-shard map, crash-recovery counters).  Absent for
-#: single-process benchmarks written before the process pool existed.
-_REQUIRED_TOPOLOGY = {
-    "mode": str,
-    "processes": int,
-    "shard_map": dict,
-    "respawns": int,
-    "requeued": int,
+_HISTOGRAM = {
+    "count": _COUNT,
+    "sum": _NUM,
+    "max": _NUM,
+    "p50": _NUM,
+    "p95": _NUM,
+    "p99": _NUM,
+    "buckets": MapOf(_COUNT),
 }
 
-#: Required fields of the *optional* top-level ``latency`` section — the
-#: :meth:`repro.observability.telemetry.ServiceStats.snapshot` document a
-#: serving benchmark embeds (per-stage histograms, SLO counters, rates).
-_REQUIRED_LATENCY = {
-    "histograms": dict,
-    "counts": dict,
-    "rates": dict,
-}
-
-#: Required fields of the *optional* top-level ``policy`` section — the
-#: :meth:`repro.policy.PolicyController.snapshot` document a policy-driven
-#: run embeds (applied decisions, per-level final precision, counters).
-_REQUIRED_POLICY = {
-    "name": str,
-    "decisions": list,
-    "final_levels": list,
-    "escalations": int,
-    "demotions": int,
-    "rescales": int,
-}
-
-#: Required fields of the *optional* top-level ``krylov`` section — the
-#: Krylov-zoo comparison a ``repro bench --krylov`` run embeds: one entry
-#: per Table 3 problem, each carrying per-solver run records, plus the
-#: acceptance gates.
-_REQUIRED_KRYLOV = {
-    "problems": list,
-    "solvers": list,
-    "gates": dict,
-}
-
-#: Per-solver run record inside a ``krylov.problems[i].runs`` entry.
-_REQUIRED_KRYLOV_RUN = {
-    "status": str,
-    "iterations": int,
-    "precond_applications": int,
-    "final_residual": (int, float),
-    "fcvt_values": int,
-    "modeled_seconds": (int, float),
-}
-
-#: Decision kinds a ``policy.decisions`` entry may carry (mirrors
-#: ``repro.policy.DECISION_KINDS`` without importing it — the validator
-#: must work on bare JSON).
-_POLICY_DECISION_KINDS = ("escalate", "demote", "rescale")
-
-#: Histogram stages every ``latency`` section must carry percentiles for.
-_REQUIRED_LATENCY_STAGES = ("queue_wait", "e2e")
-
-#: Per-histogram numeric fields (percentiles + aggregate stats).
-_REQUIRED_HISTOGRAM = {
-    "count": int,
-    "sum": (int, float),
-    "max": (int, float),
-    "p50": (int, float),
-    "p95": (int, float),
-    "p99": (int, float),
-    "buckets": dict,
+#: Every section any bench writes.  Keys not named here are allowed.
+SCHEMA_TABLE = {
+    "schema": Leaf((str,), choices=(SCHEMA,)),
+    "git_rev": _STR,
+    "timestamp": _NUM,
+    "problem": _STR,
+    "config": _STR,
+    "shape": ListOf(_POSITIVE),
+    "solve": {
+        "solver": _STR,
+        "status": _STR,
+        "iterations": _INT,
+        "final_residual": _NUM,
+        "seconds": _NUM,
+    },
+    "setup": {"seconds": _NUM, "n_levels": _INT, "grid_complexity": _NUM},
+    "memory": _DICT,
+    "modeled": _DICT,
+    "events": _DICT,
+    "spans": _DICT,
+    "kernels": _DICT,
+    # the run's pass/fail verdicts; the CLI exits 1 iff one is false
+    "gates": MapOf(_BOOL),
+    # the worker layout of a serving bench
+    "topology": Opt({
+        "mode": _STR,
+        "processes": _POSITIVE,
+        "shard_map": _DICT,
+        "respawns": _COUNT,
+        "requeued": _COUNT,
+    }),
+    # ServiceStats.snapshot() of a serving bench
+    "latency": Opt({
+        "histograms": MapOf(_HISTOGRAM, required=("queue_wait", "e2e")),
+        "counts": MapOf(_COUNT),
+        "rates": MapOf(_NONNEG),
+    }),
+    # PolicyController.snapshot() of a policy-driven run; the decision
+    # kinds mirror repro.policy.DECISION_KINDS without importing it (the
+    # validator must work on bare JSON)
+    "policy": Opt({
+        "name": _STR,
+        "decisions": ListOf({
+            "kind": Leaf((str,), choices=("escalate", "demote", "rescale")),
+            "level": _COUNT,
+        }),
+        "final_levels": ListOf({"index": _COUNT, "storage": _STR}),
+        "escalations": _COUNT,
+        "demotions": _COUNT,
+        "rescales": _COUNT,
+    }),
+    # the Krylov-zoo comparison of `repro bench`
+    "krylov": Opt({
+        "problems": ListOf({
+            "problem": _STR,
+            "baseline": _STR,
+            "runs": MapOf(_RUN),
+        }),
+        "solvers": _LIST,
+    }),
+    "extra": Opt({
+        "precision_config": Opt(_STR),
+        # `repro serve --bench`: cached replay, warm start, solve_many
+        "serve": Opt({
+            "replay": {
+                **_REPLAY,
+                "uncached_setup_seconds": _NONNEG,
+                "cached_setup_seconds": _NONNEG,
+                "amortization": _NONNEG,
+                "cache": _DICT,
+                "hit_rate": _NONNEG,
+            },
+            "warm_start": {
+                "cold_iterations": _COUNT,
+                "warm_iterations": _COUNT,
+            },
+            "solve_many": {
+                "problem": _STR,
+                "rhs_block": _POSITIVE,
+                "max_rel_error_vs_sequential": _NONNEG,
+                "statuses": ListOf(_STR),
+            },
+        }),
+        # `repro serve --processes N --bench`: process-pool scaling
+        "serve_mp": Opt({
+            "replay": {**_REPLAY, "rhs_block": _POSITIVE},
+            "processes_tested": ListOf(_POSITIVE),
+            "seconds": MapOf(_NONNEG),
+            "throughput_solves_per_s": MapOf(_NONNEG),
+            "thread_reference_seconds": _NONNEG,
+            "speedup": _NONNEG,
+            "cores": _POSITIVE,
+            "expected_speedup": _NONNEG,
+            "deadline_miss_rate": _NONNEG,
+        }),
+        # `repro tune`: static vs adaptive vs replayed static config
+        "tuner": Opt({
+            "problem": _STR,
+            "base_config": _STR,
+            "emitted_config": _STR,
+            "exact_encoding": _BOOL,
+            "iteration_slack": _COUNT,
+            "static": _TUNER_RUN,
+            "adaptive": {
+                **_TUNER_RUN,
+                "decisions": _COUNT,
+                "escalations": _COUNT,
+                "demotions": _COUNT,
+                "rescales": _COUNT,
+            },
+            "replay": _TUNER_RUN,
+        }),
+    }),
 }
 
 
@@ -166,6 +276,8 @@ def build_snapshot(
     shape,
     result,
     hierarchy,
+    *,
+    gates: dict,
     tracer=None,
     metrics=None,
     kernel_times: "dict | None" = None,
@@ -177,14 +289,15 @@ def build_snapshot(
 ) -> dict:
     """Assemble (and validate) a snapshot document.
 
-    Parameters mirror what a profiled run has in hand: the
+    Parameters mirror what a bench run has in hand: the
     :class:`~repro.solvers.SolveResult`, the set-up
-    :class:`~repro.mg.MGHierarchy`, and optionally the tracer, the metrics
-    registry, measured kernel times from
-    :func:`repro.perf.timing.measure`, and — for serving benchmarks — the
-    worker ``topology`` (mode, process count, shard map, respawn/requeue
-    counters) and the ``latency`` section
-    (:meth:`~repro.observability.telemetry.ServiceStats.snapshot`).
+    :class:`~repro.mg.MGHierarchy`, the run's ``gates`` (name -> bool
+    verdict), and optionally the tracer, the metrics registry, measured
+    kernel times from :func:`repro.perf.timing.measure`, and the sections
+    of :data:`SCHEMA_TABLE` a bench adds: the worker ``topology``, the
+    ``latency`` section
+    (:meth:`~repro.observability.telemetry.ServiceStats.snapshot`), the
+    ``policy`` and ``krylov`` sections and the bench's own ``extra``.
     """
     from ..perf.e2e import vcycle_volume
 
@@ -222,6 +335,7 @@ def build_snapshot(
         "events": metrics.to_dict() if metrics is not None else {},
         "spans": {},
         "kernels": dict(kernel_times or {}),
+        "gates": dict(gates),
     }
     if tracer is not None:
         from .export import aggregate
@@ -241,261 +355,76 @@ def build_snapshot(
     return doc
 
 
+# ----------------------------------------------------------------------
+# validation
+# ----------------------------------------------------------------------
+def _walk(rule, value, path: str, out: "list[str]") -> None:
+    """Append to ``out`` every violation of ``rule`` by ``value``."""
+    types = (
+        (dict,) if isinstance(rule, (dict, MapOf))
+        else (list,) if isinstance(rule, ListOf)
+        else rule.types
+    )
+    if not isinstance(value, types) or (
+        isinstance(value, bool) and bool not in types
+    ):
+        out.append(f"field {path!r} must be {_TYPE_NAMES[types]}, "
+                   f"got {type(value).__name__}")
+    elif isinstance(rule, dict):
+        for key, sub in rule.items():
+            at = f"{path}.{key}" if path else key
+            if key in value:
+                _walk(sub.rule if isinstance(sub, Opt) else sub,
+                      value[key], at, out)
+            elif not isinstance(sub, Opt):
+                out.append(f"missing required field {at!r}")
+    elif isinstance(rule, MapOf):
+        out.extend(f"missing required field '{path}.{key}'"
+                   for key in rule.required if key not in value)
+        for key, item in value.items():
+            _walk(rule.value, item, f"{path}.{key}", out)
+    elif isinstance(rule, ListOf):
+        for i, item in enumerate(value):
+            _walk(rule.item, item, f"{path}[{i}]", out)
+    elif rule.min is not None and value < rule.min:
+        out.append(f"field {path!r} must be >= {rule.min}, got {value!r}")
+    elif rule.choices is not None and value not in rule.choices:
+        out.append(f"field {path!r} must be one of {rule.choices}, "
+                   f"got {value!r}")
+
+
+def _bucket_sums(doc: dict) -> "list[str]":
+    """The one cross-field rule: a histogram's bucket counts sum to its
+    ``count`` (checked where both are already valid)."""
+    latency = doc.get("latency")
+    hists = latency.get("histograms") if isinstance(latency, dict) else None
+    if not isinstance(hists, dict):
+        return []
+    problems = []
+    for stage, h in hists.items():
+        if not isinstance(h, dict):
+            continue
+        count, buckets = h.get("count"), h.get("buckets")
+        counts = list(buckets.values()) if isinstance(buckets, dict) else None
+        if counts is None or not all(
+            type(c) is int and c >= 0 for c in [count, *counts]
+        ):
+            continue
+        if sum(counts) != count:
+            problems.append(
+                f"latency.histograms.{stage}: bucket counts sum to "
+                f"{sum(counts)}, count says {count}"
+            )
+    return problems
+
+
 def validate_snapshot(doc) -> list[str]:
     """Return a list of schema violations (empty when valid)."""
-    problems: list[str] = []
     if not isinstance(doc, dict):
         return [f"snapshot must be a JSON object, got {type(doc).__name__}"]
-    for key, typ in _REQUIRED.items():
-        if key not in doc:
-            problems.append(f"missing required field {key!r}")
-        elif not isinstance(doc[key], typ):
-            problems.append(
-                f"field {key!r} must be {typ}, got {type(doc[key]).__name__}"
-            )
-    if doc.get("schema") not in (None, SCHEMA):
-        problems.append(
-            f"schema must be {SCHEMA!r}, got {doc.get('schema')!r}"
-        )
-    if isinstance(doc.get("shape"), list) and not all(
-        isinstance(n, int) and n > 0 for n in doc["shape"]
-    ):
-        problems.append("shape must be a list of positive integers")
-    for section, required in (
-        ("solve", _REQUIRED_SOLVE),
-        ("setup", _REQUIRED_SETUP),
-    ):
-        body = doc.get(section)
-        if not isinstance(body, dict):
-            continue
-        for key, typ in required.items():
-            if key not in body:
-                problems.append(f"missing required field {section}.{key}")
-            elif not isinstance(body[key], typ) or isinstance(body[key], bool):
-                problems.append(
-                    f"field {section}.{key} must be {typ}, "
-                    f"got {type(body[key]).__name__}"
-                )
-    topo = doc.get("topology")
-    if topo is not None:
-        if not isinstance(topo, dict):
-            problems.append(
-                f"field 'topology' must be a dict, got {type(topo).__name__}"
-            )
-        else:
-            for key, typ in _REQUIRED_TOPOLOGY.items():
-                if key not in topo:
-                    problems.append(f"missing required field topology.{key}")
-                elif not isinstance(topo[key], typ) or isinstance(
-                    topo[key], bool
-                ):
-                    problems.append(
-                        f"field topology.{key} must be {typ}, "
-                        f"got {type(topo[key]).__name__}"
-                    )
-            if isinstance(topo.get("processes"), int) and not isinstance(
-                topo.get("processes"), bool
-            ) and topo["processes"] < 1:
-                problems.append("topology.processes must be >= 1")
-            for key in ("respawns", "requeued"):
-                if isinstance(topo.get(key), int) and not isinstance(
-                    topo.get(key), bool
-                ) and topo[key] < 0:
-                    problems.append(f"topology.{key} must be >= 0")
-    latency = doc.get("latency")
-    if latency is not None:
-        problems.extend(_validate_latency(latency))
-    policy = doc.get("policy")
-    if policy is not None:
-        problems.extend(_validate_policy(policy))
-    krylov = doc.get("krylov")
-    if krylov is not None:
-        problems.extend(_validate_krylov(krylov))
-    return problems
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _validate_latency(latency) -> list[str]:
-    """Violations in an optional top-level ``latency`` section."""
     problems: list[str] = []
-    if not isinstance(latency, dict):
-        return [f"field 'latency' must be a dict, got {type(latency).__name__}"]
-    for key, typ in _REQUIRED_LATENCY.items():
-        if key not in latency:
-            problems.append(f"missing required field latency.{key}")
-        elif not isinstance(latency[key], typ):
-            problems.append(
-                f"field latency.{key} must be {typ}, "
-                f"got {type(latency[key]).__name__}"
-            )
-    hists = latency.get("histograms")
-    if isinstance(hists, dict):
-        for stage in _REQUIRED_LATENCY_STAGES:
-            if stage not in hists:
-                problems.append(
-                    f"missing required field latency.histograms.{stage}"
-                )
-        for stage, h in hists.items():
-            prefix = f"latency.histograms.{stage}"
-            if not isinstance(h, dict):
-                problems.append(f"field {prefix} must be a dict")
-                continue
-            for key, typ in _REQUIRED_HISTOGRAM.items():
-                if key not in h:
-                    problems.append(f"missing required field {prefix}.{key}")
-                elif not isinstance(h[key], typ) or isinstance(h[key], bool):
-                    problems.append(
-                        f"field {prefix}.{key} must be {typ}, "
-                        f"got {type(h[key]).__name__}"
-                    )
-            if isinstance(h.get("count"), int) and not isinstance(
-                h.get("count"), bool
-            ) and h["count"] < 0:
-                problems.append(f"{prefix}.count must be >= 0")
-            buckets = h.get("buckets")
-            if isinstance(buckets, dict):
-                total = 0
-                for le, c in buckets.items():
-                    if not isinstance(c, int) or isinstance(c, bool) or c < 0:
-                        problems.append(
-                            f"{prefix}.buckets[{le!r}] must be a "
-                            f"non-negative integer"
-                        )
-                    else:
-                        total += c
-                if (
-                    isinstance(h.get("count"), int)
-                    and not isinstance(h.get("count"), bool)
-                    and h["count"] >= 0
-                    and total != h["count"]
-                ):
-                    problems.append(
-                        f"{prefix}: bucket counts sum to {total}, "
-                        f"count says {h['count']}"
-                    )
-    counts = latency.get("counts")
-    if isinstance(counts, dict):
-        for name, v in counts.items():
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                problems.append(
-                    f"latency.counts.{name} must be a non-negative integer"
-                )
-    rates = latency.get("rates")
-    if isinstance(rates, dict):
-        for name, v in rates.items():
-            if not _is_number(v) or v < 0:
-                problems.append(
-                    f"latency.rates.{name} must be a non-negative number"
-                )
-    return problems
-
-
-def _validate_krylov(krylov) -> list[str]:
-    """Violations in an optional top-level ``krylov`` section."""
-    problems: list[str] = []
-    if not isinstance(krylov, dict):
-        return [f"field 'krylov' must be a dict, got {type(krylov).__name__}"]
-    for key, typ in _REQUIRED_KRYLOV.items():
-        if key not in krylov:
-            problems.append(f"missing required field krylov.{key}")
-        elif not isinstance(krylov[key], typ) or isinstance(krylov[key], bool):
-            problems.append(
-                f"field krylov.{key} must be {typ}, "
-                f"got {type(krylov[key]).__name__}"
-            )
-    gates = krylov.get("gates")
-    if isinstance(gates, dict):
-        for name, v in gates.items():
-            if not isinstance(v, bool):
-                problems.append(f"krylov.gates.{name} must be a boolean")
-    entries = krylov.get("problems")
-    if isinstance(entries, list):
-        for i, entry in enumerate(entries):
-            prefix = f"krylov.problems[{i}]"
-            if not isinstance(entry, dict):
-                problems.append(f"{prefix} must be a dict")
-                continue
-            if not isinstance(entry.get("problem"), str):
-                problems.append(f"{prefix}.problem must be a string")
-            if not isinstance(entry.get("baseline"), str):
-                problems.append(f"{prefix}.baseline must be a string")
-            runs = entry.get("runs")
-            if not isinstance(runs, dict):
-                problems.append(f"{prefix}.runs must be a dict")
-                continue
-            for solver, run in runs.items():
-                rprefix = f"{prefix}.runs.{solver}"
-                if not isinstance(run, dict):
-                    problems.append(f"{rprefix} must be a dict")
-                    continue
-                for key, typ in _REQUIRED_KRYLOV_RUN.items():
-                    if key not in run:
-                        problems.append(
-                            f"missing required field {rprefix}.{key}"
-                        )
-                    elif not isinstance(run[key], typ) or isinstance(
-                        run[key], bool
-                    ):
-                        problems.append(
-                            f"field {rprefix}.{key} must be {typ}, "
-                            f"got {type(run[key]).__name__}"
-                        )
-                for key in ("iterations", "precond_applications",
-                            "fcvt_values"):
-                    v = run.get(key)
-                    if isinstance(v, int) and not isinstance(v, bool) and v < 0:
-                        problems.append(f"{rprefix}.{key} must be >= 0")
-    return problems
-
-
-def _validate_policy(policy) -> list[str]:
-    """Violations in an optional top-level ``policy`` section."""
-    problems: list[str] = []
-    if not isinstance(policy, dict):
-        return [f"field 'policy' must be a dict, got {type(policy).__name__}"]
-    for key, typ in _REQUIRED_POLICY.items():
-        if key not in policy:
-            problems.append(f"missing required field policy.{key}")
-        elif not isinstance(policy[key], typ) or isinstance(policy[key], bool):
-            problems.append(
-                f"field policy.{key} must be {typ}, "
-                f"got {type(policy[key]).__name__}"
-            )
-    for key in ("escalations", "demotions", "rescales"):
-        v = policy.get(key)
-        if isinstance(v, int) and not isinstance(v, bool) and v < 0:
-            problems.append(f"policy.{key} must be >= 0")
-    decisions = policy.get("decisions")
-    if isinstance(decisions, list):
-        for i, d in enumerate(decisions):
-            prefix = f"policy.decisions[{i}]"
-            if not isinstance(d, dict):
-                problems.append(f"{prefix} must be a dict")
-                continue
-            if d.get("kind") not in _POLICY_DECISION_KINDS:
-                problems.append(
-                    f"{prefix}.kind must be one of "
-                    f"{_POLICY_DECISION_KINDS}, got {d.get('kind')!r}"
-                )
-            lev = d.get("level")
-            if not isinstance(lev, int) or isinstance(lev, bool) or lev < 0:
-                problems.append(f"{prefix}.level must be a non-negative integer")
-    finals = policy.get("final_levels")
-    if isinstance(finals, list):
-        for i, entry in enumerate(finals):
-            prefix = f"policy.final_levels[{i}]"
-            if not isinstance(entry, dict):
-                problems.append(f"{prefix} must be a dict")
-                continue
-            idx = entry.get("index")
-            if not isinstance(idx, int) or isinstance(idx, bool) or idx < 0:
-                problems.append(f"{prefix}.index must be a non-negative integer")
-            if not isinstance(entry.get("storage"), str):
-                problems.append(f"{prefix}.storage must be a string")
-    return problems
+    _walk(SCHEMA_TABLE, doc, "", problems)
+    return problems + _bucket_sums(doc)
 
 
 def assert_valid_snapshot(doc) -> None:
@@ -525,22 +454,3 @@ def validate_file(path: str) -> list[str]:
     except (OSError, json.JSONDecodeError) as exc:
         return [f"{path}: unreadable snapshot ({exc})"]
     return [f"{path}: {p}" for p in validate_snapshot(doc)]
-
-
-def _main(argv: "list[str] | None" = None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    if not args:
-        print("usage: python -m repro.observability.snapshot FILE [FILE...]")
-        return 2
-    failures = []
-    for path in args:
-        failures.extend(validate_file(path))
-    for msg in failures:
-        print(msg, file=sys.stderr)
-    if not failures:
-        print(f"{len(args)} snapshot(s) valid")
-    return 1 if failures else 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(_main())

@@ -1,6 +1,7 @@
-"""Distributed multigrid V-cycle over aligned decompositions.
+"""Distributed multigrid cycle over aligned decompositions.
 
-Executes the full Algorithm-3 cycle on decomposed data.  Every rank runs the
+Executes the full Algorithm-3 cycle on decomposed data, of the kind
+(V, W or F) the hierarchy's options name.  Every rank runs the
 kernel table's SpMV, Gauss-Seidel or Jacobi sweep and grid transfer on its
 own subdomain: the sweeps and residuals on the rank's ghost-padded local
 operator (:class:`~repro.parallel.dist_matrix.DistributedSGDIA`), and
@@ -16,7 +17,8 @@ communication the Figure-10 model charges analytically.
 Alignment: transfers stay rank-local only if every rank's owned range
 starts at a multiple of each level's coarsening factor on every axis, down
 through the hierarchy.  :meth:`DistributedMG.aligned_decomposition` builds
-such decompositions with starts on multiples of ``2**(L-1)``.
+such decompositions: on each axis, starts on multiples of the product of
+that axis's coarsening factors.
 """
 
 from __future__ import annotations
@@ -134,14 +136,19 @@ class DistributedMG:
     # ------------------------------------------------------------------
     @staticmethod
     def aligned_decomposition(
-        grid: StructuredGrid, proc_grid: tuple[int, int, int], n_levels: int
+        hierarchy: MGHierarchy, proc_grid: tuple[int, int, int]
     ) -> CartesianDecomposition:
-        """Decomposition whose ownership survives ``n_levels`` of factor-2
-        coarsening without crossing rank boundaries."""
-        unit = 2 ** max(0, n_levels - 1)
+        """Decomposition of the finest grid whose ownership survives every
+        coarsening of ``hierarchy`` without crossing rank boundaries: each
+        axis aligns to the product of its factors over the coarsened
+        levels."""
+        units = np.ones(3, dtype=int)
+        for lev in hierarchy.levels[:-1]:
+            units *= lev.transfer.factors
+        grid = hierarchy.levels[0].grid
         ranges = tuple(
-            tuple(aligned_split(n, p, unit))
-            for n, p in zip(grid.shape, proc_grid)
+            tuple(aligned_split(n, p, int(unit)))
+            for n, p, unit in zip(grid.shape, proc_grid, units)
         )
         return CartesianDecomposition(grid, proc_grid, ranges=ranges)
 
@@ -222,13 +229,16 @@ class DistributedMG:
         x: "DistributedField | None" = None,
         stats: "CommStats | None" = None,
     ) -> DistributedField:
-        """One distributed V-cycle (compute-precision fields)."""
+        """One distributed cycle of the hierarchy's kind (compute-precision
+        fields)."""
         if x is None:
             x = DistributedField(self.levels[0].decomp, dtype=self.compute_dtype)
-        self._vcycle(0, b, x, stats)
+        self._cycle(0, b, x, self.hierarchy.options.cycle, stats)
         return x
 
-    def _vcycle(self, li, f, u, stats) -> None:
+    def _cycle(self, li, f, u, kind, stats) -> None:
+        """One visit of level ``li``; ``kind`` picks the coarse visits as
+        :meth:`MGHierarchy._cycle` does (W: two, F: an F- then a V-visit)."""
         lev = self.levels[li]
         nu1, nu2 = self.hierarchy.options.nu1, self.hierarchy.options.nu2
         if li == len(self.levels) - 1:
@@ -246,7 +256,8 @@ class DistributedMG:
         uc = DistributedField(
             self.levels[li + 1].decomp, dtype=self.compute_dtype
         )
-        self._vcycle(li + 1, fc, uc, stats)
+        for coarse_kind in {"v": "v", "w": "ww", "f": "fv"}[kind]:
+            self._cycle(li + 1, fc, uc, coarse_kind, stats)
         e = self._transfer(lev.prolong, uc, lev.decomp, stats)
         for rank in range(lev.decomp.nranks):
             u.owned_view(rank)[...] += e.owned_view(rank)

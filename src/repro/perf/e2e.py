@@ -36,9 +36,16 @@ from .bytes_model import (
     symgs_volume,
     transfer_volume,
 )
-from .machine import MachineSpec
+from .machine import ARM_KUNPENG, MachineSpec
 
-__all__ = ["E2EReport", "vcycle_volume", "e2e_report", "geometric_mean"]
+__all__ = [
+    "E2EReport",
+    "e2e_report",
+    "geometric_mean",
+    "solve_record",
+    "vcycle_seconds",
+    "vcycle_volume",
+]
 
 #: Calibration constant: Galerkin SpGEMM traffic per operator byte.  The
 #: triple product reads/writes each operator and intermediate several
@@ -104,6 +111,33 @@ def vcycle_volume(h: MGHierarchy) -> float:
         total += visits * level_vol
         visits *= gamma
     return total
+
+
+def vcycle_seconds(
+    h: MGHierarchy, machine: MachineSpec = ARM_KUNPENG
+) -> float:
+    """Modeled wall-clock of one cycle of the preconditioner: its byte
+    volume at the machine's achievable STREAM bandwidth."""
+    bandwidth = machine.bw_bytes_per_s * machine.kernel_efficiency
+    return vcycle_volume(h) / bandwidth
+
+
+def solve_record(result, hierarchy: MGHierarchy, metrics) -> dict:
+    """Run record of one preconditioned solve, as the Krylov-zoo bench and
+    the precision tuner report it: outcome, preconditioner applications,
+    fcvt volume (the ``precision.fcvt.values`` counter of ``metrics``) and
+    the modeled preconditioner time, charged per application so nested
+    inner work is priced honestly."""
+    return {
+        "status": result.status,
+        "iterations": int(result.iterations),
+        "precond_applications": int(result.precond_applications),
+        "final_residual": float(result.history.final()),
+        "fcvt_values": int(metrics.totals().get("precision.fcvt.values", 0)),
+        "modeled_seconds": float(
+            result.precond_applications * vcycle_seconds(hierarchy)
+        ),
+    }
 
 
 def _other_volume_per_iteration(problem: Problem, config: PrecisionConfig) -> float:
@@ -200,9 +234,7 @@ def e2e_report(
             rtol=problem.rtol,
             maxiter=maxiter,
         )
-        t_cycle = vcycle_volume(h) / (
-            machine.bw_bytes_per_s * machine.kernel_efficiency
-        )
+        t_cycle = vcycle_seconds(h, machine)
         t_other = _other_volume_per_iteration(problem, cfg) / (
             machine.bw_bytes_per_s * machine.kernel_efficiency
         )

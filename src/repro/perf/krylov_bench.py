@@ -1,6 +1,6 @@
 """Krylov-zoo benchmark: plain CG/GMRES+MG vs nested FGMRES vs GMRES-IR.
 
-``repro bench --krylov`` runs the Table 3 problem suite three ways under
+``repro bench`` runs the Table 3 problem suite three ways under
 the FP16-storage multigrid preconditioner:
 
 - **baseline** — the problem's native solver (CG for the SPD problems,
@@ -17,9 +17,9 @@ Each run records iterations-to-tolerance, preconditioner applications,
 fcvt conversion volume (the ``precision.fcvt.values`` counter), and the
 ``repro.perf``-modeled preconditioner time (V-cycle byte volume over the
 Table 2 STREAM bound, charged per application so nested inner work is
-priced honestly).  The result is a schema-valid ``BENCH_krylov.json``
-whose top-level ``krylov`` section carries the comparison and the two
-acceptance gates:
+priced honestly).  The result is a schema-valid snapshot (written as
+``BENCH_krylov.json`` by the CLI) whose ``krylov`` section carries the
+comparison and whose ``gates`` carry the two acceptance gates:
 
 - ``gmres_ir_tolerance`` — GMRES-IR with the FP16 correction solver
   reaches the working-precision tolerance on at least 3 Table 3 problems;
@@ -30,9 +30,8 @@ acceptance gates:
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..observability import metrics as _metrics
+from .e2e import solve_record
 
 __all__ = ["run_krylov_bench", "format_krylov_results", "DEFAULT_SHAPE"]
 
@@ -62,18 +61,8 @@ GMRES_IR_KWARGS = dict(
 )
 
 
-def _modeled_seconds_per_application(hierarchy) -> float:
-    """Modeled wall-clock of one V-cycle application (STREAM-bound)."""
-    from .e2e import vcycle_volume
-    from .machine import ARM_KUNPENG as _machine
-
-    return vcycle_volume(hierarchy) / (
-        _machine.bw_bytes_per_s * _machine.kernel_efficiency
-    )
-
-
-def _run_one(solver, problem, hierarchy, rtol, maxiter, t_app, **kwargs):
-    """One solve with per-run metrics; returns the run record."""
+def _run_one(solver, problem, hierarchy, rtol, maxiter, **kwargs):
+    """One solve with per-run metrics; returns the result and its record."""
     from ..solvers import solve
 
     with _metrics.collecting() as metrics:
@@ -86,15 +75,7 @@ def _run_one(solver, problem, hierarchy, rtol, maxiter, t_app, **kwargs):
             maxiter=maxiter,
             **kwargs,
         )
-    totals = metrics.totals()
-    record = {
-        "status": result.status,
-        "iterations": int(result.iterations),
-        "precond_applications": int(result.precond_applications),
-        "final_residual": float(result.history.final()),
-        "fcvt_values": int(totals.get("precision.fcvt.values", 0)),
-        "modeled_seconds": float(result.precond_applications * t_app),
-    }
+    record = solve_record(result, hierarchy, metrics)
     if "refinement_steps" in result.detail:
         record["refinement_steps"] = int(result.detail["refinement_steps"])
     if "inner" in result.detail:
@@ -111,12 +92,13 @@ def run_krylov_bench(
     seed: int = 0,
     fast: bool = False,
 ):
-    """Run the Krylov-zoo comparison; returns ``(snapshot_doc, ok)``.
+    """Run the Krylov-zoo comparison; returns the snapshot document.
 
     ``fast`` shrinks the grid and restricts the suite to
     :data:`FAST_PROBLEMS` for CI smoke runs; both acceptance gates still
-    apply.  ``problems`` restricts the suite explicitly; ``rtol``
-    overrides every problem's native tolerance.
+    apply and land in the document's ``gates``.  ``problems`` restricts
+    the suite explicitly; ``rtol`` overrides every problem's native
+    tolerance.
     """
     from ..mg import mg_setup
     from ..observability.snapshot import build_snapshot
@@ -135,19 +117,17 @@ def run_krylov_bench(
     for name in problems:
         prob = build_problem(name, shape=shape, seed=seed)
         hierarchy = mg_setup(prob.a, config, prob.mg_options)
-        t_app = _modeled_seconds_per_application(hierarchy)
         prtol = prob.rtol if rtol is None else float(rtol)
         runs = {}
         base_result, runs["baseline"] = _run_one(
-            prob.solver, prob, hierarchy, prtol, maxiter, t_app
+            prob.solver, prob, hierarchy, prtol, maxiter
         )
         runs["baseline"]["solver"] = prob.solver
         _, runs["fgmres"] = _run_one(
-            "fgmres", prob, hierarchy, prtol, maxiter, t_app, **FGMRES_KWARGS
+            "fgmres", prob, hierarchy, prtol, maxiter, **FGMRES_KWARGS
         )
         _, runs["gmres_ir"] = _run_one(
-            "gmres_ir", prob, hierarchy, prtol, maxiter, t_app,
-            **GMRES_IR_KWARGS,
+            "gmres_ir", prob, hierarchy, prtol, maxiter, **GMRES_IR_KWARGS
         )
         entries.append({"problem": name, "baseline": prob.solver, "runs": runs})
         if representative is None:
@@ -163,11 +143,6 @@ def run_krylov_bench(
         <= e["runs"]["baseline"]["precond_applications"]
         for e in nonsym
     )
-    gates = {
-        "gmres_ir_tolerance": ir_converged >= min(3, len(entries)),
-        "fgmres_apps_not_worse": bool(fgmres_ok),
-    }
-    ok = all(gates.values())
 
     krylov = {
         "shape": list(shape),
@@ -179,19 +154,21 @@ def run_krylov_bench(
         "gmres_ir_kwargs": {k: str(v) for k, v in GMRES_IR_KWARGS.items()},
         "problems": entries,
         "gmres_ir_converged": int(ir_converged),
-        "gates": gates,
     }
 
     result, hierarchy, prob = representative
-    doc = build_snapshot(
+    return build_snapshot(
         prob.name,
         "krylov",  # -> BENCH_krylov.json
         shape,
         result,
         hierarchy,
+        gates={
+            "gmres_ir_tolerance": ir_converged >= min(3, len(entries)),
+            "fgmres_apps_not_worse": bool(fgmres_ok),
+        },
         krylov=krylov,
     )
-    return doc, ok
 
 
 def format_krylov_results(doc) -> str:
@@ -214,12 +191,4 @@ def format_krylov_results(doc) -> str:
                 f"{run['modeled_seconds'] * 1e3:10.3f} "
                 f"{run['final_residual']:10.2e}"
             )
-    gates = krylov["gates"]
-    lines.append(
-        f"gates: gmres_ir_tolerance="
-        f"{'pass' if gates['gmres_ir_tolerance'] else 'FAIL'} "
-        f"({krylov['gmres_ir_converged']} problem(s) at working tolerance), "
-        f"fgmres_apps_not_worse="
-        f"{'pass' if gates['fgmres_apps_not_worse'] else 'FAIL'}"
-    )
     return "\n".join(lines)

@@ -8,12 +8,13 @@ Replays one problem class three ways —
 3. **replay**: the *static* config string derived from the adaptive
    run's final per-level precisions (``+s<L>`` / ``+f<L>`` / ``+bf16<L>``)
 
-— and emits that config string as the tuned recommendation, plus a
-schema-valid ``BENCH_policy.json`` comparing iterations, fcvt volume and
-modeled preconditioner time across the three runs.  Two gates ride
-along: the replay's iteration count must match the adaptive run within
-``iteration_slack``, and a solve under ``StaticPolicy`` must be
-bit-identical to a solve with no policy attached at all.
+— and emits that config string as the tuned recommendation, in a
+schema-valid snapshot (written as ``BENCH_policy.json`` by the CLI)
+comparing iterations, fcvt volume and modeled preconditioner time across
+the three runs.  Two gates ride along: the replay's iteration count must
+match the adaptive run within :data:`DEFAULT_ITERATION_SLACK`, and a
+solve under ``StaticPolicy`` must be bit-identical to a solve with no
+policy attached at all.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 
 from ..mg import MGOptions, mg_setup
 from ..observability import metrics as _metrics
+from ..perf.e2e import solve_record
 from ..precision import PrecisionConfig
 from ..solvers import solve
 from .adaptive import AdaptivePolicy
@@ -86,9 +88,6 @@ def derive_static_config(
 
 def _run_one(problem, config, options, rtol, maxiter, controller_policy=None):
     """One setup+solve with metrics collected; returns a result record."""
-    from ..perf.e2e import vcycle_volume
-    from ..perf.machine import ARM_KUNPENG as _machine
-
     with _metrics.collecting() as metrics:
         hierarchy = mg_setup(problem.a, config, options)
         controller = None
@@ -104,10 +103,6 @@ def _run_one(problem, config, options, rtol, maxiter, controller_policy=None):
             maxiter=maxiter,
             policy_controller=controller,
         )
-    totals = metrics.totals()
-    t_cycle = vcycle_volume(hierarchy) / (
-        _machine.bw_bytes_per_s * _machine.kernel_efficiency
-    )
     return {
         "hierarchy": hierarchy,
         "controller": controller,
@@ -115,11 +110,7 @@ def _run_one(problem, config, options, rtol, maxiter, controller_policy=None):
         "metrics": metrics,
         "record": {
             "config": config.name,
-            "status": result.status,
-            "iterations": int(result.iterations),
-            "final_residual": float(result.history.final()),
-            "fcvt_values": int(totals.get("precision.fcvt.values", 0)),
-            "modeled_precond_seconds": float(result.iterations * t_cycle),
+            **solve_record(result, hierarchy, metrics),
             "levels": [
                 lev.stored.storage.name for lev in hierarchy.levels
             ],
@@ -136,18 +127,19 @@ def run_tuner(
     maxiter: int = 400,
     seed: int = 0,
     fast: bool = False,
-    snapshot_dir: "str | None" = None,
-    iteration_slack: float = DEFAULT_ITERATION_SLACK,
     policy: "AdaptivePolicy | None" = None,
 ) -> dict:
-    """Tune one problem class; returns the full comparison document.
+    """Tune one problem class; returns its snapshot document.
 
-    ``fast`` shrinks the iteration budget for CI smoke use.  The returned
-    dict carries the emitted config string (``emitted_config``), the
-    three run records (``static`` / ``adaptive`` / ``replay``), the gate
-    verdicts, and — when ``snapshot_dir`` is given — the path of the
-    written ``BENCH_policy.json``.
+    ``fast`` shrinks the iteration budget for CI smoke use.  The
+    document's ``extra.tuner`` section carries the emitted config string
+    (``emitted_config``), the three run records (``static`` /
+    ``adaptive`` / ``replay``) and the replay gate's ``iteration_slack``;
+    its ``gates`` carry ``static_bit_identical`` and
+    ``replay_within_tolerance``, and its ``policy`` section the adaptive
+    run's decisions.
     """
+    from ..observability.snapshot import build_snapshot
     from ..problems import build_problem
 
     if fast:
@@ -191,18 +183,20 @@ def run_tuner(
 
     adaptive_iters = adaptive_run["record"]["iterations"]
     replay_iters = replay_run["record"]["iterations"]
-    slack = max(_ABS_SLACK, int(round(iteration_slack * adaptive_iters)))
+    slack = max(
+        _ABS_SLACK, int(round(DEFAULT_ITERATION_SLACK * adaptive_iters))
+    )
     replay_ok = (
         replay_run["record"]["status"] == adaptive_run["record"]["status"]
         and abs(replay_iters - adaptive_iters) <= slack
     )
 
-    report = {
+    tuner = {
         "problem": problem.name,
-        "shape": [int(n) for n in shape],
         "base_config": base.name,
         "emitted_config": tuned.name,
         "exact_encoding": bool(exact),
+        "iteration_slack": int(slack),
         "static": static_run["record"],
         "adaptive": {
             **adaptive_run["record"],
@@ -212,34 +206,28 @@ def run_tuner(
             "rescales": controller.rescales,
         },
         "replay": replay_run["record"],
-        "gates": {
+    }
+    return build_snapshot(
+        problem.name,
+        "policy",  # -> BENCH_policy.json
+        shape,
+        adaptive_run["result"],
+        adaptive_run["hierarchy"],
+        gates={
             "static_bit_identical": bool(static_bit_identical),
             "replay_within_tolerance": bool(replay_ok),
-            "iteration_slack": int(slack),
         },
-    }
-
-    if snapshot_dir is not None:
-        from ..observability.snapshot import build_snapshot, write_snapshot
-
-        doc = build_snapshot(
-            problem.name,
-            "policy",
-            shape,
-            adaptive_run["result"],
-            adaptive_run["hierarchy"],
-            metrics=adaptive_run["metrics"],
-            extra={"tuner": {k: v for k, v in report.items() if k != "shape"}},
-            policy=controller.snapshot(),
-        )
-        report["snapshot_path"] = write_snapshot(doc, snapshot_dir)
-    return report
+        metrics=adaptive_run["metrics"],
+        extra={"tuner": tuner},
+        policy=controller.snapshot(),
+    )
 
 
-def format_tuner_report(report: dict) -> str:
+def format_tuner_report(doc: dict) -> str:
     """Human-readable summary of a :func:`run_tuner` document."""
+    report = doc["extra"]["tuner"]
     lines = [
-        f"{report['problem']} {tuple(report['shape'])} "
+        f"{report['problem']} {tuple(doc['shape'])} "
         f"[base {report['base_config']}]",
         f"emitted config: {report['emitted_config']}"
         + ("" if report["exact_encoding"] else " (approximate encoding)"),
@@ -251,18 +239,10 @@ def format_tuner_report(report: dict) -> str:
         r = report[key]
         lines.append(
             f"{key:<10} {r['status']:<12} {r['iterations']:>6} "
-            f"{r['fcvt_values']:>12} {r['modeled_precond_seconds']:>16.4e}s  "
+            f"{r['fcvt_values']:>12} {r['modeled_seconds']:>16.4e}s  "
             f"{'/'.join(r['levels'])}"
         )
-    g = report["gates"]
     lines.append("")
-    lines.append(
-        f"gates: static-bit-identical="
-        f"{'PASS' if g['static_bit_identical'] else 'FAIL'} "
-        f"replay-within-tolerance="
-        f"{'PASS' if g['replay_within_tolerance'] else 'FAIL'} "
-        f"(slack {g['iteration_slack']} iters)"
-    )
     ad = report["adaptive"]
     if ad["decisions"]:
         lines.append(

@@ -366,9 +366,7 @@ def _halo_trial(persistent: bool, prob, config, seed: int) -> tuple[str, dict]:
     from .faults import halo_fault
 
     hierarchy = mg_setup(prob.a, config, prob.mg_options)
-    decomp = DistributedMG.aligned_decomposition(
-        prob.a.grid, (2, 1, 1), hierarchy.n_levels
-    )
+    decomp = DistributedMG.aligned_decomposition(hierarchy, (2, 1, 1))
     dmg = DistributedMG(hierarchy, decomp)
     da = DistributedSGDIA.from_global(prob.a, decomp)
     b = DistributedField.scatter(

@@ -526,9 +526,7 @@ def robust_distributed_solve(
             _emit_escalation(step)
             continue
 
-        decomp = DistributedMG.aligned_decomposition(
-            a.grid, proc_grid, hierarchy.n_levels
-        )
+        decomp = DistributedMG.aligned_decomposition(hierarchy, proc_grid)
         dmg = DistributedMG(hierarchy, decomp)
         da = DistributedSGDIA.from_global(a, decomp)
         bd = DistributedField.scatter(

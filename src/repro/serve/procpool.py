@@ -923,7 +923,6 @@ def run_serve_mp_bench(
     processes: int = 4,
     config: "PrecisionConfig | None" = None,
     seed: int = 0,
-    out_dir: "str | None" = ".",
     fast: bool = False,
 ) -> dict:
     """Multi-RHS weather replay over the process pool.
@@ -941,10 +940,12 @@ def run_serve_mp_bench(
     0.5 * min(processes, cores)``, which reduces to the paper-style "N=4
     at least 2x N=1" on a >= 4-core machine and degrades to a sanity
     check on the 1-core CI runner (process scaling cannot be measured
-    without cores).  Writes schema-valid ``BENCH_serve_mp.json``.
+    without cores).  A no-chaos replay must miss no deadline.  Returns the
+    snapshot document, with the three verdicts in its ``gates``:
+    ``bit_identical_to_thread``, ``scaling_ok`` and ``latency_ok``.
     """
     from ..observability import Metrics
-    from ..observability.snapshot import build_snapshot, write_snapshot
+    from ..observability.snapshot import build_snapshot
     from ..problems import build_problem, consistent_rhs
 
     if fast:
@@ -1050,11 +1051,9 @@ def run_serve_mp_bench(
         else float("inf")
     )
     expected = 0.5 * min(max(ns), cores)
-    scaling_ok = speedup >= expected
     # SLO gate: a no-chaos replay must not miss a single deadline (the
     # replay submits without deadlines, so any miss is a service bug).
     deadline_miss_rate = latency["rates"]["deadline_miss"]
-    latency_ok = deadline_miss_rate == 0.0
 
     serve_mp = {
         "replay": {
@@ -1071,23 +1070,22 @@ def run_serve_mp_bench(
         "speedup": speedup,
         "cores": cores,
         "expected_speedup": expected,
-        "scaling_ok": scaling_ok,
-        "bit_identical_to_thread": bit_identical,
         "deadline_miss_rate": deadline_miss_rate,
-        "latency_ok": latency_ok,
     }
     metrics = _metrics.get_metrics() or Metrics()
-    doc = build_snapshot(
+    return build_snapshot(
         problem="weather-replay-mp",
-        config="serve_mp",
+        config="serve_mp",  # -> BENCH_serve_mp.json
         shape=shape,
         result=last_results[-1][0],
         hierarchy=hierarchy,
+        gates={
+            "bit_identical_to_thread": bit_identical,
+            "scaling_ok": speedup >= expected,
+            "latency_ok": deadline_miss_rate == 0.0,
+        },
         metrics=metrics,
         extra={"serve_mp": serve_mp, "precision_config": config.name},
         topology=topo,
         latency=latency,
     )
-    if out_dir is not None:
-        write_snapshot(doc, out_dir)
-    return doc

@@ -36,8 +36,8 @@ a backing-off job occupies no worker and a cancelled one stops waiting.
 
 The module also hosts :func:`run_serve_bench`, the ``repro serve --bench``
 workload: a 50-timestep weather replay measuring setup amortization from
-the hierarchy cache, plus a batched multi-RHS consistency check, emitted
-as a schema-valid ``BENCH_serve.json``.
+the hierarchy cache, plus a batched multi-RHS consistency check, returned
+as a schema-valid snapshot (the CLI writes it as ``BENCH_serve.json``).
 """
 
 from __future__ import annotations
@@ -886,7 +886,6 @@ def run_serve_bench(
     rhs_block: int = 4,
     config: "PrecisionConfig | None" = None,
     seed: int = 0,
-    out_dir: "str | None" = ".",
 ) -> dict:
     """Timestep-replay benchmark of the serving layer.
 
@@ -896,12 +895,13 @@ def run_serve_bench(
     fingerprinted cache, and checking the cache counters against the known
     replay schedule.  A second section runs ``solve_many`` on a
     ``rhs_block``-column block of the SPD laplace27 problem against
-    sequential solves.  Returns the snapshot document; when ``out_dir`` is
-    given, writes schema-valid ``BENCH_serve.json`` there.
+    sequential solves.  Returns the snapshot document; its one gate,
+    ``counters_match_schedule``, says the cache missed once per epoch and
+    hit on every other step.
     """
     from ..mg import mg_setup
     from ..observability import Metrics
-    from ..observability.snapshot import build_snapshot, write_snapshot
+    from ..observability.snapshot import build_snapshot
     from ..problems import build_problem, consistent_rhs
     from ..solvers import solve as solve_one
 
@@ -995,7 +995,6 @@ def run_serve_bench(
             ),
             "cache": replay_cache,
             "hit_rate": replay_hit_rate,
-            "counters_match_schedule": counters_ok,
         },
         "warm_start": {
             "cold_iterations": warm_iters[0],
@@ -1009,17 +1008,15 @@ def run_serve_bench(
         },
     }
     metrics = _metrics.get_metrics() or Metrics()
-    doc = build_snapshot(
+    return build_snapshot(
         problem="weather-replay",
-        config="serve",
+        config="serve",  # -> BENCH_serve.json
         shape=shape,
         result=second,
         hierarchy=session.hierarchy,
+        gates={"counters_match_schedule": counters_ok},
         metrics=metrics,
         extra={"serve": serve_extra, "precision_config": config.name},
         topology=topology,
         latency=latency,
     )
-    if out_dir is not None:
-        write_snapshot(doc, out_dir)
-    return doc

@@ -195,9 +195,7 @@ class TestHaloFaults:
         )
 
         h = mg_setup(problem.a, K64P32D16_SETUP_SCALE, problem.mg_options)
-        decomp = DistributedMG.aligned_decomposition(
-            problem.a.grid, (2, 1, 1), h.n_levels
-        )
+        decomp = DistributedMG.aligned_decomposition(h, (2, 1, 1))
         dmg = DistributedMG(h, decomp)
         da = DistributedSGDIA.from_global(problem.a, decomp)
         b = DistributedField.scatter(

@@ -81,7 +81,7 @@ def _setup(name="laplace27", shape=(16, 16, 16), cfg=FULL64, pg=(2, 2, 2),
            options=None):
     p = build_problem(name, shape=shape)
     h = mg_setup(p.a, cfg, options or p.mg_options)
-    dec = DistributedMG.aligned_decomposition(p.a.grid, pg, h.n_levels)
+    dec = DistributedMG.aligned_decomposition(h, pg)
     return p, h, dec, DistributedMG(h, dec)
 
 
@@ -120,9 +120,31 @@ HIERARCHIES = {
     ),
     # 3x3 blocks, scaled levels
     "solid-3d": ("solid-3d", (16, 16, 16), K64P32D16_SETUP_SCALE, None, RANKS),
-    # factor-1 axes: weather's semicoarsening, solid-3d keeping z
+    # W- and F-cycles: the distributed cycle runs the hierarchy's kind
+    "laplace27-fp16-w": (
+        "laplace27", (16, 16, 16), K64P32D16_SETUP_SCALE,
+        MGOptions(coarsen="full", cycle="w"), RANKS,
+    ),
+    "laplace27-fp16-f": (
+        "laplace27", (16, 16, 16), K64P32D16_SETUP_SCALE,
+        MGOptions(coarsen="full", cycle="f"), RANKS,
+    ),
+    "laplace27-full64-w": (
+        "laplace27", (16, 16, 16), FULL64,
+        MGOptions(coarsen="full", cycle="w"), RANKS,
+    ),
+    "laplace27-full64-f": (
+        "laplace27", (16, 16, 16), FULL64,
+        MGOptions(coarsen="full", cycle="f"), RANKS,
+    ),
+    # factor-1 axes: weather's semicoarsening, solid-3d keeping z; each
+    # axis aligns to its own factors (x to 4, y to 1, z to 2 at 16x16x8)
     "weather-16x16x8": (
-        "weather", (16, 16, 8), K64P32D16_SETUP_SCALE, None, ((2, 2, 1),),
+        "weather", (16, 16, 8), K64P32D16_SETUP_SCALE, None,
+        ((2, 2, 1), (2, 1, 2)),
+    ),
+    "weather-32x32x16": (
+        "weather", (32, 32, 16), K64P32D16_SETUP_SCALE, None, ((2, 2, 2),),
     ),
     "solid-3d-16x16x8": (
         "solid-3d", (16, 16, 8), K64P32D16_SETUP_SCALE, None, ((2, 2, 1),),
@@ -153,17 +175,15 @@ class TestDistributedCycle:
     )
     def test_byte_identical_to_sequential(self, name, pg):
         """On 1, 2 and 8 ranks, for scalar and block, unscaled and scaled
-        hierarchies and factor-1 axes, the distributed cycle and
-        preconditioner equal the sequential ones byte for byte."""
+        hierarchies, factor-1 axes and V, W and F cycles, the distributed
+        cycle and preconditioner equal the sequential ones byte for byte."""
         h = _hierarchy(name)
-        dec = DistributedMG.aligned_decomposition(h.levels[0].grid, pg,
-                                                  h.n_levels)
+        dec = DistributedMG.aligned_decomposition(h, pg)
         _assert_sequential(h, dec, DistributedMG(h, dec))
 
     def test_transfer_past_ghosts_rejected(self):
         h = _hierarchy("laplace27-factor4")
-        dec = DistributedMG.aligned_decomposition(h.levels[0].grid, (2, 1, 1),
-                                                  h.n_levels)
+        dec = DistributedMG.aligned_decomposition(h, (2, 1, 1))
         with pytest.raises(ValueError, match="beyond the ghost layer"):
             DistributedMG(h, dec)
 
@@ -286,9 +306,7 @@ class TestDistributedCycle:
         h = mg_setup(
             p.a, FULL64, MGOptions(smoother="chebyshev", coarsen="full")
         )
-        dec = DistributedMG.aligned_decomposition(
-            p.a.grid, (2, 1, 1), h.n_levels
-        )
+        dec = DistributedMG.aligned_decomposition(h, (2, 1, 1))
         with pytest.raises(NotImplementedError):
             DistributedMG(h, dec)
 

@@ -240,10 +240,11 @@ class TestCLI:
 
     def test_bench_takes_krylov_only(self):
         parser = build_parser()
-        assert parser.parse_args(["bench", "--krylov"]).shape is None
-        with pytest.raises(SystemExit) as exc:
-            parser.parse_args(["bench", "--kernels"])
-        assert exc.value.code == 2
+        assert parser.parse_args(["bench"]).shape is None
+        for removed in ("--kernels", "--krylov", "--problems"):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(["bench", removed])
+            assert exc.value.code == 2
 
     def test_solve_command(self, capsys):
         rc = main(["solve", "laplace27", "--shape", "12", "--maxiter", "50"])
@@ -305,7 +306,7 @@ class TestCLI:
         rc = main(["tune", "--fast", "--snapshot-dir", str(tmp_path)])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "bit-identical" in out
+        assert "gate static_bit_identical: PASS" in out
         assert (tmp_path / "BENCH_policy.json").exists()
 
     def test_ablation_command(self, capsys):
@@ -348,6 +349,93 @@ class TestCLI:
     def test_unknown_problem_raises(self):
         with pytest.raises(ValueError):
             main(["solve", "nonexistent", "--shape", "8"])
+
+
+class TestBenchGates:
+    """The five bench commands end alike: they write the snapshot, print
+    each gate, and exit 1 if and only if a gate is false."""
+
+    #: name -> (command line, runner module, runner, formatter, gates)
+    BENCHES = {
+        "serve": (
+            ["serve", "--bench"], "repro.serve", "run_serve_bench", None,
+            ("counters_match_schedule",),
+        ),
+        "serve-mp": (
+            ["serve", "--processes", "2", "--bench"], "repro.serve.procpool",
+            "run_serve_mp_bench", None,
+            ("bit_identical_to_thread", "scaling_ok", "latency_ok"),
+        ),
+        "bench": (
+            ["bench"], "repro.perf.krylov_bench", "run_krylov_bench",
+            "format_krylov_results",
+            ("gmres_ir_tolerance", "fgmres_apps_not_worse"),
+        ),
+        "tune": (
+            ["tune"], "repro.policy", "run_tuner", "format_tuner_report",
+            ("static_bit_identical", "replay_within_tolerance"),
+        ),
+    }
+
+    @pytest.fixture(scope="class")
+    def base_doc(self):
+        from repro.mg import mg_setup
+        from repro.observability.snapshot import build_snapshot
+        from repro.precision import parse_config
+        from repro.problems import build_problem
+        from repro.solvers import solve
+
+        p = build_problem("laplace27", shape=(8, 8, 8))
+        h = mg_setup(p.a, parse_config("K64P32D16-setup-scale"), p.mg_options)
+        result = solve("cg", p.a, p.b, preconditioner=h.precondition,
+                       rtol=1e-8, maxiter=50)
+        return build_snapshot(p.name, "gates-test", (8, 8, 8), result, h,
+                              gates={})
+
+    @pytest.mark.parametrize(
+        "bench,failing",
+        [
+            (bench, failing)
+            for bench, spec in BENCHES.items()
+            for failing in (None, *spec[-1])
+        ],
+    )
+    def test_exit_code_follows_gates(self, bench, failing, base_doc,
+                                     tmp_path, monkeypatch, capsys):
+        import copy
+        import importlib
+        import json
+
+        argv, module, runner, formatter, names = self.BENCHES[bench]
+        doc = copy.deepcopy(base_doc)
+        doc["gates"] = {name: name != failing for name in names}
+        mod = importlib.import_module(module)
+        monkeypatch.setattr(mod, runner, lambda **kwargs: doc)
+        if formatter is not None:
+            monkeypatch.setattr(mod, formatter, lambda doc: "summary")
+        rc = main([*argv, "--snapshot-dir", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert rc == (0 if failing is None else 1)
+        for name in names:
+            verdict = "FAIL" if name == failing else "PASS"
+            assert f"gate {name}: {verdict}" in out
+        written = json.loads((tmp_path / "BENCH_gates-test.json").read_text())
+        assert written["gates"] == doc["gates"]
+
+    @pytest.mark.parametrize("maxiter,code", [(1, 1), (50, 0)])
+    def test_profile_gate_is_convergence(self, maxiter, code, tmp_path,
+                                         capsys):
+        import json
+
+        rc = main(["profile", "laplace27", "--shape", "8",
+                   "--maxiter", str(maxiter), "--snapshot-dir", str(tmp_path)])
+        assert rc == code
+        verdict = "PASS" if code == 0 else "FAIL"
+        assert f"gate converged: {verdict}" in capsys.readouterr().out
+        (path,) = tmp_path.glob("BENCH_*.json")
+        assert json.loads(path.read_text())["gates"] == {
+            "converged": code == 0
+        }
 
 
 class TestResilienceCLI:

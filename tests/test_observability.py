@@ -445,7 +445,7 @@ class TestSnapshots:
         problem, config, result, h, tr, m = _profiled_run()
         doc = obs_snapshot.build_snapshot(
             problem.name, config.name, (10, 10, 10), result, h,
-            tracer=tr, metrics=m,
+            gates={"converged": result.converged}, tracer=tr, metrics=m,
         )
         assert obs_snapshot.validate_snapshot(doc) == []
         assert doc["schema"] == obs_snapshot.SCHEMA
@@ -457,19 +457,20 @@ class TestSnapshots:
         problem, config, result, h, tr, m = _profiled_run()
         doc = obs_snapshot.build_snapshot(
             problem.name, config.name, (10, 10, 10), result, h,
-            tracer=tr, metrics=m,
+            gates={"converged": result.converged}, tracer=tr, metrics=m,
         )
         path = obs_snapshot.write_snapshot(doc, str(tmp_path))
         assert path.endswith(
             obs_snapshot.snapshot_filename(config.name)
         )
         assert obs_snapshot.validate_file(path) == []
-        assert obs_snapshot._main([path]) == 0
+        assert cli.main(["snapshot", "validate", path]) == 0
 
     def test_validation_catches_missing_fields(self):
         problem, config, result, h, tr, m = _profiled_run()
         doc = obs_snapshot.build_snapshot(
             problem.name, config.name, (10, 10, 10), result, h,
+            gates={"converged": result.converged},
         )
         del doc["solve"]["iterations"]
         doc.pop("events")
@@ -488,8 +489,99 @@ class TestSnapshots:
 
     def test_main_flags_invalid_file(self, tmp_path):
         bad = tmp_path / "BENCH_bad.json"
-        bad.write_text('{"schema": "repro-bench/1"}')
-        assert obs_snapshot._main([str(bad)]) == 1
+        bad.write_text(json.dumps({"schema": obs_snapshot.SCHEMA}))
+        assert cli.main(["snapshot", "validate", str(bad)]) == 1
+
+
+def _example(rule):
+    """A minimal valid value of one rule of the snapshot schema table."""
+    if isinstance(rule, obs_snapshot.Opt):
+        return _example(rule.rule)
+    if isinstance(rule, dict):
+        return {key: _example(sub) for key, sub in rule.items()}
+    if isinstance(rule, obs_snapshot.ListOf):
+        return [_example(rule.item)]
+    if isinstance(rule, obs_snapshot.MapOf):
+        return {key: _example(rule.value) for key in rule.required or ("k",)}
+    if rule.choices:
+        return rule.choices[0]
+    samples = {bool: True, int: 1, float: 1.5, str: "s", dict: {}, list: []}
+    return samples[rule.types[-1]]
+
+
+def _rule_sites(rule, value, path=""):
+    """Every rule of the table with its place in ``value``: yields
+    ``(path, rule, container, key, required)``."""
+    if isinstance(rule, dict):
+        for key, sub in rule.items():
+            at = f"{path}.{key}" if path else key
+            optional = isinstance(sub, obs_snapshot.Opt)
+            inner = sub.rule if optional else sub
+            yield at, inner, value, key, not optional
+            yield from _rule_sites(inner, value[key], at)
+    elif isinstance(rule, obs_snapshot.MapOf):
+        for key in value:
+            at = f"{path}.{key}"
+            yield at, rule.value, value, key, key in rule.required
+            yield from _rule_sites(rule.value, value[key], at)
+    elif isinstance(rule, obs_snapshot.ListOf):
+        at = f"{path}[0]"
+        yield at, rule.item, value, 0, False
+        yield from _rule_sites(rule.item, value[0], at)
+
+
+_DROP = object()
+
+
+def _breakages(rule, required):
+    """Values that each violate ``rule`` (``_DROP`` removes the key)."""
+    if required:
+        yield _DROP
+    yield None  # no rule accepts null
+    if isinstance(rule, obs_snapshot.Leaf):
+        if bool not in rule.types:
+            yield True  # bool is never a number, string or container
+        if rule.min is not None:
+            yield rule.min - 1
+        if rule.choices:
+            yield "not-one-of-the-choices"
+
+
+class TestSchemaTable:
+    def test_every_rule_flags_its_path(self):
+        """A document generated from the table validates; breaking it at
+        any rule (dropping a required key, a wrong type, a value below the
+        bound or outside the allowed set) yields a violation naming that
+        rule's path."""
+        doc = _example(obs_snapshot.SCHEMA_TABLE)
+        assert obs_snapshot.validate_snapshot(doc) == []
+        sites = list(_rule_sites(obs_snapshot.SCHEMA_TABLE, doc))
+        paths = {site[0] for site in sites}
+        assert {"gates.k", "extra.serve.replay.steps",
+                "extra.serve_mp.cores", "extra.tuner.iteration_slack",
+                "latency.histograms.e2e.buckets.k",
+                "policy.decisions[0].kind"} <= paths
+        missed = []
+        for path, rule, container, key, required in sites:
+            for bad in _breakages(rule, required):
+                saved = container[key]
+                if bad is _DROP:
+                    del container[key]
+                else:
+                    container[key] = bad
+                problems = obs_snapshot.validate_snapshot(doc)
+                container[key] = saved
+                if not any(f"'{path}'" in p for p in problems):
+                    missed.append((path, bad, problems))
+        assert not missed
+        assert obs_snapshot.validate_snapshot(doc) == []
+
+    def test_bucket_counts_must_sum_to_count(self):
+        doc = _example(obs_snapshot.SCHEMA_TABLE)
+        doc["latency"]["histograms"]["e2e"]["buckets"]["k2"] = 1
+        assert obs_snapshot.validate_snapshot(doc) == [
+            "latency.histograms.e2e: bucket counts sum to 2, count says 1"
+        ]
 
 
 class TestPolicySnapshotSection:
@@ -500,6 +592,7 @@ class TestPolicySnapshotSection:
         problem, config, result, h, tr, m = _profiled_run()
         doc = obs_snapshot.build_snapshot(
             problem.name, config.name, (10, 10, 10), result, h,
+            gates={"converged": result.converged},
         )
         # inject after the build: build_snapshot asserts validity, and the
         # error paths below need invalid sections to reach the validator
@@ -537,6 +630,7 @@ class TestPolicySnapshotSection:
         problem, config, result, h, tr, m = _profiled_run()
         doc = obs_snapshot.build_snapshot(
             problem.name, config.name, (10, 10, 10), result, h,
+            gates={"converged": result.converged},
         )
         assert "policy" not in doc
         assert obs_snapshot.validate_snapshot(doc) == []
@@ -619,7 +713,6 @@ class TestCLI:
             "profile", "laplace27", "--shape", "8", "--maxiter", "50",
             "--snapshot-dir", str(tmp_path),
             "--trace", str(tmp_path / "trace.jsonl"),
-            "--repeats", "1", "--stat", "median",
         ])
         assert code == 0
         out = capsys.readouterr().out

@@ -26,7 +26,7 @@ import pytest
 from repro.mg import mg_setup
 from repro.observability import events as _events
 from repro.observability import metrics as _metrics
-from repro.observability.snapshot import validate_snapshot
+from repro.observability.snapshot import validate_snapshot, write_snapshot
 from repro.policy import (
     AdaptivePolicy,
     LevelMapPolicy,
@@ -494,15 +494,15 @@ class TestDeriveStaticConfig:
 
 class TestRunTuner:
     def test_gates_hold_on_hazard_problem(self, tmp_path):
-        report = run_tuner(
+        doc = run_tuner(
             "laplace27e8",
             shape=(10, 10, 8),
             config=PrecisionConfig().with_(scaling="none"),
             fast=True,
-            snapshot_dir=str(tmp_path),
         )
-        assert report["gates"]["static_bit_identical"]
-        assert report["gates"]["replay_within_tolerance"]
+        report = doc["extra"]["tuner"]
+        assert doc["gates"]["static_bit_identical"]
+        assert doc["gates"]["replay_within_tolerance"]
         # the hazard run must actually adapt and the replay must converge
         assert report["adaptive"]["escalations"] >= 1
         assert report["replay"]["status"] == "converged"
@@ -510,15 +510,18 @@ class TestRunTuner:
 
         import json
 
-        doc = json.loads((tmp_path / "BENCH_policy.json").read_text())
-        assert validate_snapshot(doc) == []
-        assert doc["policy"]["escalations"] >= 1
-        assert doc["extra"]["tuner"]["emitted_config"] == report[
+        path = write_snapshot(doc, str(tmp_path))
+        assert path == str(tmp_path / "BENCH_policy.json")
+        on_disk = json.loads((tmp_path / "BENCH_policy.json").read_text())
+        assert validate_snapshot(on_disk) == []
+        assert on_disk["policy"]["escalations"] >= 1
+        assert on_disk["extra"]["tuner"]["emitted_config"] == report[
             "emitted_config"
         ]
 
     def test_already_optimal_static_emits_base(self):
-        report = run_tuner("laplace27e8", shape=(10, 10, 8), fast=True)
-        assert report["gates"]["static_bit_identical"]
+        doc = run_tuner("laplace27e8", shape=(10, 10, 8), fast=True)
+        report = doc["extra"]["tuner"]
+        assert doc["gates"]["static_bit_identical"]
         assert report["adaptive"]["decisions"] == 0
         assert report["emitted_config"] == report["base_config"]

@@ -317,14 +317,16 @@ class TestLifecycleHygiene:
 # ----------------------------------------------------------------------
 
 class TestServeMpBench:
-    def test_fast_bench_snapshot_schema_and_identity(self, tmp_path):
+    def test_fast_bench_snapshot_schema_and_identity(self, tmp_path,
+                                                     monkeypatch):
         from repro.observability.snapshot import assert_valid_snapshot
 
-        doc = run_serve_mp_bench(processes=2, out_dir=tmp_path, fast=True)
-        assert (tmp_path / "BENCH_serve_mp.json").exists()
+        monkeypatch.chdir(tmp_path)
+        doc = run_serve_mp_bench(processes=2, fast=True)
+        assert list(tmp_path.iterdir()) == []  # the runner writes no file
         assert_valid_snapshot(doc)
         assert doc["topology"]["mode"] == "process"
         assert doc["topology"]["processes"] == 2
         mp_doc = doc["extra"]["serve_mp"]
-        assert mp_doc["bit_identical_to_thread"]
-        assert mp_doc["scaling_ok"], mp_doc
+        assert doc["gates"]["bit_identical_to_thread"]
+        assert doc["gates"]["scaling_ok"], mp_doc

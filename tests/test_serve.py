@@ -436,18 +436,19 @@ class TestSolverService:
 # ----------------------------------------------------------------------
 
 class TestServeBench:
-    def test_bench_snapshot_schema_and_acceptance(self, tmp_path):
+    def test_bench_snapshot_schema_and_acceptance(self, tmp_path,
+                                                  monkeypatch):
         from repro.observability.snapshot import assert_valid_snapshot
         from repro.serve import run_serve_bench
 
+        monkeypatch.chdir(tmp_path)
         doc = run_serve_bench(
             shape=(10, 10, 8), steps=6, refresh_every=3, rhs_block=2,
-            out_dir=tmp_path,
         )
-        assert (tmp_path / "BENCH_serve.json").exists()
+        assert list(tmp_path.iterdir()) == []  # the runner writes no file
         assert_valid_snapshot(doc)
         replay = doc["extra"]["serve"]["replay"]
-        assert replay["counters_match_schedule"]
+        assert doc["gates"] == {"counters_match_schedule": True}
         assert replay["cache"]["misses"] == 2
         assert replay["cache"]["hits"] == 4
         many = doc["extra"]["serve"]["solve_many"]

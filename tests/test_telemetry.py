@@ -348,6 +348,7 @@ class TestSnapshotLatency:
         problem, config, result, h, tr, m = run
         return obs_snapshot.build_snapshot(
             problem.name, config.name, (10, 10, 10), result, h,
+            gates={"converged": result.converged},
             tracer=tr, metrics=m, latency=latency,
         )
 
@@ -378,7 +379,8 @@ class TestSnapshotLatency:
         doc = self._doc(run, _stats_with_traffic().snapshot())
         doc["latency"] = snap
         problems = obs_snapshot.validate_snapshot(doc)
-        assert any("non-negative integer" in p for p in problems)
+        assert any(f"'latency.histograms.e2e.buckets.{le}' must be >= 0" in p
+                   for p in problems)
 
     def test_bucket_sum_mismatch_flagged(self, run):
         snap = _stats_with_traffic().snapshot()
@@ -402,7 +404,8 @@ class TestSnapshotLatency:
         with open(path, "w") as f:
             json.dump(on_disk, f)
         assert cli.main(["snapshot", "validate", path]) == 1
-        assert "count must be >= 0" in capsys.readouterr().err
+        assert ("'latency.histograms.e2e.count' must be >= 0"
+                in capsys.readouterr().err)
 
 
 # ----------------------------------------------------------------------
