@@ -323,8 +323,8 @@ def make_backend(reference) -> "tuple[object | None, str]":
             return (plan.ncomp, v.shape[-1])
         return None
 
-    def spmv(plan, a, x, out=None, compute_dtype=None, sqrt_q=None):
-        xf, batched = field_view(a.grid, x)
+    def spmv(plan, a, x, out=None, compute_dtype=None):
+        xf, _ = field_view(a.grid, x)
         if compute_dtype is None:
             cdtype = np.result_type(a.data.dtype, xf.dtype)
             if cdtype == np.float16:
@@ -335,15 +335,7 @@ def make_backend(reference) -> "tuple[object | None, str]":
         dims = block_args(plan, xf)
         fn = None if dims is None else kernel("spmv", plan, a, cdtype)
         if fn is None:
-            return reference.spmv(
-                plan, a, x, out=out, compute_dtype=compute_dtype, sqrt_q=sqrt_q
-            )
-        q = None
-        if sqrt_q is not None:
-            q = np.asarray(sqrt_q, dtype=cdtype)
-            if batched:
-                q = q[..., None]
-            xf = q * np.asarray(xf, dtype=cdtype)
+            return reference.spmv(plan, a, x, out=out, compute_dtype=compute_dtype)
         xf = _ready(xf, cdtype)
         y = np.empty(xf.shape, dtype=cdtype)
         if _metrics.active():
@@ -351,8 +343,6 @@ def make_backend(reference) -> "tuple[object | None, str]":
             charge_fcvt(plan, a, cdtype, sum(plan.term_cells))
         fn(a.data.ctypes.data, _stride(a.data), plan.offsets_table.ctypes.data,
            len(plan.offsets), *dims, xf.ctypes.data, y.ctypes.data, *plan.shape)
-        if q is not None:
-            y *= q
         if out is not None:
             field_view(a.grid, out)[0][...] = y
             return out

@@ -4,13 +4,13 @@ The SpMV is one vectorized shifted multiply-add per stencil offset — no
 index arrays, no gather/scatter, which is exactly why the paper's Section
 3.2 argues structured formats are the right substrate for FP16.  When the
 coefficient payload is FP16, each slice is converted to the compute
-precision on the fly (the ``fcvt`` of Section 5.1); for a scaled operator
-(Algorithm 3 line 7) the product computed is
-
-    y = Q^{1/2} (A16 (Q^{1/2} x)),
-
-i.e. the input vector is scaled once, the FP16 matrix applied, and the
-output rescaled — three extra vector reads against a matrix-sized saving.
+precision on the fly (the ``fcvt`` of Section 5.1).  The kernels apply the
+stored payload exactly as it is: a scaled level's payload ``A_s`` is the
+operator of that level's own basis, which the multigrid cycle works in
+(see :mod:`repro.mg.hierarchy`).  Only :func:`spmv` of a scaled
+:class:`~repro.sgdia.StoredMatrix` applies the operator the payload
+represents, ``Q^{1/2} A_s Q^{1/2}`` (Algorithm 3 line 7), as two vector
+passes around the same product.
 
 Every call runs on the operator structure's
 :class:`~repro.kernels.plan.KernelPlan` (``plan=``, else looked up with
@@ -88,10 +88,9 @@ def spmv_plain(
     x: np.ndarray,
     out: "np.ndarray | None" = None,
     compute_dtype=None,
-    sqrt_q: "np.ndarray | None" = None,
     plan=None,
 ) -> np.ndarray:
-    """Core SG-DIA SpMV: ``y = A x`` (or ``Q^{1/2} A Q^{1/2} x`` if scaled).
+    """Core SG-DIA SpMV: ``y = A x``.
 
     Parameters
     ----------
@@ -100,8 +99,6 @@ def spmv_plain(
         to the promotion of matrix and vector dtypes (FP16 payloads promote
         to at least FP32 — computing *in* FP16 is never done, per the
         guidelines).
-    sqrt_q:
-        Per-dof scaling field; when given, implements recover-and-rescale.
     plan:
         The :class:`~repro.kernels.plan.KernelPlan` of this operator's
         structure; looked up with :func:`~repro.kernels.plan.plan_for`
@@ -114,8 +111,7 @@ def spmv_plain(
     the paper's SOA/fcvt bandwidth argument).
     """
     return get_backend().spmv(
-        plan or plan_for(a), a, x, out=out, compute_dtype=compute_dtype,
-        sqrt_q=sqrt_q,
+        plan or plan_for(a), a, x, out=out, compute_dtype=compute_dtype
     )
 
 
@@ -165,7 +161,6 @@ def spmv_ref(
     x: np.ndarray,
     out: "np.ndarray | None" = None,
     compute_dtype=None,
-    sqrt_q: "np.ndarray | None" = None,
 ) -> np.ndarray:
     """The numpy backend's SpMV (contract of :func:`spmv_plain`).
 
@@ -180,14 +175,7 @@ def spmv_ref(
         if compute_dtype == np.float16:
             compute_dtype = np.float32
     cdtype = np.dtype(compute_dtype)
-
-    q = None
-    if sqrt_q is not None:
-        q = np.asarray(sqrt_q, dtype=cdtype)
-        if batched:
-            q = q[..., None]
-        xf = q * np.asarray(xf, dtype=cdtype)
-    elif xf.dtype != cdtype:
+    if xf.dtype != cdtype:
         xf = xf.astype(cdtype)
 
     y = np.zeros(xf.shape, dtype=cdtype)
@@ -205,9 +193,6 @@ def spmv_ref(
         coeff = _convert_coeff(plan, "spmv_coeff", coeff, cdtype, counting)
         y[dst] += block_contract(coeff, xf[src], batched)
 
-    if q is not None:
-        y *= q
-
     if out is not None:
         of = field_view(grid, out)[0]
         of[...] = y
@@ -222,14 +207,30 @@ def spmv(
     compute_dtype=None,
     plan=None,
 ) -> np.ndarray:
-    """SpMV for plain or mixed-precision stored operators."""
-    if isinstance(a, StoredMatrix):
-        cdtype = compute_dtype or a.compute.np_dtype
-        sqrt_q = a.scaling.sqrt_q if a.scaling is not None else None
-        return spmv_plain(
-            a.matrix, x, out=out, compute_dtype=cdtype, sqrt_q=sqrt_q, plan=plan
-        )
-    return spmv_plain(a, x, out=out, compute_dtype=compute_dtype, plan=plan)
+    """SpMV for plain or mixed-precision stored operators.
+
+    A :class:`StoredMatrix` applies the operator its payload represents; a
+    scaled one computes ``y = Q^{1/2} (A_s (Q^{1/2} x))``: the input scaled
+    once, the raw payload product, the output rescaled.
+    """
+    if not isinstance(a, StoredMatrix):
+        return spmv_plain(a, x, out=out, compute_dtype=compute_dtype, plan=plan)
+    cdtype = compute_dtype or a.compute.np_dtype
+    if a.scaling is None:
+        return spmv_plain(a.matrix, x, out=out, compute_dtype=cdtype, plan=plan)
+    xf, batched = field_view(a.grid, x)
+    q = np.asarray(a.scaling.sqrt_q, dtype=cdtype)
+    if batched:
+        q = q[..., None]
+    y = spmv_plain(
+        a.matrix, q * np.asarray(xf, dtype=cdtype), compute_dtype=cdtype,
+        plan=plan,
+    )
+    y *= q
+    if out is not None:
+        field_view(a.grid, out)[0][...] = y
+        return out
+    return y.reshape(np.shape(x)) if np.shape(x) != y.shape else y
 
 
 def residual(

@@ -13,9 +13,10 @@ reverse; forward-then-backward is the SymGS smoother that dominates the
 HPCG profile cited in Section 5 of the paper.
 
 Mixed precision: the sweep reads FP16 coefficient slices and converts them
-to the compute dtype on the fly.  Scaled operators are handled by the
-smoother layer (see :mod:`repro.smoothers.symgs`), which transforms the
-system into the scaled space where the stored payload *is* the matrix.
+to the compute dtype on the fly.  It sweeps the stored payload as it is: on
+a scaled level the multigrid cycle keeps the vectors in the level's own
+basis, where the stored payload *is* the matrix (see
+:mod:`repro.mg.hierarchy`).
 
 The sweep runs on the operator structure's
 :class:`~repro.kernels.plan.KernelPlan` and dispatches to the active kernel

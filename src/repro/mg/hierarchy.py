@@ -1,5 +1,17 @@
 """The multigrid hierarchy: cycles (Algorithm 3) and the preconditioner
 interface (Algorithm 2 lines 4-6).
+
+Algorithm 3 applies a scaled level's operator as ``A = Q^{1/2} A_s Q^{1/2}``.
+The cycle carries that out as a change of basis: a scaled level keeps its
+vectors in its own basis, ``f_s = Q^{-1/2} f`` and ``u_s = Q^{1/2} u``, in
+which the stored payload ``A_s`` *is* the operator, so its smoother and
+residual run on the payload exactly as set up.  Vectors are converted only
+where they change level: the residual ``r = Q^{1/2} r_s`` is restricted and
+divided by the coarse level's ``Q^{1/2}``, the coarse correction is divided
+by the coarse ``Q^{1/2}`` before prolongation and the fine correction
+multiplied by this level's, and the finest level converts once on entry to
+and exit from the cycle.  A hierarchy without a scaled level runs no
+conversion at all.
 """
 
 from __future__ import annotations
@@ -8,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..kernels import spmv
+from ..kernels import spmv_plain
 from ..kernels.spmv import field_view
 from ..observability import metrics as _metrics
 from ..observability import trace as _trace
@@ -28,7 +40,8 @@ class MGHierarchy:
     Vectors inside the cycle live entirely in the preconditioner *compute*
     precision (FP32) — "there is nothing in iterative precision throughout
     the V-Cycle" (Section 4.2); matrices are recovered from storage
-    precision on the fly inside the kernels.
+    precision on the fly inside the kernels, and a scaled level's vectors
+    live in that level's own basis (see the module docstring).
     """
 
     levels: list[Level]
@@ -48,13 +61,6 @@ class MGHierarchy:
     #: Optional :class:`repro.resilience.abft.ABFTChecker` attached by
     #: ``attach_abft``; when set, the cycle's residual SpMVs are checksummed.
     abft: "object | None" = field(default=None, repr=False)
-    #: Optional :class:`repro.policy.PolicyController` attached by
-    #: ``repro.policy.attach_policy``; when set, the cycle feeds it
-    #: per-level residual norms (read-only observation — the numerical path
-    #: is bit-identical with and without the hook).  ``None`` (the default)
-    #: keeps the hot loop free of any policy branch cost beyond one
-    #: ``is None`` test per level visit.
-    policy_hook: "object | None" = field(default=None, repr=False)
 
     # ------------------------------------------------------------------
     @property
@@ -120,6 +126,9 @@ class MGHierarchy:
         given, otherwise a zero initial guess is used.  Returns ``x``.
         A trailing batch axis ``k`` (multi-RHS block, field_shape + (k,) or
         ``(ndof, k)``) is cycled column-wise in one pass through the kernels.
+        ``A_0`` is the operator the finest payload represents; a scaled
+        finest level converts ``b`` and ``x`` into its basis on entry and
+        ``x`` back on exit.
         """
         kind = kind or self.options.cycle
         lvl0 = self.levels[0]
@@ -133,11 +142,19 @@ class MGHierarchy:
                 raise TypeError(
                     f"x must be in compute precision {cdtype}, got {xf.dtype}"
                 )
+        scaling = lvl0.stored.scaling
+        if scaling is not None:
+            bf = scaling.unscale_vector(bf)
+            if x is not None:
+                scaling.scale_vector(xf, out=xf)
         with _trace.span("vcycle", kind=kind):
             self._cycle(0, bf, xf, kind)
+        if scaling is not None:
+            scaling.unscale_vector(xf, out=xf)
         return xf if x is None else x
 
     def _cycle(self, i: int, f: np.ndarray, u: np.ndarray, kind: str) -> None:
+        # ``f`` and ``u`` are in level i's basis (its own when it is scaled).
         # Cooperative interruption point: the solver installs its runtime
         # scope around the preconditioner call, so a deadline/cancel takes
         # effect at the next level visit instead of after a full cycle.
@@ -161,19 +178,24 @@ class MGHierarchy:
                 for _ in range(self.options.nu1):
                     level.smoother.smooth(f, u, forward=True)
             self._count_smoother(level, self.options.nu1)
-            # residual with on-the-fly recover-and-rescale (lines 6-10)
+            # residual on the stored payload, recovered on the fly (lines 6-10)
             with _trace.span("spmv"):
                 if self.abft is not None:
                     r = f - self.abft.checked_spmv(level, u)
                 else:
-                    r = f - spmv(level.stored, u, plan=level.plan)
-            if self.policy_hook is not None:
-                # read-only: the controller records ||r|| for this level;
-                # r itself is never modified
-                self.policy_hook.observe_level(i, r)
-            # restrict (line 12)
+                    r = f - spmv_plain(
+                        level.stored.matrix, u,
+                        compute_dtype=level.compute_dtype, plan=level.plan,
+                    )
+            # restrict (line 12) ``Q^{1/2} r_s`` into the coarse basis
+            scaling = level.stored.scaling
+            coarse_scaling = self.levels[i + 1].stored.scaling
             with _trace.span("restrict"):
+                if scaling is not None:
+                    scaling.scale_vector(r, out=r)
                 fc = level.transfer.restrict(r, dtype=self.compute_dtype)
+                if coarse_scaling is not None:
+                    coarse_scaling.unscale_vector(fc, out=fc)
             self._count_level_traffic(i)
             extra = u.shape[len(level.grid.field_shape):]  # () or (k,)
             uc = np.zeros(
@@ -190,9 +212,15 @@ class MGHierarchy:
                 self._cycle(i + 1, fc, uc, "v")
             else:  # pragma: no cover - validated in MGOptions
                 raise ValueError(f"unknown cycle kind {kind!r}")
-            # interpolate error and correct (lines 19-21)
+            # interpolate error and correct (lines 19-21), out of the coarse
+            # basis and into this level's
             with _trace.span("prolong"):
-                u += level.transfer.prolongate(uc, dtype=self.compute_dtype)
+                if coarse_scaling is not None:
+                    coarse_scaling.unscale_vector(uc, out=uc)
+                e = level.transfer.prolongate(uc, dtype=self.compute_dtype)
+                if scaling is not None:
+                    scaling.scale_vector(e, out=e)
+                u += e
             # post-smoothing with the transposed ordering S^T (lines 16-18)
             with _trace.span("smoother", phase="post"):
                 for _ in range(self.options.nu2):
@@ -256,13 +284,12 @@ class MGHierarchy:
             cdtype = self.compute_dtype
             lvl0 = self.levels[0]
             shape_in = np.shape(r)
-            rf, batched = field_view(lvl0.grid, np.asarray(r, dtype=cdtype))
+            rf, _ = field_view(lvl0.grid, np.asarray(r, dtype=cdtype))
             if self.entry_scaling is not None:
-                sq = self.entry_scaling.sqrt_q
-                rf = rf / (sq[..., None] if batched else sq)
+                rf = self.entry_scaling.unscale_vector(rf)
             ef = self.cycle(rf)
             if self.entry_scaling is not None:
-                ef = ef / (sq[..., None] if batched else sq)
+                ef = self.entry_scaling.unscale_vector(ef)
             e = ef.astype(self.config.iterative.np_dtype)
             return e.reshape(shape_in)
 

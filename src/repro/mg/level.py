@@ -33,9 +33,6 @@ class Level:
     nnz_actual: int = 0
     nnz_stored: int = 0
 
-    # work vectors, allocated lazily in the compute dtype
-    _u: "np.ndarray | None" = field(default=None, repr=False)
-    _f: "np.ndarray | None" = field(default=None, repr=False)
     # kernel execution plan, bound lazily (setup binds it eagerly so the
     # first cycle performs no symbolic work; restored/spilled hierarchies
     # rebind on first touch)
@@ -64,32 +61,20 @@ class Level:
     def compute_dtype(self) -> np.dtype:
         return self.stored.compute.np_dtype
 
-    def work_u(self) -> np.ndarray:
-        if self._u is None:
-            self._u = np.zeros(self.grid.field_shape, dtype=self.compute_dtype)
-        return self._u
-
-    def work_f(self) -> np.ndarray:
-        if self._f is None:
-            self._f = np.zeros(self.grid.field_shape, dtype=self.compute_dtype)
-        return self._f
-
     def rebind(self, stored: StoredMatrix, smoother: "Smoother | None" = None) -> None:
         """Swap this level's payload (and optionally smoother) in place.
 
         Used by the runtime precision policy to re-materialize one level in
         a different storage format without rebuilding the hierarchy.  The
-        kernel plan and work vectors are invalidated: the plan is
-        structure-keyed so a same-structure rebind re-fetches the cached
-        plan object, and work vectors reallocate lazily in the (possibly
-        changed) compute dtype.
+        kernel plan is invalidated: it is structure-keyed, so a
+        same-structure rebind re-fetches the cached plan object.  The cycle
+        reads the level's basis from ``stored.scaling`` at every visit, so
+        a rebind that changes the scaling needs nothing more.
         """
         self.stored = stored
         if smoother is not None:
             self.smoother = smoother
         self._plan = None
-        self._u = None
-        self._f = None
 
     def matrix_nbytes(self) -> int:
         """Storage-precision payload bytes (+ scaling vector if present)."""

@@ -252,9 +252,9 @@ def mg_setup(
 
     ``policy`` attaches a runtime precision policy to the returned
     hierarchy (an engine instance, a name, or ``True`` to resolve from
-    ``config.policy``); the attached
-    :class:`~repro.policy.PolicyController` is reachable as
-    ``hierarchy.policy_hook`` for adaptive policies.  ``None`` (the
+    ``config.policy``), which applies its preflight decisions; call
+    :func:`repro.policy.attach_policy` instead to get the
+    :class:`~repro.policy.PolicyController` a solver wires.  ``None`` (the
     default) attaches nothing — the pre-policy behavior, bit for bit.
     ``config.policy`` alone never mutates the setup output: the policy
     field participates only in cache keying and runtime attachment.

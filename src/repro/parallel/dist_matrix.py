@@ -16,9 +16,11 @@ sweeps equal it byte for byte.  The shell costs memory: a rank's
 coefficient bytes grow by ``((n + 2) / n)**3`` for ``n`` owned cells per
 axis (1.95x at 8^3, 1.33x at 20^3).
 
-Mixed precision carries over unchanged: the local payload can be FP16 with
-the same recover-and-rescale-on-the-fly treatment; the ghost exchange
-always moves *vector* (FP32) data, matching guideline 3.4.
+Mixed precision carries over unchanged: the local payload can be FP16,
+recovered to the compute precision on the fly, and a scaled payload ``A_s``
+runs as stored, on vectors in its level's own basis (as in
+:mod:`repro.mg.hierarchy`); the ghost exchange always moves *vector* (FP32)
+data, matching guideline 3.4.
 """
 
 from __future__ import annotations
@@ -58,12 +60,10 @@ class DistributedSGDIA:
         self,
         decomp: CartesianDecomposition,
         local_ops: list[SGDIAMatrix],
-        sqrt_q: "list[np.ndarray] | None" = None,
         compute_dtype=np.float32,
     ) -> None:
         self.decomp = decomp
         self.local_ops = local_ops  # per rank: owned rows in a zero shell
-        self.sqrt_q = sqrt_q  # per rank scaling field or None
         self.compute_dtype = np.dtype(compute_dtype)
 
     # ------------------------------------------------------------------
@@ -73,19 +73,20 @@ class DistributedSGDIA:
         a: "SGDIAMatrix | StoredMatrix",
         decomp: CartesianDecomposition,
     ) -> "DistributedSGDIA":
-        """Distribute a (possibly mixed-precision) global operator."""
+        """Distribute a (possibly mixed-precision) global operator.
+
+        A :class:`~repro.sgdia.StoredMatrix` distributes its stored payload,
+        run in its compute precision; for a scaled one that is ``A_s``, the
+        operator of its level's own basis.
+        """
         if isinstance(a, StoredMatrix):
-            matrix = a.matrix
-            scaling = a.scaling
-            compute = a.compute.np_dtype
+            matrix, compute = a.matrix, a.compute.np_dtype
         else:
             matrix = a
-            scaling = None
             compute = np.float32 if a.dtype != np.float64 else np.float64
         if matrix.grid.shape != decomp.grid.shape:
             raise ValueError("decomposition grid does not match the matrix")
         local_ops = []
-        sqrt_q = [] if scaling is not None else None
         for rank in range(decomp.nranks):
             sl = decomp.owned_slices(rank)
             shell = StructuredGrid(
@@ -96,15 +97,7 @@ class DistributedSGDIA:
             for d in range(op.ndiag):
                 op.diag_view(d)[_OWNED] = matrix.diag_view(d)[sl]
             local_ops.append(op)
-            if scaling is not None:
-                sqrt_q.append(
-                    np.ascontiguousarray(scaling.sqrt_q[sl]).astype(compute)
-                )
-        return cls(decomp, local_ops, sqrt_q=sqrt_q, compute_dtype=compute)
-
-    @property
-    def is_scaled(self) -> bool:
-        return self.sqrt_q is not None
+        return cls(decomp, local_ops, compute_dtype=compute)
 
     # ------------------------------------------------------------------
     def spmv(
@@ -113,26 +106,15 @@ class DistributedSGDIA:
         out: "DistributedField | None" = None,
         stats: "CommStats | None" = None,
     ) -> DistributedField:
-        """Distributed ``y = A x`` (with on-the-fly rescale if scaled)."""
-        decomp = self.decomp
+        """Distributed ``y = A x``."""
         cdtype = self.compute_dtype
         if out is None:
-            out = DistributedField(decomp, dtype=cdtype)
-        work = x
-        if self.is_scaled:
-            # x_s = sqrt_q*x on the owned cells, exchanged, then the raw
-            # product times sqrt_q: the order of the sequential scaled SpMV
-            work = DistributedField(decomp, dtype=cdtype)
-            for rank in range(decomp.nranks):
-                work.owned_view(rank)[...] = (
-                    self.sqrt_q[rank] * x.owned_view(rank)
-                )
-        work.exchange_halos(stats)
+            out = DistributedField(self.decomp, dtype=cdtype)
+        x.exchange_halos(stats)
         for rank, op in enumerate(self.local_ops):
-            y = spmv_plain(op, work.locals[rank], compute_dtype=cdtype)[_OWNED]
-            if self.is_scaled:
-                y *= self.sqrt_q[rank]
-            out.owned_view(rank)[...] = y
+            out.owned_view(rank)[...] = spmv_plain(
+                op, x.locals[rank], compute_dtype=cdtype
+            )[_OWNED]
         return out
 
     # ------------------------------------------------------------------
@@ -159,9 +141,8 @@ class DistributedSGDIA:
         weight: float = 0.8,
         stats: "CommStats | None" = None,
     ) -> DistributedField:
-        """One distributed weighted-Jacobi sweep (unscaled operators);
-        ``diag_inv`` per rank as :meth:`diag_inv_local` returns it."""
-        self._refuse_scaled()
+        """One distributed weighted-Jacobi sweep; ``diag_inv`` per rank as
+        :meth:`diag_inv_local` returns it."""
         return self._sweep(
             "jacobi", b, x, [padded(d) for d in diag_inv], stats, weight=weight
         )
@@ -174,24 +155,16 @@ class DistributedSGDIA:
         forward: bool = True,
         stats: "CommStats | None" = None,
     ) -> DistributedField:
-        """One distributed 8-color Gauss-Seidel sweep (unscaled operators);
-        ``diag_inv`` per rank as :meth:`diag_inv_local` returns it.
+        """One distributed 8-color Gauss-Seidel sweep; ``diag_inv`` per rank
+        as :meth:`diag_inv_local` returns it.
 
         Colors are defined by *global* parity, so ranks stay consistent;
         ghosts are re-exchanged before every color (8 exchanges per sweep —
         the communication cost structured multicolor GS is known for).
         """
-        self._refuse_scaled()
         return self._sweep(
             "gs", b, x, [padded(d) for d in diag_inv], stats, forward=forward
         )
-
-    def _refuse_scaled(self) -> None:
-        if self.is_scaled:
-            raise NotImplementedError(
-                "distributed smoothing of scaled operators: transform the "
-                "system into the scaled space first"
-            )
 
     def _sweep(
         self,
@@ -203,8 +176,8 @@ class DistributedSGDIA:
         forward: bool = True,
         weight: float = 1.0,
     ) -> DistributedField:
-        """One sweep of the stored payload, its scaling ignored: weighted
-        Jacobi (``kind="jacobi"``) or 8-color Gauss-Seidel (``"gs"``).
+        """One sweep of the stored payload: weighted Jacobi
+        (``kind="jacobi"``) or 8-color Gauss-Seidel (``"gs"``).
 
         ``diag_inv`` holds per rank the owned inverse diagonal inside a
         shell of zeros (:func:`padded`).  A sweep therefore writes zeros

@@ -8,8 +8,10 @@ operator (:class:`~repro.parallel.dist_matrix.DistributedSGDIA`), and
 restriction and prolongation as the rank's box of the level's transfer
 stencils (:meth:`repro.coarsen.Transfer.box_stencils`), each after one halo
 exchange of its input.  The tiny coarsest level is a gathered direct solve
-(the standard redundant-coarse-solve practice).  One distributed cycle or
-preconditioner application equals the sequential
+(the standard redundant-coarse-solve practice).  A scaled level runs in its
+own basis and converts vectors where they change level, per rank in the
+sequential cycle's order (see :mod:`repro.mg.hierarchy`).  One distributed
+cycle or preconditioner application equals the sequential
 :class:`~repro.mg.MGHierarchy` one byte for byte, and through
 :class:`~repro.parallel.comm.CommStats` the engine measures the per-cycle
 communication the Figure-10 model charges analytically.
@@ -28,6 +30,7 @@ import numpy as np
 from ..grid import StructuredGrid
 from ..kernels import get_backend
 from ..mg import MGHierarchy
+from ..precision import DiagonalScaling
 from ..smoothers import (
     CoarseDirectSolver,
     GaussSeidel,
@@ -68,8 +71,10 @@ def aligned_split(n: int, parts: int, unit: int) -> list[tuple[int, int]]:
 class _DistLevel:
     """Per-level distributed state."""
 
-    def __init__(self, decomp, matrix, diag_inv, smoother_kind, sweeps):
+    def __init__(self, decomp, scaling, matrix, diag_inv, smoother_kind, sweeps):
         self.decomp: CartesianDecomposition = decomp
+        #: the level's DiagonalScaling (its basis), or None
+        self.scaling = scaling
         self.matrix: "DistributedSGDIA | None" = matrix  # None: direct solve
         #: per rank, the smoother's inverse diagonal in a shell of zeros
         self.diag_inv: list[np.ndarray] = diag_inv
@@ -102,7 +107,9 @@ class DistributedMG:
                 if i != n_levels - 1:
                     raise ValueError("direct solver only supported at coarsest")
                 self.coarse_solver = sm
-                self.levels.append(_DistLevel(d, None, [], "direct", 1))
+                self.levels.append(
+                    _DistLevel(d, lev.stored.scaling, None, [], "direct", 1)
+                )
                 break
             if not isinstance(sm, self.SUPPORTED_SMOOTHERS):
                 raise NotImplementedError(
@@ -118,7 +125,9 @@ class DistributedMG:
             kind = "jacobi" if isinstance(sm, (WeightedJacobi, L1Jacobi)) else (
                 "symgs" if isinstance(sm, SymGS) else "gs"
             )
-            dist = _DistLevel(d, matrix, diag_inv, kind, sm.sweeps)
+            dist = _DistLevel(
+                d, lev.stored.scaling, matrix, diag_inv, kind, sm.sweeps
+            )
             self.levels.append(dist)
             if i < n_levels - 1:
                 coarse = self._coarse_decomposition(
@@ -173,28 +182,14 @@ class DistributedMG:
         )
 
     # ------------------------------------------------------------------
-    # smoothing (with the scaled-space transform where needed)
+    # smoothing and the change of basis
     # ------------------------------------------------------------------
     def _smooth(self, li: int, b: DistributedField, x: DistributedField,
                 forward: bool, stats) -> None:
+        """The smoother on the stored payload, as ``Smoother.smooth`` runs
+        it (SymGS: a forward and a backward sweep, whatever ``forward``)."""
         lev = self.levels[li]
         seq = self.hierarchy.levels[li].smoother
-        sqrt_q = lev.matrix.sqrt_q
-        if sqrt_q is not None:
-            bs = DistributedField(lev.decomp, dtype=self.compute_dtype)
-            xs = DistributedField(lev.decomp, dtype=self.compute_dtype)
-            for r in range(lev.decomp.nranks):
-                bs.owned_view(r)[...] = b.owned_view(r) / sqrt_q[r]
-                xs.owned_view(r)[...] = x.owned_view(r) * sqrt_q[r]
-            self._smooth_raw(lev, seq, bs, xs, forward, stats)
-            for r in range(lev.decomp.nranks):
-                x.owned_view(r)[...] = xs.owned_view(r) / sqrt_q[r]
-        else:
-            self._smooth_raw(lev, seq, b, x, forward, stats)
-
-    def _smooth_raw(self, lev, seq, b, x, forward, stats) -> None:
-        """The smoother on the stored payload, as ``Smoother._smooth_scaled``
-        runs it (SymGS: a forward and a backward sweep, whatever ``forward``)."""
         sweep = lev.matrix._sweep
         for _ in range(lev.sweeps):
             if lev.smoother_kind == "jacobi":
@@ -205,6 +200,17 @@ class DistributedMG:
             else:
                 sweep("gs", b, x, lev.diag_inv, stats, forward=True)
                 sweep("gs", b, x, lev.diag_inv, stats, forward=False)
+
+    def _rebase(self, li: int, v: DistributedField, convert) -> None:
+        """``convert`` (``DiagonalScaling.scale_vector`` or
+        ``unscale_vector``) of level ``li``'s field ``v``, in place on every
+        rank's owned cells; nothing on an unscaled level."""
+        lev = self.levels[li]
+        if lev.scaling is not None:
+            for rank in range(lev.decomp.nranks):
+                owned = v.owned_view(rank)
+                scaling = lev.scaling[lev.decomp.owned_slices(rank)]
+                convert(scaling, owned, out=owned)
 
     # ------------------------------------------------------------------
     # transfers (each rank's box of the sequential transfer stencils)
@@ -230,10 +236,21 @@ class DistributedMG:
         stats: "CommStats | None" = None,
     ) -> DistributedField:
         """One distributed cycle of the hierarchy's kind (compute-precision
-        fields)."""
+        fields), entering and leaving a scaled finest level's basis as
+        :meth:`MGHierarchy.cycle` does."""
+        decomp = self.levels[0].decomp
+        f = b
+        if self.levels[0].scaling is not None:
+            f = DistributedField(decomp, dtype=self.compute_dtype)
+            for rank in range(decomp.nranks):
+                f.owned_view(rank)[...] = b.owned_view(rank)
+            self._rebase(0, f, DiagonalScaling.unscale_vector)
         if x is None:
-            x = DistributedField(self.levels[0].decomp, dtype=self.compute_dtype)
-        self._cycle(0, b, x, self.hierarchy.options.cycle, stats)
+            x = DistributedField(decomp, dtype=self.compute_dtype)
+        else:
+            self._rebase(0, x, DiagonalScaling.scale_vector)
+        self._cycle(0, f, x, self.hierarchy.options.cycle, stats)
+        self._rebase(0, x, DiagonalScaling.unscale_vector)
         return x
 
     def _cycle(self, li, f, u, kind, stats) -> None:
@@ -252,13 +269,17 @@ class DistributedMG:
             r.owned_view(rank)[...] = (
                 f.owned_view(rank) - r.owned_view(rank)
             )
+        self._rebase(li, r, DiagonalScaling.scale_vector)
         fc = self._transfer(lev.restrict, r, self.levels[li + 1].decomp, stats)
+        self._rebase(li + 1, fc, DiagonalScaling.unscale_vector)
         uc = DistributedField(
             self.levels[li + 1].decomp, dtype=self.compute_dtype
         )
         for coarse_kind in {"v": "v", "w": "ww", "f": "fv"}[kind]:
             self._cycle(li + 1, fc, uc, coarse_kind, stats)
+        self._rebase(li + 1, uc, DiagonalScaling.unscale_vector)
         e = self._transfer(lev.prolong, uc, lev.decomp, stats)
+        self._rebase(li, e, DiagonalScaling.scale_vector)
         for rank in range(lev.decomp.nranks):
             u.owned_view(rank)[...] += e.owned_view(rank)
         for _ in range(nu2):
@@ -284,19 +305,19 @@ class DistributedMG:
         as :meth:`MGHierarchy.precondition` applies them."""
         h = self.hierarchy
         decomp = self.levels[0].decomp
-        sq = None if h.entry_scaling is None else h.entry_scaling.sqrt_q
+        entry = h.entry_scaling
         rc = DistributedField(decomp, dtype=self.compute_dtype)
         for rank in range(decomp.nranks):
             rv = np.asarray(r.owned_view(rank), dtype=self.compute_dtype)
-            if sq is not None:
-                rv = rv / sq[decomp.owned_slices(rank)]
+            if entry is not None:
+                rv = entry[decomp.owned_slices(rank)].unscale_vector(rv)
             rc.owned_view(rank)[...] = rv
         e = self.cycle(rc, stats=stats)
         out = DistributedField(decomp, dtype=h.config.iterative.np_dtype)
         for rank in range(decomp.nranks):
             ev = e.owned_view(rank)
-            if sq is not None:
-                ev = ev / sq[decomp.owned_slices(rank)]
+            if entry is not None:
+                ev = entry[decomp.owned_slices(rank)].unscale_vector(ev)
             out.owned_view(rank)[...] = ev
         return out
 

@@ -26,7 +26,6 @@ from .base import (
 from .controller import (
     PolicyController,
     attach_policy,
-    detach_policy,
     make_policy,
 )
 from .tuner import derive_static_config, format_tuner_report, run_tuner
@@ -41,7 +40,6 @@ __all__ = [
     "StaticPolicy",
     "attach_policy",
     "derive_static_config",
-    "detach_policy",
     "format_tuner_report",
     "make_policy",
     "run_tuner",

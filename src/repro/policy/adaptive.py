@@ -75,7 +75,6 @@ class AdaptivePolicy(PrecisionPolicy):
     """
 
     name = "adaptive"
-    wants_level_observations = True
 
     def __init__(
         self,

@@ -92,9 +92,6 @@ class PrecisionPolicy:
 
     #: Name recorded in snapshots (``BENCH_policy.json`` ``policy.name``).
     name = "base"
-    #: Whether the V-cycle should feed per-level residual norms to the
-    #: controller.  False keeps the hook entirely off the cycle hot path.
-    wants_level_observations = False
 
     def start(self, controller) -> "list[PolicyDecision]":
         """Called once when the controller attaches; may emit preflight
@@ -122,7 +119,6 @@ class StaticPolicy(PrecisionPolicy):
     """The do-nothing policy: today's static behavior, bit for bit."""
 
     name = "static"
-    wants_level_observations = False
 
 
 class LevelMapPolicy(PrecisionPolicy):
@@ -136,7 +132,6 @@ class LevelMapPolicy(PrecisionPolicy):
     """
 
     name = "level-map"
-    wants_level_observations = False
 
     def __init__(self, level_formats: "dict[int, str]"):
         self.level_formats = {int(k): str(v) for k, v in level_formats.items()}

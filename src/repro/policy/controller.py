@@ -30,19 +30,15 @@ from ..observability import metrics as _metrics
 from ..precision import get_format
 from .base import PolicyDecision, PrecisionPolicy, StaticPolicy
 
-__all__ = ["PolicyController", "attach_policy", "detach_policy", "make_policy"]
-
-#: Per-level residual-norm history retained for convergence attribution.
-_LEVEL_HISTORY = 32
+__all__ = ["PolicyController", "attach_policy", "make_policy"]
 
 
 class PolicyController:
     """Bind a :class:`~repro.policy.base.PrecisionPolicy` to a hierarchy.
 
-    Construction does not touch the hierarchy; :meth:`attach` installs
-    the V-cycle hook (only when the policy asks for level observations)
-    and applies the policy's preflight decisions.  The solver wires
-    :meth:`on_iteration` as its per-iteration callback.
+    Construction does not touch the hierarchy; :meth:`attach` applies the
+    policy's preflight decisions.  The solver wires :meth:`on_iteration`
+    as its per-iteration callback.
     """
 
     def __init__(self, hierarchy, policy: "PrecisionPolicy | None" = None):
@@ -64,7 +60,6 @@ class PolicyController:
         self._original_storage = {
             lev.index: lev.stored.storage.name for lev in hierarchy.levels
         }
-        self._level_norms: "dict[int, list[float]]" = {}
         self._attached = False
 
     # ------------------------------------------------------------------
@@ -89,35 +84,17 @@ class PolicyController:
             return None
         return diag.levels[level]
 
-    def level_norms(self, level: int) -> "list[float]":
-        """Recent per-cycle residual norms observed at one level."""
-        return list(self._level_norms.get(level, ()))
-
     # ------------------------------------------------------------------
     # hooks
     # ------------------------------------------------------------------
     def attach(self) -> "PolicyController":
-        """Install the cycle hook and apply preflight decisions."""
+        """Apply the policy's preflight decisions (once)."""
         if self._attached:
             return self
         self._attached = True
-        if self.policy.wants_level_observations:
-            self.hierarchy.policy_hook = self
         for d in self.policy.start(self):
             self.apply(d)
         return self
-
-    def detach(self) -> None:
-        if self.hierarchy.policy_hook is self:
-            self.hierarchy.policy_hook = None
-        self._attached = False
-
-    def observe_level(self, level: int, r: np.ndarray) -> None:
-        """V-cycle hook: record ``||r||`` for one level (read-only)."""
-        hist = self._level_norms.setdefault(level, [])
-        hist.append(float(np.linalg.norm(np.asarray(r).ravel())))
-        if len(hist) > _LEVEL_HISTORY:
-            del hist[: len(hist) - _LEVEL_HISTORY]
 
     def on_iteration(self, it: int, rel: float, x=None) -> bool:
         """Outer-solver callback: feed the policy, apply its decisions.
@@ -255,7 +232,6 @@ class PolicyController:
     def reset(self) -> None:
         """Clear per-solve state (decisions stay recorded)."""
         self.policy.reset()
-        self._level_norms.clear()
 
     def final_levels(self) -> "list[dict]":
         return [
@@ -304,12 +280,3 @@ def attach_policy(hierarchy, policy: "str | PrecisionPolicy | None" = None) -> P
         policy = hierarchy.config.policy
     controller = PolicyController(hierarchy, make_policy(policy))
     return controller.attach()
-
-
-def detach_policy(hierarchy) -> None:
-    """Remove any attached cycle hook from ``hierarchy``."""
-    hook = hierarchy.policy_hook
-    if isinstance(hook, PolicyController):
-        hook.detach()
-    else:
-        hierarchy.policy_hook = None

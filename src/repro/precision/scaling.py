@@ -15,9 +15,12 @@ but its own argument — "when a_ij is large, it requires G to be small" —
 selects the smallest ratio).  We implement the min.
 
 The recovery direction used in the solve phase (Algorithm 3, line 7) is
-``A = Q^{1/2} A_s Q^{1/2}``, carried out *on the fly* by the kernels: they
-scale the input vector by ``sqrt_q``, apply the FP16 matrix, and scale the
-output by ``sqrt_q``, never materializing an FP32 copy of the matrix.
+``A = Q^{1/2} A_s Q^{1/2}``.  It is applied as a change of basis, never by
+materializing an FP32 copy of the matrix: a scaled multigrid level keeps its
+vectors in its own basis, ``u_s = Q^{1/2} u`` and ``f_s = Q^{-1/2} f``, where
+the stored ``A_s`` *is* the operator, and converts them with
+:meth:`DiagonalScaling.scale_vector` / :meth:`~DiagonalScaling.unscale_vector`
+only where they change level.
 """
 
 from __future__ import annotations
@@ -115,14 +118,29 @@ class DiagonalScaling:
         sqrt_q = np.sqrt(diag / g).astype(get_format(compute).np_dtype)
         return cls(g=float(g), sqrt_q=sqrt_q)
 
-    # -- vector-space transforms used by recover-and-rescale kernels ------
-    def scale_vector(self, x: np.ndarray) -> np.ndarray:
-        """Map a vector into the scaled space: ``x_s = Q^{1/2} x``."""
-        return self.sqrt_q * x
+    def __getitem__(self, index) -> "DiagonalScaling":
+        """The scaling of a sub-box of the field (a rank's owned cells)."""
+        return DiagonalScaling(g=self.g, sqrt_q=self.sqrt_q[index])
 
-    def unscale_vector(self, x: np.ndarray) -> np.ndarray:
-        """Map a vector out of the scaled space: ``x = Q^{-1/2} x_s``."""
-        return x / self.sqrt_q
+    # -- the change of basis of a scaled level ------------------------------
+    # ``x`` is field-shaped, or carries a trailing batch axis ``k``.
+    def scale_vector(self, x: np.ndarray, out=None) -> np.ndarray:
+        """``Q^{1/2} x``: a solution into the scaled basis (``u_s = Q^{1/2}
+        u``), or a scaled-basis right-hand side out of it (``f = Q^{1/2}
+        f_s``)."""
+        sq = self.sqrt_q
+        if np.ndim(x) > sq.ndim:
+            sq = sq[..., None]
+        return np.multiply(x, sq, out=out)
+
+    def unscale_vector(self, x: np.ndarray, out=None) -> np.ndarray:
+        """``Q^{-1/2} x``: a right-hand side into the scaled basis (``f_s =
+        Q^{-1/2} f``), or a scaled-basis solution out of it (``u = Q^{-1/2}
+        u_s``)."""
+        sq = self.sqrt_q
+        if np.ndim(x) > sq.ndim:
+            sq = sq[..., None]
+        return np.divide(x, sq, out=out)
 
     @property
     def nbytes(self) -> int:

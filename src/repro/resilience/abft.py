@@ -3,11 +3,12 @@
 Huang–Abraham checksum verification specialized to the SG-DIA SpMV: at
 setup time a per-level *column-sum* vector
 
-    w = A_eff^T 1        (FP64, computed from the stored payload)
+    w = A_s^T 1        (FP64, computed from the stored payload)
 
-is derived for the effective operator of each level (``Q^{1/2} A16 Q^{1/2}``
-for scaled levels, the raw payload otherwise).  Any SpMV ``y = A_eff x``
-must then satisfy the one-number identity
+is derived for the stored payload ``A_s`` of each level: the operator the
+V-cycle's residual SpMV applies, in the level's own basis when it is scaled
+(see :mod:`repro.mg.hierarchy`).  Any SpMV ``y = A_s x`` must then satisfy
+the one-number identity
 
     sum(y) == w . x
 
@@ -57,37 +58,25 @@ class ABFTError(SolveInterrupted):
 
 
 def column_checksum(stored, absolute: bool = False) -> np.ndarray:
-    """FP64 column sums ``w = A_eff^T 1`` of a stored level operator.
+    """FP64 column sums ``w = A_s^T 1`` of a level's stored payload.
 
     Mirrors the SpMV's per-offset slicing: the coefficient block applied at
     destination rows ``dst`` against source columns ``src`` contributes its
-    (row-scaled) values to ``w[src]``.  With ``absolute=True`` the sums are
-    of ``|A_eff|`` — the magnitude scale used for the rounding tolerance.
+    values to ``w[src]``.  With ``absolute=True`` the sums are of ``|A_s|``
+    — the magnitude scale used for the rounding tolerance.
     """
     from ..sgdia import offset_slices
 
     a = stored.matrix
     grid = a.grid
-    scalar = grid.ncomp == 1
-    q = None
-    if stored.scaling is not None:
-        q = np.asarray(stored.scaling.sqrt_q, dtype=np.float64)
-        if absolute:
-            q = np.abs(q)
     w = np.zeros(grid.field_shape, dtype=np.float64)
     for d, off in enumerate(a.stencil.offsets):
         dst, src = offset_slices(grid.shape, off)
         coeff = np.asarray(a.diag_view(d)[dst], dtype=np.float64)
         if absolute:
             coeff = np.abs(coeff)
-        if scalar:
-            w[src] += coeff if q is None else coeff * q[dst]
-        elif q is None:
-            w[src] += coeff.sum(axis=-2)  # sum out the row component
-        else:
-            w[src] += np.einsum("...ab,...a->...b", coeff, q[dst])
-    if q is not None:
-        w *= q
+        # a block sums out its row component
+        w[src] += coeff if grid.ncomp == 1 else coeff.sum(axis=-2)
     return w
 
 
@@ -147,11 +136,13 @@ class ABFTChecker:
 
     # ------------------------------------------------------------------
     def checked_spmv(self, level, x: np.ndarray) -> np.ndarray:
-        """``spmv(level.stored, x)`` with every ``verify_every``-th result
-        checksum-validated; transparent otherwise."""
-        from ..kernels import spmv
+        """The cycle's residual product, ``A_s x`` on the level's stored
+        payload, with every ``verify_every``-th result checksum-validated;
+        transparent otherwise."""
+        from ..kernels import spmv_plain
 
-        y = spmv(level.stored, x, plan=level.plan)
+        a, cdtype = level.stored.matrix, level.compute_dtype
+        y = spmv_plain(a, x, compute_dtype=cdtype, plan=level.plan)
         self.stats["spmvs"] += 1
         self._counter += 1
         if self._counter % self.verify_every != 0:
@@ -176,7 +167,7 @@ class ABFTChecker:
                 level=level.index,
                 mismatch=float(mismatch),
             )
-        y = spmv(level.stored, x, plan=level.plan)
+        y = spmv_plain(a, x, compute_dtype=cdtype, plan=level.plan)
         self.stats["spmvs"] += 1
         mismatch2 = self._mismatch(level.index, x, y)
         if mismatch2 is None:

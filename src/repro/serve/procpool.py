@@ -923,7 +923,6 @@ def run_serve_mp_bench(
     processes: int = 4,
     config: "PrecisionConfig | None" = None,
     seed: int = 0,
-    fast: bool = False,
 ) -> dict:
     """Multi-RHS weather replay over the process pool.
 
@@ -948,12 +947,6 @@ def run_serve_mp_bench(
     from ..observability.snapshot import build_snapshot
     from ..problems import build_problem, consistent_rhs
 
-    if fast:
-        # enough work per job that two workers can beat one: with compiled
-        # kernels a 10^3 job is shorter than the per-worker fixed costs
-        shape = tuple(min(int(n), 16) for n in shape)
-        steps, refresh_every, rhs_block = 8, 4, 4
-        processes = min(processes, 2)
     config = config or PrecisionConfig()
     rng = np.random.default_rng(seed)
 

@@ -4,8 +4,9 @@ A :class:`StoredMatrix` is what one multigrid level holds after Algorithm 1:
 the SG-DIA coefficient data truncated to the *storage* precision, plus (when
 the "need to scale" branch was taken) the diagonal scaling state ``(G,
 sqrt(Q))`` in *compute* precision.  The kernels recover FP32 values from the
-FP16 payload and rescale with ``sqrt_q`` on the fly (Algorithm 3 line 7) —
-an FP32 copy of the matrix is never materialized, preserving the reduced
+FP16 payload on the fly, and the multigrid cycle applies the rescale of
+Algorithm 3 line 7 as a change of basis (:mod:`repro.mg.hierarchy`) — an
+FP32 copy of the matrix is never materialized, preserving the reduced
 memory-access volume that motivates the whole design.
 """
 

@@ -4,14 +4,15 @@ A smoother is set up once from the *high-precision* (already scaled, when
 the need-to-scale branch was taken) level operator — "data in smoothers are
 calculated in iterative precision followed by truncation to storage
 precision" (Section 4.1) — and applied many times against the FP16 stored
-payload with recover-and-rescale on the fly.
+payload, recovered to the compute precision on the fly.
 
-Scaled-space trick: when a level was scaled, the operator represented by the
-stored payload is ``A = Q^{1/2} A_s Q^{1/2}``.  Smoothing ``A u = f`` is
-algebraically identical to smoothing ``A_s u_s = f_s`` with ``u_s = Q^{1/2}
-u`` and ``f_s = Q^{-1/2} f``: the base class performs those two
-vector-sized transforms around the sweep, which is the smoother-level
-realization of Algorithm 3's "rescaling in smoother_solve is similar".
+A smoother applies the stored payload exactly as set up.  When a level was
+scaled, the payload is ``A_s`` and the operator it represents is ``A =
+Q^{1/2} A_s Q^{1/2}``; smoothing ``A u = f`` is algebraically identical to
+smoothing ``A_s u_s = f_s`` with ``u_s = Q^{1/2} u`` and ``f_s = Q^{-1/2}
+f``.  The multigrid cycle keeps a scaled level's vectors in that basis
+(:mod:`repro.mg.hierarchy`), so Algorithm 3's "rescaling in smoother_solve
+is similar" costs the smoother nothing.
 """
 
 from __future__ import annotations
@@ -77,27 +78,18 @@ class Smoother(abc.ABC):
 
     # ------------------------------------------------------------------
     def smooth(self, b: np.ndarray, x: np.ndarray, forward: bool = True) -> np.ndarray:
-        """Apply the smoother to ``A x = b``, updating ``x`` in place.
+        """Apply the smoother to ``A_s x = b``, updating ``x`` in place.
 
-        ``forward=False`` applies the transposed ordering (the paper's
-        ``S_i^T`` in the upward half of the V-cycle), which for SymGS-type
-        smoothers means sweeping in the reverse direction.  ``b``/``x`` may
-        carry a trailing batch axis (``field_shape + (k,)``) to smooth a
-        multi-RHS block in one pass.
+        ``A_s`` is the stored payload: on a scaled level, ``b`` and ``x``
+        are in that level's own basis.  ``forward=False`` applies the
+        transposed ordering (the paper's ``S_i^T`` in the upward half of the
+        V-cycle), which for SymGS-type smoothers means sweeping in the
+        reverse direction.  ``b``/``x`` may carry a trailing batch axis
+        (``field_shape + (k,)``) to smooth a multi-RHS block in one pass.
         """
         if self.stored is None:
             raise RuntimeError("smoother used before setup()")
-        scaling = self.stored.scaling
-        if scaling is None:
-            self._smooth_scaled(b, x, forward)
-            return x
-        sq = scaling.sqrt_q
-        if np.ndim(x) == sq.ndim + 1:  # batched multi-RHS block
-            sq = sq[..., None]
-        bs = np.asarray(b, dtype=x.dtype) / sq
-        xs = x * sq
-        self._smooth_scaled(bs, xs, forward)
-        np.divide(xs, sq, out=x)
+        self._smooth_scaled(b, x, forward)
         return x
 
     # ------------------------------------------------------------------

@@ -41,7 +41,7 @@ from repro.kernels import backend as _backend
 from repro.kernels import backend_c
 from repro.mg import mg_setup
 from repro.observability import metrics
-from repro.precision import parse_config
+from repro.precision import DiagonalScaling, get_format, parse_config
 from repro.problems import build_problem
 from repro.sgdia import StoredMatrix
 from repro.solvers import solve
@@ -551,13 +551,19 @@ class TestParity:
 
     @pytest.mark.parametrize("fmt", ["fp16", "fp32"])
     def test_scaled_spmv(self, fmt):
-        """The sqrt_q path: q*x and y*=q in numpy around the compiled product
-        (on a block, one q per dof broadcast over the columns)."""
+        """``spmv`` of a scaled StoredMatrix: q*x and y*=q in numpy around
+        the backend's product (on a block, one q per dof broadcast over the
+        columns)."""
         for pattern, ncomp, k in (("3d27", 1, None), ("3d15", 3, None),
                                   ("3d15", 3, 8)):
             a, _b, x, _dinv = _case((6, 5, 7), pattern, fmt, np.float32, ncomp, k)
             q = np.random.default_rng(5).uniform(0.5, 2.0, a.grid.field_shape)
-            _same(*_spmv(a, x, np.float32, sqrt_q=q))
+            stored = StoredMatrix(
+                a, DiagonalScaling(1.0, q.astype(np.float32)),
+                get_format("fp32"), get_format(fmt),
+            )
+            plan = plan_for(a)
+            _same(*_both(lambda: spmv(stored, x, plan=plan)))
 
     def test_flat_vector_and_out(self):
         a, _b, x, _dinv = _case((6, 5, 7), "3d27", "fp16", np.float32)

@@ -174,17 +174,6 @@ class TestDistributedSpMV:
         y = da.spmv(xf).gather()
         assert_same_bytes(y, spmv_plain(a, xg, compute_dtype=np.float64))
 
-    def test_scaled_fp16_payload(self, rng):
-        a = random_sgdia((8, 8, 8), "3d7", spd=True, diag_boost=8.0)
-        a.data *= 1e6
-        sm = StoredMatrix.truncate(a, "fp16", "fp32", scale="auto")
-        dec = CartesianDecomposition(a.grid, (2, 2, 2))
-        da = DistributedSGDIA.from_global(sm, dec)
-        assert da.is_scaled
-        xg = rng.standard_normal(a.grid.field_shape).astype(np.float32)
-        xf = DistributedField.scatter(xg, dec, dtype=np.float32)
-        assert_same_bytes(da.spmv(xf).gather(), sm.matvec(xg))
-
     def test_grid_mismatch_rejected(self):
         a = random_sgdia((6, 6, 6), "3d7")
         dec = CartesianDecomposition(StructuredGrid((8, 8, 8)), (2, 2, 2))
@@ -256,17 +245,6 @@ class TestDistributedSmoothers:
             gs_sweep_colored(seq, bg, xs, dinv, forward=forward,
                              compute_dtype=cdtype)
             assert_same_bytes(xd.gather(), xs)
-
-    def test_scaled_sweeps_refused(self):
-        a = random_sgdia((8, 8, 8), "3d7", spd=True, diag_boost=8.0)
-        a.data *= 1e6
-        sm = StoredMatrix.truncate(a, "fp16", "fp32", scale="auto")
-        dec = CartesianDecomposition(a.grid, (2, 1, 1))
-        da = DistributedSGDIA.from_global(sm, dec)
-        b = DistributedField(dec)
-        for sweep in (da.jacobi_sweep, da.gs_sweep_colored):
-            with pytest.raises(NotImplementedError, match="scaled"):
-                sweep(b, DistributedField(dec), da.diag_inv_local())
 
     def test_jacobi_converges(self, rng):
         a = random_sgdia((6, 6, 6), "3d7", spd=True, diag_boost=10.0)

@@ -35,7 +35,6 @@ from repro.policy import (
     StaticPolicy,
     attach_policy,
     derive_static_config,
-    detach_policy,
     make_policy,
     run_tuner,
 )
@@ -146,18 +145,6 @@ class TestStaticBitIdentity:
         assert under.history.norms == bare.history.norms
         assert controller.decisions == []
         assert under.detail["policy"]["name"] == "static"
-
-    def test_static_installs_no_cycle_hook(self, lap):
-        h = mg_setup(lap.a, K64P32D16_SETUP_SCALE, lap.mg_options)
-        attach_policy(h, StaticPolicy())
-        assert h.policy_hook is None  # hot path stays hook-free
-
-    def test_adaptive_installs_cycle_hook_and_detaches(self, lap):
-        h = mg_setup(lap.a, K64P32D16_SETUP_SCALE, _keep_high(lap.mg_options))
-        c = attach_policy(h, AdaptivePolicy())
-        assert h.policy_hook is c
-        detach_policy(h)
-        assert h.policy_hook is None
 
 
 # ----------------------------------------------------------------------

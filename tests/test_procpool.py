@@ -322,11 +322,16 @@ class TestServeMpBench:
         from repro.observability.snapshot import assert_valid_snapshot
 
         monkeypatch.chdir(tmp_path)
-        doc = run_serve_mp_bench(processes=2, fast=True)
+        doc = run_serve_mp_bench(
+            processes=2, steps=8, refresh_every=4, rhs_block=4
+        )
         assert list(tmp_path.iterdir()) == []  # the runner writes no file
         assert_valid_snapshot(doc)
         assert doc["topology"]["mode"] == "process"
         assert doc["topology"]["processes"] == 2
         mp_doc = doc["extra"]["serve_mp"]
+        replay = mp_doc["replay"]  # the caller's replay, as given
+        keys = ("steps", "refresh_every", "rhs_block")
+        assert [replay[k] for k in keys] == [8, 4, 4]
         assert doc["gates"]["bit_identical_to_thread"]
         assert doc["gates"]["scaling_ok"], mp_doc

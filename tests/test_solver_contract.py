@@ -268,30 +268,30 @@ def _canary():
     return _sha(np.concatenate([np.ravel(p) for p in parts]))
 
 
-CANARY = "e15e464062545ac8"
+CANARY = "e01305434b91665a"
 
 FIXTURES = {
     ('cg', 'weather'): [
-        ('converged', 6, 6, '517cc745c9089330', '00659dc1742b6a07'),
+        ('converged', 6, 6, '213ac64e9e930e55', '6238becb4e971696'),
     ],
     ('gmres', 'weather'): [
-        ('converged', 6, 6, '8b01777378041d94', '0a3892705498b254'),
+        ('converged', 6, 6, 'db5db5e76822d5d4', 'dee7055fa53b315c'),
     ],
     ('fgmres', 'weather'): [
-        ('converged', 6, 6, '8b01777378041d94', '0a3892705498b254'),
+        ('converged', 6, 6, 'db5db5e76822d5d4', 'dee7055fa53b315c'),
     ],
     ('fgmres-nested', 'weather'): [
-        ('converged', 6, 6, '8fb75a29d18e1b05', 'a2fcc2b459c74048'),
+        ('converged', 6, 6, '9ee0f079a2b924ed', 'e95161b60b88e061'),
     ],
     ('gmres_ir', 'weather'): [
-        ('converged', 8, 8, '41993ca714a0c25a', 'c2360ff949cca747'),
+        ('converged', 8, 8, 'ca863903d24900b7', '5204a88e25d9e36f'),
     ],
     ('richardson', 'weather'): [
-        ('converged', 8, 8, '4992c20dafdde6d3', 'ff33d54ba0e3667c'),
+        ('converged', 8, 8, '568b8b9b74f24770', '5fe63adcbf20b706'),
     ],
     ('batched_cg', 'weather'): [
-        ('converged', 6, 6, '517cc745c9089330', '00659dc1742b6a07'),
-        ('converged', 6, 6, '9237860d03c4e657', '049e1e2a21968664'),
+        ('converged', 6, 6, '213ac64e9e930e55', '6238becb4e971696'),
+        ('converged', 6, 6, '09da32224baf04cf', 'bd7d217412f6d688'),
     ],
     ('cg', 'oil'): [
         ('converged', 15, 15, 'e407e5c43c403653', '87f67529b27945ee'),
@@ -316,8 +316,8 @@ FIXTURES = {
         ('converged', 18, 18, '96bb5e5fa6bbdb92', 'eaa117e029db6673'),
     ],
     ('batched_cg', 'oil-4c'): [
-        ('converged', 18, 24, 'e0071dbabcc36e02', '2fe74c62c26a914c'),
-        ('converged', 24, 24, '97a282d95db35dc2', 'd37c387358a97fd2'),
+        ('converged', 18, 24, '3a650061a27e555c', '68ff5d6479712c1a'),
+        ('converged', 24, 24, '8894d4de5c096d27', 'aa282791e8d98a5a'),
     ],
 }
 
