@@ -10,9 +10,9 @@ the simulated Figure-10 curves in an actually-running decomposition.
 import numpy as np
 import pytest
 
+from repro.kernels import compute_diag_inv
 from repro.parallel import (
     CartesianDecomposition,
-    DistributedField,
     DistributedSGDIA,
     distributed_cg,
 )
@@ -27,16 +27,11 @@ def _run():
     nranks = 8
     dec = CartesianDecomposition.auto(p.a.grid, nranks)
     da = DistributedSGDIA.from_global(p.a, dec)
-    dinv = da.diag_inv_local()
-
-    def jacobi(r, z):
-        for rank in range(dec.nranks):
-            z.owned_view(rank)[...] = dinv[rank] * r.owned_view(rank)
+    dinv = compute_diag_inv(p.a, np.float64)
 
     # solve in fp64 (iterative precision)
-    bd = DistributedField.scatter(p.b, dec, dtype=np.float64)
     res, stats = distributed_cg(
-        da, bd, rtol=p.rtol, maxiter=600, preconditioner=jacobi
+        da, p.b, rtol=p.rtol, maxiter=600, preconditioner=lambda r: dinv * r
     )
     return p, dec, res, stats
 

@@ -15,7 +15,6 @@ import numpy as np
 from repro import mg_setup
 from repro.parallel import (
     CommStats,
-    DistributedField,
     DistributedMG,
     DistributedSGDIA,
     distributed_cg,
@@ -36,19 +35,11 @@ def main() -> None:
         f"max local dofs {decomp.max_local_dofs()}"
     )
 
-    dmg = DistributedMG(hierarchy, decomp)
-    da = DistributedSGDIA.from_global(problem.a, decomp)
-    b = DistributedField.scatter(problem.b, decomp, dtype=np.float64)
-
     mg_stats = CommStats()
-
-    def precond(r, z):
-        e = dmg.precondition(r, stats=mg_stats)
-        for rank in range(decomp.nranks):
-            z.owned_view(rank)[...] = e.owned_view(rank)
-
+    dmg = DistributedMG(hierarchy, decomp, stats=mg_stats)
     result, cg_stats = distributed_cg(
-        da, b, rtol=problem.rtol, maxiter=100, preconditioner=precond
+        DistributedSGDIA.from_global(problem.a, decomp), problem.b,
+        rtol=problem.rtol, maxiter=100, preconditioner=dmg.precondition,
     )
     print(
         f"\nDistributed CG: {result.status} in {result.iterations} "

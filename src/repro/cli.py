@@ -563,7 +563,6 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    from .kernels import spmv_plain
     from .mg import mg_setup
     from .observability import metrics as _metrics
     from .observability import trace as _trace
@@ -596,18 +595,13 @@ def _cmd_profile(args) -> int:
     # applications do not inflate the per-solve counters.  Snapshots are
     # compared across commits, so they record the median of 3, not the
     # optimistic best-of-k (perf/timing.py).
-    # spmv_finest_s times the product the cycle runs: the finest payload on
-    # its plan, as the traced ``spmv`` span does.
+    # spmv_finest_s times the product the cycle runs (``Level.matvec``).
     repeats, stat = 3, "median"
     finest = hierarchy.finest
     ones = np.ones(finest.grid.field_shape, dtype=hierarchy.compute_dtype)
     kernel_times = {
         "spmv_finest_s": measure(
-            lambda: spmv_plain(
-                finest.stored.matrix, ones, compute_dtype=finest.compute_dtype,
-                plan=finest.plan,
-            ),
-            warmup=1, repeats=repeats, stat=stat,
+            lambda: finest.matvec(ones), warmup=1, repeats=repeats, stat=stat,
         ),
         "vcycle_s": measure(
             lambda: hierarchy.cycle(ones),

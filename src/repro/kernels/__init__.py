@@ -1,5 +1,5 @@
-"""Vectorized SG-DIA compute kernels (SpMV, sweeps, SpTRSV, BLAS-1, and
-the grid transfers and Galerkin group product of :mod:`.coarsening`).
+"""Vectorized SG-DIA compute kernels (SpMV, sweeps, SpTRSV, and the grid
+transfers and Galerkin group product of :mod:`.coarsening`).
 
 Every hot-kernel call runs on a :class:`~repro.kernels.plan.KernelPlan`,
 which moves all symbolic work — slice tables, wavefront gather indices,
@@ -20,7 +20,6 @@ from .backend import (
     set_backend,
     use_backend,
 )
-from .blas1 import axpy, cast_vector, copy_to, dot, norm2, xpay
 from .lines import line_sweep, thomas_solve_batch
 from .plan import KernelPlan, clear_plan_cache, plan_cache_info, plan_for
 from .spmv import field_view, residual, spmv, spmv_plain
@@ -38,20 +37,15 @@ __all__ = [
     "KernelBackend",
     "KernelPlan",
     "available_backends",
-    "axpy",
     "backend_status",
-    "cast_vector",
     "clear_plan_cache",
     "color_offset_slices",
     "compute_diag_inv",
-    "copy_to",
-    "dot",
     "field_view",
     "get_backend",
     "gs_sweep_colored",
     "jacobi_sweep",
     "line_sweep",
-    "norm2",
     "plan_cache_info",
     "plan_for",
     "register_backend",
@@ -63,5 +57,4 @@ __all__ = [
     "thomas_solve_batch",
     "use_backend",
     "wavefront_planes",
-    "xpay",
 ]

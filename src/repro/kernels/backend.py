@@ -1,10 +1,10 @@
 """Kernel backend registry: pluggable implementations of the hot kernels.
 
 A :class:`KernelBackend` bundles plan-based implementations of the hot
-operations — SpMV, colored Gauss-Seidel sweep, wavefront SpTRSV, and the
-fused BLAS-1 vector ops — plus the two coarsening kernels of
-:mod:`repro.kernels.coarsening` (the grid transfers, restrict and prolong,
-and the Galerkin group product of the setup) and the two setup kernels of
+operations — SpMV, colored Gauss-Seidel sweep and wavefront SpTRSV — plus
+the two coarsening kernels of :mod:`repro.kernels.coarsening` (the grid
+transfers, restrict and prolong, and the Galerkin group product of the
+setup) and the two setup kernels of
 :mod:`repro.kernels.truncate` (each level's scale, range audit and
 truncation, and Theorem 4.1's scaled ratio).  The public kernel entry
 points (:func:`~repro.kernels.spmv.spmv_plain`,
@@ -35,9 +35,6 @@ per transfer output, ascending source index; per Galerkin coefficient,
 the term order of :mod:`repro.coarsen.galerkin`; per scaled entry, the
 operation order of ``SGDIAMatrix.scaled_two_sided``, and per FP16 payload
 value the single rounding of numpy's FP64 -> FP16 cast.
-That is why the c backend deliberately does not override ``dot`` /
-``norm2`` — numpy's pairwise summation order cannot be reproduced by a
-naive loop, and reductions feed convergence decisions.
 """
 
 from __future__ import annotations
@@ -69,9 +66,8 @@ class KernelBackend:
     :class:`~repro.kernels.plan.KernelPlan` as their first argument and
     mirror :func:`~repro.kernels.spmv.spmv_ref`,
     :func:`~repro.kernels.sweeps.gs_sweep_ref` and
-    :func:`~repro.kernels.sptrsv.sptrsv_ref`; the BLAS-1 entries mirror
-    :mod:`repro.kernels.blas1`; ``transfer`` and ``galerkin_group`` mirror
-    :func:`~repro.kernels.coarsening.transfer_ref` and
+    :func:`~repro.kernels.sptrsv.sptrsv_ref`; ``transfer`` and
+    ``galerkin_group`` mirror :func:`~repro.kernels.coarsening.transfer_ref` and
     :func:`~repro.kernels.coarsening.galerkin_group_ref`; ``truncate_audit``
     and ``scaled_ratio`` mirror
     :func:`~repro.kernels.truncate.truncate_audit_ref` and
@@ -82,10 +78,6 @@ class KernelBackend:
     spmv: Callable
     gs_sweep: Callable
     sptrsv: Callable
-    axpy: Callable
-    xpay: Callable
-    dot: Callable
-    norm2: Callable
     transfer: Callable
     galerkin_group: Callable
     truncate_audit: Callable
@@ -124,7 +116,7 @@ def _ensure_registered() -> None:
     with _LOCK:
         if "numpy" in _REGISTRY:
             return
-        from . import blas1, coarsening, truncate
+        from . import coarsening, truncate
         from .spmv import spmv_ref
         from .sptrsv import sptrsv_ref
         from .sweeps import gs_sweep_ref
@@ -134,12 +126,6 @@ def _ensure_registered() -> None:
             spmv=spmv_ref,
             gs_sweep=gs_sweep_ref,
             sptrsv=sptrsv_ref,
-            # the private reference impls, not the public dispatchers —
-            # blas1's public functions route through this registry
-            axpy=blas1._axpy_ref,
-            xpay=blas1._xpay_ref,
-            dot=blas1._dot_ref,
-            norm2=blas1._norm2_ref,
             transfer=coarsening.transfer_ref,
             galerkin_group=coarsening.galerkin_group_ref,
             truncate_audit=truncate.truncate_audit_ref,

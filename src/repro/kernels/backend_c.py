@@ -51,8 +51,7 @@ larger than 4x4, payloads whose planes are not C-contiguous or aligned,
 and in the setup BF16 payloads, non-FP64 operators and fp16 payloads
 without F16C.  The scaled SpMV keeps its ``q*x`` and ``y*=q`` steps in
 numpy around the compiled product; the Jacobi sweep (no backend entry)
-runs its numpy update around the compiled SpMV.  ``dot``/``norm2`` are
-never overridden: numpy's pairwise summation feeds convergence decisions.
+runs its numpy update around the compiled SpMV.
 
 The compiled kernels charge ``kernel.*.calls`` and ``precision.fcvt.values``
 with the per-plan totals the numpy reference accumulates term by term, so
@@ -561,10 +560,6 @@ def make_backend(reference) -> "tuple[object | None, str]":
         spmv=spmv,
         gs_sweep=gs_sweep,
         sptrsv=sptrsv,
-        axpy=reference.axpy,
-        xpay=reference.xpay,
-        dot=reference.dot,  # pairwise summation: never reimplemented
-        norm2=reference.norm2,
         transfer=transfer,
         galerkin_group=galerkin_group,
         truncate_audit=truncate_audit,

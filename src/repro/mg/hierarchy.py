@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..kernels import spmv_plain
 from ..kernels.spmv import field_view
 from ..observability import metrics as _metrics
 from ..observability import trace as _trace
@@ -183,10 +182,7 @@ class MGHierarchy:
                 if self.abft is not None:
                     r = f - self.abft.checked_spmv(level, u)
                 else:
-                    r = f - spmv_plain(
-                        level.stored.matrix, u,
-                        compute_dtype=level.compute_dtype, plan=level.plan,
-                    )
+                    r = f - level.matvec(u)
             # restrict (line 12) ``Q^{1/2} r_s`` into the coarse basis
             scaling = level.stored.scaling
             coarse_scaling = self.levels[i + 1].stored.scaling

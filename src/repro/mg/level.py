@@ -8,6 +8,7 @@ import numpy as np
 
 from ..coarsen import Transfer
 from ..grid import StructuredGrid
+from ..kernels import spmv_plain
 from ..sgdia import SGDIAMatrix, StoredMatrix
 from ..smoothers import Smoother
 
@@ -60,6 +61,15 @@ class Level:
     @property
     def compute_dtype(self) -> np.dtype:
         return self.stored.compute.np_dtype
+
+    def matvec(self, u: np.ndarray) -> np.ndarray:
+        """The cycle's residual product ``A_s u``: the stored payload,
+        recovered to the compute precision on the fly, on this level's
+        plan (on a scaled level, the operator of its own basis)."""
+        return spmv_plain(
+            self.stored.matrix, u, compute_dtype=self.compute_dtype,
+            plan=self.plan,
+        )
 
     def rebind(self, stored: StoredMatrix, smoother: "Smoother | None" = None) -> None:
         """Swap this level's payload (and optionally smoother) in place.

@@ -240,7 +240,6 @@ def mg_setup(
     config: "PrecisionConfig | None" = None,
     options: "MGOptions | None" = None,
     cache=None,
-    policy=None,
 ) -> MGHierarchy:
     """Set up the FP16-ready multigrid preconditioner (Algorithm 1).
 
@@ -250,21 +249,14 @@ def mg_setup(
     fingerprint, not object identity), and freshly built hierarchies are
     admitted for reuse.
 
-    ``policy`` attaches a runtime precision policy to the returned
-    hierarchy (an engine instance, a name, or ``True`` to resolve from
-    ``config.policy``), which applies its preflight decisions; call
-    :func:`repro.policy.attach_policy` instead to get the
-    :class:`~repro.policy.PolicyController` a solver wires.  ``None`` (the
-    default) attaches nothing — the pre-policy behavior, bit for bit.
-    ``config.policy`` alone never mutates the setup output: the policy
-    field participates only in cache keying and runtime attachment.
+    ``config.policy`` never mutates the setup output: the policy field
+    participates only in cache keying and runtime attachment.  A runtime
+    precision policy is attached to a set-up hierarchy by
+    :func:`repro.policy.attach_policy`, which returns the
+    :class:`~repro.policy.PolicyController` a solver wires.
     """
     if cache is not None:
         hierarchy, _key, _src = cache.get_or_build(a, config, options)
-        if policy is not None:
-            from ..policy import attach_policy
-
-            attach_policy(hierarchy, None if policy is True else policy)
         return hierarchy
     config = config or PrecisionConfig()
     options = options or MGOptions()
@@ -310,10 +302,6 @@ def mg_setup(
             t0=t0,
             chain_truncated=chain_truncated,
         )
-    if policy is not None:
-        from ..policy import attach_policy
-
-        attach_policy(hierarchy, None if policy is True else policy)
     return hierarchy
 
 

@@ -6,8 +6,10 @@ SOA arrays — no index translation at all, another practical advantage of
 index-free structured storage) inside a shell of zero coefficients: a local
 :class:`~repro.sgdia.SGDIAMatrix` on the grid of the rank's ghost-padded
 :class:`~repro.parallel.halo.DistributedField` array (``local_shape + 2``
-per axis).  After one halo exchange the backend-dispatched kernels of
-:mod:`repro.kernels` run on that operator and array unchanged: owned cells
+per axis).  The entry points take and return vectors in global layout:
+each copies its input into that private halo buffer, exchanges the ghosts,
+runs the backend-dispatched kernels of :mod:`repro.kernels` on every rank's
+operator and array unchanged, and writes the owned cells back.  Owned cells
 read their neighbours from the ghosts, and a term leaving the global domain
 is a zero coefficient times a zero ghost (the ``zero_boundary``
 convention).  Every owned cell thus sums the same terms in the same
@@ -28,13 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..grid import StructuredGrid
-from ..kernels import (
-    COLORS8,
-    compute_diag_inv,
-    gs_sweep_colored,
-    jacobi_sweep,
-    spmv_plain,
-)
+from ..kernels import COLORS8, gs_sweep_colored, jacobi_sweep, spmv_plain
 from ..sgdia import SGDIAMatrix, StoredMatrix
 from .comm import CommStats
 from .decomp import CartesianDecomposition
@@ -45,12 +41,6 @@ __all__ = ["DistributedSGDIA"]
 _G = DistributedField.GHOST
 #: The owned cells of a rank's padded local array.
 _OWNED = (slice(_G, -_G),) * 3
-
-
-def padded(owned: np.ndarray) -> np.ndarray:
-    """Per-cell data of the owned cells inside a shell of zeros, shaped
-    like the rank's padded local array (trailing axes kept)."""
-    return np.pad(owned, ((_G, _G),) * 3 + ((0, 0),) * (owned.ndim - 3))
 
 
 class DistributedSGDIA:
@@ -100,111 +90,108 @@ class DistributedSGDIA:
         return cls(decomp, local_ops, compute_dtype=compute)
 
     # ------------------------------------------------------------------
-    def spmv(
-        self,
-        x: DistributedField,
-        out: "DistributedField | None" = None,
-        stats: "CommStats | None" = None,
-    ) -> DistributedField:
-        """Distributed ``y = A x``."""
-        cdtype = self.compute_dtype
-        if out is None:
-            out = DistributedField(self.decomp, dtype=cdtype)
-        x.exchange_halos(stats)
-        for rank, op in enumerate(self.local_ops):
-            out.owned_view(rank)[...] = spmv_plain(
-                op, x.locals[rank], compute_dtype=cdtype
-            )[_OWNED]
-        return out
-
-    # ------------------------------------------------------------------
-    def diag_inv_local(self) -> list[np.ndarray]:
-        """Per-rank inverse (block) diagonal of the owned cells, in compute
-        precision: :func:`~repro.kernels.compute_diag_inv` of the rank's rows."""
+    def padded(self, per_cell: np.ndarray) -> list[np.ndarray]:
+        """Per rank, the owned cells of a global per-cell array (such as a
+        smoother's inverse diagonal) inside a shell of zeros, shaped like
+        the rank's ghost-padded local array (trailing axes kept)."""
         return [
-            compute_diag_inv(
-                SGDIAMatrix(
-                    self.decomp.local_grid(rank),
-                    op.stencil,
-                    op.data[(slice(None), *_OWNED)],
-                ),
-                self.compute_dtype,
+            np.pad(
+                per_cell[self.decomp.owned_slices(rank)],
+                ((_G, _G),) * 3 + ((0, 0),) * (per_cell.ndim - 3),
             )
-            for rank, op in enumerate(self.local_ops)
+            for rank in range(self.decomp.nranks)
         ]
+
+    def spmv(self, x: np.ndarray, stats: "CommStats | None" = None) -> np.ndarray:
+        """``y = A x`` of a global-layout ``x``: one halo exchange, then each
+        rank's SpMV of its owned rows."""
+        cdtype = self.compute_dtype
+        halo = DistributedField.scatter(x, self.decomp)
+        halo.exchange_halos(stats)
+        y = np.empty(self.decomp.grid.field_shape, dtype=cdtype)
+        for rank, op in enumerate(self.local_ops):
+            y[self.decomp.owned_slices(rank)] = spmv_plain(
+                op, halo.locals[rank], compute_dtype=cdtype
+            )[_OWNED]
+        return y
 
     def jacobi_sweep(
         self,
-        b: DistributedField,
-        x: DistributedField,
-        diag_inv: list[np.ndarray],
+        b: np.ndarray,
+        x: np.ndarray,
+        diag_inv: np.ndarray,
         weight: float = 0.8,
         stats: "CommStats | None" = None,
-    ) -> DistributedField:
-        """One distributed weighted-Jacobi sweep; ``diag_inv`` per rank as
-        :meth:`diag_inv_local` returns it."""
-        return self._sweep(
-            "jacobi", b, x, [padded(d) for d in diag_inv], stats, weight=weight
+    ) -> np.ndarray:
+        """One weighted-Jacobi sweep, as :func:`repro.kernels.jacobi_sweep`
+        on the global operator."""
+        return self.sweeps(
+            b, x, self.padded(diag_inv), [("jacobi", weight)], stats
         )
 
     def gs_sweep_colored(
         self,
-        b: DistributedField,
-        x: DistributedField,
-        diag_inv: list[np.ndarray],
+        b: np.ndarray,
+        x: np.ndarray,
+        diag_inv: np.ndarray,
         forward: bool = True,
         stats: "CommStats | None" = None,
-    ) -> DistributedField:
-        """One distributed 8-color Gauss-Seidel sweep; ``diag_inv`` per rank
-        as :meth:`diag_inv_local` returns it.
+    ) -> np.ndarray:
+        """One 8-color Gauss-Seidel sweep, as
+        :func:`repro.kernels.gs_sweep_colored` on the global operator.
 
         Colors are defined by *global* parity, so ranks stay consistent;
         ghosts are re-exchanged before every color (8 exchanges per sweep —
         the communication cost structured multicolor GS is known for).
         """
-        return self._sweep(
-            "gs", b, x, [padded(d) for d in diag_inv], stats, forward=forward
+        return self.sweeps(
+            b, x, self.padded(diag_inv), [("gs", forward)], stats
         )
 
-    def _sweep(
+    def sweeps(
         self,
-        kind: str,
-        b: DistributedField,
-        x: DistributedField,
+        b: np.ndarray,
+        x: np.ndarray,
         diag_inv: list[np.ndarray],
-        stats: "CommStats | None",
-        forward: bool = True,
-        weight: float = 1.0,
-    ) -> DistributedField:
-        """One sweep of the stored payload: weighted Jacobi
-        (``kind="jacobi"``) or 8-color Gauss-Seidel (``"gs"``).
+        passes,
+        stats: "CommStats | None" = None,
+    ) -> np.ndarray:
+        """Sweeps of the stored payload for ``A x = b`` on global-layout
+        ``b`` and ``x`` (updated in place): each pass ``("jacobi", weight)``
+        a weighted-Jacobi sweep, ``("gs", forward)`` an 8-color Gauss-Seidel
+        sweep.
 
         ``diag_inv`` holds per rank the owned inverse diagonal inside a
-        shell of zeros (:func:`padded`).  A sweep therefore writes zeros
+        shell of zeros (:meth:`padded`).  A sweep therefore writes zeros
         (Gauss-Seidel: into the ghost cells of each color) or adds them
-        (Jacobi) outside the owned cells; that is safe only because every
-        reader of ``x`` exchanges its halos first.
+        (Jacobi) outside the owned cells of the halo buffer; that is safe
+        only because every pass exchanges the halos first.
         """
         cdtype = self.compute_dtype
-        if kind == "jacobi":
-            x.exchange_halos(stats)
-            for rank, op in enumerate(self.local_ops):
-                jacobi_sweep(
-                    op, b.locals[rank], x.locals[rank], diag_inv[rank],
-                    weight=weight, compute_dtype=cdtype,
-                )
-            return x
-        for color in COLORS8 if forward else COLORS8[::-1]:
-            x.exchange_halos(stats)
-            for rank, op in enumerate(self.local_ops):
-                # padded index = global index - lo + 1: the global color's
-                # parity on this rank's local grid
-                local = tuple(
-                    (c - lo + 1) % 2
-                    for c, (lo, _hi) in zip(color, self.decomp.owned_ranges(rank))
-                )
-                gs_sweep_colored(
-                    op, b.locals[rank], x.locals[rank], diag_inv[rank],
-                    compute_dtype=cdtype, color=local,
-                )
-        return x
+        rhs = DistributedField.scatter(b, self.decomp)
+        halo = DistributedField.scatter(x, self.decomp)
+        for kind, arg in passes:
+            if kind == "jacobi":
+                halo.exchange_halos(stats)
+                for rank, op in enumerate(self.local_ops):
+                    jacobi_sweep(
+                        op, rhs.locals[rank], halo.locals[rank],
+                        diag_inv[rank], weight=arg, compute_dtype=cdtype,
+                    )
+                continue
+            for color in COLORS8 if arg else COLORS8[::-1]:
+                halo.exchange_halos(stats)
+                for rank, op in enumerate(self.local_ops):
+                    # padded index = global index - lo + 1: the global
+                    # color's parity on this rank's local grid
+                    local = tuple(
+                        (c - lo + 1) % 2
+                        for c, (lo, _hi) in zip(
+                            color, self.decomp.owned_ranges(rank)
+                        )
+                    )
+                    gs_sweep_colored(
+                        op, rhs.locals[rank], halo.locals[rank],
+                        diag_inv[rank], compute_dtype=cdtype, color=local,
+                    )
+        return halo.gather(out=x)

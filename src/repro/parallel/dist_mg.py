@@ -1,20 +1,22 @@
-"""Distributed multigrid cycle over aligned decompositions.
+"""A multigrid hierarchy whose operators run over an aligned decomposition.
 
-Executes the full Algorithm-3 cycle on decomposed data, of the kind
-(V, W or F) the hierarchy's options name.  Every rank runs the
-kernel table's SpMV, Gauss-Seidel or Jacobi sweep and grid transfer on its
-own subdomain: the sweeps and residuals on the rank's ghost-padded local
-operator (:class:`~repro.parallel.dist_matrix.DistributedSGDIA`), and
-restriction and prolongation as the rank's box of the level's transfer
-stencils (:meth:`repro.coarsen.Transfer.box_stencils`), each after one halo
-exchange of its input.  The tiny coarsest level is a gathered direct solve
-(the standard redundant-coarse-solve practice).  A scaled level runs in its
-own basis and converts vectors where they change level, per rank in the
-sequential cycle's order (see :mod:`repro.mg.hierarchy`).  One distributed
-cycle or preconditioner application equals the sequential
-:class:`~repro.mg.MGHierarchy` one byte for byte, and through
-:class:`~repro.parallel.comm.CommStats` the engine measures the per-cycle
-communication the Figure-10 model charges analytically.
+:class:`DistributedMG` is an :class:`~repro.mg.MGHierarchy`: it runs the
+sequential hierarchy's own cycle and preconditioner (Algorithm 3 and
+Algorithm 2's transitions), on vectors in global layout, over levels whose
+three stencil operators run rank by rank.  Each level's smoother, residual
+product and grid transfers first exchange the halo of their input, then run
+every rank's kernel-table kernel on its own subdomain: the sweeps and the
+residual on the rank's ghost-padded local operator
+(:class:`~repro.parallel.dist_matrix.DistributedSGDIA`), restriction and
+prolongation as the rank's box of the level's transfer stencils
+(:meth:`repro.coarsen.Transfer.box_stencils`).  The tiny coarsest level
+keeps the sequential direct solver, a gathered (redundant) solve on the
+global vectors.  The cycle kind, the scaled levels' change of basis and the
+scale-then-setup entry scaling are therefore the sequential cycle's, one
+distributed cycle equals the sequential one byte for byte, and through the
+:class:`~repro.parallel.comm.CommStats` the hierarchy is built with the
+engine measures the per-cycle communication the Figure-10 model charges
+analytically.
 
 Alignment: transfers stay rank-local only if every rank's owned range
 starts at a multiple of each level's coarsening factor on every axis, down
@@ -25,12 +27,13 @@ that axis's coarsening factors.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from ..grid import StructuredGrid
 from ..kernels import get_backend
-from ..mg import MGHierarchy
-from ..precision import DiagonalScaling
+from ..mg import Level, MGHierarchy
 from ..smoothers import (
     CoarseDirectSolver,
     GaussSeidel,
@@ -40,7 +43,7 @@ from ..smoothers import (
 )
 from .comm import CommStats
 from .decomp import CartesianDecomposition
-from .dist_matrix import DistributedSGDIA, padded
+from .dist_matrix import DistributedSGDIA
 from .halo import DistributedField
 
 __all__ = ["DistributedMG", "aligned_split"]
@@ -68,34 +71,86 @@ def aligned_split(n: int, parts: int, unit: int) -> list[tuple[int, int]]:
     return out
 
 
-class _DistLevel:
-    """Per-level distributed state."""
+class _RankSmoother:
+    """A level's smoother run rank by rank: the sweeps ``Smoother.smooth``
+    runs (SymGS: a forward and a backward sweep, whatever ``forward``), each
+    Gauss-Seidel color or Jacobi sweep after one halo exchange."""
 
-    def __init__(self, decomp, scaling, matrix, diag_inv, smoother_kind, sweeps):
-        self.decomp: CartesianDecomposition = decomp
-        #: the level's DiagonalScaling (its basis), or None
-        self.scaling = scaling
-        self.matrix: "DistributedSGDIA | None" = matrix  # None: direct solve
-        #: per rank, the smoother's inverse diagonal in a shell of zeros
-        self.diag_inv: list[np.ndarray] = diag_inv
-        self.smoother_kind: str = smoother_kind
-        self.sweeps: int = sweeps
-        #: per rank, the transfer stencils to and from the next level
-        self.restrict: tuple = ()
-        self.prolong: tuple = ()
+    def __init__(self, smoother, matrix: DistributedSGDIA, stats) -> None:
+        self.smoother, self.matrix, self.stats = smoother, matrix, stats
+        # the sequential smoother's (high-precision-derived) diagonal
+        # inverse, so the distributed sweeps are bit-identical
+        self.diag_inv = matrix.padded(smoother.diag_inv)
+
+    def smooth(self, b: np.ndarray, x: np.ndarray, forward: bool = True):
+        sm = self.smoother
+        if isinstance(sm, (WeightedJacobi, L1Jacobi)):
+            passes = [("jacobi", getattr(sm, "weight", 1.0))]
+        elif isinstance(sm, SymGS):
+            passes = [("gs", True), ("gs", False)]
+        else:
+            passes = [("gs", forward)]
+        return self.matrix.sweeps(
+            b, x, self.diag_inv, passes * sm.sweeps, self.stats
+        )
 
 
-class DistributedMG:
-    """A distributed mirror of a set-up :class:`MGHierarchy`."""
+class _RankTransfer:
+    """A level's transfer pair run rank by rank: one halo exchange of the
+    input, then each rank's box of the transfer stencils."""
+
+    def __init__(self, transfer, fine: CartesianDecomposition,
+                 coarse: CartesianDecomposition, stats) -> None:
+        self.fine, self.coarse, self.stats = fine, coarse, stats
+        self._restrict, self._prolong = zip(*(
+            transfer.box_stencils(fine.owned_ranges(r), coarse.owned_ranges(r))
+            for r in range(fine.nranks)
+        ))
+
+    def restrict(self, xf: np.ndarray, dtype=None) -> np.ndarray:
+        return self._apply(self._restrict, xf, self.fine, self.coarse, dtype)
+
+    def prolongate(self, xc: np.ndarray, dtype=None) -> np.ndarray:
+        return self._apply(self._prolong, xc, self.coarse, self.fine, dtype)
+
+    def _apply(self, stencils, x, src: CartesianDecomposition,
+               dst: CartesianDecomposition, dtype) -> np.ndarray:
+        halo = DistributedField.scatter(x, src)
+        halo.exchange_halos(self.stats)
+        dtype = halo.dtype if dtype is None else dtype
+        out = np.empty(dst.grid.field_shape, dtype=dtype)
+        transfer = get_backend().transfer
+        for rank, st in enumerate(stencils):
+            out[dst.owned_slices(rank)] = transfer(st, halo.locals[rank], dtype)
+        return out
+
+
+@dataclass
+class _RankLevel(Level):
+    """A level whose residual product runs rank by rank."""
+
+    matrix: "DistributedSGDIA | None" = None
+    stats: "CommStats | None" = None
+
+    def matvec(self, u: np.ndarray) -> np.ndarray:
+        return self.matrix.spmv(u, self.stats)
+
+
+class DistributedMG(MGHierarchy):
+    """A set-up :class:`MGHierarchy` run over a decomposition, every halo
+    exchange charged to ``stats``."""
 
     SUPPORTED_SMOOTHERS = (SymGS, GaussSeidel, WeightedJacobi, L1Jacobi)
 
-    def __init__(self, hierarchy: MGHierarchy, decomp: CartesianDecomposition):
-        self.hierarchy = hierarchy
-        self.levels: list[_DistLevel] = []
-        self.coarse_solver = None
+    def __init__(
+        self,
+        hierarchy: MGHierarchy,
+        decomp: CartesianDecomposition,
+        stats: "CommStats | None" = None,
+    ) -> None:
+        levels: list[Level] = []
         d = decomp
-        n_levels = hierarchy.n_levels
+        last = hierarchy.n_levels - 1
         for i, lev in enumerate(hierarchy.levels):
             if lev.grid.shape != d.grid.shape:
                 raise ValueError(
@@ -104,43 +159,33 @@ class DistributedMG:
                 )
             sm = lev.smoother
             if isinstance(sm, CoarseDirectSolver):
-                if i != n_levels - 1:
+                if i != last:
                     raise ValueError("direct solver only supported at coarsest")
-                self.coarse_solver = sm
-                self.levels.append(
-                    _DistLevel(d, lev.stored.scaling, None, [], "direct", 1)
-                )
-                break
+                levels.append(lev)  # gathered solve on the global vectors
+                continue
             if not isinstance(sm, self.SUPPORTED_SMOOTHERS):
                 raise NotImplementedError(
                     f"distributed smoothing not implemented for "
                     f"{type(sm).__name__}"
                 )
             matrix = DistributedSGDIA.from_global(lev.stored, d)
-            # scatter the sequential smoother's (high-precision-derived)
-            # diagonal inverse so the distributed sweep is bit-identical
-            diag_inv = [
-                padded(sm.diag_inv[d.owned_slices(r)]) for r in range(d.nranks)
-            ]
-            kind = "jacobi" if isinstance(sm, (WeightedJacobi, L1Jacobi)) else (
-                "symgs" if isinstance(sm, SymGS) else "gs"
-            )
-            dist = _DistLevel(
-                d, lev.stored.scaling, matrix, diag_inv, kind, sm.sweeps
-            )
-            self.levels.append(dist)
-            if i < n_levels - 1:
+            transfer = None
+            if i < last:
                 coarse = self._coarse_decomposition(
                     d, hierarchy.levels[i + 1].grid, lev.transfer.factors
                 )
-                dist.restrict, dist.prolong = zip(*(
-                    lev.transfer.box_stencils(
-                        d.owned_ranges(r), coarse.owned_ranges(r)
-                    )
-                    for r in range(d.nranks)
-                ))
+                transfer = _RankTransfer(lev.transfer, d, coarse, stats)
                 d = coarse
-        self.compute_dtype = hierarchy.compute_dtype
+            levels.append(_RankLevel(
+                index=i, grid=lev.grid, stored=lev.stored,
+                smoother=_RankSmoother(sm, matrix, stats), transfer=transfer,
+                nnz_actual=lev.nnz_actual, nnz_stored=lev.nnz_stored,
+                matrix=matrix, stats=stats,
+            ))
+        super().__init__(
+            levels, hierarchy.config, hierarchy.options,
+            entry_scaling=hierarchy.entry_scaling,
+        )
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -180,144 +225,3 @@ class DistributedMG:
         return CartesianDecomposition(
             coarse_grid, fine.proc_grid, ranges=tuple(ranges)
         )
-
-    # ------------------------------------------------------------------
-    # smoothing and the change of basis
-    # ------------------------------------------------------------------
-    def _smooth(self, li: int, b: DistributedField, x: DistributedField,
-                forward: bool, stats) -> None:
-        """The smoother on the stored payload, as ``Smoother.smooth`` runs
-        it (SymGS: a forward and a backward sweep, whatever ``forward``)."""
-        lev = self.levels[li]
-        seq = self.hierarchy.levels[li].smoother
-        sweep = lev.matrix._sweep
-        for _ in range(lev.sweeps):
-            if lev.smoother_kind == "jacobi":
-                weight = getattr(seq, "weight", 1.0)
-                sweep("jacobi", b, x, lev.diag_inv, stats, weight=weight)
-            elif lev.smoother_kind == "gs":
-                sweep("gs", b, x, lev.diag_inv, stats, forward=forward)
-            else:
-                sweep("gs", b, x, lev.diag_inv, stats, forward=True)
-                sweep("gs", b, x, lev.diag_inv, stats, forward=False)
-
-    def _rebase(self, li: int, v: DistributedField, convert) -> None:
-        """``convert`` (``DiagonalScaling.scale_vector`` or
-        ``unscale_vector``) of level ``li``'s field ``v``, in place on every
-        rank's owned cells; nothing on an unscaled level."""
-        lev = self.levels[li]
-        if lev.scaling is not None:
-            for rank in range(lev.decomp.nranks):
-                owned = v.owned_view(rank)
-                scaling = lev.scaling[lev.decomp.owned_slices(rank)]
-                convert(scaling, owned, out=owned)
-
-    # ------------------------------------------------------------------
-    # transfers (each rank's box of the sequential transfer stencils)
-    # ------------------------------------------------------------------
-    def _transfer(self, stencils: tuple, src: DistributedField,
-                  decomp: CartesianDecomposition, stats) -> DistributedField:
-        """One exchange of ``src``'s ghosts, then each rank's stencil from
-        its padded array to the owned cells of a new field on ``decomp``."""
-        out = DistributedField(decomp, dtype=self.compute_dtype)
-        src.exchange_halos(stats)
-        transfer = get_backend().transfer
-        for rank, st in enumerate(stencils):
-            out.owned_view(rank)[...] = transfer(
-                st, src.locals[rank], self.compute_dtype
-            )
-        return out
-
-    # ------------------------------------------------------------------
-    def cycle(
-        self,
-        b: DistributedField,
-        x: "DistributedField | None" = None,
-        stats: "CommStats | None" = None,
-    ) -> DistributedField:
-        """One distributed cycle of the hierarchy's kind (compute-precision
-        fields), entering and leaving a scaled finest level's basis as
-        :meth:`MGHierarchy.cycle` does."""
-        decomp = self.levels[0].decomp
-        f = b
-        if self.levels[0].scaling is not None:
-            f = DistributedField(decomp, dtype=self.compute_dtype)
-            for rank in range(decomp.nranks):
-                f.owned_view(rank)[...] = b.owned_view(rank)
-            self._rebase(0, f, DiagonalScaling.unscale_vector)
-        if x is None:
-            x = DistributedField(decomp, dtype=self.compute_dtype)
-        else:
-            self._rebase(0, x, DiagonalScaling.scale_vector)
-        self._cycle(0, f, x, self.hierarchy.options.cycle, stats)
-        self._rebase(0, x, DiagonalScaling.unscale_vector)
-        return x
-
-    def _cycle(self, li, f, u, kind, stats) -> None:
-        """One visit of level ``li``; ``kind`` picks the coarse visits as
-        :meth:`MGHierarchy._cycle` does (W: two, F: an F- then a V-visit)."""
-        lev = self.levels[li]
-        nu1, nu2 = self.hierarchy.options.nu1, self.hierarchy.options.nu2
-        if li == len(self.levels) - 1:
-            self._coarse_solve(li, f, u)
-            return
-        for _ in range(nu1):
-            self._smooth(li, f, u, forward=True, stats=stats)
-        r = DistributedField(lev.decomp, dtype=self.compute_dtype)
-        lev.matrix.spmv(u, out=r, stats=stats)
-        for rank in range(lev.decomp.nranks):
-            r.owned_view(rank)[...] = (
-                f.owned_view(rank) - r.owned_view(rank)
-            )
-        self._rebase(li, r, DiagonalScaling.scale_vector)
-        fc = self._transfer(lev.restrict, r, self.levels[li + 1].decomp, stats)
-        self._rebase(li + 1, fc, DiagonalScaling.unscale_vector)
-        uc = DistributedField(
-            self.levels[li + 1].decomp, dtype=self.compute_dtype
-        )
-        for coarse_kind in {"v": "v", "w": "ww", "f": "fv"}[kind]:
-            self._cycle(li + 1, fc, uc, coarse_kind, stats)
-        self._rebase(li + 1, uc, DiagonalScaling.unscale_vector)
-        e = self._transfer(lev.prolong, uc, lev.decomp, stats)
-        self._rebase(li, e, DiagonalScaling.scale_vector)
-        for rank in range(lev.decomp.nranks):
-            u.owned_view(rank)[...] += e.owned_view(rank)
-        for _ in range(nu2):
-            self._smooth(li, f, u, forward=False, stats=stats)
-
-    def _coarse_solve(self, li, f, u) -> None:
-        """Gathered (redundant) direct solve at the coarsest level."""
-        lev = self.levels[li]
-        if self.coarse_solver is not None:
-            bg = f.gather().astype(self.compute_dtype)
-            xg = np.zeros_like(bg)
-            self.coarse_solver.smooth(bg, xg, forward=True)
-            for rank in range(lev.decomp.nranks):
-                u.owned_view(rank)[...] = xg[lev.decomp.owned_slices(rank)]
-        else:
-            nu = max(1, self.hierarchy.options.nu1 + self.hierarchy.options.nu2)
-            for _ in range(nu):
-                self._smooth(li, f, u, forward=True, stats=None)
-
-    def precondition(self, r: DistributedField, stats=None) -> DistributedField:
-        """Distributed Algorithm-2 application (fp32 cycle on fp64 data),
-        inside the global ``Q^{-1/2}`` entry/exit maps of scale-then-setup
-        as :meth:`MGHierarchy.precondition` applies them."""
-        h = self.hierarchy
-        decomp = self.levels[0].decomp
-        entry = h.entry_scaling
-        rc = DistributedField(decomp, dtype=self.compute_dtype)
-        for rank in range(decomp.nranks):
-            rv = np.asarray(r.owned_view(rank), dtype=self.compute_dtype)
-            if entry is not None:
-                rv = entry[decomp.owned_slices(rank)].unscale_vector(rv)
-            rc.owned_view(rank)[...] = rv
-        e = self.cycle(rc, stats=stats)
-        out = DistributedField(decomp, dtype=h.config.iterative.np_dtype)
-        for rank in range(decomp.nranks):
-            ev = e.owned_view(rank)
-            if entry is not None:
-                ev = entry[decomp.owned_slices(rank)].unscale_vector(ev)
-            out.owned_view(rank)[...] = ev
-        return out
-

@@ -1,7 +1,8 @@
 """Distributed preconditioned CG with communication accounting.
 
-The solver mirrors :func:`repro.solvers.cg` over decomposed vectors: the
-matvec performs one halo exchange, every inner product is one allreduce.
+The solver mirrors :func:`repro.solvers.cg` on global-layout vectors over
+a decomposed operator: the matvec performs one halo exchange, every inner
+product is one allreduce of per-rank partial sums.
 A step is classified by :func:`repro.solvers.cg.curvature_status`, the
 same curvature test the sequential solver uses, so an indefinite operator
 is a ``"breakdown"`` with ``detail["reason"] == "indefinite"`` here too.
@@ -20,29 +21,38 @@ from ..solvers.history import ConvergenceHistory, SolveResult
 from .comm import CommStats
 from .decomp import CartesianDecomposition
 from .dist_matrix import DistributedSGDIA
-from .halo import DistributedField
 
 __all__ = ["distributed_cg", "distributed_dot", "failing_ranks"]
 
 
 def distributed_dot(
-    x: DistributedField, y: DistributedField, stats: "CommStats | None" = None
+    decomp: CartesianDecomposition,
+    x: np.ndarray,
+    y: np.ndarray,
+    stats: "CommStats | None" = None,
 ) -> float:
-    """Global inner product: per-rank partials + one allreduce."""
+    """Global inner product of two global-layout fields: per-rank partials
+    over the owned cells + one allreduce."""
+    shape = decomp.grid.field_shape
+    x, y = np.reshape(x, shape), np.reshape(y, shape)
     total = 0.0
-    for rank in range(x.decomp.nranks):
-        a = x.owned_view(rank).astype(np.float64).ravel()
-        b = y.owned_view(rank).astype(np.float64).ravel()
-        total += float(a @ b)
+    for rank in range(decomp.nranks):
+        sl = decomp.owned_slices(rank)
+        total += float(
+            x[sl].astype(np.float64).ravel() @ y[sl].astype(np.float64).ravel()
+        )
     if stats is not None:
         stats.record_allreduce(8)
     return total
 
 
 def failing_ranks(
-    x: DistributedField, stats: "CommStats | None" = None
+    decomp: CartesianDecomposition,
+    x: np.ndarray,
+    stats: "CommStats | None" = None,
 ) -> list[int]:
-    """Ranks whose owned subdomain holds non-finite values (one allreduce).
+    """Ranks whose owned subdomain of the global-layout field ``x`` holds
+    non-finite values (one allreduce).
 
     This is the lockstep failure-agreement primitive: each rank contributes
     a local finiteness flag, the (bitwise-OR) allreduce hands every rank the
@@ -50,48 +60,33 @@ def failing_ranks(
     decision.  A rank that detected the failure locally can never bail out
     of a collective the others still sit in.
     """
+    x = np.reshape(x, decomp.grid.field_shape)
     ranks = [
         rank
-        for rank in range(x.decomp.nranks)
-        if not np.isfinite(x.owned_view(rank)).all()
+        for rank in range(decomp.nranks)
+        if not np.isfinite(x[decomp.owned_slices(rank)]).all()
     ]
     if stats is not None:
-        stats.record_allreduce(max(1, (x.decomp.nranks + 7) // 8))
+        stats.record_allreduce(max(1, (decomp.nranks + 7) // 8))
     return ranks
-
-
-def _axpy(alpha: float, x: DistributedField, y: DistributedField) -> None:
-    for rank in range(x.decomp.nranks):
-        y.owned_view(rank)[...] += alpha * x.owned_view(rank)
-
-
-def _xpay(x: DistributedField, alpha: float, y: DistributedField) -> None:
-    for rank in range(x.decomp.nranks):
-        ov = y.owned_view(rank)
-        ov *= alpha
-        ov += x.owned_view(rank)
-
-
-def _copy(src: DistributedField, dst: DistributedField) -> None:
-    for rank in range(src.decomp.nranks):
-        dst.owned_view(rank)[...] = src.owned_view(rank)
 
 
 def distributed_cg(
     a: DistributedSGDIA,
-    b: DistributedField,
+    b: np.ndarray,
     rtol: float = 1e-9,
     maxiter: int = 500,
     preconditioner=None,
     stats: "CommStats | None" = None,
     runtime=None,
 ) -> tuple[SolveResult, CommStats]:
-    """Preconditioned CG over a decomposed system.
+    """Preconditioned CG over a decomposed system, in FP64.
 
-    ``preconditioner``, when given, is a callable
-    ``M(r: DistributedField, z: DistributedField) -> None`` filling ``z``.
-    Returns the usual :class:`SolveResult` (with the gathered solution) and
-    the communication statistics.  ``runtime`` (an
+    ``b`` and the returned solution are global-layout fields;
+    ``preconditioner``, when given, is a callable ``M(r) -> e`` on them
+    (e.g. :meth:`DistributedMG.precondition
+    <repro.parallel.DistributedMG.precondition>`).  Returns the usual
+    :class:`SolveResult` and the communication statistics.  ``runtime`` (an
     :class:`~repro.resilience.runtime.ExecContext`) is checked once per
     iteration — all ranks share the driver process, so they observe the
     deadline/cancel in the same iteration and leave together.  A
@@ -108,38 +103,40 @@ def distributed_cg(
     """
     stats = stats if stats is not None else CommStats()
     decomp = a.decomp
-    dtype = a.compute_dtype if a.compute_dtype == np.float64 else np.float64
+    shape = decomp.grid.field_shape
+
+    def dot(u, v):
+        return distributed_dot(decomp, u, v, stats)
+
+    def precondition(v):
+        if preconditioner is None:
+            return v.copy()
+        return np.asarray(preconditioner(v), dtype=np.float64).reshape(shape)
+
     # iterative precision fp64 vectors (guideline: solver precision is the
     # user's, only the preconditioner drops precision)
-    x = DistributedField(decomp, dtype=dtype)
-    r = DistributedField(decomp, dtype=dtype)
-    z = DistributedField(decomp, dtype=dtype)
-    p = DistributedField(decomp, dtype=dtype)
-    ap = DistributedField(decomp, dtype=dtype)
-
-    _copy(b, r)  # x0 = 0 -> r = b
-    bn = np.sqrt(distributed_dot(b, b, stats))
+    b = np.asarray(b, dtype=np.float64).reshape(shape)
+    x = np.zeros(shape)
+    r = b.copy()  # x0 = 0 -> r = b
+    bn = np.sqrt(dot(b, b))
     if bn == 0.0:
         bn = 1.0
     history = ConvergenceHistory()
     detail: dict = {}
-    rel = np.sqrt(distributed_dot(r, r, stats)) / bn
+    rel = np.sqrt(dot(r, r)) / bn
     history.record(rel)
     status = "maxiter"
     it = 0
     if not np.isfinite(rel):
         status = "diverged"
-        detail["failed_ranks"] = failing_ranks(r, stats)
+        detail["failed_ranks"] = failing_ranks(decomp, r, stats)
     elif rel < rtol:
         status = "converged"
     else:
         try:
-            if preconditioner is None:
-                _copy(r, z)
-            else:
-                preconditioner(r, z)
-            _copy(z, p)
-            rz = distributed_dot(r, z, stats)
+            z = precondition(r)
+            p = z.copy()
+            rz = dot(r, z)
             for it in range(1, maxiter + 1):
                 if runtime is not None:
                     interrupt = runtime.check()
@@ -150,39 +147,38 @@ def distributed_cg(
                 with _trace.span("iteration", solver="distributed-cg", it=it):
                     stats.set_phase("matvec")
                     with _trace.span("spmv"):
-                        a.spmv(p, out=ap, stats=stats)
+                        ap = a.spmv(p, stats)
                     stats.set_phase("default")
-                    pap = distributed_dot(p, ap, stats)
+                    pap = dot(p, ap)
                     failure = curvature_status(pap)
                     if failure is not None:
                         status, reason = failure
                         if status == "diverged":
-                            detail["failed_ranks"] = failing_ranks(ap, stats)
+                            detail["failed_ranks"] = failing_ranks(
+                                decomp, ap, stats
+                            )
                         if reason is not None:
                             detail["reason"] = reason
                         break
                     alpha = rz / pap
-                    _axpy(alpha, p, x)
-                    _axpy(-alpha, ap, r)
-                    rel = np.sqrt(distributed_dot(r, r, stats)) / bn
+                    x += alpha * p
+                    r -= alpha * ap
+                    rel = np.sqrt(dot(r, r)) / bn
                     history.record(rel)
                     if not np.isfinite(rel):
                         status = "diverged"
-                        detail["failed_ranks"] = failing_ranks(r, stats)
+                        detail["failed_ranks"] = failing_ranks(decomp, r, stats)
                         break
                     if rel < rtol:
                         status = "converged"
                         break
-                    if preconditioner is None:
-                        _copy(r, z)
-                    else:
-                        with _trace.span("precond"):
-                            preconditioner(r, z)
-                    rz_new = distributed_dot(r, z, stats)
+                    z = precondition(r)
+                    rz_new = dot(r, z)
                     if rz == 0.0:
                         status = "breakdown"
                         break
-                    _xpay(z, rz_new / rz, p)
+                    p *= rz_new / rz
+                    p += z
                     rz = rz_new
         except SolveInterrupted as stop:
             # Halo corruption (or a cooperative deadline raised mid-phase):
@@ -195,7 +191,7 @@ def distributed_cg(
     # accompanied the (possibly failing) iterations.
     detail["comm"] = stats.to_dict()
     result = SolveResult(
-        x=x.gather(),
+        x=x,
         status=status,
         iterations=it if status != "maxiter" else maxiter,
         history=history,

@@ -1,6 +1,8 @@
 """Distributed fields with ghost (halo) layers and staged exchange.
 
-A :class:`DistributedField` holds one ghost-padded local array per rank.
+A :class:`DistributedField` holds one ghost-padded local array per rank:
+the private halo buffer the distributed operators copy their global-layout
+input into before they exchange its ghosts.
 Halo exchange uses the standard three-stage scheme: axes are exchanged in
 order, each stage sending slabs that span the *already-exchanged* extent of
 earlier axes — which propagates edge and corner ghost values with only six
@@ -95,20 +97,14 @@ class DistributedField:
             f.owned_view(rank)[...] = global_field[decomp.owned_slices(rank)]
         return f
 
-    def gather(self) -> np.ndarray:
-        """Assemble the global field from the owned regions."""
-        out = np.zeros(self.decomp.grid.field_shape, dtype=self.dtype)
+    def gather(self, out: "np.ndarray | None" = None) -> np.ndarray:
+        """Assemble the global field from the owned regions (into ``out``,
+        a global field array, when given)."""
+        if out is None:
+            out = np.zeros(self.decomp.grid.field_shape, dtype=self.dtype)
         for rank in range(self.decomp.nranks):
             out[self.decomp.owned_slices(rank)] = self.owned_view(rank)
         return out
-
-    def set_owned(self, rank: int, values: np.ndarray) -> None:
-        self.owned_view(rank)[...] = values
-
-    def fill(self, value: float) -> "DistributedField":
-        for rank in range(self.decomp.nranks):
-            self.owned_view(rank)[...] = value
-        return self
 
     # ------------------------------------------------------------------
     def _slab(self, rank: int, axis: int, side: int, stage: int, ghost: bool):

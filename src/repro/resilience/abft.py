@@ -139,10 +139,7 @@ class ABFTChecker:
         """The cycle's residual product, ``A_s x`` on the level's stored
         payload, with every ``verify_every``-th result checksum-validated;
         transparent otherwise."""
-        from ..kernels import spmv_plain
-
-        a, cdtype = level.stored.matrix, level.compute_dtype
-        y = spmv_plain(a, x, compute_dtype=cdtype, plan=level.plan)
+        y = level.matvec(x)
         self.stats["spmvs"] += 1
         self._counter += 1
         if self._counter % self.verify_every != 0:
@@ -167,7 +164,7 @@ class ABFTChecker:
                 level=level.index,
                 mismatch=float(mismatch),
             )
-        y = spmv_plain(a, x, compute_dtype=cdtype, plan=level.plan)
+        y = level.matvec(x)
         self.stats["spmvs"] += 1
         mismatch2 = self._mismatch(level.index, x, y)
         if mismatch2 is None:

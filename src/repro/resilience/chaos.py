@@ -357,29 +357,13 @@ def _cycle_trial(prob, config, seed: int) -> tuple[str, dict]:
 
 def _halo_trial(persistent: bool, prob, config, seed: int) -> tuple[str, dict]:
     from ..mg import mg_setup
-    from ..parallel import (
-        DistributedField,
-        DistributedMG,
-        DistributedSGDIA,
-        distributed_cg,
-    )
+    from ..parallel import DistributedMG, DistributedSGDIA, distributed_cg
     from .faults import halo_fault
 
     hierarchy = mg_setup(prob.a, config, prob.mg_options)
     decomp = DistributedMG.aligned_decomposition(hierarchy, (2, 1, 1))
     dmg = DistributedMG(hierarchy, decomp)
     da = DistributedSGDIA.from_global(prob.a, decomp)
-    b = DistributedField.scatter(
-        np.asarray(prob.b).reshape(prob.a.grid.field_shape),
-        decomp,
-        dtype=np.float64,
-    )
-
-    def precond(r, z):
-        e = dmg.precondition(r)
-        for rank in range(decomp.nranks):
-            z.owned_view(rank)[...] = e.owned_view(rank)
-
     with halo_fault(
         kind="drop" if persistent else "garble",
         at_message=3,
@@ -387,7 +371,8 @@ def _halo_trial(persistent: bool, prob, config, seed: int) -> tuple[str, dict]:
         seed=seed,
     ):
         result, _stats = distributed_cg(
-            da, b, rtol=prob.rtol, maxiter=300, preconditioner=precond
+            da, prob.b, rtol=prob.rtol, maxiter=300,
+            preconditioner=dmg.precondition,
         )
     return result.status, {"iterations": result.iterations}
 

@@ -477,7 +477,6 @@ def robust_distributed_solve(
     """
     from ..parallel import (
         CommStats,
-        DistributedField,
         DistributedMG,
         DistributedSGDIA,
         distributed_cg,
@@ -528,18 +527,9 @@ def robust_distributed_solve(
 
         decomp = DistributedMG.aligned_decomposition(hierarchy, proc_grid)
         dmg = DistributedMG(hierarchy, decomp)
-        da = DistributedSGDIA.from_global(a, decomp)
-        bd = DistributedField.scatter(
-            np.asarray(b).reshape(a.grid.field_shape), decomp, dtype=np.float64
-        )
-
-        def precond(r, z, _dmg=dmg, _decomp=decomp):
-            e = _dmg.precondition(r)
-            for rank in range(_decomp.nranks):
-                z.owned_view(rank)[...] = e.owned_view(rank)
-
         result, attempt_stats = distributed_cg(
-            da, bd, rtol=rtol, maxiter=maxiter, preconditioner=precond
+            DistributedSGDIA.from_global(a, decomp), b, rtol=rtol,
+            maxiter=maxiter, preconditioner=dmg.precondition,
         )
         stats.merge(attempt_stats)
         # Every rank saw the same allreduced norms, hence the same status;

@@ -21,21 +21,17 @@ import repro
 from repro.kernels import (
     COLORS8,
     available_backends,
-    axpy,
     backend_status,
     compute_diag_inv,
-    dot,
     get_backend,
     gs_sweep_colored,
     jacobi_sweep,
-    norm2,
     plan_for,
     set_backend,
     spmv,
     spmv_plain,
     sptrsv,
     use_backend,
-    xpay,
 )
 from repro.kernels import backend as _backend
 from repro.kernels import backend_c
@@ -153,13 +149,6 @@ class TestRegistry:
         assert st["resolved"] in st["registered"]
         assert HAVE_C == ("c" not in st["unavailable"])
 
-    def test_dot_never_overridden(self):
-        """Reductions keep numpy's pairwise summation on every backend."""
-        for name in available_backends():
-            with use_backend(name) as be:
-                assert be.dot is _backend._numpy_backend().dot
-                assert be.norm2 is _backend._numpy_backend().norm2
-
 
 class TestGracefulFallback:
     """No compiler, a failed compile or an unwritable cache: numpy resolves,
@@ -248,22 +237,6 @@ class TestGracefulFallback:
             plan = plan_for(a)
             ref = _backend._numpy_backend().spmv(plan, a, x)
             assert ref.tobytes() == be.spmv(plan, a, x).tobytes()
-
-
-class TestBlas1Dispatch:
-    def test_ops_route_through_backend(self):
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal(100).astype(np.float32)
-        y = rng.standard_normal(100).astype(np.float32)
-        with use_backend("numpy"):
-            yr = y.copy()
-            axpy(0.5, x, yr)
-            assert np.array_equal(yr, y + np.float32(0.5) * x)
-            yr = y.copy()
-            xpay(x, 0.25, yr)
-            assert np.allclose(yr, x + np.float32(0.25) * y)
-            assert dot(x, y) == np.dot(x.astype(np.float64), y.astype(np.float64))
-            assert norm2(x) > 0
 
 
 #: each public kernel entry point, the backend entry it must reach, and a

@@ -188,27 +188,13 @@ class TestABFTDetection:
 
 class TestHaloFaults:
     def _distributed(self, problem):
-        from repro.parallel import (
-            DistributedField,
-            DistributedMG,
-            DistributedSGDIA,
-        )
+        from repro.parallel import DistributedMG, DistributedSGDIA
 
         h = mg_setup(problem.a, K64P32D16_SETUP_SCALE, problem.mg_options)
         decomp = DistributedMG.aligned_decomposition(h, (2, 1, 1))
         dmg = DistributedMG(h, decomp)
         da = DistributedSGDIA.from_global(problem.a, decomp)
-        b = DistributedField.scatter(
-            np.asarray(problem.b).reshape(problem.a.grid.field_shape),
-            decomp, dtype=np.float64,
-        )
-
-        def precond(r, z):
-            e = dmg.precondition(r)
-            for rank in range(decomp.nranks):
-                z.owned_view(rank)[...] = e.owned_view(rank)
-
-        return da, b, precond
+        return da, problem.b, dmg.precondition
 
     def test_transient_garble_heals_by_retransmit(self, problem, metrics):
         from repro.parallel import distributed_cg

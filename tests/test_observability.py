@@ -382,7 +382,6 @@ class TestCommTelemetry:
     def test_distributed_cg_detail_and_halo_metrics(self, rng):
         from repro.parallel import (
             CartesianDecomposition,
-            DistributedField,
             DistributedSGDIA,
             distributed_cg,
         )
@@ -390,11 +389,9 @@ class TestCommTelemetry:
         a = random_sgdia((8, 8, 8), "3d7", spd=True, diag_boost=8.0)
         dec = CartesianDecomposition(a.grid, (2, 2, 1))
         da = DistributedSGDIA.from_global(a, dec)
-        bd = DistributedField.scatter(
-            rng.standard_normal(a.grid.field_shape), dec, dtype=np.float64
-        )
+        b = rng.standard_normal(a.grid.field_shape)
         with obs_trace.tracing() as tr, obs_metrics.collecting() as m:
-            res, stats = distributed_cg(da, bd, rtol=1e-9, maxiter=400)
+            res, stats = distributed_cg(da, b, rtol=1e-9, maxiter=400)
         assert res.converged
         comm = res.detail["comm"]
         assert comm["p2p_messages"] == stats.p2p_messages

@@ -16,12 +16,12 @@ from repro.kernels import (
 from repro.parallel import (
     CartesianDecomposition,
     CommStats,
-    DistributedField,
     DistributedSGDIA,
     balanced_split,
     distributed_cg,
     distributed_dot,
 )
+from repro.parallel.halo import DistributedField
 from repro.sgdia import StoredMatrix
 
 from tests.helpers import assert_same_bytes, random_sgdia
@@ -161,8 +161,7 @@ class TestDistributedSpMV:
         dec = CartesianDecomposition(a.grid, pg)
         da = DistributedSGDIA.from_global(a, dec)
         xg = rng.standard_normal(a.grid.field_shape)
-        xf = DistributedField.scatter(xg, dec, dtype=np.float64)
-        y = da.spmv(xf).gather()
+        y = da.spmv(xg)
         assert_same_bytes(y, spmv_plain(a, xg, compute_dtype=np.float64))
 
     def test_block_matches(self, rng):
@@ -170,8 +169,7 @@ class TestDistributedSpMV:
         dec = CartesianDecomposition(a.grid, (2, 2, 1))
         da = DistributedSGDIA.from_global(a, dec)
         xg = rng.standard_normal(a.grid.field_shape)
-        xf = DistributedField.scatter(xg, dec, dtype=np.float64)
-        y = da.spmv(xf).gather()
+        y = da.spmv(xg)
         assert_same_bytes(y, spmv_plain(a, xg, compute_dtype=np.float64))
 
     def test_grid_mismatch_rejected(self):
@@ -187,31 +185,28 @@ class TestDistributedSmoothers:
         dec = CartesianDecomposition(a.grid, (2, 2, 2))
         da = DistributedSGDIA.from_global(a, dec)
         bg = rng.standard_normal(a.grid.field_shape)
-        bd = DistributedField.scatter(bg, dec, dtype=np.float64)
-        xd = DistributedField(dec, dtype=np.float64)
-        dinv = da.diag_inv_local()
+        xd = np.zeros(a.grid.field_shape)
+        dinv = compute_diag_inv(a, np.float64)
         for _ in range(3):
-            da.gs_sweep_colored(bd, xd, dinv)
+            da.gs_sweep_colored(bg, xd, dinv)
         xs = np.zeros(a.grid.field_shape)
-        dinv_seq = compute_diag_inv(a, np.float64)
         for _ in range(3):
-            gs_sweep_colored(a, bg, xs, dinv_seq, compute_dtype=np.float64)
-        assert_same_bytes(xd.gather(), xs)
+            gs_sweep_colored(a, bg, xs, dinv, compute_dtype=np.float64)
+        assert_same_bytes(xd, xs)
 
     def test_colored_gs_backward(self, rng):
         a = random_sgdia((6, 6, 6), "3d7", spd=True, diag_boost=8.0)
         dec = CartesianDecomposition(a.grid, (2, 1, 2))
         da = DistributedSGDIA.from_global(a, dec)
         bg = rng.standard_normal(a.grid.field_shape)
-        bd = DistributedField.scatter(bg, dec, dtype=np.float64)
-        xd = DistributedField(dec, dtype=np.float64)
-        da.gs_sweep_colored(bd, xd, da.diag_inv_local(), forward=False)
+        dinv = compute_diag_inv(a, np.float64)
+        xd = np.zeros(a.grid.field_shape)
+        da.gs_sweep_colored(bg, xd, dinv, forward=False)
         xs = np.zeros(a.grid.field_shape)
         gs_sweep_colored(
-            a, bg, xs, compute_diag_inv(a, np.float64),
-            forward=False, compute_dtype=np.float64,
+            a, bg, xs, dinv, forward=False, compute_dtype=np.float64,
         )
-        assert_same_bytes(xd.gather(), xs)
+        assert_same_bytes(xd, xs)
 
     @pytest.mark.parametrize("ncomp,pattern", [(1, "3d27"), (3, "3d15")])
     @pytest.mark.parametrize("storage", ["fp64", "fp16"])
@@ -229,46 +224,41 @@ class TestDistributedSmoothers:
         da = DistributedSGDIA.from_global(a, dec)
         seq = a.matrix if storage == "fp16" else a
         dinv = compute_diag_inv(seq, cdtype)
-        dinv_local = da.diag_inv_local()
-        for rank in range(dec.nranks):
-            assert_same_bytes(dinv_local[rank], dinv[dec.owned_slices(rank)])
         bg = rng.standard_normal(a.grid.field_shape).astype(cdtype)
         x0 = rng.standard_normal(a.grid.field_shape).astype(cdtype)
-        bd = DistributedField.scatter(bg, dec)
-        xd = DistributedField.scatter(x0, dec)
+        xd = x0.copy()
         xs = x0.copy()
-        da.jacobi_sweep(bd, xd, dinv_local, weight=0.7)
+        da.jacobi_sweep(bg, xd, dinv, weight=0.7)
         jacobi_sweep(seq, bg, xs, dinv, weight=0.7, compute_dtype=cdtype)
-        assert_same_bytes(xd.gather(), xs)
+        assert_same_bytes(xd, xs)
         for forward in (True, False):
-            da.gs_sweep_colored(bd, xd, dinv_local, forward=forward)
+            da.gs_sweep_colored(bg, xd, dinv, forward=forward)
             gs_sweep_colored(seq, bg, xs, dinv, forward=forward,
                              compute_dtype=cdtype)
-            assert_same_bytes(xd.gather(), xs)
+            assert_same_bytes(xd, xs)
 
     def test_jacobi_converges(self, rng):
         a = random_sgdia((6, 6, 6), "3d7", spd=True, diag_boost=10.0)
         dec = CartesianDecomposition(a.grid, (2, 2, 1))
         da = DistributedSGDIA.from_global(a, dec)
         bg = rng.standard_normal(a.grid.field_shape)
-        bd = DistributedField.scatter(bg, dec, dtype=np.float64)
-        xd = DistributedField(dec, dtype=np.float64)
-        dinv = da.diag_inv_local()
+        xd = np.zeros(a.grid.field_shape)
+        dinv = compute_diag_inv(a, np.float64)
         for _ in range(300):
-            da.jacobi_sweep(bd, xd, dinv, weight=0.8)
-        r = bg - spmv_plain(a, xd.gather(), compute_dtype=np.float64)
+            da.jacobi_sweep(bg, xd, dinv, weight=0.8)
+        r = bg - spmv_plain(a, xd, compute_dtype=np.float64)
         assert np.linalg.norm(r) / np.linalg.norm(bg) < 1e-8
 
     def test_gs_comm_count(self, rng):
         a = random_sgdia((8, 8, 8), "3d27", spd=True)
         dec = CartesianDecomposition(a.grid, (2, 2, 2))
         da = DistributedSGDIA.from_global(a, dec)
-        bd = DistributedField.scatter(
-            rng.standard_normal(a.grid.field_shape), dec, dtype=np.float64
-        )
-        xd = DistributedField(dec, dtype=np.float64)
+        bg = rng.standard_normal(a.grid.field_shape)
         stats = CommStats()
-        da.gs_sweep_colored(bd, xd, da.diag_inv_local(), stats=stats)
+        da.gs_sweep_colored(
+            bg, np.zeros_like(bg), compute_diag_inv(a, np.float64),
+            stats=stats,
+        )
         # 8 colors x 24 directed messages
         assert stats.p2p_messages == 8 * 24
 
@@ -279,8 +269,7 @@ class TestDistributedCG:
         dec = CartesianDecomposition(a.grid, (2, 2, 2))
         da = DistributedSGDIA.from_global(a, dec)
         bg = rng.standard_normal(a.grid.field_shape)
-        bd = DistributedField.scatter(bg, dec, dtype=np.float64)
-        res, stats = distributed_cg(da, bd, rtol=1e-10, maxiter=400)
+        res, stats = distributed_cg(da, bg, rtol=1e-10, maxiter=400)
         assert res.converged
         ref = spla.spsolve(a.to_csr().tocsc(), bg.ravel())
         np.testing.assert_allclose(res.x.ravel(), ref, rtol=1e-6)
@@ -292,8 +281,7 @@ class TestDistributedCG:
         dec = CartesianDecomposition(a.grid, (2, 2, 1))
         da = DistributedSGDIA.from_global(a, dec)
         bg = rng.standard_normal(a.grid.field_shape)
-        bd = DistributedField.scatter(bg, dec, dtype=np.float64)
-        res_d, _ = distributed_cg(da, bd, rtol=1e-9, maxiter=400)
+        res_d, _ = distributed_cg(da, bg, rtol=1e-9, maxiter=400)
         res_s = cg(a, bg, rtol=1e-9, maxiter=400)
         assert abs(res_d.iterations - res_s.iterations) <= 1
 
@@ -305,8 +293,7 @@ class TestDistributedCG:
         dec = CartesianDecomposition(a.grid, (2, 2, 1))
         da = DistributedSGDIA.from_global(a, dec)
         bg = rng.standard_normal(a.grid.field_shape)
-        bd = DistributedField.scatter(bg, dec, dtype=np.float64)
-        res_d, _ = distributed_cg(da, bd, rtol=1e-9, maxiter=400)
+        res_d, _ = distributed_cg(da, bg, rtol=1e-9, maxiter=400)
         res_s = cg(a, bg, rtol=1e-9, maxiter=400)
         # before, only pap == 0 stopped the distributed solver: it
         # reported "converged" after 16 iterations
@@ -319,10 +306,10 @@ class TestDistributedCG:
         a = random_sgdia((8, 8, 8), "3d7", spd=True, diag_boost=8.0)
         dec = CartesianDecomposition(a.grid, (2, 2, 2))
         da = DistributedSGDIA.from_global(a, dec)
-        bd = DistributedField.scatter(
-            rng.standard_normal(a.grid.field_shape), dec, dtype=np.float64
+        res, stats = distributed_cg(
+            da, rng.standard_normal(a.grid.field_shape), rtol=1e-9,
+            maxiter=400,
         )
-        res, stats = distributed_cg(da, bd, rtol=1e-9, maxiter=400)
         it = res.iterations
         # one halo exchange (24 msgs) per matvec; >= 3 allreduces per iter
         assert stats.p2p_messages == 24 * it
@@ -333,17 +320,10 @@ class TestDistributedCG:
         a = random_sgdia((8, 8, 8), "3d7", spd=True, diag_boost=8.0)
         dec = CartesianDecomposition(a.grid, (2, 2, 2))
         da = DistributedSGDIA.from_global(a, dec)
-        bd = DistributedField.scatter(
-            rng.standard_normal(a.grid.field_shape), dec, dtype=np.float64
-        )
-        dinv = da.diag_inv_local()
-
-        def precond(r, z):
-            for rank in range(dec.nranks):
-                z.owned_view(rank)[...] = dinv[rank] * r.owned_view(rank)
-
+        dinv = compute_diag_inv(a, np.float64)
         res, _ = distributed_cg(
-            da, bd, rtol=1e-9, maxiter=400, preconditioner=precond
+            da, rng.standard_normal(a.grid.field_shape), rtol=1e-9,
+            maxiter=400, preconditioner=lambda r: dinv * r,
         )
         assert res.converged
 
@@ -351,8 +331,7 @@ class TestDistributedCG:
         a = random_sgdia((6, 6, 6), "3d7", spd=True)
         dec = CartesianDecomposition(a.grid, (2, 1, 1))
         da = DistributedSGDIA.from_global(a, dec)
-        bd = DistributedField(dec, dtype=np.float64)
-        res, _ = distributed_cg(da, bd, rtol=1e-9)
+        res, _ = distributed_cg(da, np.zeros(a.grid.field_shape), rtol=1e-9)
         assert res.converged and res.iterations == 0
 
 
@@ -362,10 +341,8 @@ class TestDot:
         dec = CartesianDecomposition(g, (2, 2, 2))
         xg = rng.standard_normal(g.field_shape)
         yg = rng.standard_normal(g.field_shape)
-        xf = DistributedField.scatter(xg, dec, dtype=np.float64)
-        yf = DistributedField.scatter(yg, dec, dtype=np.float64)
         stats = CommStats()
-        assert distributed_dot(xf, yf, stats) == pytest.approx(
+        assert distributed_dot(dec, xg, yg, stats) == pytest.approx(
             float(xg.ravel() @ yg.ravel())
         )
         assert stats.allreduces == 1

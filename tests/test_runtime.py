@@ -176,17 +176,6 @@ class TestScope:
 class TestSolverInterruption:
     """Each solver converts interruption into a status, keeping the iterate."""
 
-    @pytest.mark.parametrize("name", ["cg", "gmres", "richardson"])
-    def test_pre_expired_deadline_status(self, problem, hierarchy, name):
-        ctx = ExecContext(deadline=Deadline(at=0.0, clock=FakeClock(1.0)))
-        result = solve(
-            name, problem.a, problem.b,
-            preconditioner=hierarchy.precondition,
-            rtol=1e-10, maxiter=200, runtime=ctx,
-        )
-        assert result.status == "deadline"
-        assert np.isfinite(result.x).all()
-
     def test_vcycle_checks_per_level_visit(self, problem, hierarchy):
         # A deadline that expires *during* the first preconditioner
         # application is caught by the per-level check inside the cycle.
@@ -234,24 +223,6 @@ class TestCheckpointResume:
             rtol=1e-11, maxiter=200, **kwargs,
         )
 
-    def test_cg_resume_is_bit_identical(self, problem, hierarchy):
-        sink = []
-        full = self._solve(
-            problem, hierarchy, checkpoint_every=3,
-            checkpoint_sink=sink.append,
-        )
-        assert full.status == "converged"
-        assert sink, "no checkpoints emitted"
-        cp = sink[0]
-        assert cp.solver == "cg" and cp.iteration == 3
-        resumed = self._solve(problem, hierarchy, resume_from=cp)
-        assert resumed.status == "converged"
-        # bit-identical: same iterate, same full residual curve (the
-        # checkpoint restores the prefix, the continuation replays the rest)
-        np.testing.assert_array_equal(resumed.x, full.x)
-        assert resumed.iterations == full.iterations
-        assert resumed.history.norms == full.history.norms
-
     def test_cg_resume_bit_identical_through_disk(
         self, problem, hierarchy, tmp_path
     ):
@@ -266,11 +237,6 @@ class TestCheckpointResume:
         resumed = self._solve(problem, hierarchy, resume_from=cp)
         np.testing.assert_array_equal(resumed.x, full.x)
         assert resumed.iterations == full.iterations
-
-    def test_wrong_solver_checkpoint_rejected(self, problem, hierarchy):
-        cp = SolverCheckpoint(solver="gmres", iteration=1)
-        with pytest.raises(ValueError, match="cannot resume"):
-            self._solve(problem, hierarchy, resume_from=cp)
 
     def test_gmres_resume_at_restart_boundary(self, problem, hierarchy):
         sink = []
@@ -291,42 +257,6 @@ class TestCheckpointResume:
         )
         assert resumed.status == "converged"
         np.testing.assert_array_equal(resumed.x, full.x)
-
-    def test_richardson_resume_bit_identical(self, problem, hierarchy):
-        sink = []
-        full = solve(
-            "richardson", problem.a, problem.b,
-            preconditioner=hierarchy.precondition,
-            rtol=1e-9, maxiter=100,
-            checkpoint_every=5, checkpoint_sink=sink.append,
-        )
-        assert full.status == "converged"
-        resumed = solve(
-            "richardson", problem.a, problem.b,
-            preconditioner=hierarchy.precondition,
-            rtol=1e-9, maxiter=100, resume_from=sink[0],
-        )
-        np.testing.assert_array_equal(resumed.x, full.x)
-        assert resumed.iterations == full.iterations
-
-    def test_batched_cg_resume_bit_identical(self, problem, hierarchy):
-        b = np.stack([problem.b.ravel(), 3.0 * problem.b.ravel()], axis=-1)
-        sink = []
-        full = batched_cg(
-            problem.a, b,
-            preconditioner=hierarchy.precondition,
-            rtol=1e-11, maxiter=200,
-            checkpoint_every=3, checkpoint_sink=sink.append,
-        )
-        assert all(r.status == "converged" for r in full)
-        resumed = batched_cg(
-            problem.a, b,
-            preconditioner=hierarchy.precondition,
-            rtol=1e-11, maxiter=200, resume_from=sink[0],
-        )
-        for r_full, r_res in zip(full, resumed):
-            np.testing.assert_array_equal(r_res.x, r_full.x)
-            assert r_res.iterations == r_full.iterations
 
     def test_interrupted_solve_carries_resumable_checkpoint(
         self, problem, hierarchy
