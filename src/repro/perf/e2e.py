@@ -55,7 +55,9 @@ SETUP_PASSES = 6.0
 
 def _smoother_volume_per_application(level, compute_itemsize: int) -> float:
     """Access volume of one smoother application on one level."""
-    sm = level.smoother
+    # a distributed level's smoother is a rank-by-rank wrapper around the
+    # sequential one, whose sweeps it runs: model those
+    sm = getattr(level.smoother, "smoother", level.smoother)
     nnz = level.nnz_stored
     ndof = level.ndof
     mat = level.stored.storage.itemsize

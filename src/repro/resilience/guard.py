@@ -526,10 +526,14 @@ def robust_distributed_solve(
             continue
 
         decomp = DistributedMG.aligned_decomposition(hierarchy, proc_grid)
-        dmg = DistributedMG(hierarchy, decomp)
-        result, attempt_stats = distributed_cg(
+        # the preconditioner's halo exchanges and the Krylov loop's traffic
+        # go to one per-attempt profile, merged into the total
+        attempt_stats = CommStats()
+        dmg = DistributedMG(hierarchy, decomp, attempt_stats)
+        result, _ = distributed_cg(
             DistributedSGDIA.from_global(a, decomp), b, rtol=rtol,
             maxiter=maxiter, preconditioner=dmg.precondition,
+            stats=attempt_stats,
         )
         stats.merge(attempt_stats)
         # Every rank saw the same allreduced norms, hence the same status;

@@ -10,11 +10,17 @@ truncate the residual, apply the FP16 multigrid, recover the error.
 and the multigrid preconditioner see the whole ``(n, k)`` block at once,
 so each FP16 coefficient slice is converted (``fcvt``) once per iteration
 instead of once per column — the serving-side realization of the paper's
-bandwidth argument.  The scalars (``alpha``, ``beta``, residual norms) are
-kept per column, on contiguous column copies with the exact operation
-sequence of a single solve, and a column freezes the moment its own solve
-would stop.  Because the batched kernels are columnwise bit-exact, every
-column reproduces :func:`cg` on that column bit for bit.  For block
+bandwidth argument.  Both run one recurrence over the block; a single
+vector is ``k = 1``.  The scalars (``alpha``, ``beta``, residual norms) are
+kept per column: each iteration makes one C-contiguous ``(k, n)`` row copy
+each of ``p``, ``Ap``, ``r`` and ``z`` (:meth:`Run.rows
+<repro.solvers.driver.Run.rows>`, a view for ``k = 1``) and reduces each
+column's row with the BLAS call a single solve makes on its vector, so the
+summation order is the same.  The ``x``, ``r`` and ``p`` updates are one
+broadcast each over the live columns, and a column freezes, never to be
+written again, the moment its own solve would stop.  Because the batched
+kernels are columnwise bit-exact, every column reproduces :func:`cg` on
+that column bit for bit.  For block
 (vector-PDE) operators that rests on one summation order: each ``r x r``
 block product sums in ascending order from zero whatever the column count
 (:func:`repro.kernels.spmv.block_contract`, and the compiled block kernels
@@ -60,25 +66,32 @@ class _CG(Method):
     def __init__(self, block: bool):
         self.name = "batched_cg" if block else "cg"
         self.p = None
-        self.rz: list = []
+        self.rz = None
 
     def state(self, run):
         arrays = {"x": run.x, "r": run.r, "p": self.p}
+        rz = [float(v) for v in self.rz]
         if run.block:
-            return {"arrays": arrays, "extra": {"rz": list(self.rz)}}
-        return {"arrays": arrays, "scalars": {"rz": self.rz[0]}}
+            return {"arrays": arrays, "extra": {"rz": rz}}
+        return {"arrays": arrays, "scalars": {"rz": rz[0]}}
 
     def restore(self, run, cp, arrays):
         self.p = arrays["p"]
         rz = cp.extra["rz"] if run.block else [cp.scalars["rz"]]
-        self.rz = [float(v) for v in rz]
+        self.rz = np.array(rz, dtype=np.float64)
 
     def steps(self, run):
+        n, k = run.b.size // run.k, run.k
+        # every iteration reuses these: the (k, n) rows of p, Ap, r and z
+        # (views when k == 1), and the (n, k) products alpha p and alpha Ap
+        self.buf = np.empty((4, k, n), run.dtype) if k > 1 else (None,) * 4
+        self.tmp = np.empty((n, k), run.dtype)
         if self.p is None:
             yield
             z = run.precondition(run.r)
             self.p = z.copy()
-            self.rz = [run.dot(run.r, z, j) for j in range(run.k)]
+            rr, zr = run.rows(run.r, self.buf[2]), run.rows(z, self.buf[3])
+            self.rz = np.array([_dot(rr[j], zr[j]) for j in range(k)])
         while run.it < run.maxiter and run.active.any():
             yield
             run.it += 1
@@ -89,17 +102,22 @@ class _CG(Method):
                 yield run.it
 
     def _iterate(self, run):
-        p, rz = self.p, self.rz
+        # x, r and p are C-contiguous (the driver allocates x and r and
+        # restores p so), so these (n, k) reshapes are views: the updates
+        # land in place
+        k, rz = run.k, self.rz
+        p, x, r = (v.reshape(-1, k) for v in (self.p, run.x, run.r))
         for j in run.live():
             if not np.isfinite(rz[j]):
                 run.freeze(j, "diverged")
         if not run.active.any():
             return
         with _trace.span("spmv"):
-            ap = run.apply(p)
-        alpha = {}
+            ap = run.apply(self.p)
+        pr, apr = run.rows(p, self.buf[0]), run.rows(ap, self.buf[1])
+        alpha = np.zeros(k)
         for j in run.live():
-            pap = run.dot(p, ap, j)
+            pap = _dot(pr[j], apr[j])
             failure = curvature_status(pap)
             if failure is not None:
                 run.freeze(j, *failure)
@@ -108,11 +126,14 @@ class _CG(Method):
         live = run.live()
         if live.size == 0:
             return
-        for j in live:
-            xj, rj = run.view(run.x, j), run.view(run.r, j)
-            xj += alpha[j] * run.view(p, j)
-            rj -= alpha[j] * run.view(ap, j)
-            run.record(j)
+        # one broadcast per update over the live columns; a frozen column
+        # is never written
+        where = _where(run)
+        np.add(x, self._scaled(p, alpha, where), out=x, where=where)
+        ap = ap.reshape(-1, k)
+        np.subtract(r, self._scaled(ap, alpha, where), out=r, where=where)
+        rr = run.rows(r, self.buf[2])
+        run.record(rr)
         restart = False
         if run.callback is not None:
             rel = run.rel.copy() if run.block else float(run.rel[0])
@@ -125,21 +146,46 @@ class _CG(Method):
         if not run.active.any():
             return
         z = run.precondition(run.r)
+        zr = run.rows(z, self.buf[3])
+        beta = np.zeros(k)
         for j in run.live():
-            rz_new = run.dot(run.r, z, j)
-            pj, zj = run.view(p, j), run.view(z, j)
-            if restart:
-                # The callback changed the preconditioner (the precision
-                # policy re-tiered a level): the beta recurrence assumes a
-                # fixed M, so restart from the preconditioned residual.
-                pj[...] = zj
-            elif rz[j] == 0.0:
-                run.freeze(j, "breakdown")
-                continue
-            else:
-                pj *= rz_new / rz[j]  # p = z + beta p
-                pj += zj
+            rz_new = _dot(rr[j], zr[j])
+            if not restart:
+                if rz[j] == 0.0:
+                    run.freeze(j, "breakdown")
+                    continue
+                beta[j] = rz_new / rz[j]
             rz[j] = rz_new
+        z, where = z.reshape(-1, k), _where(run)
+        if restart:
+            # The callback changed the preconditioner (the precision
+            # policy re-tiered a level): the beta recurrence assumes a
+            # fixed M, so restart from the preconditioned residual.
+            np.copyto(p, z, where=where)
+        else:
+            beta = beta.astype(p.dtype, copy=False)
+            np.multiply(p, beta, out=p, where=where)
+            np.add(p, z, out=p, where=where)  # p = z + beta p
+
+    def _scaled(self, v, coef, where):
+        """``coef * v`` column by column, into the reused buffer.  Each
+        column's FP64 ``coef`` is cast to ``v``'s dtype first and the
+        product keeps that dtype: a Python float scaling one vector does
+        the same."""
+        if self.tmp.dtype != v.dtype:
+            self.tmp = np.empty(v.shape, v.dtype)
+        coef = coef.astype(v.dtype, copy=False)
+        return np.multiply(v, coef, out=self.tmp, where=where)
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> float:
+    return float(np.vdot(u, v).real)
+
+
+def _where(run) -> "np.ndarray | bool":
+    """The live columns as a ufunc ``where=``: ``True`` (the unmasked
+    loop) while every column is live."""
+    return True if run.active.all() else run.active
 
 
 def cg(

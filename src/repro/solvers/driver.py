@@ -33,7 +33,11 @@ boundaries:
 ``state``/``restore`` carry what the method needs across a checkpoint
 besides ``x`` and ``r``.  Block mode (CG over a trailing batch axis) keeps
 its per-column bookkeeping here too: status, iteration count, history and
-reason per column, plus an active mask.  So one recurrence serves a single
+reason per column, plus an active mask.  Every per-column reduction
+(``||b||``, the residual norms, CG's dots) runs on :meth:`Run.rows`: one
+C-contiguous ``(k, n)`` row copy of a block, a view of a single vector.
+``b``, ``x`` and ``r`` are C-contiguous, so a method updates a block in
+place through its ``(n, k)`` reshape.  So one recurrence serves a single
 vector and a block alike.
 """
 
@@ -95,13 +99,12 @@ class Run:
         self.block = block
         self.matvec = _as_matvec(a, block)
         b_dtype = method.residual_dtype
-        self.b = np.asarray(b, dtype=self.dtype if b_dtype is None else b_dtype)
+        self.b = np.ascontiguousarray(
+            b, dtype=self.dtype if b_dtype is None else b_dtype
+        )
         self.shape = self.b.shape
         self.k = self.shape[-1] if block else 1
-        self.bn = [
-            float(np.linalg.norm(self.col(self.b, j))) or 1.0
-            for j in range(self.k)
-        ]
+        self.bn = [float(np.linalg.norm(row)) or 1.0 for row in self.rows(self.b)]
         self.m = preconditioner if preconditioner is not None else (lambda r: r)
         self.rtol = rtol
         self.maxiter = maxiter
@@ -128,26 +131,35 @@ class Run:
     def live(self) -> np.ndarray:
         return np.flatnonzero(self.active)
 
-    def col(self, v: np.ndarray, j: int) -> np.ndarray:
-        """Column ``j`` of ``v``, flat and contiguous, for reductions."""
-        return np.ascontiguousarray(v[..., j]).ravel() if self.block else v.ravel()
+    def rows(self, v: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:
+        """``v`` as C-contiguous ``(k, n)`` rows: row ``j`` is column ``j``
+        flattened in C order, the vector a single solve reduces over, so a
+        column's dots and norms are that solve's BLAS calls on the same
+        bytes.  For ``k == 1`` a reshape (a view of a contiguous ``v``);
+        otherwise one transposed copy, into ``out`` when it has ``v``'s
+        dtype."""
+        if self.k == 1:
+            return v.reshape(1, -1)
+        if out is None or out.dtype != v.dtype:
+            return np.ascontiguousarray(v.reshape(-1, self.k).T)
+        np.copyto(out, v.reshape(-1, self.k).T)
+        return out
 
-    def view(self, v: np.ndarray, j: int) -> np.ndarray:
-        """Column ``j`` of ``v``, writable in place."""
-        return v[..., j] if self.block else v
+    def measure(self, rows: "np.ndarray | None" = None) -> np.ndarray:
+        """``rel[j] = ||r_j|| / ||b_j||`` for every live column ``j``, from
+        ``rows`` (``r``'s rows) when given; returns those ``j``."""
+        rows = self.rows(self.r) if rows is None else rows
+        live = self.live()
+        for j in live:
+            self.rel[j] = float(np.linalg.norm(rows[j])) / self.bn[j]
+        return live
 
-    def dot(self, u: np.ndarray, v: np.ndarray, j: int) -> float:
-        return float(np.vdot(self.col(u, j), self.col(v, j)).real)
-
-    def measure(self, j: int = 0) -> float:
-        """``||r_j|| / ||b_j||``, kept in ``rel[j]``."""
-        self.rel[j] = float(np.linalg.norm(self.col(self.r, j))) / self.bn[j]
-        return float(self.rel[j])
-
-    def record(self, j: int = 0) -> float:
-        rel = self.measure(j)
-        self.histories[j].record(rel)
-        return rel
+    def record(self, rows: "np.ndarray | None" = None) -> float:
+        """:meth:`measure`, and each live column's history; returns column
+        0's ``rel`` (a single vector's)."""
+        for j in self.measure(rows):
+            self.histories[j].record(float(self.rel[j]))
+        return float(self.rel[0])
 
     def freeze(self, j: int, status: str, reason: "str | None" = None) -> None:
         """Column ``j`` stops here with ``status``."""
@@ -193,7 +205,7 @@ class Run:
                 f"cannot resume {self.method.name} from a {cp.solver!r} checkpoint"
             )
         arrays = {
-            name: np.array(v, dtype=self.dtype, copy=True).reshape(self.shape)
+            name: np.array(v, dtype=self.dtype, order="C").reshape(self.shape)
             for name, v in cp.arrays.items()
         }
         self.x = arrays.pop("x")
@@ -235,10 +247,11 @@ class Run:
     def results(self) -> "SolveResult | list[SolveResult]":
         seconds = time.perf_counter() - self.t0
         detail = self.method.detail(self)
+        xs = self.rows(self.x)
         out = []
         for j in range(self.k):
             res = SolveResult(
-                x=np.ascontiguousarray(self.x[..., j]) if self.block else self.x,
+                x=xs[j].reshape(self.shape[:-1]) if self.block else self.x,
                 status=self.statuses[j],
                 iterations=self.iters[j],
                 history=self.histories[j],
@@ -286,13 +299,13 @@ def drive(
     elif x0 is None:
         run.x = np.zeros(run.shape, dtype=run.dtype)
     else:
-        run.x = np.array(x0, dtype=run.dtype, copy=True).reshape(run.shape)
+        run.x = np.array(x0, dtype=run.dtype, order="C").reshape(run.shape)
     with _runtime_scope(runtime):
         try:
             if run.r is None:
                 run.r = method.residual(run)
-            for j in run.live():
-                rel = run.measure(j)
+            for j in run.measure():
+                rel = float(run.rel[j])
                 if resume_from is None:
                     run.histories[j].record(rel)
                 if not np.isfinite(rel):

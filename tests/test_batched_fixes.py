@@ -214,18 +214,52 @@ class TestOneColumnBlock:
         "name,shape", [("laplace27", (16, 16, 16)), ("solid-3d", (12, 12, 8))]
     )
     def test_batched_cg_equals_cg(self, name, shape, layout):
+        """Every column of a block is ``cg`` on that column, byte for byte
+        (x, status, iterations, history): a one-column block; a block in
+        FP32 working precision, whose FP64 operator returns FP64 products;
+        and a Fortran-ordered block and ``x0`` whose columns stop at
+        different iterations (the RHS scaled by 1e3 and 1e-3 at a tight
+        rtol) next to a zero column, converged at 0 iterations.  Both
+        solves update ``x`` in place through ``(n, k)`` views, which a
+        Fortran-ordered ``x0`` would silently turn into copies, so each
+        answer is also checked against the FP64 operator."""
         prob = build_problem(name, shape, seed=0)
         h = mg_setup(prob.a, parse_config("K64P32D16-setup-scale"), prob.mg_options)
-        b = np.asarray(prob.b, dtype=np.float64)
+        csr = prob.a.to_csr()
+        b = np.asarray(prob.b, dtype=np.float64).ravel()
         col = (prob.a.grid.ndof,) if layout == "ndof" else prob.a.grid.field_shape
-        (got,) = batched_cg(
-            prob.a, b.reshape(col + (1,)), preconditioner=h.precondition,
-            rtol=prob.rtol, maxiter=500,
-        )
-        ref = solve(
-            "cg", prob.a, b.reshape(col), preconditioner=h.precondition,
-            rtol=prob.rtol, maxiter=500,
-        )
-        assert got.status == ref.status == "converged"
-        assert got.iterations == ref.iterations
-        np.testing.assert_array_equal(got.x.ravel(), ref.x.ravel())
+        guess = np.random.default_rng(1).standard_normal(b.size)
+        zero = np.zeros_like(b)
+
+        def block(columns):
+            return np.asfortranarray(
+                np.stack(columns, axis=-1).reshape(col + (len(columns),))
+            )
+
+        for rhs, x0, rtol, dtype in [
+            (block([b]), None, prob.rtol, np.float64),
+            (block([b, 1e-3 * b]), None, 1e-5, np.float32),
+            (block([1e3 * b, 1e-3 * b, zero]), block([guess, guess, zero]),
+             1e-12, np.float64),
+        ]:
+            got = batched_cg(
+                prob.a, rhs, x0=x0, preconditioner=h.precondition,
+                rtol=rtol, maxiter=500, dtype=dtype,
+            )
+            for j, res in enumerate(got):
+                ref = solve(
+                    "cg", prob.a, rhs[..., j],
+                    x0=None if x0 is None else x0[..., j],
+                    preconditioner=h.precondition, rtol=rtol, maxiter=500,
+                    dtype=dtype,
+                )
+                assert res.status == ref.status == "converged"
+                assert res.iterations == ref.iterations
+                assert res.history.norms == ref.history.norms
+                assert res.x.shape == ref.x.shape == col
+                assert res.x.tobytes() == ref.x.tobytes()
+                bj = rhs[..., j].ravel()
+                true = np.linalg.norm(bj - csr @ res.x.ravel())
+                assert true <= 10 * rtol * np.linalg.norm(bj)
+        iterations = [res.iterations for res in got]
+        assert iterations[0] != iterations[1] and iterations[2] == 0

@@ -10,6 +10,7 @@ import pytest
 from repro.kernels import backend as _backend
 from repro.kernels import use_backend
 from repro.mg import MGOptions, mg_setup
+from repro.observability import metrics
 from repro.parallel import (
     CartesianDecomposition,
     CommStats,
@@ -275,6 +276,23 @@ class TestDistributedCycle:
             "ed9692fd2c299fb3", "57bada51da2b86ac"
         )
 
+    def test_smoother_bytes_modeled_match_sequential(self):
+        """The modeled smoother traffic of a distributed cycle is the
+        sequential cycle's: each level is charged for the smoother its rank
+        wrapper runs (Jacobi here), not as SymGS."""
+        h = _hierarchy("laplace27-full64-jacobi")
+        dmg = DistributedMG(h, DistributedMG.aligned_decomposition(h, (2, 2, 2)))
+        b = build_problem("laplace27", shape=(16, 16, 16)).b
+        charged = []
+        for mg in (h, dmg):
+            with metrics.collecting() as m:
+                mg.cycle(b.astype(np.float64))
+            totals = m.totals()
+            charged.append(
+                (totals["mg.smoother.calls"], totals["mg.smoother.bytes_modeled"])
+            )
+        assert charged == [(5, 2_351_104), (5, 2_351_104)]
+
     def test_comm_stats_collected(self, rng):
         stats = CommStats()
         p, h, dec, dmg = _setup(stats=stats)
@@ -442,3 +460,8 @@ class TestFailureAgreement:
         assert res.converged
         assert report.n_escalations == 0
         assert report.final_config == K64P32D16_SETUP_SCALE.name
+        # the attempt's preconditioner exchanges count too: the pinned
+        # MG-preconditioned solve's traffic plus the status agreement
+        assert (stats.p2p_messages, stats.p2p_bytes, stats.allreduces) == (
+            13632, 2936832, 27
+        )

@@ -15,10 +15,13 @@ Four regression families (each observable was wrong before the fix):
 - GMRES history records the *recomputed true residual* at every restart
   boundary, bit-equal to ``||b - A x||/||b||`` of the checkpoint state.
 
-Plus the contract suites for the two new solvers (dispatch, warm start,
-bit-identical resume, deadline/cancel, three-precision detail) and the
-policy stall-recovery acceptance scenario on a nonsymmetric problem
-through the flexible restart path.
+Plus what is particular to the two new solvers (dispatch, changing and
+nested preconditioners, a resume that rechecks its tolerance, a deadline
+reaching the nested inner solve, three-precision detail; the driver's
+warm-start, resume and deadline/cancel contract is
+``tests/test_solver_contract.py``'s, for every solver) and the policy
+stall-recovery acceptance scenario on a nonsymmetric problem through the
+flexible restart path.
 """
 
 import dataclasses
@@ -215,12 +218,6 @@ class TestFgmres:
         bn = np.linalg.norm(b)
         assert np.linalg.norm(b - a @ res.x) / bn < 1e-9
 
-    def test_warm_start(self):
-        a, b = _nonsym_system()
-        ref = sp.linalg.spsolve(a.tocsc(), b)
-        res = fgmres(a, b, x0=ref, rtol=1e-9, maxiter=100)
-        assert res.converged and res.iterations == 0
-
     def test_nested_inner_counts_applications(self):
         a, b = _nonsym_system()
         res = fgmres(
@@ -246,20 +243,6 @@ class TestFgmres:
         assert res.converged
         assert res.detail["inner"]["dtype"] == "float32"
 
-    def test_resume_is_bit_identical(self):
-        a, b = _nonsym_system()
-        kw = dict(preconditioner=_jacobi(a), rtol=1e-11, maxiter=300,
-                  restart=5)
-        sink = []
-        full = fgmres(a, b, checkpoint_every=1,
-                      checkpoint_sink=sink.append, **kw)
-        assert full.converged and sink
-        resumed = fgmres(a, b, resume_from=sink[0], **kw)
-        assert resumed.converged
-        np.testing.assert_array_equal(resumed.x, full.x)
-        assert resumed.iterations == full.iterations
-        assert resumed.history.norms == full.history.norms
-
     def test_resume_rechecks_tolerance(self):
         a, b = _nonsym_system()
         sink = []
@@ -273,29 +256,6 @@ class TestFgmres:
         assert good
         res = fgmres(a, b, rtol=1e-6, maxiter=300, resume_from=good[0])
         assert res.converged and res.iterations == good[0].iteration
-
-    def test_deadline_and_cancel(self):
-        from repro.resilience.runtime import (
-            CancelToken,
-            Deadline,
-            ExecContext,
-        )
-
-        a, b = _nonsym_system()
-        expired = ExecContext(
-            deadline=Deadline(at=5.0, clock=lambda: 10.0)
-        )
-        res = fgmres(a, b, rtol=1e-12, maxiter=300, runtime=expired)
-        assert res.status == "deadline"
-        assert np.isfinite(res.x).all()
-
-        token = CancelToken()
-        token.cancel()
-        res = fgmres(
-            a, b, rtol=1e-12, maxiter=300,
-            runtime=ExecContext(cancel=token),
-        )
-        assert res.status == "cancelled"
 
     def test_deadline_cuts_nested_inner(self):
         from repro.resilience.runtime import Deadline, ExecContext
@@ -343,34 +303,6 @@ class TestGmresIr:
         }
         assert res.detail["refinement_steps"] >= 1
         assert res.detail["refinement_steps"] == len(res.history.norms) - 1
-
-    def test_warm_start(self):
-        a, b = _nonsym_system()
-        ref = sp.linalg.spsolve(a.tocsc(), b)
-        res = gmres_ir(a, b, x0=ref, rtol=1e-9, maxiter=100)
-        assert res.converged and res.detail["refinement_steps"] == 0
-
-    def test_resume_is_bit_identical(self):
-        a, b = _nonsym_system()
-        kw = dict(preconditioner=_jacobi(a), rtol=1e-11, maxiter=500,
-                  inner_rtol=1e-2, inner_maxiter=10)
-        sink = []
-        full = gmres_ir(a, b, checkpoint_every=1,
-                        checkpoint_sink=sink.append, **kw)
-        assert full.converged and sink
-        resumed = gmres_ir(a, b, resume_from=sink[0], **kw)
-        assert resumed.converged
-        np.testing.assert_array_equal(resumed.x, full.x)
-        assert resumed.iterations == full.iterations
-
-    def test_deadline(self):
-        from repro.resilience.runtime import Deadline, ExecContext
-
-        a, b = _nonsym_system()
-        expired = ExecContext(deadline=Deadline(at=5.0, clock=lambda: 10.0))
-        res = gmres_ir(a, b, rtol=1e-12, maxiter=400, runtime=expired)
-        assert res.status == "deadline"
-        assert np.isfinite(res.x).all()
 
 
 # ----------------------------------------------------------------------
