@@ -9,9 +9,9 @@
  * reads its coefficients in place.  Every kernel is generated once per
  * (storage, compute) pair by DEFINE_KERNELS / DEFINE_BLOCK_KERNELS below;
  * the suffix names the pair (h = fp16 stored as uint16, f = float,
- * d = double), e.g. repro_spmv_hf, repro_bspmv_hf.  The scalar SpMV also
- * has one kernel per radius-1 stencil with compile-time offsets
- * (DEFINE_STENCIL_SPMV, e.g. repro_spmv_3d27_hf).
+ * d = double), e.g. repro_spmv_hf, repro_bspmv_hf.  The scalar SpMV and
+ * sweep also have one kernel per radius-1 stencil with compile-time offsets
+ * (DEFINE_STENCIL, e.g. repro_spmv_3d27_hf, repro_gs_sweep_3d27_hf).
  *
  * Bit parity with the numpy reference is the contract:
  *   - each cell accumulates over stencil offsets in ascending order,
@@ -30,23 +30,47 @@
  * across the k right-hand-side columns (block kernels), never across the
  * terms of one sum, so it changes no operation order.
  *
+ * Masked row ends.  The per-stencil kernels run every cell of an interior
+ * grid row (every (dx, dy) neighbour row in the grid) in vectors of KW
+ * cells, the row's first vector at 0 and its last at nz - KW, overlapping
+ * the one before.  Only the dz = -1 terms of cell 0 and the dz = +1 terms
+ * of cell nz-1 leave the grid there.  Those two vectors load such a term's
+ * x from inside the neighbour row and move it one lane, so no load reads
+ * outside the row, and a bitwise blend keeps the accumulator of the lane
+ * whose term is missing: the reference's skip, bit for bit (summing the
+ * product anyway would differ: -0 - 0 is -0 but -0 - -0 is +0, and 0 * inf
+ * is NaN).
+ *
  * A sweep is one call, not one per color.  The reference runs the 8
  * parity colors (c0, c1, c2) one after another in COLORS8 order; they pair
  * up into four row classes (c0, c1), the grid rows (i, j) with i % 2 == c0
  * and j % 2 == c1.  With a radius-1 stencil two cells of one row class
- * couple only inside their own grid row: equal i and j parity within
- * distance 1 means di = dj = 0.  So the scalar sweep walks the row classes
- * in COLORS8 order (reversed backward) and runs, per grid row, color
- * (c0, c1, 0) and then (c0, c1, 1) (swapped backward): every cell reads the
- * same neighbour values as when each color covers the whole grid before
- * the next starts.  The first color finishes its whole row before the
- * second starts, because a second-color cell at the end of one chunk reads
- * its first-color neighbour at the start of the next.  Each color reads
- * the row's coefficients in place, converting them in registers, and each
- * vector computes 8 contiguous cells of both parities, two vectors per
- * pass; only the color's cells are written.  (The sweep once copied every
- * row into a packed buffer first; that copy existed only to dodge the
- * cache-set aliasing of unpadded planes.)
+ * couple only inside their own grid row (equal i and j parity within
+ * distance 1 means di = dj = 0), so a grid row can run its two colors, c2 =
+ * 0 then 1 (swapped backward), as soon as the rows it reads are as COLORS8
+ * order would leave them.  A cell of row class (c0, c1) must read a
+ * neighbour row of another class as updated if that class comes first in
+ * COLORS8 order, and as not yet updated otherwise; the classes order by c0
+ * first.  So every neighbour plane i +- 1 must be done before plane i when
+ * i is odd and not started when i is even, and within a plane the same
+ * holds for rows j +- 1 by the parity of j.  The lagged order, planes 0, 2,
+ * 1, 4, 3, 6, 5, ... and rows within each plane likewise, runs every even
+ * plane (row) before both its odd neighbours and every odd one after both
+ * its even neighbours.  Backward, where the classes run in reverse, planes
+ * and rows run 1, 0, 3, 2, 5, 4, ...: every odd one before both its even
+ * neighbours and every even one after both.  (The forward sequence
+ * reversed would do too, but walking memory upwards measured 10% faster.)
+ * Every cell then reads the same neighbour values as when each color covers
+ * the whole grid before the next starts, and the sweep streams the
+ * coefficients once.  The first color finishes its whole row before the
+ * second starts, because a second-color cell at the end of one vector reads
+ * its first-color neighbour at the start of the next.  Each vector computes
+ * KW contiguous cells of both parities and a bitwise blend stores only the
+ * color's lanes into x; a cell computed by two overlapping vectors gets the
+ * same value from both, since within one color pass no cell reads another
+ * of its color.  The one-color mode (mode 2 + c) runs color c alone on the
+ * rows of its class, in any order: what each rank of the distributed engine
+ * calls between halo exchanges.
  */
 #include <float.h>
 #include <stdint.h>
@@ -58,12 +82,11 @@
 
 /* Cells per row chunk: bounds the on-stack conversion buffers, not the
  * row length (rows of any length are processed chunk by chunk).  The
- * sweep's results and the Galerkin kernel's intermediates are buffered in
- * chunks of GCH. */
+ * Galerkin kernel's intermediates are buffered in chunks of GCH. */
 #define CH 512
 #define GCH 256
 #define ND 27 /* most stencil offsets (every radius-1 stencil fits) */
-#define KW 8  /* cells (scalar sweep) or columns (block kernels) per vector */
+#define KW 8  /* cells (scalar kernels) or columns (block kernels) per vector */
 
 int repro_has_f16c(void)
 {
@@ -178,12 +201,18 @@ DEFINE_MADD(hd, uint16_t, double)
 
 typedef float f8_t __attribute__((vector_size(KW * sizeof(float))));
 typedef double d8_t __attribute__((vector_size(KW * sizeof(double))));
+/* lane masks of the same widths (each lane all ones or all zeros) */
+typedef int i8_t __attribute__((vector_size(KW * sizeof(int))));
+typedef long l8_t __attribute__((vector_size(KW * sizeof(long))));
 
 #define ALWAYS_INLINE static inline __attribute__((always_inline))
 
 /* kc <= KW consecutive values into (out of) the lanes of one vector; a
- * whole vector is the fast case. */
-#define DEFINE_LANES(T, V)                                                     \
+ * whole vector is the fast case.  On whole vectors of KW = 8 lanes:
+ * vup/vdown move every lane up/down by one (lane q takes lane q-1/q+1; the
+ * emptied lane keeps its own value), and vpick takes the bits of `a` in the
+ * lanes of `m` and those of `b` elsewhere. */
+#define DEFINE_LANES(T, V, M)                                                  \
 ALWAYS_INLINE V vld_##V(const T *p, long kc)                                   \
 {                                                                              \
     V v = {0};                                                                 \
@@ -202,10 +231,25 @@ ALWAYS_INLINE void vst_##V(T *p, V v, long kc)                                 \
     else                                                                       \
         for (long q = 0; q < kc; q++)                                          \
             p[q] = v[q];                                                       \
+}                                                                              \
+                                                                               \
+ALWAYS_INLINE V vup_##V(V v)                                                   \
+{                                                                              \
+    return __builtin_shuffle(v, (M){0, 0, 1, 2, 3, 4, 5, 6});                  \
+}                                                                              \
+                                                                               \
+ALWAYS_INLINE V vdown_##V(V v)                                                 \
+{                                                                              \
+    return __builtin_shuffle(v, (M){1, 2, 3, 4, 5, 6, 7, 7});                  \
+}                                                                              \
+                                                                               \
+ALWAYS_INLINE V vpick_##V(M m, V a, V b)                                       \
+{                                                                              \
+    return (V)(((M)a & m) | ((M)b & ~m));                                      \
 }
 
-DEFINE_LANES(float, f8_t)
-DEFINE_LANES(double, d8_t)
+DEFINE_LANES(float, f8_t, i8_t)
+DEFINE_LANES(double, d8_t, l8_t)
 
 /* KW consecutive stored coefficients, converted to the compute type in
  * registers (F16C for fp16: 8 halves per vcvtph2ps). */
@@ -256,43 +300,115 @@ static inline int row_terms(const int *restrict offs, int ndiag, int skip,
     return nt;
 }
 
-/* Per-stencil scalar SpMV: repro_spmv_<stencil>_<pair>, instantiated by
- * DEFINE_KERNELS below, is repro_spmv_<pair> for one radius-1 stencil
+/* The sweep order (see the head of this file): the t-th of n planes, or of
+ * the n rows of a plane.  mode 1 (forward): the lagged order 0, 2, 1, 4, 3,
+ * ...; mode 0 (backward): 1, 0, 3, 2, 5, 4, ...; mode 2 + c (color c
+ * alone): the t-th index of parity `bit`, of walk_len of them. */
+static inline long walk_len(long n, int mode, int bit)
+{
+    return mode >= 2 ? (n - bit + 1) / 2 : n;
+}
+
+static inline long walk_at(long t, long n, int mode, int bit)
+{
+    if (mode >= 2)
+        return bit + 2 * t;
+    if (mode == 0)
+        return (t ^ 1) < n ? t ^ 1 : t;
+    return t == 0 ? 0 : t % 2 ? lmin(t + 1, n - 1) : t - 1;
+}
+
+/* Whether grid row (i, j) takes the per-stencil row body: every (dx, dy)
+ * neighbour row in the grid, and at least one vector of cells. */
+static inline int row_body(long i, long j, long nx, long ny, long nz)
+{
+    return i > 0 && i < nx - 1 && j > 0 && j < ny - 1 && nz >= KW;
+}
+
+/* Per-stencil scalar kernels: repro_spmv_<stencil>_<pair> and
+ * repro_gs_sweep_<stencil>_<pair>, instantiated by DEFINE_KERNELS below,
+ * are repro_spmv_<pair> and repro_gs_sweep_<pair> for one radius-1 stencil
  * of repro.grid.stencil, whose offsets (the 27 radius-1 offsets in
  * lexicographic order, kept where IN_<stencil> holds for |dx|+|dy|+|dz|)
- * are compile-time constants.  Each interior cell of an interior grid row
- * (every neighbour in the grid: 0 < i < nx-1, 0 < j < ny-1, 0 < k < nz-1)
- * sums its terms in registers, in ascending offset order from zero, two
- * vectors of KW cells per pass, and stores y once: the order and values of
- * the y-streaming loop, which still runs the boundary rows, the row ends
- * and rows with fewer than KW interior cells.  backend_c.py hands these
- * kernels only the offset tables of their stencils. */
+ * are compile-time constants.  Every interior grid row (0 < i < nx-1,
+ * 0 < j < ny-1) of at least KW cells runs through the row body, all of its
+ * cells in vectors; the other rows run the generic kernels' run-time
+ * terms.  backend_c.py hands these kernels only the offset tables of their
+ * stencils. */
 #define IN_3d7(n) ((n) <= 1)
 #define IN_3d15(n) ((n) != 2)
 #define IN_3d19(n) ((n) <= 2)
 #define IN_3d27(n) 1
 #define IABS(v) ((v) < 0 ? -(v) : (v))
 
-#define DEFINE_STENCIL_SPMV(NAME, SUF, S, T, V)                                \
-ALWAYS_INLINE void                                                             \
-interior_##NAME##_##SUF(const S *restrict c, long stride, const T *restrict x, \
-                        T *restrict y, long sx, long sy, long ka, long kb)     \
-{                                                                              \
-    V a0 = {0}, a1 = {0};                                                      \
-    int d = 0;                                                                 \
-    _Pragma("GCC unroll 27")                                                   \
-    for (int o = 0; o < 27; o++) {                                             \
-        const int dx = o / 9 - 1, dy = o / 3 % 3 - 1, dz = o % 3 - 1;          \
-        if (!IN_##NAME(IABS(dx) + IABS(dy) + IABS(dz)))                        \
-            continue;                                                          \
-        const S *cd = c + d * stride;                                          \
-        const T *xo = x + dx * sx + dy * sy + dz;                              \
-        a0 += vcv_##SUF(cd + ka) * vld_##V(xo + ka, KW);                       \
-        a1 += vcv_##SUF(cd + kb) * vld_##V(xo + kb, KW);                       \
+/* X(o, ...) for each radius-1 offset o = 9 (dx+1) + 3 (dy+1) + (dz+1), in
+ * lexicographic order: straight-line code, every test and index a constant. */
+#define EACH_OFFSET(X, ...)                                                    \
+    X(0, __VA_ARGS__) X(1, __VA_ARGS__) X(2, __VA_ARGS__) X(3, __VA_ARGS__)    \
+    X(4, __VA_ARGS__) X(5, __VA_ARGS__) X(6, __VA_ARGS__) X(7, __VA_ARGS__)    \
+    X(8, __VA_ARGS__) X(9, __VA_ARGS__) X(10, __VA_ARGS__) X(11, __VA_ARGS__)  \
+    X(12, __VA_ARGS__) X(13, __VA_ARGS__) X(14, __VA_ARGS__)                   \
+    X(15, __VA_ARGS__) X(16, __VA_ARGS__) X(17, __VA_ARGS__)                   \
+    X(18, __VA_ARGS__) X(19, __VA_ARGS__) X(20, __VA_ARGS__)                   \
+    X(21, __VA_ARGS__) X(22, __VA_ARGS__) X(23, __VA_ARGS__)                   \
+    X(24, __VA_ARGS__) X(25, __VA_ARGS__) X(26, __VA_ARGS__)
+#define OX(o) ((o) / 9 - 1)
+#define OY(o) ((o) / 3 % 3 - 1)
+#define OZ(o) ((o) % 3 - 1)
+
+/* Offset o's term in the row body, if stencil NAME has it: its coefficient
+ * plane d (its position in the stencil) and neighbour row; the sweep skips
+ * the diagonal, o = 13. */
+#define ROW_TERM(o, NAME, SUF)                                                 \
+    if (IN_##NAME(IABS(OX(o)) + IABS(OY(o)) + IABS(OZ(o)))) {                  \
+        acc = term_##SUF(c + d * stride + k, x + OX(o) * sx + OY(o) * sy + k,  \
+                         acc, OZ(o), sweep && (o) == 13, sweep, edge);         \
         d++;                                                                   \
+    }
+
+#define DEFINE_STENCIL(NAME, SUF, S, T, V)                                     \
+                                                                               \
+/* The row body: acc plus (sweep 0, the SpMV) or minus (sweep 1) every term   \
+ * of cells [k, k + KW) of an interior grid row, in ascending offset order;  \
+ * c and x point at the row's first cell, the neighbour rows sx and sy       \
+ * values away, and edge marks the row's first and last vectors (term_). */  \
+ALWAYS_INLINE V                                                                \
+terms_##NAME##_##SUF(const S *restrict c, long stride, const T *x, long sx,    \
+                     long sy, long k, V acc, int sweep, int edge)              \
+{                                                                              \
+    int d = 0;                                                                 \
+    EACH_OFFSET(ROW_TERM, NAME, SUF)                                           \
+    return acc;                                                                \
+}                                                                              \
+                                                                               \
+/* A whole interior row of nz >= KW cells (pointers at its first cell):       \
+ * y = A x (sweep 0), or color c2 of the sweep's x = dinv (b - ...) (sweep 1, \
+ * y = x).  Vectors start at 0, then two at a time through the middle (the    \
+ * last pair clamped to nz-1-KW, so it may overlap the one before), then at   \
+ * nz - KW: a cell computed twice gets the same value. */                     \
+ALWAYS_INLINE void                                                             \
+row_##NAME##_##SUF(const S *restrict c, long stride, const T *x, T *y,         \
+                   const T *restrict b, const T *restrict dinv, long sx,       \
+                   long sy, long nz, int sweep, int c2)                        \
+{                                                                              \
+    if (nz == KW) {                                                            \
+        put_##SUF(y, dinv, 0, terms_##NAME##_##SUF(c, stride, x, sx, sy, 0,    \
+                  start_##SUF(b, 0, sweep), sweep, 3), sweep, c2);             \
+        return;                                                                \
     }                                                                          \
-    vst_##V(y + ka, a0, KW);                                                   \
-    vst_##V(y + kb, a1, KW);                                                   \
+    put_##SUF(y, dinv, 0, terms_##NAME##_##SUF(c, stride, x, sx, sy, 0,        \
+              start_##SUF(b, 0, sweep), sweep, 1), sweep, c2);                 \
+    for (long k = KW; k < nz - KW; k += 2 * KW) {                              \
+        const long kb = lmin(k + KW, nz - 1 - KW);                             \
+        const V a0 = terms_##NAME##_##SUF(c, stride, x, sx, sy, k,             \
+                                          start_##SUF(b, k, sweep), sweep, 0); \
+        const V a1 = terms_##NAME##_##SUF(c, stride, x, sx, sy, kb,            \
+                                          start_##SUF(b, kb, sweep), sweep, 0);\
+        put_##SUF(y, dinv, k, a0, sweep, c2);                                  \
+        put_##SUF(y, dinv, kb, a1, sweep, c2);                                 \
+    }                                                                          \
+    put_##SUF(y, dinv, nz - KW, terms_##NAME##_##SUF(c, stride, x, sx, sy,     \
+              nz - KW, start_##SUF(b, nz - KW, sweep), sweep, 2), sweep, c2);  \
 }                                                                              \
                                                                                \
 void repro_spmv_##NAME##_##SUF(const S *restrict data, long stride,           \
@@ -300,40 +416,59 @@ void repro_spmv_##NAME##_##SUF(const S *restrict data, long stride,           \
                                const T *restrict x, T *restrict y,             \
                                long nx, long ny, long nz)                      \
 {                                                                              \
-    const long last = nz - 1 - KW; /* the last interior vector's start */     \
     for (long i = 0; i < nx; i++)                                              \
         for (long j = 0; j < ny; j++) {                                        \
-            if (i == 0 || i == nx - 1 || j == 0 || j == ny - 1 || last < 1) {  \
-                spmv_cells_##SUF(data, stride, offs, ndiag, x, y, nx, ny, nz,  \
-                                 i, j, 0, nz);                                 \
-                continue;                                                      \
-            }                                                                  \
             const long row = (i * ny + j) * nz;                                \
-            spmv_cells_##SUF(data, stride, offs, ndiag, x, y, nx, ny, nz, i,   \
-                             j, 0, 1);                                         \
-            for (long k = 1; k < nz - 1; k += 2 * KW)                          \
-                interior_##NAME##_##SUF(data + row, stride, x + row, y + row,  \
-                                        ny * nz, nz, lmin(k, last),            \
-                                        lmin(k + KW, last));                   \
-            spmv_cells_##SUF(data, stride, offs, ndiag, x, y, nx, ny, nz, i,   \
-                             j, nz - 1, nz);                                   \
+            if (row_body(i, j, nx, ny, nz))                                    \
+                row_##NAME##_##SUF(data + row, stride, x + row, y + row, NULL, \
+                                   NULL, ny * nz, nz, nz, 0, 0);               \
+            else                                                               \
+                spmv_row_##SUF(data, stride, offs, ndiag, x, y, nx, ny, nz, i, \
+                               j);                                             \
         }                                                                      \
+}                                                                              \
+                                                                               \
+static void                                                                    \
+gs_row_##NAME##_##SUF(const S *restrict data, long stride,                     \
+                      const int *restrict offs, int ndiag, int diag,           \
+                      const T *restrict b, const T *restrict dinv, T *x,       \
+                      long nx, long ny, long nz, long i, long j, int c2,       \
+                      int np)                                                  \
+{                                                                              \
+    if (!row_body(i, j, nx, ny, nz)) {                                         \
+        gs_row_##SUF(data, stride, offs, ndiag, diag, b, dinv, x, nx, ny, nz,  \
+                     i, j, c2, np);                                            \
+        return;                                                                \
+    }                                                                          \
+    const long row = (i * ny + j) * nz;                                        \
+    for (int p = 0; p < np; p++, c2 = 1 - c2)                                  \
+        row_##NAME##_##SUF(data + row, stride, x + row, x + row, b + row,      \
+                           dinv + row, ny * nz, nz, nz, 1, c2);                \
+}                                                                              \
+                                                                               \
+void repro_gs_sweep_##NAME##_##SUF(const S *restrict data, long stride,       \
+                                   const int *restrict offs, int ndiag,        \
+                                   int diag, const T *restrict b,              \
+                                   const T *restrict dinv, T *x, long nx,      \
+                                   long ny, long nz, int mode)                 \
+{                                                                              \
+    gs_walk_##SUF(gs_row_##NAME##_##SUF, data, stride, offs, ndiag, diag, b,   \
+                  dinv, x, nx, ny, nz, mode);                                  \
 }
 
-#define DEFINE_KERNELS(SUF, S, T, V)                                           \
+#define DEFINE_KERNELS(SUF, S, T, V, M)                                        \
                                                                                \
-/* y = A x on cells [ka, kb) of grid row (i, j), from zero: chunk by chunk,   \
- * each in-grid term added across the chunk in ascending offset order. */     \
-static void spmv_cells_##SUF(const S *restrict data, long stride,              \
-                             const int *restrict offs, int ndiag,              \
-                             const T *restrict x, T *restrict y, long nx,      \
-                             long ny, long nz, long i, long j, long ka,        \
-                             long kb)                                          \
+/* y = A x on grid row (i, j), from zero: chunk by chunk, each in-grid term   \
+ * added across the chunk in ascending offset order. */                       \
+static void spmv_row_##SUF(const S *restrict data, long stride,                \
+                           const int *restrict offs, int ndiag,                \
+                           const T *restrict x, T *restrict y, long nx,        \
+                           long ny, long nz, long i, long j)                   \
 {                                                                              \
     const long row = (i * ny + j) * nz;                                        \
     T *restrict yr = y + row;                                                  \
-    for (long k0 = ka; k0 < kb; k0 += CH) {                                    \
-        const long k1 = lmin(k0 + CH, kb);                                     \
+    for (long k0 = 0; k0 < nz; k0 += CH) {                                     \
+        const long k1 = lmin(k0 + CH, nz);                                     \
         for (long k = k0; k < k1; k++)                                         \
             yr[k] = 0;                                                         \
         for (int d = 0; d < ndiag; d++) {                                      \
@@ -358,82 +493,130 @@ void repro_spmv_##SUF(const S *restrict data, long stride,                    \
 {                                                                              \
     for (long i = 0; i < nx; i++)                                              \
         for (long j = 0; j < ny; j++)                                          \
-            spmv_cells_##SUF(data, stride, offs, ndiag, x, y, nx, ny, nz, i,   \
-                             j, 0, nz);                                        \
+            spmv_row_##SUF(data, stride, offs, ndiag, x, y, nx, ny, nz, i, j); \
 }                                                                              \
                                                                                \
-/* Color c2 of cells [k0, k1) of the grid row at `row`, reading each term's  \
- * coefficients in place (term t of cell k at data[cofs[t] + k]).  The cells  \
- * of [v0, v1), where every term's neighbour is in the grid, are              \
- * accumulated two vectors of KW at a time, both parities alike, the last     \
- * vectors overlapping the ones before; the color's other cells (the row      \
- * ends, or every cell when [v0, v1) is shorter than a vector) one at a       \
- * time.  x is written after the chunk, and only at the color's cells. */    \
-ALWAYS_INLINE void                                                             \
-gs_chunk_##SUF(const S *restrict data, int nt, const long *cofs,               \
-               const long *xofs, const long *lo, const long *hi, long v0,      \
-               long v1, const T *restrict b, const T *restrict dinv,           \
-               T *restrict x, long row, long k0, long k1, int c2)              \
+/* One term of the row body (DEFINE_STENCIL) on cells [k, k + KW): acc plus   \
+ * (sweep 0) or minus (sweep 1) (T)c * x, c and xn at cell k of the term's    \
+ * coefficient plane and neighbour row, dz its offset along the row; acc as   \
+ * it is if skip.  Only a dz = +-1 neighbour leaves the grid of an interior   \
+ * row: in its first vector (edge & 1) lane 0 has no dz = -1 term, in its     \
+ * last (edge & 2) lane KW-1 no dz = +1 term.  Such a term's x is loaded from \
+ * inside the neighbour row, [k, k + KW), and moved one lane, and a blend     \
+ * keeps the missing lane's accumulator bits: the reference's skip, bit for   \
+ * bit. */                                                                    \
+ALWAYS_INLINE V term_##SUF(const S *restrict c, const T *xn, V acc, int dz,    \
+                           int skip, int sweep, int edge)                      \
 {                                                                              \
-    T res[GCH];                                                                \
-    if (v1 - v0 < KW)                                                          \
-        v0 = v1 = k1;                                                          \
-    for (long kk = v0; kk < v1; kk += 2 * KW) {                                \
-        const long ka = lmin(kk, v1 - KW), kb = lmin(kk + KW, v1 - KW);        \
-        V a0 = vld_##V(b + row + ka, KW), a1 = vld_##V(b + row + kb, KW);      \
-        for (int t = 0; t < nt; t++) {                                         \
-            const S *c = data + cofs[t];                                       \
-            const T *xt = x + xofs[t];                                         \
-            a0 -= vcv_##SUF(c + ka) * vld_##V(xt + ka, KW);                    \
-            a1 -= vcv_##SUF(c + kb) * vld_##V(xt + kb, KW);                    \
-        }                                                                      \
-        vst_##V(res + ka - k0, a0 * vld_##V(dinv + row + ka, KW), KW);         \
-        vst_##V(res + kb - k0, a1 * vld_##V(dinv + row + kb, KW), KW);         \
-    }                                                                          \
-    for (long k = k0 + c2; k < k1; k += 2) {                                   \
-        if (k >= v0 && k < v1)                                                 \
-            continue;                                                          \
-        T acc = b[row + k];                                                    \
-        for (int t = 0; t < nt; t++)                                           \
-            if (k >= lo[t] && k < hi[t])                                       \
-                acc -= cv_##SUF(data[cofs[t] + k]) * x[xofs[t] + k];           \
-        res[k - k0] = acc * dinv[row + k];                                     \
-    }                                                                          \
-    for (long k = k0 + c2; k < k1; k += 2)                                     \
-        x[row + k] = res[k - k0];                                              \
+    const M first = {-1}, last = {0, 0, 0, 0, 0, 0, 0, -1};                    \
+    if (skip)                                                                  \
+        return acc;                                                            \
+    const int lo = dz < 0 && (edge & 1), hi = dz > 0 && (edge & 2);            \
+    const V xv = lo ? vup_##V(vld_##V(xn, KW))                                 \
+               : hi ? vdown_##V(vld_##V(xn, KW)) : vld_##V(xn + dz, KW);       \
+    const V p = vcv_##SUF(c) * xv;                                             \
+    const V next = sweep ? acc - p : acc + p;                                  \
+    return lo ? vpick_##V(first, acc, next)                                    \
+              : hi ? vpick_##V(last, acc, next) : next;                        \
 }                                                                              \
                                                                                \
-/* The forward or backward 8-color Gauss-Seidel sweep, in place on x: the      \
- * row classes in COLORS8 order (reversed backward), and per grid row its      \
- * two colors, chunk by chunk (see the head of this file). */                  \
-void repro_gs_sweep_##SUF(const S *restrict data, long stride,                \
-                          const int *restrict offs,                            \
-                          int ndiag, int diag, const T *restrict b,            \
-                          const T *restrict dinv, T *restrict x,               \
-                          long nx, long ny, long nz, int forward)              \
+/* A row vector's start: zero (SpMV) or b (sweep). */                          \
+ALWAYS_INLINE V start_##SUF(const T *restrict b, long k, int sweep)            \
+{                                                                              \
+    return sweep ? vld_##V(b + k, KW) : (V){0};                                \
+}                                                                              \
+                                                                               \
+/* A row vector's result: y (SpMV), or acc * dinv into the lanes of color c2  \
+ * of x = y, the other lanes rewritten with their own bits (sweep). */        \
+ALWAYS_INLINE void put_##SUF(T *y, const T *restrict dinv, long k, V acc,      \
+                             int sweep, int c2)                                \
+{                                                                              \
+    const M even = {-1, 0, -1, 0, -1, 0, -1, 0};                               \
+    if (sweep)                                                                 \
+        acc = vpick_##V((k + c2) % 2 ? ~even : even,                           \
+                        acc * vld_##V(dinv + k, KW), vld_##V(y + k, KW));      \
+    vst_##V(y + k, acc, KW);                                                   \
+}                                                                              \
+                                                                               \
+/* Color c2, then, if np == 2, color 1 - c2 of grid row (i, j) on run-time    \
+ * terms.  The cells of [v0, v1), where every term's neighbour is in the      \
+ * grid, run two vectors of KW at a time, the last ones overlapping those     \
+ * before, each vector's color lanes blended into x; the color's other cells  \
+ * (the row ends, or every cell when [v0, v1) is shorter than a vector) run   \
+ * one at a time. */                                                          \
+static void gs_row_##SUF(const S *restrict data, long stride,                  \
+                         const int *restrict offs, int ndiag, int diag,        \
+                         const T *restrict b, const T *restrict dinv, T *x,    \
+                         long nx, long ny, long nz, long i, long j, int c2,    \
+                         int np)                                               \
 {                                                                              \
     long cofs[ND], xofs[ND], lo[ND], hi[ND];                                   \
-    for (int q = 0; q < 4; q++) {                                              \
-        const int cls = forward ? q : 3 - q;                                   \
-        for (long i = cls >> 1; i < nx; i += 2)                                \
-            for (long j = cls & 1; j < ny; j += 2) {                           \
-                const int nt = row_terms(offs, ndiag, diag, i, j, nx, ny, nz,  \
-                                         stride, 1, cofs, xofs, lo, hi);       \
-                long v0 = 0, v1 = nz;                                          \
-                for (int t = 0; t < nt; t++) {                                 \
-                    v0 = lmax(v0, lo[t]);                                      \
-                    v1 = lmin(v1, hi[t]);                                      \
-                }                                                              \
-                const long row = (i * ny + j) * nz;                            \
-                for (int p = 0; p < 2; p++)                                    \
-                    for (long k0 = 0; k0 < nz; k0 += GCH) {                    \
-                        const long k1 = lmin(k0 + GCH, nz);                    \
-                        gs_chunk_##SUF(data, nt, cofs, xofs, lo, hi,           \
-                                       lmax(k0, v0), lmin(k1, v1), b, dinv,    \
-                                       x, row, k0, k1, forward ? p : 1 - p);   \
-                    }                                                          \
-            }                                                                  \
+    const int nt = row_terms(offs, ndiag, diag, i, j, nx, ny, nz, stride, 1,   \
+                             cofs, xofs, lo, hi);                              \
+    long v0 = 0, v1 = nz;                                                      \
+    for (int t = 0; t < nt; t++) {                                             \
+        v0 = lmax(v0, lo[t]);                                                  \
+        v1 = lmin(v1, hi[t]);                                                  \
     }                                                                          \
+    if (v1 - v0 < KW)                                                          \
+        v0 = v1 = nz;                                                          \
+    const long row = (i * ny + j) * nz;                                        \
+    for (int p = 0; p < np; p++, c2 = 1 - c2) {                                \
+        for (long kk = v0; kk < v1; kk += 2 * KW) {                            \
+            const long ka = lmin(kk, v1 - KW), kb = lmin(kk + KW, v1 - KW);    \
+            V a0 = vld_##V(b + row + ka, KW), a1 = vld_##V(b + row + kb, KW);  \
+            for (int t = 0; t < nt; t++) {                                     \
+                const S *c = data + cofs[t];                                   \
+                const T *xt = x + xofs[t];                                     \
+                a0 -= vcv_##SUF(c + ka) * vld_##V(xt + ka, KW);                \
+                a1 -= vcv_##SUF(c + kb) * vld_##V(xt + kb, KW);                \
+            }                                                                  \
+            put_##SUF(x + row, dinv + row, ka, a0, 1, c2);                     \
+            put_##SUF(x + row, dinv + row, kb, a1, 1, c2);                     \
+        }                                                                      \
+        for (long k = c2; k < nz; k += 2) {                                    \
+            if (k >= v0 && k < v1)                                             \
+                continue;                                                      \
+            T acc = b[row + k];                                                \
+            for (int t = 0; t < nt; t++)                                       \
+                if (k >= lo[t] && k < hi[t])                                   \
+                    acc -= cv_##SUF(data[cofs[t] + k]) * x[xofs[t] + k];       \
+            x[row + k] = acc * dinv[row + k];                                  \
+        }                                                                      \
+    }                                                                          \
+}                                                                              \
+                                                                               \
+typedef void gs_row_fn_##SUF(const S *restrict, long, const int *restrict,     \
+                             int, int, const T *restrict, const T *restrict,   \
+                             T *, long, long, long, long, long, int, int);     \
+                                                                               \
+/* The 8-color Gauss-Seidel sweep, in place on x, row by row in the order of   \
+ * walk_at: mode 1 (forward) or 0 (backward) runs each row's two colors,       \
+ * c2 = 0 first forward and 1 first backward; mode 2 + c runs color c alone  \
+ * (c = 4 c0 + 2 c1 + c2) on the rows of its row class. */                    \
+static void gs_walk_##SUF(gs_row_fn_##SUF *row, const S *restrict data,        \
+                          long stride, const int *restrict offs, int ndiag,    \
+                          int diag, const T *restrict b,                       \
+                          const T *restrict dinv, T *x, long nx, long ny,      \
+                          long nz, int mode)                                   \
+{                                                                              \
+    const int one = mode >= 2, c = mode - 2;                                   \
+    const int c0 = one ? c >> 2 : 0, c1 = one ? (c >> 1) & 1 : 0;              \
+    for (long ti = 0; ti < walk_len(nx, mode, c0); ti++) {                     \
+        const long i = walk_at(ti, nx, mode, c0);                              \
+        for (long tj = 0; tj < walk_len(ny, mode, c1); tj++)                   \
+            row(data, stride, offs, ndiag, diag, b, dinv, x, nx, ny, nz, i,    \
+                walk_at(tj, ny, mode, c1), one ? c & 1 : !mode, one ? 1 : 2);  \
+    }                                                                          \
+}                                                                              \
+                                                                               \
+void repro_gs_sweep_##SUF(const S *restrict data, long stride,                \
+                          const int *restrict offs, int ndiag, int diag,       \
+                          const T *restrict b, const T *restrict dinv, T *x,   \
+                          long nx, long ny, long nz, int mode)                 \
+{                                                                              \
+    gs_walk_##SUF(gs_row_##SUF, data, stride, offs, ndiag, diag, b, dinv, x,   \
+                  nx, ny, nz, mode);                                           \
 }                                                                              \
                                                                                \
 /* Triangular solve x = (D + L)^{-1} b (lower) or (D + U)^{-1} b (upper) over  \
@@ -480,18 +663,18 @@ void repro_sptrsv_##SUF(const S *restrict data, long stride,                  \
         }                                                                      \
 }                                                                              \
                                                                                \
-DEFINE_STENCIL_SPMV(3d7, SUF, S, T, V)                                         \
-DEFINE_STENCIL_SPMV(3d15, SUF, S, T, V)                                        \
-DEFINE_STENCIL_SPMV(3d19, SUF, S, T, V)                                        \
-DEFINE_STENCIL_SPMV(3d27, SUF, S, T, V)
+DEFINE_STENCIL(3d7, SUF, S, T, V)                                              \
+DEFINE_STENCIL(3d15, SUF, S, T, V)                                             \
+DEFINE_STENCIL(3d19, SUF, S, T, V)                                             \
+DEFINE_STENCIL(3d27, SUF, S, T, V)
 
-DEFINE_KERNELS(ff, float, float, f8_t)
-DEFINE_KERNELS(dd, double, double, d8_t)
-DEFINE_KERNELS(df, double, float, f8_t)
-DEFINE_KERNELS(fd, float, double, d8_t)
+DEFINE_KERNELS(ff, float, float, f8_t, i8_t)
+DEFINE_KERNELS(dd, double, double, d8_t, l8_t)
+DEFINE_KERNELS(df, double, float, f8_t, i8_t)
+DEFINE_KERNELS(fd, float, double, d8_t, l8_t)
 #if defined(__F16C__)
-DEFINE_KERNELS(hf, uint16_t, float, f8_t)
-DEFINE_KERNELS(hd, uint16_t, double, d8_t)
+DEFINE_KERNELS(hf, uint16_t, float, f8_t, i8_t)
+DEFINE_KERNELS(hd, uint16_t, double, d8_t, l8_t)
 #endif
 
 
@@ -644,18 +827,19 @@ bgs_body_##SUF(const S *restrict data, long stride, const int *restrict offs,  \
         }                                                                      \
 }                                                                              \
                                                                                \
-/* The forward or backward 8-color block Gauss-Seidel sweep, in place on x:    \
- * the colors in COLORS8 order (reversed backward), each over the whole        \
- * grid; per cell acc = b - (the off-diagonal terms), then x = Dinv acc. */    \
+/* The 8-color block Gauss-Seidel sweep, in place on x: the colors in COLORS8  \
+ * order (mode 1) or reversed (mode 0), or color c alone (mode 2 + c), each    \
+ * over the whole grid; per cell acc = b - (the off-diagonal terms), then      \
+ * x = Dinv acc. */                                                            \
 void repro_bgs_sweep_##SUF(const S *restrict data, long stride,               \
                            const int *restrict offs,                           \
                            int ndiag, int diag, int m, long K,                 \
                            const T *restrict b, const T *restrict dinv,        \
                            T *restrict x, long nx, long ny, long nz,           \
-                           int forward)                                        \
+                           int mode)                                           \
 {                                                                              \
-    for (int q = 0; q < 8; q++) {                                              \
-        const int c = forward ? q : 7 - q;                                     \
+    for (int q = 0; q < (mode >= 2 ? 1 : 8); q++) {                            \
+        const int c = mode >= 2 ? mode - 2 : mode ? q : 7 - q;                 \
         BLOCK_SIZES(bgs_body_##SUF, data, stride, offs, ndiag, diag, b, dinv,  \
                     x, nx, ny, nz, c >> 2, (c >> 1) & 1, c & 1, K);            \
     }                                                                          \
@@ -897,9 +1081,6 @@ int repro_galerkin_group(const double *const *a, double *const *out,
  *     signaling NaN, which numpy's cast passes through.
  * A grid row is done in chunks of at most CH values, each scaled into a
  * buffer (or into `scaled`), audited and converted while it is in L1. */
-
-typedef long l8_t __attribute__((vector_size(KW * sizeof(long))));
-typedef int i8_t __attribute__((vector_size(KW * sizeof(int))));
 
 #define ABS_BITS 0x7fffffffffffffffL
 

@@ -8,19 +8,23 @@ allocates, :mod:`repro.sgdia.layout`; each kernel takes that plane stride
 and reads the coefficients in place), of
 
 - scalar operators (``ncomp == 1``): ``spmv``, ``gs_sweep`` and ``sptrsv``
-  (lexicographic schedule), on a single vector.  The SpMV of a 3d7, 3d15,
-  3d19 or 3d27 operator runs that stencil's own kernel: its offsets are
-  compile-time constants, and each interior cell sums its terms in
-  registers (``extras["spmv_stencils"]``).  A sweep is one call: per grid
-  row it runs the row's two colors of ``COLORS8``, converting the
-  coefficients in registers, 8 contiguous cells per vector (the ordering
-  argument is at the head of ``backend_c.c``);
+  (lexicographic schedule), on a single vector.  The SpMV and the sweep of
+  a 3d7, 3d15, 3d19 or 3d27 operator run that stencil's own kernels
+  (``extras["spmv_stencils"]``, ``extras["sweep_stencils"]``): its offsets
+  are compile-time constants, and every cell of an interior grid row, its
+  two end cells included, sums its terms in registers, 8 cells per vector;
+  a row's first and last vectors drop the out-of-grid terms of their end
+  lane with a bitwise blend.  A sweep is one call: per grid row it runs the
+  row's two colors of ``COLORS8``, the rows in the lagged order that reads
+  every neighbour as color-by-color order does, and a one-color call
+  (``color=``) runs that color alone (the masked-end contract and the
+  ordering argument are at the head of ``backend_c.c``);
 - block operators (``ncomp`` 2 to 4, the vector PDEs): ``spmv`` and
-  ``gs_sweep`` (one call, color by color in ``COLORS8`` order) on a vector
-  or an RHS block with a trailing batch axis of any ``k``.  Each cell's
-  ``r x r`` block is converted once and applied to 8 columns per vector
-  operation; every block product sums in ascending order from zero, the
-  order of the reference's ``block_contract``;
+  ``gs_sweep`` (one call, color by color in ``COLORS8`` order, or the one
+  ``color=``) on a vector or an RHS block with a trailing batch axis of any
+  ``k``.  Each cell's ``r x r`` block is converted once and applied to 8
+  columns per vector operation; every block product sums in ascending
+  order from zero, the order of the reference's ``block_contract``;
 
 for these (storage, compute) pairs:
 
@@ -101,9 +105,11 @@ _ARGTYPES = {
     "bspmv": (_P, _L, _P, _I, _I, _L, _P, _P, _L, _L, _L),
     "bgs_sweep": (_P, _L, _P, _I, _I, _I, _L, _P, _P, _P, _L, _L, _L, _I),
 }
-#: stencils with a scalar SpMV of their own (repro_spmv_<stencil>_<pair>, the
-#: spmv arguments), its offsets compile-time constants
-_SPMV_STENCILS = ("3d7", "3d15", "3d19", "3d27")
+#: stencils with a scalar SpMV and sweep of their own
+#: (repro_{spmv,gs_sweep}_<stencil>_<pair>, the generic kernels' arguments),
+#: their offsets compile-time constants
+_STENCILS = ("3d7", "3d15", "3d19", "3d27")
+_STENCIL_KINDS = ("spmv", "gs_sweep")
 #: repro_transfer_{f,d}: src, dst, e, geo, seg, w, nseg
 _TRANSFER_ARGS = (_P, _P, _L, _P, _P, _P, _P)
 #: repro_galerkin_group: a, out, bt, outer, n, nc, inner, f, ra, nra, outs,
@@ -221,10 +227,11 @@ def _load(path: Path) -> "tuple[dict, dict, tuple, bool, tuple[int, int]]":
         for cdt, c in _COMPUTE.items():
             for kind, argtypes in _ARGTYPES.items():
                 kernels[(kind, sdt, cdt)] = fetch(f"repro_{kind}_{s}{c}", argtypes)
-            for name in _SPMV_STENCILS:
-                kernels[(f"spmv_{name}", sdt, cdt)] = fetch(
-                    f"repro_spmv_{name}_{s}{c}", _ARGTYPES["spmv"]
-                )
+            for kind in _STENCIL_KINDS:
+                for name in _STENCILS:
+                    kernels[(f"{kind}_{name}", sdt, cdt)] = fetch(
+                        f"repro_{kind}_{name}_{s}{c}", _ARGTYPES[kind]
+                    )
     transfers = {
         cdt: fetch(f"repro_transfer_{c}", _TRANSFER_ARGS) for cdt, c in _COMPUTE.items()
     }
@@ -273,6 +280,7 @@ def make_backend(reference) -> "tuple[object | None, str]":
     from .backend import KernelBackend
     from .spmv import field_view
     from .sptrsv import _participating_offsets
+    from .sweeps import COLORS8
 
     try:
         path = build_library()
@@ -281,10 +289,8 @@ def make_backend(reference) -> "tuple[object | None, str]":
     except (BuildError, OSError, AttributeError) as exc:  # numpy keeps running
         return None, f"{type(exc).__name__}: {exc}"
 
-    # offsets -> the per-stencil SpMV kind
-    stencil_spmv = {
-        make_stencil(name).offsets: f"spmv_{name}" for name in _SPMV_STENCILS
-    }
+    # offsets -> the stencil whose own kernels run them
+    stencil_names = {make_stencil(name).offsets: name for name in _STENCILS}
 
     def kernel(kind, plan, a, cdtype):
         """The compiled kernel for this call, or None (use the reference)."""
@@ -295,8 +301,8 @@ def make_backend(reference) -> "tuple[object | None, str]":
             if plan.ncomp > max_ncomp or len(plan.offsets) > max_terms:
                 return None
             kind = "b" + kind
-        elif kind == "spmv":
-            kind = stencil_spmv.get(plan.offsets, kind)
+        elif kind in _STENCIL_KINDS and plan.offsets in stencil_names:
+            kind = f"{kind}_{stencil_names[plan.offsets]}"
         if data.shape != (len(plan.offsets), *plan.shape, *block_shape(plan)):
             return None  # not this plan's structure: never hand C a bad bound
         if _stride(data) is None:
@@ -354,7 +360,6 @@ def make_backend(reference) -> "tuple[object | None, str]":
         dims = block_args(plan, x)
         if (
             fn is None
-            or color is not None  # the kernel sweeps all colors at once
             or dims is None
             or plan.sweep_colors is None
             or np.shape(b) != x.shape
@@ -367,9 +372,12 @@ def make_backend(reference) -> "tuple[object | None, str]":
                 plan, a, b, x, diag_inv, forward=forward,
                 compute_dtype=compute_dtype, color=color,
             )
+        color = None if color is None else tuple(color)
         if _metrics.active():
             _metrics.incr("kernel.sweep.calls")
-            charge_fcvt(plan, a, cdtype, plan.sweep_cells)
+            charge_fcvt(plan, a, cdtype, plan.sweep_cells.get(color, 0))
+        # the kernel's mode: 1 forward, 0 backward, 2 + c color c of COLORS8
+        mode = int(bool(forward)) if color is None else 2 + COLORS8.index(color)
         xw = _ready(x, cdtype)  # a copy only for non-contiguous x
         bc = _ready(b, cdtype)
         if np.may_share_memory(bc, xw):
@@ -377,7 +385,7 @@ def make_backend(reference) -> "tuple[object | None, str]":
         dinv = _ready(diag_inv, cdtype)
         fn(a.data.ctypes.data, _stride(a.data), plan.offsets_table.ctypes.data,
            len(plan.offsets), plan.diag_index, *dims, bc.ctypes.data,
-           dinv.ctypes.data, xw.ctypes.data, *plan.shape, int(bool(forward)))
+           dinv.ctypes.data, xw.ctypes.data, *plan.shape, mode)
         if xw is not x:
             x[...] = xw
         return x
@@ -543,11 +551,14 @@ def make_backend(reference) -> "tuple[object | None, str]":
 
     pairs = sorted({
         f"{'block:' if k.startswith('b') else ''}{s.name}->{c.name}"
-        for k, s, c in kernels if not k.startswith("spmv_")
+        for k, s, c in kernels if k in _ARGTYPES
     })
-    spmv_stencils = sorted(
-        f"{k[5:]}:{s.name}->{c.name}" for k, s, c in kernels if k.startswith("spmv_")
-    )
+
+    def stencil_pairs(kind):
+        return sorted(
+            f"{k[len(kind) + 1:]}:{s.name}->{c.name}"
+            for k, s, c in kernels if k.startswith(f"{kind}_")
+        )
     coarsening = sorted(f"transfer:{d.name}" for d in transfers) + [
         "galerkin_group:float64"
     ]
@@ -572,7 +583,8 @@ def make_backend(reference) -> "tuple[object | None, str]":
             "scale/audit/truncation; numpy fallback otherwise"
         ),
         extras={"library": str(path), "f16c": f16c, "pairs": pairs,
-                "spmv_stencils": spmv_stencils, "coarsening": coarsening,
-                "setup": setup_kernels},
+                "spmv_stencils": stencil_pairs("spmv"),
+                "sweep_stencils": stencil_pairs("gs_sweep"),
+                "coarsening": coarsening, "setup": setup_kernels},
     )
     return backend, "ok"

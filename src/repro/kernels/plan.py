@@ -18,7 +18,8 @@ A :class:`KernelPlan` freezes that analysis for one operator *structure*
   stencil without one;
 - ``sweep_colors``: per color, the color slice and the per-offset
   ``(d, dst_global, src_global, dst_local)`` tables (radius-1 stencils
-  with a diagonal only);
+  with a diagonal only), and ``sweep_cells``: per color (``None``: the
+  whole sweep) the coefficients a sweep reads, the fcvt volume it charges;
 - ``trsv_scheme``: per ``(offsets, direction)``, flat gather index tables
   for every wavefront plane, built on first use;
 - ``scratch``: a thread-local buffer pool so the hot loop runs with
@@ -151,14 +152,15 @@ class KernelPlan:
                     terms.append((d, *sl))
                 entries.append((color, cslice, tuple(terms)))
             self.sweep_colors = tuple(entries)
-            self.sweep_cells = sum(
-                _slice_cells(self.shape, dst_g)
-                for _c, _s, terms in entries
-                for _d, dst_g, _src, _dl in terms
-            )
+            cells = {
+                color: sum(_slice_cells(self.shape, dst_g)
+                           for _d, dst_g, _src, _dl in terms)
+                for color, _s, terms in entries
+            }
+            self.sweep_cells = {None: sum(cells.values()), **cells}
         else:
             self.sweep_colors = None
-            self.sweep_cells = 0
+            self.sweep_cells = {None: 0}
 
         self._wavefront_planes = wavefront_planes  # symbolic plane partition
         self._trsv: dict = {}

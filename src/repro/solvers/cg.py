@@ -112,8 +112,7 @@ class _CG(Method):
                 run.freeze(j, "diverged")
         if not run.active.any():
             return
-        with _trace.span("spmv"):
-            ap = run.apply(self.p)
+        ap = run.apply(self.p)
         pr, apr = run.rows(p, self.buf[0]), run.rows(ap, self.buf[1])
         alpha = np.zeros(k)
         for j in run.live():

@@ -47,6 +47,7 @@ import time
 
 import numpy as np
 
+from ..observability import trace as _trace
 from ..resilience.runtime import SolveInterrupted, SolverCheckpoint
 from ..resilience.runtime import scope as _runtime_scope
 from .history import ConvergenceHistory, SolveResult
@@ -97,7 +98,7 @@ class Run:
         self.a = a
         self.dtype = np.dtype(dtype)
         self.block = block
-        self.matvec = _as_matvec(a, block)
+        self._matvec = _as_matvec(a, block)
         b_dtype = method.residual_dtype
         self.b = np.ascontiguousarray(
             b, dtype=self.dtype if b_dtype is None else b_dtype
@@ -171,6 +172,12 @@ class Run:
             self.freeze(j, status)
 
     # -- operators ----------------------------------------------------------
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """``A v``: every operator product of a solve, the initial residual's
+        included, runs here, in one ``spmv`` span."""
+        with _trace.span("spmv"):
+            return self._matvec(v)
+
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.matvec(v).reshape(self.shape)
 

@@ -100,8 +100,7 @@ class _FGMRES(Method):
                 yield
                 with _trace.span("iteration", it=run.it + 1):
                     zk = self._precondition(run, v[k], rel)
-                    with _trace.span("spmv"):
-                        w = run.apply(zk.reshape(run.shape)).ravel()
+                    w = run.apply(zk.reshape(run.shape)).ravel()
                     if not np.isfinite(w).all():
                         stop = "diverged"
                         break

@@ -34,8 +34,7 @@ class _Richardson(Method):
             with _trace.span("iteration", it=run.it):
                 e = run.precondition(run.r)  # lines 4-6
                 run.x += run.dtype.type(self.damping) * e  # line 7
-                with _trace.span("spmv"):
-                    run.r = self.residual(run)  # line 3 of the next pass
+                run.r = self.residual(run)  # line 3 of the next pass
                 rel = run.record()
                 if run.callback is not None:
                     run.callback(run.it, rel, run.x)

@@ -50,7 +50,7 @@ needs_c = pytest.mark.skipif(
     reason=f"c backend not built: {backend_status()['unavailable'].get('c')}",
 )
 
-PATTERNS = ("3d7", "3d19", "3d27")
+PATTERNS = ("3d7", "3d15", "3d19", "3d27")
 #: (payload format, compute dtype); fp64 -> fp32 converts, then multiplies
 PAYLOADS = (
     ("fp16", np.float32),
@@ -62,8 +62,12 @@ PAYLOADS = (
 #: odd shapes, a one-cell-wide grid, and a row longer than any C buffer
 SHAPES = ((6, 5, 7), (1, 1, 9), (2, 2, 5000))
 #: the scalar kernels also on rows of one full 8-cell vector plus a partial
-#: tail (odd nx/ny) and on two-cell rows, shorter than any vector
-SCALAR_SHAPES = SHAPES + ((5, 3, 19), (4, 3, 2))
+#: tail (odd nx/ny) and on two-cell rows, shorter than any vector; and on
+#: interior rows (nx, ny >= 3) of one vector, which is both the row's first
+#: and last, of one vector plus a cell, of two vectors, of two plus a cell,
+#: and of 300 cells
+SCALAR_SHAPES = SHAPES + ((5, 3, 19), (4, 3, 2), (3, 3, 8), (4, 5, 9),
+                          (3, 3, 16), (3, 4, 17), (3, 3, 300))
 #: block sizes of the compiled block kernels, and their stencils
 NCOMPS = (2, 3, 4)
 BLOCK_PATTERNS = ("3d7", "3d15", "3d19", "3d27")
@@ -185,10 +189,15 @@ class TestGracefulFallback:
         self._partial(monkeypatch, tmp_path, ("spmv",), "gs_sweep")
 
     def test_missing_stencil_kernel(self, monkeypatch, tmp_path, no_registry):
-        """So does one lacking a per-stencil SpMV of a pair."""
-        self._partial(monkeypatch, tmp_path, ("spmv", "gs_sweep", "sptrsv",
-                                              "bspmv", "bgs_sweep", "spmv_3d7"),
-                      "spmv_3d15")
+        """So does one lacking a per-stencil SpMV or sweep of a pair."""
+        generic = ("spmv", "gs_sweep", "sptrsv", "bspmv", "bgs_sweep")
+        spmvs = tuple(f"spmv_{s}" for s in ("3d7", "3d15", "3d19", "3d27"))
+        self._partial(monkeypatch, tmp_path, generic + spmvs[:1], "spmv_3d15")
+        _backend._REGISTRY.clear()
+        _backend._UNAVAILABLE.clear()
+        _backend._invalidate()
+        self._partial(monkeypatch, tmp_path, generic + spmvs + ("gs_sweep_3d7",),
+                      "gs_sweep_3d15")
 
     @staticmethod
     def _partial(monkeypatch, tmp_path, present, missing):
@@ -324,6 +333,14 @@ def _case(shape, pattern, fmt, cdtype, ncomp=1, k=None):
     return a, b, x, dinv
 
 
+def _inf_at_row_ends(x):
+    """Put inf at both ends of grid row (1, 1) of the scalar field ``x``
+    (clamped to the grid).  The reference skips a row end's out-of-grid
+    term; adding its zero coefficient's product instead would read
+    0 * inf = NaN there."""
+    x[min(1, x.shape[0] - 1), min(1, x.shape[1] - 1), [0, -1]] = np.inf
+
+
 def _spmv(a, x, cdtype, **kw):
     plan = plan_for(a)
     return _both(lambda: spmv_plain(a, x, compute_dtype=cdtype, plan=plan, **kw))
@@ -416,7 +433,11 @@ class TestParity:
     @pytest.mark.parametrize("fmt,cdtype", PAYLOADS)
     @pytest.mark.parametrize("pattern", PATTERNS)
     def test_spmv(self, pattern, fmt, cdtype, shape, fallbacks):
+        """With +0 and -0 among the x values, and inf at a row's ends."""
         a, _b, x, _dinv = _case(shape, pattern, fmt, cdtype)
+        x.flat[::5] = 0.0
+        x.flat[1::7] = -0.0
+        _inf_at_row_ends(x)
         _same(*_spmv(a, x, cdtype))
         _ran_compiled(a, cdtype, fallbacks)
 
@@ -425,30 +446,37 @@ class TestParity:
     @pytest.mark.parametrize("fmt,cdtype", PAYLOADS)
     @pytest.mark.parametrize("pattern", PATTERNS)
     def test_gs_sweep(self, pattern, fmt, cdtype, shape, forward, fallbacks):
+        """With -0 among the b values, and inf at a row's ends of x."""
         a, b, x, dinv = _case(shape, pattern, fmt, cdtype)
+        b.flat[::3] = -0.0
+        _inf_at_row_ends(x)
         _same(*_gs(a, b, x, dinv, cdtype, forward))
         _ran_compiled(a, cdtype, fallbacks)
 
     @pytest.mark.parametrize("ncomp", [1, 3])
     @pytest.mark.parametrize("fmt,cdtype", [("fp16", np.float32),
                                             ("fp64", np.float64)])
-    def test_gs_sweep_one_color(self, fmt, cdtype, ncomp):
+    def test_gs_sweep_one_color(self, fmt, cdtype, ncomp, fallbacks):
         """One-color calls (``color=``, as each rank of the distributed
-        engine sweeps) agree on both backends, and the eight calls in
-        ``COLORS8`` order are one forward sweep."""
-        a, b, x, dinv = _case((6, 5, 7), "3d27", fmt, cdtype, ncomp)
-        plan = plan_for(a)
+        engine sweeps) run compiled and agree on both backends, and the
+        eight calls in ``COLORS8`` order are one forward sweep: on rows
+        shorter than a vector, and on interior rows of a first, a middle
+        and a last vector."""
+        for shape in ((6, 5, 7), (4, 5, 19)):
+            a, b, x, dinv = _case(shape, "3d27", fmt, cdtype, ncomp)
+            plan = plan_for(a)
 
-        def by_color():
-            xs = x.copy()
-            for color in COLORS8:
-                gs_sweep_colored(a, b, xs, dinv, compute_dtype=cdtype,
-                                 plan=plan, color=color)
-            return xs
+            def by_color():
+                xs = x.copy()
+                for color in COLORS8:
+                    gs_sweep_colored(a, b, xs, dinv, compute_dtype=cdtype,
+                                     plan=plan, color=color)
+                return xs
 
-        ref, got = _both(by_color)
-        _same(ref, got)
-        _same(got, _gs(a, b, x, dinv, cdtype, True)[1])
+            ref, got = _both(by_color)
+            _same(ref, got)
+            _same(got, _gs(a, b, x, dinv, cdtype, True)[1])
+            _ran_compiled(a, cdtype, fallbacks)
 
     @pytest.mark.parametrize("lower", [True, False])
     @pytest.mark.parametrize("shape", SCALAR_SHAPES)
@@ -660,10 +688,12 @@ be, status = backend_c.make_backend(dataclasses.replace(
 assert status == "ok", status
 at_end = sys.argv[1] == "end"
 fmts = ["fp32"] + (["fp16"] if be.extras["f16c"] else [])
-# scalar operators: every per-stencil SpMV (interior rows need 3 x 3 x 10
-# cells), the sweep in both directions and SpTRSV; short and long rows
+# scalar operators: every per-stencil SpMV and sweep (interior rows need
+# 3 x 3 x 8 cells; in 3 x 3 x 8 the one interior row's single vector is its
+# first and last, and its neighbour rows are the array's first and last),
+# the sweep in both directions and SpTRSV; short and long rows
 for pattern in ("3d7", "3d15", "3d19", "3d27"):
-    for shape in ((5, 3, 19), (4, 3, 2), (3, 4, 10)):
+    for shape in ((5, 3, 19), (4, 3, 2), (3, 4, 10), (3, 3, 8)):
         for fmt in fmts:
             a = random_sgdia(shape, pattern).astype(fmt)
             plan = plan_for(a)
@@ -762,9 +792,10 @@ class TestGuardPages:
     per-stencil ones too), SpTRSV, restrict, prolong, Galerkin group,
     truncate-and-audit and scaled ratio read nothing outside their arrays:
     each array ends at, or begins after, a page that faults on access, an
-    SOA payload on its padded planes.  Rows of a vector plus a tail and
-    two-cell rows, whose scalar paths are where an over-read hides from the
-    parity cases."""
+    SOA payload on its padded planes.  Rows of a vector plus a tail,
+    two-cell rows and an interior row of exactly one vector next to the
+    array's first and last rows, whose end vectors and scalar paths are
+    where an over-read hides from the parity cases."""
 
     @pytest.mark.parametrize("placement", ["end", "start"])
     def test_no_read_outside_arrays(self, placement):

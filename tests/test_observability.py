@@ -291,6 +291,22 @@ class TestSolveTelemetry:
             if s.name == "precond":
                 assert by_index[s.parent].name in ("iteration", "solve")
 
+    def test_every_outer_spmv_is_traced(self):
+        """The initial residual's product and one per iteration: each opens
+        an ``spmv`` span outside the V-cycle's levels."""
+        a = random_sgdia((8, 8, 8), "3d7", spd=True, diag_boost=8.0)
+        b = np.ones(a.grid.ndof)
+        h = mg_setup(a, parse_config("K64P32D16-setup-scale"))
+        with obs_trace.tracing() as tr:
+            r = solve("cg", a, b, preconditioner=h.precondition,
+                      rtol=1e-8, maxiter=100)
+        assert r.converged
+        spans = tr.finished()
+        by_index = {s.index: s for s in spans}
+        outer = [s for s in spans if s.name == "spmv"
+                 and by_index[s.parent].name != "level"]
+        assert len(outer) == r.iterations + 1
+
     def test_gmres_iterations_are_traced(self):
         a = random_sgdia((8, 8, 8), "3d7", diag_boost=8.0)
         b = np.ones(a.grid.ndof)
