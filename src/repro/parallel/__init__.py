@@ -10,9 +10,11 @@ transfers), each one halo exchange and then every rank's kernel, and inside
 the dot products, each per-rank partial sums and one allreduce.
 :class:`DistributedMG` runs the sequential :class:`~repro.mg.MGHierarchy`
 cycle over such operators, so the distributed SpMV, sweeps and cycle equal
-the sequential ones byte for byte, scaled levels included.  The measured
-message/byte counts validate the analytic strong-scaling model of
-:mod:`repro.perf.scaling`.
+the sequential ones byte for byte, scaled levels included, and
+:func:`distributed_cg` runs the sequential CG recurrence on the one solver
+driver, its reductions swapped for the counted ones.  Nothing here iterates
+a Krylov method of its own.  The measured message/byte counts validate the
+analytic strong-scaling model of :mod:`repro.perf.scaling`.
 """
 
 from .comm import CommStats

@@ -34,15 +34,14 @@ class CommStats:
     def set_phase(self, phase: str) -> None:
         self._phase = phase
 
-    def _phase_bucket(self) -> dict:
+    def _phase_bucket(self, phase: "str | None" = None) -> dict:
+        """The counters of ``phase`` (the current phase by default)."""
         return self.by_phase.setdefault(
-            self._phase,
-            {
-                "p2p_messages": 0,
-                "p2p_bytes": 0,
-                "allreduces": 0,
-                "allreduce_bytes": 0,
-            },
+            self._phase if phase is None else phase,
+            dict.fromkeys(
+                ("p2p_messages", "p2p_bytes", "allreduces", "allreduce_bytes"),
+                0,
+            ),
         )
 
     def record_p2p(self, nbytes: int) -> None:
@@ -76,15 +75,7 @@ class CommStats:
         self.allreduces += other.allreduces
         self.allreduce_bytes += other.allreduce_bytes
         for phase, bucket in other.by_phase.items():
-            mine = self.by_phase.setdefault(
-                phase,
-                {
-                    "p2p_messages": 0,
-                    "p2p_bytes": 0,
-                    "allreduces": 0,
-                    "allreduce_bytes": 0,
-                },
-            )
+            mine = self._phase_bucket(phase)
             for key, value in bucket.items():
                 mine[key] = mine.get(key, 0) + value
 

@@ -11,6 +11,7 @@ flattening convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 
 import numpy as np
@@ -19,6 +20,10 @@ from ..grid import StructuredGrid
 from ..perf.scaling import process_grid
 
 __all__ = ["CartesianDecomposition", "balanced_split"]
+
+#: Width of the ghost layer around a rank's subdomain: the paper's stencils
+#: (up to 3d27) have radius 1.
+GHOST = 1
 
 
 def balanced_split(n: int, parts: int) -> list[tuple[int, int]]:
@@ -130,13 +135,6 @@ class CartesianDecomposition:
     def local_shape(self, rank: int) -> tuple[int, int, int]:
         return tuple(hi - lo for (lo, hi) in self.owned_ranges(rank))
 
-    def local_grid(self, rank: int) -> StructuredGrid:
-        return StructuredGrid(
-            self.local_shape(rank),
-            ncomp=self.grid.ncomp,
-            spacing=self.grid.spacing,
-        )
-
     def neighbor(self, rank: int, axis: int, direction: int) -> "int | None":
         """Neighbouring rank along ``axis`` (+1/-1), or None at the domain
         boundary."""
@@ -145,6 +143,49 @@ class CartesianDecomposition:
         if not (0 <= coords[axis] < self.proc_grid[axis]):
             return None
         return self.rank_of(tuple(coords))
+
+    @cached_property
+    def halo_plan(self) -> tuple:
+        """The staged exchange of the ghost layer, built on first use.
+
+        One entry per stage, one stage per axis in order: the ``(rank,
+        ghost slab)`` pairs on the physical boundary, whose ghosts stay
+        zero, and the messages ``(side, rank, send slab, neighbour, recv
+        slab)``, low side first and ranks ascending; the neighbour receives
+        into its *opposite* ghost slab.  Slabs index a rank's ghost-padded
+        local array: the stage's axis spans ``GHOST`` owned (send) or ghost
+        (recv) layers, axes before it their padded extent (already
+        exchanged, which carries edges and corners along) and axes after it
+        their owned extent.
+        """
+        g = GHOST
+        shapes = [self.local_shape(rank) for rank in range(self.nranks)]
+
+        def slab(rank, axis, side, ghost):
+            n = shapes[rank][axis]
+            lo = (0 if ghost else g) if side < 0 else (n + g if ghost else n)
+            return tuple(
+                slice(lo, lo + g) if ax == axis
+                else slice(0, m + 2 * g) if ax < axis
+                else slice(g, m + g)
+                for ax, m in enumerate(shapes[rank])
+            )
+
+        plan = []
+        for axis in range(3):
+            zero, messages = [], []
+            for side in (-1, +1):
+                for rank in range(self.nranks):
+                    nbr = self.neighbor(rank, axis, side)
+                    if nbr is None:
+                        zero.append((rank, slab(rank, axis, side, True)))
+                    else:
+                        messages.append((
+                            side, rank, slab(rank, axis, side, False),
+                            nbr, slab(nbr, axis, -side, True),
+                        ))
+            plan.append((tuple(zero), tuple(messages)))
+        return tuple(plan)
 
     def max_local_dofs(self) -> int:
         """Largest per-rank dof count (the load-balance figure)."""

@@ -1,23 +1,27 @@
 """Distributed preconditioned CG with communication accounting.
 
-The solver mirrors :func:`repro.solvers.cg` on global-layout vectors over
-a decomposed operator: the matvec performs one halo exchange, every inner
-product is one allreduce of per-rank partial sums.
-A step is classified by :func:`repro.solvers.cg.curvature_status`, the
-same curvature test the sequential solver uses, so an indefinite operator
-is a ``"breakdown"`` with ``detail["reason"] == "indefinite"`` here too.
-Its counters are the *measured* ground truth the Figure-10 scaling model's
-per-iteration communication terms are validated against.
+:func:`distributed_cg` is :func:`repro.solvers.cg`'s recurrence on the
+solver driver (:mod:`repro.solvers.driver`), run on global-layout vectors
+over a decomposed operator.  Only the reductions differ: every inner
+product and norm is per-rank partial sums and one allreduce
+(:func:`distributed_dot`), and the matvec is one halo exchange, charged to
+the ``"matvec"`` phase.  The rest is the driver's and CG's: the curvature
+test (an indefinite operator is a ``"breakdown"`` with
+``detail["reason"] == "indefinite"``), the runtime check at every step
+boundary, and a :class:`~repro.resilience.runtime.SolveInterrupted` (a
+deadline, a cancel, a halo corruption) turned into a status with the
+partial iterate kept.  Its counters are the *measured* ground truth the
+Figure-10 scaling model's per-iteration communication terms are validated
+against.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..observability import trace as _trace
-from ..resilience.runtime import SolveInterrupted
-from ..solvers.cg import curvature_status
-from ..solvers.history import ConvergenceHistory, SolveResult
+from ..solvers.cg import _CG
+from ..solvers.driver import drive
+from ..solvers.history import SolveResult
 from .comm import CommStats
 from .decomp import CartesianDecomposition
 from .dist_matrix import DistributedSGDIA
@@ -71,6 +75,42 @@ def failing_ranks(
     return ranks
 
 
+class _DistributedCG(_CG):
+    """CG whose reductions are counted allreduces of per-rank partials."""
+
+    def __init__(self, decomp: CartesianDecomposition, stats: CommStats):
+        super().__init__(block=False)
+        self.name = "distributed-cg"
+        self.decomp, self.stats = decomp, stats
+
+    def dot(self, u, v):
+        return distributed_dot(self.decomp, u, v, self.stats)
+
+    def norm(self, v):
+        return float(np.sqrt(self.dot(v, v)))
+
+    def residual(self, run):
+        # the solve starts from x = 0, and b - A 0 is b: no halo exchange,
+        # so a solve makes exactly one per iteration
+        return run.b.copy()
+
+    def detail(self, run):
+        detail = {}
+        if run.statuses[0] == "diverged":
+            # every rank flags its own non-finite cells of r or p, before
+            # an SpMV spreads them to its neighbours; one more allreduce
+            ok = np.isfinite(run.r)
+            if self.p is not None:
+                ok &= np.isfinite(self.p)
+            detail["failed_ranks"] = failing_ranks(
+                self.decomp, np.where(ok, 0.0, np.nan), self.stats
+            )
+        # the halo-exchange volume that accompanied the (possibly failing)
+        # iterations is part of the solve's telemetry
+        detail["comm"] = self.stats.to_dict()
+        return detail
+
+
 def distributed_cg(
     a: DistributedSGDIA,
     b: np.ndarray,
@@ -87,115 +127,37 @@ def distributed_cg(
     (e.g. :meth:`DistributedMG.precondition
     <repro.parallel.DistributedMG.precondition>`).  Returns the usual
     :class:`SolveResult` and the communication statistics.  ``runtime`` (an
-    :class:`~repro.resilience.runtime.ExecContext`) is checked once per
-    iteration — all ranks share the driver process, so they observe the
-    deadline/cancel in the same iteration and leave together.  A
+    :class:`~repro.resilience.runtime.ExecContext`) is checked at every
+    step boundary, before the first preconditioner application too, and at
+    every V-cycle level visit — all ranks share the driver process, so they
+    observe the deadline/cancel at the same point and leave together.  A
     :class:`~repro.parallel.halo.HaloCorruption` raised inside the exchange
     (checksum failure surviving a retransmit) classifies the solve as
     ``"corrupted"`` instead of escaping as an exception.
 
-    Failure semantics: the per-iteration residual norm is an allreduce, so a
-    non-finite value on any rank reaches every rank in the same iteration —
-    all ranks leave the loop together with status ``"diverged"`` (no rank
-    can hang in a collective the others abandoned).  On divergence one extra
-    allreduce attributes the failure; the guilty ranks are reported in
+    Failure semantics: the per-iteration residual norm and ``r^T z`` are
+    allreduces, so a non-finite value on any rank reaches every rank in the
+    same iteration — all ranks leave the loop together with status
+    ``"diverged"`` (no rank can hang in a collective the others abandoned).
+    On divergence one extra allreduce attributes the failure: the ranks
+    whose owned cells of ``r`` or ``p`` are non-finite are reported in
     ``result.detail["failed_ranks"]`` for the resilience layer.
     """
     stats = stats if stats is not None else CommStats()
-    decomp = a.decomp
-    shape = decomp.grid.field_shape
 
-    def dot(u, v):
-        return distributed_dot(decomp, u, v, stats)
-
-    def precondition(v):
-        if preconditioner is None:
-            return v.copy()
-        return np.asarray(preconditioner(v), dtype=np.float64).reshape(shape)
+    def matvec(v):
+        stats.set_phase("matvec")
+        try:
+            return a.spmv(v, stats)
+        finally:
+            stats.set_phase("default")
 
     # iterative precision fp64 vectors (guideline: solver precision is the
     # user's, only the preconditioner drops precision)
-    b = np.asarray(b, dtype=np.float64).reshape(shape)
-    x = np.zeros(shape)
-    r = b.copy()  # x0 = 0 -> r = b
-    bn = np.sqrt(dot(b, b))
-    if bn == 0.0:
-        bn = 1.0
-    history = ConvergenceHistory()
-    detail: dict = {}
-    rel = np.sqrt(dot(r, r)) / bn
-    history.record(rel)
-    status = "maxiter"
-    it = 0
-    if not np.isfinite(rel):
-        status = "diverged"
-        detail["failed_ranks"] = failing_ranks(decomp, r, stats)
-    elif rel < rtol:
-        status = "converged"
-    else:
-        try:
-            z = precondition(r)
-            p = z.copy()
-            rz = dot(r, z)
-            for it in range(1, maxiter + 1):
-                if runtime is not None:
-                    interrupt = runtime.check()
-                    if interrupt is not None:
-                        status = interrupt
-                        it -= 1
-                        break
-                with _trace.span("iteration", solver="distributed-cg", it=it):
-                    stats.set_phase("matvec")
-                    with _trace.span("spmv"):
-                        ap = a.spmv(p, stats)
-                    stats.set_phase("default")
-                    pap = dot(p, ap)
-                    failure = curvature_status(pap)
-                    if failure is not None:
-                        status, reason = failure
-                        if status == "diverged":
-                            detail["failed_ranks"] = failing_ranks(
-                                decomp, ap, stats
-                            )
-                        if reason is not None:
-                            detail["reason"] = reason
-                        break
-                    alpha = rz / pap
-                    x += alpha * p
-                    r -= alpha * ap
-                    rel = np.sqrt(dot(r, r)) / bn
-                    history.record(rel)
-                    if not np.isfinite(rel):
-                        status = "diverged"
-                        detail["failed_ranks"] = failing_ranks(decomp, r, stats)
-                        break
-                    if rel < rtol:
-                        status = "converged"
-                        break
-                    z = precondition(r)
-                    rz_new = dot(r, z)
-                    if rz == 0.0:
-                        status = "breakdown"
-                        break
-                    p *= rz_new / rz
-                    p += z
-                    rz = rz_new
-        except SolveInterrupted as stop:
-            # Halo corruption (or a cooperative deadline raised mid-phase):
-            # the run classifies — every rank shares the driver process, so
-            # every rank sees the same exception at the same point.
-            status = stop.status
-
-    # Halo-exchange volume is part of the solve's telemetry: traces and
-    # ``detail["failed_ranks"]`` reports carry the measured traffic that
-    # accompanied the (possibly failing) iterations.
-    detail["comm"] = stats.to_dict()
-    result = SolveResult(
-        x=x,
-        status=status,
-        iterations=it if status != "maxiter" else maxiter,
-        history=history,
-        solver="distributed-cg",
-        detail=detail,
+    result = drive(
+        _DistributedCG(a.decomp, stats), matvec,
+        np.reshape(b, a.decomp.grid.field_shape),
+        preconditioner=preconditioner, rtol=rtol, maxiter=maxiter,
+        runtime=runtime,
     )
     return result, stats

@@ -7,7 +7,9 @@ Halo exchange uses the standard three-stage scheme: axes are exchanged in
 order, each stage sending slabs that span the *already-exchanged* extent of
 earlier axes — which propagates edge and corner ghost values with only six
 face messages per rank, exactly the message count the paper's radius-1
-stencils (up to 3d27) require.
+stencils (up to 3d27) require.  The slabs and neighbours of every stage
+are the decomposition's :attr:`~repro.parallel.decomp.CartesianDecomposition.halo_plan`,
+built once per decomposition; an exchange only walks it.
 
 Ghost cells beyond the physical domain stay zero, consistent with the
 SG-DIA boundary convention (out-of-domain coefficients are zero), so no
@@ -22,7 +24,7 @@ from ..observability import metrics as _metrics
 from ..observability import trace as _trace
 from ..resilience.runtime import SolveInterrupted
 from .comm import CommStats
-from .decomp import CartesianDecomposition
+from .decomp import GHOST, CartesianDecomposition
 
 __all__ = ["DistributedField", "HaloCorruption", "install_message_fault"]
 
@@ -60,7 +62,7 @@ class HaloCorruption(SolveInterrupted):
 class DistributedField:
     """Per-rank ghost-padded local arrays representing one global field."""
 
-    GHOST = 1  # radius-1 stencils
+    GHOST = GHOST  # the width the decomposition's halo plan uses
 
     def __init__(self, decomp: CartesianDecomposition, dtype=np.float32) -> None:
         self.decomp = decomp
@@ -107,60 +109,28 @@ class DistributedField:
         return out
 
     # ------------------------------------------------------------------
-    def _slab(self, rank: int, axis: int, side: int, stage: int, ghost: bool):
-        """Index tuple of a send (owned) or recv (ghost) slab.
-
-        ``side`` is -1 (low) or +1 (high); ``stage`` is the exchange stage:
-        axes before it span their full padded extent (already exchanged),
-        axes after it span only the owned extent.
-        """
-        g = self.GHOST
-        local = self.decomp.local_shape(rank)
-        idx = []
-        for ax in range(3):
-            n = local[ax]
-            if ax == axis:
-                if ghost:
-                    idx.append(slice(0, g) if side < 0 else slice(n + g, n + 2 * g))
-                else:
-                    idx.append(slice(g, 2 * g) if side < 0 else slice(n, n + g))
-            elif ax < stage:
-                idx.append(slice(0, n + 2 * g))
-            else:
-                idx.append(slice(g, n + g))
-        return tuple(idx)
-
     def exchange_halos(self, stats: "CommStats | None" = None) -> None:
-        """Fill all ghost layers from neighbouring ranks (6 messages/rank)."""
-        decomp = self.decomp
+        """Fill all ghost layers from neighbouring ranks (6 messages/rank),
+        walking the decomposition's :attr:`~CartesianDecomposition.halo_plan`."""
+        arrays = self.locals
         messages = 0
         nbytes = 0
         with _trace.span("halo_exchange") as sp:
-            for axis in range(3):
-                for side in (-1, +1):
-                    for rank in range(decomp.nranks):
-                        nbr = decomp.neighbor(rank, axis, side)
-                        if nbr is None:
-                            # physical boundary: ghosts stay zero
-                            self.locals[rank][
-                                self._slab(rank, axis, side, axis, ghost=True)
-                            ] = 0
-                            continue
-                        send = self.locals[rank][
-                            self._slab(rank, axis, side, axis, ghost=False)
-                        ]
-                        # the neighbour receives into its *opposite* ghost slab
-                        recv_idx = self._slab(nbr, axis, -side, axis, ghost=True)
-                        if _message_fault is None:
-                            self.locals[nbr][recv_idx] = send
-                        else:
-                            self.locals[nbr][recv_idx] = self._verified_transmit(
-                                send, (axis, side, rank)
-                            )
-                        messages += 1
-                        nbytes += send.nbytes
-                        if stats is not None:
-                            stats.record_p2p(send.nbytes)
+            for axis, (zero, sends) in enumerate(self.decomp.halo_plan):
+                for rank, ghost in zero:
+                    arrays[rank][ghost] = 0  # physical boundary
+                for side, rank, send_idx, nbr, recv_idx in sends:
+                    send = arrays[rank][send_idx]
+                    if _message_fault is None:
+                        arrays[nbr][recv_idx] = send
+                    else:
+                        arrays[nbr][recv_idx] = self._verified_transmit(
+                            send, (axis, side, rank)
+                        )
+                    messages += 1
+                    nbytes += send.nbytes
+                    if stats is not None:
+                        stats.record_p2p(send.nbytes)
             sp.set(messages=messages, bytes=nbytes)
         _metrics.incr("comm.halo.exchanges")
         if nbytes:
@@ -196,11 +166,3 @@ class DistributedField:
             )
         _metrics.incr("comm.halo.corrupted")
         raise HaloCorruption(key)
-
-    def norm2_owned(self) -> float:
-        """Global 2-norm over owned cells (no reduction accounting)."""
-        total = 0.0
-        for rank in range(self.decomp.nranks):
-            v = self.owned_view(rank).astype(np.float64).ravel()
-            total += float(v @ v)
-        return float(np.sqrt(total))

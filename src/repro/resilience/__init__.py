@@ -6,10 +6,11 @@ Theorem-4.1 headroom, ``shift_levid``); this package makes it safe by
 *supervision*:
 
 - :func:`robust_solve` / :func:`robust_distributed_solve` — detect-and-
-  escalate drivers that climb a deterministic precision ladder (bump
+  escalate drivers that climb one deterministic precision ladder loop (bump
   ``shift_levid`` -> drop half storage -> Full64) only when the cheap
-  precision demonstrably fails, warm-starting from the best iterate and
-  recording everything in a :class:`ResilienceReport`;
+  precision demonstrably fails, recording everything in a
+  :class:`ResilienceReport`; the sequential one warm-starts each retry
+  from the best iterate, the distributed one restarts from zero;
 - :mod:`repro.resilience.runtime` — :class:`Deadline` / :class:`CancelToken`
   contexts checked cooperatively per iteration and per V-cycle level visit,
   :class:`SolverCheckpoint` snapshots with bit-identical CG resume, and the

@@ -15,18 +15,23 @@ precision demonstrably misbehaves (the adaptive-precision strategy of
 Guo/de Sturler/Warburton 2025 and Ginkgo's three-precision AMG).  Every
 decision is recorded in a :class:`ResilienceReport`.
 
-:func:`robust_distributed_solve` runs the same ladder over the decomposed
-solver.  Failure agreement is the allreduced residual norm: a non-finite
-partial on *any* rank makes the global norm non-finite for *every* rank, so
-all ranks observe the same status and — the policy being deterministic —
-compute the same next configuration.  No rank can escalate alone and leave
-the others blocked in a collective (:func:`agree_on_status` is the explicit
-reduction used when per-rank statuses must be merged).
+:func:`robust_distributed_solve` climbs the same ladder: both run one loop,
+and the distributed one supplies only how a rung solves (an aligned
+decomposition, :class:`~repro.parallel.DistributedMG` and
+:func:`~repro.parallel.distributed_cg`, every retry from zero) and its
+communication profile, merged across attempts.  Failure agreement is the
+allreduced residual norm: a non-finite partial on *any* rank makes the
+global norm non-finite for *every* rank, so all ranks observe the same
+status and — the policy being deterministic — compute the same next
+configuration.  No rank can escalate alone and leave the others blocked in
+a collective (:func:`agree_on_status` is the explicit reduction used when
+per-rank statuses must be merged).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 
 import numpy as np
 
@@ -254,6 +259,119 @@ def _finite_iterate(result: SolveResult) -> "np.ndarray | None":
     return None
 
 
+def _climb(
+    who: str,
+    config: "PrecisionConfig | None",
+    options: "MGOptions | None",
+    policy: "EscalationPolicy | None",
+    build,
+    attempt,
+    post_setup=None,
+    health_check: bool = True,
+    x0: "np.ndarray | None" = None,
+    warm_start: bool = True,
+    agree=None,
+) -> tuple[SolveResult, ResilienceReport]:
+    """The escalation ladder both guarded solves climb.
+
+    Per rung ``k``: ``build(cfg, options, k)`` sets up the hierarchy,
+    ``post_setup`` and the health audit follow, and ``attempt(hierarchy,
+    k, x0)`` runs the solve and returns its :class:`SolveResult`, whose
+    status is the policy's classification passed through ``agree`` (when
+    given).  ``x0`` is the caller's start for the first attempt and, with
+    ``warm_start``, the best finite iterate seen so far for each retry.
+    """
+    config = config or PrecisionConfig()
+    options = options or MGOptions()
+    policy = policy or EscalationPolicy()
+    ladder = policy.ladder(config)
+    # clamp: even a (nonsensical) negative budget makes the first attempt
+    n_attempts = min(len(ladder), max(0, policy.max_escalations) + 1)
+
+    report = ResilienceReport()
+    best_x: "np.ndarray | None" = np.asarray(x0) if x0 is not None else None
+    best_norm = float("inf")
+    result: "SolveResult | None" = None
+
+    def escalate(k: int, reason: str, iterations: int, final: float) -> None:
+        step = EscalationStep(
+            ladder[k].name, ladder[k + 1].name, reason, iterations, final
+        )
+        report.escalations.append(step)
+        _emit_escalation(step)
+
+    for k in range(n_attempts):
+        cfg = ladder[k]
+        hierarchy = build(cfg, options, k)
+        if post_setup is not None:
+            post_setup(hierarchy, k)
+        health: "HealthReport | None" = None
+        if health_check:
+            health = hierarchy_health(hierarchy)
+            report.health_reports.append(health)
+        last = k + 1 == n_attempts
+
+        if health is not None and health.fatal and not last:
+            # Poisoned hierarchy: skip the doomed solve, escalate now.
+            report.attempts.append(
+                AttemptRecord(
+                    config=cfg.name,
+                    status="unhealthy",
+                    iterations=0,
+                    final_residual=float("nan"),
+                    health_fatal=True,
+                    health_findings=tuple(
+                        str(f) for f in health.fatal_findings()
+                    ),
+                    events=_setup_events(hierarchy),
+                )
+            )
+            escalate(
+                k, "health:" + health.fatal_findings()[0].message, 0,
+                float("nan"),
+            )
+            continue
+
+        if best_x is not None:
+            report.warm_started += 1
+        result = attempt(hierarchy, k, best_x)
+        status = policy.classify(result)
+        if agree is not None:
+            status = agree(status)
+        final = result.history.final()
+        report.attempts.append(
+            AttemptRecord(
+                config=cfg.name,
+                status=status,
+                iterations=result.iterations,
+                final_residual=final,
+                health_fatal=bool(health is not None and health.fatal),
+                health_findings=tuple(
+                    str(f) for f in (health.findings if health else [])
+                ),
+                events=_setup_events(hierarchy),
+            )
+        )
+        if status == "converged" or last:
+            break
+        if status in INTERRUPTED_STATUSES:
+            # The run was stopped from outside (deadline/cancel); a wider
+            # precision cannot buy back time, so the ladder stops here with
+            # the partial iterate.
+            break
+        candidate = _finite_iterate(result) if warm_start else None
+        if candidate is not None and final < best_norm:
+            best_x, best_norm = candidate, final
+        escalate(k, status, result.iterations, final)
+
+    if result is None:  # every attempt skipped as unhealthy (ladder of 1)
+        raise RuntimeError(
+            f"{who} exhausted its escalation budget without a solvable "
+            "hierarchy:\n" + report.format()
+        )
+    return result, report
+
+
 def robust_solve(
     a,
     b,
@@ -325,20 +443,8 @@ def robust_solve(
     Returns ``(result, report)``: the last attempt's :class:`SolveResult`
     and the full :class:`ResilienceReport`.
     """
-    config = config or PrecisionConfig()
-    options = options or MGOptions()
-    policy = policy or EscalationPolicy()
-    ladder = policy.ladder(config)
-    # clamp: even a (nonsensical) negative budget makes the first attempt
-    n_attempts = min(len(ladder), max(0, policy.max_escalations) + 1)
 
-    report = ResilienceReport()
-    best_x: "np.ndarray | None" = np.asarray(x0) if x0 is not None else None
-    best_norm = float("inf")
-    result: "SolveResult | None" = None
-
-    for k in range(n_attempts):
-        cfg = ladder[k]
+    def build(cfg, options, k):
         hierarchy = (
             setup(a, cfg, options, k) if setup is not None
             else mg_setup(a, cfg, options)
@@ -349,51 +455,17 @@ def robust_solve(
             from .abft import attach_abft
 
             attach_abft(hierarchy, verify_every=abft_verify_every)
-        if post_setup is not None:
-            post_setup(hierarchy, k)
-        health: "HealthReport | None" = None
-        if health_check:
-            health = hierarchy_health(hierarchy)
-            report.health_reports.append(health)
-        last = k + 1 == n_attempts
+        return hierarchy
 
-        if health is not None and health.fatal and not last:
-            # Poisoned hierarchy: skip the doomed solve, escalate now.
-            reason = "health:" + health.fatal_findings()[0].message
-            report.attempts.append(
-                AttemptRecord(
-                    config=cfg.name,
-                    status="unhealthy",
-                    iterations=0,
-                    final_residual=float("nan"),
-                    health_fatal=True,
-                    health_findings=tuple(
-                        str(f) for f in health.fatal_findings()
-                    ),
-                    events=_setup_events(hierarchy),
-                )
-            )
-            step = EscalationStep(
-                from_config=cfg.name,
-                to_config=ladder[k + 1].name,
-                reason=reason,
-                iterations=0,
-                final_residual=float("nan"),
-            )
-            report.escalations.append(step)
-            _emit_escalation(step)
-            continue
-
-        if best_x is not None:
-            report.warm_started += 1
-        result = solve(
+    def attempt(hierarchy, k, x):
+        return solve(
             solver,
             a,
             b,
             preconditioner=hierarchy.precondition,
             rtol=rtol,
             maxiter=maxiter,
-            x0=best_x,
+            x0=x,
             runtime=runtime,
             checkpoint_every=checkpoint_every,
             checkpoint_sink=checkpoint_sink,
@@ -401,47 +473,11 @@ def robust_solve(
             policy_controller=policy_controller,
             **(solver_kwargs or {}),
         )
-        status = policy.classify(result)
-        final = result.history.final()
-        report.attempts.append(
-            AttemptRecord(
-                config=cfg.name,
-                status=status,
-                iterations=result.iterations,
-                final_residual=final,
-                health_fatal=bool(health is not None and health.fatal),
-                health_findings=tuple(
-                    str(f) for f in (health.findings if health else [])
-                ),
-                events=_setup_events(hierarchy),
-            )
-        )
-        if status == "converged" or last:
-            break
-        if status in INTERRUPTED_STATUSES:
-            # The run was stopped from outside (deadline/cancel); a wider
-            # precision cannot buy back time, so the ladder stops here with
-            # the partial iterate.
-            break
-        candidate = _finite_iterate(result)
-        if candidate is not None and final < best_norm:
-            best_x, best_norm = candidate, final
-        step = EscalationStep(
-            from_config=cfg.name,
-            to_config=ladder[k + 1].name,
-            reason=status,
-            iterations=result.iterations,
-            final_residual=final,
-        )
-        report.escalations.append(step)
-        _emit_escalation(step)
 
-    if result is None:  # every attempt skipped as unhealthy (ladder of 1)
-        raise RuntimeError(
-            "robust_solve exhausted its escalation budget without a "
-            "solvable hierarchy:\n" + report.format()
-        )
-    return result, report
+    return _climb(
+        "robust_solve", config, options, policy, build, attempt,
+        post_setup=post_setup, health_check=health_check, x0=x0,
+    )
 
 
 def robust_distributed_solve(
@@ -461,7 +497,9 @@ def robust_distributed_solve(
     ``a`` is the global :class:`~repro.sgdia.SGDIAMatrix`, ``b`` the global
     right-hand side; each attempt rebuilds the aligned decomposition for its
     hierarchy depth, scatters, and runs ``distributed_cg`` with the
-    distributed multigrid preconditioner.
+    distributed multigrid preconditioner.  The ladder is
+    :func:`robust_solve`'s: the same rungs, budget, health skip, records
+    and journal events.
 
     All ranks escalate in lockstep: the per-iteration residual norm is an
     allreduce, so one rank's non-finite subdomain poisons the global norm
@@ -482,49 +520,12 @@ def robust_distributed_solve(
         distributed_cg,
     )
 
-    config = config or PrecisionConfig()
-    options = options or MGOptions()
-    policy = policy or EscalationPolicy()
-    ladder = policy.ladder(config)
-    n_attempts = min(len(ladder), max(0, policy.max_escalations) + 1)
-
-    report = ResilienceReport()
     stats = CommStats()
-    result = None
 
-    for k in range(n_attempts):
-        cfg = ladder[k]
-        hierarchy = mg_setup(a, cfg, options)
-        if post_setup is not None:
-            post_setup(hierarchy, k)
-        health = None
-        if health_check:
-            health = hierarchy_health(hierarchy)
-            report.health_reports.append(health)
-        last = k + 1 == n_attempts
+    def build(cfg, options, k):
+        return mg_setup(a, cfg, options)
 
-        if health is not None and health.fatal and not last:
-            reason = "health:" + health.fatal_findings()[0].message
-            report.attempts.append(
-                AttemptRecord(
-                    config=cfg.name,
-                    status="unhealthy",
-                    iterations=0,
-                    final_residual=float("nan"),
-                    health_fatal=True,
-                    health_findings=tuple(
-                        str(f) for f in health.fatal_findings()
-                    ),
-                    events=_setup_events(hierarchy),
-                )
-            )
-            step = EscalationStep(
-                cfg.name, ladder[k + 1].name, reason, 0, float("nan")
-            )
-            report.escalations.append(step)
-            _emit_escalation(step)
-            continue
-
+    def attempt(hierarchy, k, x):
         decomp = DistributedMG.aligned_decomposition(hierarchy, proc_grid)
         # the preconditioner's halo exchanges and the Krylov loop's traffic
         # go to one per-attempt profile, merged into the total
@@ -536,33 +537,16 @@ def robust_distributed_solve(
             stats=attempt_stats,
         )
         stats.merge(attempt_stats)
+        return result
+
+    def agree(status):
         # Every rank saw the same allreduced norms, hence the same status;
         # the explicit reduction documents (and charges) the agreement.
-        status = agree_on_status(
-            [policy.classify(result)] * decomp.nranks, stats
-        )
-        final = result.history.final()
-        report.attempts.append(
-            AttemptRecord(
-                config=cfg.name,
-                status=status,
-                iterations=result.iterations,
-                final_residual=final,
-                health_fatal=bool(health is not None and health.fatal),
-                events=_setup_events(hierarchy),
-            )
-        )
-        if status == "converged" or last:
-            break
-        step = EscalationStep(
-            cfg.name, ladder[k + 1].name, status, result.iterations, final
-        )
-        report.escalations.append(step)
-        _emit_escalation(step)
+        return agree_on_status([status] * prod(proc_grid), stats)
 
-    if result is None:
-        raise RuntimeError(
-            "robust_distributed_solve exhausted its escalation budget "
-            "without a solvable hierarchy:\n" + report.format()
-        )
+    result, report = _climb(
+        "robust_distributed_solve", config, options, policy, build, attempt,
+        post_setup=post_setup, health_check=health_check, warm_start=False,
+        agree=agree,
+    )
     return result, report, stats

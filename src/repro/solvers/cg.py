@@ -91,7 +91,7 @@ class _CG(Method):
             z = run.precondition(run.r)
             self.p = z.copy()
             rr, zr = run.rows(run.r, self.buf[2]), run.rows(z, self.buf[3])
-            self.rz = np.array([_dot(rr[j], zr[j]) for j in range(k)])
+            self.rz = np.array([self.dot(rr[j], zr[j]) for j in range(k)])
         while run.it < run.maxiter and run.active.any():
             yield
             run.it += 1
@@ -116,7 +116,7 @@ class _CG(Method):
         pr, apr = run.rows(p, self.buf[0]), run.rows(ap, self.buf[1])
         alpha = np.zeros(k)
         for j in run.live():
-            pap = _dot(pr[j], apr[j])
+            pap = self.dot(pr[j], apr[j])
             failure = curvature_status(pap)
             if failure is not None:
                 run.freeze(j, *failure)
@@ -148,7 +148,7 @@ class _CG(Method):
         zr = run.rows(z, self.buf[3])
         beta = np.zeros(k)
         for j in run.live():
-            rz_new = _dot(rr[j], zr[j])
+            rz_new = self.dot(rr[j], zr[j])
             if not restart:
                 if rz[j] == 0.0:
                     run.freeze(j, "breakdown")
@@ -175,10 +175,6 @@ class _CG(Method):
             self.tmp = np.empty(v.shape, v.dtype)
         coef = coef.astype(v.dtype, copy=False)
         return np.multiply(v, coef, out=self.tmp, where=where)
-
-
-def _dot(u: np.ndarray, v: np.ndarray) -> float:
-    return float(np.vdot(u, v).real)
 
 
 def _where(run) -> "np.ndarray | bool":

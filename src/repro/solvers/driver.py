@@ -31,7 +31,12 @@ boundaries:
   ``"maxiter"``.
 
 ``state``/``restore`` carry what the method needs across a checkpoint
-besides ``x`` and ``r``.  Block mode (CG over a trailing batch axis) keeps
+besides ``x`` and ``r``.  ``dot``/``norm`` are its reductions: the driver's
+``||b||`` and residual norms call ``norm``, and CG's inner products call
+``dot``.  They default to one BLAS call on the vector; the distributed CG
+(:mod:`repro.parallel.dist_solver`) makes each one per-rank partial sums
+and one counted allreduce, and is otherwise this loop and CG's recurrence.
+Block mode (CG over a trailing batch axis) keeps
 its per-column bookkeeping here too: status, iteration count, history and
 reason per column, plus an active mask.  Every per-column reduction
 (``||b||``, the residual norms, CG's dots) runs on :meth:`Run.rows`: one
@@ -72,6 +77,14 @@ class Method:
     def residual(self, run: "Run") -> np.ndarray:
         return run.b - run.apply(run.x)
 
+    def dot(self, u: np.ndarray, v: np.ndarray) -> float:
+        """The inner product of two vectors (rows of :meth:`Run.rows`)."""
+        return float(np.vdot(u, v).real)
+
+    def norm(self, v: np.ndarray) -> float:
+        """The 2-norm of a vector: ``||b||`` and every residual norm."""
+        return float(np.linalg.norm(v))
+
     def state(self, run: "Run") -> dict:
         """:class:`SolverCheckpoint` fields: ``arrays`` (copied), and
         optionally ``scalars``/``extra``."""
@@ -105,7 +118,7 @@ class Run:
         )
         self.shape = self.b.shape
         self.k = self.shape[-1] if block else 1
-        self.bn = [float(np.linalg.norm(row)) or 1.0 for row in self.rows(self.b)]
+        self.bn = [method.norm(row) or 1.0 for row in self.rows(self.b)]
         self.m = preconditioner if preconditioner is not None else (lambda r: r)
         self.rtol = rtol
         self.maxiter = maxiter
@@ -152,7 +165,7 @@ class Run:
         rows = self.rows(self.r) if rows is None else rows
         live = self.live()
         for j in live:
-            self.rel[j] = float(np.linalg.norm(rows[j])) / self.bn[j]
+            self.rel[j] = self.method.norm(rows[j]) / self.bn[j]
         return live
 
     def record(self, rows: "np.ndarray | None" = None) -> float:

@@ -372,8 +372,9 @@ class TestFailureAgreement:
 
     def test_one_rank_nonfinite_poisons_every_rank_in_same_iteration(self):
         """A preconditioner fault local to one rank reaches all ranks through
-        the residual-norm allreduce: the solve terminates (no hang) with a
-        globally agreed 'diverged' status and the guilty rank attributed."""
+        an allreduce: the solve terminates (no hang) with a globally agreed
+        'diverged' status, and the guilty rank alone is attributed, before
+        an SpMV spreads its inf to the neighbours."""
         p, h, dec, dmg = _setup(cfg=K64P32D16_SETUP_SCALE, pg=(2, 2, 1))
         bad_rank = 1
 
@@ -389,7 +390,7 @@ class TestFailureAgreement:
             )
         assert res.status == "diverged"
         assert res.iterations < 50  # left the loop, did not run dry
-        assert bad_rank in res.detail["failed_ranks"]
+        assert res.detail["failed_ranks"] == [bad_rank]
 
     def test_agree_on_status_is_max_severity(self):
         stats = CommStats()

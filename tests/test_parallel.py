@@ -13,15 +13,20 @@ from repro.kernels import (
     jacobi_sweep,
     spmv_plain,
 )
+from repro.mg import mg_setup
 from repro.parallel import (
     CartesianDecomposition,
     CommStats,
+    DistributedMG,
     DistributedSGDIA,
     balanced_split,
     distributed_cg,
     distributed_dot,
 )
 from repro.parallel.halo import DistributedField
+from repro.precision import K64P32D16_SETUP_SCALE
+from repro.problems import build_problem
+from repro.resilience.runtime import CancelToken, Deadline, ExecContext
 from repro.sgdia import StoredMatrix
 
 from tests.helpers import assert_same_bytes, random_sgdia
@@ -144,13 +149,6 @@ class TestDistributedField:
         f = DistributedField.scatter(rng.standard_normal(g.field_shape), dec)
         f.exchange_halos()
         assert (f.locals[0][0] == 0).all() and (f.locals[0][-1] == 0).all()
-
-    def test_norm2_owned(self, rng):
-        g = StructuredGrid((5, 5, 5))
-        dec = CartesianDecomposition(g, (2, 2, 1))
-        xg = rng.standard_normal(g.field_shape)
-        f = DistributedField.scatter(xg, dec, dtype=np.float64)
-        assert f.norm2_owned() == pytest.approx(np.linalg.norm(xg))
 
 
 class TestDistributedSpMV:
@@ -333,6 +331,30 @@ class TestDistributedCG:
         da = DistributedSGDIA.from_global(a, dec)
         res, _ = distributed_cg(da, np.zeros(a.grid.field_shape), rtol=1e-9)
         assert res.converged and res.iterations == 0
+
+    @pytest.mark.parametrize("stop", ["deadline", "cancelled"])
+    def test_pre_stopped_runtime_runs_no_preconditioner(self, stop):
+        """A runtime that has already said stop ends the solve at its first
+        step boundary: 0 iterations, the zero iterate, and not one halo
+        exchange (not even the preconditioner's first application)."""
+        p = build_problem("laplace27", shape=(16, 16, 16))
+        h = mg_setup(p.a, K64P32D16_SETUP_SCALE, p.mg_options)
+        dec = DistributedMG.aligned_decomposition(h, (2, 2, 2))
+        stats = CommStats()
+        dmg = DistributedMG(h, dec, stats)
+        if stop == "deadline":
+            runtime = ExecContext(deadline=Deadline(at=0.0, clock=lambda: 1.0))
+        else:
+            runtime = ExecContext(cancel=CancelToken())
+            runtime.cancel.cancel()
+        res, _ = distributed_cg(
+            DistributedSGDIA.from_global(p.a, dec), p.b, rtol=p.rtol,
+            maxiter=100, preconditioner=dmg.precondition, stats=stats,
+            runtime=runtime,
+        )
+        assert (res.status, res.iterations) == (stop, 0)
+        assert np.isfinite(res.x).all() and not res.x.any()
+        assert stats.p2p_messages == 0
 
 
 class TestDot:
