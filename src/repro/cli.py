@@ -28,10 +28,9 @@ Commands
               three-precision GMRES-IR) against plain CG/GMRES+MG and emit
               ``BENCH_krylov.json``
 
-The five benches (``profile``, ``serve --bench``, ``serve --processes N
---bench``, ``bench`` and ``tune``) end alike: they write their snapshot,
-print each of its gates as PASS or FAIL, and exit 1 if and only if a gate
-is false.
+The four benches (``profile``, ``serve --bench``, ``bench`` and ``tune``)
+end alike: they write their snapshot, print each of its gates as PASS or
+FAIL, and exit 1 if and only if a gate is false.
 """
 
 from __future__ import annotations
@@ -211,12 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--shape", type=_shape, default=(16, 16, 12))
     p_serve.add_argument("--config", default="K64P32D16-setup-scale")
     p_serve.add_argument("--workers", type=int, default=2)
-    p_serve.add_argument(
-        "--processes", type=int, default=0,
-        help="serve from N supervised worker processes over checksummed "
-        "shared-memory hierarchies instead of threads (0 = thread service); "
-        "with --bench writes BENCH_serve_mp.json",
-    )
     p_serve.add_argument("--queue-size", type=int, default=8)
     p_serve.add_argument("--jobs", type=int, default=8)
     p_serve.add_argument(
@@ -244,9 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--chaos", action="store_true",
         help="run the seeded chaos sweep over every fault site (payload, "
-        "ABFT, cycle, halo, spill, checkpoint, deadline, cancel, service, "
-        "process kill/hang/poison, shm corruption/orphan) and fail if any "
-        "fault escapes unclassified",
+        "policy, ABFT, cycle, halo, spill, checkpoint, deadline, cancel, "
+        "service) and fail if any fault escapes unclassified",
     )
     p_serve.add_argument(
         "--sites", action="append", default=None, metavar="SITE",
@@ -272,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--trace", default=None, metavar="PATH",
-        help="write the merged supervisor+worker span trace here "
+        help="write the service's span trace here "
         "(.json = Chrome trace-event format, .jsonl = span lines)",
     )
     p_serve.add_argument(
@@ -759,7 +751,7 @@ def _cmd_serve(args) -> int:
             return 1
         return 0
     if args.bench:
-        bench_args = dict(
+        doc = run_serve_bench(
             shape=args.shape,
             steps=args.steps,
             refresh_every=args.refresh_every,
@@ -767,12 +759,6 @@ def _cmd_serve(args) -> int:
             config=config,
             seed=args.seed,
         )
-        if args.processes > 0:
-            from .serve.procpool import run_serve_mp_bench
-
-            doc = run_serve_mp_bench(processes=args.processes, **bench_args)
-        else:
-            doc = run_serve_bench(**bench_args)
         return _finish_bench(doc, args.snapshot_dir)
 
     # demo: a short service run on the requested problem
@@ -795,31 +781,16 @@ def _cmd_serve(args) -> int:
 
     prob = build_problem(args.problem, shape=args.shape, seed=args.seed)
     rng = np.random.default_rng(args.seed)
-    if args.processes > 0:
-        from .serve.procpool import ProcessSolverService
-
-        service = ProcessSolverService(
-            prob.a,
-            config=config,
-            options=prob.mg_options,
-            processes=args.processes,
-            queue_size=args.queue_size,
-            solver=prob.solver,
-            rtol=prob.rtol,
-            status_path=status_file,
-        )
-    else:
-        service = SolverService(
-            prob.a,
-            config=config,
-            options=prob.mg_options,
-            workers=args.workers,
-            queue_size=args.queue_size,
-            solver=prob.solver,
-            rtol=prob.rtol,
-            status_path=status_file,
-        )
-    with service as svc:
+    with SolverService(
+        prob.a,
+        config=config,
+        options=prob.mg_options,
+        workers=args.workers,
+        queue_size=args.queue_size,
+        solver=prob.solver,
+        rtol=prob.rtol,
+        status_path=status_file,
+    ) as svc:
         jobs = [
             svc.submit(consistent_rhs(prob.a, rng)) for _ in range(args.jobs)
         ]
@@ -865,8 +836,7 @@ def _cmd_serve(args) -> int:
         f"cache hits={stats['cache']['hits']} "
         f"misses={stats['cache']['misses']}; "
         f"respawns={stats['worker_respawns']} "
-        f"requeued={stats['requeued']} poisoned={stats['poisoned']} "
-        f"shm_corruptions={stats['shm_corruptions']}"
+        f"requeued={stats['requeued']} poisoned={stats['poisoned']}"
     )
     lat = stats.get("latency", {}).get("histograms", {}).get("e2e", {})
     if lat.get("count"):

@@ -48,12 +48,10 @@ rounds directly from fp64, see ``backend_c.c``) and ``scaled_ratio``
 (Theorem 4.1's ratio).
 
 Everything else delegates to the numpy kernels unchanged: transfers in
-other dtypes, scalar RHS blocks (no benchmark workload measures them;
-their main user, the process-pool serve bench, has a timing-sensitive
-scaling gate), block SpTRSV (the reference has none), AOS layouts, blocks
-larger than 4x4, payloads whose planes are not C-contiguous or aligned,
-and in the setup BF16 payloads, non-FP64 operators and fp16 payloads
-without F16C.  The scaled SpMV keeps its ``q*x`` and ``y*=q`` steps in
+other dtypes, scalar RHS blocks (no benchmark workload measures them),
+block SpTRSV (the reference has none), AOS layouts, blocks larger than
+4x4, payloads whose planes are not C-contiguous or aligned, and in the
+setup BF16 payloads, non-FP64 operators and fp16 payloads without F16C.  The scaled SpMV keeps its ``q*x`` and ``y*=q`` steps in
 numpy around the compiled product; the Jacobi sweep (no backend entry)
 runs its numpy update around the compiled SpMV.
 
@@ -63,7 +61,7 @@ counters are identical whichever backend runs.
 
 The shared library is cached under ``$XDG_CACHE_HOME/repro`` (default
 ``~/.cache/repro``), keyed by the sha256 of the source, the flags, ``gcc
---version`` and the machine, and written with an atomic rename, so worker
+--version`` and the machine, and written with an atomic rename, so later
 processes load it instead of recompiling.  A missing compiler, a failed
 compile, an unwritable cache or a library lacking any kernel of a pair
 leaves the backend unregistered; the reason is reported by

@@ -6,25 +6,24 @@ machinery to explain its own precision and performance behaviour:
 - :mod:`.trace` — nested spans over the whole solve path
   (``setup -> level -> galerkin/scale/truncate``,
   ``solve -> iteration -> precond -> vcycle -> level -> ...``) with a
-  no-op fast path when disabled, plus cross-process span ingestion
-  (:meth:`~.trace.Tracer.graft`) for worker-shipped traces;
+  no-op fast path when disabled and one span stack per thread;
 - :mod:`.metrics` — per-level counters for kernel invocations, modeled
   bytes moved, fp16<->fp32 conversions, and overflow/underflow/subnormal
-  precision events, mergeable across process boundaries;
+  precision events;
 - :mod:`.telemetry` — log-bucketed latency histograms (p50/p95/p99/max),
   per-stage :class:`~.telemetry.ServiceStats` with SLO counters, and the
   ``repro top`` status-document plane;
 - :mod:`.events` — severity-tagged structured event journal for
-  operational incidents (worker respawn, shm corruption, poison
-  quarantine, ...) with ring-buffer retention and a JSONL sink;
-- :mod:`.export` — JSON-lines, Chrome ``chrome://tracing`` (worker
-  lanes), Prometheus text exposition, and aligned text summaries;
+  operational incidents (worker respawn, poison quarantine, spill
+  corruption, ...) with ring-buffer retention and a JSONL sink;
+- :mod:`.export` — JSON-lines, Chrome ``chrome://tracing``, Prometheus
+  text exposition, and aligned text summaries;
 - :mod:`.snapshot` — machine-readable ``BENCH_<name>.json`` bench
   snapshots (schema ``repro-bench/2``): the required ``solve``,
   ``setup``, ``memory``, ``modeled``, ``events``, ``spans`` and
   ``kernels`` sections, the run's pass/fail verdicts in one ``gates`` map,
   and the optional ``topology``, ``latency``, ``policy``, ``krylov`` and
-  ``extra.serve`` / ``extra.serve_mp`` / ``extra.tuner`` sections a bench
+  ``extra.serve`` / ``extra.tuner`` sections a bench
   adds, all validated by one declarative table.
 
 All collectors are process-global and disabled by default; ``repro

@@ -1,8 +1,8 @@
 """Structured event journal for operational incidents.
 
 The metrics layer counts incidents (``service.worker.respawn``,
-``serve.shm.corrupt``, ...) but cannot say *which* worker died, *which*
-segment was corrupt, or *when* — the journal does.  Every operational
+``serve.cache.spill_corrupt``, ...) but cannot say *which* worker died,
+*which* spill was corrupt, or *when* — the journal does.  Every operational
 incident emits one severity-tagged :class:`Event` into the process-global
 :class:`EventJournal`: a thread-safe ring buffer (bounded retention) with
 an optional JSONL sink for durable tails (``repro events --tail``).
@@ -45,9 +45,9 @@ class Event:
     """One operational incident.
 
     ``kind`` is a dotted, machine-matchable identifier
-    (``service.worker.respawn``, ``serve.shm.corrupt``, ``chaos.inject``);
-    ``message`` is the human line; ``attrs`` carries the specifics
-    (worker index, pid, segment name, fault site, ...).
+    (``service.worker.respawn``, ``serve.cache.spill_corrupt``,
+    ``chaos.inject``); ``message`` is the human line; ``attrs`` carries
+    the specifics (worker index, job id, spill path, fault site, ...).
     """
 
     severity: str

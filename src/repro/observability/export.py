@@ -7,11 +7,6 @@ so a ``repro solve --trace out.json`` artifact loads directly into
 round-trips the span tree (parent indices and attributes included) for
 programmatic consumers; :func:`load_jsonl` reads it back.
 
-Cross-process traces use span attrs as lanes: a ``lane`` attr becomes the
-Chrome ``tid`` (one row per worker, lane 0 = supervisor) and a ``pid``
-attr overrides the Chrome ``pid``, so a merged supervisor+worker trace
-renders each worker on its own track.
-
 :func:`write_prometheus` emits the Prometheus text exposition format
 (counters from :class:`~.metrics.Metrics`, histograms/gauges from a
 :class:`~.telemetry.ServiceStats` snapshot) for scrape-based monitoring.
@@ -81,10 +76,8 @@ def spans_to_chrome_events(tracer: Tracer) -> list[dict]:
                 "ph": "X",
                 "ts": round(s.t_start * 1e6, 3),
                 "dur": round(s.duration * 1e6, 3),
-                # lane 0 = supervisor/in-process; workers render on their
-                # own tid row (and real pid when the span carries one)
-                "pid": _lane(args.get("pid")),
-                "tid": _lane(args.get("lane")),
+                "pid": 0,
+                "tid": 0,
                 "cat": "repro",
                 "args": args,
             }
@@ -103,13 +96,6 @@ def write_chrome_trace(tracer: Tracer, path: str) -> str:
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f)
     return path
-
-
-def _lane(v) -> int:
-    try:
-        return int(v)
-    except (TypeError, ValueError):
-        return 0
 
 
 def _jsonable(v):

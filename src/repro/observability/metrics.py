@@ -83,35 +83,6 @@ class Metrics:
         self._totals.clear()
         self._by_level.clear()
 
-    def merge(self, other: "Metrics | dict") -> "Metrics":
-        """Add another registry's counters into this one.
-
-        Accepts a :class:`Metrics` or its :meth:`to_dict` form — the shape
-        worker processes ship across the result pipe — and adds totals and
-        per-level buckets element-wise, so a supervisor-side registry ends
-        up bit-for-bit equal to one that had collected in-process.
-        """
-        if isinstance(other, Metrics):
-            totals = other._totals
-            by_level = other._by_level
-        else:
-            totals = {name: rec.get("total", 0) for name, rec in other.items()}
-            by_level = {
-                name: {
-                    int(level): v
-                    for level, v in (rec.get("by_level") or {}).items()
-                }
-                for name, rec in other.items()
-                if rec.get("by_level")
-            }
-        for name, value in totals.items():
-            self._totals[name] = self._totals.get(name, 0) + value
-        for name, levels in by_level.items():
-            bucket = self._by_level.setdefault(name, {})
-            for level, v in levels.items():
-                bucket[level] = bucket.get(level, 0) + v
-        return self
-
     def to_dict(self) -> dict:
         """Machine-readable form: per counter, total and per-level buckets."""
         return {

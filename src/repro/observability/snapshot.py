@@ -6,9 +6,8 @@ event counters, span aggregates, the git revision, and the run's
 pass/fail verdicts in one top-level ``gates`` map — so successive PRs
 accumulate a comparable performance trajectory instead of ad-hoc log
 output.  Every in-library bench (``repro profile``, ``repro serve
---bench``, ``repro serve --processes N --bench``, ``repro bench`` and
-``repro tune``) returns one; the CLI writes it, prints its gates and
-exits 1 if and only if a gate is false.
+--bench``, ``repro bench`` and ``repro tune``) returns one; the CLI
+writes it, prints its gates and exits 1 if and only if a gate is false.
 
 One declarative table, :data:`SCHEMA_TABLE`, names every section's
 required and optional keys and the rule each value must follow; one
@@ -114,14 +113,6 @@ _RUN = {
 
 _TUNER_RUN = {**_RUN, "config": _STR, "levels": ListOf(_STR)}
 
-#: The timestep replay both serving benches run.
-_REPLAY = {
-    "problem": _STR,
-    "steps": _COUNT,
-    "refresh_every": _POSITIVE,
-    "epochs": _COUNT,
-}
-
 _HISTOGRAM = {
     "count": _COUNT,
     "sum": _NUM,
@@ -158,8 +149,6 @@ SCHEMA_TABLE = {
     # the worker layout of a serving bench
     "topology": Opt({
         "mode": _STR,
-        "processes": _POSITIVE,
-        "shard_map": _DICT,
         "respawns": _COUNT,
         "requeued": _COUNT,
     }),
@@ -197,7 +186,10 @@ SCHEMA_TABLE = {
         # `repro serve --bench`: cached replay, warm start, solve_many
         "serve": Opt({
             "replay": {
-                **_REPLAY,
+                "problem": _STR,
+                "steps": _COUNT,
+                "refresh_every": _POSITIVE,
+                "epochs": _COUNT,
                 "uncached_setup_seconds": _NONNEG,
                 "cached_setup_seconds": _NONNEG,
                 "amortization": _NONNEG,
@@ -214,18 +206,6 @@ SCHEMA_TABLE = {
                 "max_rel_error_vs_sequential": _NONNEG,
                 "statuses": ListOf(_STR),
             },
-        }),
-        # `repro serve --processes N --bench`: process-pool scaling
-        "serve_mp": Opt({
-            "replay": {**_REPLAY, "rhs_block": _POSITIVE},
-            "processes_tested": ListOf(_POSITIVE),
-            "seconds": MapOf(_NONNEG),
-            "throughput_solves_per_s": MapOf(_NONNEG),
-            "thread_reference_seconds": _NONNEG,
-            "speedup": _NONNEG,
-            "cores": _POSITIVE,
-            "expected_speedup": _NONNEG,
-            "deadline_miss_rate": _NONNEG,
         }),
         # `repro tune`: static vs adaptive vs replayed static config
         "tuner": Opt({

@@ -4,14 +4,13 @@ The counters in :mod:`.metrics` say *how much* work ran; this module says
 *how long callers waited* for it.  A :class:`Histogram` records a latency
 distribution in logarithmic buckets (factor-2 bounds from 1 microsecond
 up), cheap enough to update on every job and small enough to embed in a
-``BENCH_serve*.json`` snapshot.  A :class:`ServiceStats` bundles one
+``BENCH_serve.json`` snapshot.  A :class:`ServiceStats` bundles one
 histogram per serving stage —
 
 ========== ==========================================================
 queue_wait submit → dispatch to a worker
-shm_verify shared-memory attach + checksum verification (process tier)
-setup      hierarchy setup-or-cache-hit at dispatch time
-solve      the solver attempt itself
+solve      the solver attempt itself (hierarchy setup or cache hit
+           included)
 e2e        submit → terminal state (what the caller experiences)
 ========== ==========================================================
 
@@ -21,8 +20,8 @@ benchmark gates and the ``latency`` snapshot section consume.
 
 The module also hosts the ``repro top`` data plane: services publish a
 small JSON status document (:func:`write_status`, atomic rename) that
-:func:`render_top` turns into the live dashboard — per-worker queue
-depth, heartbeat age, cache hit ratio, latency percentiles, and the last
+:func:`render_top` turns into the live dashboard — per-worker in-flight
+jobs, queue depth, cache hit ratio, latency percentiles, and the last
 journal events.
 """
 
@@ -44,7 +43,7 @@ __all__ = [
 ]
 
 #: Serving stages tracked by :class:`ServiceStats`, in pipeline order.
-STAGES = ("queue_wait", "shm_verify", "setup", "solve", "e2e")
+STAGES = ("queue_wait", "solve", "e2e")
 
 #: SLO counters tracked alongside the histograms.
 COUNTERS = (
@@ -66,16 +65,10 @@ def _fmt_bound(b: float) -> str:
     return "inf" if math.isinf(b) else f"{b:.9g}"
 
 
-_BOUND_INDEX = {_fmt_bound(b): i for i, b in enumerate(_BOUNDS)}
-_BOUND_INDEX["inf"] = len(_BOUNDS)
-
-
 class Histogram:
     """Log-bucketed latency histogram with percentile readout.
 
-    Buckets are fixed (factor-2 bounds, see :data:`_BOUNDS`), so two
-    histograms — including one rebuilt from :meth:`to_dict` output that
-    crossed a process boundary — always :meth:`merge` exactly.
+    Buckets are fixed (factor-2 bounds, see :data:`_BOUNDS`).
     """
 
     __slots__ = ("counts", "count", "sum", "min", "max")
@@ -139,33 +132,6 @@ class Histogram:
     def p99(self) -> float:
         return self.percentile(0.99)
 
-    # ------------------------------------------------------------------
-    def merge(self, other: "Histogram | dict") -> "Histogram":
-        """Add another histogram (or its :meth:`to_dict` form) into this one."""
-        if isinstance(other, Histogram):
-            for i, c in enumerate(other.counts):
-                self.counts[i] += c
-            self.count += other.count
-            self.sum += other.sum
-            self.min = min(self.min, other.min)
-            self.max = max(self.max, other.max)
-            return self
-        for le, c in (other.get("buckets") or {}).items():
-            if le not in _BOUND_INDEX:
-                raise ValueError(f"unknown histogram bucket bound {le!r}")
-            if int(c) < 0:
-                raise ValueError(f"negative histogram count in bucket {le!r}")
-            self.counts[_BOUND_INDEX[le]] += int(c)
-        n = int(other.get("count", 0))
-        if n < 0:
-            raise ValueError("negative histogram count")
-        self.count += n
-        self.sum += float(other.get("sum", 0.0))
-        if n:
-            self.min = min(self.min, float(other.get("min", math.inf)))
-            self.max = max(self.max, float(other.get("max", 0.0)))
-        return self
-
     def to_dict(self) -> dict:
         return {
             "count": self.count,
@@ -181,10 +147,6 @@ class Histogram:
                 if c
             },
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Histogram":
-        return cls().merge(d)
 
 
 class ServiceStats:
@@ -216,14 +178,6 @@ class ServiceStats:
             )
         with self._lock:
             self.counters[name] += n
-
-    def merge(self, other: "ServiceStats") -> "ServiceStats":
-        with self._lock:
-            for s, h in other.histograms.items():
-                self.histograms[s].merge(h)
-            for c, v in other.counters.items():
-                self.counters[c] += v
-        return self
 
     def snapshot(self) -> dict:
         """The ``latency`` snapshot section: histograms, counts, rates."""
@@ -313,16 +267,14 @@ def render_top(doc: dict, events_lines: int = 8) -> str:
         lines.append("workers:")
         lines.append(
             f"  {'idx':>3s} {'pid':>8s} {'alive':>5s} {'ready':>5s} "
-            f"{'inflight':>8s} {'hb_age':>8s}"
+            f"{'inflight':>8s}"
         )
         for w in workers:
-            hb = w.get("heartbeat_age")
             lines.append(
                 f"  {w.get('index', '?'):>3} {str(w.get('pid', '-')):>8s} "
                 f"{str(bool(w.get('alive'))):>5s} "
                 f"{str(bool(w.get('ready'))):>5s} "
-                f"{w.get('inflight', 0):>8d} "
-                f"{(f'{hb:.2f}s' if hb is not None else '-'):>8s}"
+                f"{w.get('inflight', 0):>8d}"
             )
     latency = (doc.get("latency") or {}).get("histograms", {})
     if latency:

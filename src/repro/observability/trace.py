@@ -16,13 +16,11 @@ with :func:`enabled`.
 The recorded spans export to JSON-lines, the Chrome ``chrome://tracing``
 trace-event format, and an aligned text summary (:mod:`.export`).
 
-The tracer is process-global and the hot ``span()``/``_open``/``_close``
-path is not thread-safe — the whole library runs single-threaded NumPy,
-and the in-process "distributed" engine executes ranks sequentially.  The
-*append-only* ingestion paths (:meth:`Tracer.record_span`,
-:meth:`Tracer.graft`) take a lock, because the serving supervisor grafts
-worker-shipped spans from its control thread while the submitting thread
-may be tracing.
+The tracer is process-global, and each thread nests its spans on its own
+stack: the worker threads of a :class:`~repro.serve.SolverService` trace
+concurrently, and a job span one of them opens is a root, never a child of
+whatever span another thread holds open.  Appending a span to the shared
+list takes the tracer's one lock.
 """
 
 from __future__ import annotations
@@ -128,16 +126,21 @@ class _SpanHandle:
         return False
 
 
+class _ThreadStack(threading.local):
+    """The indices of the calling thread's open spans, innermost last."""
+
+    def __init__(self) -> None:
+        self.stack: list[int] = []
+
+
 class Tracer:
     """Records a tree of spans against one monotonic epoch."""
 
     def __init__(self) -> None:
         self.epoch = time.perf_counter()
         self.spans: list[Span] = []
-        self._stack: list[int] = []
-        # guards the append-only ingestion paths (record_span / graft);
-        # the hot _open/_close path stays lock-free by design.
-        self._append_lock = threading.Lock()
+        self._local = _ThreadStack()
+        self._lock = threading.Lock()  # guards appends to ``spans``
 
     # ------------------------------------------------------------------
     def span(self, name: str, **attrs) -> _SpanHandle:
@@ -145,126 +148,29 @@ class Tracer:
         return _SpanHandle(self, name, attrs)
 
     def _open(self, name: str, attrs: dict) -> Span:
-        parent = self._stack[-1] if self._stack else None
-        s = Span(
-            name=name,
-            index=len(self.spans),
-            parent=parent,
-            depth=len(self._stack),
-            t_start=time.perf_counter() - self.epoch,
-            attrs=attrs,
-        )
-        self.spans.append(s)
-        self._stack.append(s.index)
+        stack = self._local.stack
+        with self._lock:
+            s = Span(
+                name=name,
+                index=len(self.spans),
+                parent=stack[-1] if stack else None,
+                depth=len(stack),
+                t_start=time.perf_counter() - self.epoch,
+                attrs=attrs,
+            )
+            self.spans.append(s)
+        stack.append(s.index)
         return s
 
     def _close(self, s: "Span | None") -> None:
         if s is None:  # pragma: no cover - defensive
             return
         s.t_end = time.perf_counter() - self.epoch
-        if self._stack and self._stack[-1] == s.index:
-            self._stack.pop()
-        elif s.index in self._stack:  # pragma: no cover - defensive
-            self._stack.remove(s.index)
-
-    # ------------------------------------------------------------------
-    # ingestion of already-measured intervals (cross-thread / cross-process)
-    # ------------------------------------------------------------------
-    def record_span(
-        self,
-        name: str,
-        t_start: float,
-        t_end: float,
-        parent: "int | None" = None,
-        **attrs,
-    ) -> Span:
-        """Append an already-measured interval without touching the stack.
-
-        Times are in this tracer's epoch-relative seconds.  Used by the
-        serving supervisor to materialize intervals it measured itself
-        (queue wait, end-to-end job span) outside any ``with span():``.
-        """
-        with self._append_lock:
-            if parent is not None and 0 <= parent < len(self.spans):
-                depth = self.spans[parent].depth + 1
-            else:
-                parent = None
-                depth = 0
-            s = Span(
-                name=name,
-                index=len(self.spans),
-                parent=parent,
-                depth=depth,
-                t_start=t_start,
-                t_end=t_end,
-                attrs=attrs,
-            )
-            self.spans.append(s)
-            return s
-
-    def graft(
-        self,
-        span_dicts: "list[dict]",
-        parent: "int | None" = None,
-        shift: float = 0.0,
-        lane: "int | None" = None,
-        extra_attrs: "dict | None" = None,
-    ) -> list[Span]:
-        """Adopt spans recorded by another tracer under ``parent``.
-
-        ``span_dicts`` is :meth:`Span.to_dict` output (the form workers
-        ship over the result pipe), in opening order so parents precede
-        children.  ``shift`` rebases the foreign epoch into this tracer's
-        (``foreign_epoch - self.epoch`` when both clocks are
-        ``perf_counter`` in the same clock domain, as on Linux across
-        ``fork``).  Grafted intervals are clamped into their new parent's
-        bounds so :meth:`consistent` keeps holding despite clock skew.
-        ``lane`` stamps a ``lane`` attr (the Chrome-trace tid) on every
-        adopted span.
-        """
-        grafted: list[Span] = []
-        with self._append_lock:
-            index_map: dict[int, int] = {}
-            for d in span_dicts:
-                old_parent = d.get("parent")
-                if old_parent is not None and old_parent in index_map:
-                    new_parent = index_map[old_parent]
-                else:
-                    new_parent = (
-                        parent
-                        if parent is not None and 0 <= parent < len(self.spans)
-                        else None
-                    )
-                t0 = float(d["t_start"]) + shift
-                t1 = t0 + float(d.get("duration") or 0.0)
-                if new_parent is not None:
-                    p = self.spans[new_parent]
-                    t0 = max(t0, p.t_start)
-                    if p.t_end is not None:
-                        t1 = min(t1, p.t_end)
-                    t1 = max(t1, t0)
-                    depth = p.depth + 1
-                else:
-                    depth = 0
-                attrs = dict(d.get("attrs") or {})
-                if extra_attrs:
-                    attrs.update(extra_attrs)
-                if lane is not None:
-                    attrs.setdefault("lane", lane)
-                s = Span(
-                    name=d["name"],
-                    index=len(self.spans),
-                    parent=new_parent,
-                    depth=depth,
-                    t_start=t0,
-                    t_end=t1,
-                    attrs=attrs,
-                )
-                self.spans.append(s)
-                if d.get("index") is not None:
-                    index_map[int(d["index"])] = s.index
-                grafted.append(s)
-        return grafted
+        stack = self._local.stack
+        if stack and stack[-1] == s.index:
+            stack.pop()
+        elif s.index in stack:  # pragma: no cover - defensive
+            stack.remove(s.index)
 
     # ------------------------------------------------------------------
     def finished(self) -> list[Span]:

@@ -17,6 +17,7 @@ from math import prod
 import numpy as np
 
 from ..grid import StructuredGrid
+from ..kernels import COLORS8
 from ..perf.scaling import process_grid
 
 __all__ = ["CartesianDecomposition", "balanced_split"]
@@ -186,6 +187,22 @@ class CartesianDecomposition:
                         ))
             plan.append((tuple(zero), tuple(messages)))
         return tuple(plan)
+
+    @cached_property
+    def local_colors(self) -> tuple:
+        """Per rank, each class of :data:`~repro.kernels.COLORS8` mapped to
+        its parity on the rank's ghost-padded local grid (padded index =
+        global index - lo + 1), built on first use."""
+        return tuple(
+            {
+                color: tuple(
+                    (c - lo + 1) % 2
+                    for c, (lo, _hi) in zip(color, self.owned_ranges(rank))
+                )
+                for color in COLORS8
+            }
+            for rank in range(self.nranks)
+        )
 
     def max_local_dofs(self) -> int:
         """Largest per-rank dof count (the load-balance figure)."""

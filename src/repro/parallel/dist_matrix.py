@@ -179,19 +179,13 @@ class DistributedSGDIA:
                         diag_inv[rank], weight=arg, compute_dtype=cdtype,
                     )
                 continue
+            local_colors = self.decomp.local_colors
             for color in COLORS8 if arg else COLORS8[::-1]:
                 halo.exchange_halos(stats)
                 for rank, op in enumerate(self.local_ops):
-                    # padded index = global index - lo + 1: the global
-                    # color's parity on this rank's local grid
-                    local = tuple(
-                        (c - lo + 1) % 2
-                        for c, (lo, _hi) in zip(
-                            color, self.decomp.owned_ranges(rank)
-                        )
-                    )
                     gs_sweep_colored(
                         op, rhs.locals[rank], halo.locals[rank],
-                        diag_inv[rank], compute_dtype=cdtype, color=local,
+                        diag_inv[rank], compute_dtype=cdtype,
+                        color=local_colors[rank][color],
                     )
         return halo.gather(out=x)

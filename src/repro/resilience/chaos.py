@@ -14,8 +14,8 @@ Each trial additionally runs under a captured event journal
 (:class:`repro.observability.events.EventJournal`) and is held to an
 *observability* contract: the injection itself must journal a
 ``chaos.inject`` event, and sites with a deterministic detection path must
-journal the matching incident event (``serve.shm.corrupt``,
-``checkpoint.rejected``, ``service.worker.respawn``, ...) — a fault the
+journal the matching incident event (``serve.cache.spill_corrupt``,
+``checkpoint.rejected``, ``service.job.deadline``, ...) — a fault the
 operator cannot see in ``repro events`` fails the trial even when the
 solver classified it.  :data:`EXPECTED_EVENTS` is the site -> required
 event kinds table.
@@ -53,7 +53,7 @@ _CLASSIFIED = frozenset(
         "deadline",
         "cancelled",
         "rejected",  # corrupt artifact refused with ValueError by a loader
-        "poisoned",  # job quarantined after repeated worker crashes
+        "poisoned",  # job quarantined after repeated worker deaths
     }
 )
 
@@ -73,12 +73,6 @@ CHAOS_SITES = (
     "runtime.deadline",
     "runtime.cancel",
     "service.deadline",
-    "proc.kill",
-    "proc.hang",
-    "proc.poison",
-    "shm.corrupt_header",
-    "shm.corrupt_payload",
-    "shm.orphan",
 )
 
 #: Event kinds every trial of a site must journal (the observability gate).
@@ -102,24 +96,6 @@ EXPECTED_EVENTS = {
     "runtime.deadline": ("runtime.deadline",),
     "runtime.cancel": ("runtime.cancelled",),
     "service.deadline": ("service.job.deadline",),
-    "proc.kill": ("chaos.inject", "service.worker.respawn"),
-    "proc.hang": (
-        "chaos.inject",
-        "service.worker.heartbeat_miss",
-        "service.worker.respawn",
-    ),
-    "proc.poison": ("chaos.inject", "service.job.poisoned"),
-    "shm.corrupt_header": (
-        "chaos.inject",
-        "serve.shm.corrupt",
-        "serve.shm.republished",
-    ),
-    "shm.corrupt_payload": (
-        "chaos.inject",
-        "serve.shm.corrupt",
-        "serve.shm.republished",
-    ),
-    "shm.orphan": ("chaos.inject", "serve.shm.orphans_reaped"),
 }
 
 
@@ -488,141 +464,6 @@ def _service_trial(prob, config, seed: int) -> tuple[str, dict]:
     }
 
 
-def _proc_trial(mode: str, prob, config, seed: int) -> tuple[str, dict]:
-    """Process-pool supervision: crash, hang, or poison-quarantine.
-
-    ``kill`` SIGKILLs the (idle) pool before the job arrives — recovery is
-    crash detection + respawn + redelivery.  ``hang`` SIGSTOPs the pool,
-    so only the heartbeat path can save the job.  ``poison`` is the hang
-    scenario with ``max_redeliveries=0``: the one lost delivery must
-    quarantine the job as ``"poisoned"`` instead of crash-looping.
-    """
-    from ..serve.procpool import ProcessSolverService
-    from .faults import FaultInjector
-
-    inj = FaultInjector(seed=seed)
-    svc = ProcessSolverService(
-        prob.a,
-        config=config,
-        options=prob.mg_options,
-        processes=2,
-        heartbeat_interval=0.02,
-        hang_timeout=0.5,
-        max_redeliveries=0 if mode == "poison" else 2,
-        solver=prob.solver,
-        rtol=prob.rtol,
-        maxiter=300,
-        escalate=False,
-    )
-    try:
-        # barrier: a worker frozen before it reports ready never receives
-        # the job, which would dodge the redelivery path under test
-        svc.wait_ready()
-        if mode == "kill":
-            inj.kill_worker(svc, index=0)
-            inj.kill_worker(svc, index=1)
-        else:  # hang / poison: freeze the whole pool
-            inj.hang_worker(svc, index=0)
-            inj.hang_worker(svc, index=1)
-        job = svc.submit(prob.b)
-        result = job.result(timeout=120.0)
-        status = result.status
-        detail = {
-            "respawns": svc.n_respawns,
-            "requeued": svc.n_requeued,
-            "poisoned": svc.n_poisoned,
-            "heartbeat_misses": svc.n_heartbeat_miss,
-            "iterate_finite": bool(np.isfinite(result.x).all()),
-        }
-        if mode == "poison" and status != "poisoned":
-            status = "unexpected"  # the quarantine bound did not hold
-    finally:
-        svc.close()
-    return status, detail
-
-
-def _shm_trial(where: str, prob, config, seed: int) -> tuple[str, dict]:
-    """Corrupt a published segment before its first attach.
-
-    The worker must classify the segment (``serve.shm.corrupt``), the
-    supervisor must rebuild + republish, and the redelivered job must
-    return the *same bits* a clean in-process solve produces — corruption
-    may delay an answer, never change one.
-    """
-    from ..serve.procpool import ProcessSolverService
-    from ..serve.session import SolverSession
-    from .faults import FaultInjector
-
-    inj = FaultInjector(seed=seed)
-    reference = SolverSession(
-        prob.a, config=config, options=prob.mg_options,
-        solver=prob.solver, rtol=prob.rtol, maxiter=300, escalate=False,
-    ).solve(prob.b, warm_start=False)
-    svc = ProcessSolverService(
-        prob.a,
-        config=config,
-        options=prob.mg_options,
-        processes=1,
-        heartbeat_interval=0.02,
-        solver=prob.solver,
-        rtol=prob.rtol,
-        maxiter=300,
-        escalate=False,
-    )
-    try:
-        seg = svc.segment_names()[0]
-        inj.corrupt_segment(
-            seg, nbytes=64, offset=0 if where == "header" else None
-        )
-        result = svc.submit(prob.b, warm_start=False).result(timeout=120.0)
-        identical = result.status == reference.status and bool(
-            np.array_equal(result.x, reference.x)
-        )
-        detail = {
-            "corrupt_detected": svc.n_shm_corrupt,
-            "segment_rebuilds": svc.n_segment_rebuilds,
-            "bit_identical": identical,
-        }
-        if svc.n_shm_corrupt < 1:
-            status = "undetected"  # solved from bytes it should have refused
-        elif not identical:
-            status = "wrong-answer"
-        else:
-            status = result.status
-    finally:
-        svc.close()
-    return status, detail
-
-
-def _orphan_trial(prob, config, seed: int) -> tuple[str, dict]:
-    """Plant a dead-PID segment; service startup must sweep it."""
-    from ..serve import shm as _shm
-    from ..serve.procpool import ProcessSolverService
-    from .faults import FaultInjector
-
-    name = FaultInjector(seed=seed).orphan_segment()
-    if not _shm.segment_exists(name):
-        return "unplanted", {}
-    svc = ProcessSolverService(
-        prob.a,
-        config=config,
-        options=prob.mg_options,
-        processes=1,
-        solver=prob.solver,
-        rtol=prob.rtol,
-        maxiter=300,
-        escalate=False,
-    )
-    try:
-        swept = not _shm.segment_exists(name)
-        result = svc.submit(prob.b).result(timeout=120.0)
-        status = result.status if swept else "orphan-survived"
-    finally:
-        svc.close()
-        _shm.unlink_segment(name)  # hygiene if the sweep failed
-    return status, {"orphan": name, "swept": swept}
-
-
 # ----------------------------------------------------------------------
 
 def run_chaos(
@@ -702,22 +543,8 @@ def run_chaos(
                         status, detail = _deadline_trial(
                             True, prob, cfg, seed + t
                         )
-                    elif site == "service.deadline":
+                    else:  # service.deadline
                         status, detail = _service_trial(prob, cfg, seed + t)
-                    elif site.startswith("proc."):
-                        status, detail = _proc_trial(
-                            site.split(".", 1)[1], prob, cfg, seed + t
-                        )
-                    elif site == "shm.corrupt_header":
-                        status, detail = _shm_trial(
-                            "header", prob, cfg, seed + t
-                        )
-                    elif site == "shm.corrupt_payload":
-                        status, detail = _shm_trial(
-                            "payload", prob, cfg, seed + t
-                        )
-                    else:  # shm.orphan
-                        status, detail = _orphan_trial(prob, cfg, seed + t)
                 except Exception as exc:  # the contract violation we hunt
                     status = f"unhandled:{type(exc).__name__}"
                     detail = {"error": str(exc)}

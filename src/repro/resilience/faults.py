@@ -20,13 +20,6 @@ Four attack surfaces, matching where bits actually travel:
 - **the cache layer**: :meth:`FaultInjector.corrupt_spill` damages a
   spilled hierarchy file on disk, exercising the cache's
   detect-and-rebuild read path.
-- **the process pool**: :meth:`FaultInjector.kill_worker` /
-  :meth:`FaultInjector.hang_worker` SIGKILL or SIGSTOP a live worker of a
-  :class:`~repro.serve.procpool.ProcessSolverService` (crash vs.
-  supervisor-observed hang), :meth:`FaultInjector.corrupt_segment`
-  overwrites bytes of a published shared-memory hierarchy (header or
-  payload), and :meth:`FaultInjector.orphan_segment` plants a segment
-  under a dead creator PID — the startup-sweep scenario.
 
 Everything is seeded: the same ``FaultInjector(seed=...)`` corrupts the
 same entries of the same hierarchy in the same order.
@@ -34,8 +27,6 @@ same entries of the same hierarchy in the same order.
 
 from __future__ import annotations
 
-import os
-import signal
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -47,10 +38,6 @@ from ..mg import MGHierarchy
 from ..observability import events as _events
 
 __all__ = ["FaultRecord", "FaultInjector", "cycle_fault", "halo_fault"]
-
-
-def _noop() -> None:
-    """Target of the short-lived child whose PID seeds an orphan name."""
 
 
 def _emit_inject(site: str, **attrs) -> None:
@@ -272,148 +259,6 @@ class FaultInjector:
         )
         _emit_inject("spill.corrupt", path=str(path), nbytes=n, offset=off)
         return n
-
-    # -- process-pool fault sites --------------------------------------
-    def _pick_worker(self, service, index: "int | None"):
-        live = [
-            w for w in service._workers if w.alive and w.proc.is_alive()
-        ]
-        if index is not None:
-            return next((w for w in live if w.index == index), None)
-        if not live:
-            return None
-        rng = self._rng("proc", 0)
-        return live[int(rng.integers(0, len(live)))]
-
-    def kill_worker(self, service, index: "int | None" = None) -> "int | None":
-        """SIGKILL one live worker of a :class:`ProcessSolverService`.
-
-        ``index=None`` picks a seeded victim among the live workers.
-        Returns the killed PID, or ``None`` when no worker was available.
-        The supervisor is expected to requeue the worker's in-flight jobs
-        and respawn it — that expectation is what the chaos suite checks.
-        """
-        w = self._pick_worker(service, index)
-        if w is None:
-            return None
-        pid = w.proc.pid
-        try:
-            os.kill(pid, signal.SIGKILL)
-        except ProcessLookupError:
-            return None
-        self.records.append(
-            FaultRecord(
-                kind="proc.kill", level=-1, flat_index=int(w.index),
-                before=0.0, after=float(pid),
-            )
-        )
-        _emit_inject("proc.kill", worker=int(w.index), pid=pid)
-        return pid
-
-    def hang_worker(self, service, index: "int | None" = None) -> "int | None":
-        """SIGSTOP one live worker — a hang only the supervisor can see.
-
-        The frozen process keeps its pipes open (no EOF), so recovery must
-        come from the heartbeat path: the supervisor notices the stale
-        beat, SIGKILLs the worker, and redelivers its jobs.
-        """
-        w = self._pick_worker(service, index)
-        if w is None:
-            return None
-        pid = w.proc.pid
-        try:
-            os.kill(pid, signal.SIGSTOP)
-        except ProcessLookupError:
-            return None
-        self.records.append(
-            FaultRecord(
-                kind="proc.hang", level=-1, flat_index=int(w.index),
-                before=0.0, after=float(pid),
-            )
-        )
-        _emit_inject("proc.hang", worker=int(w.index), pid=pid)
-        return pid
-
-    def corrupt_segment(
-        self,
-        name: str,
-        nbytes: int = 64,
-        offset: "int | None" = None,
-    ) -> int:
-        """Overwrite ``nbytes`` of a published shm segment with seeded noise.
-
-        ``offset=None`` lands mid-payload (a checksum failure on the next
-        attach); ``offset=0`` tramples the binary header itself (bad
-        magic/length).  Either way the attach-side verification must
-        classify the segment as corrupt — never deserialize garbage.
-        Returns the number of bytes corrupted.
-        """
-        from ..serve.shm import _attach
-
-        shm = _attach(name)
-        try:
-            size = len(shm.buf)
-            if size == 0:
-                return 0
-            rng = self._rng("shm", 0)
-            n = min(int(nbytes), size)
-            off = (size - n) // 2 if offset is None else min(
-                int(offset), size - n
-            )
-            shm.buf[off : off + n] = rng.integers(
-                0, 256, size=n, dtype=np.uint8
-            ).tobytes()
-        finally:
-            shm.close()
-        self.records.append(
-            FaultRecord(
-                kind="shm.corrupt", level=-1, flat_index=int(off),
-                before=float(size), after=float(n),
-            )
-        )
-        _emit_inject("shm.corrupt", segment=name, nbytes=n, offset=int(off))
-        return n
-
-    def orphan_segment(self, payload_nbytes: int = 256) -> str:
-        """Plant a segment whose creator PID is dead; returns its name.
-
-        Models a service that was SIGKILLed after publishing (no atexit
-        ran): the segment survives in ``/dev/shm`` with nobody owning it.
-        A freshly started service must sweep it via
-        :func:`~repro.serve.shm.reap_orphans`.  The dead PID is real — a
-        short-lived child process — so the sweep's liveness probe takes
-        its genuine no-such-process path.
-        """
-        import multiprocessing as mp
-        from multiprocessing import resource_tracker
-
-        from ..serve import shm as _shm
-
-        child = mp.get_context().Process(target=_noop)
-        child.start()
-        child.join()
-        dead_pid = child.pid
-        rng = self._rng("orphan", 0)
-        name = f"rshm-{dead_pid}-{int(rng.integers(0, 16**8)):08x}"
-        payload = rng.integers(
-            0, 256, size=int(payload_nbytes), dtype=np.uint8
-        ).tobytes()
-        handle = _shm.publish_bytes(payload, name=name)
-        handle.close()
-        try:
-            # Orphan it for real: the dead creator's tracker would have
-            # died with it, so ours must forget the segment too.
-            resource_tracker.unregister(handle._name, "shared_memory")
-        except Exception:  # pragma: no cover - tracker internals shifted
-            pass
-        self.records.append(
-            FaultRecord(
-                kind="shm.orphan", level=-1, flat_index=int(dead_pid),
-                before=0.0, after=float(payload_nbytes),
-            )
-        )
-        _emit_inject("shm.orphan", segment=name, dead_pid=int(dead_pid))
-        return name
 
     def inject_perturbation(
         self,

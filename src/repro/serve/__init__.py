@@ -12,19 +12,11 @@ This package turns the one-shot solver into a serving stack:
   vectors;
 - :mod:`repro.serve.session` — :class:`SolverSession`, warm-started
   solves, drift-aware operator refresh, batched ``solve_many``;
-- :mod:`repro.serve.service` — the one job scheduler behind both solve
-  services (bounded-queue admission, deadlines, cancel, retry backoff on
-  a heap, delivery, counters, status document, graceful ``close()``) and
-  :class:`SolverService`, its thread executor: worker threads with warm
-  sessions over one shared cache;
-- :mod:`repro.serve.shm` — checksummed ``multiprocessing.shared_memory``
-  segments carrying spill-format hierarchies between processes, verified
-  on every attach;
-- :mod:`repro.serve.procpool` — :class:`ProcessSolverService`, the
-  process executor under the same scheduler: supervised *worker
-  processes*, consistent-hash cache sharding, heartbeat crash/hang
-  detection, bounded job redelivery with poison quarantine, and segment
-  cleanup on close.
+- :mod:`repro.serve.service` — :class:`SolverService`: worker threads
+  with warm sessions over one shared cache, behind one job lifecycle
+  (bounded-queue admission, deadlines, cancel, retry backoff on a heap,
+  worker respawn with bounded redelivery, counters, status document,
+  graceful ``close()``).
 """
 
 from .cache import CacheStats, HierarchyCache, load_hierarchy, save_hierarchy
@@ -36,7 +28,6 @@ from .fingerprint import (
     operator_drift,
     options_key,
 )
-from .procpool import ProcessSolverService, run_serve_mp_bench
 from .service import (
     ServiceClosed,
     ServiceSaturated,
@@ -45,16 +36,13 @@ from .service import (
     run_serve_bench,
 )
 from .session import SolverSession
-from .shm import ShmCorruption
 
 __all__ = [
     "CacheStats",
     "HierarchyCache",
     "OperatorSignature",
-    "ProcessSolverService",
     "ServiceClosed",
     "ServiceSaturated",
-    "ShmCorruption",
     "SolveJob",
     "SolverService",
     "SolverSession",
@@ -65,6 +53,5 @@ __all__ = [
     "operator_drift",
     "options_key",
     "run_serve_bench",
-    "run_serve_mp_bench",
     "save_hierarchy",
 ]

@@ -338,9 +338,7 @@ def hierarchy_to_arrays(h: MGHierarchy) -> tuple[dict, dict]:
     when the smoother supports spilling, and the transfer's coarsening
     factors.  The high-precision chain (``keep_high``) and the setup
     diagnostics are *not* persisted — a restored hierarchy serves solves,
-    not autopsies.  The same flattening backs both the disk spill
-    (:func:`save_hierarchy`) and the shared-memory segments of
-    :mod:`repro.serve.shm`.
+    not autopsies.
     """
     arrays: dict[str, np.ndarray] = {}
     manifest: dict = {
@@ -407,7 +405,8 @@ def load_hierarchy(
     """
     path = Path(path)
     try:
-        return _load_hierarchy(path, config, options)
+        with _open_npz(path) as npz:
+            return hierarchy_from_npz(npz, str(path), config, options)
     except ValueError:
         raise
     except (zipfile.BadZipFile, zlib.error, OSError, EOFError, KeyError) as exc:
@@ -424,9 +423,9 @@ def hierarchy_from_npz(
 ) -> MGHierarchy:
     """Restore a hierarchy from an *open* npz mapping in the spill format.
 
-    ``where`` names the source in error messages (a file path, a
-    shared-memory segment name).  Raises :class:`ValueError` on any
-    structural damage; the caller owns the npz handle.
+    ``where`` names the source (the file path) in error messages.
+    Raises :class:`ValueError` on any structural damage; the caller owns
+    the npz handle.
     """
     if "meta" not in npz.files:
         raise ValueError(f"hierarchy container {where} has no manifest")
@@ -514,11 +513,3 @@ def hierarchy_from_npz(
         diagnostics=None,
     )
 
-
-def _load_hierarchy(
-    path: Path,
-    config: PrecisionConfig,
-    options: MGOptions,
-) -> MGHierarchy:
-    with _open_npz(path) as npz:
-        return hierarchy_from_npz(npz, str(path), config, options)

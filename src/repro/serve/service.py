@@ -1,19 +1,14 @@
-"""Solve service: one job scheduler over thread or process workers.
+"""Solve service: worker threads with warm sessions behind one job lifecycle.
 
-:class:`JobScheduler` is the serving contract, written once: clients
-submit right-hand sides (single vectors or multi-RHS blocks) and receive
-:class:`SolveJob` futures resolving to
-:class:`~repro.solvers.SolveResult` objects.  The scheduler owns the whole
-job lifecycle — admission, the job table, one control thread, delivery,
-retry, expiry, cancel, counters and the status document — and leaves only
-*running* a job to an executor subclass:
-
-- :class:`SolverService` (this module) runs jobs on worker threads, each
-  owning a warm :class:`~repro.serve.session.SolverSession` over one
-  shared :class:`HierarchyCache`, so the expensive setup runs once no
-  matter how many workers serve it;
-- :class:`~repro.serve.procpool.ProcessSolverService` runs them on
-  supervised worker processes attached to shared-memory hierarchies.
+:class:`SolverService` is the serving contract: clients submit right-hand
+sides (single vectors or multi-RHS blocks) and receive :class:`SolveJob`
+futures resolving to :class:`~repro.solvers.SolveResult` objects.  Jobs run
+on worker threads, each owning a warm
+:class:`~repro.serve.session.SolverSession` over one shared
+:class:`HierarchyCache`, so the expensive setup runs once no matter how
+many workers serve it.  The service owns the whole job lifecycle —
+admission, the job table, one control thread, delivery, retry, expiry,
+cancel, worker respawn, counters and the status document.
 
 Admission control is a bounded pending queue: ``submit(..., block=True)``
 applies backpressure (the caller waits for a slot), ``block=False``
@@ -22,11 +17,11 @@ to a saturated solver backend; a closed service raises
 :class:`ServiceClosed`.
 
 The control thread wakes on every submit/cancel and otherwise polls every
-``tick`` seconds.  Each round it collects executor outcomes, lets the
-executor supervise its workers, expires queued jobs past their deadline
-(or cancelled), propagates cancels, releases due retries, and hands at
-most one job to each idle worker — redelivered jobs first.  Jobs carry an
-optional :class:`~repro.resilience.runtime.Deadline` and a
+``tick`` seconds.  Each round it collects worker outcomes, respawns dead
+workers (redelivering the job one held), expires queued jobs past their
+deadline (or cancelled), releases due retries, and hands at most one job
+to each idle worker — redelivered jobs first.  Jobs carry an optional
+:class:`~repro.resilience.runtime.Deadline` and a
 :class:`~repro.resilience.runtime.CancelToken`: an expired or cancelled
 job resolves with status ``"deadline"`` / ``"cancelled"`` and the best
 iterate available, it never blocks the caller forever.  A
@@ -76,13 +71,16 @@ from .cache import HierarchyCache
 from .session import SolverSession
 
 __all__ = [
-    "JobScheduler",
     "ServiceClosed",
     "ServiceSaturated",
     "SolveJob",
     "SolverService",
     "run_serve_bench",
 ]
+
+#: Times a job is re-queued after its worker died mid-run; past this bound
+#: it is quarantined as ``"poisoned"``.
+MAX_REDELIVERIES = 2
 
 
 class ServiceSaturated(RuntimeError):
@@ -111,7 +109,7 @@ class SolveJob:
     best iterate available, possibly the zero initial guess when the job
     never got solver time).  ``result()`` raising :class:`TimeoutError`
     does **not** consume the job: the future stays retrievable and a later
-    ``result()`` call returns normally once the scheduler finishes it.
+    ``result()`` call returns normally once the service finishes it.
     """
 
     id: int
@@ -123,11 +121,8 @@ class SolveJob:
     state: str = "pending"
     attempts: int = 0
     worker: "int | None" = None
-    #: Operator fingerprint the job targets (process service only — the
-    #: thread service always solves against its sessions' live operator).
-    fp: "str | None" = None
-    #: Times the job was re-queued after its worker died mid-run; past the
-    #: service's bound the job is quarantined as ``"poisoned"``.
+    #: Times the job was re-queued after its worker died mid-run; past
+    #: :data:`MAX_REDELIVERIES` the job is quarantined as ``"poisoned"``.
     redeliveries: int = 0
     #: ``perf_counter`` stamps for the latency histograms: submission time
     #: and first dispatch to a worker (0.0 until the event happened).
@@ -239,30 +234,59 @@ def classify_result(result, batched: bool) -> str:
     return "done"
 
 
-class JobScheduler:
-    """The job lifecycle shared by every solve service.
+class SolverService:
+    """Multi-worker solve service over one operator stream.
 
-    Subclasses are *executors*: they start their workers, then call
-    :meth:`_start_control`, and implement the worker-side hooks —
-    ``_collect`` (wait up to ``tick`` for outcomes, feed them to
-    :meth:`_deliver`), ``_wake``, ``_supervise``, ``_idle_workers``,
-    ``_start`` (hand a claimed job to a worker), ``_stop_workers``,
-    ``_worker_rows``, ``_caches`` and ``_topology``.  All job-table state
-    is mutated by the control thread alone, except admission (``submit``)
-    and cancellation requests.
+    Parameters
+    ----------
+    a, config, options:
+        The operator and setup parameters handed to each worker's session.
+    workers:
+        Number of worker threads (each with its own warm-start session).
+    queue_size:
+        Bound of the admission queue — the backpressure knob.
+    cache:
+        Shared hierarchy cache (created when omitted).  Pass a cache with a
+        ``spill_dir`` to survive eviction pressure across services.
+    retry_policy:
+        :class:`~repro.resilience.runtime.RetryPolicy` for re-running
+        failed attempts (exceptions and failure-classified statuses such as
+        ``"corrupted"``).  The default policy has ``max_retries=0`` — no
+        retries.  A backing-off job waits on the service's retry heap,
+        not in a worker, and cancelling it ends the wait.
+    default_deadline:
+        Per-job wall-clock budget in seconds applied to every submission
+        that does not pass its own ``deadline``; ``None`` (default) leaves
+        jobs unbounded.
+    tick:
+        Poll period of the control thread that expires queued jobs past
+        their deadline, releases due retries and respawns dead workers.
+    status_path:
+        Where to publish the ``repro top`` status document (optional).
+    session_kwargs:
+        Extra :class:`SolverSession` parameters (``solver``, ``rtol``,
+        ``maxiter``, ``drift_threshold``, ``escalate``...).
+
+    All job-table state is mutated by the control thread alone, except
+    admission (``submit``) and cancellation requests.
     """
-
-    mode = "?"
 
     def __init__(
         self,
-        queue_size: int,
-        retry_policy: "RetryPolicy | None",
-        default_deadline: "float | None",
-        tick: float,
-        status_path: "str | None",
-        max_redeliveries: int = 2,
+        a: SGDIAMatrix,
+        config: "PrecisionConfig | None" = None,
+        options: "MGOptions | None" = None,
+        workers: int = 2,
+        queue_size: int = 8,
+        cache: "HierarchyCache | None" = None,
+        retry_policy: "RetryPolicy | None" = None,
+        default_deadline: "float | None" = None,
+        tick: float = 0.02,
+        status_path: "str | None" = None,
+        **session_kwargs,
     ) -> None:
+        if workers < 1:
+            raise ValueError("need at least one worker")
         if queue_size < 1:
             raise ValueError("queue_size must be >= 1")
         self.queue_size = int(queue_size)
@@ -270,7 +294,6 @@ class JobScheduler:
         self.default_deadline = default_deadline
         self.tick = float(tick)
         self.status_path = status_path
-        self.max_redeliveries = int(max_redeliveries)
         self.telemetry = ServiceStats()
         self._status_written = 0.0
         self._cond = threading.Condition()
@@ -286,27 +309,35 @@ class JobScheduler:
         self.n_submitted = self.n_completed = self.n_failed = 0
         self.n_rejected = self.n_retried = 0
         self.n_deadline = self.n_cancelled = self.n_poisoned = 0
-        self.n_respawns = self.n_requeued = self.n_heartbeat_miss = 0
-        self.n_shm_corrupt = self.n_segment_rebuilds = 0
-
-    def _start_control(self, **attrs) -> None:
+        self.n_respawns = self.n_requeued = 0
+        self.cache = cache if cache is not None else HierarchyCache()
+        self.sessions = [
+            SolverSession(
+                a, config=config, options=options, cache=self.cache,
+                **session_kwargs,
+            )
+            for _ in range(workers)
+        ]
+        #: (worker, job, result, error) outcomes; ``None`` is a wake-up
+        self._outbox: "queue.SimpleQueue" = queue.SimpleQueue()
+        self._inboxes: "list[queue.SimpleQueue]" = [None] * workers
+        self._threads = [self._spawn(w) for w in range(workers)]
         self._control = threading.Thread(
             target=self._control_loop, name="solve-supervisor", daemon=True
         )
         self._control.start()
         _events.emit(
-            "info", "service.start", f"{self.mode} service up",
-            mode=self.mode, **attrs,
+            "info", "service.start", "thread service up",
+            mode="thread", workers=workers,
         )
 
-    # -- executor hooks with a default ----------------------------------
-    def _target(self, kwargs: dict) -> "str | None":
-        """Operator fingerprint a submission targets (None: the live one)."""
-        return None
+    def update_operator(self, a: SGDIAMatrix) -> list[str]:
+        """Refresh the operator on every session (between batches).
 
-    def _propagate_cancels(self) -> None:
-        """Forward cancel requests to running jobs (in-process tokens are
-        shared, so only executors across a process boundary need this)."""
+        Callers are responsible for quiescing in-flight jobs when the
+        operator swap must be atomic with respect to running solves.
+        """
+        return [s.update_operator(a) for s in self.sessions]
 
     # -- admission --------------------------------------------------------
     def submit(
@@ -329,16 +360,14 @@ class JobScheduler:
         draining service raises :class:`ServiceClosed` — the closed check
         and the queue insertion are coordinated with ``close()`` through
         an in-flight-submit counter, so ``close()`` never returns with an
-        accepted job unfinished.  The process service also takes
-        ``operator=`` (see :meth:`ProcessSolverService.publish`); other
-        keyword arguments go to the session's ``solve``/``solve_many``.
+        accepted job unfinished.  Other keyword arguments go to the
+        session's ``solve``/``solve_many``.
         """
         with self._cond:
             if self._closing:
                 raise ServiceClosed("service is closed to new submissions")
             self._pending_submits += 1
         try:
-            fp = self._target(kwargs)
             if deadline is None:
                 deadline = self.default_deadline
             if deadline is not None and not isinstance(deadline, Deadline):
@@ -364,7 +393,7 @@ class JobScheduler:
                         )
                 job = SolveJob(
                     id=self._next_id, b=np.asarray(b), batched=batched,
-                    kwargs=kwargs, deadline=deadline, fp=fp,
+                    kwargs=kwargs, deadline=deadline,
                     t_submit=time.perf_counter(),
                 )
                 self._next_id += 1
@@ -399,13 +428,42 @@ class JobScheduler:
         with self._cond:
             self._cond.wait_for(lambda: not self._jobs)
 
+    # -- worker threads -------------------------------------------------
+    def _spawn(self, index: int) -> threading.Thread:
+        self._inboxes[index] = inbox = queue.SimpleQueue()
+        t = threading.Thread(
+            target=self._worker, args=(index, inbox),
+            name=f"solve-worker-{index}", daemon=True,
+        )
+        t.start()
+        return t
+
+    def _worker(self, index: int, inbox: queue.SimpleQueue) -> None:
+        """Run each job dispatched to this worker; ``None`` stops it."""
+        session = self.sessions[index]
+        while (job := inbox.get()) is not None:
+            try:
+                ctx = ExecContext(deadline=job.deadline, cancel=job.cancel)
+                run = session.solve_many if job.batched else session.solve
+                t0 = time.perf_counter()
+                with _trace.span(
+                    "job", id=job.id, worker=index, attempt=job.attempts - 1
+                ):
+                    out = run(job.b, runtime=ctx, **job.kwargs)
+                self.telemetry.record("solve", time.perf_counter() - t0)
+                self._outbox.put((index, job, out, None))
+            except Exception as exc:
+                self._outbox.put((index, job, None, exc))
+
+    def _wake(self) -> None:
+        self._outbox.put(None)
+
     # -- control loop -----------------------------------------------------
     def _control_loop(self) -> None:
         while True:
             self._collect()
             self._supervise()
             self._expire_pending()
-            self._propagate_cancels()
             self._release_retries()
             self._dispatch()
             self._maybe_write_status()
@@ -413,6 +471,36 @@ class JobScheduler:
                 with self._cond:
                     if not self._jobs:
                         return
+
+    def _collect(self) -> None:
+        """Wait up to ``tick`` for worker outcomes and deliver them."""
+        try:
+            item = self._outbox.get(timeout=self.tick)
+            while True:
+                if item is not None:
+                    index, job, out, exc = item
+                    if self._running.get(index) is job:
+                        del self._running[index]
+                    self._deliver(job, out, exc)
+                item = self._outbox.get_nowait()
+        except queue.Empty:
+            pass
+
+    def _supervise(self) -> None:
+        """Respawn dead worker threads, redelivering a job they held."""
+        for w, t in enumerate(self._threads):
+            if t.is_alive():
+                continue
+            job = self._running.pop(w, None)
+            if job is not None:
+                self._redeliver(job)
+            self._threads[w] = self._spawn(w)
+            _events.emit(
+                "error", "service.worker.respawn",
+                f"worker thread {w} died; respawned", worker=w,
+            )
+            _metrics.incr("service.worker.respawn")
+            self.n_respawns += 1
 
     def _expire_pending(self) -> None:
         """Finalize queued jobs past their deadline or cancelled."""
@@ -432,7 +520,11 @@ class JobScheduler:
 
     def _dispatch(self) -> None:
         """Hand each idle worker its next job (at most one in flight)."""
-        for w in self._idle_workers():
+        idle = [
+            w for w, t in enumerate(self._threads)
+            if t.is_alive() and w not in self._running
+        ]
+        for w in idle:
             while True:
                 with self._cond:
                     job = self._pending.popleft() if self._pending else None
@@ -449,7 +541,7 @@ class JobScheduler:
                     "queue_wait", job.t_dispatch - job.t_submit
                 )
             self._running[w] = job
-            self._start(w, job)
+            self._inboxes[w].put(job)
 
     def _deliver(self, job: SolveJob, result=None, error=None) -> None:
         """Route one attempt's outcome: finalize, or schedule a retry."""
@@ -497,11 +589,12 @@ class JobScheduler:
     def _redeliver(self, job: SolveJob) -> None:
         """Requeue a job whose attempt was lost with its worker.
 
-        Bounded: past ``max_redeliveries`` the job is quarantined as
-        ``"poisoned"`` — one pathological job cannot crash-loop the pool.
+        Bounded: past :data:`MAX_REDELIVERIES` the job is quarantined as
+        ``"poisoned"`` — one pathological job cannot crash-loop the
+        workers.
         """
         job.redeliveries += 1
-        if job.redeliveries > self.max_redeliveries:
+        if job.redeliveries > MAX_REDELIVERIES:
             self._finalize(
                 job, "poisoned", result=interrupted_result(job, "poisoned")
             )
@@ -513,16 +606,11 @@ class JobScheduler:
             _events.emit(
                 "warning", "service.job.requeued",
                 f"job {job.id} redelivered "
-                f"({job.redeliveries}/{self.max_redeliveries})",
+                f"({job.redeliveries}/{MAX_REDELIVERIES})",
                 job=job.id, redeliveries=job.redeliveries,
             )
             with self._cond:
                 self._pending.appendleft(job)  # redelivered jobs go first
-
-    def _note_respawn(self, message: str, **attrs) -> None:
-        _events.emit("error", "service.worker.respawn", message, **attrs)
-        _metrics.incr("service.worker.respawn")
-        self.n_respawns += 1
 
     def _finalize(self, job: SolveJob, state: str, result=None, error=None):
         """Deliver a terminal state exactly once and update the counters."""
@@ -587,8 +675,11 @@ class JobScheduler:
             return
         self._wake()
         self._control.join()
-        self._stop_workers()
-        _events.emit("info", "service.stop", f"{self.mode} service drained")
+        for inbox in self._inboxes:
+            inbox.put(None)
+        for t in self._threads:
+            t.join()
+        _events.emit("info", "service.stop", "thread service drained")
         self._maybe_write_status(min_interval=0.0)
 
     def __enter__(self):
@@ -599,40 +690,25 @@ class JobScheduler:
 
     # -- introspection ----------------------------------------------------
     def topology(self) -> dict:
-        """Worker/shard layout for the benchmark snapshot."""
+        """Worker layout for the benchmark snapshot."""
         return {
-            "mode": self.mode,
-            **self._topology(),
+            "mode": "thread",
+            "workers": len(self._threads),
             "respawns": self.n_respawns,
             "requeued": self.n_requeued,
             "poisoned": self.n_poisoned,
-            "heartbeat_misses": self.n_heartbeat_miss,
-            "segment_rebuilds": self.n_segment_rebuilds,
         }
 
-    def _shard_stats(self) -> list[dict]:
-        """Counters of each of the executor's hierarchy caches."""
-        return [
-            {
-                **c.stats.to_dict(),
-                "entries": len(c),
-                "resident_bytes": c.resident_bytes,
-            }
-            for c in self._caches()
-        ]
-
-    @staticmethod
-    def _cache_summary(shards: list[dict]) -> dict:
-        totals = {k: sum(s[k] for s in shards) for k in shards[0]}
-        lookups = totals["hits"] + totals["misses"]
+    def _cache_summary(self) -> dict:
+        """Counters of the shared hierarchy cache."""
         return {
-            **totals,
-            "hit_rate": totals["hits"] / lookups if lookups else 0.0,
+            **self.cache.stats.to_dict(),
+            "entries": len(self.cache),
+            "resident_bytes": self.cache.resident_bytes,
+            "hit_rate": self.cache.stats.hit_rate,
         }
 
     def stats(self) -> dict:
-        topology = self.topology()
-        shards = self._shard_stats()
         return {
             "submitted": self.n_submitted,
             "completed": self.n_completed,
@@ -644,15 +720,12 @@ class JobScheduler:
             "requeued": self.n_requeued,
             "poisoned": self.n_poisoned,
             "worker_respawns": self.n_respawns,
-            "heartbeat_misses": self.n_heartbeat_miss,
-            "shm_corruptions": self.n_shm_corrupt,
-            "segment_rebuilds": self.n_segment_rebuilds,
-            "workers": topology["workers"],
+            "workers": len(self._threads),
             "queue_size": self.queue_size,
             "latency": self.telemetry.snapshot(),
-            "cache": self._cache_summary(shards),
-            "shards": shards,
-            "topology": topology,
+            "cache": self._cache_summary(),
+            "topology": self.topology(),
+            "sessions": [s.stats() for s in self.sessions],
         }
 
     def status_doc(self) -> dict:
@@ -661,14 +734,21 @@ class JobScheduler:
         with self._cond:
             depth = len(self._pending)
         journal = _events.get_journal()
+        pid = os.getpid()
         return {
             "schema": STATUS_SCHEMA,
             "ts": time.time(),
-            "pid": os.getpid(),
-            "mode": self.mode,
+            "pid": pid,
+            "mode": "thread",
             "workers": [
-                {**row, "inflight": int(row["index"] in running)}
-                for row in self._worker_rows()
+                {
+                    "index": w,
+                    "pid": pid,
+                    "alive": t.is_alive(),
+                    "ready": t.is_alive(),
+                    "inflight": int(w in running),
+                }
+                for w, t in enumerate(self._threads)
             ],
             "queue_depth": depth,
             "counts": {
@@ -681,7 +761,7 @@ class JobScheduler:
                 "requeued": self.n_requeued,
                 "respawns": self.n_respawns,
             },
-            "cache": self._cache_summary(self._shard_stats()),
+            "cache": self._cache_summary(),
             "latency": self.telemetry.snapshot(),
             "events": journal.to_dicts(10) if journal is not None else [],
         }
@@ -698,181 +778,6 @@ class JobScheduler:
             write_status(self.status_path, self.status_doc())
         except OSError:  # pragma: no cover - status is best-effort
             pass
-
-
-class SolverService(JobScheduler):
-    """Multi-worker solve service over one operator stream (thread executor).
-
-    Parameters
-    ----------
-    a, config, options:
-        The operator and setup parameters handed to each worker's session.
-    workers:
-        Number of worker threads (each with its own warm-start session).
-    queue_size:
-        Bound of the admission queue — the backpressure knob.
-    cache:
-        Shared hierarchy cache (created when omitted).  Pass a cache with a
-        ``spill_dir`` to survive eviction pressure across services.
-    retry_policy:
-        :class:`~repro.resilience.runtime.RetryPolicy` for re-running
-        failed attempts (exceptions and failure-classified statuses such as
-        ``"corrupted"``).  The default policy has ``max_retries=0`` — no
-        retries.  A backing-off job waits on the scheduler's retry heap,
-        not in a worker, and cancelling it ends the wait.
-    default_deadline:
-        Per-job wall-clock budget in seconds applied to every submission
-        that does not pass its own ``deadline``; ``None`` (default) leaves
-        jobs unbounded.
-    tick:
-        Poll period of the control thread that expires queued jobs past
-        their deadline, releases due retries and respawns dead workers.
-    status_path:
-        Where to publish the ``repro top`` status document (optional).
-    session_kwargs:
-        Extra :class:`SolverSession` parameters (``solver``, ``rtol``,
-        ``maxiter``, ``drift_threshold``, ``escalate``...).
-    """
-
-    mode = "thread"
-
-    def __init__(
-        self,
-        a: SGDIAMatrix,
-        config: "PrecisionConfig | None" = None,
-        options: "MGOptions | None" = None,
-        workers: int = 2,
-        queue_size: int = 8,
-        cache: "HierarchyCache | None" = None,
-        retry_policy: "RetryPolicy | None" = None,
-        default_deadline: "float | None" = None,
-        tick: float = 0.02,
-        status_path: "str | None" = None,
-        **session_kwargs,
-    ) -> None:
-        if workers < 1:
-            raise ValueError("need at least one worker")
-        super().__init__(
-            queue_size, retry_policy, default_deadline, tick, status_path
-        )
-        self.cache = cache if cache is not None else HierarchyCache()
-        self.sessions = [
-            SolverSession(
-                a, config=config, options=options, cache=self.cache,
-                **session_kwargs,
-            )
-            for _ in range(workers)
-        ]
-        #: (worker, job, result, error) outcomes; ``None`` is a wake-up
-        self._outbox: "queue.SimpleQueue" = queue.SimpleQueue()
-        self._inboxes: "list[queue.SimpleQueue]" = [None] * workers
-        self._threads = [self._spawn(w) for w in range(workers)]
-        self._start_control(workers=workers)
-
-    def update_operator(self, a: SGDIAMatrix) -> list[str]:
-        """Refresh the operator on every session (between batches).
-
-        Callers are responsible for quiescing in-flight jobs when the
-        operator swap must be atomic with respect to running solves.
-        """
-        return [s.update_operator(a) for s in self.sessions]
-
-    # -- worker threads -------------------------------------------------
-    def _spawn(self, index: int) -> threading.Thread:
-        self._inboxes[index] = inbox = queue.SimpleQueue()
-        t = threading.Thread(
-            target=self._worker, args=(index, inbox),
-            name=f"solve-worker-{index}", daemon=True,
-        )
-        t.start()
-        return t
-
-    def _worker(self, index: int, inbox: queue.SimpleQueue) -> None:
-        """Run each job dispatched to this worker; ``None`` stops it."""
-        session = self.sessions[index]
-        while (job := inbox.get()) is not None:
-            try:
-                ctx = ExecContext(deadline=job.deadline, cancel=job.cancel)
-                run = session.solve_many if job.batched else session.solve
-                t0 = time.perf_counter()
-                with _trace.span(
-                    "job", id=job.id, worker=index, attempt=job.attempts - 1
-                ):
-                    out = run(job.b, runtime=ctx, **job.kwargs)
-                self.telemetry.record("solve", time.perf_counter() - t0)
-                self._outbox.put((index, job, out, None))
-            except Exception as exc:
-                self._outbox.put((index, job, None, exc))
-
-    # -- executor hooks -------------------------------------------------
-    def _wake(self) -> None:
-        self._outbox.put(None)
-
-    def _collect(self) -> None:
-        try:
-            item = self._outbox.get(timeout=self.tick)
-            while True:
-                if item is not None:
-                    index, job, out, exc = item
-                    if self._running.get(index) is job:
-                        del self._running[index]
-                    self._deliver(job, out, exc)
-                item = self._outbox.get_nowait()
-        except queue.Empty:
-            pass
-
-    def _supervise(self) -> None:
-        """Respawn dead worker threads, redelivering a job they held."""
-        for w, t in enumerate(self._threads):
-            if t.is_alive():
-                continue
-            job = self._running.pop(w, None)
-            if job is not None:
-                self._redeliver(job)
-            self._threads[w] = self._spawn(w)
-            self._note_respawn(
-                f"worker thread {w} died; respawned", worker=w
-            )
-
-    def _idle_workers(self) -> list[int]:
-        return [
-            w for w, t in enumerate(self._threads)
-            if t.is_alive() and w not in self._running
-        ]
-
-    def _start(self, index: int, job: SolveJob) -> None:
-        self._inboxes[index].put(job)
-
-    def _stop_workers(self) -> None:
-        for inbox in self._inboxes:
-            inbox.put(None)
-        for t in self._threads:
-            t.join()
-
-    def _worker_rows(self) -> list[dict]:
-        pid = os.getpid()
-        return [
-            {
-                "index": w,
-                "pid": pid,
-                "alive": t.is_alive(),
-                "ready": t.is_alive(),
-                "heartbeat_age": 0.0 if t.is_alive() else None,
-            }
-            for w, t in enumerate(self._threads)
-        ]
-
-    def _caches(self) -> list[HierarchyCache]:
-        return [self.cache]
-
-    def _topology(self) -> dict:
-        return {"processes": 1, "workers": len(self._threads), "shard_map": {}}
-
-    def stats(self) -> dict:
-        return {
-            **super().stats(),
-            "sessions": [s.stats() for s in self.sessions],
-        }
 
 
 # ----------------------------------------------------------------------

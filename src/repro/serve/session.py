@@ -87,10 +87,10 @@ class SolverSession:
     hierarchy:
         A pre-built hierarchy for ``a`` (it must have been set up under
         the same ``config``/``options``).  The session adopts it instead
-        of building on first solve — the process-pool workers use this to
-        wrap a hierarchy deserialized from a shared-memory segment in a
-        full session (escalation, drift tracking, warm starts) without
-        ever re-running setup.
+        of building on first solve, e.g. one restored with
+        :func:`~repro.serve.cache.load_hierarchy`, and serves it with
+        escalation, drift tracking and warm starts without re-running
+        setup.
     """
 
     def __init__(

@@ -29,12 +29,10 @@ from .matrix import SGDIAMatrix, coefficient_shape
 
 __all__ = [
     "atomic_savez",
-    "open_npz_bytes",
     "save_sgdia",
     "load_sgdia",
     "save_stored",
     "load_stored",
-    "savez_bytes",
     "stored_to_arrays",
     "read_coefficients",
     "stored_from_npz",
@@ -85,42 +83,6 @@ def atomic_savez(path: "str | Path", **arrays) -> Path:
     finally:
         tmp.unlink(missing_ok=True)
     return path
-
-
-def savez_bytes(**arrays) -> bytes:
-    """Serialize arrays to an *uncompressed* in-memory ``.npz`` container.
-
-    The shared-memory publication path uses this: segments live in RAM, so
-    deflate would only add CPU time between a worker and its hierarchy.
-    Integrity is not zip CRCs here — the segment header carries its own
-    CRC32/sha256 over these exact bytes.
-    """
-    import io
-
-    buf = io.BytesIO()
-    np.savez(buf, **arrays)
-    return buf.getvalue()
-
-
-def open_npz_bytes(data: bytes):
-    """``np.load`` an in-memory ``.npz`` payload (see :func:`savez_bytes`).
-
-    Raises :class:`ValueError` for anything unreadable, mirroring
-    :func:`_open_npz` — a corrupt payload is one exception type, not a
-    traceback lottery.
-    """
-    import io
-
-    try:
-        return np.load(io.BytesIO(data), allow_pickle=False)
-    except (
-        ValueError,
-        OSError,
-        EOFError,
-        KeyError,
-        zipfile.BadZipFile,
-    ) as exc:
-        raise ValueError(f"npz payload is corrupt or truncated: {exc}") from exc
 
 
 def _open_npz(path: Path):

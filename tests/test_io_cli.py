@@ -352,7 +352,7 @@ class TestCLI:
 
 
 class TestBenchGates:
-    """The five bench commands end alike: they write the snapshot, print
+    """The four bench commands end alike: they write the snapshot, print
     each gate, and exit 1 if and only if a gate is false."""
 
     #: name -> (command line, runner module, runner, formatter, gates)
@@ -360,11 +360,6 @@ class TestBenchGates:
         "serve": (
             ["serve", "--bench"], "repro.serve", "run_serve_bench", None,
             ("counters_match_schedule",),
-        ),
-        "serve-mp": (
-            ["serve", "--processes", "2", "--bench"], "repro.serve.procpool",
-            "run_serve_mp_bench", None,
-            ("bit_identical_to_thread", "scaling_ok", "latency_ok"),
         ),
         "bench": (
             ["bench"], "repro.perf.krylov_bench", "run_krylov_bench",

@@ -11,7 +11,6 @@ from repro.kernels import available_backends, use_backend
 from repro.mg import MGOptions, mg_setup
 from repro.precision import parse_config
 from repro.serve.cache import load_hierarchy, save_hierarchy
-from repro.serve.shm import hierarchy_payload, payload_to_hierarchy
 from repro.sgdia import (
     SGDIAMatrix,
     load_sgdia,
@@ -146,18 +145,14 @@ class TestProducers:
         assert_padded(load_stored(path).matrix.data,
                       np.ascontiguousarray(stored.matrix.data))
 
-    def test_spill_and_shm(self, tmp_path):
+    def test_spill_restore(self, tmp_path):
         a = random_sgdia((10, 8, 12), "3d27", spd=True)
         h = mg_setup(a, CONFIG, MGOptions())
         path = save_hierarchy(tmp_path / "h.npz", h)
         restored = load_hierarchy(path, CONFIG, MGOptions())
-        a2, shm = payload_to_hierarchy(hierarchy_payload(a, h), "test", CONFIG,
-                                       MGOptions())
-        assert_padded(a2.data, np.ascontiguousarray(a.data))
-        for copy in (restored, shm):
-            for lev, orig in zip(copy.levels, h.levels):
-                assert_padded(lev.stored.matrix.data,
-                              np.ascontiguousarray(orig.stored.matrix.data))
+        for lev, orig in zip(restored.levels, h.levels):
+            assert_padded(lev.stored.matrix.data,
+                          np.ascontiguousarray(orig.stored.matrix.data))
 
     def test_setup_levels_and_accounting(self):
         a = random_sgdia((10, 8, 12), "3d27", spd=True)

@@ -4,18 +4,14 @@ ValueError naming the record, before any solve runs on it."""
 
 from __future__ import annotations
 
-import io
-import json
-
 import numpy as np
 import pytest
 
 from repro.mg import MGOptions, mg_setup
 from repro.precision import parse_config
 from repro.serve.cache import load_hierarchy, save_hierarchy
-from repro.serve.shm import hierarchy_payload, payload_to_hierarchy
 from repro.sgdia import load_sgdia, load_stored, save_sgdia, save_stored
-from repro.sgdia.io import atomic_savez, savez_bytes
+from repro.sgdia.io import atomic_savez
 from repro.sgdia.mixed import StoredMatrix
 from tests.helpers import random_sgdia
 
@@ -86,25 +82,10 @@ class TestHierarchyRecords:
         with pytest.raises(ValueError, match="sqrt_q of shape"):
             load_hierarchy(path, CONFIG, MGOptions())
 
-    def test_shm_payload_short_plane(self, setup):
-        a, h = setup
-        records = read_npz(io.BytesIO(hierarchy_payload(a, h)))
-        payload = savez_bytes(**rewrite(records, "op_data", one_plane_short))
-        with pytest.raises(ValueError, match=r"shm:test record 'op_data'"):
-            payload_to_hierarchy(payload, "shm:test", CONFIG, MGOptions())
-
-    def test_shm_payload_level_dtype(self, setup):
-        a, h = setup
-        records = read_npz(io.BytesIO(hierarchy_payload(a, h)))
-        payload = savez_bytes(**rewrite(records, "L1_data",
-                                        lambda d: d.astype(np.float64)))
+    def test_spill_restore_level_dtype(self, setup, tmp_path):
+        _a, h = setup
+        path = save_hierarchy(tmp_path / "h.npz", h)
+        atomic_savez(path, **rewrite(read_npz(path), "L1_data",
+                                     lambda d: d.astype(np.float64)))
         with pytest.raises(ValueError, match=r"level 1 record 'L1_data'.*float64"):
-            payload_to_hierarchy(payload, "shm:test", CONFIG, MGOptions())
-
-    def test_intact_payload_loads(self, setup):
-        a, h = setup
-        a2, h2 = payload_to_hierarchy(hierarchy_payload(a, h), "shm:test", CONFIG,
-                                      MGOptions())
-        assert a2.data.tobytes() == a.data.tobytes()
-        meta = read_npz(io.BytesIO(hierarchy_payload(a, h)))["meta"]
-        assert len(h2.levels) == json.loads(bytes(meta))["n_levels"]
+            load_hierarchy(path, CONFIG, MGOptions())

@@ -4,6 +4,8 @@ and the timing/telemetry satellites that ride along with it."""
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -86,6 +88,62 @@ class TestTracer:
         parent = tr.spans[0]
         child_total = sum(c.duration for c in tr.children(parent.index))
         assert child_total <= parent.duration + 1e-6
+
+    def test_span_in_another_thread_is_a_root(self):
+        """Each thread nests its spans on its own stack: a span opened by
+        a second thread while the main thread holds one open is a root."""
+
+        def open_inner():
+            with obs_trace.span("inner"):
+                pass
+
+        with obs_trace.tracing() as tr:
+            with obs_trace.span("outer") as outer:
+                worker = threading.Thread(target=open_inner)
+                worker.start()
+                worker.join()
+        inner = next(s for s in tr.spans if s.name == "inner")
+        assert outer.parent is None
+        assert inner.parent is None and inner.depth == 0
+        assert tr.children(outer.index) == []
+
+    def test_concurrent_threads_keep_indices_and_nesting(self):
+        """Eight threads trace nested spans under a tiny switch interval:
+        each span's index is its place in the list (a lost append would
+        repeat one), and each inner span's parent is its own thread's
+        outer span."""
+
+        barrier = threading.Barrier(8)
+
+        def work(k):
+            barrier.wait(timeout=60.0)
+            for _ in range(500):
+                with obs_trace.span("outer", k=k):
+                    with obs_trace.span("inner", k=k):
+                        pass
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with obs_trace.tracing() as tr:
+                threads = [
+                    threading.Thread(target=work, args=(k,)) for k in range(8)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60.0)
+                    assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert [s.index for s in tr.spans] == list(range(8000))
+        for s in tr.spans:
+            if s.name == "outer":
+                assert s.parent is None
+            else:
+                outer = tr.spans[s.parent]
+                assert outer.name == "outer"
+                assert outer.attrs["k"] == s.attrs["k"]
 
     def test_tracing_restores_previous(self):
         outer = obs_trace.install()
@@ -571,7 +629,7 @@ class TestSchemaTable:
         sites = list(_rule_sites(obs_snapshot.SCHEMA_TABLE, doc))
         paths = {site[0] for site in sites}
         assert {"gates.k", "extra.serve.replay.steps",
-                "extra.serve_mp.cores", "extra.tuner.iteration_slack",
+                "extra.tuner.iteration_slack",
                 "latency.histograms.e2e.buckets.k",
                 "policy.decisions[0].kind"} <= paths
         missed = []

@@ -1,12 +1,9 @@
-"""One serving contract, checked against both executors.
+"""The serving contract of :class:`~repro.serve.service.SolverService`.
 
-:class:`~repro.serve.service.SolverService` (worker threads) and
-:class:`~repro.serve.procpool.ProcessSolverService` (worker processes)
-run the same job scheduler, so every test here is parametrized over the
-two and must pass unchanged on each: answers, batching, admission,
-graceful close, deadlines, cancellation, non-consuming futures, retry,
-and the final status document on context exit.  Nothing is
-monkeypatched, so every behaviour crosses the process boundary for real.
+Answers, batching, admission, graceful close, deadlines, cancellation,
+non-consuming futures, retry, and the final status document on context
+exit.  Nothing is monkeypatched: every behaviour runs through the real
+worker threads and control loop.
 """
 
 import sys
@@ -22,7 +19,6 @@ from repro.precision import K64P32D16_SETUP_SCALE
 from repro.problems import build_problem, consistent_rhs
 from repro.resilience.runtime import Deadline, RetryPolicy
 from repro.serve import (
-    ProcessSolverService,
     ServiceClosed,
     ServiceSaturated,
     SolverService,
@@ -37,19 +33,16 @@ def lap():
     return build_problem("laplace27", shape=(10, 10, 8), seed=0)
 
 
-@pytest.fixture(params=["thread", "process"])
-def make(request, lap):
-    """Build a service of the parametrized executor over ``lap``."""
+@pytest.fixture(params=["thread"])
+def make(lap):
+    """Build a thread service over ``lap`` (the ``thread`` id keeps the
+    test names of the suite)."""
 
     def factory(workers=1, **kw):
         kw = {**SESSION, "solver": lap.solver, "rtol": lap.rtol, **kw}
-        common = dict(
-            config=K64P32D16_SETUP_SCALE, options=lap.mg_options, tick=0.005
-        )
-        if request.param == "thread":
-            return SolverService(lap.a, workers=workers, **common, **kw)
-        return ProcessSolverService(
-            lap.a, processes=workers, heartbeat_interval=0.02, **common, **kw
+        return SolverService(
+            lap.a, workers=workers, config=K64P32D16_SETUP_SCALE,
+            options=lap.mg_options, tick=0.005, **kw,
         )
 
     return factory

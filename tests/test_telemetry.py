@@ -1,13 +1,10 @@
-"""Tests for the cross-process telemetry plane (ISSUE 7).
+"""Tests for the service telemetry plane.
 
 Covers the latency histograms and SLO counters (`repro.observability.
-telemetry`), the structured event journal (`.events`), registry merging
-across process boundaries (`Metrics.merge`, `_jsonable` on numpy values),
-the Prometheus text writer, the `latency` snapshot-schema section and its
-CLI validator, the `repro top` status documents, and the tentpole
-acceptance criterion: worker-side metrics shipped through the result pipe
-are bit-for-bit equal to an in-process run, and the merged trace keeps
-supervisor/worker containment and lanes intact.
+telemetry`), the structured event journal (`.events`), numpy-safe export
+(`_jsonable`), the Prometheus text writer, the `latency` snapshot-schema
+section and its CLI validator, the `repro top` status documents, and the
+latency section a running thread service fills.
 """
 
 from __future__ import annotations
@@ -74,46 +71,6 @@ class TestHistogram:
     def test_empty_percentile_zero(self):
         assert obs_tel.Histogram().p99 == 0.0
 
-    def test_merge_histogram_object(self):
-        a, b = obs_tel.Histogram(), obs_tel.Histogram()
-        for v in (1e-5, 2e-3):
-            a.record(v)
-        for v in (0.1, 4.0):
-            b.record(v)
-        a.merge(b)
-        assert a.count == 4
-        assert a.max == pytest.approx(4.0)
-        assert a.min == pytest.approx(1e-5)
-        assert sum(a.counts) == 4
-
-    def test_merge_dict_roundtrip_exact(self):
-        """A histogram rebuilt from to_dict (the cross-process wire form)
-        merges exactly: to_dict of the rebuild equals the original."""
-        h = obs_tel.Histogram()
-        rng = np.random.default_rng(1)
-        for v in rng.uniform(1e-6, 10.0, size=200):
-            h.record(float(v))
-        d = h.to_dict()
-        h2 = obs_tel.Histogram.from_dict(json.loads(json.dumps(d)))
-        d2 = h2.to_dict()
-        assert d2["buckets"] == d["buckets"]
-        assert h2.counts == h.counts
-        for key in ("count", "sum", "min", "max", "p50", "p95", "p99"):
-            assert d2[key] == pytest.approx(d[key]), key
-
-    def test_merge_rejects_unknown_bound(self):
-        with pytest.raises(ValueError, match="unknown histogram bucket"):
-            obs_tel.Histogram().merge({"buckets": {"0.123456": 1}})
-
-    def test_merge_rejects_negative_bucket_count(self):
-        le = next(iter(obs_tel._BOUND_INDEX))
-        with pytest.raises(ValueError, match="negative histogram count"):
-            obs_tel.Histogram().merge({"buckets": {le: -3}})
-
-    def test_merge_rejects_negative_total_count(self):
-        with pytest.raises(ValueError, match="negative histogram count"):
-            obs_tel.Histogram().merge({"buckets": {}, "count": -1})
-
 
 # ----------------------------------------------------------------------
 # ServiceStats
@@ -145,16 +102,6 @@ class TestServiceStats:
     def test_unknown_counter_raises(self):
         with pytest.raises(ValueError, match="unknown SLO counter"):
             obs_tel.ServiceStats().count("oops")
-
-    def test_merge_sums(self):
-        a, b = obs_tel.ServiceStats(), obs_tel.ServiceStats()
-        a.record("solve", 0.1)
-        b.record("solve", 0.2)
-        b.count("retried", 2)
-        a.merge(b)
-        snap = a.snapshot()
-        assert snap["histograms"]["solve"]["count"] == 2
-        assert snap["counts"]["retried"] == 2
 
 
 # ----------------------------------------------------------------------
@@ -228,30 +175,9 @@ class TestEventJournal:
 
 
 # ----------------------------------------------------------------------
-# Metrics.merge + numpy-safe export
+# numpy-safe export
 # ----------------------------------------------------------------------
 class TestMetricsMerge:
-    def test_merge_metrics_object(self):
-        a, b = obs_metrics.Metrics(), obs_metrics.Metrics()
-        a.incr("kernel.spmv.calls", 2, level=0)
-        b.incr("kernel.spmv.calls", 3, level=0)
-        b.incr("precision.fcvt.values", 100, level=1)
-        a.merge(b)
-        assert a.get("kernel.spmv.calls") == 5
-        assert a.get("kernel.spmv.calls", level=0) == 5
-        assert a.get("precision.fcvt.values", level=1) == 100
-
-    def test_merge_dict_form_bit_for_bit(self):
-        """Merging the to_dict wire form reproduces the source registry
-        exactly — the property the worker result pipe relies on."""
-        src = obs_metrics.Metrics()
-        src.incr("precision.fcvt.values", 220600, level=0)
-        src.incr("precision.fcvt.values", 512, level=2)
-        src.incr("kernel.sweep.calls", 12)
-        wire = json.loads(json.dumps(src.to_dict()))
-        dst = obs_metrics.Metrics().merge(wire)
-        assert dst.to_dict() == src.to_dict()
-
     def test_jsonable_numpy_values(self):
         f = obs_export._jsonable
         assert f(np.float32(1.5)) == 1.5
@@ -491,69 +417,17 @@ class TestChaosObservabilityGate:
 
 
 # ----------------------------------------------------------------------
-# tentpole acceptance: process-tier telemetry parity
+# the thread service fills its latency section
 # ----------------------------------------------------------------------
-class TestProcessTelemetryParity:
-    def test_worker_metrics_bit_for_bit_and_trace_containment(self):
-        from repro.serve.procpool import ProcessSolverService
-        from repro.serve.session import SolverSession
+class TestServiceTelemetry:
+    def test_latency_section_populated(self):
+        from repro.serve import SolverService
 
         prob = build_problem("laplace27", shape=(10, 10, 6), seed=0)
-        kw = dict(solver=prob.solver, rtol=prob.rtol, maxiter=300,
-                  escalate=False)
-
-        # in-process reference: session built outside collection so only
-        # the solve itself is counted (mirrors the per-job worker scope)
-        sess = SolverSession(prob.a, config=K64P32D16_SETUP_SCALE,
-                             options=prob.mg_options, **kw)
-        with obs_metrics.collecting() as ref:
-            r_ref = sess.solve(prob.b, warm_start=False)
-        assert r_ref.converged
-
-        svc = ProcessSolverService(
-            prob.a, options=prob.mg_options, processes=1,
-            config=K64P32D16_SETUP_SCALE, heartbeat_interval=0.02,
-            hang_timeout=5.0, tick=0.01, **kw)
-        try:
-            with obs_trace.tracing() as tr, obs_metrics.collecting() as got:
-                r = svc.submit(prob.b, warm_start=False).result(timeout=120)
-            assert r.converged
-        finally:
-            svc.close()
-
-        ref_d, got_d = ref.to_dict(), got.to_dict()
-        fcvt = "precision.fcvt.values"
-        assert got_d[fcvt] == ref_d[fcvt]
-        for name in ("kernel.spmv.calls", "kernel.sweep.calls"):
-            if name in ref_d:
-                assert got_d[name] == ref_d[name], name
-
-        # merged trace: serve.job root with queue_wait + grafted worker
-        # spans, consistent containment, worker lane != supervisor lane
-        assert tr.consistent()
-        roots = [s for s in tr.finished() if s.name == "serve.job"]
-        assert len(roots) == 1
-        kids = {c.name for c in tr.children(roots[0].index)}
-        assert "queue_wait" in kids and "worker_job" in kids
-        lanes = {s.attrs.get("lane") for s in tr.finished()
-                 if "lane" in s.attrs}
-        assert any(lane and int(lane) >= 1 for lane in lanes)
-        # worker spans carry the worker pid for the Chrome pid track
-        worker_spans = [s for s in tr.finished()
-                       if int(s.attrs.get("lane", 0) or 0) >= 1]
-        assert worker_spans
-        assert all(s.attrs.get("pid") not in (None, os.getpid())
-                   for s in worker_spans if "pid" in s.attrs)
-
-    def test_latency_section_populated_on_both_services(self):
-        from repro.serve.procpool import ProcessSolverService
-
-        prob = build_problem("laplace27", shape=(10, 10, 6), seed=0)
-        svc = ProcessSolverService(
-            prob.a, options=prob.mg_options, processes=1,
+        svc = SolverService(
+            prob.a, options=prob.mg_options, workers=1,
             config=K64P32D16_SETUP_SCALE, solver=prob.solver,
-            rtol=prob.rtol, maxiter=300, escalate=False,
-            heartbeat_interval=0.02, hang_timeout=5.0, tick=0.01)
+            rtol=prob.rtol, maxiter=300, escalate=False, tick=0.01)
         try:
             for _ in range(2):
                 svc.submit(prob.b, warm_start=False).result(timeout=120)
@@ -562,8 +436,27 @@ class TestProcessTelemetryParity:
         finally:
             svc.close()
         lat = stats["latency"]
-        for stage in ("queue_wait", "shm_verify", "setup", "solve", "e2e"):
+        for stage in ("queue_wait", "solve", "e2e"):
             assert lat["histograms"][stage]["count"] >= 1, stage
         assert lat["rates"]["deadline_miss"] == 0.0
         assert doc.get("schema") == obs_tel.STATUS_SCHEMA
-        assert obs_tel.render_top(doc)  # renders without crashing
+        assert "repro top — thread service" in obs_tel.render_top(doc)
+
+    def test_job_spans_of_concurrent_workers_are_roots(self):
+        from repro.serve import SolverService
+
+        prob = build_problem("laplace27", shape=(10, 10, 6), seed=0)
+        with obs_trace.tracing() as tr:
+            with SolverService(
+                prob.a, options=prob.mg_options, workers=2,
+                config=K64P32D16_SETUP_SCALE, solver=prob.solver,
+                rtol=prob.rtol, maxiter=300, escalate=False,
+            ) as svc:
+                jobs = [svc.submit(prob.b, warm_start=False)
+                        for _ in range(4)]
+                for job in jobs:
+                    assert job.result(timeout=120).converged
+        spans = [s for s in tr.finished() if s.name == "job"]
+        assert len(spans) == 4
+        assert all(s.parent is None and s.depth == 0 for s in spans)
+        assert tr.consistent()
