@@ -207,47 +207,69 @@ def _make_level_smoother(
     return make_smoother(name, **options.smoother_kwargs)
 
 
-def _build_fp64_chain(
-    a0: SGDIAMatrix, options: MGOptions
-) -> tuple[list[SGDIAMatrix], list]:
-    """Exact (FP64) Galerkin chain: matrices and transfers."""
-    mats = [a0]
+def _build_chain(
+    a0: SGDIAMatrix,
+    options: MGOptions,
+    quantize_to: "PrecisionConfig | None" = None,
+) -> tuple[list[SGDIAMatrix], list, bool]:
+    """Galerkin chain: matrices, transfers, and whether it stopped early.
+
+    Without ``quantize_to`` (setup-then-scale, 'none') the chain is exact
+    FP64 and coarsens whatever its values.  With it (scale-then-setup),
+    every level is truncated to ``quantize_to``'s storage format for that
+    level *first* and the quantized values (cast back to FP64 — the product
+    arithmetic itself stays high precision, as the paper concedes in
+    Section 4.3) feed the next Galerkin product; the chain stops on
+    non-finite quantized data, and the returned flag says so, so
+    diagnostics can surface it.  A ``"same"`` coarse pattern keeps the
+    fine stencil on every level.
+    """
+    def quantize(m: SGDIAMatrix, lev: int) -> SGDIAMatrix:
+        if quantize_to is None:
+            return m
+        fmt = quantize_to.storage_format_for_level(lev)
+        return m.astype(fmt).astype("fp64")
+
+    pattern = a0.stencil.name if options.coarse_pattern == "same" else "3d27"
+    a = quantize(a0, 0)
+    mats = [a]
     transfers = []
-    a = a0
     while (
         len(mats) < options.max_levels
         and a.grid.ndof > options.min_coarse_dofs
     ):
+        if quantize_to is not None and not np.isfinite(a.data).all():
+            # Quantization overflowed; continuing the product chain would
+            # only spread inf/NaN.  Keep the level so the solve exhibits the
+            # failure (as the paper's 'none'/scale-setup curves do).
+            return mats, transfers, True
         factors = _apply_factor(_pick_factors(a, options), options.coarsen_factor)
         if all(f == 1 for f in factors):
             break
         transfer = build_transfer(a.grid, factors, kind=options.interp)
-        pattern = a0.stencil.name if options.coarse_pattern == "same" else "3d27"
         with _trace.span("galerkin", level=len(mats)):
             _metrics.incr("setup.galerkin.calls")
-            a_next = galerkin_coarse_sgdia(
+            a = galerkin_coarse_sgdia(
                 a, transfer, coarse_pattern=pattern,
                 collapse=options.coarse_pattern == "same",
             )
-        mats.append(a_next)
+        a = quantize(a, len(mats))
+        mats.append(a)
         transfers.append(transfer)
-        a = a_next
-    return mats, transfers
+    return mats, transfers, False
 
 
 def mg_setup(
     a: SGDIAMatrix,
     config: "PrecisionConfig | None" = None,
     options: "MGOptions | None" = None,
-    cache=None,
 ) -> MGHierarchy:
     """Set up the FP16-ready multigrid preconditioner (Algorithm 1).
 
-    ``cache`` is an optional :class:`repro.serve.HierarchyCache`; when
-    given, the setup is served from the cache when an identical
-    ``(operator, config, options)`` triple was set up before (content
-    fingerprint, not object identity), and freshly built hierarchies are
-    admitted for reuse.
+    Every call runs the full setup; a caller that solves against the same
+    operator repeatedly keeps its hierarchy in a
+    :class:`repro.serve.HierarchyCache` (through a
+    :class:`repro.serve.SolverSession`), which calls this on a miss.
 
     ``config.policy`` never mutates the setup output: the policy field
     participates only in cache keying and runtime attachment.  A runtime
@@ -255,9 +277,6 @@ def mg_setup(
     :func:`repro.policy.attach_policy`, which returns the
     :class:`~repro.policy.PolicyController` a solver wires.
     """
-    if cache is not None:
-        hierarchy, _key, _src = cache.get_or_build(a, config, options)
-        return hierarchy
     config = config or PrecisionConfig()
     options = options or MGOptions()
     t0 = time.perf_counter()
@@ -286,12 +305,11 @@ def mg_setup(
                 )
             # Quantize the finest level *before* coarsening, and re-quantize
             # each coarse operator before the next product.
-            mats, transfers, chain_truncated = _build_quantized_chain(
-                chain_root, config, options
+            mats, transfers, chain_truncated = _build_chain(
+                chain_root, options, quantize_to=config
             )
         else:
-            mats, transfers = _build_fp64_chain(a64, options)
-            chain_truncated = False
+            mats, transfers, chain_truncated = _build_chain(a64, options)
 
         hierarchy = _setup_from_chain(
             mats,
@@ -476,50 +494,3 @@ def _setup_from_chain(
         setup_seconds=setup_seconds,
         diagnostics=diagnostics,
     )
-
-
-def _build_quantized_chain(
-    a0: SGDIAMatrix, config: PrecisionConfig, options: MGOptions
-) -> tuple[list[SGDIAMatrix], list, bool]:
-    """Chain construction for scale-then-setup.
-
-    Every level is truncated to its storage format *first* and the quantized
-    values (cast back to FP64 — the product arithmetic itself stays high
-    precision, as the paper concedes in Section 4.3) feed the next Galerkin
-    product.  The returned flag reports whether the chain stopped early on
-    non-finite quantized data, so diagnostics can surface it.
-    """
-    def quantize(m: SGDIAMatrix, lev: int) -> SGDIAMatrix:
-        fmt = config.storage_format_for_level(lev)
-        return m.astype(fmt).astype("fp64")
-
-    mats = [quantize(a0, 0)]
-    transfers = []
-    truncated = False
-    a = mats[0]
-    while (
-        len(mats) < options.max_levels
-        and a.grid.ndof > options.min_coarse_dofs
-    ):
-        if not np.isfinite(a.data).all():
-            # Quantization overflowed; continuing the product chain would
-            # only spread inf/NaN.  Keep the level so the solve exhibits the
-            # failure (as the paper's 'none'/scale-setup curves do).
-            truncated = True
-            break
-        factors = _apply_factor(_pick_factors(a, options), options.coarsen_factor)
-        if all(f == 1 for f in factors):
-            break
-        transfer = build_transfer(a.grid, factors, kind=options.interp)
-        pattern = a.stencil.name if options.coarse_pattern == "same" else "3d27"
-        with _trace.span("galerkin", level=len(mats)):
-            _metrics.incr("setup.galerkin.calls")
-            a_next = galerkin_coarse_sgdia(
-                a, transfer, coarse_pattern=pattern,
-                collapse=options.coarse_pattern == "same",
-            )
-        a_next = quantize(a_next, len(mats))
-        mats.append(a_next)
-        transfers.append(transfer)
-        a = a_next
-    return mats, transfers, truncated

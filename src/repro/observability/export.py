@@ -1,11 +1,12 @@
 """Trace exporters: JSON-lines, Chrome trace-event format, text summary.
 
 The Chrome exporter emits the ``chrome://tracing`` / Perfetto trace-event
-JSON (one complete ``"ph": "X"`` event per span, microsecond timestamps),
-so a ``repro solve --trace out.json`` artifact loads directly into
-``chrome://tracing`` or https://ui.perfetto.dev.  The JSON-lines exporter
-round-trips the span tree (parent indices and attributes included) for
-programmatic consumers; :func:`load_jsonl` reads it back.
+JSON (one complete ``"ph": "X"`` event per span, microsecond timestamps,
+one ``tid`` lane per recording thread), so a ``repro solve --trace
+out.json`` artifact loads directly into ``chrome://tracing`` or
+https://ui.perfetto.dev.  The JSON-lines exporter round-trips the span tree
+(parent indices, attributes and threads included) for programmatic
+consumers; :func:`load_jsonl` reads it back.
 
 :func:`write_prometheus` emits the Prometheus text exposition format
 (counters from :class:`~.metrics.Metrics`, histograms/gauges from a
@@ -57,13 +58,20 @@ def load_jsonl(path: str) -> list[Span]:
                     t_start=d["t_start"],
                     t_end=d["t_start"] + d["duration"],
                     attrs=d.get("attrs", {}),
+                    thread=d.get("thread", 0),
                 )
             )
     return spans
 
 
 def spans_to_chrome_events(tracer: Tracer) -> list[dict]:
-    """Complete-event (``ph: "X"``) list in chronological order."""
+    """Complete-event (``ph: "X"``) list in chronological order.
+
+    Each thread's spans get their own ``tid`` lane, numbered in order of
+    first appearance, so concurrent spans never overlap on one row without
+    nesting; a single-threaded trace is all lane 0.
+    """
+    lanes: dict[int, int] = {}
     events = []
     for s in tracer.finished():
         args = {k: _jsonable(v) for k, v in s.attrs.items()}
@@ -77,7 +85,7 @@ def spans_to_chrome_events(tracer: Tracer) -> list[dict]:
                 "ts": round(s.t_start * 1e6, 3),
                 "dur": round(s.duration * 1e6, 3),
                 "pid": 0,
-                "tid": 0,
+                "tid": lanes.setdefault(s.thread, len(lanes)),
                 "cat": "repro",
                 "args": args,
             }

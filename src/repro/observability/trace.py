@@ -20,7 +20,8 @@ The tracer is process-global, and each thread nests its spans on its own
 stack: the worker threads of a :class:`~repro.serve.SolverService` trace
 concurrently, and a job span one of them opens is a root, never a child of
 whatever span another thread holds open.  Appending a span to the shared
-list takes the tracer's one lock.
+list takes the tracer's one lock.  Each span records the thread that opened
+it, so an exporter can draw one lane per thread.
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ class Span:
 
     Times are seconds relative to the owning tracer's epoch
     (``perf_counter`` at tracer creation), so traces are comparable across
-    exporters without leaking absolute clock values.
+    exporters without leaking absolute clock values.  ``thread`` is the
+    ``threading.get_ident()`` of the thread that opened the span.
     """
 
     name: str
@@ -58,6 +60,7 @@ class Span:
     t_start: float
     t_end: "float | None" = None
     attrs: dict = field(default_factory=dict)
+    thread: int = 0
 
     @property
     def duration(self) -> float:
@@ -80,6 +83,7 @@ class Span:
             "t_start": self.t_start,
             "duration": self.duration,
             "attrs": self.attrs,
+            "thread": self.thread,
         }
 
 
@@ -127,10 +131,12 @@ class _SpanHandle:
 
 
 class _ThreadStack(threading.local):
-    """The indices of the calling thread's open spans, innermost last."""
+    """The indices of the calling thread's open spans, innermost last, and
+    the thread's identity."""
 
     def __init__(self) -> None:
         self.stack: list[int] = []
+        self.ident = threading.get_ident()
 
 
 class Tracer:
@@ -148,7 +154,8 @@ class Tracer:
         return _SpanHandle(self, name, attrs)
 
     def _open(self, name: str, attrs: dict) -> Span:
-        stack = self._local.stack
+        local = self._local
+        stack = local.stack
         with self._lock:
             s = Span(
                 name=name,
@@ -157,6 +164,7 @@ class Tracer:
                 depth=len(stack),
                 t_start=time.perf_counter() - self.epoch,
                 attrs=attrs,
+                thread=local.ident,
             )
             self.spans.append(s)
         stack.append(s.index)

@@ -146,6 +146,16 @@ class CartesianDecomposition:
         return self.rank_of(tuple(coords))
 
     @cached_property
+    def rank_slices(self) -> tuple:
+        """Per rank, its :meth:`owned_slices`, built on first use."""
+        return tuple(self.owned_slices(rank) for rank in range(self.nranks))
+
+    @cached_property
+    def rank_shapes(self) -> tuple:
+        """Per rank, its :meth:`local_shape`, built on first use."""
+        return tuple(self.local_shape(rank) for rank in range(self.nranks))
+
+    @cached_property
     def halo_plan(self) -> tuple:
         """The staged exchange of the ghost layer, built on first use.
 
@@ -160,7 +170,7 @@ class CartesianDecomposition:
         their owned extent.
         """
         g = GHOST
-        shapes = [self.local_shape(rank) for rank in range(self.nranks)]
+        shapes = self.rank_shapes
 
         def slab(rank, axis, side, ghost):
             n = shapes[rank][axis]
@@ -206,10 +216,7 @@ class CartesianDecomposition:
 
     def max_local_dofs(self) -> int:
         """Largest per-rank dof count (the load-balance figure)."""
-        return max(
-            prod(self.local_shape(r)) * self.grid.ncomp
-            for r in range(self.nranks)
-        )
+        return max(prod(shape) for shape in self.rank_shapes) * self.grid.ncomp
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return (

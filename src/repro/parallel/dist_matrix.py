@@ -77,11 +77,9 @@ class DistributedSGDIA:
         if matrix.grid.shape != decomp.grid.shape:
             raise ValueError("decomposition grid does not match the matrix")
         local_ops = []
-        for rank in range(decomp.nranks):
-            sl = decomp.owned_slices(rank)
+        for sl, shape in zip(decomp.rank_slices, decomp.rank_shapes):
             shell = StructuredGrid(
-                tuple(n + 2 * _G for n in decomp.local_shape(rank)),
-                ncomp=matrix.grid.ncomp,
+                tuple(n + 2 * _G for n in shape), ncomp=matrix.grid.ncomp
             )
             op = SGDIAMatrix.zeros(shell, matrix.stencil, dtype=matrix.dtype)
             for d in range(op.ndiag):
@@ -96,10 +94,9 @@ class DistributedSGDIA:
         the rank's ghost-padded local array (trailing axes kept)."""
         return [
             np.pad(
-                per_cell[self.decomp.owned_slices(rank)],
-                ((_G, _G),) * 3 + ((0, 0),) * (per_cell.ndim - 3),
+                per_cell[sl], ((_G, _G),) * 3 + ((0, 0),) * (per_cell.ndim - 3)
             )
-            for rank in range(self.decomp.nranks)
+            for sl in self.decomp.rank_slices
         ]
 
     def spmv(self, x: np.ndarray, stats: "CommStats | None" = None) -> np.ndarray:
@@ -109,10 +106,10 @@ class DistributedSGDIA:
         halo = DistributedField.scatter(x, self.decomp)
         halo.exchange_halos(stats)
         y = np.empty(self.decomp.grid.field_shape, dtype=cdtype)
-        for rank, op in enumerate(self.local_ops):
-            y[self.decomp.owned_slices(rank)] = spmv_plain(
-                op, halo.locals[rank], compute_dtype=cdtype
-            )[_OWNED]
+        for op, local, sl in zip(
+            self.local_ops, halo.locals, self.decomp.rank_slices
+        ):
+            y[sl] = spmv_plain(op, local, compute_dtype=cdtype)[_OWNED]
         return y
 
     def jacobi_sweep(

@@ -120,8 +120,8 @@ class _RankTransfer:
         dtype = halo.dtype if dtype is None else dtype
         out = np.empty(dst.grid.field_shape, dtype=dtype)
         transfer = get_backend().transfer
-        for rank, st in enumerate(stencils):
-            out[dst.owned_slices(rank)] = transfer(st, halo.locals[rank], dtype)
+        for st, local, sl in zip(stencils, halo.locals, dst.rank_slices):
+            out[sl] = transfer(st, local, dtype)
         return out
 
 

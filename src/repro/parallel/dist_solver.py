@@ -40,8 +40,7 @@ def distributed_dot(
     shape = decomp.grid.field_shape
     x, y = np.reshape(x, shape), np.reshape(y, shape)
     total = 0.0
-    for rank in range(decomp.nranks):
-        sl = decomp.owned_slices(rank)
+    for sl in decomp.rank_slices:
         total += float(
             x[sl].astype(np.float64).ravel() @ y[sl].astype(np.float64).ravel()
         )
@@ -67,8 +66,8 @@ def failing_ranks(
     x = np.reshape(x, decomp.grid.field_shape)
     ranks = [
         rank
-        for rank in range(decomp.nranks)
-        if not np.isfinite(x[decomp.owned_slices(rank)]).all()
+        for rank, sl in enumerate(decomp.rank_slices)
+        if not np.isfinite(x[sl]).all()
     ]
     if stats is not None:
         stats.record_allreduce(max(1, (decomp.nranks + 7) // 8))

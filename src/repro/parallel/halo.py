@@ -70,8 +70,8 @@ class DistributedField:
         g = self.GHOST
         ncomp = decomp.grid.ncomp
         self.locals: list[np.ndarray] = []
-        for rank in range(decomp.nranks):
-            shape = tuple(n + 2 * g for n in decomp.local_shape(rank))
+        for local_shape in decomp.rank_shapes:
+            shape = tuple(n + 2 * g for n in local_shape)
             if ncomp > 1:
                 shape = (*shape, ncomp)
             self.locals.append(np.zeros(shape, dtype=self.dtype))
@@ -95,8 +95,8 @@ class DistributedField:
             decomp.grid.field_shape
         )
         f = cls(decomp, dtype=dtype or global_field.dtype)
-        for rank in range(decomp.nranks):
-            f.owned_view(rank)[...] = global_field[decomp.owned_slices(rank)]
+        for rank, sl in enumerate(decomp.rank_slices):
+            f.owned_view(rank)[...] = global_field[sl]
         return f
 
     def gather(self, out: "np.ndarray | None" = None) -> np.ndarray:
@@ -104,8 +104,8 @@ class DistributedField:
         a global field array, when given)."""
         if out is None:
             out = np.zeros(self.decomp.grid.field_shape, dtype=self.dtype)
-        for rank in range(self.decomp.nranks):
-            out[self.decomp.owned_slices(rank)] = self.owned_view(rank)
+        for rank, sl in enumerate(self.decomp.rank_slices):
+            out[sl] = self.owned_view(rank)
         return out
 
     # ------------------------------------------------------------------

@@ -5,13 +5,16 @@ memory traffic; real deployments (Section 7's weather/oil workloads) then
 spend their time in *repeated* solves against slowly-changing operators.
 This package turns the one-shot solver into a serving stack:
 
-- :mod:`repro.serve.fingerprint` — content hashes for operators and
-  canonical keys for configurations, plus a cheap operator-drift metric;
+- :mod:`repro.serve.fingerprint` — content hashes for SG-DIA operators
+  and canonical keys for configurations, plus a cheap operator-drift
+  metric;
 - :mod:`repro.serve.cache` — an LRU :class:`HierarchyCache` bounded by
   modeled bytes, with bit-exact disk spill of FP16 payloads and scaling
   vectors;
 - :mod:`repro.serve.session` — :class:`SolverSession`, warm-started
-  solves, drift-aware operator refresh, batched ``solve_many``;
+  solves, drift-aware operator refresh, batched ``solve_many``; it
+  fingerprints and signs each operator it accepts once, and hands the
+  cache the key it holds;
 - :mod:`repro.serve.service` — :class:`SolverService`: worker threads
   with warm sessions over one shared cache, behind one job lifecycle
   (bounded-queue admission, deadlines, cancel, retry backoff on a heap,
@@ -23,7 +26,6 @@ from .cache import CacheStats, HierarchyCache, load_hierarchy, save_hierarchy
 from .fingerprint import (
     OperatorSignature,
     cache_key,
-    config_key,
     matrix_fingerprint,
     operator_drift,
     options_key,
@@ -47,7 +49,6 @@ __all__ = [
     "SolverService",
     "SolverSession",
     "cache_key",
-    "config_key",
     "load_hierarchy",
     "matrix_fingerprint",
     "operator_drift",

@@ -3,11 +3,14 @@
 The setup phase (Galerkin chain + per-level scale/truncate + smoother
 setup) dominates cost when the same operator is solved repeatedly — the
 time-stepping replay pattern of every real application in the paper
-(weather assimilation windows, reservoir Newton steps).  This cache keys
-finished :class:`~repro.mg.MGHierarchy` objects by
-``(matrix_fingerprint, config_key, options_key)`` and bounds the *modeled*
-resident bytes (``memory_report()`` — the same accounting the perf model
-uses), evicting least-recently-used entries.
+(weather assimilation windows, reservoir Newton steps).  This cache holds
+finished :class:`~repro.mg.MGHierarchy` objects under
+:func:`~repro.serve.fingerprint.cache_key` — ``(matrix_fingerprint,
+config.cache_key, options_key)`` — and bounds the *modeled* resident bytes
+(``memory_report()`` — the same accounting the perf model uses), evicting
+least-recently-used entries.  A caller that already holds the key (a
+:class:`~repro.serve.session.SolverSession`, which fingerprints each
+operator once) passes it in; otherwise the cache hashes the operator.
 
 Evicted entries can optionally spill to disk: the FP16 payloads, the
 ``sqrt(Q)`` scaling vectors, and the smoother state arrays round-trip
@@ -28,7 +31,7 @@ import threading
 import zipfile
 import zlib
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +49,7 @@ from ..sgdia.io import (
     stored_from_npz,
     stored_to_arrays,
 )
-from .fingerprint import OperatorSignature, cache_key
+from .fingerprint import cache_key
 
 __all__ = [
     "CacheStats",
@@ -72,17 +75,6 @@ class CacheStats:
     spill_loads: int = 0
     spill_corrupt: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "stale": self.stale,
-            "spill_writes": self.spill_writes,
-            "spill_loads": self.spill_loads,
-            "spill_corrupt": self.spill_corrupt,
-        }
-
     @property
     def hit_rate(self) -> float:
         n = self.hits + self.misses
@@ -93,9 +85,6 @@ class CacheStats:
 class _Entry:
     hierarchy: MGHierarchy
     nbytes: int
-    signature: "OperatorSignature | None" = None
-    config: "PrecisionConfig | None" = None
-    options: "MGOptions | None" = None
 
 
 def hierarchy_nbytes(h: MGHierarchy) -> int:
@@ -138,7 +127,7 @@ class HierarchyCache:
         self.stats = CacheStats()
         self._entries: "OrderedDict[tuple, _Entry]" = OrderedDict()
         self._lock = threading.RLock()
-        #: keys whose setup is running right now — concurrent requesters
+        #: entries whose setup is running right now — concurrent requesters
         #: wait on the event instead of duplicating a multi-second build.
         self._building: "dict[tuple, threading.Event]" = {}
 
@@ -156,27 +145,25 @@ class HierarchyCache:
         with self._lock:
             return sum(e.nbytes for e in self._entries.values())
 
-    def keys(self) -> list:
-        with self._lock:
-            return list(self._entries)
-
     # ------------------------------------------------------------------
     def get_or_build(
         self,
         a,
         config: "PrecisionConfig | None" = None,
         options: "MGOptions | None" = None,
-        builder=None,
+        key: "tuple | None" = None,
     ) -> tuple[MGHierarchy, tuple, str]:
         """Return ``(hierarchy, key, source)`` for an operator.
 
         ``source`` is ``"memory"`` (LRU hit), ``"disk"`` (restored from a
-        spill file) or ``"build"`` (full setup ran).  ``builder`` defaults
-        to :func:`repro.mg.mg_setup` and receives ``(a, config, options)``.
+        spill file) or ``"build"`` (:func:`repro.mg.mg_setup` ran).
+        ``key`` is ``cache_key(a, config, options)`` when the caller
+        already holds it; omitted, the operator is hashed here.
         """
         config = config or PrecisionConfig()
         options = options or MGOptions()
-        key = cache_key(a, config, options)
+        if key is None:
+            key = cache_key(a, config, options)
         while True:
             with self._lock:
                 entry = self._entries.get(key)
@@ -211,7 +198,7 @@ class HierarchyCache:
                             self.stats.spill_loads += 1
                             _metrics.incr("serve.cache.hit")
                             _metrics.incr("serve.cache.spill_load")
-                            self._admit(key, h, a, config, options)
+                            self._admit(key, h)
                             return h, key, "disk"
                     self.stats.misses += 1
                     _metrics.incr("serve.cache.miss")
@@ -221,37 +208,15 @@ class HierarchyCache:
             # (the entry may also have been evicted again — loop handles it).
             pending.wait()
         # Build outside the lock: setups are long and must not serialize
-        # unrelated workers on other keys.
-        build = builder or mg_setup
+        # unrelated workers on other entries.
         try:
-            h = build(a, config, options)
+            h = mg_setup(a, config, options)
             with self._lock:
-                self._admit(key, h, a, config, options)
+                self._admit(key, h)
         finally:
             with self._lock:
                 self._building.pop(key).set()
         return h, key, "build"
-
-    def put(
-        self,
-        a,
-        hierarchy: MGHierarchy,
-        config: "PrecisionConfig | None" = None,
-        options: "MGOptions | None" = None,
-    ) -> tuple:
-        """Admit an externally built hierarchy; returns its key."""
-        config = config or hierarchy.config
-        options = options or hierarchy.options
-        key = cache_key(a, config, options)
-        with self._lock:
-            self._admit(key, hierarchy, a, config, options)
-        return key
-
-    def signature(self, key: tuple) -> "OperatorSignature | None":
-        """The operator signature recorded when ``key`` was admitted."""
-        with self._lock:
-            entry = self._entries.get(key)
-            return entry.signature if entry is not None else None
 
     def invalidate(self, key: tuple, stale: bool = False) -> bool:
         """Drop an entry (and its spill file).
@@ -279,21 +244,10 @@ class HierarchyCache:
                     )
             return True
 
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
     # ------------------------------------------------------------------
-    def _admit(self, key, hierarchy, a, config, options) -> None:
-        from ..sgdia import SGDIAMatrix
-
-        sig = OperatorSignature.of(a) if isinstance(a, SGDIAMatrix) else None
+    def _admit(self, key, hierarchy) -> None:
         self._entries[key] = _Entry(
-            hierarchy=hierarchy,
-            nbytes=hierarchy_nbytes(hierarchy),
-            signature=sig,
-            config=config,
-            options=options,
+            hierarchy=hierarchy, nbytes=hierarchy_nbytes(hierarchy)
         )
         self._entries.move_to_end(key)
         self._evict_over_budget()

@@ -5,13 +5,13 @@ hierarchy options)`` — Algorithm 1 has no hidden state.  That makes the
 expensive setup phase cacheable, *if* the three inputs can be keyed
 stably:
 
-- :func:`matrix_fingerprint` hashes the operator *content* (grid, stencil,
-  layout, coefficient bytes) with SHA-256, so two matrices that are equal
-  value-for-value share a key regardless of object identity.  Both SG-DIA
-  and CSR operators are supported.
-- :func:`config_key` / :func:`options_key` render :class:`PrecisionConfig`
-  and :class:`MGOptions` to canonical strings covering every field (the
-  paper-legend ``config.name`` is lossy and must not be used as a key).
+- :func:`matrix_fingerprint` hashes the SG-DIA operator *content* (grid,
+  stencil, layout, coefficient bytes) with SHA-256, so two matrices that
+  are equal value-for-value share a key regardless of object identity.
+- ``PrecisionConfig.cache_key`` / :func:`options_key` render
+  :class:`PrecisionConfig` and :class:`MGOptions` to canonical strings
+  covering every field (the paper-legend ``config.name`` is lossy and must
+  not be used as a key); :func:`cache_key` joins the three.
 - :class:`OperatorSignature` is the cheap companion for *almost*-unchanged
   operators: time-stepping applications refresh coefficients slightly every
   step, which changes the fingerprint but rarely warrants a new hierarchy
@@ -19,6 +19,9 @@ stably:
   signature keeps one diagonal copy and per-offset norms; ``drift``
   between signatures is a relative-change scalar a session can threshold
   to decide reuse-vs-rebuild far cheaper than a setup.
+
+A :class:`~repro.serve.session.SolverSession` takes one fingerprint and one
+signature of each operator it accepts and keys the cache with them.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from ..sgdia import SGDIAMatrix
 
 __all__ = [
     "matrix_fingerprint",
-    "config_key",
     "options_key",
     "cache_key",
     "OperatorSignature",
@@ -51,45 +53,27 @@ def _hash_update_array(h, a: np.ndarray) -> None:
         h.update(np.ascontiguousarray(part))
 
 
-def matrix_fingerprint(a) -> str:
-    """Stable content hash of an operator (SG-DIA or scipy CSR/CSC/COO).
+def matrix_fingerprint(a: SGDIAMatrix) -> str:
+    """Stable content hash of an SG-DIA operator.
 
     Two operators get the same fingerprint iff their structural metadata and
     coefficient bytes are identical — dtype included, since an FP32 and an
     FP64 copy of the same values set up different hierarchies.
     """
+    if not isinstance(a, SGDIAMatrix):
+        raise TypeError(
+            f"cannot fingerprint operator of type {type(a).__name__}; "
+            "expected SGDIAMatrix"
+        )
     h = hashlib.sha256()
-    if isinstance(a, SGDIAMatrix):
-        g = a.grid
-        h.update(b"sgdia")
-        h.update(repr((g.shape, g.ncomp, g.spacing)).encode())
-        h.update(a.stencil.name.encode())
-        h.update(repr(a.stencil.offsets).encode())
-        h.update(a.layout.encode())
-        _hash_update_array(h, a.data)
-        return h.hexdigest()
-    # scipy sparse: canonicalize to CSR so COO/CSC duplicates of the same
-    # operator key identically.
-    if hasattr(a, "tocsr"):
-        csr = a.tocsr()
-        if hasattr(csr, "sort_indices"):
-            csr = csr.copy()
-            csr.sort_indices()
-        h.update(b"csr")
-        h.update(repr(csr.shape).encode())
-        _hash_update_array(h, csr.indptr)
-        _hash_update_array(h, csr.indices)
-        _hash_update_array(h, csr.data)
-        return h.hexdigest()
-    raise TypeError(
-        f"cannot fingerprint operator of type {type(a).__name__}; "
-        "expected SGDIAMatrix or a scipy sparse matrix"
-    )
-
-
-def config_key(config: PrecisionConfig) -> str:
-    """Canonical key for a precision configuration (all fields)."""
-    return config.cache_key
+    g = a.grid
+    h.update(b"sgdia")
+    h.update(repr((g.shape, g.ncomp, g.spacing)).encode())
+    h.update(a.stencil.name.encode())
+    h.update(repr(a.stencil.offsets).encode())
+    h.update(a.layout.encode())
+    _hash_update_array(h, a.data)
+    return h.hexdigest()
 
 
 def options_key(options: MGOptions) -> str:
@@ -113,9 +97,16 @@ def options_key(options: MGOptions) -> str:
     )
 
 
-def cache_key(a, config: PrecisionConfig, options: MGOptions) -> tuple[str, str, str]:
-    """The full hierarchy-cache key ``(matrix, config, options)``."""
-    return (matrix_fingerprint(a), config_key(config), options_key(options))
+def cache_key(
+    a: "SGDIAMatrix | str", config: PrecisionConfig, options: MGOptions
+) -> tuple[str, str, str]:
+    """The full hierarchy-cache key ``(matrix, config, options)``.
+
+    ``a`` is the operator or its :func:`matrix_fingerprint`, so a caller
+    that already holds the fingerprint keys it without hashing again.
+    """
+    fingerprint = a if isinstance(a, str) else matrix_fingerprint(a)
+    return (fingerprint, config.cache_key, options_key(options))
 
 
 # ----------------------------------------------------------------------

@@ -44,7 +44,7 @@ import queue
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -702,7 +702,7 @@ class SolverService:
     def _cache_summary(self) -> dict:
         """Counters of the shared hierarchy cache."""
         return {
-            **self.cache.stats.to_dict(),
+            **asdict(self.cache.stats),
             "entries": len(self.cache),
             "resident_bytes": self.cache.resident_bytes,
             "hit_rate": self.cache.stats.hit_rate,
@@ -842,7 +842,7 @@ def run_serve_bench(
     )
     # Freeze the replay-phase counters now: the warm-start and multi-RHS
     # sections below reuse the same cache and would skew them.
-    replay_cache = stats.to_dict()
+    replay_cache = asdict(stats)
     replay_hit_rate = stats.hit_rate
 
     # -- warm-start service over the same replay -------------------------

@@ -9,7 +9,9 @@ between solves against the same (or slowly drifting) operator:
 - the previous solution, used to warm-start the next solve (time-stepping
   right-hand sides move slowly, so the previous state is a far better
   initial guess than zero);
-- the operator signature, so :meth:`update_operator` can decide cheaply
+- the operator's identity, taken once per accepted operator: its
+  fingerprint (the cache key, which the cache looks up without hashing
+  again) and its signature, so :meth:`update_operator` can decide cheaply
   whether a refreshed operator still matches the cached hierarchy
   (multigrid tolerates small coefficient drift) or is stale and needs a
   rebuild.
@@ -22,6 +24,8 @@ poisoned retry loop.
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import numpy as np
 
 from ..mg import MGOptions
@@ -32,7 +36,7 @@ from ..resilience import EscalationPolicy, robust_solve
 from ..sgdia import SGDIAMatrix
 from ..solvers import INTERRUPTED_STATUSES, SolveResult, batched_cg, solve
 from .cache import HierarchyCache
-from .fingerprint import OperatorSignature, cache_key
+from .fingerprint import OperatorSignature, cache_key, matrix_fingerprint
 
 __all__ = ["SolverSession"]
 
@@ -84,13 +88,6 @@ class SolverSession:
         that ``config.policy`` is part of the hierarchy cache key, so an
         adaptive session never mutates a hierarchy a static session
         shares.
-    hierarchy:
-        A pre-built hierarchy for ``a`` (it must have been set up under
-        the same ``config``/``options``).  The session adopts it instead
-        of building on first solve, e.g. one restored with
-        :func:`~repro.serve.cache.load_hierarchy`, and serves it with
-        escalation, drift tracking and warm starts without re-running
-        setup.
     """
 
     def __init__(
@@ -106,7 +103,6 @@ class SolverSession:
         escalate: bool = True,
         policy: "EscalationPolicy | None" = None,
         precision_policy=None,
-        hierarchy=None,
         solver_kwargs: "dict | None" = None,
     ) -> None:
         self.config = config or PrecisionConfig()
@@ -125,23 +121,21 @@ class SolverSession:
         self._policy_controller = None
 
         self.a = a
+        #: Fingerprint of ``self.a``, hashed the first time it is needed.
+        self._fingerprint: "str | None" = None
         self._hierarchy = None
         self._hierarchy_key = None
         #: Signature of the operator the current hierarchy was built from
         #: (drift accumulates against the *build* operator, not the last
         #: accepted refresh — otherwise a slow creep never trips the
-        #: threshold).
+        #: threshold); with no hierarchy, that of the operator the next
+        #: build will use, if already taken.
         self._built_signature: "OperatorSignature | None" = None
         self._last_x: "np.ndarray | None" = None
         self.n_solves = 0
         self.n_drift_reuses = 0
         self.n_rebuilds = 0
         self.n_warm_starts = 0
-        if hierarchy is not None:
-            self._hierarchy = hierarchy
-            self._hierarchy_key = cache_key(a, self.config, self.options)
-            self._built_signature = OperatorSignature.of(a)
-            self._bind_precision_policy(hierarchy)
 
     # ------------------------------------------------------------------
     def _bind_precision_policy(self, hierarchy) -> None:
@@ -163,14 +157,23 @@ class SolverSession:
             return
         self._policy_controller = attach_policy(hierarchy, spec)
 
+    def _key(self, config: PrecisionConfig, options: MGOptions) -> tuple:
+        """The cache key of ``self.a`` under ``config``/``options``, from
+        its stored fingerprint."""
+        if self._fingerprint is None:
+            self._fingerprint = matrix_fingerprint(self.a)
+        return cache_key(self._fingerprint, config, options)
+
     @property
     def hierarchy(self):
         """The session's preconditioner hierarchy (built on first access)."""
         if self._hierarchy is None:
+            key = self._key(self.config, self.options)
             self._hierarchy, self._hierarchy_key, _src = (
-                self.cache.get_or_build(self.a, self.config, self.options)
+                self.cache.get_or_build(self.a, self.config, self.options, key)
             )
-            self._built_signature = OperatorSignature.of(self.a)
+            if self._built_signature is None:
+                self._built_signature = OperatorSignature.of(self.a)
             self.n_rebuilds += 1
             self._bind_precision_policy(self._hierarchy)
         return self._hierarchy
@@ -184,16 +187,19 @@ class SolverSession:
         ``"rebuild"`` — drift exceeded the threshold (or no hierarchy
         exists yet); the stale cache entry is invalidated and the next
         solve sets up fresh.
+
+        ``a`` is hashed once and, unless unchanged, signed once; neither
+        is taken again while ``a`` is the session's operator.
         """
         if self._hierarchy is None:
-            self.a = a
+            self.a, self._fingerprint, self._built_signature = a, None, None
             return "rebuild"
-        old_key = cache_key(self.a, self.config, self.options)
-        new_key = cache_key(a, self.config, self.options)
-        if new_key == old_key:
+        fingerprint = matrix_fingerprint(a)
+        if fingerprint == self._fingerprint:
             return "unchanged"
-        drift = self._built_signature.drift(OperatorSignature.of(a))
-        self.a = a
+        signature = OperatorSignature.of(a)
+        drift = self._built_signature.drift(signature)
+        self.a, self._fingerprint = a, fingerprint
         if drift <= self.drift_threshold:
             self.n_drift_reuses += 1
             _metrics.incr("serve.session.drift_reuse")
@@ -204,21 +210,18 @@ class SolverSession:
                 self._policy_controller.on_drift(drift, a)
             return "reuse"
         # The hierarchy no longer represents the operator stream: drop it
-        # from the cache (stale) and rebuild lazily on the next solve.
-        self.cache.invalidate(self._hierarchy_key, stale=True)
-        self._hierarchy = None
-        self._hierarchy_key = None
-        self._built_signature = None
-        self._policy_controller = None
+        # from the cache (stale) and rebuild lazily on the next solve, from
+        # ``a``, whose signature is taken.
+        self.invalidate()
+        self._built_signature = signature
         return "rebuild"
 
     def invalidate(self) -> None:
-        """Force the next solve to set up a fresh hierarchy."""
+        """Force the next solve to set up a fresh hierarchy (the current
+        one's cache entry is dropped as stale)."""
         if self._hierarchy_key is not None:
             self.cache.invalidate(self._hierarchy_key, stale=True)
-        self._hierarchy = None
-        self._hierarchy_key = None
-        self._built_signature = None
+        self._hierarchy = self._hierarchy_key = self._built_signature = None
         self._policy_controller = None
 
     # ------------------------------------------------------------------
@@ -304,7 +307,8 @@ class SolverSession:
         def setup(a, cfg, options, attempt):
             if attempt == 0 and cfg.cache_key == self.config.cache_key:
                 return self.hierarchy
-            hierarchy, _key, _src = self.cache.get_or_build(a, cfg, options)
+            key = self._key(cfg, options) if a is self.a else None
+            hierarchy, _key, _src = self.cache.get_or_build(a, cfg, options, key)
             return hierarchy
 
         result, report = robust_solve(
@@ -395,7 +399,7 @@ class SolverSession:
             "warm_starts": self.n_warm_starts,
             "drift_reuses": self.n_drift_reuses,
             "rebuilds": self.n_rebuilds,
-            "cache": self.cache.stats.to_dict(),
+            "cache": asdict(self.cache.stats),
         }
         if self._policy_controller is not None:
             out["policy"] = self._policy_controller.snapshot()

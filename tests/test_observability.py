@@ -178,6 +178,30 @@ def _sample_tracer():
     return tr
 
 
+def _two_thread_tracer():
+    """A main-thread span, then two worker threads whose spans are open at
+    the same time, each with one child."""
+    both_open = threading.Barrier(2, timeout=30)
+
+    def work(i):
+        with obs_trace.span(f"worker-{i}"):
+            both_open.wait()
+            with obs_trace.span("inner"):
+                pass
+            both_open.wait()
+
+    with obs_trace.tracing() as tr:
+        with obs_trace.span("main"):
+            pass
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    assert not any(t.is_alive() for t in threads)
+    return tr
+
+
 class TestExporters:
     def test_jsonl_round_trip(self, tmp_path):
         tr = _sample_tracer()
@@ -204,6 +228,30 @@ class TestExporters:
         prec = by_idx[2]
         assert prec["name"] == "precond"
         assert prec["args"]["parent"] == 1  # nested under iteration #1
+
+    def test_chrome_lane_per_thread(self):
+        """Two threads' overlapping spans land on distinct ``tid`` lanes,
+        numbered in order of first appearance; a child keeps its parent's
+        lane, and a single-threaded trace is all lane 0."""
+        assert {
+            e["tid"] for e in obs_export.spans_to_chrome_events(_sample_tracer())
+        } == {0}
+        tr = _two_thread_tracer()
+        events = obs_export.spans_to_chrome_events(tr)
+        lane = {e["name"]: e["tid"] for e in events}
+        assert lane["main"] == 0
+        assert len({lane["main"], lane["worker-0"], lane["worker-1"]}) == 3
+        for e in events:
+            if e["name"] == "inner":
+                parent = tr.spans[e["args"]["parent"]].name
+                assert e["tid"] == lane[parent]
+
+    def test_jsonl_round_trips_thread(self, tmp_path):
+        tr = _two_thread_tracer()
+        path = obs_export.write_jsonl(tr, str(tmp_path / "trace.jsonl"))
+        loaded = obs_export.load_jsonl(path)
+        assert [s.thread for s in loaded] == [s.thread for s in tr.finished()]
+        assert len({s.thread for s in loaded}) == 3
 
     def test_aggregate_self_time(self):
         tr = _sample_tracer()

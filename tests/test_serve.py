@@ -59,11 +59,6 @@ class TestFingerprint:
         modified = type(lap.a)(lap.a.grid, lap.a.stencil, data, layout=lap.a.layout)
         assert matrix_fingerprint(modified) != matrix_fingerprint(lap.a)
 
-    def test_csr_fingerprint(self, lap):
-        csr = lap.a.to_csr()
-        assert matrix_fingerprint(csr) == matrix_fingerprint(csr.copy())
-        assert matrix_fingerprint(csr) != matrix_fingerprint(lap.a)
-
     def test_cache_key_includes_config_and_options(self, lap):
         k1 = cache_key(lap.a, K64P32D16_SETUP_SCALE, MGOptions())
         k2 = cache_key(lap.a, FULL64, MGOptions())
@@ -109,13 +104,6 @@ class TestHierarchyCache:
         cache.get_or_build(lap.a, K64P32D32, lap.mg_options)
         assert len(cache) == 2
         assert cache.stats.misses == 2
-
-    def test_mg_setup_cache_parameter(self, lap):
-        cache = HierarchyCache()
-        h1 = mg_setup(lap.a, FULL64, lap.mg_options, cache=cache)
-        h2 = mg_setup(lap.a, FULL64, lap.mg_options, cache=cache)
-        assert h1 is h2
-        assert cache.stats.hits == 1
 
     def test_lru_eviction_under_byte_budget(self):
         # laplace27's operator is seed-independent; vary the shape to get
@@ -281,6 +269,81 @@ class TestSolverSession:
         res = session.solve(prob.b)
         assert res.status == "converged"
         assert "resilience" in res.detail
+
+
+@pytest.fixture
+def identity_calls(monkeypatch):
+    """Counts the operator fingerprints and signatures taken from here on."""
+    import repro.serve.fingerprint as fingerprint_mod
+    import repro.serve.session as session_mod
+
+    calls = {"fingerprint": 0, "signature": 0}
+    fingerprint = fingerprint_mod.matrix_fingerprint
+    sign = OperatorSignature.of.__func__
+
+    def counted_fingerprint(a):
+        calls["fingerprint"] += 1
+        return fingerprint(a)
+
+    def counted_sign(cls, a):
+        calls["signature"] += 1
+        return sign(cls, a)
+
+    for mod in (fingerprint_mod, session_mod):
+        monkeypatch.setattr(mod, "matrix_fingerprint", counted_fingerprint)
+    monkeypatch.setattr(OperatorSignature, "of", classmethod(counted_sign))
+    return calls
+
+
+def _scaled(a, factor):
+    data = np.array(a.data, copy=True) * factor
+    return type(a)(a.grid, a.stencil, data, layout=a.layout)
+
+
+class TestOperatorIdentity:
+    """A session fingerprints and signs each operator it accepts once, and
+    the cache looks up the key the session holds."""
+
+    def test_fresh_session_first_hierarchy(self, lap, identity_calls):
+        session = SolverSession(lap.a, options=lap.mg_options)
+        session.hierarchy
+        session.hierarchy
+        assert identity_calls == {"fingerprint": 1, "signature": 1}
+
+    def test_drifted_update_then_hierarchy(self, lap, identity_calls):
+        cache = HierarchyCache()
+        session = SolverSession(lap.a, options=lap.mg_options, cache=cache)
+        h_old = session.hierarchy
+        identity_calls.update(fingerprint=0, signature=0)
+        assert session.update_operator(_scaled(lap.a, 1.5)) == "rebuild"
+        assert session.hierarchy is not h_old
+        assert identity_calls == {"fingerprint": 1, "signature": 1}
+        assert (cache.stats.misses, cache.stats.stale) == (2, 1)
+        assert session.n_rebuilds == 2
+
+    def test_unchanged_and_reuse_updates(self, lap, identity_calls):
+        session = SolverSession(lap.a, options=lap.mg_options)
+        session.hierarchy
+        identity_calls.update(fingerprint=0, signature=0)
+        same = build_problem("laplace27", shape=(10, 10, 8), seed=0).a
+        assert session.update_operator(same) == "unchanged"
+        assert identity_calls["fingerprint"] == 1
+        identity_calls.update(fingerprint=0, signature=0)
+        assert session.update_operator(_scaled(lap.a, 1 + 1e-7)) == "reuse"
+        assert identity_calls["fingerprint"] == 1
+        assert session.n_drift_reuses == 1 and session.n_rebuilds == 1
+
+    def test_escalated_solve_reuses_the_fingerprint(self, identity_calls):
+        prob = build_problem("laplace27e8", shape=(8, 8, 8), seed=0)
+        bad = PrecisionConfig("fp64", "fp32", "fp16", scaling="none")
+        session = SolverSession(
+            prob.a, config=bad, options=prob.mg_options,
+            solver=prob.solver, rtol=prob.rtol, maxiter=100,
+        )
+        res = session.solve(prob.b)
+        assert res.status == "converged"
+        assert len(res.detail["resilience"]["attempts"]) >= 2
+        assert identity_calls["fingerprint"] == 1
 
 
 # ----------------------------------------------------------------------
